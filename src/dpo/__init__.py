@@ -6,144 +6,4 @@ morphisms, rule application guarded by the dangling condition, and a
 constructive commutation for parallel independent derivations.
 """
 
-from .errors import (
-    DanglingConditionError,
-    DependentDerivationsError,
-    FormatError,
-    InternalConsistencyError,
-    PreconditionError,
-    RewriteError,
-)
-from .graph import (
-    Graph,
-    IsoWitness,
-    ValidationReport,
-    Violation,
-    graph,
-    is_isomorphic,
-    renumber,
-    validate_graph,
-)
-from .morphism import (
-    Morphism,
-    compose,
-    enumerate_morphisms,
-    identity,
-    invert,
-    is_bijective,
-    is_inclusion,
-    is_injective,
-    is_surjective,
-    morphisms_agree,
-    validate_morphism,
-)
-from .constructions import (
-    DeletionResult,
-    GluingResult,
-    PullbackResult,
-    dangling_edges,
-    deletion,
-    gluing,
-    pullback_construct,
-)
-from .diagrams import (
-    CheckReport,
-    Square,
-    commutes,
-    compose_squares_horizontal,
-    compose_squares_vertical,
-    is_pullback,
-    is_pushout_injective,
-    jointly_surjective,
-    pushout_mediator,
-    reduced_chain_condition,
-    squares_agree,
-    transpose_square,
-)
-from .rewriting import (
-    DirectDerivation,
-    Match,
-    Rule,
-    apply,
-    dangling_condition,
-    derivations_isomorphic,
-    find_matches,
-    identity_rule,
-    validate_rule,
-)
-from .independence import (
-    CommutationResult,
-    IndependenceWitness,
-    ParallelPair,
-    commute,
-    parallel_independent,
-    residual_match,
-    sequential_independent,
-    verify_commutation_squares,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport",
-    "CommutationResult",
-    "DanglingConditionError",
-    "DeletionResult",
-    "DependentDerivationsError",
-    "DirectDerivation",
-    "FormatError",
-    "GluingResult",
-    "Graph",
-    "IndependenceWitness",
-    "InternalConsistencyError",
-    "IsoWitness",
-    "Match",
-    "Morphism",
-    "ParallelPair",
-    "PreconditionError",
-    "PullbackResult",
-    "RewriteError",
-    "Rule",
-    "Square",
-    "ValidationReport",
-    "Violation",
-    "apply",
-    "commute",
-    "commutes",
-    "compose",
-    "compose_squares_horizontal",
-    "compose_squares_vertical",
-    "dangling_condition",
-    "dangling_edges",
-    "deletion",
-    "derivations_isomorphic",
-    "enumerate_morphisms",
-    "find_matches",
-    "gluing",
-    "graph",
-    "identity",
-    "identity_rule",
-    "invert",
-    "is_bijective",
-    "is_inclusion",
-    "is_injective",
-    "is_isomorphic",
-    "is_pullback",
-    "is_pushout_injective",
-    "is_surjective",
-    "jointly_surjective",
-    "morphisms_agree",
-    "parallel_independent",
-    "pullback_construct",
-    "pushout_mediator",
-    "reduced_chain_condition",
-    "renumber",
-    "residual_match",
-    "sequential_independent",
-    "squares_agree",
-    "transpose_square",
-    "validate_graph",
-    "validate_morphism",
-    "validate_rule",
-    "verify_commutation_squares",
-]

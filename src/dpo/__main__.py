@@ -1,0 +1,6 @@
+"""Run the command line as ``python -m dpo <verb> ...``."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -26,12 +26,13 @@ from .errors import (
 from .graph import is_isomorphic, validate_graph
 from .independence import (
     ParallelPair,
+    blocking_items,
     commute,
     parallel_independent,
     verify_commutation_squares,
 )
 from .morphism import validate_morphism
-from .rewriting import Match, apply, dangling_condition, find_matches, validate_rule
+from .rewriting import Match, apply, find_matches, validate_rule
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -48,15 +49,12 @@ def _emit(doc: dict, summary: str, args: argparse.Namespace) -> None:
 
 
 def _load_match(selector_index: int | None, selector_file: str | None, rule, host) -> Match:
+    """The selected match; :func:`apply` validates it, and the rule, once."""
     if selector_file is not None:
-        m = io.load_morphism(selector_file, source=rule.L, target=host)
-        report = validate_morphism(m)
-        if not report.ok:
-            raise PreconditionError(f"match file invalid: {report.violations[0]}")
-        return Match(m)
+        return Match(io.load_morphism(selector_file, source=rule.L, target=host))
     matches = find_matches(rule, host)
     index = selector_index or 0
-    if index >= len(matches):
+    if not 0 <= index < len(matches):
         raise PreconditionError(f"match index {index} out of range ({len(matches)} matches)")
     return matches[index]
 
@@ -120,20 +118,10 @@ def cmd_match(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     rule = io.load_rule(args.rule)
     host = io.load_graph(args.graph)
-    rv = validate_rule(rule)
-    if not rv.ok:
-        raise PreconditionError(f"rule invalid: {rv.violations[0]}")
-    match = _load_match(args.match_index, args.match, rule, host)
-    report = dangling_condition(rule, match)
-    if not report:
-        print(json.dumps(io.check_report_to_json(report), indent=2), file=sys.stderr)
-        raise DanglingConditionError(report.counterexample or ())
-    derivation = apply(rule, match)
-    left = is_pushout_injective(derivation.left_square)
-    right = is_pushout_injective(derivation.right_square)
+    derivation = apply(rule, _load_match(args.match_index, args.match, rule, host))
     io.save_json(io.graph_to_json(derivation.H), args.out)
     trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
-    io.save_json(io.derivation_trace_json(derivation, left, right), trace_path)
+    io.save_json(io.derivation_trace_json(derivation), trace_path)
     if args.dot:
         Path(args.dot).write_text(io.to_dot(derivation.H), encoding="utf-8")
     _emit(
@@ -172,32 +160,21 @@ def _build_pair(args: argparse.Namespace) -> ParallelPair:
     return ParallelPair(apply(rule1, m1), apply(rule2, m2))
 
 
-def _blocking_items(pair: ParallelPair) -> list[dict]:
-    blocked = []
-    for side, m, context in (
-        ("L1 into D2", pair.d1.match.m, pair.d2.deletion.D),
-        ("L2 into D1", pair.d2.match.m, pair.d1.deletion.D),
-    ):
-        for v in sorted(m.source.nodes):
-            if m.fv[v] not in context.nodes:
-                blocked.append({"triangle": side, "item": ["node", m.fv[v]]})
-        for e in sorted(m.source.edges):
-            if m.fe[e] not in context.edges:
-                blocked.append({"triangle": side, "item": ["edge", m.fe[e]]})
-    return blocked
+def _report_dependent(pair: ParallelPair, args: argparse.Namespace) -> int:
+    blocked = [{"triangle": side, "item": list(item)} for side, item in blocking_items(pair)]
+    _emit(
+        {"independent": False, "blocked": blocked},
+        f"dependent ({len(blocked)} blocking item(s))",
+        args,
+    )
+    return EXIT_DEPENDENT
 
 
 def cmd_independent(args: argparse.Namespace) -> int:
     pair = _build_pair(args)
     witness = parallel_independent(pair)
     if witness is None:
-        blocked = _blocking_items(pair)
-        _emit(
-            {"independent": False, "blocked": blocked},
-            f"dependent ({len(blocked)} blocking item(s))",
-            args,
-        )
-        return EXIT_DEPENDENT
+        return _report_dependent(pair, args)
     _emit(
         {
             "independent": True,
@@ -214,13 +191,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
     pair = _build_pair(args)
     witness = parallel_independent(pair)
     if witness is None:
-        blocked = _blocking_items(pair)
-        _emit(
-            {"independent": False, "blocked": blocked},
-            f"dependent ({len(blocked)} blocking item(s))",
-            args,
-        )
-        return EXIT_DEPENDENT
+        return _report_dependent(pair, args)
     result = commute(pair)
     squares = verify_commutation_squares(pair, witness, result)
     if not squares:
@@ -343,3 +314,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

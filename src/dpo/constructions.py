@@ -202,6 +202,9 @@ def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:
     ]
     node_id = {pair: i for i, pair in enumerate(node_pairs)}
     edge_id = {pair: i for i, pair in enumerate(edge_pairs)}
+    for x, y in edge_pairs:
+        if (B.src[x], C.src[y]) not in node_id or (B.tgt[x], C.tgt[y]) not in node_id:
+            raise PreconditionError("pullback_construct: f or g does not preserve edge endpoints")
 
     A = Graph(
         nodes=frozenset(node_id.values()),

@@ -89,19 +89,23 @@ def commutes(sq: Square) -> CheckReport:
 
 
 def reduced_chain_condition(sq: Square) -> CheckReport:
-    """Every B/C item pair agreeing in D must have a common preimage in A."""
+    """Every B/C item pair agreeing in D must have a common preimage in A.
+
+    The pairs agreeing in D are the items of the canonical pullback of the
+    cospan, so they are taken from :func:`pullback_construct`, in its
+    lexicographic pair order; the first pair without a preimage is reported.
+    The square must commute, which this function checks first.
+    """
     if not commutes(sq):
         raise PreconditionError("reduced_chain_condition: square does not commute")
-    node_pairs = {(sq.ab.fv[a], sq.ac.fv[a]) for a in sq.A.nodes}
-    for b in sorted(sq.B.nodes):
-        for c in sorted(sq.C.nodes):
-            if sq.bd.fv[b] == sq.cd.fv[c] and (b, c) not in node_pairs:
-                return CheckReport(False, "reduced chain-condition", ("node", b, c))
-    edge_pairs = {(sq.ab.fe[a], sq.ac.fe[a]) for a in sq.A.edges}
-    for b in sorted(sq.B.edges):
-        for c in sorted(sq.C.edges):
-            if sq.bd.fe[b] == sq.cd.fe[c] and (b, c) not in edge_pairs:
-                return CheckReport(False, "reduced chain-condition", ("edge", b, c))
+    pb = pullback_construct(sq.bd, sq.cd)
+    for kind, candidates, images in (
+        ("node", pb.node_pairs, {(sq.ab.fv[a], sq.ac.fv[a]) for a in sq.A.nodes}),
+        ("edge", pb.edge_pairs, {(sq.ab.fe[a], sq.ac.fe[a]) for a in sq.A.edges}),
+    ):
+        for pair in candidates.values():
+            if pair not in images:
+                return CheckReport(False, "reduced chain-condition", (kind, *pair))
     return CheckReport(True)
 
 

@@ -71,14 +71,34 @@ def _require_same_start(pair: ParallelPair) -> None:
         raise PreconditionError("parallel pair: derivations start from different graphs")
 
 
+def _outside(m: Morphism, sub: Graph) -> list[tuple[str, int]]:
+    """Image items of ``m`` missing from an identity-included subgraph of its
+    target, as ``("node", id)``/``("edge", id)``, nodes first, in source order."""
+    nodes = [("node", m.fv[v]) for v in sorted(m.source.nodes) if m.fv[v] not in sub.nodes]
+    return nodes + [("edge", m.fe[e]) for e in sorted(m.source.edges) if m.fe[e] not in sub.edges]
+
+
 def _corestrict(m: Morphism, sub: Graph) -> Optional[Morphism]:
     """View ``m`` as a morphism into an identity-included subgraph of its
     target, when its image lies inside that subgraph."""
-    if any(m.fv[v] not in sub.nodes for v in m.source.nodes):
-        return None
-    if any(m.fe[e] not in sub.edges for e in m.source.edges):
+    if _outside(m, sub):
         return None
     return Morphism(m.source, sub, dict(m.fv), dict(m.fe))
+
+
+def blocking_items(pair: ParallelPair) -> list[tuple[str, tuple[str, int]]]:
+    """Why a parallel pair is dependent: each ``(triangle, item)`` names a
+    matched host item that the other derivation deletes. Empty iff
+    :func:`parallel_independent` finds a witness."""
+    _require_same_start(pair)
+    return [
+        (side, item)
+        for side, m, context in (
+            ("L1 into D2", pair.d1.match.m, pair.d2.deletion.D),
+            ("L2 into D1", pair.d2.match.m, pair.d1.deletion.D),
+        )
+        for item in _outside(m, context)
+    ]
 
 
 def parallel_independent(pair: ParallelPair) -> Optional[IndependenceWitness]:
@@ -215,14 +235,22 @@ def verify_commutation_squares(
         sq41 = Square(ab=r2, ac=k2, bd=rho2, cd=delta2)
         sigma2 = pushout_mediator(sq41, p=d2.comatch, t=compose(cbar2, pi2))
         sq42 = Square(ab=delta2, ac=pi2, bd=sigma2, cd=cbar2)
+    except RewriteError as exc:
+        return CheckReport(False, f"decomposition construction failed: {exc}", ("construction",))
 
+    # square (5) is built against result.Gp, so a result that does not fit
+    # the decomposition fails here, under this label
+    try:
         tau1 = Morphism(glue21.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
         if not validate_morphism(tau1).ok:
             return CheckReport(False, "square (5): context embedding into G' invalid", ("construction",))
-        tau2 = pushout_mediator(sq41, p=result.e1.comatch, t=compose(tau1, delta1))
+        comatch = result.e1.comatch
+        tau2 = pushout_mediator(
+            sq41, p=Morphism(comatch.source, result.Gp, comatch.fv, comatch.fe), t=compose(tau1, delta1)
+        )
         sq5 = Square(ab=delta2, ac=delta1, bd=tau2, cd=tau1)
     except RewriteError as exc:
-        return CheckReport(False, f"decomposition construction failed: {exc}", ("construction",))
+        return CheckReport(False, f"square (5): construction failed: {exc}", ("construction",))
 
     labelled = [
         ("(12)", is_pullback, sq12),

@@ -236,21 +236,15 @@ def load_square(path: str | Path) -> Square:
     )
 
 
-def square_to_json(sq: Square) -> dict:
-    return {
-        "A": graph_to_json(sq.A),
-        "B": graph_to_json(sq.B),
-        "C": graph_to_json(sq.C),
-        "D": graph_to_json(sq.D),
-        "ab": morphism_to_json(sq.ab),
-        "ac": morphism_to_json(sq.ac),
-        "bd": morphism_to_json(sq.bd),
-        "cd": morphism_to_json(sq.cd),
-    }
+def derivation_trace_json(dd: DirectDerivation) -> dict:
+    """The trace document written next to a derivation's result graph.
 
-
-def derivation_trace_json(dd: DirectDerivation, left: CheckReport, right: CheckReport) -> dict:
-    """The trace document written next to a derivation's result graph."""
+    Both square checks are recorded as passed: they ran once, inside
+    :func:`~dpo.rewriting.apply`, which raises
+    :class:`~dpo.errors.InternalConsistencyError` instead of returning a
+    derivation whose squares fail the pushout characterization.
+    """
+    passed = check_report_to_json(CheckReport(True))
     return {
         "rule": rule_to_json(dd.rule),
         "G": graph_to_json(dd.G),
@@ -265,8 +259,8 @@ def derivation_trace_json(dd: DirectDerivation, left: CheckReport, right: CheckR
             "b": morphism_to_json(dd.rule.b),
             "r": morphism_to_json(dd.rule.r),
         },
-        "left_square_check": check_report_to_json(left),
-        "right_square_check": check_report_to_json(right),
+        "left_square_check": passed,
+        "right_square_check": passed,
     }
 
 

@@ -35,7 +35,7 @@ def identity(g: Graph) -> Morphism:
 
 
 def validate_morphism(m: Morphism) -> ValidationReport:
-    """Check totality, range and the four preservation clauses."""
+    """Check totality, range, the four preservation clauses and the domain."""
     g, h = m.source, m.target
     bad: list[Violation] = []
     for v in sorted(g.nodes):
@@ -58,6 +58,10 @@ def validate_morphism(m: Morphism) -> ValidationReport:
             bad.append(Violation("target not preserved", f"edge {e}"))
         if g.elabel[e] != h.elabel[m.fe[e]]:
             bad.append(Violation("edge label not preserved", f"edge {e}"))
+    for v in sorted(set(m.fv) - g.nodes):
+        bad.append(Violation("fv defined outside source nodes", f"node {v}"))
+    for e in sorted(set(m.fe) - g.edges):
+        bad.append(Violation("fe defined outside source edges", f"edge {e}"))
     return ValidationReport(tuple(bad))
 
 
@@ -149,7 +153,8 @@ def _iter_morphisms(g: Graph, h: Graph, injective_only: bool) -> Iterator[Morphi
             yield Morphism(g, h, dict(fv), dict(fe))
             return
         e = edges[j]
-        key = (fv[g.src[e]], fv[g.tgt[e]], g.elabel[e])
+        # an endpoint outside g's nodes has no image, so no morphism exists
+        key = (fv.get(g.src[e]), fv.get(g.tgt[e]), g.elabel[e])
         for cand in edge_index.get(key, ()):
             if injective_only and cand in used_edges:
                 continue

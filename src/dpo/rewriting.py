@@ -2,9 +2,9 @@
 
 A direct derivation applies a rule at an injective match by deleting the
 matched non-interface part (pushout complement) and gluing in the
-replacement (pushout object). Both constructed squares are re-checked
-against the pushout characterization on every application; a failure there
-is an engine bug, not a user error.
+replacement (pushout object). Both constructed squares are checked against
+the pushout characterization once, inside :func:`apply`; a failure there is
+an engine bug, not a user error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import constructions
 from .constructions import DeletionResult, GluingResult, deletion, gluing
 from .diagrams import CheckReport, Square, is_pushout_injective
-from .errors import DanglingConditionError, InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError, PreconditionError
 from .graph import Graph, ValidationReport, Violation, is_isomorphic, validate_graph
 from .morphism import Morphism, enumerate_morphisms, identity, is_injective, validate_morphism
 
@@ -51,7 +51,10 @@ class DirectDerivation:
     match: Match
     deletion: DeletionResult
     gluing: GluingResult
-    comatch: Morphism
+
+    @property
+    def comatch(self) -> Morphism:
+        return self.gluing.h
 
     @property
     def G(self) -> Graph:
@@ -84,9 +87,9 @@ def validate_rule(rule: Rule) -> ValidationReport:
         if m.source != src or m.target != tgt:
             bad.append(Violation(f"{name} endpoint mismatch", name))
             continue
-        for v in validate_morphism(m).violations:
-            bad.append(Violation(f"{name}: {v.clause}", v.item))
-        if validate_morphism(m).ok and not is_injective(m):
+        violations = validate_morphism(m).violations
+        bad.extend(Violation(f"{name}: {v.clause}", v.item) for v in violations)
+        if not violations and not is_injective(m):
             bad.append(Violation(f"{name} not injective", name))
     return ValidationReport(tuple(bad))
 
@@ -112,10 +115,14 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
     """Apply ``rule`` at ``match``: deletion then gluing.
 
     ``fresh_offset`` shifts the identifiers allocated for created items; the
-    result is the same up to isomorphism for any offset. Raises
-    :class:`DanglingConditionError` when the match is not applicable, and
-    :class:`InternalConsistencyError` if either constructed square fails the
-    pushout characterization (an engine bug).
+    result is the same up to isomorphism for any offset. Each check runs once
+    per call: the rule and the match are validated here; the match's
+    injectivity and the dangling condition are checked by
+    :func:`~dpo.constructions.deletion`, which raises
+    :class:`PreconditionError` and :class:`DanglingConditionError`; and both
+    constructed squares are certified here against the pushout
+    characterization, raising :class:`InternalConsistencyError` on failure
+    (an engine bug). A returned derivation is therefore always certified.
     """
     rv = validate_rule(rule)
     if not rv.ok:
@@ -125,17 +132,10 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
     mv = validate_morphism(match.m)
     if not mv.ok:
         raise PreconditionError(f"apply: invalid match: {mv.violations[0]}")
-    if not is_injective(match.m):
-        raise PreconditionError("apply: match is not injective")
-    report = dangling_condition(rule, match)
-    if not report:
-        raise DanglingConditionError(report.counterexample or ())
 
     deleted = deletion(rule.b, match.m)
     glued = gluing(rule.r, deleted.d, fresh_offset=fresh_offset)
-    derivation = DirectDerivation(
-        rule=rule, match=match, deletion=deleted, gluing=glued, comatch=glued.h
-    )
+    derivation = DirectDerivation(rule=rule, match=match, deletion=deleted, gluing=glued)
     for side, sq in (("left", derivation.left_square), ("right", derivation.right_square)):
         check = is_pushout_injective(sq)
         if not check:

@@ -1,0 +1,269 @@
+"""Contract tests for the ``dpo`` command line: exit codes and stdout reports.
+
+Every verb is run in process through :func:`dpo.cli.main` on small JSON files
+written to a temporary directory; the package entry points are run once each
+in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import dpo
+from dpo import io
+from dpo.cli import main
+from dpo.graph import graph
+from dpo.morphism import Morphism, identity
+from dpo.rewriting import Rule
+
+PASSED = {"verdict": True, "failed_clause": None, "counterexample": None}
+
+
+def host():
+    """Two a-nodes joined by an x-edge, and a y-edge on to a b-node."""
+    return graph({0: "a", 1: "a", 2: "b"}, {0: (0, 1, "x"), 1: (1, 2, "y")})
+
+
+def delete_x_edge() -> Rule:
+    k = graph({0: "a", 1: "a"})
+    l = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+    return Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 1}, {}), r=identity(k))
+
+
+def keep_x_edge() -> Rule:
+    l = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+    return Rule(L=l, K=l, R=l, b=identity(l), r=identity(l))
+
+
+def delete_a_node() -> Rule:
+    empty = graph({})
+    l = graph({0: "a"})
+    return Rule(L=l, K=empty, R=empty, b=Morphism(empty, l, {}, {}), r=identity(empty))
+
+
+def create_c_node() -> Rule:
+    empty = graph({})
+    r = graph({0: "c"})
+    return Rule(L=empty, K=empty, R=r, b=identity(empty), r=Morphism(empty, r, {}, {}))
+
+
+def write(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def run(capsys, *argv: str) -> tuple[int, dict, str]:
+    code = main([*argv, "--json"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if out.strip() else None, err
+
+
+@pytest.fixture
+def files(tmp_path):
+    f = {"host": write(tmp_path / "host.json", io.graph_to_json(host()))}
+    for name, rule in (
+        ("delete_x", delete_x_edge()),
+        ("keep_x", keep_x_edge()),
+        ("delete_a", delete_a_node()),
+        ("create_c", create_c_node()),
+    ):
+        f[name] = write(tmp_path / f"{name}.json", io.rule_to_json(rule))
+    return f
+
+
+class TestApply:
+    def test_ok_writes_the_result_and_a_trace_with_both_checks_passed(self, capsys, files, tmp_path):
+        out = tmp_path / "H.json"
+        code, doc, _ = run(capsys, "apply", files["delete_x"], files["host"], "--out", str(out))
+        trace = tmp_path / "H.trace.json"
+        assert code == 0
+        assert doc == {"out": str(out), "trace": str(trace), "nodes": 3, "edges": 1}
+        assert json.loads(out.read_text()) == io.graph_to_json(
+            graph({0: "a", 1: "a", 2: "b"}, {1: (1, 2, "y")})
+        )
+        recorded = json.loads(trace.read_text())
+        assert recorded["left_square_check"] == PASSED
+        assert recorded["right_square_check"] == PASSED
+
+    def test_dangling_match_exits_2_and_names_the_edges(self, capsys, files, tmp_path):
+        out = tmp_path / "H.json"
+        code, doc, err = run(capsys, "apply", files["delete_a"], files["host"], "--out", str(out))
+        assert code == 2
+        assert doc is None
+        assert "dangling edges: [0]" in err
+        assert not out.exists()
+
+    def test_invalid_rule_exits_1(self, capsys, files, tmp_path):
+        k = graph({0: "a", 1: "a"})
+        l = graph({0: "a"})
+        bad = Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 0}, {}), r=identity(k))
+        rule = write(tmp_path / "bad.json", io.rule_to_json(bad))
+        code, doc, err = run(capsys, "apply", rule, files["host"], "--out", str(tmp_path / "H.json"))
+        assert code == 1
+        assert doc is None
+        assert "not injective" in err
+
+    def test_invalid_match_file_exits_1(self, capsys, files, tmp_path):
+        # node 2 carries label b, the rule's node 1 label a
+        match = write(tmp_path / "m.json", {"fv": {"0": 0, "1": 2}, "fe": {"0": 0}})
+        code, doc, err = run(
+            capsys, "apply", files["delete_x"], files["host"], "--match", match,
+            "--out", str(tmp_path / "H.json"),
+        )
+        assert code == 1
+        assert doc is None
+        assert "node label not preserved" in err
+
+    def test_negative_match_index_exits_1(self, capsys, files, tmp_path):
+        out = tmp_path / "H.json"
+        code, doc, err = run(
+            capsys, "apply", files["delete_x"], files["host"], "--match-index", "-1", "--out", str(out)
+        )
+        assert code == 1
+        assert doc is None
+        assert "match index -1 out of range" in err
+        assert not out.exists()
+
+    def test_interface_map_defined_outside_its_source_exits_1(self, capsys, files, tmp_path):
+        doc = io.rule_to_json(create_c_node())
+        doc["r"]["fv"] = {"5": 0}
+        rule = write(tmp_path / "hostile.json", doc)
+        code, out, err = run(capsys, "apply", rule, files["host"], "--out", str(tmp_path / "H.json"))
+        assert code == 1
+        assert out is None
+        assert "fv defined outside source nodes" in err
+
+
+def square_doc(extra_target_node: bool) -> dict:
+    """The gluing square of an a-node and a b-node over the empty graph."""
+    d = {0: "a", 1: "b", 2: "a"} if extra_target_node else {0: "a", 1: "b"}
+    return {
+        "A": io.graph_to_json(graph({})),
+        "B": io.graph_to_json(graph({0: "a"})),
+        "C": io.graph_to_json(graph({0: "b"})),
+        "D": io.graph_to_json(graph(d)),
+        "ab": {"fv": {}, "fe": {}},
+        "ac": {"fv": {}, "fe": {}},
+        "bd": {"fv": {"0": 0}, "fe": {}},
+        "cd": {"fv": {"0": 1}, "fe": {}},
+    }
+
+
+class TestCheckSquare:
+    def test_pushout_exits_0(self, capsys, tmp_path):
+        square = write(tmp_path / "sq.json", square_doc(extra_target_node=False))
+        code, doc, _ = run(capsys, "check-square", square, "--mode", "pushout")
+        assert code == 0
+        assert doc == PASSED
+
+    def test_uncovered_target_node_exits_3(self, capsys, tmp_path):
+        square = write(tmp_path / "sq.json", square_doc(extra_target_node=True))
+        code, doc, _ = run(capsys, "check-square", square, "--mode", "pushout")
+        assert code == 3
+        assert doc == {
+            "verdict": False,
+            "failed_clause": "joint surjectivity",
+            "counterexample": ["node", 2],
+        }
+
+
+class TestIndependentAndCommute:
+    def test_independent_pair_exits_0_with_both_embeddings(self, capsys, files):
+        code, doc, _ = run(
+            capsys, "independent", files["delete_x"], files["create_c"], files["host"],
+            "--match1", "0", "--match2", "0",
+        )
+        assert code == 0
+        assert doc == {
+            "independent": True,
+            "j1": {"fv": {"0": 0, "1": 1}, "fe": {"0": 0}},
+            "j2": {"fv": {}, "fe": {}},
+        }
+
+    def test_dependent_pair_exits_4_and_lists_the_blocking_items(self, capsys, files):
+        code, doc, _ = run(
+            capsys, "independent", files["delete_x"], files["keep_x"], files["host"],
+            "--match1", "0", "--match2", "0",
+        )
+        assert code == 4
+        assert doc == {
+            "independent": False,
+            "blocked": [{"triangle": "L2 into D1", "item": ["edge", 0]}],
+        }
+
+    def test_commute_exits_0_and_writes_the_closed_diamond(self, capsys, files, tmp_path):
+        out = tmp_path / "Gp.json"
+        code, doc, _ = run(
+            capsys, "commute", files["delete_x"], files["create_c"], files["host"],
+            "--match1", "0", "--match2", "0", "--out", str(out),
+        )
+        report = tmp_path / "Gp.report.json"
+        assert code == 0
+        assert doc == {"out": str(out), "report": str(report), "nodes": 4}
+        assert json.loads(out.read_text()) == io.graph_to_json(
+            graph({0: "a", 1: "a", 2: "b", 3: "c"}, {1: (1, 2, "y")})
+        )
+        assert json.loads(report.read_text())["squares"] == PASSED
+
+    def test_commute_on_a_dependent_pair_exits_4(self, capsys, files, tmp_path):
+        code, doc, _ = run(
+            capsys, "commute", files["delete_x"], files["keep_x"], files["host"],
+            "--match1", "0", "--match2", "0", "--out", str(tmp_path / "Gp.json"),
+        )
+        assert code == 4
+        assert doc["blocked"] == [{"triangle": "L2 into D1", "item": ["edge", 0]}]
+
+
+class TestValidate:
+    def test_well_formed_graph_exits_0(self, capsys, files):
+        code, doc, _ = run(capsys, "validate", files["host"])
+        assert code == 0
+        assert doc == {"kind": "graph", "ok": True, "violations": []}
+
+    def test_edge_to_a_missing_node_exits_3(self, capsys, tmp_path):
+        path = write(tmp_path / "g.json", {
+            "nodes": [{"id": 0, "label": "a"}],
+            "edges": [{"id": 0, "src": 0, "tgt": 5, "label": "x"}],
+        })
+        code, doc, _ = run(capsys, "validate", path)
+        assert code == 3
+        assert doc == {
+            "kind": "graph",
+            "ok": False,
+            "violations": [{"clause": "tgt out of V", "item": "edge 0"}],
+        }
+
+    def test_interface_map_defined_outside_its_source_exits_3(self, capsys, tmp_path):
+        doc = io.rule_to_json(create_c_node())
+        doc["r"]["fv"] = {"5": 0}
+        code, out, _ = run(capsys, "validate", write(tmp_path / "hostile.json", doc))
+        assert code == 3
+        assert out == {
+            "kind": "rule",
+            "ok": False,
+            "violations": [{"clause": "r: fv defined outside source nodes", "item": "node 5"}],
+        }
+
+
+def test_graph_submodule_is_not_shadowed():
+    import dpo.graph
+
+    assert isinstance(dpo.graph, types.ModuleType)
+
+
+@pytest.mark.parametrize("module", ["dpo", "dpo.cli"])
+def test_package_runs_as_a_module(module, files):
+    env = dict(os.environ)
+    src = str(Path(dpo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "validate", files["host"], "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"kind": "graph", "ok": True, "violations": []}

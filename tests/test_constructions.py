@@ -182,6 +182,14 @@ class TestPullbackConstruct:
         with pytest.raises(PreconditionError):
             pullback_construct(identity(graph({0: "a"})), identity(graph({0: "b"})))
 
+    def test_legs_that_break_edge_endpoints_raise(self):
+        b = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+        d = graph({0: "a", 1: "a", 2: "a"}, {0: (0, 1, "x")})
+        # a total map that sends the x-edge but not its source along with it
+        g = Morphism(b, d, {0: 2, 1: 1}, {0: 0})
+        with pytest.raises(PreconditionError, match="edge endpoints"):
+            pullback_construct(Morphism(b, d, {0: 0, 1: 1}, {0: 0}), g)
+
     def test_projections_return_pair_components(self):
         rng = random.Random(31)
         for _ in range(40):

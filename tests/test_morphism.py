@@ -36,6 +36,14 @@ class TestValidateMorphism:
         report = validate_morphism(Morphism(g, h, {0: 0}, {}))
         assert any(v.clause == "node label not preserved" for v in report.violations)
 
+    def test_map_keys_outside_the_source_are_reported(self):
+        g = graph({})
+        report = validate_morphism(Morphism(g, graph({0: "a"}), {5: 0}, {7: 0}))
+        assert [(v.clause, v.item) for v in report.violations] == [
+            ("fv defined outside source nodes", "node 5"),
+            ("fe defined outside source edges", "edge 7"),
+        ]
+
     def test_broken_source_preservation_is_clause_1(self):
         g = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
         h = graph({0: "a", 1: "a", 2: "a"}, {0: (2, 1, "x")})
@@ -163,6 +171,10 @@ class TestEnumerateMorphisms:
         out = enumerate_morphisms(graph({}), A2)
         assert len(out) == 1
         assert out[0].fv == {} and out[0].fe == {}
+
+    def test_edge_with_a_missing_endpoint_has_no_morphism(self):
+        ill_formed = graph({0: "a"}, {0: (0, 9, "x")})
+        assert enumerate_morphisms(ill_formed, graph({0: "a"}, {0: (0, 0, "x")})) == []
 
     def test_single_node_into_two_like_nodes(self):
         out = enumerate_morphisms(graph({0: "a"}), graph({0: "a", 1: "a"}))
