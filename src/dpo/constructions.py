@@ -183,23 +183,17 @@ def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:
     ``D``; identifiers are fresh consecutive integers in lexicographic pair
     order, labels are taken from the ``B`` component, and the projections
     return the respective components.
+
+    The pairs are found by a hash join on the image in ``D`` (see
+    :func:`_agreeing_pairs`), so for ``k`` pairs the cost is
+    ``O(|B| + |C| + k log k)``.
     """
     if f.target != g.target:
         raise PreconditionError("pullback_construct: targets differ")
     B, C = f.source, g.source
 
-    node_pairs = [
-        (x, y)
-        for x in sorted(B.nodes)
-        for y in sorted(C.nodes)
-        if f.fv[x] == g.fv[y]
-    ]
-    edge_pairs = [
-        (x, y)
-        for x in sorted(B.edges)
-        for y in sorted(C.edges)
-        if f.fe[x] == g.fe[y]
-    ]
+    node_pairs = _agreeing_pairs(B.nodes, f.fv, C.nodes, g.fv)
+    edge_pairs = _agreeing_pairs(B.edges, f.fe, C.edges, g.fe)
     node_id = {pair: i for i, pair in enumerate(node_pairs)}
     edge_id = {pair: i for i, pair in enumerate(edge_pairs)}
     for x, y in edge_pairs:
@@ -233,3 +227,28 @@ def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:
         node_pairs={i: pair for pair, i in node_id.items()},
         edge_pairs={i: pair for pair, i in edge_id.items()},
     )
+
+
+def _agreeing_pairs(
+    xs: frozenset[int], fx: dict[int, int], ys: frozenset[int], gy: dict[int, int]
+) -> list[tuple[int, int]]:
+    """The pairs ``(x, y)`` with ``fx[x] == gy[y]``, in lexicographic order.
+
+    The smaller side is indexed by its image and the larger side probes the
+    index, so only the pairs found are sorted.
+    """
+    if not xs or not ys:
+        # no pairs: return before reading the other side's map
+        return []
+    if len(xs) <= len(ys):
+        by_image: dict[int, list[int]] = {}
+        for x in xs:
+            by_image.setdefault(fx[x], []).append(x)
+        pairs = [(x, y) for y in ys for x in by_image.get(gy[y], ())]
+    else:
+        by_image = {}
+        for y in ys:
+            by_image.setdefault(gy[y], []).append(y)
+        pairs = [(x, y) for x in xs for y in by_image.get(fx[x], ())]
+    pairs.sort()
+    return pairs

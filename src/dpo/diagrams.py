@@ -98,6 +98,11 @@ def reduced_chain_condition(sq: Square) -> CheckReport:
     """
     if not commutes(sq):
         raise PreconditionError("reduced_chain_condition: square does not commute")
+    return _chain_condition(sq)
+
+
+def _chain_condition(sq: Square) -> CheckReport:
+    # the body of reduced_chain_condition, for a square known to commute
     pb = pullback_construct(sq.bd, sq.cd)
     for kind, candidates, images in (
         ("node", pb.node_pairs, {(sq.ab.fv[a], sq.ac.fv[a]) for a in sq.A.nodes}),
@@ -138,7 +143,7 @@ def is_pushout_injective(sq: Square) -> CheckReport:
     report = commutes(sq)
     if not report:
         return report
-    report = reduced_chain_condition(sq)
+    report = _chain_condition(sq)
     if not report:
         return report
     return jointly_surjective(sq.bd, sq.cd)

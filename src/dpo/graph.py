@@ -149,7 +149,10 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
 
     Backtracking over nodes with pruning by (label, in-degree, out-degree)
     signatures; candidates are tried in ascending identifier order, so the
-    returned witness is deterministic.
+    returned witness is deterministic. A candidate pair ``v -> w`` is checked
+    against the already-assigned neighbours of ``v`` and of ``w`` only, as in
+    VF2's feasibility rules, so each check costs O(degree): an assigned node
+    adjacent to neither side carries no edges to compare.
     """
     if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
         return None
@@ -162,23 +165,33 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
 
     pair_g = _edge_label_index(g)
     pair_h = _edge_label_index(h)
+    nbrs_g = _neighbours(pair_g)
+    nbrs_h = _neighbours(pair_h)
     order = sorted(g.nodes)
     by_sig: dict[tuple, list[int]] = {}
     for w in sorted(h.nodes):
         by_sig.setdefault(sig_h[w], []).append(w)
 
     assignment: dict[int, int] = {}
-    used: set[int] = set()
+    inverse: dict[int, int] = {}
 
     def consistent(v: int, w: int) -> bool:
         # every ordered pair involving v (including the loop pair) must carry
-        # the same edge-label multiset on both sides
+        # the same edge-label multiset on both sides; pairs with an assigned
+        # node that is adjacent to neither v nor w are empty on both sides
         if pair_g.get((v, v)) != pair_h.get((w, w)):
             return False
-        for u, x in assignment.items():
-            if pair_g.get((v, u)) != pair_h.get((w, x)):
+        for u in nbrs_g.get(v, ()):
+            x = assignment.get(u)
+            if x is not None and (
+                pair_g.get((v, u)) != pair_h.get((w, x)) or pair_g.get((u, v)) != pair_h.get((x, w))
+            ):
                 return False
-            if pair_g.get((u, v)) != pair_h.get((x, w)):
+        for x in nbrs_h.get(w, ()):
+            u = inverse.get(x)
+            if u is not None and (
+                pair_g.get((v, u)) != pair_h.get((w, x)) or pair_g.get((u, v)) != pair_h.get((x, w))
+            ):
                 return False
         return True
 
@@ -187,14 +200,14 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
             return True
         v = order[i]
         for w in by_sig.get(sig_g[v], ()):
-            if w in used or not consistent(v, w):
+            if w in inverse or not consistent(v, w):
                 continue
             assignment[v] = w
-            used.add(w)
+            inverse[w] = v
             if extend(i + 1):
                 return True
             del assignment[v]
-            used.discard(w)
+            del inverse[w]
         return False
 
     if not extend(0):
@@ -214,6 +227,17 @@ def _edge_label_index(g: Graph) -> dict[tuple[int, int], Counter]:
     for e in g.edges:
         index.setdefault((g.src[e], g.tgt[e]), Counter())[g.elabel[e]] += 1
     return index
+
+
+def _neighbours(pairs: Mapping[tuple[int, int], Counter]) -> dict[int, tuple[int, ...]]:
+    # the distinct nodes joined to each node by an edge in either direction,
+    # loops left out
+    adjacent: dict[int, set[int]] = {}
+    for s, t in pairs:
+        if s != t:
+            adjacent.setdefault(s, set()).add(t)
+            adjacent.setdefault(t, set()).add(s)
+    return {v: tuple(us) for v, us in adjacent.items()}
 
 
 def _edge_bijection(g: Graph, h: Graph, node_map: Mapping[int, int]) -> dict[int, int]:

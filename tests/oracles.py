@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from dpo.graph import Graph
+from dpo.graph import Graph, graph
 from dpo.morphism import Morphism, compose, enumerate_morphisms, morphisms_agree
 from dpo.independence import ParallelPair
 
@@ -61,6 +61,29 @@ def _pair_label_index(g: Graph) -> dict[tuple[int, int], Counter]:
     for e in g.edges:
         index.setdefault((g.src[e], g.tgt[e]), Counter())[g.elabel[e]] += 1
     return index
+
+
+def brute_force_pullback(f: Morphism, g: Morphism) -> tuple[list, list, Graph]:
+    """The canonical pullback of a cospan ``f: B -> D <- C :g`` by comparing
+    every ``B`` item with every ``C`` item: the node pairs and edge pairs
+    that agree in ``D``, in lexicographic order, and the object whose items
+    are numbered in that order and labelled from ``B``."""
+    B, C = f.source, g.source
+    node_pairs = [
+        (x, y) for x in sorted(B.nodes) for y in sorted(C.nodes) if f.fv[x] == g.fv[y]
+    ]
+    edge_pairs = [
+        (x, y) for x in sorted(B.edges) for y in sorted(C.edges) if f.fe[x] == g.fe[y]
+    ]
+    node_id = {pair: i for i, pair in enumerate(node_pairs)}
+    A = graph(
+        {i: B.nlabel[x] for (x, _), i in node_id.items()},
+        {
+            i: (node_id[B.src[x], C.src[y]], node_id[B.tgt[x], C.tgt[y]], B.elabel[x])
+            for i, (x, y) in enumerate(edge_pairs)
+        },
+    )
+    return node_pairs, edge_pairs, A
 
 
 def brute_force_morphism_count(g: Graph, h: Graph, injective_only: bool = False) -> int:

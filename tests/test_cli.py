@@ -172,6 +172,34 @@ class TestCheckSquare:
         }
 
 
+def one_node_square(ab: dict) -> dict:
+    """Identities on a one-node graph, with ``ab`` replaced."""
+    one = io.graph_to_json(graph({0: "a"}))
+    ident = {"fv": {"0": 0}, "fe": {}}
+    return {"A": one, "B": one, "C": one, "D": one, "ab": ab, "ac": ident, "bd": ident, "cd": ident}
+
+
+class TestInternalErrors:
+    """Square files the loader accepts but no check can evaluate end in exit
+    code 5 and one line on stderr, never in a traceback."""
+
+    @pytest.mark.parametrize("mode", ["pushout", "pullback"])
+    @pytest.mark.parametrize(
+        "ab, message",
+        [
+            ({"fv": {}, "fe": {}}, "error: internal: KeyError: 0"),
+            ({"fv": {"0": 7}, "fe": {}}, "error: internal: KeyError: 7"),
+        ],
+        ids=["partial", "out-of-range"],
+    )
+    def test_hostile_square_exits_5(self, capsys, tmp_path, mode, ab, message):
+        square = write(tmp_path / "sq.json", one_node_square(ab))
+        code, doc, err = run(capsys, "check-square", square, "--mode", mode)
+        assert code == 5
+        assert doc is None
+        assert err == message + "\n"
+
+
 class TestIndependentAndCommute:
     def test_independent_pair_exits_0_with_both_embeddings(self, capsys, files):
         code, doc, _ = run(

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from dpo import randgen
 from dpo.constructions import dangling_edges, deletion, gluing, pullback_construct
@@ -23,6 +24,9 @@ from dpo.morphism import (
     is_surjective,
     validate_morphism,
 )
+
+from .oracles import brute_force_pullback
+from .strategies import cospans
 
 
 def gluing_square(b, d, result) -> Square:
@@ -203,3 +207,52 @@ class TestPullbackConstruct:
             sq = Square(ab=result.b, ac=result.c, bd=f, cd=g)
             assert is_pullback(sq)
             assert reduced_chain_condition(sq)
+
+
+def _one_into_three() -> tuple[Morphism, Morphism]:
+    """A one-node B and a three-node C whose leg folds two nodes and two
+    parallel edges onto one."""
+    d = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+    b = graph({0: "a"})
+    c = graph({0: "a", 1: "a", 2: "a"}, {0: (0, 2, "x"), 1: (1, 2, "x")})
+    return Morphism(b, d, {0: 0}, {}), Morphism(c, d, {0: 0, 1: 0, 2: 1}, {0: 0, 1: 0})
+
+
+def _empty_into(d) -> tuple[Morphism, Morphism]:
+    return Morphism(graph({}), d, {}, {}), identity(d)
+
+
+class TestPullbackJoin:
+    """The hash join against the nested-loop oracle, and at a size the
+    nested loop cannot reach."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cospans())
+    @example(_one_into_three())
+    @example(_one_into_three()[::-1])
+    @example(_empty_into(graph({0: "a"}, {0: (0, 0, "x")})))
+    @example(_empty_into(graph({0: "a"}, {0: (0, 0, "x")}))[::-1])
+    def test_join_matches_the_nested_loop(self, cospan):
+        f, g = cospan
+        node_pairs, edge_pairs, A = brute_force_pullback(f, g)
+        result = pullback_construct(f, g)
+        assert result.node_pairs == dict(enumerate(node_pairs))
+        assert result.edge_pairs == dict(enumerate(edge_pairs))
+        assert result.A == A
+
+    def test_identity_square_of_twenty_thousand_nodes(self):
+        # no wall-clock bound: the join takes well under a second here,
+        # where comparing every pair of items would take minutes
+        rng = random.Random(41)
+        n = 20_000
+        g = graph(
+            {v: "abc"[v % 3] for v in range(n)},
+            {e: (rng.randrange(n), rng.randrange(n), "xy"[e % 2]) for e in range(2 * n)},
+        )
+        result = pullback_construct(identity(g), identity(g))
+        assert result.node_pairs == {v: (v, v) for v in range(n)}
+        assert result.edge_pairs == {e: (e, e) for e in range(2 * n)}
+        assert result.A == g
+        sq = Square(ab=identity(g), ac=identity(g), bd=identity(g), cd=identity(g))
+        assert is_pullback(sq)
+        assert is_pushout_injective(sq)

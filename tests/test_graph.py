@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
+from networkx.algorithms.isomorphism import MultiDiGraphMatcher, categorical_node_match
 
 from dpo.errors import PreconditionError
 from dpo.graph import graph, is_isomorphic, renumber, validate_graph
 from dpo.morphism import Morphism, is_bijective, validate_morphism
 
-from .oracles import brute_force_isomorphic
+from .oracles import brute_force_isomorphic, morphism_axioms_ok
 from .strategies import graphs
 
 
@@ -120,3 +123,111 @@ class TestIsIsomorphic:
         backward = is_isomorphic(h, g)
         assert (forward is None) == (backward is None)
         assert (forward is not None) == brute_force_isomorphic(g, h)
+
+
+def sparse_host(rng: random.Random, n: int, m: int):
+    """n nodes labelled a, b, c in turn and m uniformly random edges."""
+    return graph(
+        {v: "abc"[v % 3] for v in range(n)},
+        {e: (rng.randrange(n), rng.randrange(n), rng.choice("xy")) for e in range(m)},
+    )
+
+
+def tree_host(rng: random.Random, n: int):
+    """n randomly labelled nodes, an edge from each node to an earlier one,
+    and n more random edges.
+
+    Every node but 0 has a lower-numbered neighbour, so the search, which
+    takes g's nodes in ascending order, always extends along an edge. On
+    :func:`sparse_host` graphs of this size the unguided backtracking can
+    run for minutes (ROADMAP direction 3).
+    """
+    nodes = {v: rng.choice("abc") for v in range(n)}
+    edges = {}
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges[len(edges)] = (u, v, rng.choice("xy")) if rng.random() < 0.5 else (v, u, rng.choice("xy"))
+    for _ in range(n):
+        edges[len(edges)] = (rng.randrange(n), rng.randrange(n), rng.choice("xy"))
+    return graph(nodes, edges)
+
+
+def shuffled(rng: random.Random, g):
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    new_nodes, new_edges = nodes[:], edges[:]
+    rng.shuffle(new_nodes)
+    rng.shuffle(new_edges)
+    return renumber(g, dict(zip(nodes, new_nodes)), dict(zip(edges, new_edges)))
+
+
+def swapped_labels(rng: random.Random, g):
+    """g with the labels of one x-edge and one y-edge exchanged: node
+    signatures and label counts stay the same, so only the search can tell
+    the two apart."""
+    a = rng.choice(sorted(e for e in g.edges if g.elabel[e] == "x"))
+    b = rng.choice(sorted(e for e in g.edges if g.elabel[e] == "y"))
+    return type(g)(g.nodes, g.edges, g.src, g.tgt, g.nlabel, {**g.elabel, a: "y", b: "x"})
+
+
+def networkx_isomorphic(g, h) -> bool:
+    def to_nx(x):
+        m = nx.MultiDiGraph()
+        m.add_nodes_from((v, {"label": x.nlabel[v]}) for v in x.nodes)
+        m.add_edges_from((x.src[e], x.tgt[e], e, {"label": x.elabel[e]}) for e in x.edges)
+        return m
+
+    def same_label_multiset(a: dict, b: dict) -> bool:
+        return Counter(d["label"] for d in a.values()) == Counter(d["label"] for d in b.values())
+
+    return MultiDiGraphMatcher(
+        to_nx(g), to_nx(h),
+        node_match=categorical_node_match("label", None),
+        edge_match=same_label_multiset,
+    ).is_isomorphic()
+
+
+# the witness is_isomorphic returned for the pair built in
+# test_witness_of_a_symmetric_pair_is_pinned, as images of 0, 1, 2, ...
+PINNED_NODE_IMAGES = [
+    45, 20, 57, 55, 56, 19, 1, 14, 28, 32, 46, 48, 51, 22, 6, 41, 17, 39, 12, 18,
+    26, 24, 9, 43, 54, 30, 37, 5, 0, 16, 50, 33, 36, 42, 31, 29, 8, 35, 25, 7, 10,
+    4, 49, 27, 44, 13, 3, 58, 23, 21, 11, 53, 2, 47, 34, 59, 40, 38, 52, 15,
+]
+PINNED_EDGE_IMAGES = [
+    41, 75, 55, 26, 15, 8, 20, 24, 35, 6, 37, 33, 57, 32, 53, 89, 54, 85, 45, 50,
+    79, 40, 2, 56, 51, 78, 22, 38, 80, 25, 31, 39, 0, 77, 13, 81, 68, 62, 76, 16,
+    58, 27, 73, 43, 63, 11, 59, 61, 65, 64, 42, 10, 3, 71, 46, 66, 30, 72, 18, 44,
+    36, 48, 83, 52, 28, 88, 4, 87, 12, 14, 74, 60, 5, 1, 7, 9, 49, 86, 21, 19, 23,
+    34, 47, 69, 82, 29, 17, 84, 70, 67,
+]
+
+
+class TestIsIsomorphicAgainstNetworkx:
+    @pytest.mark.parametrize("n", [100, 200, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["shuffled", "swapped"])
+    def test_verdict_and_witness(self, kind, seed, n):
+        rng = random.Random(f"{kind}:{n}:{seed}")
+        g = tree_host(rng, n)
+        h = shuffled(rng, g if kind == "shuffled" else swapped_labels(rng, g))
+        w = is_isomorphic(g, h)
+        assert (w is not None) == networkx_isomorphic(g, h)
+        assert (w is not None) == (kind == "shuffled")
+        if w is not None:
+            assert morphism_axioms_ok(g, h, w.node_map, w.edge_map)
+            back_v = {x: v for v, x in w.node_map.items()}
+            back_e = {x: e for e, x in w.edge_map.items()}
+            assert len(back_v) == len(h.nodes) and len(back_e) == len(h.edges)
+            assert morphism_axioms_ok(h, g, back_v, back_e)
+
+    def test_witness_of_a_symmetric_pair_is_pinned(self):
+        # g has 24 automorphisms, so which witness comes back depends on the
+        # order of the search; the lists were recorded before the search
+        # switched to neighbour-local checks
+        rng = random.Random(6)
+        g = sparse_host(rng, 60, 90)
+        h = shuffled(rng, g)
+        w = is_isomorphic(g, h)
+        assert w is not None
+        assert [w.node_map[v] for v in range(60)] == PINNED_NODE_IMAGES
+        assert [w.edge_map[e] for e in range(90)] == PINNED_EDGE_IMAGES
