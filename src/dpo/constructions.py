@@ -3,37 +3,61 @@
 Gluing builds the pushout object of an injective span by keeping the context
 graph's identifiers verbatim and allocating fresh identifiers for the new
 items, so the context's embedding into the result is a literal inclusion.
-Deletion builds the pushout complement by set difference and is verified
-against the pushout characterization by its callers.
+Deletion builds the pushout complement by set difference, so the context
+embeds into the host the same way, and both inclusions are built only when
+read. Each map or item set that a construction changes is copied in bulk,
+at C level, and patched with the rule's items; the others are shared with
+the input graph. So a construction costs a few C-level copies of the host
+plus O(|rule| + degree) Python work. The dangling check reads the host's
+incidence index (:attr:`~dpo.graph.Graph.incidence`), which both
+constructions carry on to their result once it is built. Neither certifies
+its square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Collection, Iterable, TypeVar
 
 from .errors import DanglingConditionError, PreconditionError
-from .graph import Graph
+from .graph import Graph, incidence_if_built
 from .morphism import Morphism, is_injective
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
 class GluingResult:
     """Pushout object ``H`` of an injective span, with ``h: R -> H`` and the
-    inclusion ``c: D -> H``."""
+    inclusion ``c: D -> H``, built on first access."""
 
     H: Graph
     h: Morphism
-    c: Morphism
+    D: Graph
+
+    @cached_property
+    def c(self) -> Morphism:
+        return _inclusion(self.D, self.H)
 
 
 @dataclass(frozen=True)
 class DeletionResult:
-    """Pushout complement ``D`` of a match, with ``d: K -> D`` and the
-    inclusion ``c: D -> G``."""
+    """Pushout complement ``D`` of a match into ``G``, with ``d: K -> D`` and
+    the inclusion ``c: D -> G``, built on first access."""
 
     D: Graph
     d: Morphism
-    c: Morphism
+    G: Graph
+
+    @cached_property
+    def c(self) -> Morphism:
+        return _inclusion(self.D, self.G)
+
+
+def _inclusion(sub: Graph, g: Graph) -> Morphism:
+    # the identity maps of sub, built at C level
+    return Morphism(sub, g, dict(zip(sub.nodes, sub.nodes)), dict(zip(sub.edges, sub.edges)))
 
 
 @dataclass(frozen=True)
@@ -58,7 +82,9 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
     outside the interface image receive fresh identifiers starting past the
     largest identifier in ``D`` (or past ``fresh_offset``, whichever is
     larger), in ascending ``R``-id order. Identifiers of ``D`` are kept, so
-    ``c`` is an identity inclusion.
+    ``c`` is an identity inclusion. ``H`` copies each map of ``D`` that
+    gains items in bulk and adds them, shares the others with ``D``, and
+    carries ``D``'s incidence index if it has been built.
     """
     if b.source != d.source:
         raise PreconditionError("gluing: b and d must share their source graph")
@@ -74,70 +100,68 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
     new_edges = sorted(R.edges - set(b_inv_e))
 
     floor = fresh_offset if fresh_offset is not None else 0
-    node_start = max(max(D.nodes, default=-1) + 1, floor)
-    edge_start = max(max(D.edges, default=-1) + 1, floor)
-    fresh_v = {x: node_start + i for i, x in enumerate(new_nodes)}
-    fresh_e = {x: edge_start + i for i, x in enumerate(new_edges)}
+    fresh_v = _fresh_ids(new_nodes, D.nodes, floor)
+    fresh_e = _fresh_ids(new_edges, D.edges, floor)
 
     def node_in_h(x: int) -> int:
         # image in H of an R-node: through the interface if it has one,
         # else its fresh copy
         return d.fv[b_inv_v[x]] if x in b_inv_v else fresh_v[x]
 
-    src = dict(D.src)
-    tgt = dict(D.tgt)
-    elabel = dict(D.elabel)
-    for e in new_edges:
-        src[fresh_e[e]] = node_in_h(R.src[e])
-        tgt[fresh_e[e]] = node_in_h(R.tgt[e])
-        elabel[fresh_e[e]] = R.elabel[e]
-    nlabel = dict(D.nlabel)
-    for v in new_nodes:
-        nlabel[fresh_v[v]] = R.nlabel[v]
-
     H = Graph(
-        nodes=D.nodes | frozenset(fresh_v.values()),
-        edges=D.edges | frozenset(fresh_e.values()),
-        src=src,
-        tgt=tgt,
-        nlabel=nlabel,
-        elabel=elabel,
+        nodes=_extended(D.nodes, fresh_v.values()),
+        edges=_extended(D.edges, fresh_e.values()),
+        src=_updated(D.src, {fresh_e[e]: node_in_h(R.src[e]) for e in new_edges}),
+        tgt=_updated(D.tgt, {fresh_e[e]: node_in_h(R.tgt[e]) for e in new_edges}),
+        nlabel=_updated(D.nlabel, {fresh_v[v]: R.nlabel[v] for v in new_nodes}),
+        elabel=_updated(D.elabel, {fresh_e[e]: R.elabel[e] for e in new_edges}),
     )
+    _carry_incidence(D, H, (), (), fresh_e.values())
     h = Morphism(
         source=R,
         target=H,
         fv={x: node_in_h(x) for x in R.nodes},
         fe={x: fresh_e[x] if x in fresh_e else d.fe[b_inv_e[x]] for x in R.edges},
     )
-    c = Morphism(D, H, {v: v for v in D.nodes}, {e: e for e in D.edges})
-    return GluingResult(H=H, h=h, c=c)
+    return GluingResult(H=H, h=h, D=D)
+
+
+def _deleted_items(rule_left: Morphism, match: Morphism) -> tuple[set[int], set[int]]:
+    """The host nodes and edges matched by items of ``L`` outside ``K``."""
+    L = match.source
+    preserved_v = {rule_left.fv[k] for k in rule_left.source.nodes}
+    preserved_e = {rule_left.fe[k] for k in rule_left.source.edges}
+    return (
+        {match.fv[v] for v in L.nodes - preserved_v},
+        {match.fe[e] for e in L.edges - preserved_e},
+    )
 
 
 def dangling_edges(rule_left: Morphism, match: Morphism) -> list[int]:
     """Host edges that survive deletion but touch a deleted node.
 
     ``rule_left: K -> L`` and ``match: L -> G``. An empty result means the
-    dangling condition holds for this rule/match combination.
+    dangling condition holds for this rule/match combination. Only the
+    edges at deleted nodes are read, through the host's incidence index,
+    which a rule that deletes no node never builds.
     """
-    L, G = match.source, match.target
-    preserved_v = {rule_left.fv[k] for k in rule_left.source.nodes}
-    preserved_e = {rule_left.fe[k] for k in rule_left.source.edges}
-    deleted_nodes = {match.fv[v] for v in L.nodes - preserved_v}
-    deleted_edges = {match.fe[e] for e in L.edges - preserved_e}
-    return sorted(
-        e
-        for e in G.edges - deleted_edges
-        if G.src[e] in deleted_nodes or G.tgt[e] in deleted_nodes
-    )
+    deleted_nodes, deleted_edges = _deleted_items(rule_left, match)
+    if not deleted_nodes:
+        return []
+    incidence = match.target.incidence
+    touching = set().union(*(incidence.get(v, ()) for v in deleted_nodes))
+    return sorted(touching - deleted_edges)
 
 
 def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
     """Remove the matched, non-interface part of the host graph.
 
     ``rule_left: K -> L`` and ``match: L -> G`` must both be injective with a
-    shared middle graph ``L``, and the dangling condition must hold. The
-    result's ``c: D -> G`` is an identity inclusion and the produced square
-    is a pushout (verified by callers through the characterization check).
+    shared middle graph ``L``, and the dangling condition must hold. ``D``
+    copies each map of ``G`` that loses items in bulk and takes them out,
+    shares the others with ``G``, and carries ``G``'s incidence index if it
+    has been built. The result's ``c: D -> G`` is an identity inclusion;
+    the square is a pushout, which :func:`~dpo.rewriting.apply` certifies.
     """
     if rule_left.target != match.source:
         raise PreconditionError("deletion: rule_left.target differs from match.source")
@@ -149,31 +173,82 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
     if dangling:
         raise DanglingConditionError(dangling)
 
-    K = rule_left.source
-    L, G = match.source, match.target
-    preserved_v = {rule_left.fv[k] for k in K.nodes}
-    preserved_e = {rule_left.fe[k] for k in K.edges}
-    deleted_nodes = {match.fv[v] for v in L.nodes - preserved_v}
-    deleted_edges = {match.fe[e] for e in L.edges - preserved_e}
-
-    nodes = G.nodes - deleted_nodes
-    edges = G.edges - deleted_edges
+    K, G = rule_left.source, match.target
+    deleted_nodes, deleted_edges = _deleted_items(rule_left, match)
     D = Graph(
-        nodes=nodes,
-        edges=edges,
-        src={e: G.src[e] for e in edges},
-        tgt={e: G.tgt[e] for e in edges},
-        nlabel={v: G.nlabel[v] for v in nodes},
-        elabel={e: G.elabel[e] for e in edges},
+        nodes=G.nodes - deleted_nodes if deleted_nodes else G.nodes,
+        edges=G.edges - deleted_edges if deleted_edges else G.edges,
+        src=_pruned(G.src, deleted_edges),
+        tgt=_pruned(G.tgt, deleted_edges),
+        nlabel=_pruned(G.nlabel, deleted_nodes),
+        elabel=_pruned(G.elabel, deleted_edges),
     )
+    _carry_incidence(G, D, deleted_nodes, deleted_edges, ())
     d = Morphism(
         source=K,
         target=D,
         fv={k: match.fv[rule_left.fv[k]] for k in K.nodes},
         fe={k: match.fe[rule_left.fe[k]] for k in K.edges},
     )
-    c = Morphism(D, G, {v: v for v in D.nodes}, {e: e for e in D.edges})
-    return DeletionResult(D=D, d=d, c=c)
+    return DeletionResult(D=D, d=d, G=G)
+
+
+# Graphs are never mutated, so a map or item set that a construction leaves
+# unchanged is shared with its input rather than copied.
+
+
+def _fresh_ids(items: list[int], taken: frozenset[int], floor: int) -> dict[int, int]:
+    """Consecutive identifiers for ``items`` past ``taken`` and ``floor``."""
+    if not items:
+        return {}
+    start = max(max(taken, default=-1) + 1, floor)
+    return {x: start + i for i, x in enumerate(items)}
+
+
+def _extended(items: frozenset[int], new: Iterable[int]) -> frozenset[int]:
+    new = frozenset(new)
+    return items | new if new else items
+
+
+def _updated(m: dict[int, V], new: dict[int, V]) -> dict[int, V]:
+    return {**m, **new} if new else m
+
+
+def _pruned(m: dict[int, V], gone: set[int]) -> dict[int, V]:
+    if not gone:
+        return m
+    kept = dict(m)
+    for k in gone:
+        kept.pop(k, None)
+    return kept
+
+
+def _carry_incidence(
+    old: Graph, new: Graph, gone_nodes: Collection[int], gone_edges: Collection[int], new_edges: Collection[int]
+) -> None:
+    """Give ``new`` the incidence index of ``old``, if that has been built,
+    patched for the removed nodes and edges (read in ``old``) and the added
+    edges (read in ``new``): one bulk copy plus O(degree) per item."""
+    index = incidence_if_built(old)
+    if index is None:
+        return
+    if gone_nodes or gone_edges or new_edges:
+        index = dict(index)
+    for v in gone_nodes:
+        index.pop(v, None)
+    for e in gone_edges:
+        for v in {old.src[e], old.tgt[e]}:
+            if v in index:  # not a removed node
+                rest = index[v] - {e}
+                if rest:
+                    index[v] = rest
+                else:
+                    del index[v]
+    for e in new_edges:
+        for v in {new.src[e], new.tgt[e]}:
+            index[v] = index.get(v, frozenset()) | {e}
+    # where functools.cached_property keeps the index it builds
+    vars(new)["incidence"] = index
 
 
 def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import PreconditionError
@@ -47,6 +48,9 @@ class Graph:
     ``src``/``tgt`` map every edge to its endpoint nodes; ``nlabel`` and
     ``elabel`` assign a label to every node and edge. Instances are treated
     as immutable values and may be shared freely between threads.
+
+    :attr:`incidence` is a derived index, built on first use and then kept
+    on the instance; it is not a field, so equality and ``repr`` ignore it.
     """
 
     nodes: frozenset[int]
@@ -63,6 +67,28 @@ class Graph:
             for e in sorted(self.edges)
         )
         return f"Graph([{ns}], [{es}])"
+
+    @cached_property
+    def incidence(self) -> dict[int, frozenset[int]]:
+        """The edges at each node that has any, as either endpoint.
+
+        Nodes without edges are absent. Building it reads every edge once;
+        :func:`~dpo.constructions.deletion` and
+        :func:`~dpo.constructions.gluing` hand a built index on to their
+        result, patched in O(degree) (see :func:`incidence_if_built`).
+        """
+        at: dict[int, list[int]] = {}
+        for e in self.edges:
+            s, t = self.src[e], self.tgt[e]
+            at.setdefault(s, []).append(e)
+            if t != s:
+                at.setdefault(t, []).append(e)
+        return {v: frozenset(es) for v, es in at.items()}
+
+
+def incidence_if_built(g: Graph) -> Optional[dict[int, frozenset[int]]]:
+    """``g.incidence`` if it has been built, else ``None``; never builds it."""
+    return vars(g).get("incidence")
 
 
 def graph(

@@ -133,13 +133,16 @@ def sequential_independent(
 def residual_match(pair: ParallelPair, witness: IndependenceWitness) -> tuple[Match, Match]:
     """Carry each match over to the other derivation's result graph.
 
-    Returns ``(m2': L2 -> H1, m1': L1 -> H2)``. The theorem predicts both
-    residuals are injective and applicable; a violation here is an engine
-    inconsistency, not a user error.
+    Returns ``(m2': L2 -> H1, m1': L1 -> H2)``. Each context embeds into its
+    result by an identity inclusion, so a residual has the maps of its
+    witness, ``j2: L2 -> D1`` or ``j1: L1 -> D2``, read as maps into the
+    result; the host-sized inclusions are not built. The theorem predicts
+    both residuals are injective and applicable; a violation here is an
+    engine inconsistency, not a user error.
     """
     _require_same_start(pair)
-    m2p = compose(pair.d1.gluing.c, witness.j2)
-    m1p = compose(pair.d2.gluing.c, witness.j1)
+    m2p = Morphism(witness.j2.source, pair.d1.H, dict(witness.j2.fv), dict(witness.j2.fe))
+    m1p = Morphism(witness.j1.source, pair.d2.H, dict(witness.j1.fv), dict(witness.j1.fe))
     for name, rule, m in (
         ("m2'", pair.d2.rule, m2p),
         ("m1'", pair.d1.rule, m1p),

@@ -25,7 +25,7 @@ from .diagrams import CheckReport, Square
 from .errors import FormatError
 from .graph import Graph, IsoWitness
 from .morphism import Morphism
-from .rewriting import DirectDerivation, Rule
+from .rewriting import DirectDerivation, Rule, validate_rule
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -175,7 +175,14 @@ def load_graph(path: str | Path) -> Graph:
 
 
 def load_rule(path: str | Path) -> Rule:
-    return rule_from_json(load_json(path))
+    """Load a rule file; a rule that :func:`validate_rule` rejects raises
+    :class:`FormatError` naming the first violation, so an ill-formed rule
+    never reaches the search. :func:`rule_from_json` does not validate."""
+    rule = rule_from_json(load_json(path))
+    report = validate_rule(rule)
+    if not report.ok:
+        raise FormatError(f"{path}: invalid rule: {report.violations[0]}")
+    return rule
 
 
 def load_morphism(path: str | Path, source: Graph | None = None, target: Graph | None = None) -> Morphism:

@@ -2,7 +2,9 @@
 
 These deliberately avoid the engine's own search code: isomorphism is
 decided by enumerating node bijections and filtering by the morphism
-axioms, and morphism counting enumerates raw map products.
+axioms, and morphism counting enumerates raw map products. The reference
+constructions rebuild deletion and gluing item by item over the whole
+graph, where the engine copies maps in bulk and patches in the rule.
 """
 
 from __future__ import annotations
@@ -84,6 +86,79 @@ def brute_force_pullback(f: Morphism, g: Morphism) -> tuple[list, list, Graph]:
         },
     )
     return node_pairs, edge_pairs, A
+
+
+def reference_dangling_edges(rule_left: Morphism, match: Morphism) -> list[int]:
+    """Every host edge that survives deletion but touches a deleted node,
+    found by scanning all host edges."""
+    L, G = match.source, match.target
+    preserved_v = {rule_left.fv[k] for k in rule_left.source.nodes}
+    preserved_e = {rule_left.fe[k] for k in rule_left.source.edges}
+    deleted_nodes = {match.fv[v] for v in L.nodes - preserved_v}
+    deleted_edges = {match.fe[e] for e in L.edges - preserved_e}
+    return sorted(
+        e
+        for e in G.edges - deleted_edges
+        if G.src[e] in deleted_nodes or G.tgt[e] in deleted_nodes
+    )
+
+
+def reference_deletion(rule_left: Morphism, match: Morphism) -> tuple[Graph, Morphism]:
+    """The pushout complement ``D`` of a dangling-free match, rebuilt item
+    by item from the host, and ``d: K -> D``."""
+    K = rule_left.source
+    L, G = match.source, match.target
+    preserved_v = {rule_left.fv[k] for k in K.nodes}
+    preserved_e = {rule_left.fe[k] for k in K.edges}
+    nodes = G.nodes - {match.fv[v] for v in L.nodes - preserved_v}
+    edges = G.edges - {match.fe[e] for e in L.edges - preserved_e}
+    D = Graph(
+        nodes=nodes,
+        edges=edges,
+        src={e: G.src[e] for e in edges},
+        tgt={e: G.tgt[e] for e in edges},
+        nlabel={v: G.nlabel[v] for v in nodes},
+        elabel={e: G.elabel[e] for e in edges},
+    )
+    d = Morphism(
+        K,
+        D,
+        {k: match.fv[rule_left.fv[k]] for k in K.nodes},
+        {k: match.fe[rule_left.fe[k]] for k in K.edges},
+    )
+    return D, d
+
+
+def reference_gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> tuple[Graph, Morphism]:
+    """The pushout object ``H`` of an injective span ``R <- K -> D``,
+    rebuilt item by item, and ``h: R -> H``. New items of ``R`` get
+    consecutive ids past ``D``'s largest id and ``fresh_offset``, in
+    ascending ``R``-id order."""
+    R, D = b.target, d.target
+    b_inv_v = {b.fv[k]: k for k in b.source.nodes}
+    b_inv_e = {b.fe[k]: k for k in b.source.edges}
+    new_nodes = sorted(R.nodes - set(b_inv_v))
+    new_edges = sorted(R.edges - set(b_inv_e))
+    floor = fresh_offset if fresh_offset is not None else 0
+    node_start = max(max(D.nodes, default=-1) + 1, floor)
+    edge_start = max(max(D.edges, default=-1) + 1, floor)
+    hv = {x: d.fv[b_inv_v[x]] if x in b_inv_v else node_start + new_nodes.index(x) for x in R.nodes}
+    he = {x: d.fe[b_inv_e[x]] if x in b_inv_e else edge_start + new_edges.index(x) for x in R.edges}
+    nodes = {v: D.nlabel[v] for v in D.nodes}
+    nodes.update({hv[x]: R.nlabel[x] for x in new_nodes})
+    edges = {e: (D.src[e], D.tgt[e], D.elabel[e]) for e in D.edges}
+    edges.update({he[x]: (hv[R.src[x]], hv[R.tgt[x]], R.elabel[x]) for x in new_edges})
+    H = graph(nodes, edges)
+    return H, Morphism(R, H, hv, he)
+
+
+def reference_incidence(g: Graph) -> dict[int, frozenset[int]]:
+    """The edges at each node that has any, by scanning all edges."""
+    at: dict[int, set[int]] = {}
+    for e in g.edges:
+        for v in (g.src[e], g.tgt[e]):
+            at.setdefault(v, set()).add(e)
+    return {v: frozenset(es) for v, es in at.items()}
 
 
 def brute_force_morphism_count(g: Graph, h: Graph, injective_only: bool = False) -> int:

@@ -139,6 +139,40 @@ class TestApply:
         assert "fv defined outside source nodes" in err
 
 
+class TestIllFormedRule:
+    """A rule whose L-edge ends at a missing node is rejected when loaded,
+    before any search, naming the violation; ``validate`` still reports it."""
+
+    @staticmethod
+    def rule_file(tmp_path) -> str:
+        doc = io.rule_to_json(delete_x_edge())
+        doc["L"]["edges"][0]["tgt"] = 5
+        return write(tmp_path / "dangling_l.json", doc)
+
+    MESSAGE = "invalid rule: graph L: tgt out of V: edge 0"
+
+    def test_match_exits_1(self, capsys, files, tmp_path):
+        code, doc, err = run(capsys, "match", self.rule_file(tmp_path), files["host"])
+        assert code == 1
+        assert doc is None
+        assert self.MESSAGE in err
+
+    def test_apply_by_match_index_exits_1(self, capsys, files, tmp_path):
+        out = tmp_path / "H.json"
+        code, doc, err = run(
+            capsys, "apply", self.rule_file(tmp_path), files["host"], "--match-index", "0", "--out", str(out)
+        )
+        assert code == 1
+        assert doc is None
+        assert self.MESSAGE in err
+        assert not out.exists()
+
+    def test_validate_still_reports_the_violation(self, capsys, tmp_path):
+        code, doc, _ = run(capsys, "validate", self.rule_file(tmp_path))
+        assert code == 3
+        assert doc["violations"][0] == {"clause": "graph L: tgt out of V", "item": "edge 0"}
+
+
 def square_doc(extra_target_node: bool) -> dict:
     """The gluing square of an a-node and a b-node over the empty graph."""
     d = {0: "a", 1: "b", 2: "a"} if extra_target_node else {0: "a", 1: "b"}

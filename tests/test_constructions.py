@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpo import randgen
 from dpo.constructions import dangling_edges, deletion, gluing, pullback_construct
@@ -14,7 +15,7 @@ from dpo.diagrams import (
     reduced_chain_condition,
 )
 from dpo.errors import DanglingConditionError, PreconditionError
-from dpo.graph import graph, is_isomorphic, validate_graph
+from dpo.graph import graph, incidence_if_built, is_isomorphic, validate_graph
 from dpo.morphism import (
     Morphism,
     identity,
@@ -25,8 +26,14 @@ from dpo.morphism import (
     validate_morphism,
 )
 
-from .oracles import brute_force_pullback
-from .strategies import cospans
+from .oracles import (
+    brute_force_pullback,
+    reference_dangling_edges,
+    reference_deletion,
+    reference_gluing,
+    reference_incidence,
+)
+from .strategies import cospans, rules_with_matches
 
 
 def gluing_square(b, d, result) -> Square:
@@ -256,3 +263,54 @@ class TestPullbackJoin:
         sq = Square(ab=identity(g), ac=identity(g), bd=identity(g), cd=identity(g))
         assert is_pullback(sq)
         assert is_pushout_injective(sq)
+
+
+class TestAgainstReference:
+    """Deletion and gluing against the item-by-item reference constructions
+    in ``tests/oracles.py``, with and without a built incidence index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rules_with_matches(), st.booleans(), st.sampled_from([None, 0, 3, 40]))
+    def test_same_graphs_maps_ids_and_dangling_edges(self, rule_match, indexed, offset):
+        rule, match = rule_match
+        G = match.m.target
+        if indexed:
+            assert G.incidence == reference_incidence(G)
+        assert dangling_edges(rule.b, match.m) == reference_dangling_edges(rule.b, match.m)
+        if reference_dangling_edges(rule.b, match.m):
+            with pytest.raises(DanglingConditionError):
+                deletion(rule.b, match.m)
+            return
+        deleted = deletion(rule.b, match.m)
+        D, d = reference_deletion(rule.b, match.m)
+        assert deleted.D == D
+        assert (deleted.d.fv, deleted.d.fe) == (d.fv, d.fe)
+        glued = gluing(rule.r, deleted.d, fresh_offset=offset)
+        H, h = reference_gluing(rule.r, d, fresh_offset=offset)
+        assert glued.H == H
+        assert (glued.h.fv, glued.h.fe) == (h.fv, h.fe)
+        for result in (deleted, glued):
+            assert is_inclusion(result.c) and validate_morphism(result.c).ok
+        # the dangling check builds the index for a rule that deletes a node
+        built = indexed or bool(rule.L.nodes - set(rule.b.fv.values()))
+        for g in (G, deleted.D, glued.H):
+            index = incidence_if_built(g)
+            assert index == (reference_incidence(g) if built else None)
+
+    def test_a_graph_without_deleted_nodes_builds_no_index(self):
+        k = graph({0: "a", 1: "a"})
+        l = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+        g = graph({0: "a", 1: "a", 2: "a"}, {0: (0, 1, "x"), 1: (1, 2, "x")})
+        b = Morphism(k, l, {0: 0, 1: 1}, {})
+        m = Morphism(l, g, {0: 0, 1: 1}, {0: 0})
+        assert dangling_edges(b, m) == []
+        deleted = deletion(b, m)
+        assert incidence_if_built(g) is None and incidence_if_built(deleted.D) is None
+
+    def test_unchanged_maps_are_shared_and_changed_ones_copied(self):
+        g = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+        k = graph({0: "a", 1: "a"})
+        l = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+        deleted = deletion(Morphism(k, l, {0: 0, 1: 1}, {}), Morphism(l, g, {0: 0, 1: 1}, {0: 0}))
+        assert deleted.D.nlabel is g.nlabel and deleted.D.nodes is g.nodes
+        assert deleted.D.src is not g.src and g.src == {0: 0}

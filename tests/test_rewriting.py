@@ -1,16 +1,20 @@
 import itertools
 import random
+from typing import Iterator
 
 import pytest
+from hypothesis import example, given, settings
 
 from dpo import randgen
 from dpo.diagrams import Square, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, PreconditionError
-from dpo.graph import Graph, graph, is_isomorphic
+from dpo.graph import Graph, graph, incidence_if_built, is_isomorphic
 from dpo.morphism import Morphism, identity, is_injective
 from dpo.rewriting import (
     Match,
     Rule,
+    _certify,
+    _local_pushout,
     apply,
     dangling_condition,
     derivations_isomorphic,
@@ -18,6 +22,9 @@ from dpo.rewriting import (
     identity_rule,
     validate_rule,
 )
+
+from .oracles import reference_incidence
+from .strategies import rules_with_matches
 
 
 def edge_deletion_rule() -> Rule:
@@ -247,3 +254,327 @@ class TestPushoutComplementUniqueness:
             assert any(c == derivation.D for c in passing)
             for c1, c2 in itertools.combinations(passing, 2):
                 assert is_isomorphic(c1, c2) is not None
+
+
+def _inclusion(sub: Graph, g: Graph) -> Morphism:
+    return Morphism(sub, g, {v: v for v in sub.nodes}, {e: e for e in sub.edges})
+
+
+def _subgraph(g: Graph, drop_nodes: set, drop_edges: set) -> Graph:
+    nodes = g.nodes - drop_nodes
+    edges = g.edges - drop_edges
+    return graph(
+        {v: g.nlabel[v] for v in nodes},
+        {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in edges},
+    )
+
+
+def drop_context_item(sq: Square) -> Square | None:
+    """The square with one context item outside ``ac``'s image removed
+    (an edge if there is one, else a node and its edges); ``None`` if the
+    context has no such item."""
+    C = sq.C
+    spare_e = sorted(C.edges - set(sq.ac.fe.values()))
+    spare_v = sorted(C.nodes - set(sq.ac.fv.values()))
+    if spare_e:
+        C2 = _subgraph(C, set(), {spare_e[0]})
+    elif spare_v:
+        v = spare_v[0]
+        C2 = _subgraph(C, {v}, {e for e in C.edges if v in (C.src[e], C.tgt[e])})
+    else:
+        return None
+    ac = Morphism(sq.A, C2, sq.ac.fv, sq.ac.fe)
+    return Square(ab=sq.ab, ac=ac, bd=sq.bd, cd=_inclusion(C2, sq.D))
+
+
+def add_uncovered_node(sq: Square) -> Square:
+    """The square with a node added to its corner D that nothing covers."""
+    D = sq.D
+    v = max(D.nodes, default=-1) + 1
+    D2 = graph({**D.nlabel, v: "a"}, {e: (D.src[e], D.tgt[e], D.elabel[e]) for e in D.edges})
+    bd = Morphism(sq.B, D2, sq.bd.fv, sq.bd.fe)
+    return Square(ab=sq.ab, ac=sq.ac, bd=bd, cd=_inclusion(sq.C, D2))
+
+
+def break_d(sq: Square) -> Square | None:
+    """The square with ``ac`` changed on one item of A, staying injective:
+    moved to an unused context item, or swapped with another item's image;
+    ``None`` if A has no item that can be moved either way."""
+    for kind, items, f, targets in (
+        ("fv", sorted(sq.A.nodes), sq.ac.fv, sq.C.nodes),
+        ("fe", sorted(sq.A.edges), sq.ac.fe, sq.C.edges),
+    ):
+        if not items:
+            continue
+        changed = dict(f)
+        unused = sorted(targets - set(f.values()))
+        if unused:
+            changed[items[0]] = unused[0]
+        elif len(items) > 1:
+            changed[items[0]], changed[items[1]] = f[items[1]], f[items[0]]
+        else:
+            continue
+        maps = {"fv": sq.ac.fv, "fe": sq.ac.fe, kind: changed}
+        return Square(ab=sq.ab, ac=Morphism(sq.A, sq.C, maps["fv"], maps["fe"]), bd=sq.bd, cd=sq.cd)
+    return None
+
+
+def keep_deleted_item(sq: Square) -> Square | None:
+    """The square with one item of D that B alone covers added to the
+    context (a node if there is one, else an edge between context nodes);
+    ``None`` if there is no such item."""
+    C, D = sq.C, sq.D
+    own_v = sorted(set(sq.bd.fv.values()) - C.nodes)
+    own_e = sorted(e for e in set(sq.bd.fe.values()) - C.edges if {D.src[e], D.tgt[e]} <= C.nodes)
+    nodes = dict(C.nlabel)
+    edges = {e: (C.src[e], C.tgt[e], C.elabel[e]) for e in C.edges}
+    if own_v:
+        nodes[own_v[0]] = D.nlabel[own_v[0]]
+    elif own_e:
+        e = own_e[0]
+        edges[e] = (D.src[e], D.tgt[e], D.elabel[e])
+    else:
+        return None
+    C2 = graph(nodes, edges)
+    ac = Morphism(sq.A, C2, sq.ac.fv, sq.ac.fe)
+    return Square(ab=sq.ab, ac=ac, bd=sq.bd, cd=_inclusion(C2, D))
+
+
+def retarget_bd(sq: Square) -> Square | None:
+    """The square with ``bd`` sending the image of one item of A to a new
+    copy of its old image in D; ``None`` if A is empty."""
+    D = sq.D
+    nodes = dict(D.nlabel)
+    edges = {e: (D.src[e], D.tgt[e], D.elabel[e]) for e in D.edges}
+    fv, fe = dict(sq.bd.fv), dict(sq.bd.fe)
+    if sq.A.nodes:
+        b = sq.ab.fv[min(sq.A.nodes)]
+        z = max(D.nodes) + 1
+        nodes[z] = D.nlabel[fv[b]]
+        fv[b] = z
+    elif sq.A.edges:
+        b = sq.ab.fe[min(sq.A.edges)]
+        z = max(D.edges) + 1
+        edges[z] = edges[fe[b]]
+        fe[b] = z
+    else:
+        return None
+    D2 = graph(nodes, edges)
+    return Square(ab=sq.ab, ac=sq.ac, bd=Morphism(sq.B, D2, fv, fe), cd=_inclusion(sq.C, D2))
+
+
+CORRUPTIONS = (drop_context_item, add_uncovered_node, break_d, keep_deleted_item, retarget_bd)
+
+
+def _rule(L, K, R, b, r) -> Rule:
+    return Rule(L=L, K=K, R=R, b=Morphism(K, L, *b), r=Morphism(K, R, *r))
+
+
+def _node_deleting():
+    # delete a b-node and its x-edge from an a-node, in a host with a spare node
+    K, L = graph({0: "a"}), graph({0: "a", 1: "b"}, {0: (0, 1, "x")})
+    G = graph({0: "a", 1: "b", 2: "a"}, {3: (0, 1, "x")})
+    rule = _rule(L, K, K, ({0: 0}, {}), ({0: 0}, {}))
+    return rule, Match(Morphism(L, G, {0: 0, 1: 1}, {0: 3}))
+
+
+def _loop_creating():
+    K = graph({0: "a"})
+    R = graph({0: "a"}, {0: (0, 0, "y")})
+    G = graph({5: "a", 6: "b"}, {1: (5, 6, "x")})
+    return _rule(K, K, R, ({0: 0}, {}), ({0: 0}, {})), Match(Morphism(K, G, {0: 5}, {}))
+
+
+def _identity():
+    L = graph({0: "a", 1: "b"}, {0: (0, 1, "x")})
+    G = graph({0: "a", 1: "b", 2: "b"}, {0: (0, 1, "x"), 1: (2, 0, "y")})
+    return identity_rule(L), Match(Morphism(L, G, {0: 0, 1: 1}, {0: 0}))
+
+
+def _empty_interface():
+    empty, L, R = graph({}), graph({0: "b"}), graph({0: "c"})
+    G = graph({0: "a", 1: "b"}, {0: (0, 0, "x")})
+    return _rule(L, empty, R, ({}, {}), ({}, {})), Match(Morphism(L, G, {0: 1}, {}))
+
+
+class TestLocalCertification:
+    """``apply``'s local check against the general ``is_pushout_injective``
+    on every derivation square, and on squares corrupted five ways."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rules_with_matches())
+    @example(_node_deleting())
+    @example(_loop_creating())
+    @example(_identity())
+    @example(_empty_interface())
+    def test_local_and_general_checks_agree(self, rule_match):
+        rule, match = rule_match
+        try:
+            derivation = apply(rule, match)
+        except DanglingConditionError:
+            return
+        for sq in (derivation.left_square, derivation.right_square):
+            assert is_pushout_injective(sq)
+            assert _local_pushout(sq.ab, sq.ac, sq.bd)
+            for corrupt in CORRUPTIONS:
+                bad = corrupt(sq)
+                if bad is None:
+                    continue
+                general = is_pushout_injective(bad)
+                assert not general
+                assert not _local_pushout(bad.ab, bad.ac, bad.bd)
+                assert _certify(bad.ab, bad.ac, bad.bd, lambda: bad) == general
+
+    def test_each_corruption_fails_the_clause_it_breaks(self):
+        rule, match = _node_deleting()
+        sq = apply(rule, match).left_square
+        assert is_pushout_injective(drop_context_item(sq)).failed_clause == "joint surjectivity"
+        report = is_pushout_injective(add_uncovered_node(sq))
+        assert (report.failed_clause, report.counterexample) == ("joint surjectivity", ("node", 3))
+        assert is_pushout_injective(break_d(sq)).failed_clause == "commutativity"
+        report = is_pushout_injective(keep_deleted_item(sq))
+        assert (report.failed_clause, report.counterexample) == ("reduced chain-condition", ("node", 1, 1))
+        report = is_pushout_injective(retarget_bd(sq))
+        assert (report.failed_clause, report.counterexample) == ("commutativity", ("node", 0))
+
+    def test_a_non_injective_square_raises_as_the_general_check_does(self):
+        one = graph({0: "a"})
+        two = graph({0: "a", 1: "a"})
+        fold = Morphism(two, one, {0: 0, 1: 0}, {})
+        sq = Square(ab=identity(two), ac=fold, bd=fold, cd=identity(one))
+        assert not _local_pushout(sq.ab, sq.ac, sq.bd)
+        with pytest.raises(PreconditionError, match="not injective"):
+            _certify(sq.ab, sq.ac, sq.bd, lambda: sq)
+
+    def test_apply_builds_neither_inclusion(self):
+        derivation = apply(*_node_deleting())
+        assert "c" not in vars(derivation.deletion) and "c" not in vars(derivation.gluing)
+
+
+def _chain_rules() -> dict[str, Rule]:
+    """REWIRE turns an a-x->b edge into b-y->a; GROW hangs a new b-leaf off
+    an a-node; PRUNE deletes a b-node with its x-edge from an a-node; LOOP
+    puts a y-loop on an a-node."""
+    a, ab = graph({0: "a"}), graph({0: "a", 1: "b"})
+    edge = graph({0: "a", 1: "b"}, {0: (0, 1, "x")})
+    return {
+        "rewire": _rule(edge, ab, graph({0: "a", 1: "b"}, {0: (1, 0, "y")}), ({0: 0, 1: 1}, {}), ({0: 0, 1: 1}, {})),
+        "grow": _rule(a, a, edge, ({0: 0}, {}), ({0: 0}, {})),
+        "prune": _rule(edge, a, a, ({0: 0}, {}), ({0: 0}, {})),
+        "loop": _rule(a, a, graph({0: "a"}, {0: (0, 0, "y")}), ({0: 0}, {}), ({0: 0}, {})),
+    }
+
+
+class _Replay:
+    """A host kept as plain dicts and rewritten by hand from the items each
+    derivation reports, to compare the engine's chain against."""
+
+    def __init__(self, G: Graph):
+        self.nodes = dict(G.nlabel)
+        self.edges = {e: (G.src[e], G.tgt[e], G.elabel[e]) for e in G.edges}
+
+    def dangling(self, deleted_node: int, deleted_edges: set) -> list[int]:
+        return sorted(
+            e for e, (s, t, _) in self.edges.items()
+            if deleted_node in (s, t) and e not in deleted_edges
+        )
+
+    def step(self, rule: Rule, match: Match, comatch: Morphism) -> None:
+        m = match.m
+        for e in rule.L.edges - set(rule.b.fe.values()):
+            del self.edges[m.fe[e]]
+        for v in rule.L.nodes - set(rule.b.fv.values()):
+            del self.nodes[m.fv[v]]
+        for v in rule.R.nodes - set(rule.r.fv.values()):
+            self.nodes[comatch.fv[v]] = rule.R.nlabel[v]
+        for e in rule.R.edges - set(rule.r.fe.values()):
+            self.edges[comatch.fe[e]] = (
+                comatch.fv[rule.R.src[e]], comatch.fv[rule.R.tgt[e]], rule.R.elabel[e]
+            )
+
+    def graph(self) -> Graph:
+        return graph(self.nodes, self.edges)
+
+
+def run_chain(G: Graph, replay: _Replay, steps: int, seed: int) -> Iterator[Graph]:
+    """Apply the chain rules ``steps`` times, each on the previous result,
+    and replay each step on ``replay``.
+
+    Matches are drawn from the replay: REWIRE and PRUNE at a random
+    a-x->b edge (PRUNE mostly dangles there, and the rejection must name
+    the replay's edges), PRUNE also at the leaf the last GROW made. Yields
+    ``D`` and ``H`` of every derivation, in order.
+    """
+    rng = random.Random(seed)
+    rules = _chain_rules()
+    candidates = sorted(replay.edges)
+    leaf = None
+    for i in range(steps):
+        kind = ("grow", "rewire", "prune", "loop", "prune")[i % 5]
+        rule = rules[kind]
+        if kind == "grow" or kind == "loop":
+            v = rng.choice([v for v in itertools.islice(replay.nodes, 50) if replay.nodes[v] == "a"])
+            fv, fe = {0: v}, {}
+        elif kind == "prune" and leaf is not None:
+            (fv, fe), leaf = leaf, None
+        else:
+            while True:
+                e = rng.choice(candidates)
+                if e in replay.edges:
+                    s, t, label = replay.edges[e]
+                    if label == "x" and replay.nodes[s] == "a" and replay.nodes[t] == "b":
+                        break
+            fv, fe = {0: s, 1: t}, {0: e}
+        match = Match(Morphism(rule.L, G, fv, fe))
+        try:
+            derivation = apply(rule, match)
+        except DanglingConditionError as exc:
+            assert kind == "prune"
+            assert sorted(exc.edges) == replay.dangling(fv[1], {fe[0]})
+            continue
+        replay.step(rule, match, derivation.comatch)
+        if kind == "grow":
+            h = derivation.comatch
+            leaf = ({0: h.fv[0], 1: h.fv[1]}, {0: h.fe[0]})
+        G = derivation.H
+        yield derivation.D
+        yield G
+
+
+def _random_host(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return graph(
+        {v: "ab"[rng.randrange(2)] for v in range(n)},
+        {e: (rng.randrange(n), rng.randrange(n), "xy"[rng.randrange(2)]) for e in range(2 * n)},
+    )
+
+
+class TestLongChains:
+    def test_carried_incidence_equals_a_rebuilt_one(self):
+        G = _random_host(300, seed=3)
+        replay = _Replay(G)
+        graphs = [G, *run_chain(G, replay, steps=200, seed=3)]
+        assert graphs[-1] == replay.graph()
+        # the first PRUNE, the third step, builds the index on its host, the
+        # second step's H (graphs are G, D1, H1, D2, H2, ...); every later
+        # graph carries it
+        built = [incidence_if_built(g) is not None for g in graphs]
+        assert built == [False] * 4 + [True] * (len(graphs) - 4)
+        for g in graphs[4:]:
+            assert incidence_if_built(g) == reference_incidence(g)
+
+    def test_no_index_before_the_first_node_deletion(self):
+        G = _random_host(50, seed=4)
+        rules = _chain_rules()
+        a = min(v for v in G.nodes if G.nlabel[v] == "a")
+        H = apply(rules["grow"], Match(Morphism(rules["grow"].L, G, {0: a}, {}))).H
+        assert incidence_if_built(G) is None and incidence_if_built(H) is None
+
+    def test_chain_on_a_hundred_thousand_nodes_matches_a_plain_replay(self):
+        # no wall-clock bound; each step costs a few bulk copies of the host
+        G = _random_host(100_000, seed=5)
+        replay = _Replay(G)
+        for H in run_chain(G, replay, steps=25, seed=5):
+            pass
+        assert H == replay.graph()
+        assert incidence_if_built(H) == reference_incidence(H)
