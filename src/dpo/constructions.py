@@ -254,27 +254,15 @@ def _carry_incidence(
 def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:
     """Build the canonical pullback of a cospan ``f: B -> D <- C :g``.
 
-    The object's items are the pairs of ``B``/``C`` items that agree in
-    ``D``; identifiers are fresh consecutive integers in lexicographic pair
-    order, labels are taken from the ``B`` component, and the projections
-    return the respective components.
-
-    The pairs are found by a hash join on the image in ``D`` (see
-    :func:`_agreeing_pairs`), so for ``k`` pairs the cost is
-    ``O(|B| + |C| + k log k)``.
+    The object's items are the pairs of :func:`pullback_pairs`; identifiers
+    are fresh consecutive integers in lexicographic pair order, labels are
+    taken from the ``B`` component, and the projections return the
+    respective components.
     """
-    if f.target != g.target:
-        raise PreconditionError("pullback_construct: targets differ")
+    node_pairs, edge_pairs = pullback_pairs(f, g)
     B, C = f.source, g.source
-
-    node_pairs = _agreeing_pairs(B.nodes, f.fv, C.nodes, g.fv)
-    edge_pairs = _agreeing_pairs(B.edges, f.fe, C.edges, g.fe)
     node_id = {pair: i for i, pair in enumerate(node_pairs)}
     edge_id = {pair: i for i, pair in enumerate(edge_pairs)}
-    for x, y in edge_pairs:
-        if (B.src[x], C.src[y]) not in node_id or (B.tgt[x], C.tgt[y]) not in node_id:
-            raise PreconditionError("pullback_construct: f or g does not preserve edge endpoints")
-
     A = Graph(
         nodes=frozenset(node_id.values()),
         edges=frozenset(edge_id.values()),
@@ -302,6 +290,28 @@ def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:
         node_pairs={i: pair for pair, i in node_id.items()},
         edge_pairs={i: pair for pair, i in edge_id.items()},
     )
+
+
+def pullback_pairs(f: Morphism, g: Morphism) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The node pairs and the edge pairs of ``B``/``C`` items that agree in
+    ``D``, for a cospan ``f: B -> D <- C :g``, each in lexicographic order.
+
+    These are the items of the canonical pullback, without building it. An
+    edge pair whose endpoints do not pair up means ``f`` or ``g`` is not a
+    morphism, and raises :class:`PreconditionError`. The pairs are found by
+    a hash join on the image in ``D`` (see :func:`_agreeing_pairs`), so for
+    ``k`` pairs the cost is ``O(|B| + |C| + k log k)``.
+    """
+    if f.target != g.target:
+        raise PreconditionError("pullback_construct: targets differ")
+    B, C = f.source, g.source
+    node_pairs = _agreeing_pairs(B.nodes, f.fv, C.nodes, g.fv)
+    edge_pairs = _agreeing_pairs(B.edges, f.fe, C.edges, g.fe)
+    paired = set(node_pairs)
+    for x, y in edge_pairs:
+        if (B.src[x], C.src[y]) not in paired or (B.tgt[x], C.tgt[y]) not in paired:
+            raise PreconditionError("pullback_construct: f or g does not preserve edge endpoints")
+    return node_pairs, edge_pairs
 
 
 def _agreeing_pairs(

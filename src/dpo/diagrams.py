@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import pullback_construct
+from .constructions import pullback_construct, pullback_pairs
 from .errors import PreconditionError
 from .graph import Graph
 from .morphism import (
     Morphism,
     compose,
-    is_bijective,
     is_injective,
     is_surjective,
     morphisms_agree,
@@ -91,10 +90,10 @@ def commutes(sq: Square) -> CheckReport:
 def reduced_chain_condition(sq: Square) -> CheckReport:
     """Every B/C item pair agreeing in D must have a common preimage in A.
 
-    The pairs agreeing in D are the items of the canonical pullback of the
-    cospan, so they are taken from :func:`pullback_construct`, in its
-    lexicographic pair order; the first pair without a preimage is reported.
-    The square must commute, which this function checks first.
+    The pairs agreeing in D are the items of the cospan's canonical
+    pullback. They are taken from :func:`pullback_pairs`, in lexicographic
+    order, without building that object; the first pair without a preimage
+    is reported. The square must commute, which this function checks first.
     """
     if not commutes(sq):
         raise PreconditionError("reduced_chain_condition: square does not commute")
@@ -102,13 +101,13 @@ def reduced_chain_condition(sq: Square) -> CheckReport:
 
 
 def _chain_condition(sq: Square) -> CheckReport:
-    # the body of reduced_chain_condition, for a square known to commute
-    pb = pullback_construct(sq.bd, sq.cd)
+    """The body of :func:`reduced_chain_condition`, for a square known to commute."""
+    node_pairs, edge_pairs = pullback_pairs(sq.bd, sq.cd)
     for kind, candidates, images in (
-        ("node", pb.node_pairs, {(sq.ab.fv[a], sq.ac.fv[a]) for a in sq.A.nodes}),
-        ("edge", pb.edge_pairs, {(sq.ab.fe[a], sq.ac.fe[a]) for a in sq.A.edges}),
+        ("node", node_pairs, {(sq.ab.fv[a], sq.ac.fv[a]) for a in sq.A.nodes}),
+        ("edge", edge_pairs, {(sq.ab.fe[a], sq.ac.fe[a]) for a in sq.A.edges}),
     ):
-        for pair in candidates.values():
+        for pair in candidates:
             if pair not in images:
                 return CheckReport(False, "reduced chain-condition", (kind, *pair))
     return CheckReport(True)

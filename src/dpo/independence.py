@@ -4,9 +4,10 @@ Because deletion contexts embed into their host by identity inclusions and
 matches are injective, an independence witness is forced: the only possible
 embedding of one rule's side into the other derivation's context is the
 match (or comatch) itself, co-restricted. Commutation applies each rule to
-the other's result at the residual match; the categorical decomposition used
-in the classical proof is reconstructed and re-checked square by square on
-the concrete instance by :func:`verify_commutation_squares`.
+the other's result at the residual match, which :func:`apply` checks like
+any other match. :func:`verify_commutation_squares` re-checks the classical
+proof's decomposition square by square on the concrete instance; its shared
+context is ``D1 ∩ D2``, built by :func:`deletion` on G's identifiers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import gluing, pullback_construct
+from .constructions import deletion, gluing
 from .diagrams import (
     CheckReport,
     Square,
@@ -32,8 +33,8 @@ from .errors import (
     RewriteError,
 )
 from .graph import Graph, IsoWitness, is_isomorphic
-from .morphism import Morphism, compose, is_injective, validate_morphism
-from .rewriting import DirectDerivation, Match, apply, dangling_condition
+from .morphism import Morphism, compose, validate_morphism
+from .rewriting import DirectDerivation, Match, apply
 
 
 @dataclass(frozen=True)
@@ -136,25 +137,15 @@ def residual_match(pair: ParallelPair, witness: IndependenceWitness) -> tuple[Ma
     Returns ``(m2': L2 -> H1, m1': L1 -> H2)``. Each context embeds into its
     result by an identity inclusion, so a residual has the maps of its
     witness, ``j2: L2 -> D1`` or ``j1: L1 -> D2``, read as maps into the
-    result; the host-sized inclusions are not built. The theorem predicts
-    both residuals are injective and applicable; a violation here is an
-    engine inconsistency, not a user error.
+    result; the host-sized inclusions are not built. Nothing is checked
+    here: :func:`commute` hands each residual to :func:`apply`, which
+    validates it and checks injectivity and the dangling condition once.
     """
     _require_same_start(pair)
-    m2p = Morphism(witness.j2.source, pair.d1.H, dict(witness.j2.fv), dict(witness.j2.fe))
-    m1p = Morphism(witness.j1.source, pair.d2.H, dict(witness.j1.fv), dict(witness.j1.fe))
-    for name, rule, m in (
-        ("m2'", pair.d2.rule, m2p),
-        ("m1'", pair.d1.rule, m1p),
-    ):
-        if not validate_morphism(m).ok or not is_injective(m):
-            raise InternalConsistencyError(f"residual match {name} is not an injective morphism")
-        report = dangling_condition(rule, Match(m))
-        if not report:
-            raise InternalConsistencyError(
-                f"residual match {name} violates the dangling condition: {report.counterexample}"
-            )
-    return Match(m2p), Match(m1p)
+    return (
+        Match(Morphism(witness.j2.source, pair.d1.H, dict(witness.j2.fv), dict(witness.j2.fe))),
+        Match(Morphism(witness.j1.source, pair.d2.H, dict(witness.j1.fv), dict(witness.j1.fe))),
+    )
 
 
 def commute(pair: ParallelPair) -> CommutationResult:
@@ -188,11 +179,16 @@ def verify_commutation_squares(
 ) -> CheckReport:
     """Re-check the classical decomposition of the commutation on this instance.
 
-    Rebuilds the intersection context as a canonical pullback, derives the
-    interface embeddings from its pairing, reconstitutes all labelled
-    squares of the decomposition, and checks each one plus the composite
-    squares against the original derivations. The first failure is reported
-    with the offending square's label.
+    In Ehrig and Kreowski's proof the shared context D is the pullback of
+    ``D1 -> G <- D2``. Both contexts are subgraphs of G included by
+    identity, so D is ``D1 ∩ D2`` and keeps G's identifiers, and squares
+    (11) and (31) are the pushout complements ``deletion(b1, j1)`` and
+    ``deletion(b2, j2)``, which give ``k1, pi2`` and ``k2, pi1``. Every
+    labelled square is then checked, (12) and (32) as pullbacks, so D is
+    verified, not assumed; so is each composite against the original
+    derivations. The first failure is reported with its square's label; a
+    witness that is not a morphism into its context fails, and never
+    raises.
     """
     d1, d2 = pair.d1, pair.d2
     b1, r1 = d1.rule.b, d1.rule.r
@@ -200,27 +196,14 @@ def verify_commutation_squares(
     c1, c2 = d1.deletion.c, d2.deletion.c
     cbar1, cbar2 = d1.gluing.c, d2.gluing.c
     j1, j2 = witness.j1, witness.j2
+    for name, j, context in (("j1", j1, d2.D), ("j2", j2, d1.D)):
+        if j.target != context or not validate_morphism(j).ok:
+            return CheckReport(False, f"witness {name} is not a morphism into its context", ("witness",))
 
     try:
-        pb = pullback_construct(c1, c2)
-        pi1, pi2 = pb.b, pb.c
-        node_id = {pairing: i for i, pairing in pb.node_pairs.items()}
-        edge_id = {pairing: i for i, pairing in pb.edge_pairs.items()}
-        k1 = Morphism(
-            source=d1.rule.K,
-            target=pb.A,
-            fv={k: node_id[d1.deletion.d.fv[k], j1.fv[b1.fv[k]]] for k in d1.rule.K.nodes},
-            fe={k: edge_id[d1.deletion.d.fe[k], j1.fe[b1.fe[k]]] for k in d1.rule.K.edges},
-        )
-        k2 = Morphism(
-            source=d2.rule.K,
-            target=pb.A,
-            fv={k: node_id[j2.fv[b2.fv[k]], d2.deletion.d.fv[k]] for k in d2.rule.K.nodes},
-            fe={k: edge_id[j2.fe[b2.fe[k]], d2.deletion.d.fe[k]] for k in d2.rule.K.edges},
-        )
-        for name, m in (("K1 -> D", k1), ("K2 -> D", k2)):
-            if not validate_morphism(m).ok:
-                return CheckReport(False, f"interface embedding {name} invalid", ("construction",))
+        shared1, shared2 = deletion(b1, j1), deletion(b2, j2)
+        k1, pi2 = shared1.d, shared1.c
+        k2, pi1 = shared2.d, shared2.c
 
         sq12 = Square(ab=pi2, ac=pi1, bd=c2, cd=c1)
         sq32 = Square(ab=pi1, ac=pi2, bd=c1, cd=c2)

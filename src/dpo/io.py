@@ -23,7 +23,7 @@ from typing import Any
 
 from .diagrams import CheckReport, Square
 from .errors import FormatError
-from .graph import Graph, IsoWitness
+from .graph import Graph, IsoWitness, validate_graph
 from .morphism import Morphism
 from .rewriting import DirectDerivation, Rule, validate_rule
 
@@ -171,7 +171,24 @@ def save_json(doc: Any, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> Graph:
-    return graph_from_json(load_json(path))
+    return _well_formed(graph_from_json(load_json(path)), str(path))
+
+
+def _well_formed(g: Graph, where: str) -> Graph:
+    """``g``, if every edge ends at nodes of ``g``; else :class:`FormatError`
+    naming the first :func:`validate_graph` violation. Every graph a verb
+    reads passes here. :func:`graph_from_json` already guarantees the other
+    clauses, so two C-level subset tests stand in for the full check."""
+    if g.nodes.issuperset(g.src.values()) and g.nodes.issuperset(g.tgt.values()):
+        return g
+    raise FormatError(f"{where}: invalid graph: {validate_graph(g).violations[0]}")
+
+
+def _graph_at(value: Any, base: Path, where: str) -> Graph:
+    """A graph given inline, or as a path relative to ``base``."""
+    if isinstance(value, str):
+        return load_graph(base / value)
+    return _well_formed(graph_from_json(value), where)
 
 
 def load_rule(path: str | Path) -> Rule:
@@ -189,21 +206,17 @@ def load_morphism(path: str | Path, source: Graph | None = None, target: Graph |
     """Load a standalone morphism file; endpoints come from the document's
     'source'/'target' path references unless supplied by the caller."""
     doc = load_json(path)
-    base = Path(path).parent
     if source is None:
-        source = _referenced_graph(doc, "source", base)
+        source = _referenced_graph(doc, "source", path)
     if target is None:
-        target = _referenced_graph(doc, "target", base)
+        target = _referenced_graph(doc, "target", path)
     return morphism_from_json(doc, source, target)
 
 
-def _referenced_graph(doc: Any, key: str, base: Path) -> Graph:
+def _referenced_graph(doc: Any, key: str, path: str | Path) -> Graph:
     if not isinstance(doc, dict) or key not in doc:
         raise FormatError(f"morphism document has no '{key}' reference and none was supplied")
-    ref = doc[key]
-    if isinstance(ref, str):
-        return load_graph(base / ref)
-    return graph_from_json(ref)
+    return _graph_at(doc[key], Path(path).parent, f"{path} '{key}'")
 
 
 def load_square(path: str | Path) -> Square:
@@ -220,10 +233,7 @@ def load_square(path: str | Path) -> Square:
     def corner(key: str) -> Graph:
         if key not in doc:
             raise FormatError(f"square document missing graph '{key}'")
-        value = doc[key]
-        if isinstance(value, str):
-            return load_graph(base / value)
-        return graph_from_json(value)
+        return _graph_at(doc[key], base, f"{path} '{key}'")
 
     graphs = {key: corner(key) for key in ("A", "B", "C", "D")}
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from dpo.constructions import pullback_construct
+from dpo.diagrams import CheckReport, Square
 from dpo.graph import Graph, graph
 from dpo.morphism import Morphism, compose, enumerate_morphisms, morphisms_agree
 from dpo.independence import ParallelPair
@@ -86,6 +88,23 @@ def brute_force_pullback(f: Morphism, g: Morphism) -> tuple[list, list, Graph]:
         },
     )
     return node_pairs, edge_pairs, A
+
+
+def pullback_chain_condition(sq: Square) -> CheckReport:
+    """The reduced chain-condition of a commuting square, read off the
+    canonical pullback object of its cospan: each of the object's items, in
+    id order, must be the image pair of an A-item. Raises
+    :class:`~dpo.errors.PreconditionError` where :func:`pullback_construct`
+    does."""
+    pb = pullback_construct(sq.bd, sq.cd)
+    for kind, candidates, images in (
+        ("node", pb.node_pairs, {(sq.ab.fv[a], sq.ac.fv[a]) for a in sq.A.nodes}),
+        ("edge", pb.edge_pairs, {(sq.ab.fe[a], sq.ac.fe[a]) for a in sq.A.edges}),
+    ):
+        for pair in candidates.values():
+            if pair not in images:
+                return CheckReport(False, "reduced chain-condition", (kind, *pair))
+    return CheckReport(True)
 
 
 def reference_dangling_edges(rule_left: Morphism, match: Morphism) -> list[int]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from dpo.constructions import gluing
+from dpo.diagrams import Square
 from dpo.graph import Graph, graph
 from dpo.morphism import Morphism
 from dpo.rewriting import Match, Rule
@@ -106,3 +108,71 @@ def rules_with_matches(draw) -> tuple[Rule, Match]:
     host's extra edges may touch deleted nodes, so the match may dangle."""
     rule = draw(rules())
     return rule, Match(draw(extensions(rule.L, max_nodes=3, max_edges=4)))
+
+
+@st.composite
+def squares(draw) -> Square:
+    """A square of small graphs, often corrupted.
+
+    It starts either as the gluing square of an injective span, which is a
+    pushout, or as a cospan from :func:`cospans` under an apex of some of
+    the item pairs that agree in its target, which commutes and may be
+    injective or not. Then it may lose one apex item, which can break the
+    chain-condition, or have one item of ``bd`` re-pointed, which can break
+    commutativity, injectivity or, for an edge, the edge's endpoints.
+    """
+    if draw(st.booleans()):
+        k = draw(graphs(max_nodes=3, max_edges=2))
+        b, d = draw(extensions(k)), draw(extensions(k))
+        glued = gluing(b, d)
+        sq = Square(ab=b, ac=d, bd=glued.h, cd=glued.c)
+    else:
+        f, g = draw(cospans())
+        B, C = f.source, g.source
+        node_pairs = [(x, y) for x in sorted(B.nodes) for y in sorted(C.nodes) if f.fv[x] == g.fv[y]]
+        kept = [p for p in node_pairs if draw(st.booleans())]
+        node_id = {p: i for i, p in enumerate(kept)}
+        edge_pairs = [
+            (x, y) for x in sorted(B.edges) for y in sorted(C.edges)
+            if f.fe[x] == g.fe[y]
+            and (B.src[x], C.src[y]) in node_id and (B.tgt[x], C.tgt[y]) in node_id
+            and draw(st.booleans())
+        ]
+        apex = graph(
+            {i: B.nlabel[x] for (x, _), i in node_id.items()},
+            {
+                i: (node_id[B.src[x], C.src[y]], node_id[B.tgt[x], C.tgt[y]], B.elabel[x])
+                for i, (x, y) in enumerate(edge_pairs)
+            },
+        )
+        sq = Square(
+            ab=Morphism(apex, B, {i: x for (x, _), i in node_id.items()}, {i: x for i, (x, _) in enumerate(edge_pairs)}),
+            ac=Morphism(apex, C, {i: y for (_, y), i in node_id.items()}, {i: y for i, (_, y) in enumerate(edge_pairs)}),
+            bd=f,
+            cd=g,
+        )
+    corruption = draw(st.sampled_from(("none", "drop", "repoint")))
+    if corruption == "drop" and (sq.A.nodes or sq.A.edges):
+        A = sq.A
+        if A.edges and draw(st.booleans()):
+            gone_v, gone_e = set(), {draw(st.sampled_from(sorted(A.edges)))}
+        else:
+            v = draw(st.sampled_from(sorted(A.nodes)))
+            gone_v, gone_e = {v}, {e for e in A.edges if v in (A.src[e], A.tgt[e])}
+        nodes = {v: A.nlabel[v] for v in A.nodes - gone_v}
+        edges = {e: (A.src[e], A.tgt[e], A.elabel[e]) for e in A.edges - gone_e}
+        smaller = graph(nodes, edges)
+
+        def restrict(m: Morphism) -> Morphism:
+            return Morphism(smaller, m.target, {v: m.fv[v] for v in nodes}, {e: m.fe[e] for e in edges})
+
+        sq = Square(ab=restrict(sq.ab), ac=restrict(sq.ac), bd=sq.bd, cd=sq.cd)
+    elif corruption == "repoint":
+        B, D = sq.B, sq.D
+        fv, fe = dict(sq.bd.fv), dict(sq.bd.fe)
+        if B.edges and len(D.edges) > 1 and draw(st.booleans()):
+            fe[draw(st.sampled_from(sorted(B.edges)))] = draw(st.sampled_from(sorted(D.edges)))
+        elif B.nodes and len(D.nodes) > 1:
+            fv[draw(st.sampled_from(sorted(B.nodes)))] = draw(st.sampled_from(sorted(D.nodes)))
+        sq = Square(ab=sq.ab, ac=sq.ac, bd=Morphism(B, D, fv, fe), cd=sq.cd)
+    return sq

@@ -173,6 +173,54 @@ class TestIllFormedRule:
         assert doc["violations"][0] == {"clause": "graph L: tgt out of V", "item": "edge 0"}
 
 
+class TestIllFormedHost:
+    """A host whose edge ends at a missing node is rejected when loaded:
+    every verb that reads it exits 1 naming the first violation, and
+    ``validate`` still reports it with exit code 3."""
+
+    @staticmethod
+    def host_file(tmp_path) -> str:
+        doc = io.graph_to_json(host())
+        doc["edges"][1]["tgt"] = 7
+        return write(tmp_path / "bad_host.json", doc)
+
+    MESSAGE = "bad_host.json: invalid graph: tgt out of V: edge 1"
+
+    def test_apply_exits_1_and_writes_nothing(self, capsys, files, tmp_path):
+        out = tmp_path / "H.json"
+        code, doc, err = run(capsys, "apply", files["delete_x"], self.host_file(tmp_path), "--out", str(out))
+        assert code == 1
+        assert doc is None
+        assert self.MESSAGE in err
+        assert not out.exists()
+
+    def test_match_exits_1(self, capsys, files, tmp_path):
+        code, doc, err = run(capsys, "match", files["delete_x"], self.host_file(tmp_path))
+        assert code == 1
+        assert doc is None
+        assert self.MESSAGE in err
+
+    def test_iso_exits_1(self, capsys, files, tmp_path):
+        code, doc, err = run(capsys, "iso", self.host_file(tmp_path), files["host"])
+        assert code == 1
+        assert doc is None
+        assert self.MESSAGE in err
+
+    def test_inline_square_corner_exits_1(self, capsys, tmp_path):
+        doc = square_doc(extra_target_node=False)
+        doc["D"]["edges"] = [{"id": 0, "src": 0, "tgt": 5, "label": "x"}]
+        square = write(tmp_path / "sq.json", doc)
+        code, out, err = run(capsys, "check-square", square, "--mode", "pushout")
+        assert code == 1
+        assert out is None
+        assert "sq.json 'D': invalid graph: tgt out of V: edge 0" in err
+
+    def test_validate_still_exits_3(self, capsys, tmp_path):
+        code, doc, _ = run(capsys, "validate", self.host_file(tmp_path))
+        assert code == 3
+        assert doc["violations"] == [{"clause": "tgt out of V", "item": "edge 1"}]
+
+
 def square_doc(extra_target_node: bool) -> dict:
     """The gluing square of an a-node and a b-node over the empty graph."""
     d = {0: "a", 1: "b", 2: "a"} if extra_target_node else {0: "a", 1: "b"}

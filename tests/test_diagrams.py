@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from dpo import randgen
 from dpo.constructions import gluing, pullback_construct
@@ -28,6 +29,9 @@ from dpo.morphism import (
     is_surjective,
     morphisms_agree,
 )
+
+from .oracles import pullback_chain_condition
+from .strategies import squares
 
 
 def identity_square(g) -> Square:
@@ -88,6 +92,53 @@ class TestReducedChainCondition:
         report = reduced_chain_condition(sq)
         assert not report
         assert report.counterexample == ("node", 0, 0)
+
+
+def outcome(check, sq):
+    """A check's report, or the message of the PreconditionError it raised."""
+    try:
+        return check(sq)
+    except PreconditionError as exc:
+        return f"raised: {exc}"
+
+
+class TestChainConditionAgainstThePullbackObject:
+    """The chain-condition reads the cospan's agreeing pairs without building
+    the pullback object; the oracle builds it and reads its pairs."""
+
+    @given(squares())
+    def test_reports_are_identical_to_the_oracle(self, sq):
+        expected = outcome(pullback_chain_condition, sq)
+        commuting = commutes(sq)
+        if commuting:
+            assert outcome(reduced_chain_condition, sq) == expected
+        if all(is_injective(m) for m in (sq.ab, sq.ac, sq.bd, sq.cd)):
+            if not commuting:
+                pushout = commuting
+            elif isinstance(expected, str) or not expected:
+                pushout = expected
+            else:
+                pushout = jointly_surjective(sq.bd, sq.cd)
+            assert outcome(is_pushout_injective, sq) == pushout
+
+    def test_endpoint_breaking_leg_raises_the_pullback_error(self):
+        # bd and cd agree on the edge but not on its endpoints, so bd is not
+        # a morphism
+        edge = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+        target = graph({0: "a", 1: "a", 2: "a"}, {0: (0, 1, "x")})
+        empty = graph({})
+        sq = Square(
+            ab=Morphism(empty, edge, {}, {}),
+            ac=Morphism(empty, edge, {}, {}),
+            bd=Morphism(edge, target, {0: 1, 1: 2}, {0: 0}),
+            cd=Morphism(edge, target, {0: 0, 1: 1}, {0: 0}),
+        )
+        message = "pullback_construct: f or g does not preserve edge endpoints"
+        assert outcome(pullback_chain_condition, sq) == f"raised: {message}"
+        with pytest.raises(PreconditionError, match=message):
+            is_pushout_injective(sq)
+        with pytest.raises(PreconditionError, match=message):
+            reduced_chain_condition(sq)
 
 
 class TestJointlySurjective:

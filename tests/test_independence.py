@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from dpo import randgen
-from dpo.errors import DependentDerivationsError, PreconditionError
-from dpo.graph import graph, is_isomorphic
+from dpo import independence, randgen
+from dpo.errors import DependentDerivationsError, InternalConsistencyError, PreconditionError
+from dpo.graph import Graph, graph, is_isomorphic
 from dpo.independence import (
     ParallelPair,
     commute,
@@ -14,7 +14,7 @@ from dpo.independence import (
     sequential_independent,
     verify_commutation_squares,
 )
-from dpo.morphism import Morphism, identity, is_injective, validate_morphism
+from dpo.morphism import Morphism, identity, is_inclusion, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
     Rule,
@@ -252,3 +252,162 @@ class TestVerifyCommutationSquares:
         report = verify_commutation_squares(pair, witness, corrupted)
         assert not report
         assert "(5)" in report.failed_clause
+
+
+def both_deleted_removed(pair: ParallelPair) -> Graph:
+    """G without the items either rule deletes, read off the matches."""
+    G = pair.d1.G
+    gone_v, gone_e = set(), set()
+    for d in (pair.d1, pair.d2):
+        b, m = d.rule.b, d.match.m
+        gone_v |= {m.fv[v] for v in d.rule.L.nodes - set(b.fv.values())}
+        gone_e |= {m.fe[e] for e in d.rule.L.edges - set(b.fe.values())}
+    return graph(
+        {v: G.nlabel[v] for v in G.nodes - gone_v},
+        {e: (G.src[e], G.tgt[e], G.elabel[e]) for e in G.edges - gone_e},
+    )
+
+
+def large_pair(seed: int, n: int) -> ParallelPair:
+    """On a random host of ``n`` nodes and ``2n`` edges, one rule deletes an
+    edge between two distinct nodes and the other an isolated node."""
+    rng = random.Random(seed)
+    host = randgen.random_graph(rng, n, 2 * n, min_nodes=n)
+    while len(host.edges) < n:
+        host = randgen.random_graph(rng, n, 2 * n, min_nodes=n)
+    e = min(e for e in host.edges if host.src[e] != host.tgt[e])
+    s, t = host.src[e], host.tgt[e]
+    k = graph({0: host.nlabel[s], 1: host.nlabel[t]})
+    l = graph(dict(k.nlabel), {0: (0, 1, host.elabel[e])})
+    edge_rule = Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 1}, {}), r=identity(k))
+    touched = set(host.src.values()) | set(host.tgt.values())
+    v = min(host.nodes - touched)
+    empty, single = graph({}), graph({0: host.nlabel[v]})
+    node_rule = Rule(L=single, K=empty, R=empty, b=Morphism(empty, single, {}, {}), r=identity(empty))
+    return ParallelPair(
+        apply(edge_rule, Match(Morphism(l, host, {0: s, 1: t}, {0: e}))),
+        apply(node_rule, Match(Morphism(single, host, {0: v}, {}))),
+    )
+
+
+class TestSharedContext:
+    """The decomposition's shared context is D1 ∩ D2, built by deletion on
+    G's identifiers; read from the squares the verification checks."""
+
+    @staticmethod
+    def checked_squares(monkeypatch, pair: ParallelPair):
+        seen = []
+        for name in ("is_pullback", "is_pushout_injective"):
+            check = getattr(independence, name)
+
+            def spy(sq, check=check):
+                seen.append(sq)
+                return check(sq)
+
+            monkeypatch.setattr(independence, name, spy)
+        witness = parallel_independent(pair)
+        assert verify_commutation_squares(pair, witness, commute(pair))
+        labels = ("(12)", "(11)", "(21)", "(22)", "(31)", "(32)", "(41)", "(42)", "(5)")
+        return dict(zip(labels, seen))
+
+    def assert_decomposition(self, monkeypatch, pair: ParallelPair) -> None:
+        squares = self.checked_squares(monkeypatch, pair)
+        shared = both_deleted_removed(pair)
+        assert squares["(12)"].A == shared
+        assert squares["(32)"].A == shared
+        assert is_inclusion(squares["(12)"].ab) and is_inclusion(squares["(12)"].ac)
+        for label, d in (("(11)", pair.d1), ("(31)", pair.d2)):
+            k = squares[label].ac
+            assert k.target == shared
+            assert (k.fv, k.fe) == (d.deletion.d.fv, d.deletion.d.fe)
+
+    def test_generated_pairs(self, monkeypatch):
+        rng = random.Random(71)
+        for _ in range(20):
+            self.assert_decomposition(monkeypatch, randgen.random_parallel_independent_pair(rng))
+            monkeypatch.undo()
+
+    def test_a_600_node_pair(self, monkeypatch):
+        pair = large_pair(seed=3, n=600)
+        assert len(pair.d1.G.nodes) == 600
+        self.assert_decomposition(monkeypatch, pair)
+
+
+class TestCorruptedWitness:
+    """A witness that does not fit gives a failing report, never an exception."""
+
+    def test_j1_that_moves_a_preserved_node_fails(self):
+        host = graph({0: "b", 1: "b", 2: "a"})
+        rule1 = loop_addition_rule()
+        rule2 = node_deletion_rule()
+        d1 = apply(rule1, Match(Morphism(rule1.L, host, {0: 0}, {})))
+        d2 = apply(rule2, Match(Morphism(rule2.L, host, {0: 2}, {})))
+        pair = ParallelPair(d1, d2)
+        witness = parallel_independent(pair)
+        result = commute(pair)
+        moved = Morphism(witness.j1.source, witness.j1.target, {0: 1}, {})
+        report = verify_commutation_squares(pair, dataclasses.replace(witness, j1=moved), result)
+        assert not report
+
+    def test_generated_witnesses_with_one_item_moved_fail(self):
+        rng = random.Random(73)
+        checked = 0
+        while checked < 60:
+            pair = randgen.random_parallel_independent_pair(rng)
+            witness = parallel_independent(pair)
+            name = rng.choice(("j1", "j2"))
+            j = getattr(witness, name)
+            fv, fe = dict(j.fv), dict(j.fe)
+            G = pair.d1.G
+            if j.source.edges and len(G.edges) > 1 and rng.random() < 0.5:
+                e = rng.choice(sorted(j.source.edges))
+                fe[e] = rng.choice(sorted(set(G.edges) - {fe[e]}))
+            elif j.source.nodes and len(G.nodes) > 1:
+                v = rng.choice(sorted(j.source.nodes))
+                fv[v] = rng.choice(sorted(set(G.nodes) - {fv[v]}))
+            else:
+                continue
+            moved = Morphism(j.source, j.target, fv, fe)
+            report = verify_commutation_squares(
+                pair, dataclasses.replace(witness, **{name: moved}), commute(pair)
+            )
+            assert not report
+            checked += 1
+
+
+class TestResidualsCheckedOnce:
+    """commute hands each residual match to apply, whose checks are the only
+    ones it meets; a failure there is an internal inconsistency."""
+
+    @staticmethod
+    def pair() -> ParallelPair:
+        host = graph({0: "a", 1: "a", 2: "a", 3: "b"}, {0: (2, 3, "x")})
+        keep = identity_rule(graph({0: "a", 1: "a"}))
+        delete = node_deletion_rule()
+        return ParallelPair(
+            apply(keep, Match(Morphism(keep.L, host, {0: 1, 1: 2}, {}))),
+            apply(delete, Match(Morphism(delete.L, host, {0: 0}, {}))),
+        )
+
+    def patch_residual(self, monkeypatch, which: int, fv: dict) -> None:
+        real = independence.residual_match
+
+        def fake(pair, witness):
+            residuals = list(real(pair, witness))
+            m = residuals[which].m
+            residuals[which] = Match(Morphism(m.source, m.target, fv, dict(m.fe)))
+            return tuple(residuals)
+
+        monkeypatch.setattr(independence, "residual_match", fake)
+
+    def test_non_injective_residual(self, monkeypatch):
+        # m1' sends both a-nodes of the first rule to node 1 of H2
+        self.patch_residual(monkeypatch, 1, {0: 1, 1: 1})
+        with pytest.raises(InternalConsistencyError, match="residual application failed: .*not injective"):
+            commute(self.pair())
+
+    def test_dangling_residual(self, monkeypatch):
+        # m2' deletes node 2 of H1, which the x-edge 0 still touches
+        self.patch_residual(monkeypatch, 0, {0: 2})
+        with pytest.raises(InternalConsistencyError, match=r"residual application failed: dangling edges: \[0\]"):
+            commute(self.pair())
