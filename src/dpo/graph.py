@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .errors import PreconditionError
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -133,33 +131,6 @@ def validate_graph(g: Graph) -> ValidationReport:
     for e in sorted((set(g.src) | set(g.tgt) | set(g.elabel)) - g.edges):
         bad.append(Violation("edge map defined outside edges", f"edge {e}"))
     return ValidationReport(tuple(bad))
-
-
-def renumber(g: Graph, node_map: Mapping[int, int], edge_map: Mapping[int, int]) -> Graph:
-    """Relabel identifiers through two injective maps; structure is preserved.
-
-    The maps must be total on ``g``'s nodes and edges and injective; the
-    result is isomorphic to ``g`` with witness exactly ``(node_map, edge_map)``.
-    """
-    _require_injection(node_map, g.nodes, "node_map")
-    _require_injection(edge_map, g.edges, "edge_map")
-    return Graph(
-        nodes=frozenset(node_map[v] for v in g.nodes),
-        edges=frozenset(edge_map[e] for e in g.edges),
-        src={edge_map[e]: node_map[g.src[e]] for e in g.edges},
-        tgt={edge_map[e]: node_map[g.tgt[e]] for e in g.edges},
-        nlabel={node_map[v]: g.nlabel[v] for v in g.nodes},
-        elabel={edge_map[e]: g.elabel[e] for e in g.edges},
-    )
-
-
-def _require_injection(m: Mapping[int, int], domain: frozenset[int], name: str) -> None:
-    missing = domain - set(m)
-    if missing:
-        raise PreconditionError(f"{name} not total: missing {sorted(missing)}")
-    images = [m[x] for x in domain]
-    if len(set(images)) != len(images):
-        raise PreconditionError(f"{name} not injective")
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,10 @@ def load_square(path: str | Path) -> Square:
     """Load a square description: four corner graphs and four morphisms.
 
     Graph values and morphism values may be inline documents or strings,
-    which are read as paths relative to the square file.
+    which are read as paths relative to the square file. A morphism whose
+    maps are partial on its source or leave its target raises
+    :class:`FormatError` (see :func:`_total`), so the checks never read a
+    missing item.
     """
     doc = load_json(path)
     if not isinstance(doc, dict):
@@ -243,7 +246,7 @@ def load_square(path: str | Path) -> Square:
         value = doc[key]
         if isinstance(value, str):
             value = load_json(base / value)
-        return morphism_from_json(value, source, target)
+        return _total(morphism_from_json(value, source, target), f"{path} '{key}'")
 
     return Square(
         ab=arrow("ab", graphs["A"], graphs["B"]),
@@ -251,6 +254,28 @@ def load_square(path: str | Path) -> Square:
         bd=arrow("bd", graphs["B"], graphs["D"]),
         cd=arrow("cd", graphs["C"], graphs["D"]),
     )
+
+
+def _total(m: Morphism, where: str) -> Morphism:
+    """``m``, if ``fv`` and ``fe`` are defined on exactly the source's items
+    and take values among the target's; else :class:`FormatError` naming the
+    first offending item in the clause wording of
+    :func:`~dpo.morphism.validate_morphism`. Four C-level set tests decide a
+    pass; labels and endpoints are left to the checks that read the map."""
+    for name, kind, f, items, into in (
+        ("fv", "node", m.fv, m.source.nodes, m.target.nodes),
+        ("fe", "edge", m.fe, m.source.edges, m.target.edges),
+    ):
+        if f.keys() == items and into.issuperset(f.values()):
+            continue
+        if items - f.keys():
+            clause, item = "not total on source", min(items - f.keys())
+        elif f.keys() - items:
+            clause, item = "defined outside source", min(f.keys() - items)
+        else:
+            clause, item = "out of target", min(x for x in items if f[x] not in into)
+        raise FormatError(f"{where}: invalid morphism: {name} {clause} {kind}s: {kind} {item}")
+    return m
 
 
 def derivation_trace_json(dd: DirectDerivation) -> dict:

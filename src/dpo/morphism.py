@@ -7,8 +7,11 @@ decidable by pointwise comparison (see :func:`morphisms_agree`).
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Optional
 
 from .errors import PreconditionError
 from .graph import Graph, ValidationReport, Violation
@@ -106,13 +109,6 @@ def invert(m: Morphism) -> Morphism:
     )
 
 
-def is_inclusion(m: Morphism) -> bool:
-    """True iff both maps are identities on the source's items."""
-    return all(m.fv[v] == v for v in m.source.nodes) and all(
-        m.fe[e] == e for e in m.source.edges
-    )
-
-
 def morphisms_agree(m1: Morphism, m2: Morphism) -> bool:
     """Pointwise equality of two morphisms with the same endpoints."""
     if m1.source != m2.source or m1.target != m2.target:
@@ -128,54 +124,156 @@ def enumerate_morphisms(g: Graph, h: Graph, injective_only: bool = False) -> lis
     Ordering is lexicographic in the vector of images taken over ascending
     source node ids followed by ascending source edge ids. The enumeration
     is complete; with ``injective_only`` it is restricted to morphisms whose
-    node and edge maps are both injective.
+    node and edge maps are both injective. An edge of ``g`` with an endpoint
+    outside ``g``'s nodes admits no morphism.
+
+    The nodes of ``g`` are bound along a plan built once per call (see
+    :func:`_plan`): first the node whose label is rarest in ``h``, then
+    always the unbound node with the most edges to bound ones. A node
+    reached by an edge, its anchor, draws its candidates from the host
+    edges at the image of the anchor's other end, read from
+    ``h.incidence``; only the first node of each connected component of
+    ``g`` takes every host node with its label. Every other edge of ``g``
+    is checked once, when its second endpoint is bound. The node maps found
+    are sorted into the order above, and each is expanded into its edge
+    maps in ascending edge id. Nothing recurses per item, so the size of
+    ``g`` is not bounded by the interpreter's recursion limit.
+
+    Cost: O(|V_h|) for the label scan and, if ``h.incidence`` is not built
+    yet, O(|E_h|) to build it; then, per candidate extension, the degree in
+    ``h`` of the anchor's image and of each checked edge's ends; then
+    sorting the node maps found and expanding their edge maps.
     """
-    return list(_iter_morphisms(g, h, injective_only))
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    plan = _plan(g, h)
+    if plan is None:
+        return []
+    out: list[Morphism] = []
+    for images in sorted(_node_maps(plan, h, nodes, injective_only)):
+        fv = dict(zip(nodes, images))
+        choices = [_parallel(h, fv[g.src[e]], fv[g.tgt[e]], g.elabel[e]) for e in edges]
+        # product is lexicographic; images can repeat only among parallel
+        # edges of g with one label, which the filter drops when injective
+        for edge_images in itertools.product(*choices):
+            if not injective_only or len(set(edge_images)) == len(edge_images):
+                out.append(Morphism(g, h, dict(fv), dict(zip(edges, edge_images))))
+    return out
 
 
-def _iter_morphisms(g: Graph, h: Graph, injective_only: bool) -> Iterator[Morphism]:
-    nodes = sorted(g.nodes)
-    edges = sorted(g.edges)
-    node_candidates = {
-        v: [w for w in sorted(h.nodes) if h.nlabel[w] == g.nlabel[v]] for v in nodes
-    }
-    edge_index: dict[tuple[int, int, str], list[int]] = {}
-    for e in sorted(h.edges):
-        edge_index.setdefault((h.src[e], h.tgt[e], h.elabel[e]), []).append(e)
+@dataclass(frozen=True)
+class _Step:
+    """One position of a search plan: the node bound there, the edge to an
+    earlier node its candidates are drawn from, if any, and the edges to
+    earlier nodes or to itself that are checked once it is bound. An edge
+    is ``(other end, label, whether the bound node is its source)``."""
 
+    node: int
+    label: str
+    anchor: Optional[tuple[int, str, bool]]
+    closes: tuple[tuple[int, str, bool], ...]
+
+
+def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
+    """The order in which :func:`enumerate_morphisms` binds ``g``'s nodes,
+    or ``None`` if an edge of ``g`` ends outside its nodes.
+
+    A heap keyed by (minus the edges to bound nodes, the label's count in
+    ``h``, the id) picks each next node; a node gains one stale entry per
+    edge to a newly bound node, so building the plan costs
+    O(|g| log |g|)."""
+    at: dict[int, list[int]] = {v: [] for v in g.nodes}
+    for e in sorted(g.edges):
+        s, t = g.src[e], g.tgt[e]
+        if s not in at or t not in at:
+            return None
+        at[s].append(e)
+        if t != s:
+            at[t].append(e)
+    rarity = Counter(h.nlabel.values())
+    links = dict.fromkeys(g.nodes, 0)
+    heap = [(0, rarity[g.nlabel[v]], v) for v in g.nodes]
+    heapq.heapify(heap)
+    placed: set[int] = set()
+    plan: list[_Step] = []
+    while heap:
+        minus_links, _, v = heapq.heappop(heap)
+        if v in placed or -minus_links != links[v]:
+            continue
+        placed.add(v)
+        anchor = None
+        closes = []
+        for e in at[v]:
+            v_is_src = g.src[e] == v
+            u = g.tgt[e] if v_is_src else g.src[e]
+            if u not in placed:
+                links[u] += 1
+                heapq.heappush(heap, (-links[u], rarity[g.nlabel[u]], u))
+            elif u != v and anchor is None:
+                anchor = (u, g.elabel[e], v_is_src)
+            else:
+                closes.append((u, g.elabel[e], v_is_src))
+        plan.append(_Step(v, g.nlabel[v], anchor, tuple(closes)))
+    return plan
+
+
+def _node_maps(
+    plan: list[_Step], h: Graph, nodes: list[int], injective: bool
+) -> list[tuple[int, ...]]:
+    """Every node map along ``plan`` under which each edge of the source has
+    an image candidate in ``h``, as its images over ``nodes``, unsorted."""
+    if not plan:
+        return [()]
+    incidence = h.incidence
+    pools: dict[str, list[int]] = {}
     fv: dict[int, int] = {}
-    fe: dict[int, int] = {}
-    used_nodes: set[int] = set()
-    used_edges: set[int] = set()
+    used: set[int] = set()
 
-    def assign_edges(j: int) -> Iterator[Morphism]:
-        if j == len(edges):
-            yield Morphism(g, h, dict(fv), dict(fe))
-            return
-        e = edges[j]
-        # an endpoint outside g's nodes has no image, so no morphism exists
-        key = (fv.get(g.src[e]), fv.get(g.tgt[e]), g.elabel[e])
-        for cand in edge_index.get(key, ()):
-            if injective_only and cand in used_edges:
-                continue
-            fe[e] = cand
-            used_edges.add(cand)
-            yield from assign_edges(j + 1)
-            del fe[e]
-            used_edges.discard(cand)
+    def candidates(step: _Step) -> list[int]:
+        if step.anchor is None:
+            if step.label not in pools:
+                pools[step.label] = [w for w, l in h.nlabel.items() if l == step.label]
+            return pools[step.label]
+        u, label, v_is_src = step.anchor
+        x = fv[u]
+        ends = h.src if v_is_src else h.tgt
+        far = h.tgt if v_is_src else h.src
+        # a set, since parallel host edges lead to the same neighbour
+        found = {ends[e] for e in incidence.get(x, ()) if far[e] == x and h.elabel[e] == label}
+        return [w for w in found if h.nlabel[w] == step.label]
 
-    def assign_nodes(i: int) -> Iterator[Morphism]:
-        if i == len(nodes):
-            yield from assign_edges(0)
-            return
-        v = nodes[i]
-        for cand in node_candidates[v]:
-            if injective_only and cand in used_nodes:
-                continue
-            fv[v] = cand
-            used_nodes.add(cand)
-            yield from assign_nodes(i + 1)
-            del fv[v]
-            used_nodes.discard(cand)
+    def closed(step: _Step) -> bool:
+        for u, label, v_is_src in step.closes:
+            s, t = (fv[step.node], fv[u]) if v_is_src else (fv[u], fv[step.node])
+            if not _parallel(h, s, t, label):
+                return False
+        return True
 
-    yield from assign_nodes(0)
+    found: list[tuple[int, ...]] = []
+    last = len(plan) - 1
+    pending = [iter(candidates(plan[0]))] + [iter(())] * last
+    i = 0
+    while i >= 0:
+        step = plan[i]
+        for w in pending[i]:
+            if w not in used:
+                fv[step.node] = w
+                if closed(step):
+                    break
+        else:
+            i -= 1
+            if i >= 0:
+                used.discard(fv[plan[i].node])
+            continue
+        if i == last:
+            found.append(tuple(map(fv.__getitem__, nodes)))
+        else:
+            if injective:
+                used.add(w)
+            i += 1
+            pending[i] = iter(candidates(plan[i]))
+    return found
+
+
+def _parallel(h: Graph, s: int, t: int, label: str) -> list[int]:
+    """The edges of ``h`` from ``s`` to ``t`` with ``label``, ascending."""
+    return sorted(e for e in h.incidence.get(s, ()) if h.src[e] == s and h.tgt[e] == t and h.elabel[e] == label)

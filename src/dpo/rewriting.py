@@ -17,7 +17,7 @@ from . import constructions
 from .constructions import DeletionResult, GluingResult, deletion, gluing
 from .diagrams import CheckReport, Square, is_pushout_injective
 from .errors import InternalConsistencyError, PreconditionError
-from .graph import Graph, ValidationReport, Violation, is_isomorphic, validate_graph
+from .graph import Graph, ValidationReport, Violation, validate_graph
 from .morphism import Morphism, enumerate_morphisms, identity, is_injective, validate_morphism
 
 
@@ -98,6 +98,13 @@ def validate_rule(rule: Rule) -> ValidationReport:
 
 def find_matches(rule: Rule, G: Graph) -> list[Match]:
     """All injective morphisms ``L -> G``, in deterministic order.
+
+    The order is :func:`~dpo.morphism.enumerate_morphisms`'s: lexicographic
+    in the images of ``L``'s nodes in ascending id order, then of its edges;
+    ``dpo apply --match-index k`` picks the k-th entry. The search follows
+    ``L``'s edges out from the node whose label is rarest in ``G``, so
+    beyond one O(|V_G|) label scan its cost grows with the partial matches
+    it extends and the degree of their images, not with |V_G|^|V_L|.
 
     The dangling condition is deliberately not filtered here; whether a
     match is applicable is decided at application time.
@@ -204,11 +211,3 @@ def _local_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> bool:
         if outside != len(d_items) - len(c_items):
             return False
     return True
-
-
-def derivations_isomorphic(d1: DirectDerivation, d2: DirectDerivation) -> bool:
-    """Whether two derivations have isomorphic contexts and isomorphic results."""
-    return (
-        is_isomorphic(d1.deletion.D, d2.deletion.D) is not None
-        and is_isomorphic(d1.gluing.H, d2.gluing.H) is not None
-    )

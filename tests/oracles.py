@@ -5,18 +5,27 @@ decided by enumerating node bijections and filtering by the morphism
 axioms, and morphism counting enumerates raw map products. The reference
 constructions rebuild deletion and gluing item by item over the whole
 graph, where the engine copies maps in bulk and patches in the rule.
+The reference enumerator binds every node from a label list before it reads
+an edge, where the engine follows a search plan along the edges; both must
+return the same list in the same order.
+
+The last few helpers are test utilities, not oracles: ``renumber``,
+``is_inclusion`` and ``derivations_isomorphic`` are used only by tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Iterator, Mapping
 
 from dpo.constructions import pullback_construct
 from dpo.diagrams import CheckReport, Square
-from dpo.graph import Graph, graph
+from dpo.errors import PreconditionError
+from dpo.graph import Graph, graph, is_isomorphic
 from dpo.morphism import Morphism, compose, enumerate_morphisms, morphisms_agree
 from dpo.independence import ParallelPair
+from dpo.rewriting import DirectDerivation
 
 
 def morphism_axioms_ok(source: Graph, target: Graph, fv: dict, fe: dict) -> bool:
@@ -218,4 +227,102 @@ def exhaustive_parallel_witness_exists(pair: ParallelPair) -> bool:
     return any(
         morphisms_agree(compose(pair.d1.deletion.c, j2), pair.d2.match.m)
         for j2 in enumerate_morphisms(pair.d2.rule.L, pair.d1.deletion.D)
+    )
+
+
+def reference_enumerate_morphisms(g: Graph, h: Graph, injective_only: bool = False) -> list[Morphism]:
+    """All valid morphisms ``g -> h`` in the documented lexicographic order,
+    by binding every source node from a per-label candidate list before any
+    edge is read, recursing once per item. Exponential in ``|V_g|``, so for
+    small graphs only."""
+    return list(_iter_morphisms(g, h, injective_only))
+
+
+def _iter_morphisms(g: Graph, h: Graph, injective_only: bool) -> Iterator[Morphism]:
+    nodes = sorted(g.nodes)
+    edges = sorted(g.edges)
+    node_candidates = {
+        v: [w for w in sorted(h.nodes) if h.nlabel[w] == g.nlabel[v]] for v in nodes
+    }
+    edge_index: dict[tuple[int, int, str], list[int]] = {}
+    for e in sorted(h.edges):
+        edge_index.setdefault((h.src[e], h.tgt[e], h.elabel[e]), []).append(e)
+
+    fv: dict[int, int] = {}
+    fe: dict[int, int] = {}
+    used_nodes: set[int] = set()
+    used_edges: set[int] = set()
+
+    def assign_edges(j: int) -> Iterator[Morphism]:
+        if j == len(edges):
+            yield Morphism(g, h, dict(fv), dict(fe))
+            return
+        e = edges[j]
+        # an endpoint outside g's nodes has no image, so no morphism exists
+        key = (fv.get(g.src[e]), fv.get(g.tgt[e]), g.elabel[e])
+        for cand in edge_index.get(key, ()):
+            if injective_only and cand in used_edges:
+                continue
+            fe[e] = cand
+            used_edges.add(cand)
+            yield from assign_edges(j + 1)
+            del fe[e]
+            used_edges.discard(cand)
+
+    def assign_nodes(i: int) -> Iterator[Morphism]:
+        if i == len(nodes):
+            yield from assign_edges(0)
+            return
+        v = nodes[i]
+        for cand in node_candidates[v]:
+            if injective_only and cand in used_nodes:
+                continue
+            fv[v] = cand
+            used_nodes.add(cand)
+            yield from assign_nodes(i + 1)
+            del fv[v]
+            used_nodes.discard(cand)
+
+    yield from assign_nodes(0)
+
+
+def renumber(g: Graph, node_map: Mapping[int, int], edge_map: Mapping[int, int]) -> Graph:
+    """Relabel identifiers through two injective maps; structure is preserved.
+
+    The maps must be total on ``g``'s nodes and edges and injective; the
+    result is isomorphic to ``g`` with witness exactly ``(node_map, edge_map)``.
+    """
+    _require_injection(node_map, g.nodes, "node_map")
+    _require_injection(edge_map, g.edges, "edge_map")
+    return Graph(
+        nodes=frozenset(node_map[v] for v in g.nodes),
+        edges=frozenset(edge_map[e] for e in g.edges),
+        src={edge_map[e]: node_map[g.src[e]] for e in g.edges},
+        tgt={edge_map[e]: node_map[g.tgt[e]] for e in g.edges},
+        nlabel={node_map[v]: g.nlabel[v] for v in g.nodes},
+        elabel={edge_map[e]: g.elabel[e] for e in g.edges},
+    )
+
+
+def _require_injection(m: Mapping[int, int], domain: frozenset[int], name: str) -> None:
+    missing = domain - set(m)
+    if missing:
+        raise PreconditionError(f"{name} not total: missing {sorted(missing)}")
+    images = [m[x] for x in domain]
+    if len(set(images)) != len(images):
+        raise PreconditionError(f"{name} not injective")
+
+
+def is_inclusion(m: Morphism) -> bool:
+    """True iff both maps are identities on the source's items."""
+    return all(m.fv[v] == v for v in m.source.nodes) and all(
+        m.fe[e] == e for e in m.source.edges
+    )
+
+
+def derivations_isomorphic(d1: DirectDerivation, d2: DirectDerivation) -> bool:
+    """Whether two derivations have isomorphic contexts and isomorphic results."""
+    return (
+        is_isomorphic(d1.deletion.D, d2.deletion.D) is not None
+        and is_isomorphic(d1.gluing.H, d2.gluing.H) is not None
     )

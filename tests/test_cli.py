@@ -139,6 +139,41 @@ class TestApply:
         assert "fv defined outside source nodes" in err
 
 
+def x_edges_host():
+    """Three a-nodes: two parallel x-edges 0 -> 1, an x-edge 1 -> 2 with the
+    lowest id, and a y-edge 2 -> 0 that no x-edge rule matches."""
+    return graph({0: "a", 1: "a", 2: "a"}, {0: (1, 2, "x"), 1: (0, 1, "x"), 2: (0, 1, "x"), 3: (2, 0, "y")})
+
+
+class TestMatch:
+    """``match`` lists the matches in the documented order, by node images
+    over ascending rule ids and then by edge images, and ``apply
+    --match-index k`` applies the k-th entry of that list."""
+
+    MATCHES = [
+        {"fv": {"0": 0, "1": 1}, "fe": {"0": 1}},
+        {"fv": {"0": 0, "1": 1}, "fe": {"0": 2}},
+        {"fv": {"0": 1, "1": 2}, "fe": {"0": 0}},
+    ]
+
+    def test_count_and_matches_in_order(self, capsys, files, tmp_path):
+        host = write(tmp_path / "x_edges.json", io.graph_to_json(x_edges_host()))
+        code, doc, _ = run(capsys, "match", files["delete_x"], host)
+        assert code == 0
+        assert doc == {"count": 3, "matches": self.MATCHES}
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_apply_at_match_index_deletes_that_matchs_edge(self, capsys, files, tmp_path, k):
+        host = write(tmp_path / "x_edges.json", io.graph_to_json(x_edges_host()))
+        out = tmp_path / "H.json"
+        code, _, _ = run(capsys, "apply", files["delete_x"], host, "--match-index", str(k), "--out", str(out))
+        assert code == 0
+        G = x_edges_host()
+        gone = self.MATCHES[k]["fe"]["0"]
+        kept = {e: (G.src[e], G.tgt[e], G.elabel[e]) for e in G.edges if e != gone}
+        assert json.loads(out.read_text()) == io.graph_to_json(graph(G.nlabel, kept))
+
+
 class TestIllFormedRule:
     """A rule whose L-edge ends at a missing node is rejected when loaded,
     before any search, naming the violation; ``validate`` still reports it."""
@@ -261,25 +296,27 @@ def one_node_square(ab: dict) -> dict:
     return {"A": one, "B": one, "C": one, "D": one, "ab": ab, "ac": ident, "bd": ident, "cd": ident}
 
 
-class TestInternalErrors:
-    """Square files the loader accepts but no check can evaluate end in exit
-    code 5 and one line on stderr, never in a traceback."""
+class TestHostileSquare:
+    """A square file whose map is partial on its source, defined outside it
+    or leaves its target is rejected when loaded, with exit code 1 and one
+    line on stderr naming the morphism and the item; no check reads it."""
 
     @pytest.mark.parametrize("mode", ["pushout", "pullback"])
     @pytest.mark.parametrize(
         "ab, message",
         [
-            ({"fv": {}, "fe": {}}, "error: internal: KeyError: 0"),
-            ({"fv": {"0": 7}, "fe": {}}, "error: internal: KeyError: 7"),
+            ({"fv": {}, "fe": {}}, "fv not total on source nodes: node 0"),
+            ({"fv": {"0": 7}, "fe": {}}, "fv out of target nodes: node 0"),
+            ({"fv": {"0": 0}, "fe": {"3": 0}}, "fe defined outside source edges: edge 3"),
         ],
-        ids=["partial", "out-of-range"],
+        ids=["partial", "out-of-range", "outside-source"],
     )
-    def test_hostile_square_exits_5(self, capsys, tmp_path, mode, ab, message):
+    def test_malformed_map_exits_1(self, capsys, tmp_path, mode, ab, message):
         square = write(tmp_path / "sq.json", one_node_square(ab))
         code, doc, err = run(capsys, "check-square", square, "--mode", mode)
-        assert code == 5
+        assert code == 1
         assert doc is None
-        assert err == message + "\n"
+        assert err == f"error: {square} 'ab': invalid morphism: {message}\n"
 
 
 class TestIndependentAndCommute:

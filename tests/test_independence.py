@@ -14,7 +14,7 @@ from dpo.independence import (
     sequential_independent,
     verify_commutation_squares,
 )
-from dpo.morphism import Morphism, identity, is_inclusion, is_injective, validate_morphism
+from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
     Rule,
@@ -24,7 +24,7 @@ from dpo.rewriting import (
     identity_rule,
 )
 
-from .oracles import exhaustive_parallel_witness_exists
+from .oracles import exhaustive_parallel_witness_exists, is_inclusion
 
 
 def node_deletion_rule() -> Rule:

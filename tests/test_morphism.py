@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dpo import randgen
 from dpo.errors import PreconditionError
@@ -13,14 +13,19 @@ from dpo.morphism import (
     identity,
     invert,
     is_bijective,
-    is_inclusion,
     is_injective,
     is_surjective,
     morphisms_agree,
     validate_morphism,
 )
 
-from .oracles import brute_force_morphism_count, morphism_axioms_ok
+from .oracles import (
+    brute_force_morphism_count,
+    is_inclusion,
+    morphism_axioms_ok,
+    reference_enumerate_morphisms,
+    renumber,
+)
 from .strategies import graphs
 
 A2 = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
@@ -124,8 +129,6 @@ class TestInvert:
 
     def test_round_trips_are_identities(self):
         rng = random.Random(5)
-        from dpo.graph import renumber
-
         for _ in range(40):
             g = randgen.random_graph(rng, max_nodes=5, max_edges=5)
             nodes, edges = sorted(g.nodes), sorted(g.edges)
@@ -200,3 +203,24 @@ class TestEnumerateMorphisms:
             found = enumerate_morphisms(g, h, injective_only=injective)
             assert all(validate_morphism(m).ok for m in found)
             assert len(found) == brute_force_morphism_count(g, h, injective)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_nodes=4, max_edges=4), graphs(max_nodes=5, max_edges=7))
+    @example(graph({}), graph({0: "a"}, {0: (0, 0, "x")}))
+    @example(graph({0: "a", 1: "b"}), graph({0: "b", 1: "a", 2: "a"}))
+    @example(
+        graph({0: "a", 1: "a"}, {0: (0, 0, "x"), 1: (0, 1, "y"), 2: (0, 1, "y")}),
+        graph({0: "a", 1: "a"}, {0: (0, 1, "y"), 1: (0, 0, "x"), 2: (0, 1, "y"), 3: (0, 0, "x")}),
+    )
+    def test_equals_the_reference_list_in_order(self, g, h):
+        # empty, disconnected and looped sources, and parallel edges on both
+        # sides, are among the draws; the examples pin one of each
+        for injective in (False, True):
+            assert enumerate_morphisms(g, h, injective) == reference_enumerate_morphisms(g, h, injective)
+
+    def test_a_long_path_maps_onto_itself_by_the_identity_only(self):
+        # one search position per node: a recursive search exceeds the
+        # interpreter's recursion limit here
+        n = 2000
+        path = graph({v: f"n{v}" for v in range(n)}, {e: (e, e + 1, "x") for e in range(n - 1)})
+        assert enumerate_morphisms(path, path) == [identity(path)]

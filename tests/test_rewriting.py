@@ -1,15 +1,18 @@
 import itertools
 import random
+from collections import Counter
 from typing import Iterator
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
+from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_match
 
 from dpo import randgen
 from dpo.diagrams import Square, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, PreconditionError
 from dpo.graph import Graph, graph, incidence_if_built, is_isomorphic
-from dpo.morphism import Morphism, identity, is_injective
+from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
     Rule,
@@ -17,13 +20,12 @@ from dpo.rewriting import (
     _local_pushout,
     apply,
     dangling_condition,
-    derivations_isomorphic,
     find_matches,
     identity_rule,
     validate_rule,
 )
 
-from .oracles import reference_incidence
+from .oracles import derivations_isomorphic, reference_incidence
 from .strategies import rules_with_matches
 
 
@@ -91,6 +93,69 @@ class TestFindMatches:
         matches = find_matches(delete_node, host)
         assert len(matches) == 1
         assert not dangling_condition(delete_node, matches[0])
+
+
+def networkx_match_count(L: Graph, G: Graph) -> int:
+    """The number of injective morphisms ``L -> G`` for an ``L`` without
+    parallel edges, counted by networkx: VF2 lists the injective node maps
+    of the graphs with parallel edges merged, under which each L-edge's
+    label occurs between the images; each node map then extends in one way
+    per choice of a host edge for every L-edge."""
+
+    def merged(g: Graph) -> nx.DiGraph:
+        d = nx.DiGraph()
+        d.add_nodes_from((v, {"label": g.nlabel[v]}) for v in g.nodes)
+        for e in g.edges:
+            s, t = g.src[e], g.tgt[e]
+            if not d.has_edge(s, t):
+                d.add_edge(s, t, labels=Counter())
+            d[s][t]["labels"][g.elabel[e]] += 1
+        return d
+
+    host, pattern = merged(G), merged(L)
+    matcher = DiGraphMatcher(
+        host, pattern,
+        node_match=categorical_node_match("label", None),
+        edge_match=lambda h, p: all(h["labels"][x] >= n for x, n in p["labels"].items()),
+    )
+    total = 0
+    for node_map in matcher.subgraph_monomorphisms_iter():
+        image = {p: h for h, p in node_map.items()}
+        ways = 1
+        for e in L.edges:
+            ways *= host[image[L.src[e]]][image[L.tgt[e]]]["labels"][L.elabel[e]]
+        total += ways
+    return total
+
+
+class TestFindMatchesAgainstNetworkx:
+    """Match counts on 10^3-node hosts, far beyond the brute-force oracles.
+    Hosts have n nodes labelled a, b, c and 2n random edges labelled x, y,
+    plus five planted copies of L, since random hosts this sparse seldom
+    hold a 3-cycle of b-nodes."""
+
+    LHS = {
+        "path_abc": graph({0: "a", 1: "b", 2: "c"}, {0: (0, 1, "x"), 1: (1, 2, "y")}),
+        "cycle_bbb": graph({0: "b", 1: "b", 2: "b"}, {0: (0, 1, "x"), 1: (1, 2, "x"), 2: (2, 0, "x")}),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lhs", sorted(LHS))
+    def test_count_equals_networkx(self, lhs, seed):
+        rng = random.Random(f"{lhs}:{seed}")
+        n, L = 1000, self.LHS[lhs]
+        nodes = {v: rng.choice("abc") for v in range(n)}
+        edges = {e: (rng.randrange(n), rng.randrange(n), rng.choice("xy")) for e in range(2 * n)}
+        for _ in range(5):
+            image = dict(zip(sorted(L.nodes), rng.sample(range(n), len(L.nodes))))
+            nodes.update((image[v], L.nlabel[v]) for v in L.nodes)
+            for e in sorted(L.edges):
+                edges[len(edges)] = (image[L.src[e]], image[L.tgt[e]], L.elabel[e])
+        G = graph(nodes, edges)
+        matches = find_matches(identity_rule(L), G)
+        assert len(matches) == networkx_match_count(L, G) > 0
+        assert len({(tuple(m.m.fv.items()), tuple(m.m.fe.items())) for m in matches}) == len(matches)
+        assert all(validate_morphism(m.m).ok for m in matches)
 
 
 class TestDanglingCondition:
