@@ -9,7 +9,6 @@ output; a human summary goes to standard error unless ``--json`` is given.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -43,15 +42,17 @@ EXIT_INTERNAL = 5
 
 
 def _emit(doc: dict, summary: str, args: argparse.Namespace) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    io.write_json(doc, sys.stdout)
     if not args.json:
         print(summary, file=sys.stderr)
 
 
 def _load_match(selector_index: int | None, selector_file: str | None, rule, host) -> Match:
-    """The selected match; :func:`apply` validates it, and the rule, once."""
+    """The selected match. A match file whose maps are partial, out of range
+    or defined outside L is rejected here (:func:`io._total`); :func:`apply`
+    validates the rest, and the rule, once."""
     if selector_file is not None:
-        return Match(io.load_morphism(selector_file, source=rule.L, target=host))
+        return Match(io._total(io.load_morphism(selector_file, source=rule.L, target=host), selector_file))
     matches = find_matches(rule, host)
     index = selector_index or 0
     if not 0 <= index < len(matches):
@@ -119,9 +120,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
     rule = io.load_rule(args.rule)
     host = io.load_graph(args.graph)
     derivation = apply(rule, _load_match(args.match_index, args.match, rule, host))
-    io.save_json(io.graph_to_json(derivation.H), args.out)
+    trace = io.derivation_trace_json(derivation)
+    io.save_json(trace["H"], args.out)
     trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
-    io.save_json(io.derivation_trace_json(derivation), trace_path)
+    io.save_json(trace, trace_path)
     if args.dot:
         Path(args.dot).write_text(io.to_dot(derivation.H), encoding="utf-8")
     _emit(
@@ -198,7 +200,6 @@ def cmd_commute(args: argparse.Namespace) -> int:
         raise InternalConsistencyError(
             f"commutation squares failed verification: {squares.failed_clause}"
         )
-    io.save_json(io.graph_to_json(result.Gp), args.out)
     report = {
         "G_prime": io.graph_to_json(result.Gp),
         "residual_match_2": io.morphism_to_json(result.e1.match.m),
@@ -206,6 +207,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
         "iso": io.iso_witness_to_json(result.iso),
         "squares": io.check_report_to_json(squares),
     }
+    io.save_json(report["G_prime"], args.out)
     report_path = args.report or str(Path(args.out).with_suffix("")) + ".report.json"
     io.save_json(report, report_path)
     if args.dot:

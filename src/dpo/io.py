@@ -13,13 +13,24 @@ may reference their endpoint graphs by relative path when stored standalone::
 Rule documents embed their three graphs and two morphisms inline; square
 documents list the four corner graphs and four morphisms either inline or by
 relative path.
+
+Every document is written as exactly the bytes of ``json.dump(doc, fh,
+indent=2, sort_keys=True)`` and a newline (:func:`write_json`). Writer and
+readers work a column at a time in C-level calls (``map``, ``itemgetter``,
+``set``) on the shapes these formats use: records with type-uniform fields
+and maps of plain integers or strings. Any other shape, and any input that
+fails a column test, goes to a general path: a recursive writer, or readers
+that check entry by entry and name the first bad entry. Either path gives
+the same output and the same error.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator, TextIO
 
 from .diagrams import CheckReport, Square
 from .errors import FormatError
@@ -39,10 +50,64 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(doc: Any) -> Graph:
+    """The graph of a graph document, or :class:`FormatError` naming the
+    first bad entry.
+
+    The fast path takes each field as a column (``list(map(itemgetter(k),
+    entries))``) and decides validity with C-level tests over whole columns:
+    every id and endpoint a plain non-negative ``int``, every label a
+    ``str``, no id twice. If any test fails, :func:`_checked_graph` walks the
+    entries in order, so the error raised and its message are the same as
+    with the loop alone.
+    """
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise FormatError("graph document must be an object with a 'nodes' array")
+    node_entries, edge_entries = doc["nodes"], doc.get("edges", [])
+    if _records(node_entries) and _records(edge_entries):
+        try:
+            ids, labels = _columns(node_entries, "id", "label")
+            eids, srcs, tgts, elabels = _columns(edge_entries, "id", "src", "tgt", "label")
+        except KeyError:
+            pass
+        else:
+            if all(map(_naturals, (ids, eids, srcs, tgts))) and _strings(labels) and _strings(elabels):
+                nlabel = dict(zip(ids, labels))
+                elabel = dict(zip(eids, elabels))
+                if len(nlabel) == len(ids) and len(elabel) == len(eids):
+                    return Graph(
+                        nodes=frozenset(nlabel),
+                        edges=frozenset(elabel),
+                        src=dict(zip(eids, srcs)),
+                        tgt=dict(zip(eids, tgts)),
+                        nlabel=nlabel,
+                        elabel=elabel,
+                    )
+    return _checked_graph(doc)
+
+
+def _records(entries: Any) -> bool:
+    return type(entries) is list and set(map(type, entries)) <= {dict}
+
+
+def _columns(entries: list, *keys: str) -> list[list]:
+    """One list per key, of that key's value in every entry; ``KeyError``
+    if an entry lacks one."""
+    return [list(map(itemgetter(key), entries)) for key in keys]
+
+
+def _naturals(column: list) -> bool:
+    return set(map(type, column)) <= {int} and min(column, default=0) >= 0
+
+
+def _strings(column: list) -> bool:
+    return set(map(type, column)) <= {str}
+
+
+def _checked_graph(doc: dict) -> Graph:
+    """The entry-by-entry reader behind :func:`graph_from_json`: it raises
+    :class:`FormatError` for the first bad entry, in document order."""
     nodes: dict[int, str] = {}
-    for entry in doc.get("nodes", []):
+    for entry in _array(doc["nodes"], "nodes"):
         v = _ident(entry, "id", "node")
         if v in nodes:
             raise FormatError(f"duplicate node id {v}")
@@ -50,7 +115,7 @@ def graph_from_json(doc: Any) -> Graph:
     src: dict[int, int] = {}
     tgt: dict[int, int] = {}
     elabel: dict[int, str] = {}
-    for entry in doc.get("edges", []):
+    for entry in _array(doc.get("edges", []), "edges"):
         e = _ident(entry, "id", "edge")
         if e in elabel:
             raise FormatError(f"duplicate edge id {e}")
@@ -65,6 +130,12 @@ def graph_from_json(doc: Any) -> Graph:
         nlabel=nodes,
         elabel=elabel,
     )
+
+
+def _array(value: Any, key: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"graph '{key}' must be an array")
+    return value
 
 
 def _ident(entry: Any, key: str, kind: str) -> int:
@@ -97,8 +168,24 @@ def morphism_from_json(doc: Any, source: Graph, target: Graph) -> Morphism:
 
 
 def _intmap(obj: Any, name: str) -> dict[int, int]:
+    """A morphism map with string keys read as ``int`` keys.
+
+    The fast path converts all keys with one ``list(map(int, obj))`` and
+    accepts the map when keys and values pass C-level column tests (plain
+    non-negative ``int`` values, non-negative keys). Otherwise the loop
+    below checks entry by entry and raises :class:`FormatError` for the
+    first bad one, with the same message as the loop alone.
+    """
     if not isinstance(obj, dict):
         raise FormatError(f"'{name}' must be an object")
+    try:
+        keys = list(map(int, obj))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        values = list(obj.values())
+        if _naturals(values) and min(keys, default=0) >= 0:
+            return dict(zip(keys, values))
     out: dict[int, int] = {}
     for k, v in obj.items():
         try:
@@ -165,9 +252,129 @@ def load_json(path: str | Path) -> Any:
 
 
 def save_json(doc: Any, path: str | Path) -> None:
+    """Write ``doc`` to ``path`` as :func:`write_json` renders it."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(doc, fh)
+
+
+def write_json(doc: Any, fh: TextIO) -> None:
+    """Write exactly ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a
+    newline, byte for byte, for any document; :func:`save_json` and the CLI's
+    stdout reports both write through here. (A container that holds itself,
+    which ``json`` rejects with ``ValueError``, raises ``RecursionError``.)
+
+    Two shapes, which cover graph, morphism and report documents, are
+    rendered a column at a time by C-level ``map`` calls: a dict with only
+    ``str`` keys whose values are all plain ``int`` or all ``str`` (morphism
+    maps, flat records), and a non-empty list of dicts that share one set of
+    ``str`` keys, each key's column all plain ``int`` or all ``str``
+    (``nodes``, ``edges``). Everything else, such as bools, floats, mixed
+    columns, non-``str`` keys or ragged lists, takes the general recursive
+    path, whose scalar leaves are rendered by ``json.dumps``. Long lists are
+    written in chunks of :data:`_CHUNK` items, so memory stays bounded by the
+    chunk, not by the document.
+    """
+    fh.writelines(_encode(doc, ""))
+    fh.write("\n")
+
+
+_CHUNK = 2048
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(o: Any, indent: str) -> Iterator[str]:
+    """The text of ``o`` as ``json.dumps(o, indent=2, sort_keys=True)``
+    renders it, in pieces; ``indent`` is the indentation of the line that
+    ``o`` starts on."""
+    inner = indent + "  "
+    if isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        if set(map(type, o)) == {str}:
+            keys = sorted(o)
+            values = _column(list(map(o.__getitem__, keys)))
+            if values is not None:
+                template = inner + "{}: {}"
+                yield "{\n"
+                yield from _joined(map(template.format, map(_encode_str, keys), values))
+                yield "\n" + indent + "}"
+                return
+        separator = "{\n" + inner
+        for key, value in sorted(o.items()):
+            yield separator + _encode_key(key) + ": "
+            yield from _encode(value, inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            yield "[]"
+            return
+        rows = _record_rows(o, inner)
+        if rows is not None:
+            yield "[\n"
+            yield from _joined(rows)
+            yield "\n" + indent + "]"
+            return
+        separator = "[\n" + inner
+        for item in o:
+            yield separator
+            yield from _encode(item, inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(o)
+
+
+def _column(values: list) -> Iterable | None:
+    """The values as a template's ``{}`` fields render them, if all are plain
+    ``int`` (formatted as they are) or all ``str`` (JSON-encoded)."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return values
+    if kinds == {str}:
+        return map(_encode_str, values)
+    return None
+
+
+def _record_rows(entries: list | tuple, indent: str) -> Iterator[str] | None:
+    """One rendered line group per entry, if the entries are dicts sharing
+    one set of ``str`` keys with type-uniform columns; else ``None``."""
+    first = entries[0]
+    if type(first) is not dict or not first or set(map(type, first)) != {str}:
+        return None
+    if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    try:
+        columns = list(map(_column, _columns(entries, *keys)))
+    except KeyError:
+        return None
+    if None in columns:
+        return None
+    fields = ",".join(
+        "\n" + indent + "  " + _encode_str(key).replace("{", "{{").replace("}", "}}") + ": {}"
+        for key in keys
+    )
+    return map((indent + "{{" + fields + "\n" + indent + "}}").format, *columns)
+
+
+def _joined(rows: Iterator[str]) -> Iterator[str]:
+    """``",\\n".join(rows)``, produced :data:`_CHUNK` rows at a time."""
+    chunk = ",\n".join(islice(rows, _CHUNK))
+    yield chunk
+    while chunk := ",\n".join(islice(rows, _CHUNK)):
+        yield ",\n"
+        yield chunk
+
+
+def _encode_key(key: Any) -> str:
+    """A dict key as ``json`` writes it: non-``str`` scalars become strings."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def load_graph(path: str | Path) -> Graph:

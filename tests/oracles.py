@@ -9,6 +9,10 @@ The reference enumerator binds every node from a label list before it reads
 an edge, where the engine follows a search plan along the edges; both must
 return the same list in the same order.
 
+The JSON references are the plain forms of the readers and writer in
+``dpo.io``: ``json.dump`` for the writer, and entry-by-entry loops for the
+graph and morphism-map readers, which read whole columns at once.
+
 The last few helpers are test utilities, not oracles: ``renumber``,
 ``is_inclusion`` and ``derivations_isomorphic`` are used only by tests.
 """
@@ -16,12 +20,14 @@ The last few helpers are test utilities, not oracles: ``renumber``,
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
-from typing import Iterator, Mapping
+from pathlib import Path
+from typing import Any, Iterator, Mapping
 
 from dpo.constructions import pullback_construct
 from dpo.diagrams import CheckReport, Square
-from dpo.errors import PreconditionError
+from dpo.errors import FormatError, PreconditionError
 from dpo.graph import Graph, graph, is_isomorphic
 from dpo.morphism import Morphism, compose, enumerate_morphisms, morphisms_agree
 from dpo.independence import ParallelPair
@@ -284,6 +290,78 @@ def _iter_morphisms(g: Graph, h: Graph, injective_only: bool) -> Iterator[Morphi
             used_nodes.discard(cand)
 
     yield from assign_nodes(0)
+
+
+def reference_save_json(doc: Any, path: str | Path) -> None:
+    """What ``dpo.io.save_json`` writes, by the standard library's encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def reference_graph_from_json(doc: Any) -> Graph:
+    """The graph of a graph document, checked entry by entry; raises
+    :class:`FormatError` for the first bad entry, in document order."""
+    if not isinstance(doc, dict) or "nodes" not in doc:
+        raise FormatError("graph document must be an object with a 'nodes' array")
+    nodes: dict[int, str] = {}
+    for entry in _reference_array(doc["nodes"], "nodes"):
+        v = _reference_ident(entry, "id", "node")
+        if v in nodes:
+            raise FormatError(f"duplicate node id {v}")
+        nodes[v] = _reference_label(entry, "node")
+    src: dict[int, int] = {}
+    tgt: dict[int, int] = {}
+    elabel: dict[int, str] = {}
+    for entry in _reference_array(doc.get("edges", []), "edges"):
+        e = _reference_ident(entry, "id", "edge")
+        if e in elabel:
+            raise FormatError(f"duplicate edge id {e}")
+        src[e] = _reference_ident(entry, "src", "edge")
+        tgt[e] = _reference_ident(entry, "tgt", "edge")
+        elabel[e] = _reference_label(entry, "edge")
+    return Graph(
+        nodes=frozenset(nodes), edges=frozenset(elabel), src=src, tgt=tgt, nlabel=nodes, elabel=elabel
+    )
+
+
+def _reference_array(value: Any, key: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"graph '{key}' must be an array")
+    return value
+
+
+def _reference_ident(entry: Any, key: str, kind: str) -> int:
+    if not isinstance(entry, dict) or key not in entry:
+        raise FormatError(f"{kind} entry missing '{key}'")
+    value = entry[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise FormatError(f"{kind} '{key}' must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _reference_label(entry: dict, kind: str) -> str:
+    value = entry.get("label")
+    if not isinstance(value, str):
+        raise FormatError(f"{kind} 'label' must be a string, got {value!r}")
+    return value
+
+
+def reference_intmap(obj: Any, name: str) -> dict[int, int]:
+    """A morphism map with its string keys read as ``int``, checked entry by
+    entry; raises :class:`FormatError` for the first bad entry."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"'{name}' must be an object")
+    out: dict[int, int] = {}
+    for k, v in obj.items():
+        try:
+            key = int(k)
+        except (TypeError, ValueError):
+            raise FormatError(f"'{name}' key {k!r} is not an integer") from None
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0 or key < 0:
+            raise FormatError(f"'{name}' entry {k!r}: {v!r} is not a non-negative integer")
+        out[key] = v
+    return out
 
 
 def renumber(g: Graph, node_map: Mapping[int, int], edge_map: Mapping[int, int]) -> Graph:

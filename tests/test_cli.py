@@ -119,6 +119,24 @@ class TestApply:
         assert doc is None
         assert "node label not preserved" in err
 
+    @pytest.mark.parametrize(
+        "fv, fe, message",
+        [
+            ({"0": 0}, {"0": 0}, "fv not total on source nodes: node 1"),
+            ({"0": 0, "1": 9}, {"0": 0}, "fv out of target nodes: node 1"),
+            ({"0": 0, "1": 1}, {"0": 0, "4": 1}, "fe defined outside source edges: edge 4"),
+        ],
+        ids=["partial", "out-of-range", "outside-source"],
+    )
+    def test_malformed_match_file_exits_1(self, capsys, files, tmp_path, fv, fe, message):
+        match = write(tmp_path / "m.json", {"fv": fv, "fe": fe})
+        out = tmp_path / "H.json"
+        code, doc, err = run(capsys, "apply", files["delete_x"], files["host"], "--match", match, "--out", str(out))
+        assert code == 1
+        assert doc is None
+        assert err == f"error: {match}: invalid morphism: {message}\n"
+        assert not out.exists()
+
     def test_negative_match_index_exits_1(self, capsys, files, tmp_path):
         out = tmp_path / "H.json"
         code, doc, err = run(
@@ -357,6 +375,16 @@ class TestIndependentAndCommute:
         )
         assert json.loads(report.read_text())["squares"] == PASSED
 
+    def test_commute_with_a_partial_match_file_exits_1(self, capsys, files, tmp_path):
+        match = write(tmp_path / "m.json", {"fv": {"0": 0}, "fe": {"0": 0}})
+        code, doc, err = run(
+            capsys, "commute", files["delete_x"], files["create_c"], files["host"],
+            "--match1", match, "--match2", "0", "--out", str(tmp_path / "Gp.json"),
+        )
+        assert code == 1
+        assert doc is None
+        assert err == f"error: {match}: invalid morphism: fv not total on source nodes: node 1\n"
+
     def test_commute_on_a_dependent_pair_exits_4(self, capsys, files, tmp_path):
         code, doc, _ = run(
             capsys, "commute", files["delete_x"], files["keep_x"], files["host"],
@@ -395,6 +423,60 @@ class TestValidate:
             "ok": False,
             "violations": [{"clause": "r: fv defined outside source nodes", "item": "node 5"}],
         }
+
+
+NON_ARRAY_GRAPHS = [
+    ({"nodes": 5}, "graph 'nodes' must be an array"),
+    ({"nodes": None}, "graph 'nodes' must be an array"),
+    ({"nodes": [], "edges": 5}, "graph 'edges' must be an array"),
+]
+
+
+@pytest.mark.parametrize("graph_doc, message", NON_ARRAY_GRAPHS, ids=["nodes-int", "nodes-null", "edges-int"])
+class TestNonArrayItems:
+    """A graph document whose ``nodes`` or ``edges`` is not an array is a
+    format error (exit 1), not an internal one."""
+
+    def test_validate_exits_1(self, capsys, tmp_path, graph_doc, message):
+        code, doc, err = run(capsys, "validate", write(tmp_path / "g.json", graph_doc))
+        assert (code, doc, err) == (1, None, f"error: {message}\n")
+
+    def test_iso_exits_1(self, capsys, files, tmp_path, graph_doc, message):
+        code, doc, err = run(capsys, "iso", files["host"], write(tmp_path / "g.json", graph_doc))
+        assert (code, doc, err) == (1, None, f"error: {message}\n")
+
+
+def indented(text: str) -> str:
+    """``text`` re-rendered as ``json.dump(indent=2, sort_keys=True)`` and
+    a newline render the document it holds."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestOutputBytes:
+    """Every file and report the CLI writes is exactly the standard
+    library's ``indent=2, sort_keys=True`` rendering of its document."""
+
+    def test_apply_result_and_trace(self, capsys, files, tmp_path):
+        out = tmp_path / "H.json"
+        assert main(["apply", files["delete_x"], files["host"], "--out", str(out), "--json"]) == 0
+        stdout, _ = capsys.readouterr()
+        for text in (stdout, out.read_text(), (tmp_path / "H.trace.json").read_text()):
+            assert text == indented(text)
+
+    def test_commute_result_and_report(self, capsys, files, tmp_path):
+        out = tmp_path / "Gp.json"
+        argv = ["commute", files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+        assert main([*argv, "--out", str(out), "--json"]) == 0
+        stdout, _ = capsys.readouterr()
+        for text in (stdout, out.read_text(), (tmp_path / "Gp.report.json").read_text()):
+            assert text == indented(text)
+
+    def test_match_stdout(self, capsys, files, tmp_path):
+        host = write(tmp_path / "x_edges.json", io.graph_to_json(x_edges_host()))
+        assert main(["match", files["delete_x"], host, "--json"]) == 0
+        stdout, _ = capsys.readouterr()
+        assert json.loads(stdout)["count"] == 3
+        assert stdout == indented(stdout)
 
 
 def test_graph_submodule_is_not_shadowed():

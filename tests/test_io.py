@@ -1,0 +1,198 @@
+"""The JSON boundary against its plain references in ``tests/oracles.py``.
+
+``save_json`` must write the bytes of ``json.dump(indent=2, sort_keys=True)``
+for any document, whichever of its column-wise fast paths or its general
+path renders each part. The column-wise readers must return what the
+entry-by-entry loops return, or raise :class:`FormatError` with the same
+message, on well-formed documents and on documents with one corruption.
+"""
+
+import copy
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dpo import io
+from dpo.errors import FormatError
+
+from .oracles import reference_graph_from_json, reference_intmap, reference_save_json
+
+# labels that need escaping, or are not ASCII, next to plain ones
+TEXT = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\t\x00\x7f{}:,é€😀'), max_size=6)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | TEXT
+)
+
+
+@st.composite
+def records(draw) -> list:
+    """A list of dicts as ``nodes``/``edges`` are, with each key's column
+    drawn plain (all ``int`` or all ``str``) or not, and sometimes ragged."""
+    keys = draw(st.lists(TEXT, max_size=4, unique=True))
+    column = {
+        key: draw(st.sampled_from([
+            st.integers(0, 10**6),
+            TEXT,
+            st.integers(0, 3) | st.booleans(),
+            st.integers(0, 3) | TEXT,
+            SCALARS,
+        ]))
+        for key in keys
+    }
+    rows = [{key: draw(column[key]) for key in keys} for _ in range(draw(st.integers(0, 5)))]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        if row and draw(st.booleans()):
+            del row[draw(st.sampled_from(sorted(row)))]
+        else:
+            row[draw(TEXT)] = draw(SCALARS)
+    return rows
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.dictionaries(TEXT, children, max_size=4)
+        | st.dictionaries(st.integers(-50, 50), children, max_size=4)
+        | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+        | st.dictionaries(st.booleans(), children, max_size=2)
+        | st.tuples(children, children)
+    )
+
+
+FLAT_MAPS = st.dictionaries(TEXT, st.integers(0, 10**9), max_size=6) | st.dictionaries(TEXT, TEXT, max_size=6)
+DOCUMENTS = st.recursive(SCALARS | records() | FLAT_MAPS, containers, max_leaves=12)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Both writers' bytes for a document."""
+    directory = tmp_path_factory.mktemp("writer")
+
+    def write(doc) -> tuple[bytes, bytes]:
+        io.save_json(doc, directory / "fast.json")
+        reference_save_json(doc, directory / "reference.json")
+        return (directory / "fast.json").read_bytes(), (directory / "reference.json").read_bytes()
+
+    return write
+
+
+class TestSaveJson:
+    @settings(max_examples=400, deadline=None)
+    @given(DOCUMENTS)
+    @example({})
+    @example([])
+    @example({"nodes": [], "edges": []})
+    @example([{}, {}])
+    @example({"a": [{"id": 0, "label": "é\"{x}"}, {"id": 1, "label": "\n"}]})
+    @example([{"id": 0, "n": True}, {"id": 1, "n": 2}])
+    @example([{"id": 0}, {"id": 1, "label": "a"}])
+    @example([{"id": 0, "label": "a"}, {"id": 1}])
+    @example({10: "a", 9: "b", -1: "c"})
+    @example({"x": None, "y": 1.5, "z": float("inf")})
+    def test_writes_the_bytes_of_json_dump(self, written, doc):
+        fast, reference = written(doc)
+        assert fast == reference
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4096, 4097, 5000])
+    def test_long_lists_around_the_chunk_size(self, written, n):
+        doc = {
+            "edges": [{"id": e, "src": e // 2, "tgt": e % 7, "label": "xy"[e % 2]} for e in range(n)],
+            "fv": {str(v): v for v in range(n)},
+            "ids": list(range(n)),
+            "labels": {str(v): "é" for v in range(n)},
+        }
+        fast, reference = written(doc)
+        assert fast == reference
+
+
+def graph_documents():
+    nodes = st.lists(st.sampled_from("ab"), max_size=4).map(
+        lambda labels: [{"id": 3 * i, "label": x} for i, x in enumerate(labels)]
+    )
+    edges = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from("xy")), max_size=4).map(
+        lambda ends: [{"id": 2 * i + 1, "src": s, "tgt": t, "label": x} for i, (s, t, x) in enumerate(ends)]
+    )
+    return st.fixed_dictionaries({"nodes": nodes, "edges": edges})
+
+
+BAD_VALUES = st.sampled_from([True, False, -1, 1.0, "0", None, [], {}])
+
+
+@st.composite
+def corrupted_graph_documents(draw):
+    """A graph document with at most one corruption."""
+    doc = draw(graph_documents())
+    kind = draw(st.sampled_from(["none", "value", "duplicate", "missing", "entry", "array", "edges absent"]))
+    key = draw(st.sampled_from(["nodes", "edges"]))
+    entries = doc[key]
+    if kind == "array":
+        doc[key] = draw(st.sampled_from([5, None, "ab", {}, {"id": 0}]))
+    elif kind == "edges absent":
+        del doc["edges"]
+    elif entries and kind != "none":
+        i = draw(st.integers(0, len(entries) - 1))
+        fields = sorted(entries[i])
+        if kind == "value":
+            entries[i][draw(st.sampled_from(fields))] = draw(BAD_VALUES)
+        elif kind == "duplicate":
+            entries.append(dict(entries[i]))
+        elif kind == "missing":
+            del entries[i][draw(st.sampled_from(fields))]
+        else:
+            entries[i] = draw(st.sampled_from([5, "x", [], None]))
+    return doc
+
+
+def outcome(read, *args):
+    """What a reader returns, or the message of the ``FormatError`` it
+    raises; any other exception fails the test."""
+    try:
+        return "ok", read(*args)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+class TestGraphFromJson:
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_graph_documents())
+    @example({"nodes": 5})
+    @example({"nodes": None})
+    @example({"nodes": [], "edges": 5})
+    @example({"nodes": [{"id": 0, "label": "a"}, {"id": -1, "label": 3}], "edges": 7})
+    @example({"nodes": [{"id": 0, "label": "a"}], "edges": [{"id": 0, "src": 0, "tgt": 0}]})
+    @example([])
+    @example({"edges": []})
+    def test_agrees_with_the_reference(self, doc):
+        expected = outcome(reference_graph_from_json, copy.deepcopy(doc))
+        assert outcome(io.graph_from_json, doc) == expected
+
+
+@st.composite
+def corrupted_maps(draw):
+    """A morphism map with string keys and at most one corruption."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=5))
+    obj = {str(k): v for k, v in pairs}
+    kind = draw(st.sampled_from(["none", "key", "value", "object"]))
+    if kind == "object":
+        return draw(st.sampled_from([[], None, 3, "fv"]))
+    if kind == "key":
+        obj[draw(st.sampled_from(["01", " 1", "1 ", "-1", "x", "1.5", "", "+2", "1_0"]))] = draw(st.integers(0, 3))
+    elif kind == "value" and obj:
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(BAD_VALUES)
+    return obj
+
+
+class TestIntmap:
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_maps())
+    @example({"1": 2, "01": 3})
+    @example({"0": 1, "x": True})
+    def test_agrees_with_the_reference(self, obj):
+        expected = outcome(reference_intmap, copy.deepcopy(obj), "fv")
+        assert outcome(io._intmap, obj, "fv") == expected
