@@ -126,7 +126,7 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
     return GluingResult(H=H, h=h, D=D)
 
 
-def _deleted_items(rule_left: Morphism, match: Morphism) -> tuple[set[int], set[int]]:
+def deleted_items(rule_left: Morphism, match: Morphism) -> tuple[set[int], set[int]]:
     """The host nodes and edges matched by items of ``L`` outside ``K``."""
     L = match.source
     preserved_v = {rule_left.fv[k] for k in rule_left.source.nodes}
@@ -145,7 +145,7 @@ def dangling_edges(rule_left: Morphism, match: Morphism) -> list[int]:
     edges at deleted nodes are read, through the host's incidence index,
     which a rule that deletes no node never builds.
     """
-    deleted_nodes, deleted_edges = _deleted_items(rule_left, match)
+    deleted_nodes, deleted_edges = deleted_items(rule_left, match)
     if not deleted_nodes:
         return []
     incidence = match.target.incidence
@@ -174,16 +174,7 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
         raise DanglingConditionError(dangling)
 
     K, G = rule_left.source, match.target
-    deleted_nodes, deleted_edges = _deleted_items(rule_left, match)
-    D = Graph(
-        nodes=G.nodes - deleted_nodes if deleted_nodes else G.nodes,
-        edges=G.edges - deleted_edges if deleted_edges else G.edges,
-        src=_pruned(G.src, deleted_edges),
-        tgt=_pruned(G.tgt, deleted_edges),
-        nlabel=_pruned(G.nlabel, deleted_nodes),
-        elabel=_pruned(G.elabel, deleted_edges),
-    )
-    _carry_incidence(G, D, deleted_nodes, deleted_edges, ())
+    D = without(G, *deleted_items(rule_left, match))
     d = Morphism(
         source=K,
         target=D,
@@ -191,6 +182,23 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
         fe={k: match.fe[rule_left.fe[k]] for k in K.edges},
     )
     return DeletionResult(D=D, d=d, G=G)
+
+
+def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
+    """``g`` without the given nodes and edges, which must leave no edge of
+    ``g`` dangling. Each map that loses items is copied in bulk and pruned,
+    the others are shared with ``g``, and a built incidence index is
+    carried over: C-level copies plus O(|nodes| + |edges| + degree)."""
+    D = Graph(
+        nodes=g.nodes - nodes if nodes else g.nodes,
+        edges=g.edges - edges if edges else g.edges,
+        src=_pruned(g.src, edges),
+        tgt=_pruned(g.tgt, edges),
+        nlabel=_pruned(g.nlabel, nodes),
+        elabel=_pruned(g.elabel, edges),
+    )
+    _carry_incidence(g, D, nodes, edges, ())
+    return D
 
 
 # Graphs are never mutated, so a map or item set that a construction leaves

@@ -3,19 +3,18 @@
 A direct derivation applies a rule at an injective match by deleting the
 matched non-interface part (pushout complement) and gluing in the
 replacement (pushout object). Both constructed squares are checked against
-the pushout characterization once, inside :func:`apply`, over the rule's
-items only (see :func:`_certify`); a failure there is an engine bug, not a
-user error.
+the pushout characterization once, inside :func:`apply`, by the local
+certifier :func:`~dpo.diagrams.certify_pushout`: each square's ``cd`` is the
+identity inclusion of the context, so a pass is decided over the rule's
+items only. A failure there is an engine bug, not a user error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 from . import constructions
 from .constructions import DeletionResult, GluingResult, deletion, gluing
-from .diagrams import CheckReport, Square, is_pushout_injective
+from .diagrams import CheckReport, Square, certify_pushout
 from .errors import InternalConsistencyError, PreconditionError
 from .graph import Graph, ValidationReport, Violation, validate_graph
 from .morphism import Morphism, enumerate_morphisms, identity, is_injective, validate_morphism
@@ -135,8 +134,9 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
 
     The cost grows with the rule and the degree of the deleted nodes, plus
     one bulk copy of the host for ``D`` and one of ``D`` for ``H``: the
-    certification reads the rule's items only (:func:`_certify`), and the
-    context inclusions ``deletion.c`` and ``gluing.c`` are not built.
+    certification reads the rule's items only, since each square's ``cd``
+    is the identity inclusion :func:`~dpo.diagrams.certify_pushout` needs,
+    and the context inclusions ``deletion.c`` and ``gluing.c`` are not built.
     """
     rv = validate_rule(rule)
     if not rv.ok:
@@ -154,60 +154,10 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
         ("left", rule.b, match.m, lambda: derivation.left_square),
         ("right", rule.r, glued.h, lambda: derivation.right_square),
     ):
-        check = _certify(ab, deleted.d, bd, square)
+        check = certify_pushout(ab, deleted.d, bd, square)
         if not check:
             raise InternalConsistencyError(
                 f"apply: {side} square failed {check.failed_clause} at {check.counterexample}"
             )
     return derivation
 
-
-def _certify(ab: Morphism, ac: Morphism, bd: Morphism, square: Callable[[], Square]) -> CheckReport:
-    """:func:`is_pushout_injective` of ``square()``, decided in O(|A| + |B|).
-
-    The square is ``ab: A -> B``, ``ac: A -> C``, ``bd: B -> D`` and ``cd``,
-    wired as :class:`Square` requires, where ``cd`` must be the identity
-    inclusion of ``C`` in ``D``, so that ``C``'s items are items of ``D``,
-    and ``bd`` must map into ``D``. All three hold for a derivation's
-    squares by construction. Then ``cd`` need not be read:
-
-    - commutativity is ``bd(ab(a)) == ac(a)`` for every item ``a`` of A;
-    - the reduced chain-condition is that every B-item whose image lies in
-      C is ``ab(a)`` for some ``a`` with ``ac(a)`` equal to that image, since
-      that image is the only C-item agreeing with it in D;
-    - with ``bd`` injective, joint surjectivity is that the B-items whose
-      image lies outside C are as many as the items of D outside C,
-      counted for nodes and for edges separately.
-
-    Only a pass is decided here: on a failure the general check runs on
-    ``square()``, so the report, or the :class:`PreconditionError` of a
-    non-injective morphism, is the same as :func:`is_pushout_injective`'s.
-    """
-    if _local_pushout(ab, ac, bd):
-        return CheckReport(True)
-    return is_pushout_injective(square())
-
-
-def _local_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> bool:
-    # the three clauses of _certify, under its preconditions
-    A, B, C, D = ab.source, ab.target, ac.target, bd.target
-    if not (is_injective(ab) and is_injective(ac) and is_injective(bd)):
-        return False
-    for a_items, b_items, c_items, d_items, f_ab, f_ac, f_bd in (
-        (A.nodes, B.nodes, C.nodes, D.nodes, ab.fv, ac.fv, bd.fv),
-        (A.edges, B.edges, C.edges, D.edges, ab.fe, ac.fe, bd.fe),
-    ):
-        through_a = {f_ab[a]: f_ac[a] for a in a_items}
-        if any(f_bd[b] != y for b, y in through_a.items()):
-            return False
-        outside = 0
-        for b in b_items:
-            y = f_bd[b]
-            if y in c_items:
-                if through_a.get(b) != y:
-                    return False
-            else:
-                outside += 1
-        if outside != len(d_items) - len(c_items):
-            return False
-    return True

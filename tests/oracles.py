@@ -9,6 +9,10 @@ The reference enumerator binds every node from a label list before it reads
 an edge, where the engine follows a search plan along the edges; both must
 return the same list in the same order.
 
+The reference commutation check builds every square of the Church–Rosser
+decomposition and runs the general checks on each, where the engine decides
+a passing instance over the rules' items; both must return the same report.
+
 The JSON references are the plain forms of the readers and writer in
 ``dpo.io``: ``json.dump`` for the writer, and entry-by-entry loops for the
 graph and morphism-map readers, which read whole columns at once.
@@ -25,12 +29,20 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from dpo.constructions import pullback_construct
-from dpo.diagrams import CheckReport, Square
-from dpo.errors import FormatError, PreconditionError
+from dpo.constructions import deletion, gluing, pullback_construct
+from dpo.diagrams import (
+    CheckReport,
+    Square,
+    compose_squares_vertical,
+    is_pullback,
+    is_pushout_injective,
+    pushout_mediator,
+    squares_agree,
+)
+from dpo.errors import FormatError, PreconditionError, RewriteError
 from dpo.graph import Graph, graph, is_isomorphic
-from dpo.morphism import Morphism, compose, enumerate_morphisms, morphisms_agree
-from dpo.independence import ParallelPair
+from dpo.morphism import Morphism, compose, enumerate_morphisms, morphisms_agree, validate_morphism
+from dpo.independence import CommutationResult, IndependenceWitness, ParallelPair
 from dpo.rewriting import DirectDerivation
 
 
@@ -290,6 +302,108 @@ def _iter_morphisms(g: Graph, h: Graph, injective_only: bool) -> Iterator[Morphi
             used_nodes.discard(cand)
 
     yield from assign_nodes(0)
+
+
+def reference_verify_commutation_squares(
+    pair: ParallelPair, witness: IndependenceWitness, result: CommutationResult
+) -> CheckReport:
+    """Re-check the classical decomposition of the commutation on this instance.
+
+    Every square is built and checked by the general checks, with no local
+    pass; the engine must return the same report on every instance.
+
+    In Ehrig and Kreowski's proof the shared context D is the pullback of
+    ``D1 -> G <- D2``. Both contexts are subgraphs of G included by
+    identity, so D is ``D1 ∩ D2`` and keeps G's identifiers, and squares
+    (11) and (31) are the pushout complements ``deletion(b1, j1)`` and
+    ``deletion(b2, j2)``, which give ``k1, pi2`` and ``k2, pi1``. Every
+    labelled square is then checked, (12) and (32) as pullbacks, so D is
+    verified, not assumed; so is each composite against the original
+    derivations. The first failure is reported with its square's label; a
+    witness that is not a morphism into its context fails, and never
+    raises.
+    """
+    d1, d2 = pair.d1, pair.d2
+    b1, r1 = d1.rule.b, d1.rule.r
+    b2, r2 = d2.rule.b, d2.rule.r
+    c1, c2 = d1.deletion.c, d2.deletion.c
+    cbar1, cbar2 = d1.gluing.c, d2.gluing.c
+    j1, j2 = witness.j1, witness.j2
+    for name, j, context in (("j1", j1, d2.D), ("j2", j2, d1.D)):
+        if j.target != context or not validate_morphism(j).ok:
+            return CheckReport(False, f"witness {name} is not a morphism into its context", ("witness",))
+
+    try:
+        shared1, shared2 = deletion(b1, j1), deletion(b2, j2)
+        k1, pi2 = shared1.d, shared1.c
+        k2, pi1 = shared2.d, shared2.c
+
+        sq12 = Square(ab=pi2, ac=pi1, bd=c2, cd=c1)
+        sq32 = Square(ab=pi1, ac=pi2, bd=c1, cd=c2)
+        sq11 = Square(ab=b1, ac=k1, bd=j1, cd=pi2)
+        sq31 = Square(ab=b2, ac=k2, bd=j2, cd=pi1)
+
+        glue21 = gluing(r1, k1)
+        rho1, delta1 = glue21.h, glue21.c
+        sq21 = Square(ab=r1, ac=k1, bd=rho1, cd=delta1)
+        sigma1 = pushout_mediator(sq21, p=d1.comatch, t=compose(cbar1, pi1))
+        sq22 = Square(ab=delta1, ac=pi1, bd=sigma1, cd=cbar1)
+
+        glue41 = gluing(r2, k2)
+        rho2, delta2 = glue41.h, glue41.c
+        sq41 = Square(ab=r2, ac=k2, bd=rho2, cd=delta2)
+        sigma2 = pushout_mediator(sq41, p=d2.comatch, t=compose(cbar2, pi2))
+        sq42 = Square(ab=delta2, ac=pi2, bd=sigma2, cd=cbar2)
+    except RewriteError as exc:
+        return CheckReport(False, f"decomposition construction failed: {exc}", ("construction",))
+
+    # square (5) is built against result.Gp, so a result that does not fit
+    # the decomposition fails here, under this label
+    try:
+        tau1 = Morphism(glue21.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
+        if not validate_morphism(tau1).ok:
+            return CheckReport(False, "square (5): context embedding into G' invalid", ("construction",))
+        comatch = result.e1.comatch
+        tau2 = pushout_mediator(
+            sq41, p=Morphism(comatch.source, result.Gp, comatch.fv, comatch.fe), t=compose(tau1, delta1)
+        )
+        sq5 = Square(ab=delta2, ac=delta1, bd=tau2, cd=tau1)
+    except RewriteError as exc:
+        return CheckReport(False, f"square (5): construction failed: {exc}", ("construction",))
+
+    labelled = [
+        ("(12)", is_pullback, sq12),
+        ("(11)", is_pushout_injective, sq11),
+        ("(21)", is_pushout_injective, sq21),
+        ("(22)", is_pushout_injective, sq22),
+        ("(31)", is_pushout_injective, sq31),
+        ("(32)", is_pushout_injective, sq32),
+        ("(41)", is_pushout_injective, sq41),
+        ("(42)", is_pushout_injective, sq42),
+        ("(5)", is_pushout_injective, sq5),
+    ]
+    for label, check, sq in labelled:
+        try:
+            report = check(sq)
+        except PreconditionError as exc:
+            return CheckReport(False, f"square {label}: {exc}", ("scope",))
+        if not report:
+            return CheckReport(False, f"square {label}: {report.failed_clause}", report.counterexample)
+
+    composites = [
+        ("(11)+(12)", sq11, sq12, d1.left_square),
+        ("(21)+(22)", sq21, sq22, d1.right_square),
+        ("(31)+(32)", sq31, sq32, d2.left_square),
+        ("(41)+(42)", sq41, sq42, d2.right_square),
+    ]
+    for label, top, bottom, expected in composites:
+        try:
+            built = compose_squares_vertical(top, bottom)
+        except PreconditionError as exc:
+            return CheckReport(False, f"composite {label}: {exc}", ("wiring",))
+        if not squares_agree(built, expected):
+            return CheckReport(False, f"composite {label} differs from the derivation square", ("maps",))
+    return CheckReport(True)
 
 
 def reference_save_json(doc: Any, path: str | Path) -> None:

@@ -1,12 +1,14 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
-from dpo import independence, randgen
+from dpo import diagrams, independence, randgen
 from dpo.errors import DependentDerivationsError, InternalConsistencyError, PreconditionError
 from dpo.graph import Graph, graph, is_isomorphic
 from dpo.independence import (
+    CommutationResult,
     ParallelPair,
     commute,
     parallel_independent,
@@ -24,7 +26,11 @@ from dpo.rewriting import (
     identity_rule,
 )
 
-from .oracles import exhaustive_parallel_witness_exists, is_inclusion
+from .oracles import (
+    exhaustive_parallel_witness_exists,
+    is_inclusion,
+    reference_verify_commutation_squares,
+)
 
 
 def node_deletion_rule() -> Rule:
@@ -291,31 +297,32 @@ def large_pair(seed: int, n: int) -> ParallelPair:
 
 
 class TestSharedContext:
-    """The decomposition's shared context is D1 ∩ D2, built by deletion on
-    G's identifiers; read from the squares the verification checks."""
+    """The decomposition's shared context is D1 ∩ D2 on G's identifiers;
+    read from the squares the verification hands to the local certifier."""
 
     @staticmethod
     def checked_squares(monkeypatch, pair: ParallelPair):
         seen = []
-        for name in ("is_pullback", "is_pushout_injective"):
-            check = getattr(independence, name)
+        certify = independence.certify_pushout
 
-            def spy(sq, check=check):
-                seen.append(sq)
-                return check(sq)
+        def spy(ab, ac, bd, square):
+            seen.append(square())
+            return certify(ab, ac, bd, square)
 
-            monkeypatch.setattr(independence, name, spy)
+        monkeypatch.setattr(independence, "certify_pushout", spy)
         witness = parallel_independent(pair)
         assert verify_commutation_squares(pair, witness, commute(pair))
-        labels = ("(12)", "(11)", "(21)", "(22)", "(31)", "(32)", "(41)", "(42)", "(5)")
-        return dict(zip(labels, seen))
+        return dict(zip(("(11)", "(21)", "(31)", "(41)"), seen))
 
     def assert_decomposition(self, monkeypatch, pair: ParallelPair) -> None:
         squares = self.checked_squares(monkeypatch, pair)
         shared = both_deleted_removed(pair)
-        assert squares["(12)"].A == shared
-        assert squares["(32)"].A == shared
-        assert is_inclusion(squares["(12)"].ab) and is_inclusion(squares["(12)"].ac)
+        # (12) is the square of pi2 and pi1, the inclusions (11) and (31)
+        # have as cd, over c2 and c1
+        pi2, pi1 = squares["(11)"].cd, squares["(31)"].cd
+        assert pi2.source == shared and pi1.source == shared
+        assert is_inclusion(pi2) and is_inclusion(pi1)
+        assert (pi2.target, pi1.target) == (pair.d2.D, pair.d1.D)
         for label, d in (("(11)", pair.d1), ("(31)", pair.d2)):
             k = squares[label].ac
             assert k.target == shared
@@ -331,6 +338,66 @@ class TestSharedContext:
         pair = large_pair(seed=3, n=600)
         assert len(pair.d1.G.nodes) == 600
         self.assert_decomposition(monkeypatch, pair)
+
+
+def assembled_result(pair: ParallelPair, witness) -> CommutationResult:
+    """The diamond closed by applying each rule at its residual match,
+    without commute's isomorphism search; verification does not read iso."""
+    m2p, m1p = residual_match(pair, witness)
+    e1, e2 = apply(pair.d2.rule, m2p), apply(pair.d1.rule, m1p)
+    return CommutationResult(Gp=e1.H, e1=e1, e2=e2, iso=None)
+
+
+class TestNoHostSizedPass:
+    """A passing instance is decided without the general checks, the
+    host-sized mediators or the context inclusions."""
+
+    GENERAL = ("is_pushout_injective", "is_pullback", "pushout_mediator")
+
+    def assert_local_pass(self, monkeypatch, pair: ParallelPair, result=None) -> None:
+        witness = parallel_independent(pair)
+        result = result or commute(pair)
+        calls = []
+        for module in (diagrams, independence):
+            for name in self.GENERAL:
+                monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        assert verify_commutation_squares(pair, witness, result)
+        monkeypatch.undo()
+        assert calls == []
+        for d in (pair.d1, pair.d2):
+            assert "c" not in vars(d.deletion) and "c" not in vars(d.gluing)
+
+    def test_generated_pairs(self, monkeypatch):
+        rng = random.Random(79)
+        for _ in range(30):
+            self.assert_local_pass(monkeypatch, randgen.random_parallel_independent_pair(rng))
+
+    def test_a_600_node_pair(self, monkeypatch):
+        self.assert_local_pass(monkeypatch, large_pair(seed=3, n=600))
+
+    def test_a_10000_node_pair(self, monkeypatch):
+        pair = large_pair(seed=5, n=10_000)
+        self.assert_local_pass(monkeypatch, pair, assembled_result(pair, parallel_independent(pair)))
+
+
+def one_item_moved(rng: random.Random, m: Morphism, pool: Graph):
+    """``m`` with the image of one node or edge changed to another item of
+    ``pool``, or ``None`` if there is no other."""
+    fv, fe = dict(m.fv), dict(m.fe)
+    if m.source.edges and len(pool.edges) > 1 and rng.random() < 0.5:
+        e = rng.choice(sorted(m.source.edges))
+        fe[e] = rng.choice(sorted(pool.edges - {fe[e]}))
+    elif m.source.nodes and len(pool.nodes) > 1:
+        v = rng.choice(sorted(m.source.nodes))
+        fv[v] = rng.choice(sorted(pool.nodes - {fv[v]}))
+    else:
+        return None
+    return Morphism(m.source, m.target, fv, fe)
+
+
+def with_comatch(d, h: Morphism):
+    """The derivation ``d`` with its comatch replaced by ``h``."""
+    return dataclasses.replace(d, gluing=dataclasses.replace(d.gluing, h=h))
 
 
 class TestCorruptedWitness:
@@ -356,18 +423,9 @@ class TestCorruptedWitness:
             pair = randgen.random_parallel_independent_pair(rng)
             witness = parallel_independent(pair)
             name = rng.choice(("j1", "j2"))
-            j = getattr(witness, name)
-            fv, fe = dict(j.fv), dict(j.fe)
-            G = pair.d1.G
-            if j.source.edges and len(G.edges) > 1 and rng.random() < 0.5:
-                e = rng.choice(sorted(j.source.edges))
-                fe[e] = rng.choice(sorted(set(G.edges) - {fe[e]}))
-            elif j.source.nodes and len(G.nodes) > 1:
-                v = rng.choice(sorted(j.source.nodes))
-                fv[v] = rng.choice(sorted(set(G.nodes) - {fv[v]}))
-            else:
+            moved = one_item_moved(rng, getattr(witness, name), pair.d1.G)
+            if moved is None:
                 continue
-            moved = Morphism(j.source, j.target, fv, fe)
             report = verify_commutation_squares(
                 pair, dataclasses.replace(witness, **{name: moved}), commute(pair)
             )
@@ -411,3 +469,199 @@ class TestResidualsCheckedOnce:
         self.patch_residual(monkeypatch, 0, {0: 2})
         with pytest.raises(InternalConsistencyError, match=r"residual application failed: dangling edges: \[0\]"):
             commute(self.pair())
+
+
+def shrunk(rng: random.Random, g: Graph):
+    """``g`` without one edge, or without one node and its edges."""
+    if g.edges and rng.random() < 0.5:
+        gone_v, gone_e = set(), {rng.choice(sorted(g.edges))}
+    elif g.nodes:
+        v = rng.choice(sorted(g.nodes))
+        gone_v, gone_e = {v}, {e for e in g.edges if v in (g.src[e], g.tgt[e])}
+    else:
+        return None
+    return graph(
+        {v: g.nlabel[v] for v in g.nodes - gone_v},
+        {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in g.edges - gone_e},
+    )
+
+
+def relabelled(rng: random.Random, g: Graph):
+    """``g`` with the label of one edge or one node changed."""
+    if g.edges and rng.random() < 0.5:
+        e = rng.choice(sorted(g.edges))
+        return dataclasses.replace(g, elabel={**g.elabel, e: g.elabel[e] + "'"})
+    if not g.nodes:
+        return None
+    v = rng.choice(sorted(g.nodes))
+    return dataclasses.replace(g, nlabel={**g.nlabel, v: g.nlabel[v] + "'"})
+
+
+def with_partial_comatch(rng: random.Random, result: CommutationResult):
+    """``result`` whose ``e1.comatch`` has lost one node map entry."""
+    h = result.e1.comatch
+    if not h.fv:
+        return None
+    fv = dict(h.fv)
+    del fv[rng.choice(sorted(fv))]
+    e1 = with_comatch(result.e1, Morphism(h.source, h.target, fv, dict(h.fe)))
+    return dataclasses.replace(result, e1=e1)
+
+
+class TestAgainstReference:
+    """The local pass and the general fallback together give the same
+    report as the reference, which builds and checks every square."""
+
+    def variants(self, rng: random.Random, pair: ParallelPair):
+        witness = parallel_independent(pair)
+        result = commute(pair)
+        yield "intact", pair, witness, result
+        name = rng.choice(("j1", "j2"))
+        moved = one_item_moved(rng, getattr(witness, name), pair.d1.G)
+        if moved is not None:
+            yield "witness moved", pair, dataclasses.replace(witness, **{name: moved}), result
+        for name, corrupt in (("G' shrunk", shrunk), ("G' relabelled", relabelled)):
+            Gp = corrupt(rng, result.Gp)
+            if Gp is not None:
+                yield name, pair, witness, dataclasses.replace(result, Gp=Gp)
+        yield "e1, e2 swapped", pair, witness, dataclasses.replace(result, e1=result.e2, e2=result.e1)
+        moved = one_item_moved(rng, result.e1.comatch, result.Gp)
+        if moved is not None:
+            yield "e1 comatch moved", pair, witness, dataclasses.replace(result, e1=with_comatch(result.e1, moved))
+        which = rng.choice(("d1", "d2"))
+        d = getattr(pair, which)
+        moved = one_item_moved(rng, d.comatch, d.H)
+        if moved is not None:
+            yield "comatch moved", dataclasses.replace(pair, **{which: with_comatch(d, moved)}), witness, result
+
+    def test_identical_reports(self):
+        rng = random.Random(83)
+        seen = Counter()
+        for _ in range(200):
+            for name, pair, witness, result in self.variants(rng, randgen.random_parallel_independent_pair(rng)):
+                report = verify_commutation_squares(pair, witness, result)
+                assert report == reference_verify_commutation_squares(pair, witness, result), name
+                seen[name, report.verdict] += 1
+        assert seen["intact", True] == 200
+        for name in ("witness moved", "G' shrunk", "G' relabelled", "e1, e2 swapped", "e1 comatch moved", "comatch moved"):
+            assert seen[name, False] > 100, name
+
+    def test_degenerate_and_large_instances(self):
+        g = graph({0: "a"}, {0: (0, 0, "x")})
+        d = apply(identity_rule(g), Match(identity(g)))
+        for pair in (ParallelPair(d, d), large_pair(seed=3, n=600)):
+            witness = parallel_independent(pair)
+            result = commute(pair)
+            report = verify_commutation_squares(pair, witness, result)
+            assert report and report == reference_verify_commutation_squares(pair, witness, result)
+
+    def test_a_partial_comatch_fails_square_5(self):
+        # the reference reads the missing entry and raises KeyError
+        rng = random.Random(3)
+        checked = 0
+        while checked < 100:
+            pair = randgen.random_parallel_independent_pair(rng)
+            result = with_partial_comatch(rng, commute(pair))
+            if result is None:
+                continue
+            witness = parallel_independent(pair)
+            with pytest.raises(KeyError):
+                reference_verify_commutation_squares(pair, witness, result)
+            report = verify_commutation_squares(pair, witness, result)
+            assert not report
+            assert report.failed_clause == "square (5): comatch of e1 is not total"
+            assert report.counterexample[0] == "node"
+            assert report.counterexample[1] not in result.e1.comatch.fv
+            checked += 1
+
+
+class TestCorruptedPair:
+    """Derivations that do not fit the host, the witness or each other, one
+    way each; every one fails, with the reference's report."""
+
+    @staticmethod
+    def pair() -> ParallelPair:
+        host = graph({0: "a", 1: "a", 2: "b", 3: "b"})
+        l, empty = graph({0: "a", 1: "a"}), graph({})
+        delete_two = Rule(L=l, K=empty, R=empty, b=Morphism(empty, l, {}, {}), r=identity(empty))
+        add_loop = loop_addition_rule()
+        return ParallelPair(
+            apply(delete_two, Match(Morphism(l, host, {0: 0, 1: 1}, {}))),
+            apply(add_loop, Match(Morphism(add_loop.L, host, {0: 2}, {}))),
+        )
+
+    @staticmethod
+    def relabel(g: Graph, v: int, label: str) -> Graph:
+        return dataclasses.replace(g, nlabel={**g.nlabel, v: label})
+
+    def witness_swapping_the_deleted_nodes(self, pair, witness):
+        j1 = witness.j1
+        return pair, dataclasses.replace(witness, j1=Morphism(j1.source, j1.target, {0: 1, 1: 0}, {}))
+
+    def host_with_a_node_neither_context_has(self, pair, witness):
+        G = graph({**pair.d1.G.nlabel, 9: "c"})
+
+        def moved(d):
+            m = d.match.m
+            return dataclasses.replace(
+                d,
+                match=Match(Morphism(m.source, G, m.fv, m.fe)),
+                deletion=dataclasses.replace(d.deletion, G=G),
+            )
+
+        return ParallelPair(moved(pair.d1), moved(pair.d2)), witness
+
+    def second_host_relabelled_where_no_context_reads(self, pair, witness):
+        # node 0 is deleted by d1 and kept by d2, whose own host differs there
+        d2 = pair.d2
+        G2 = self.relabel(d2.G, 0, "c")
+        m = d2.match.m
+        d2 = dataclasses.replace(
+            d2, match=Match(Morphism(m.source, G2, m.fv, m.fe)), deletion=dataclasses.replace(d2.deletion, G=G2)
+        )
+        return ParallelPair(pair.d1, d2), witness
+
+    def first_context_and_result_relabelled(self, pair, witness):
+        d1 = pair.d1
+        D1, H1 = self.relabel(d1.D, 3, "c"), self.relabel(d1.H, 3, "c")
+        h, k = d1.comatch, d1.deletion.d
+        d1 = dataclasses.replace(
+            d1,
+            deletion=dataclasses.replace(d1.deletion, D=D1, d=Morphism(k.source, D1, k.fv, k.fe)),
+            gluing=dataclasses.replace(d1.gluing, D=D1, H=H1, h=Morphism(h.source, H1, h.fv, h.fe)),
+        )
+        j2 = witness.j2
+        return ParallelPair(d1, pair.d2), dataclasses.replace(witness, j2=Morphism(j2.source, D1, j2.fv, j2.fe))
+
+    def first_result_relabelled(self, pair, witness):
+        d1 = pair.d1
+        H1 = self.relabel(d1.H, 3, "c")
+        h = d1.comatch
+        d1 = dataclasses.replace(d1, gluing=dataclasses.replace(d1.gluing, H=H1, h=Morphism(h.source, H1, h.fv, h.fe)))
+        return ParallelPair(d1, pair.d2), witness
+
+    def first_gluing_context_relabelled(self, pair, witness):
+        d1 = pair.d1
+        d1 = dataclasses.replace(d1, gluing=dataclasses.replace(d1.gluing, D=self.relabel(d1.D, 3, "c")))
+        return ParallelPair(d1, pair.d2), witness
+
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            "witness_swapping_the_deleted_nodes",
+            "host_with_a_node_neither_context_has",
+            "second_host_relabelled_where_no_context_reads",
+            "first_context_and_result_relabelled",
+            "first_result_relabelled",
+            "first_gluing_context_relabelled",
+        ],
+    )
+    def test_fails_as_the_reference_does(self, corruption):
+        pair = self.pair()
+        witness = parallel_independent(pair)
+        result = commute(pair)
+        assert verify_commutation_squares(pair, witness, result)
+        pair, witness = getattr(self, corruption)(pair, witness)
+        report = verify_commutation_squares(pair, witness, result)
+        assert not report
+        assert report == reference_verify_commutation_squares(pair, witness, result)

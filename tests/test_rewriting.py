@@ -9,15 +9,13 @@ from hypothesis import example, given, settings
 from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_match
 
 from dpo import randgen
-from dpo.diagrams import Square, is_pullback, is_pushout_injective
+from dpo.diagrams import Square, _local_pushout, certify_pushout, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, PreconditionError
 from dpo.graph import Graph, graph, incidence_if_built, is_isomorphic
 from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
     Rule,
-    _certify,
-    _local_pushout,
     apply,
     dangling_condition,
     find_matches,
@@ -488,7 +486,7 @@ class TestLocalCertification:
                 general = is_pushout_injective(bad)
                 assert not general
                 assert not _local_pushout(bad.ab, bad.ac, bad.bd)
-                assert _certify(bad.ab, bad.ac, bad.bd, lambda: bad) == general
+                assert certify_pushout(bad.ab, bad.ac, bad.bd, lambda: bad) == general
 
     def test_each_corruption_fails_the_clause_it_breaks(self):
         rule, match = _node_deleting()
@@ -509,7 +507,7 @@ class TestLocalCertification:
         sq = Square(ab=identity(two), ac=fold, bd=fold, cd=identity(one))
         assert not _local_pushout(sq.ab, sq.ac, sq.bd)
         with pytest.raises(PreconditionError, match="not injective"):
-            _certify(sq.ab, sq.ac, sq.bd, lambda: sq)
+            certify_pushout(sq.ab, sq.ac, sq.bd, lambda: sq)
 
     def test_apply_builds_neither_inclusion(self):
         derivation = apply(*_node_deleting())
