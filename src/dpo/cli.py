@@ -120,10 +120,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
     rule = io.load_rule(args.rule)
     host = io.load_graph(args.graph)
     derivation = apply(rule, _load_match(args.match_index, args.match, rule, host))
-    trace = io.derivation_trace_json(derivation)
-    io.save_json(trace["H"], args.out)
+    io.save_json(io.graph_to_json(derivation.H), args.out)
     trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
-    io.save_json(trace, trace_path)
+    io.save_json(io.derivation_trace_json(derivation), trace_path)
     if args.dot:
         Path(args.dot).write_text(io.to_dot(derivation.H), encoding="utf-8")
     _emit(
@@ -201,13 +200,13 @@ def cmd_commute(args: argparse.Namespace) -> int:
             f"commutation squares failed verification: {squares.failed_clause}"
         )
     report = {
-        "G_prime": io.graph_to_json(result.Gp),
+        "version": 2,
         "residual_match_2": io.morphism_to_json(result.e1.match.m),
         "residual_match_1": io.morphism_to_json(result.e2.match.m),
         "iso": io.iso_witness_to_json(result.iso),
         "squares": io.check_report_to_json(squares),
     }
-    io.save_json(report["G_prime"], args.out)
+    io.save_json(io.graph_to_json(result.Gp), args.out)
     report_path = args.report or str(Path(args.out).with_suffix("")) + ".report.json"
     io.save_json(report, report_path)
     if args.dot:
@@ -263,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--match-index", type=int, default=None)
     p.add_argument("--match", default=None, help="explicit morphism file")
     p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None)
+    p.add_argument("--trace", default=None, help="trace file, default <out>.trace.json: version, rule, match, "
+                   "deleted host ids, created R-id to H-id maps, comatch, both square checks")
     p.add_argument("--dot", default=None, help="also write the result in DOT syntax")
     p.set_defaults(func=cmd_apply)
 

@@ -106,7 +106,17 @@ def graph(
 
 
 def validate_graph(g: Graph) -> ValidationReport:
-    """Check every graph invariant; report each failed clause with its item."""
+    """Check every graph invariant; report each failed clause with its item.
+    Whole-set tests at C level decide a pass; anything else runs the loop."""
+    if (
+        g.nlabel.keys() == g.nodes
+        and g.src.keys() == g.tgt.keys() == g.elabel.keys() == g.edges
+        and min(g.nodes, default=0) >= 0
+        and min(g.edges, default=0) >= 0
+        and g.nodes.issuperset(g.src.values())
+        and g.nodes.issuperset(g.tgt.values())
+    ):
+        return ValidationReport()
     bad: list[Violation] = []
     for v in sorted(g.nodes):
         if v < 0:
@@ -207,8 +217,11 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
             del inverse[w]
         return False
 
-    if not extend(0):
-        return None
+    try:
+        if not extend(0):
+            return None
+    finally:
+        del extend  # a cycle through its own closure cell; freed by refcount once emptied
     edge_map = _edge_bijection(g, h, assignment)
     return IsoWitness(node_map=dict(assignment), edge_map=edge_map)
 

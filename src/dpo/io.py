@@ -32,6 +32,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
+from .constructions import deleted_items
 from .diagrams import CheckReport, Square
 from .errors import FormatError
 from .graph import Graph, IsoWitness, validate_graph
@@ -486,28 +487,28 @@ def _total(m: Morphism, where: str) -> Morphism:
 
 
 def derivation_trace_json(dd: DirectDerivation) -> dict:
-    """The trace document written next to a derivation's result graph.
-
-    Both square checks are recorded as passed: they ran once, inside
-    :func:`~dpo.rewriting.apply`, which raises
-    :class:`~dpo.errors.InternalConsistencyError` instead of returning a
-    derivation whose squares fail the pushout characterization.
+    """The trace written next to a derivation's result: what it changed,
+    in O(|L| + |K| + |R|). Fields: ``version`` (2); ``rule``, which holds
+    ``b`` and ``r``; ``match``; ``deleted``, the host ``nodes`` and
+    ``edges`` that ``L`` outside ``K`` matched, ascending; ``created``, maps
+    from each ``R``-item outside ``r``'s image to its id in ``H``, for
+    ``nodes`` and ``edges``; ``comatch``; and both square checks, recorded
+    as passed since :func:`~dpo.rewriting.apply` raises on a failing one.
+    ``G`` minus ``deleted`` plus the created items is exactly ``H``.
     """
     passed = check_report_to_json(CheckReport(True))
+    deleted_nodes, deleted_edges = deleted_items(dd.rule.b, dd.match.m)
+    r, comatch = dd.rule.r, dd.comatch
     return {
+        "version": 2,
         "rule": rule_to_json(dd.rule),
-        "G": graph_to_json(dd.G),
-        "D": graph_to_json(dd.D),
-        "H": graph_to_json(dd.H),
-        "morphisms": {
-            "match": morphism_to_json(dd.match.m),
-            "interface_to_context": morphism_to_json(dd.deletion.d),
-            "context_in_input": morphism_to_json(dd.deletion.c),
-            "context_in_result": morphism_to_json(dd.gluing.c),
-            "comatch": morphism_to_json(dd.comatch),
-            "b": morphism_to_json(dd.rule.b),
-            "r": morphism_to_json(dd.rule.r),
+        "match": morphism_to_json(dd.match.m),
+        "deleted": {"nodes": sorted(deleted_nodes), "edges": sorted(deleted_edges)},
+        "created": {
+            "nodes": {str(x): comatch.fv[x] for x in sorted(r.target.nodes.difference(r.fv.values()))},
+            "edges": {str(x): comatch.fe[x] for x in sorted(r.target.edges.difference(r.fe.values()))},
         },
+        "comatch": morphism_to_json(comatch),
         "left_square_check": passed,
         "right_square_check": passed,
     }

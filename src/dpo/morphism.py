@@ -93,22 +93,6 @@ def is_surjective(m: Morphism) -> bool:
     )
 
 
-def is_bijective(m: Morphism) -> bool:
-    return is_injective(m) and is_surjective(m)
-
-
-def invert(m: Morphism) -> Morphism:
-    """The inverse of a bijective morphism."""
-    if not is_bijective(m):
-        raise PreconditionError("invert: morphism is not bijective")
-    return Morphism(
-        source=m.target,
-        target=m.source,
-        fv={m.fv[v]: v for v in m.source.nodes},
-        fe={m.fe[e]: e for e in m.source.edges},
-    )
-
-
 def morphisms_agree(m1: Morphism, m2: Morphism) -> bool:
     """Pointwise equality of two morphisms with the same endpoints."""
     if m1.source != m2.source or m1.target != m2.target:

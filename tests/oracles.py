@@ -15,10 +15,14 @@ a passing instance over the rules' items; both must return the same report.
 
 The JSON references are the plain forms of the readers and writer in
 ``dpo.io``: ``json.dump`` for the writer, and entry-by-entry loops for the
-graph and morphism-map readers, which read whole columns at once.
+graph and morphism-map readers, which read whole columns at once. Likewise
+the graph validator's item-by-item loop is kept here, where the engine
+decides a pass by whole-set tests. ``replay`` rebuilds a derivation's result
+document from its input document and its trace, reading documents only.
 
 The last few helpers are test utilities, not oracles: ``renumber``,
-``is_inclusion`` and ``derivations_isomorphic`` are used only by tests.
+``is_inclusion``, ``is_bijective``, ``invert`` and ``derivations_isomorphic``
+are used only by tests.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -40,8 +45,16 @@ from dpo.diagrams import (
     squares_agree,
 )
 from dpo.errors import FormatError, PreconditionError, RewriteError
-from dpo.graph import Graph, graph, is_isomorphic
-from dpo.morphism import Morphism, compose, enumerate_morphisms, morphisms_agree, validate_morphism
+from dpo.graph import Graph, ValidationReport, Violation, graph, is_isomorphic
+from dpo.morphism import (
+    Morphism,
+    compose,
+    enumerate_morphisms,
+    is_injective,
+    is_surjective,
+    morphisms_agree,
+    validate_morphism,
+)
 from dpo.independence import CommutationResult, IndependenceWitness, ParallelPair
 from dpo.rewriting import DirectDerivation
 
@@ -406,6 +419,59 @@ def reference_verify_commutation_squares(
     return CheckReport(True)
 
 
+def reference_validate_graph(g: Graph) -> ValidationReport:
+    """Check every graph invariant; report each failed clause with its item."""
+    bad: list[Violation] = []
+    for v in sorted(g.nodes):
+        if v < 0:
+            bad.append(Violation("node id negative", f"node {v}"))
+        if v not in g.nlabel:
+            bad.append(Violation("nlabel not total on nodes", f"node {v}"))
+    for e in sorted(g.edges):
+        if e < 0:
+            bad.append(Violation("edge id negative", f"edge {e}"))
+        if e not in g.src:
+            bad.append(Violation("src not total on edges", f"edge {e}"))
+        elif g.src[e] not in g.nodes:
+            bad.append(Violation("src out of V", f"edge {e}"))
+        if e not in g.tgt:
+            bad.append(Violation("tgt not total on edges", f"edge {e}"))
+        elif g.tgt[e] not in g.nodes:
+            bad.append(Violation("tgt out of V", f"edge {e}"))
+        if e not in g.elabel:
+            bad.append(Violation("elabel not total on edges", f"edge {e}"))
+    for v in sorted(set(g.nlabel) - g.nodes):
+        bad.append(Violation("nlabel defined outside nodes", f"node {v}"))
+    for e in sorted((set(g.src) | set(g.tgt) | set(g.elabel)) - g.edges):
+        bad.append(Violation("edge map defined outside edges", f"edge {e}"))
+    return ValidationReport(tuple(bad))
+
+
+def replay(G_doc: dict, trace: dict) -> dict:
+    """The result graph document of a derivation, rebuilt from the document
+    of its input graph and its trace alone: ``G`` minus the deleted items,
+    plus each created ``R``-item under its recorded id, with its endpoints
+    taken through the comatch. Map keys are read as strings, as JSON has
+    them."""
+    R, comatch = trace["rule"]["R"], trace["comatch"]["fv"]
+    r_nodes = {entry["id"]: entry for entry in R["nodes"]}
+    r_edges = {entry["id"]: entry for entry in R["edges"]}
+    gone_nodes, gone_edges = set(trace["deleted"]["nodes"]), set(trace["deleted"]["edges"])
+    nodes = [entry for entry in G_doc["nodes"] if entry["id"] not in gone_nodes]
+    for x, h in trace["created"]["nodes"].items():
+        nodes.append({"id": h, "label": r_nodes[int(x)]["label"]})
+    edges = [entry for entry in G_doc["edges"] if entry["id"] not in gone_edges]
+    for x, h in trace["created"]["edges"].items():
+        r_edge = r_edges[int(x)]
+        edges.append({
+            "id": h,
+            "src": comatch[str(r_edge["src"])],
+            "tgt": comatch[str(r_edge["tgt"])],
+            "label": r_edge["label"],
+        })
+    return {"nodes": sorted(nodes, key=itemgetter("id")), "edges": sorted(edges, key=itemgetter("id"))}
+
+
 def reference_save_json(doc: Any, path: str | Path) -> None:
     """What ``dpo.io.save_json`` writes, by the standard library's encoder."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -509,6 +575,22 @@ def is_inclusion(m: Morphism) -> bool:
     """True iff both maps are identities on the source's items."""
     return all(m.fv[v] == v for v in m.source.nodes) and all(
         m.fe[e] == e for e in m.source.edges
+    )
+
+
+def is_bijective(m: Morphism) -> bool:
+    return is_injective(m) and is_surjective(m)
+
+
+def invert(m: Morphism) -> Morphism:
+    """The inverse of a bijective morphism."""
+    if not is_bijective(m):
+        raise PreconditionError("invert: morphism is not bijective")
+    return Morphism(
+        source=m.target,
+        target=m.source,
+        fv={m.fv[v]: v for v in m.source.nodes},
+        fe={m.fe[e]: e for e in m.source.edges},
     )
 
 

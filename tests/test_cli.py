@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dpo
-from dpo import io
+from dpo import cli, io
 from dpo.cli import main
 from dpo.graph import graph
 from dpo.morphism import Morphism, identity
@@ -89,6 +89,30 @@ class TestApply:
         recorded = json.loads(trace.read_text())
         assert recorded["left_square_check"] == PASSED
         assert recorded["right_square_check"] == PASSED
+
+    def test_trace_records_the_delta_and_leaves_the_inclusions_unbuilt(self, capsys, files, tmp_path, monkeypatch):
+        derivations, engine_apply = [], cli.apply
+
+        def recording_apply(*args, **kwargs):
+            derivations.append(engine_apply(*args, **kwargs))
+            return derivations[-1]
+
+        monkeypatch.setattr(cli, "apply", recording_apply)
+        out = tmp_path / "H.json"
+        code, _, _ = run(capsys, "apply", files["create_c"], files["host"], "--out", str(out))
+        assert code == 0
+        recorded = json.loads((tmp_path / "H.trace.json").read_text())
+        assert sorted(recorded) == [
+            "comatch", "created", "deleted", "left_square_check", "match",
+            "right_square_check", "rule", "version",
+        ]
+        assert recorded["version"] == 2
+        assert recorded["deleted"] == {"nodes": [], "edges": []}
+        assert recorded["created"] == {"nodes": {"0": 3}, "edges": {}}
+        assert recorded["comatch"] == {"fv": {"0": 3}, "fe": {}}
+        (derivation,) = derivations
+        assert "c" not in vars(derivation.deletion)
+        assert "c" not in vars(derivation.gluing)
 
     def test_dangling_match_exits_2_and_names_the_edges(self, capsys, files, tmp_path):
         out = tmp_path / "H.json"
@@ -373,7 +397,10 @@ class TestIndependentAndCommute:
         assert json.loads(out.read_text()) == io.graph_to_json(
             graph({0: "a", 1: "a", 2: "b", 3: "c"}, {1: (1, 2, "y")})
         )
-        assert json.loads(report.read_text())["squares"] == PASSED
+        recorded = json.loads(report.read_text())
+        assert sorted(recorded) == ["iso", "residual_match_1", "residual_match_2", "squares", "version"]
+        assert recorded["version"] == 2
+        assert recorded["squares"] == PASSED
 
     def test_commute_with_a_partial_match_file_exits_1(self, capsys, files, tmp_path):
         match = write(tmp_path / "m.json", {"fv": {"0": 0}, "fe": {"0": 0}})

@@ -19,7 +19,6 @@ from dpo.graph import graph, incidence_if_built, is_isomorphic, validate_graph
 from dpo.morphism import (
     Morphism,
     identity,
-    is_bijective,
     is_injective,
     is_surjective,
     validate_morphism,
@@ -27,6 +26,7 @@ from dpo.morphism import (
 
 from .oracles import (
     brute_force_pullback,
+    is_bijective,
     is_inclusion,
     reference_dangling_edges,
     reference_deletion,

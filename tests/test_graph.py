@@ -1,17 +1,52 @@
+import gc
 import random
+import sys
 from collections import Counter
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import MultiDiGraphMatcher, categorical_node_match
 
 from dpo.errors import PreconditionError
-from dpo.graph import graph, is_isomorphic, validate_graph
-from dpo.morphism import Morphism, is_bijective, validate_morphism
+from dpo.graph import Graph, graph, is_isomorphic, validate_graph
+from dpo.morphism import Morphism, validate_morphism
 
-from .oracles import brute_force_isomorphic, morphism_axioms_ok, renumber
+from .oracles import (
+    brute_force_isomorphic,
+    is_bijective,
+    morphism_axioms_ok,
+    reference_validate_graph,
+    renumber,
+)
 from .strategies import graphs
+
+
+@st.composite
+def corrupted_graphs(draw) -> Graph:
+    """A graph with at most one corruption: a negative id, an item missing
+    from one map, a map entry outside the items, or an endpoint off the
+    nodes."""
+    g = draw(graphs())
+    nodes, edges = set(g.nodes), set(g.edges)
+    maps = {"src": dict(g.src), "tgt": dict(g.tgt), "nlabel": dict(g.nlabel), "elabel": dict(g.elabel)}
+    name = draw(st.sampled_from(sorted(maps)))
+    kind = draw(st.sampled_from(["none", "negative node", "negative edge", "missing", "outside", "endpoint"]))
+    if kind == "negative node":
+        nodes.add(-1)
+        maps["nlabel"][-1] = "a"
+    elif kind == "negative edge" and nodes:
+        edges.add(-1)
+        maps["src"][-1] = maps["tgt"][-1] = min(nodes)
+        maps["elabel"][-1] = "x"
+    elif kind == "missing" and maps[name]:
+        del maps[name][draw(st.sampled_from(sorted(maps[name])))]
+    elif kind == "outside":
+        maps[name][draw(st.integers(4, 6))] = "a" if name.endswith("label") else 0
+    elif kind == "endpoint" and edges:
+        maps[draw(st.sampled_from(["src", "tgt"]))][draw(st.sampled_from(sorted(edges)))] = draw(st.integers(-1, 6))
+    return Graph(nodes=frozenset(nodes), edges=frozenset(edges), **maps)
 
 
 class TestValidateGraph:
@@ -39,6 +74,15 @@ class TestValidateGraph:
         )
         report = validate_graph(broken)
         assert any("nlabel" in v.clause for v in report.violations)
+
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_graphs())
+    @example(Graph(frozenset({-1}), frozenset(), {}, {}, {-1: "a"}, {}))
+    @example(Graph(frozenset({0}), frozenset({0}), {0: 0}, {}, {0: "a"}, {0: "x"}))
+    @example(Graph(frozenset({0}), frozenset(), {3: 0}, {}, {0: "a"}, {}))
+    def test_agrees_with_the_reference_loop(self, g):
+        assert validate_graph(g) == reference_validate_graph(g)
+
 
 
 class TestRenumber:
@@ -231,3 +275,42 @@ class TestIsIsomorphicAgainstNetworkx:
         assert w is not None
         assert [w.node_map[v] for v in range(60)] == PINNED_NODE_IMAGES
         assert [w.edge_map[e] for e in range(90)] == PINNED_EDGE_IMAGES
+
+
+def garbage_after(call) -> int:
+    """The objects the cycle collector finds after ``call()``, run with
+    automatic collection off: what reference counting did not free."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestIsIsomorphicLeavesNoGarbage:
+    """The search state is freed when the call returns or raises, not left
+    as a reference cycle for the collector."""
+
+    def test_after_a_witness_is_found(self):
+        rng = random.Random(6)
+        g = sparse_host(rng, 60, 90)
+        h = shuffled(rng, g)
+        assert garbage_after(lambda: is_isomorphic(g, h)) == 0
+
+    def test_after_the_search_fails(self):
+        rng = random.Random(1)
+        g = tree_host(rng, 100)
+        h = shuffled(rng, swapped_labels(rng, g))
+        assert garbage_after(lambda: is_isomorphic(g, h)) == 0
+
+    def test_after_the_recursion_limit_is_hit(self):
+        n = sys.getrecursionlimit() + 100
+        path = graph({v: "a" for v in range(n)}, {v: (v, v + 1, "x") for v in range(n - 1)})
+
+        def call():
+            with pytest.raises(RecursionError):
+                is_isomorphic(path, path)
+
+        assert garbage_after(call) == 0

@@ -5,18 +5,25 @@ for any document, whichever of its column-wise fast paths or its general
 path renders each part. The column-wise readers must return what the
 entry-by-entry loops return, or raise :class:`FormatError` with the same
 message, on well-formed documents and on documents with one corruption.
+A derivation's trace must rebuild its result graph from its input graph.
 """
 
 import copy
+import io as stdio
+import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpo import io
+from dpo import io, randgen
 from dpo.errors import FormatError
+from dpo.graph import graph
+from dpo.morphism import Morphism
+from dpo.rewriting import Match, Rule, apply
 
-from .oracles import reference_graph_from_json, reference_intmap, reference_save_json
+from .oracles import reference_graph_from_json, reference_intmap, reference_save_json, replay
 
 # labels that need escaping, or are not ASCII, next to plain ones
 TEXT = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\t\x00\x7f{}:,é€😀'), max_size=6)
@@ -196,3 +203,54 @@ class TestIntmap:
     def test_agrees_with_the_reference(self, obj):
         expected = outcome(reference_intmap, copy.deepcopy(obj), "fv")
         assert outcome(io._intmap, obj, "fv") == expected
+
+
+def rewire() -> Rule:
+    """Move an x-edge's target from one b-node to another."""
+    nodes = {0: "a", 1: "b", 2: "b"}
+    l, k, r = graph(nodes, {0: (0, 1, "x")}), graph(nodes), graph(nodes, {0: (0, 2, "x")})
+    return Rule(L=l, K=k, R=r, b=Morphism(k, l, {0: 0, 1: 1, 2: 2}, {}), r=Morphism(k, r, {0: 0, 1: 1, 2: 2}, {}))
+
+
+def rewire_trace(n: int) -> dict:
+    """The trace of :func:`rewire` on a random host of n nodes and up to 2n edges."""
+    rng = random.Random(n)
+    host = randgen.random_graph(rng, n, 2 * n, min_nodes=n)
+    rule = rewire()
+    e = min(e for e in host.edges if host.elabel[e] == "x" and host.nlabel[host.src[e]] == "a"
+            and host.nlabel[host.tgt[e]] == "b" and host.src[e] != host.tgt[e])
+    other = min(v for v in host.nodes if host.nlabel[v] == "b" and v != host.tgt[e])
+    match = Morphism(rule.L, host, {0: host.src[e], 1: host.tgt[e], 2: other}, {0: e})
+    return io.derivation_trace_json(apply(rule, Match(match)))
+
+
+def shape(trace: dict) -> dict:
+    """The keys of a trace, and of its two delta blocks with their sizes."""
+    return {
+        "keys": sorted(trace),
+        **{block: {key: len(items) for key, items in trace[block].items()} for block in ("deleted", "created")},
+    }
+
+
+class TestDerivationTrace:
+    def test_replay_on_the_input_gives_the_result(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            rule, match = randgen.random_rule_with_match(rng)
+            dd = apply(rule, match, fresh_offset=rng.choice([None, 0, 7, 40]))
+            trace = json.loads(json.dumps(io.derivation_trace_json(dd)))
+            assert replay(io.graph_to_json(dd.G), trace) == io.graph_to_json(dd.H)
+
+    def test_size_does_not_grow_with_the_host(self):
+        small, large = rewire_trace(100), rewire_trace(10_000)
+        assert shape(large) == shape(small) == {
+            "keys": [
+                "comatch", "created", "deleted", "left_square_check", "match",
+                "right_square_check", "rule", "version",
+            ],
+            "deleted": {"nodes": 0, "edges": 1},
+            "created": {"nodes": 0, "edges": 1},
+        }
+        text = stdio.StringIO()
+        io.write_json(large, text)
+        assert len(text.getvalue().encode()) < 8 * 1024

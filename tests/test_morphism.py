@@ -11,8 +11,6 @@ from dpo.morphism import (
     compose,
     enumerate_morphisms,
     identity,
-    invert,
-    is_bijective,
     is_injective,
     is_surjective,
     morphisms_agree,
@@ -21,6 +19,8 @@ from dpo.morphism import (
 
 from .oracles import (
     brute_force_morphism_count,
+    invert,
+    is_bijective,
     is_inclusion,
     morphism_axioms_ok,
     reference_enumerate_morphisms,
