@@ -1,9 +1,10 @@
 """Batch command-line front-end over the engine.
 
-Exit codes are stable: 0 ok, 1 parse/precondition failure, 2 dangling
-condition violated, 3 check verdict false, 4 derivations dependent,
-5 internal inconsistency. Machine-readable JSON reports go to standard
-output; a human summary goes to standard error unless ``--json`` is given.
+Exit codes are stable: 0 ok, 1 parse/precondition failure or an output
+that cannot be written, 2 dangling condition violated, 3 check verdict
+false, 4 derivations dependent, 5 internal inconsistency. Machine-readable
+JSON reports go to standard output; a human summary goes to standard error
+unless ``--json`` is given.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ def _emit(doc: dict, summary: str, args: argparse.Namespace) -> None:
 
 
 def _load_match(selector_index: int | None, selector_file: str | None, rule, host) -> Match:
-    """The selected match. A match file whose maps are partial, out of range
-    or defined outside L is rejected here (:func:`io._total`); :func:`apply`
-    validates the rest, and the rule, once."""
+    """The selected match. A match file is a morphism from L into the host,
+    or it is rejected here (:func:`io.checked_morphism`); :func:`apply`
+    checks its injectivity and the dangling condition."""
     if selector_file is not None:
-        return Match(io._total(io.load_morphism(selector_file, source=rule.L, target=host), selector_file))
+        return Match(io.checked_morphism(io.load_morphism(selector_file, source=rule.L, target=host), selector_file))
     matches = find_matches(rule, host)
     index = selector_index or 0
     if not 0 <= index < len(matches):
@@ -306,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     except DanglingConditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DANGLING
-    except (FormatError, PreconditionError) as exc:
+    except (FormatError, PreconditionError, OSError) as exc:
+        # an OSError here is an output that cannot be written: load_json
+        # turns every failed read into a FormatError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InternalConsistencyError as exc:

@@ -38,7 +38,7 @@ class GluingResult:
 
     @cached_property
     def c(self) -> Morphism:
-        return _inclusion(self.D, self.H)
+        return inclusion(self.D, self.H)
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,11 @@ class DeletionResult:
 
     @cached_property
     def c(self) -> Morphism:
-        return _inclusion(self.D, self.G)
+        return inclusion(self.D, self.G)
 
 
-def _inclusion(sub: Graph, g: Graph) -> Morphism:
-    # the identity maps of sub, built at C level
+def inclusion(sub: Graph, g: Graph) -> Morphism:
+    """The identity inclusion of ``sub`` in ``g``, its maps built at C level."""
     return Morphism(sub, g, dict(zip(sub.nodes, sub.nodes)), dict(zip(sub.edges, sub.edges)))
 
 

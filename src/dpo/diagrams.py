@@ -4,9 +4,14 @@ A square bundles four morphisms: a span ``ab: A -> B``, ``ac: A -> C`` and a
 cospan ``bd: B -> D``, ``cd: C -> D``. Pushout recognition is restricted to
 squares whose four morphisms are injective, where commutativity, the reduced
 chain-condition and joint surjectivity together characterize pushouts.
-Pullback recognition compares against the canonical pullback construction
-through a mediating bijection. These general checks read every item of all
-four corners.
+Pullback recognition decides whether the mediating map into the canonical
+pullback is a bijective morphism without building that object: the pairs
+of B- and C-items that agree in D (:func:`pullback_pairs`, the join the
+reduced chain-condition reads) are its items, so the mediating map sends
+each A-item to its image pair, is a morphism when ``ab`` and ``ac`` carry
+A's endpoints along and ``ab`` its labels, is injective when no two A-items
+share a pair, and is surjective when every pair is some A-item's. These
+general checks read every item of all four corners.
 
 :func:`certify_pushout` is the one local certifier: for a square whose
 ``cd`` is an identity inclusion, it decides a pass over the items of A and
@@ -19,19 +24,12 @@ with it, and :func:`~dpo.independence.verify_commutation_squares` squares
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .constructions import pullback_construct, pullback_pairs
+from .constructions import inclusion, pullback_pairs
 from .errors import PreconditionError
 from .graph import Graph
-from .morphism import (
-    Morphism,
-    compose,
-    is_injective,
-    is_surjective,
-    morphisms_agree,
-    validate_morphism,
-)
+from .morphism import Morphism, compose, is_injective, morphisms_agree, validate_morphism
 
 
 @dataclass(frozen=True)
@@ -122,17 +120,17 @@ def _chain_condition(sq: Square) -> CheckReport:
 
 
 def jointly_surjective(bd: Morphism, cd: Morphism) -> CheckReport:
-    """Every item of the shared target has a preimage under ``bd`` or ``cd``."""
+    """Every item of the shared target has a preimage under ``bd`` or ``cd``;
+    else the least uncovered node, or if none the least uncovered edge."""
     if bd.target != cd.target:
         raise PreconditionError("jointly_surjective: targets differ")
-    covered_v = {bd.fv[v] for v in bd.source.nodes} | {cd.fv[v] for v in cd.source.nodes}
-    for v in sorted(bd.target.nodes):
-        if v not in covered_v:
-            return CheckReport(False, "joint surjectivity", ("node", v))
-    covered_e = {bd.fe[e] for e in bd.source.edges} | {cd.fe[e] for e in cd.source.edges}
-    for e in sorted(bd.target.edges):
-        if e not in covered_e:
-            return CheckReport(False, "joint surjectivity", ("edge", e))
+    for kind, items, f, g, f_items, g_items in (
+        ("node", bd.target.nodes, bd.fv, cd.fv, bd.source.nodes, cd.source.nodes),
+        ("edge", bd.target.edges, bd.fe, cd.fe, bd.source.edges, cd.source.edges),
+    ):
+        uncovered = items.difference(map(f.__getitem__, f_items), map(g.__getitem__, g_items))
+        if uncovered:
+            return CheckReport(False, "joint surjectivity", (kind, min(uncovered)))
     return CheckReport(True)
 
 
@@ -157,51 +155,39 @@ def is_pushout_injective(sq: Square) -> CheckReport:
 
 
 def is_pullback(sq: Square) -> CheckReport:
-    """Compare the square's apex against the canonical pullback object.
+    """Whether the square's apex is the pullback of its cospan.
 
-    Builds the canonical pullback of the cospan and the mediating morphism
-    ``u`` sending each apex item to its image pair; the square is a pullback
-    iff ``u`` is a bijective morphism (pullbacks are unique up to iso).
+    The mediating map ``u`` sends each A-item to its pair ``(ab(a), ac(a))``
+    among :func:`pullback_pairs`; the square is a pullback iff ``u`` is a
+    bijective morphism into the canonical pullback object, whose items are
+    those pairs, labelled from B (pullbacks are unique up to iso). That
+    object is not built: each clause is decided on the pairs, and a failed
+    one names the first A-item, or the least pair, that breaks it.
     """
     if not commutes(sq):
         raise PreconditionError("is_pullback: square does not commute")
-    canonical = pullback_construct(sq.bd, sq.cd)
-    node_id = {pair: i for i, pair in canonical.node_pairs.items()}
-    edge_id = {pair: i for i, pair in canonical.edge_pairs.items()}
-    u = Morphism(
-        source=sq.A,
-        target=canonical.A,
-        fv={a: node_id[sq.ab.fv[a], sq.ac.fv[a]] for a in sq.A.nodes},
-        fe={a: edge_id[sq.ab.fe[a], sq.ac.fe[a]] for a in sq.A.edges},
-    )
-    if not validate_morphism(u).ok:
+    node_pairs, edge_pairs = pullback_pairs(sq.bd, sq.cd)
+    A, B, C, ab, ac = sq.A, sq.B, sq.C, sq.ab, sq.ac
+    if any(A.nlabel[a] != B.nlabel[ab.fv[a]] for a in A.nodes) or any(
+        A.elabel[a] != B.elabel[ab.fe[a]]
+        or (ab.fv[A.src[a]], ac.fv[A.src[a]]) != (B.src[ab.fe[a]], C.src[ac.fe[a]])
+        or (ab.fv[A.tgt[a]], ac.fv[A.tgt[a]]) != (B.tgt[ab.fe[a]], C.tgt[ac.fe[a]])
+        for a in A.edges
+    ):
         return CheckReport(False, "mediating map not a morphism", ("apex",))
-    if not is_injective(u):
-        seen: dict[int, int] = {}
-        for a in sorted(sq.A.nodes):
-            i = u.fv[a]
-            if i in seen:
-                return CheckReport(False, "mediating map not injective", ("node", seen[i], a))
-            seen[i] = a
-        seen = {}
-        for a in sorted(sq.A.edges):
-            i = u.fe[a]
-            if i in seen:
-                return CheckReport(False, "mediating map not injective", ("edge", seen[i], a))
-            seen[i] = a
-    if not is_surjective(u):
-        hit_v = set(u.fv.values())
-        for i in sorted(canonical.A.nodes):
-            if i not in hit_v:
-                return CheckReport(
-                    False, "mediating map not surjective", ("node",) + canonical.node_pairs[i]
-                )
-        hit_e = set(u.fe.values())
-        for i in sorted(canonical.A.edges):
-            if i not in hit_e:
-                return CheckReport(
-                    False, "mediating map not surjective", ("edge",) + canonical.edge_pairs[i]
-                )
+    images = []
+    for kind, items, f, g in (("node", A.nodes, ab.fv, ac.fv), ("edge", A.edges, ab.fe, ac.fe)):
+        first: dict[tuple[int, int], int] = {}
+        for a in sorted(items):
+            pair = f[a], g[a]
+            if pair in first:
+                return CheckReport(False, "mediating map not injective", (kind, first[pair], a))
+            first[pair] = a
+        images.append(first)
+    for kind, pairs, image in zip(("node", "edge"), (node_pairs, edge_pairs), images):
+        missed = set(pairs).difference(image)
+        if missed:
+            return CheckReport(False, "mediating map not surjective", (kind, *min(missed)))
     return CheckReport(True)
 
 
@@ -292,8 +278,9 @@ def pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
     return u
 
 
-def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism, square: Callable[[], Square]) -> CheckReport:
-    """:func:`is_pushout_injective` of ``square()``, decided in O(|A| + |B|).
+def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> CheckReport:
+    """:func:`is_pushout_injective` of the square ``ab, ac, bd, cd``,
+    decided in O(|A| + |B|).
 
     The square is ``ab: A -> B``, ``ac: A -> C``, ``bd: B -> D`` and ``cd``,
     wired as :class:`Square` requires, where ``cd`` must be the identity
@@ -310,13 +297,14 @@ def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism, square: Callable[[
       image lies outside C are as many as the items of D outside C,
       counted for nodes and for edges separately.
 
-    Only a pass is decided here: on a failure the general check runs on
-    ``square()``, so the report, or the :class:`PreconditionError` of a
+    Only a pass is decided here: on a failure the square is built, with
+    ``cd`` as :func:`~dpo.constructions.inclusion` makes it, and the general
+    check runs on it, so the report, or the :class:`PreconditionError` of a
     non-injective morphism, is the same as :func:`is_pushout_injective`'s.
     """
     if _local_pushout(ab, ac, bd):
         return CheckReport(True)
-    return is_pushout_injective(square())
+    return is_pushout_injective(Square(ab, ac, bd, inclusion(ac.target, bd.target)))
 
 
 def _local_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> bool:

@@ -143,6 +143,20 @@ def validate_graph(g: Graph) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def maps_within(sub: Graph, g: Graph) -> bool:
+    """Whether every label and endpoint ``sub`` has is ``g``'s, compared as
+    C-level dict views; a map ``sub`` shares with ``g`` is not read."""
+    return all(
+        x is y or x.items() <= y.items()
+        for x, y in (
+            (sub.src, g.src),
+            (sub.tgt, g.tgt),
+            (sub.nlabel, g.nlabel),
+            (sub.elabel, g.elabel),
+        )
+    )
+
+
 @dataclass(frozen=True)
 class IsoWitness:
     """A structure- and label-preserving bijection between two graphs."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import DeletionResult, deleted_items, deletion, gluing, without
+from .constructions import deleted_items, deletion, gluing, without
 from .diagrams import (
     CheckReport,
     Square,
@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
     RewriteError,
 )
-from .graph import Graph, IsoWitness, is_isomorphic
+from .graph import Graph, IsoWitness, is_isomorphic, maps_within
 from .morphism import Morphism, compose, validate_morphism
 from .rewriting import DirectDerivation, Match, apply
 
@@ -323,21 +323,15 @@ def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: Co
     D0 = without(d2.D, gone1_v, gone1_e)
     # D0's items are D1's by the set algebra of _delta; its labels and
     # endpoints, read from D2, must be D1's too
-    if not _maps_within(D0, d1.D):
+    if not maps_within(D0, d1.D):
         return False
     b1, r1, b2, r2 = d1.rule.b, d1.rule.r, d2.rule.b, d2.rule.r
     k1 = Morphism(b1.source, D0, d1.deletion.d.fv, d1.deletion.d.fe)
     k2 = Morphism(b2.source, D0, d2.deletion.d.fv, d2.deletion.d.fe)
-    shared1, shared2 = DeletionResult(D0, k1, d2.D), DeletionResult(D0, k2, d1.D)
     try:
         glue21, glue41 = gluing(r1, k1), gluing(r2, k2)
-        for ab, ac, bd, built in (
-            (b1, k1, witness.j1, shared1),
-            (r1, k1, glue21.h, glue21),
-            (b2, k2, witness.j2, shared2),
-            (r2, k2, glue41.h, glue41),
-        ):
-            if not certify_pushout(ab, ac, bd, lambda: Square(ab, ac, bd, built.c)):
+        for ab, ac, bd in ((b1, k1, witness.j1), (r1, k1, glue21.h), (b2, k2, witness.j2), (r2, k2, glue41.h)):
+            if not certify_pushout(ab, ac, bd):
                 return False
     except RewriteError:
         return False
@@ -362,7 +356,7 @@ def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: Co
         and len(Gp.nodes) == len(D0.nodes) + len(made1_v) + len(R2.nodes) - len(K2.nodes)
         and Gp.edges == D0.edges | made1_e | made2_e
         and len(Gp.edges) == len(D0.edges) + len(made1_e) + len(R2.edges) - len(K2.edges)
-        and _maps_within(D0, Gp)
+        and maps_within(D0, Gp)
     )
 
 
@@ -399,21 +393,7 @@ def _delta(
         and len(H.nodes) == len(D.nodes) + len(R.nodes) - len(K.nodes)
         and H.edges == D.edges | made_e
         and len(H.edges) == len(D.edges) + len(R.edges) - len(K.edges)
-        and _maps_within(D, H)
+        and maps_within(D, H)
     ):
         return None
     return gone_v, gone_e, made_v, made_e
-
-
-def _maps_within(sub: Graph, g: Graph) -> bool:
-    """Whether every label and endpoint ``sub`` has is ``g``'s, compared as
-    C-level dict views; a map ``sub`` shares with ``g`` is not read."""
-    return all(
-        x is y or x.items() <= y.items()
-        for x, y in (
-            (sub.src, g.src),
-            (sub.tgt, g.tgt),
-            (sub.nlabel, g.nlabel),
-            (sub.elabel, g.elabel),
-        )
-    )

@@ -14,6 +14,17 @@ Rule documents embed their three graphs and two morphisms inline; square
 documents list the four corner graphs and four morphisms either inline or by
 relative path.
 
+The loaders return only well-formed objects: every graph
+:func:`load_graph` or :func:`load_square` reads passes
+:func:`~dpo.graph.validate_graph`, every rule :func:`load_rule` reads
+passes :func:`~dpo.rewriting.validate_rule`, and every map a verb loads as
+a morphism, square legs and match files alike, passes
+:func:`~dpo.morphism.validate_morphism` (:func:`checked_morphism`);
+anything else raises :class:`FormatError` naming the first violation, as
+does a file that cannot be read, is not UTF-8, is not JSON or nests too
+deeply to decode. Only ``dpo validate`` reads documents past these checks,
+to report every violation.
+
 Every document is written as exactly the bytes of ``json.dump(doc, fh,
 indent=2, sort_keys=True)`` and a newline (:func:`write_json`). Writer and
 readers work a column at a time in C-level calls (``map``, ``itemgetter``,
@@ -36,7 +47,7 @@ from .constructions import deleted_items
 from .diagrams import CheckReport, Square
 from .errors import FormatError
 from .graph import Graph, IsoWitness, validate_graph
-from .morphism import Morphism
+from .morphism import Morphism, validate_morphism
 from .rewriting import DirectDerivation, Rule, validate_rule
 
 
@@ -248,7 +259,9 @@ def load_json(path: str | Path) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an over-long integer, or
+        # nesting deeper than the interpreter's recursion limit
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -431,10 +444,11 @@ def load_square(path: str | Path) -> Square:
     """Load a square description: four corner graphs and four morphisms.
 
     Graph values and morphism values may be inline documents or strings,
-    which are read as paths relative to the square file. A morphism whose
-    maps are partial on its source or leave its target raises
-    :class:`FormatError` (see :func:`_total`), so the checks never read a
-    missing item.
+    which are read as paths relative to the square file. Every leg is a
+    morphism: one that :func:`~dpo.morphism.validate_morphism` rejects, say
+    a map that is partial, leaves its target or breaks a label or an
+    endpoint, raises :class:`FormatError` (see :func:`checked_morphism`),
+    so no check gives a verdict on a square of non-morphisms.
     """
     doc = load_json(path)
     if not isinstance(doc, dict):
@@ -454,7 +468,7 @@ def load_square(path: str | Path) -> Square:
         value = doc[key]
         if isinstance(value, str):
             value = load_json(base / value)
-        return _total(morphism_from_json(value, source, target), f"{path} '{key}'")
+        return checked_morphism(morphism_from_json(value, source, target), f"{path} '{key}'")
 
     return Square(
         ab=arrow("ab", graphs["A"], graphs["B"]),
@@ -464,25 +478,13 @@ def load_square(path: str | Path) -> Square:
     )
 
 
-def _total(m: Morphism, where: str) -> Morphism:
-    """``m``, if ``fv`` and ``fe`` are defined on exactly the source's items
-    and take values among the target's; else :class:`FormatError` naming the
-    first offending item in the clause wording of
-    :func:`~dpo.morphism.validate_morphism`. Four C-level set tests decide a
-    pass; labels and endpoints are left to the checks that read the map."""
-    for name, kind, f, items, into in (
-        ("fv", "node", m.fv, m.source.nodes, m.target.nodes),
-        ("fe", "edge", m.fe, m.source.edges, m.target.edges),
-    ):
-        if f.keys() == items and into.issuperset(f.values()):
-            continue
-        if items - f.keys():
-            clause, item = "not total on source", min(items - f.keys())
-        elif f.keys() - items:
-            clause, item = "defined outside source", min(f.keys() - items)
-        else:
-            clause, item = "out of target", min(x for x in items if f[x] not in into)
-        raise FormatError(f"{where}: invalid morphism: {name} {clause} {kind}s: {kind} {item}")
+def checked_morphism(m: Morphism, where: str) -> Morphism:
+    """``m``, if it is a morphism; else :class:`FormatError` naming the first
+    :func:`~dpo.morphism.validate_morphism` violation. Every map a verb
+    loads as a morphism passes here."""
+    report = validate_morphism(m)
+    if not report.ok:
+        raise FormatError(f"{where}: invalid morphism: {report.violations[0]}")
     return m
 
 

@@ -149,15 +149,11 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
 
     deleted = deletion(rule.b, match.m)
     glued = gluing(rule.r, deleted.d, fresh_offset=fresh_offset)
-    derivation = DirectDerivation(rule=rule, match=match, deletion=deleted, gluing=glued)
-    for side, ab, bd, square in (
-        ("left", rule.b, match.m, lambda: derivation.left_square),
-        ("right", rule.r, glued.h, lambda: derivation.right_square),
-    ):
-        check = certify_pushout(ab, deleted.d, bd, square)
+    for side, ab, bd in (("left", rule.b, match.m), ("right", rule.r, glued.h)):
+        check = certify_pushout(ab, deleted.d, bd)
         if not check:
             raise InternalConsistencyError(
                 f"apply: {side} square failed {check.failed_clause} at {check.counterexample}"
             )
-    return derivation
+    return DirectDerivation(rule=rule, match=match, deletion=deleted, gluing=glued)
 

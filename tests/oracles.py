@@ -12,17 +12,21 @@ return the same list in the same order.
 The reference commutation check builds every square of the Church–Rosser
 decomposition and runs the general checks on each, where the engine decides
 a passing instance over the rules' items; both must return the same report.
+The reference pullback check builds the canonical pullback object and the
+mediating morphism into it, where the engine decides on the agreeing pairs
+alone; the reference joint-surjectivity check scans the target in order,
+where the engine takes a set difference.
 
 The JSON references are the plain forms of the readers and writer in
 ``dpo.io``: ``json.dump`` for the writer, and entry-by-entry loops for the
 graph and morphism-map readers, which read whole columns at once. Likewise
-the graph validator's item-by-item loop is kept here, where the engine
-decides a pass by whole-set tests. ``replay`` rebuilds a derivation's result
+the graph and morphism validators' item-by-item loops are kept here, where
+the engine decides a pass by whole-set tests. ``replay`` rebuilds a derivation's result
 document from its input document and its trace, reading documents only.
 
 The last few helpers are test utilities, not oracles: ``renumber``,
-``is_inclusion``, ``is_bijective``, ``invert`` and ``derivations_isomorphic``
-are used only by tests.
+``is_inclusion``, ``is_surjective``, ``is_bijective``, ``invert`` and
+``derivations_isomorphic`` are used only by tests.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from dpo.constructions import deletion, gluing, pullback_construct
 from dpo.diagrams import (
     CheckReport,
     Square,
+    commutes,
     compose_squares_vertical,
-    is_pullback,
     is_pushout_injective,
     pushout_mediator,
     squares_agree,
@@ -51,7 +55,6 @@ from dpo.morphism import (
     compose,
     enumerate_morphisms,
     is_injective,
-    is_surjective,
     morphisms_agree,
     validate_morphism,
 )
@@ -144,6 +147,70 @@ def pullback_chain_condition(sq: Square) -> CheckReport:
         for pair in candidates.values():
             if pair not in images:
                 return CheckReport(False, "reduced chain-condition", (kind, *pair))
+    return CheckReport(True)
+
+
+def reference_jointly_surjective(bd: Morphism, cd: Morphism) -> CheckReport:
+    """Every item of the shared target has a preimage under ``bd`` or ``cd``."""
+    if bd.target != cd.target:
+        raise PreconditionError("jointly_surjective: targets differ")
+    covered_v = {bd.fv[v] for v in bd.source.nodes} | {cd.fv[v] for v in cd.source.nodes}
+    for v in sorted(bd.target.nodes):
+        if v not in covered_v:
+            return CheckReport(False, "joint surjectivity", ("node", v))
+    covered_e = {bd.fe[e] for e in bd.source.edges} | {cd.fe[e] for e in cd.source.edges}
+    for e in sorted(bd.target.edges):
+        if e not in covered_e:
+            return CheckReport(False, "joint surjectivity", ("edge", e))
+    return CheckReport(True)
+
+
+def reference_is_pullback(sq: Square) -> CheckReport:
+    """Compare the square's apex against the canonical pullback object.
+
+    Builds the canonical pullback of the cospan and the mediating morphism
+    ``u`` sending each apex item to its image pair; the square is a pullback
+    iff ``u`` is a bijective morphism (pullbacks are unique up to iso).
+    """
+    if not commutes(sq):
+        raise PreconditionError("is_pullback: square does not commute")
+    canonical = pullback_construct(sq.bd, sq.cd)
+    node_id = {pair: i for i, pair in canonical.node_pairs.items()}
+    edge_id = {pair: i for i, pair in canonical.edge_pairs.items()}
+    u = Morphism(
+        source=sq.A,
+        target=canonical.A,
+        fv={a: node_id[sq.ab.fv[a], sq.ac.fv[a]] for a in sq.A.nodes},
+        fe={a: edge_id[sq.ab.fe[a], sq.ac.fe[a]] for a in sq.A.edges},
+    )
+    if not validate_morphism(u).ok:
+        return CheckReport(False, "mediating map not a morphism", ("apex",))
+    if not is_injective(u):
+        seen: dict[int, int] = {}
+        for a in sorted(sq.A.nodes):
+            i = u.fv[a]
+            if i in seen:
+                return CheckReport(False, "mediating map not injective", ("node", seen[i], a))
+            seen[i] = a
+        seen = {}
+        for a in sorted(sq.A.edges):
+            i = u.fe[a]
+            if i in seen:
+                return CheckReport(False, "mediating map not injective", ("edge", seen[i], a))
+            seen[i] = a
+    if not is_surjective(u):
+        hit_v = set(u.fv.values())
+        for i in sorted(canonical.A.nodes):
+            if i not in hit_v:
+                return CheckReport(
+                    False, "mediating map not surjective", ("node",) + canonical.node_pairs[i]
+                )
+        hit_e = set(u.fe.values())
+        for i in sorted(canonical.A.edges):
+            if i not in hit_e:
+                return CheckReport(
+                    False, "mediating map not surjective", ("edge",) + canonical.edge_pairs[i]
+                )
     return CheckReport(True)
 
 
@@ -385,7 +452,7 @@ def reference_verify_commutation_squares(
         return CheckReport(False, f"square (5): construction failed: {exc}", ("construction",))
 
     labelled = [
-        ("(12)", is_pullback, sq12),
+        ("(12)", reference_is_pullback, sq12),
         ("(11)", is_pushout_injective, sq11),
         ("(21)", is_pushout_injective, sq21),
         ("(22)", is_pushout_injective, sq22),
@@ -444,6 +511,37 @@ def reference_validate_graph(g: Graph) -> ValidationReport:
         bad.append(Violation("nlabel defined outside nodes", f"node {v}"))
     for e in sorted((set(g.src) | set(g.tgt) | set(g.elabel)) - g.edges):
         bad.append(Violation("edge map defined outside edges", f"edge {e}"))
+    return ValidationReport(tuple(bad))
+
+
+def reference_validate_morphism(m: Morphism) -> ValidationReport:
+    """Check totality, range, the four preservation clauses and the domain."""
+    g, h = m.source, m.target
+    bad: list[Violation] = []
+    for v in sorted(g.nodes):
+        if v not in m.fv:
+            bad.append(Violation("fv not total on source nodes", f"node {v}"))
+        elif m.fv[v] not in h.nodes:
+            bad.append(Violation("fv out of target nodes", f"node {v}"))
+        elif g.nlabel[v] != h.nlabel[m.fv[v]]:
+            bad.append(Violation("node label not preserved", f"node {v}"))
+    for e in sorted(g.edges):
+        if e not in m.fe:
+            bad.append(Violation("fe not total on source edges", f"edge {e}"))
+            continue
+        if m.fe[e] not in h.edges:
+            bad.append(Violation("fe out of target edges", f"edge {e}"))
+            continue
+        if m.fv.get(g.src[e]) != h.src[m.fe[e]]:
+            bad.append(Violation("source not preserved", f"edge {e}"))
+        if m.fv.get(g.tgt[e]) != h.tgt[m.fe[e]]:
+            bad.append(Violation("target not preserved", f"edge {e}"))
+        if g.elabel[e] != h.elabel[m.fe[e]]:
+            bad.append(Violation("edge label not preserved", f"edge {e}"))
+    for v in sorted(set(m.fv) - g.nodes):
+        bad.append(Violation("fv defined outside source nodes", f"node {v}"))
+    for e in sorted(set(m.fe) - g.edges):
+        bad.append(Violation("fe defined outside source edges", f"edge {e}"))
     return ValidationReport(tuple(bad))
 
 
@@ -575,6 +673,13 @@ def is_inclusion(m: Morphism) -> bool:
     """True iff both maps are identities on the source's items."""
     return all(m.fv[v] == v for v in m.source.nodes) and all(
         m.fe[e] == e for e in m.source.edges
+    )
+
+
+def is_surjective(m: Morphism) -> bool:
+    return (
+        {m.fv[v] for v in m.source.nodes} == m.target.nodes
+        and {m.fe[e] for e in m.source.edges} == m.target.edges
     )
 
 

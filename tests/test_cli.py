@@ -7,6 +7,7 @@ in a subprocess.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -15,11 +16,13 @@ from pathlib import Path
 import pytest
 
 import dpo
-from dpo import cli, io
+from dpo import cli, io, randgen
 from dpo.cli import main
 from dpo.graph import graph
-from dpo.morphism import Morphism, identity
+from dpo.morphism import Morphism, identity, validate_morphism
 from dpo.rewriting import Rule
+
+from .oracles import renumber
 
 PASSED = {"verdict": True, "failed_clause": None, "counterexample": None}
 
@@ -361,6 +364,38 @@ class TestHostileSquare:
         assert err == f"error: {square} 'ab': invalid morphism: {message}\n"
 
 
+class TestNonMorphismLeg:
+    """A square leg that breaks a label or an endpoint is rejected when
+    loaded as well: no check gives a verdict on a square of non-morphisms."""
+
+    @pytest.mark.parametrize("mode", ["pushout", "pullback"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                # identities on a-nodes into a D whose node is a b-node
+                {**one_node_square({"fv": {"0": 0}, "fe": {}}), "D": io.graph_to_json(graph({0: "b"}))},
+                "node label not preserved: node 0",
+            ),
+            (
+                # identities on an x-edge, but bd swaps the edge's two ends
+                {
+                    **{key: io.graph_to_json(graph({0: "a", 1: "a"}, {0: (0, 1, "x")})) for key in "ABCD"},
+                    **{leg: {"fv": {"0": 0, "1": 1}, "fe": {"0": 0}} for leg in ("ab", "ac", "cd")},
+                    "bd": {"fv": {"0": 1, "1": 0}, "fe": {"0": 0}},
+                },
+                "source not preserved: edge 0",
+            ),
+        ],
+        ids=["label", "endpoint"],
+    )
+    def test_exits_1_naming_the_leg_and_the_item(self, capsys, tmp_path, mode, doc, message):
+        square = write(tmp_path / "sq.json", doc)
+        code, doc, err = run(capsys, "check-square", square, "--mode", mode)
+        assert (code, doc) == (1, None)
+        assert err == f"error: {square} 'bd': invalid morphism: {message}\n"
+
+
 class TestIndependentAndCommute:
     def test_independent_pair_exits_0_with_both_embeddings(self, capsys, files):
         code, doc, _ = run(
@@ -471,6 +506,104 @@ class TestNonArrayItems:
     def test_iso_exits_1(self, capsys, files, tmp_path, graph_doc, message):
         code, doc, err = run(capsys, "iso", files["host"], write(tmp_path / "g.json", graph_doc))
         assert (code, doc, err) == (1, None, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"nodes": []}', b"[" * 100_000, b'{"nodes": [{"id": ' + b"1" * 5000 + b', "label": "a"}]}'],
+    ids=["not-utf8", "deeply-nested", "over-long-integer"],
+)
+class TestHostileJson:
+    """A file that is not UTF-8, nests deeper than the decoder follows or
+    holds an integer too long to convert is a format error (exit 1), not an
+    internal one."""
+
+    def test_validate_exits_1(self, capsys, tmp_path, content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        code, doc, err = run(capsys, "validate", str(path))
+        assert (code, doc) == (1, None)
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+
+    def test_iso_exits_1(self, capsys, files, tmp_path, content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        code, doc, err = run(capsys, "iso", files["host"], str(path))
+        assert (code, doc) == (1, None)
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
+class TestUnwritableOutput:
+    """An output path in a directory that does not exist exits 1, with a
+    message that names the path."""
+
+    @pytest.mark.parametrize("option", ["--out", "--trace", "--dot"])
+    def test_apply(self, capsys, files, tmp_path, option):
+        paths = {"--out": tmp_path / "H.json", "--trace": tmp_path / "H.trace.json", "--dot": tmp_path / "H.dot"}
+        paths[option] = tmp_path / "missing" / paths[option].name
+        outputs = [x for flag, path in paths.items() for x in (flag, str(path))]
+        code, doc, err = run(capsys, "apply", files["delete_x"], files["host"], *outputs)
+        assert (code, doc) == (1, None)
+        assert err.startswith("error: ") and str(paths[option]) in err
+
+    @pytest.mark.parametrize("option", ["--out", "--report", "--dot"])
+    def test_commute(self, capsys, files, tmp_path, option):
+        paths = {"--out": tmp_path / "Gp.json", "--report": tmp_path / "Gp.report.json", "--dot": tmp_path / "Gp.dot"}
+        paths[option] = tmp_path / "missing" / paths[option].name
+        outputs = [x for flag, path in paths.items() for x in (flag, str(path))]
+        code, doc, err = run(
+            capsys, "commute", files["delete_x"], files["create_c"], files["host"],
+            "--match1", "0", "--match2", "0", *outputs,
+        )
+        assert (code, doc) == (1, None)
+        assert err.startswith("error: ") and str(paths[option]) in err
+
+    def test_gen_into_a_file(self, capsys, files):
+        code, doc, err = run(capsys, "gen", "--out", files["host"])
+        assert (code, doc) == (1, None)
+        assert err.startswith("error: ") and files["host"] in err
+
+
+class TestIso:
+    def test_shuffled_copy_exits_0_with_a_witness_that_preserves_the_structure(self, capsys, tmp_path):
+        rng = random.Random(5)
+        g = randgen.random_graph(rng, 12, 20, min_nodes=12)
+        nodes, edges = sorted(g.nodes), sorted(g.edges)
+        h = renumber(g, dict(zip(nodes, rng.sample(range(100), len(nodes)))),
+                     dict(zip(edges, rng.sample(range(100), len(edges)))))
+        files = [write(tmp_path / name, io.graph_to_json(x)) for name, x in (("g.json", g), ("h.json", h))]
+        code, doc, _ = run(capsys, "iso", *files)
+        assert code == 0 and doc["isomorphic"] is True
+        witness = doc["witness"]
+        m = Morphism(
+            g, h,
+            {int(k): v for k, v in witness["node_map"].items()},
+            {int(k): v for k, v in witness["edge_map"].items()},
+        )
+        assert validate_morphism(m).ok
+        assert sorted(m.fv.values()) == sorted(h.nodes) and sorted(m.fe.values()) == sorted(h.edges)
+
+    def test_non_isomorphic_pair_exits_3_without_a_witness(self, capsys, files, tmp_path):
+        # the host with its y-edge relabelled x
+        other = write(tmp_path / "other.json", io.graph_to_json(
+            graph({0: "a", 1: "a", 2: "b"}, {0: (0, 1, "x"), 1: (1, 2, "x")})
+        ))
+        code, doc, _ = run(capsys, "iso", files["host"], other)
+        assert (code, doc) == (3, {"isomorphic": False, "witness": None})
+
+
+class TestGen:
+    def test_one_seed_writes_the_same_bytes_twice_and_every_file_validates(self, capsys, tmp_path):
+        runs = []
+        for name in ("first", "second"):
+            code, doc, _ = run(capsys, "gen", "--seed", "7", "--out", str(tmp_path / name))
+            assert code == 0
+            runs.append({Path(p).name: Path(p).read_bytes() for p in doc["written"]})
+        assert runs[0] == runs[1]
+        assert sorted(runs[0]) == [f"graph_{i}.json" for i in range(4)] + [f"rule_{i}.json" for i in range(2)]
+        for name in runs[0]:
+            code, doc, _ = run(capsys, "validate", str(tmp_path / "first" / name))
+            assert (code, doc["kind"], doc["ok"]) == (0, name.split("_")[0], True)
 
 
 def indented(text: str) -> str:

@@ -20,7 +20,6 @@ from dpo.morphism import (
     Morphism,
     identity,
     is_injective,
-    is_surjective,
     validate_morphism,
 )
 
@@ -28,6 +27,7 @@ from .oracles import (
     brute_force_pullback,
     is_bijective,
     is_inclusion,
+    is_surjective,
     reference_dangling_edges,
     reference_deletion,
     reference_gluing,

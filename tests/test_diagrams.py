@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -26,11 +27,15 @@ from dpo.morphism import (
     enumerate_morphisms,
     identity,
     is_injective,
-    is_surjective,
     morphisms_agree,
 )
 
-from .oracles import pullback_chain_condition
+from .oracles import (
+    is_surjective,
+    pullback_chain_condition,
+    reference_is_pullback,
+    reference_jointly_surjective,
+)
 from .strategies import squares
 
 
@@ -45,8 +50,8 @@ def random_gluing_square(rng, **kwargs) -> Square:
     return Square(ab=b, ac=d, bd=result.h, cd=result.c)
 
 
-def random_pullback_square(rng) -> Square:
-    f, g = randgen.random_cospan(rng)
+def random_pullback_square(rng, **kwargs) -> Square:
+    f, g = randgen.random_cospan(rng, **kwargs)
     result = pullback_construct(f, g)
     return Square(ab=result.b, ac=result.c, bd=f, cd=g)
 
@@ -94,10 +99,10 @@ class TestReducedChainCondition:
         assert report.counterexample == ("node", 0, 0)
 
 
-def outcome(check, sq):
+def outcome(check, *args):
     """A check's report, or the message of the PreconditionError it raised."""
     try:
-        return check(sq)
+        return check(*args)
     except PreconditionError as exc:
         return f"raised: {exc}"
 
@@ -270,6 +275,117 @@ class TestIsPullback:
         swap = Morphism(g, g, {0: 1, 1: 0}, {})
         with pytest.raises(PreconditionError):
             is_pullback(Square(ab=i, ac=i, bd=swap, cd=i))
+
+
+LEGS = {"ab": ("A", "B"), "ac": ("A", "C"), "bd": ("B", "D"), "cd": ("C", "D")}
+CORRUPTIONS = ("none", "shrink", "merge", "alias", "move", "relabel")
+
+
+def relabelled(rng, g):
+    """``g`` with the label of one node or edge changed, if it has one."""
+    nodes = dict(g.nlabel)
+    edges = {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in g.edges}
+    if edges and (not nodes or rng.random() < 0.5):
+        e = rng.choice(sorted(edges))
+        s, t, label = edges[e]
+        edges[e] = (s, t, "y" if label == "x" else "x")
+    elif nodes:
+        v = rng.choice(sorted(nodes))
+        nodes[v] = rng.choice([x for x in randgen.NODE_LABELS if x != nodes[v]])
+    return graph(nodes, edges)
+
+
+def corrupted_square(rng) -> tuple[str, Square]:
+    """A canonical pullback square of a random cospan into a target of at
+    most three nodes and five edges, where parallel edges and loops are
+    common, or now and then a gluing square; then one corruption, named
+    first: none; ``shrink``, an apex item dropped; ``merge``, two apex nodes
+    made one, which keeps the first one's images; ``alias``, an apex item
+    added with the images of another; ``move``, one item of one leg sent
+    elsewhere in its target; or ``relabel``, one label of one corner changed."""
+    if rng.random() < 0.2:
+        sq = random_gluing_square(rng)
+    else:
+        sq = random_pullback_square(rng, max_target_nodes=3)
+    corners = {"B": sq.B, "C": sq.C, "D": sq.D}
+    maps = {leg: (dict(m.fv), dict(m.fe)) for leg, m in zip(LEGS, (sq.ab, sq.ac, sq.bd, sq.cd))}
+    A = sq.A
+    nodes = dict(A.nlabel)
+    edges = {e: (A.src[e], A.tgt[e], A.elabel[e]) for e in A.edges}
+    kind = rng.choice(CORRUPTIONS)
+    if kind == "shrink" and nodes:
+        if edges and rng.random() < 0.5:
+            del edges[rng.choice(sorted(edges))]
+        else:
+            v = rng.choice(sorted(nodes))
+            del nodes[v]
+            edges = {e: x for e, x in edges.items() if v not in x[:2]}
+    elif kind == "merge" and len(nodes) > 1:
+        i, j = rng.sample(sorted(nodes), 2)
+        del nodes[j]
+        edges = {e: (i if s == j else s, i if t == j else t, label) for e, (s, t, label) in edges.items()}
+    elif kind == "alias" and nodes:
+        if edges and rng.random() < 0.5:
+            e, new = rng.choice(sorted(edges)), max(edges) + 1
+            edges[new] = edges[e]
+            for leg in ("ab", "ac"):
+                maps[leg][1][new] = maps[leg][1][e]
+        else:
+            v, new = rng.choice(sorted(nodes)), max(nodes) + 1
+            nodes[new] = nodes[v]
+            for leg in ("ab", "ac"):
+                maps[leg][0][new] = maps[leg][0][v]
+    for leg in ("ab", "ac"):
+        fv, fe = maps[leg]
+        maps[leg] = ({v: fv[v] for v in nodes}, {e: fe[e] for e in edges})
+    corners["A"] = graph(nodes, edges)
+    if kind == "move":
+        leg = rng.choice(sorted(LEGS))
+        target = corners[LEGS[leg][1]]
+        fv, fe = maps[leg]
+        if fe and rng.random() < 0.5:
+            fe[rng.choice(sorted(fe))] = rng.choice(sorted(target.edges))
+        elif fv:
+            fv[rng.choice(sorted(fv))] = rng.choice(sorted(target.nodes))
+    elif kind == "relabel":
+        corner = rng.choice("ABCD")
+        corners[corner] = relabelled(rng, corners[corner])
+    return kind, Square(**{leg: Morphism(corners[s], corners[t], *maps[leg]) for leg, (s, t) in LEGS.items()})
+
+
+class TestAgainstTheCanonicalPullbackObject:
+    """``is_pullback`` decides on the agreeing pairs, and
+    ``jointly_surjective`` by set difference; the references build the
+    canonical pullback and its mediating morphism, and scan the target in
+    order. Reports and ``PreconditionError`` messages must be the same."""
+
+    def test_two_thousand_corrupted_squares(self):
+        rng = random.Random(2024)
+        verdicts, shapes = Counter(), Counter()
+        for _ in range(2000):
+            kind, sq = corrupted_square(rng)
+            expected = outcome(reference_is_pullback, sq)
+            assert outcome(is_pullback, sq) == expected, kind
+            assert outcome(jointly_surjective, sq.bd, sq.cd) == outcome(reference_jointly_surjective, sq.bd, sq.cd)
+            verdicts[expected if isinstance(expected, str) else expected.failed_clause] += 1
+            D = sq.D
+            ends = [(D.src[e], D.tgt[e]) for e in D.edges]
+            shapes["loop"] += any(s == t for s, t in ends)
+            shapes["parallel"] += len(set(ends)) < len(ends)
+        assert set(verdicts) >= {
+            None,
+            "mediating map not a morphism",
+            "mediating map not injective",
+            "mediating map not surjective",
+            "raised: is_pullback: square does not commute",
+            "raised: pullback_construct: f or g does not preserve edge endpoints",
+        }
+        assert shapes["loop"] >= 100 and shapes["parallel"] >= 100
+
+    @given(squares())
+    def test_hypothesis_squares(self, sq):
+        assert outcome(is_pullback, sq) == outcome(reference_is_pullback, sq)
+        assert outcome(jointly_surjective, sq.bd, sq.cd) == outcome(reference_jointly_surjective, sq.bd, sq.cd)
 
 
 class TestSquareComposition:

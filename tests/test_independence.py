@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from dpo import diagrams, independence, randgen
+from dpo.constructions import inclusion
 from dpo.errors import DependentDerivationsError, InternalConsistencyError, PreconditionError
 from dpo.graph import Graph, graph, is_isomorphic
 from dpo.independence import (
@@ -305,9 +306,10 @@ class TestSharedContext:
         seen = []
         certify = independence.certify_pushout
 
-        def spy(ab, ac, bd, square):
-            seen.append(square())
-            return certify(ab, ac, bd, square)
+        def spy(ab, ac, bd):
+            # certify_pushout's square: its cd is the inclusion of C in D
+            seen.append(diagrams.Square(ab, ac, bd, inclusion(ac.target, bd.target)))
+            return certify(ab, ac, bd)
 
         monkeypatch.setattr(independence, "certify_pushout", spy)
         witness = parallel_independent(pair)

@@ -5,7 +5,9 @@ for any document, whichever of its column-wise fast paths or its general
 path renders each part. The column-wise readers must return what the
 entry-by-entry loops return, or raise :class:`FormatError` with the same
 message, on well-formed documents and on documents with one corruption.
-A derivation's trace must rebuild its result graph from its input graph.
+The rule and square loaders must return only well-formed objects, or raise
+:class:`FormatError`, whatever the one corruption. A derivation's trace
+must rebuild its result graph from its input graph.
 """
 
 import copy
@@ -18,12 +20,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpo import io, randgen
+from dpo.constructions import gluing, pullback_construct
+from dpo.diagrams import Square
 from dpo.errors import FormatError
-from dpo.graph import graph
-from dpo.morphism import Morphism
-from dpo.rewriting import Match, Rule, apply
+from dpo.graph import graph, validate_graph
+from dpo.morphism import Morphism, validate_morphism
+from dpo.rewriting import Match, Rule, apply, validate_rule
 
 from .oracles import reference_graph_from_json, reference_intmap, reference_save_json, replay
+from .strategies import cospans, extensions, graphs, rules
 
 # labels that need escaping, or are not ASCII, next to plain ones
 TEXT = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\t\x00\x7f{}:,é€😀'), max_size=6)
@@ -203,6 +208,105 @@ class TestIntmap:
     def test_agrees_with_the_reference(self, obj):
         expected = outcome(reference_intmap, copy.deepcopy(obj), "fv")
         assert outcome(io._intmap, obj, "fv") == expected
+
+
+@st.composite
+def square_documents(draw) -> dict:
+    """An inline square document whose legs are morphisms: the gluing
+    square of an injective span, or the canonical pullback of a cospan."""
+    if draw(st.booleans()):
+        k = draw(graphs(max_nodes=3, max_edges=2))
+        b, d = draw(extensions(k)), draw(extensions(k))
+        glued = gluing(b, d)
+        sq = Square(ab=b, ac=d, bd=glued.h, cd=glued.c)
+    else:
+        f, g = draw(cospans())
+        pb = pullback_construct(f, g)
+        sq = Square(ab=pb.b, ac=pb.c, bd=f, cd=g)
+    corners = {key: io.graph_to_json(getattr(sq, key)) for key in "ABCD"}
+    return {**corners, **{leg: io.morphism_to_json(getattr(sq, leg)) for leg in ("ab", "ac", "bd", "cd")}}
+
+
+def spots(doc):
+    """Every ``(container, key)`` under ``doc``, outside in."""
+    for key, value in list(doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from spots(value)
+
+
+CORRUPTIONS = ("none", "deleted key", "wrong type", "out-of-range id", "changed label", "extra map entry")
+
+
+@st.composite
+def corrupted(draw, documents, kind=None):
+    """A document with one corruption of ``kind``, drawn if not given: a key
+    deleted, a value of the wrong type, an id or map value out of range, a
+    label changed, or an entry added to an ``fv``/``fe`` map. Where the
+    document has no place for that kind, it is left as it is."""
+    doc = draw(documents)
+    kind = kind or draw(st.sampled_from(CORRUPTIONS))
+    places = {
+        "deleted key": [(c, k) for c, k in spots(doc) if isinstance(c, dict)],
+        "wrong type": list(spots(doc)),
+        "out-of-range id": [(c, k) for c, k in spots(doc) if type(c[k]) is int],
+        "changed label": [(c, k) for c, k in spots(doc) if k == "label"],
+        "extra map entry": [(c, k) for c, k in spots(doc) if k in ("fv", "fe") and isinstance(c[k], dict)],
+    }.get(kind)
+    if places:
+        container, key = draw(st.sampled_from(places))
+        if kind == "deleted key":
+            del container[key]
+        elif kind == "wrong type":
+            container[key] = draw(BAD_VALUES | st.sampled_from([1.5, "x", [0]]))
+        elif kind == "out-of-range id":
+            container[key] = 99
+        elif kind == "changed label":
+            container[key] = draw(st.sampled_from([x for x in "abcxy" if x != container[key]]))
+        else:
+            container[key][str(draw(st.integers(0, 12)))] = draw(st.integers(0, 12))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def load(tmp_path_factory):
+    """A loader's result on a document written to a file, or ``None`` if it
+    raised :class:`FormatError`; any other exception fails the test."""
+    directory = tmp_path_factory.mktemp("loaders")
+
+    def read(loader, doc):
+        path = directory / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            return loader(path)
+        except FormatError:
+            return None
+
+    return read
+
+
+class TestLoadersReturnOnlyWellFormedObjects:
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted(rules().map(io.rule_to_json)))
+    def test_rule_documents(self, load, doc):
+        rule = load(io.load_rule, doc)
+        assert rule is None or validate_rule(rule).ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted(square_documents()))
+    def test_square_documents(self, load, doc):
+        self.assert_well_formed(load(io.load_square, doc))
+
+    @settings(max_examples=100, deadline=None)
+    @given(corrupted(square_documents(), kind="changed label"))
+    def test_square_documents_with_a_changed_label(self, load, doc):
+        self.assert_well_formed(load(io.load_square, doc))
+
+    @staticmethod
+    def assert_well_formed(sq):
+        if sq is not None:
+            assert all(validate_graph(g).ok for g in (sq.A, sq.B, sq.C, sq.D))
+            assert all(validate_morphism(m).ok for m in (sq.ab, sq.ac, sq.bd, sq.cd))
 
 
 def rewire() -> Rule:

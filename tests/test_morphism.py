@@ -2,17 +2,18 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpo import randgen
 from dpo.errors import PreconditionError
-from dpo.graph import graph
+from dpo.constructions import inclusion
+from dpo.graph import Graph, graph
 from dpo.morphism import (
     Morphism,
     compose,
     enumerate_morphisms,
     identity,
     is_injective,
-    is_surjective,
     morphisms_agree,
     validate_morphism,
 )
@@ -22,8 +23,10 @@ from .oracles import (
     invert,
     is_bijective,
     is_inclusion,
+    is_surjective,
     morphism_axioms_ok,
     reference_enumerate_morphisms,
+    reference_validate_morphism,
     renumber,
 )
 from .strategies import graphs
@@ -54,6 +57,78 @@ class TestValidateMorphism:
         h = graph({0: "a", 1: "a", 2: "a"}, {0: (2, 1, "x")})
         report = validate_morphism(Morphism(g, h, {0: 0, 1: 1}, {0: 0}))
         assert any(v.clause == "source not preserved" for v in report.violations)
+
+
+@st.composite
+def inclusions(draw) -> Morphism:
+    """The identity inclusion of a subgraph, often with one change: a label
+    or an endpoint of the target changed, a map entry moved, dropped or
+    added, or a target edge with an end outside the subgraph added to it."""
+    h = draw(graphs(max_nodes=5, max_edges=6))
+    nodes = {v: h.nlabel[v] for v in h.nodes if draw(st.booleans())}
+    edges = {
+        e: (h.src[e], h.tgt[e], h.elabel[e])
+        for e in sorted(h.edges)
+        if h.src[e] in nodes and h.tgt[e] in nodes and draw(st.booleans())
+    }
+    g = graph(nodes, edges)
+    m = inclusion(g, h)
+    fv, fe = dict(m.fv), dict(m.fe)
+    kind = draw(st.sampled_from(["none", "label", "endpoint", "move", "drop", "add", "dangling"]))
+    if kind == "label" and h.nodes:
+        v = draw(st.sampled_from(sorted(h.nodes)))
+        h = graph({**h.nlabel, v: "c"}, {e: (h.src[e], h.tgt[e], h.elabel[e]) for e in h.edges})
+    elif kind == "endpoint" and h.edges:
+        e = draw(st.sampled_from(sorted(h.edges)))
+        ends = {x: (h.src[x], h.tgt[x], h.elabel[x]) for x in h.edges}
+        ends[e] = (draw(st.sampled_from(sorted(h.nodes))), h.tgt[e], h.elabel[e])
+        h = graph(h.nlabel, ends)
+    elif kind == "move" and fe and draw(st.booleans()):
+        fe[draw(st.sampled_from(sorted(fe)))] = draw(st.sampled_from(sorted(h.edges)))
+    elif kind == "move" and fv:
+        fv[draw(st.sampled_from(sorted(fv)))] = draw(st.sampled_from(sorted(h.nodes)))
+    elif kind == "drop" and (fv or fe):
+        f = fe if fe and draw(st.booleans()) else fv
+        if f:
+            del f[draw(st.sampled_from(sorted(f)))]
+    elif kind == "add":
+        (fe if draw(st.booleans()) else fv)[draw(st.integers(0, 9))] = draw(st.integers(0, 9))
+    elif kind == "dangling":
+        outside = sorted(e for e in h.edges if e not in edges and not {h.src[e], h.tgt[e]} <= nodes.keys())
+        if outside:
+            e = draw(st.sampled_from(outside))
+            g = graph(nodes, {**edges, e: (h.src[e], h.tgt[e], h.elabel[e])})
+            fe[e] = e
+    return Morphism(g, h, fv, fe)
+
+
+class TestValidateMorphismAgainstTheLoop:
+    """An identity inclusion passes by whole-set tests; any other map runs
+    the loop, kept in ``tests/oracles.py``. The reports must be the same."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(inclusions())
+    def test_inclusions_with_one_change(self, m):
+        assert validate_morphism(m) == reference_validate_morphism(m)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, violation",
+        [({0}, {0}, "fv out of target nodes: node 1"), ({0, 1}, set(), "fe out of target edges: edge 0")],
+        ids=["node", "edge"],
+    )
+    def test_target_maps_wider_than_its_items(self, nodes, edges, violation):
+        # the target's maps name node 1 and edge 0, but its item sets may not
+        g = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+        h = Graph(frozenset(nodes), frozenset(edges), dict(g.src), dict(g.tgt), dict(g.nlabel), dict(g.elabel))
+        m = Morphism(g, h, {0: 0, 1: 1}, {0: 0})
+        assert validate_morphism(m) == reference_validate_morphism(m)
+        assert str(validate_morphism(m).violations[0]) == violation
+
+    def test_random_morphisms(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            m = randgen.random_morphism_into(rng, randgen.random_graph(rng))
+            assert validate_morphism(m) == reference_validate_morphism(m)
 
 
 class TestCompose:

@@ -486,7 +486,7 @@ class TestLocalCertification:
                 general = is_pushout_injective(bad)
                 assert not general
                 assert not _local_pushout(bad.ab, bad.ac, bad.bd)
-                assert certify_pushout(bad.ab, bad.ac, bad.bd, lambda: bad) == general
+                assert certify_pushout(bad.ab, bad.ac, bad.bd) == general
 
     def test_each_corruption_fails_the_clause_it_breaks(self):
         rule, match = _node_deleting()
@@ -507,7 +507,7 @@ class TestLocalCertification:
         sq = Square(ab=identity(two), ac=fold, bd=fold, cd=identity(one))
         assert not _local_pushout(sq.ab, sq.ac, sq.bd)
         with pytest.raises(PreconditionError, match="not injective"):
-            certify_pushout(sq.ab, sq.ac, sq.bd, lambda: sq)
+            certify_pushout(sq.ab, sq.ac, sq.bd)
 
     def test_apply_builds_neither_inclusion(self):
         derivation = apply(*_node_deleting())
