@@ -10,9 +10,12 @@ unless ``--json`` is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import random
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import io, randgen
 from .diagrams import is_pullback, is_pushout_injective
@@ -61,6 +64,28 @@ def _load_match(selector_index: int | None, selector_file: str | None, rule, hos
     return matches[index]
 
 
+def _write_all(outputs: list[tuple[str, Callable[[str], object]]]) -> None:
+    """Call each writer on a temporary file beside its target, then move all
+    the files into place: an output that cannot be written leaves no output
+    behind and every existing file as it was. Only a move that fails, say
+    onto a directory, leaves the outputs moved before it in place."""
+    moves: list[tuple[str, str]] = []
+    try:
+        for i, (target, write) in enumerate(outputs):
+            moves.append((f"{target}.{os.getpid()}.{i}.tmp", target))
+            write(moves[-1][0])
+        for tmp, target in moves:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        for tmp, _ in moves:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the output that failed, not its temporary file
+            raise OSError(exc.errno, exc.strerror, target) from exc
+        raise
+
+
 def _parse_selector(value: str) -> tuple[int | None, str | None]:
     try:
         return int(value), None
@@ -71,7 +96,7 @@ def _parse_selector(value: str) -> tuple[int | None, str | None]:
 def cmd_validate(args: argparse.Namespace) -> int:
     doc = io.load_json(args.path)
     if isinstance(doc, dict) and {"L", "K", "R"} <= set(doc):
-        kind, report = "rule", validate_rule(io.rule_from_json(doc))
+        kind, report = "rule", validate_rule(*io.rule_parts_from_json(doc))
     elif isinstance(doc, dict) and "nodes" in doc:
         kind, report = "graph", validate_graph(io.graph_from_json(doc))
     elif isinstance(doc, dict) and "fv" in doc:
@@ -121,11 +146,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
     rule = io.load_rule(args.rule)
     host = io.load_graph(args.graph)
     derivation = apply(rule, _load_match(args.match_index, args.match, rule, host))
-    io.save_json(io.graph_to_json(derivation.H), args.out)
     trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
-    io.save_json(io.derivation_trace_json(derivation), trace_path)
+    outputs = [
+        (args.out, lambda path: io.save_json(io.graph_to_json(derivation.H), path)),
+        (trace_path, lambda path: io.save_json(io.derivation_trace_json(derivation), path)),
+    ]
     if args.dot:
-        Path(args.dot).write_text(io.to_dot(derivation.H), encoding="utf-8")
+        outputs.append((args.dot, lambda path: Path(path).write_text(io.to_dot(derivation.H), encoding="utf-8")))
+    _write_all(outputs)
     _emit(
         {
             "out": str(args.out),
@@ -207,11 +235,14 @@ def cmd_commute(args: argparse.Namespace) -> int:
         "iso": io.iso_witness_to_json(result.iso),
         "squares": io.check_report_to_json(squares),
     }
-    io.save_json(io.graph_to_json(result.Gp), args.out)
     report_path = args.report or str(Path(args.out).with_suffix("")) + ".report.json"
-    io.save_json(report, report_path)
+    outputs = [
+        (args.out, lambda path: io.save_json(io.graph_to_json(result.Gp), path)),
+        (report_path, lambda path: io.save_json(report, path)),
+    ]
     if args.dot:
-        Path(args.dot).write_text(io.to_dot(result.Gp), encoding="utf-8")
+        outputs.append((args.dot, lambda path: Path(path).write_text(io.to_dot(result.Gp), encoding="utf-8")))
+    _write_all(outputs)
     _emit(
         {"out": str(args.out), "report": str(report_path), "nodes": len(result.Gp.nodes)},
         f"commuted; wrote {args.out}",

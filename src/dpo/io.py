@@ -16,14 +16,14 @@ relative path.
 
 The loaders return only well-formed objects: every graph
 :func:`load_graph` or :func:`load_square` reads passes
-:func:`~dpo.graph.validate_graph`, every rule :func:`load_rule` reads
-passes :func:`~dpo.rewriting.validate_rule`, and every map a verb loads as
-a morphism, square legs and match files alike, passes
-:func:`~dpo.morphism.validate_morphism` (:func:`checked_morphism`);
+:func:`~dpo.graph.validate_graph`, every rule is checked once, when
+:func:`rule_from_json` builds it (see :class:`~dpo.rewriting.Rule`), and
+every map a verb loads as a morphism, square legs and match files alike,
+passes :func:`~dpo.morphism.validate_morphism` (:func:`checked_morphism`);
 anything else raises :class:`FormatError` naming the first violation, as
 does a file that cannot be read, is not UTF-8, is not JSON or nests too
-deeply to decode. Only ``dpo validate`` reads documents past these checks,
-to report every violation.
+deeply to decode. Only ``dpo validate`` reads documents past these checks
+(:func:`rule_parts_from_json`), to report every violation.
 
 Every document is written as exactly the bytes of ``json.dump(doc, fh,
 indent=2, sort_keys=True)`` and a newline (:func:`write_json`). Writer and
@@ -45,10 +45,10 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .constructions import deleted_items
 from .diagrams import CheckReport, Square
-from .errors import FormatError
+from .errors import FormatError, PreconditionError
 from .graph import Graph, IsoWitness, validate_graph
 from .morphism import Morphism, validate_morphism
-from .rewriting import DirectDerivation, Rule, validate_rule
+from .rewriting import DirectDerivation, Rule
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -221,6 +221,13 @@ def rule_to_json(rule: Rule) -> dict:
 
 
 def rule_from_json(doc: Any) -> Rule:
+    """The rule of a rule document; parts that do not form a rule raise
+    :class:`PreconditionError`, as :class:`~dpo.rewriting.Rule` does."""
+    return Rule(*rule_parts_from_json(doc))
+
+
+def rule_parts_from_json(doc: Any) -> tuple[Graph, Graph, Graph, Morphism, Morphism]:
+    """``L, K, R, b, r`` of a rule document, unchecked, for ``dpo validate``."""
     if not isinstance(doc, dict):
         raise FormatError("rule document must be an object")
     for key in ("L", "K", "R", "b", "r"):
@@ -229,13 +236,7 @@ def rule_from_json(doc: Any) -> Rule:
     L = graph_from_json(doc["L"])
     K = graph_from_json(doc["K"])
     R = graph_from_json(doc["R"])
-    return Rule(
-        L=L,
-        K=K,
-        R=R,
-        b=morphism_from_json(doc["b"], K, L),
-        r=morphism_from_json(doc["r"], K, R),
-    )
+    return L, K, R, morphism_from_json(doc["b"], K, L), morphism_from_json(doc["r"], K, R)
 
 
 def check_report_to_json(report: CheckReport) -> dict:
@@ -413,14 +414,12 @@ def _graph_at(value: Any, base: Path, where: str) -> Graph:
 
 
 def load_rule(path: str | Path) -> Rule:
-    """Load a rule file; a rule that :func:`validate_rule` rejects raises
-    :class:`FormatError` naming the first violation, so an ill-formed rule
-    never reaches the search. :func:`rule_from_json` does not validate."""
-    rule = rule_from_json(load_json(path))
-    report = validate_rule(rule)
-    if not report.ok:
-        raise FormatError(f"{path}: invalid rule: {report.violations[0]}")
-    return rule
+    """Load a rule file; parts that do not form a rule raise
+    :class:`FormatError` naming the first violation :class:`Rule` found."""
+    try:
+        return rule_from_json(load_json(path))
+    except PreconditionError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_morphism(path: str | Path, source: Graph | None = None, target: Graph | None = None) -> Morphism:

@@ -1,9 +1,8 @@
 """Seeded random generators for desk-scale test corpora.
 
 Everything is driven by a caller-supplied :class:`random.Random`, so corpora
-are reproducible from a seed. Morphisms are generated source-from-target
-(each source item picks its image first), which makes validity hold by
-construction; injective morphisms are generated as random embeddings.
+are reproducible from a seed. Injective morphisms are generated as random
+embeddings, so rules are valid by construction.
 """
 
 from __future__ import annotations
@@ -11,11 +10,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .errors import DanglingConditionError
 from .graph import Graph, graph
 from .morphism import Morphism
-from .rewriting import Match, Rule, apply
-from .independence import ParallelPair
+from .rewriting import Rule
 
 NODE_LABELS: Sequence[str] = ("a", "b", "c")
 EDGE_LABELS: Sequence[str] = ("x", "y")
@@ -38,35 +35,6 @@ def random_graph(
     return graph(nodes, edges)
 
 
-def random_morphism_into(
-    rng: random.Random,
-    target: Graph,
-    max_nodes: int = 6,
-    max_edges: int = 8,
-) -> Morphism:
-    """A random valid morphism into ``target``, built source-from-target."""
-    t_nodes = sorted(target.nodes)
-    t_edges = sorted(target.edges)
-    n = rng.randint(0, max_nodes) if t_nodes else 0
-    fv = {v: rng.choice(t_nodes) for v in range(n)}
-    nodes = {v: target.nlabel[fv[v]] for v in range(n)}
-    preimages: dict[int, list[int]] = {}
-    for v, w in fv.items():
-        preimages.setdefault(w, []).append(v)
-    edges = {}
-    fe = {}
-    if t_edges and n:
-        e_id = 0
-        for _ in range(rng.randint(0, max_edges)):
-            te = rng.choice(t_edges)
-            us = preimages.get(target.src[te], ())
-            vs = preimages.get(target.tgt[te], ())
-            if not us or not vs:
-                continue
-            edges[e_id] = (rng.choice(us), rng.choice(vs), target.elabel[te])
-            fe[e_id] = te
-            e_id += 1
-    return Morphism(graph(nodes, edges), target, fv, fe)
 
 
 def random_embedding(
@@ -126,18 +94,6 @@ def random_span(
     return b, d
 
 
-def random_cospan(
-    rng: random.Random,
-    max_target_nodes: int = 5,
-    max_target_edges: int = 5,
-    max_source_nodes: int = 5,
-    max_source_edges: int = 5,
-) -> tuple[Morphism, Morphism]:
-    """Two morphisms ``f: B -> D`` and ``g: C -> D`` into a shared target."""
-    d = random_graph(rng, max_target_nodes, max_target_edges)
-    f = random_morphism_into(rng, d, max_source_nodes, max_source_edges)
-    g = random_morphism_into(rng, d, max_source_nodes, max_source_edges)
-    return f, g
 
 
 def random_rule(
@@ -149,143 +105,3 @@ def random_rule(
 ) -> Rule:
     b, r = random_span(rng, max_interface_nodes, max_interface_edges, extra_nodes, extra_edges)
     return Rule(L=b.target, K=b.source, R=r.target, b=b, r=r)
-
-
-def random_rule_with_match(
-    rng: random.Random,
-    max_interface_nodes: int = 2,
-    extra_nodes: int = 2,
-    extra_edges: int = 2,
-    junk_nodes: int = 2,
-    junk_edges: int = 2,
-) -> tuple[Rule, Match]:
-    """A rule together with an applicable (dangling-safe) match.
-
-    The host is built around an embedded copy of the left-hand side; stray
-    edges only attach to preserved images or to fresh nodes, so the dangling
-    condition holds by construction.
-    """
-    rule = random_rule(rng, max_interface_nodes, 1, extra_nodes, extra_edges)
-    preserved = {rule.b.fv[k] for k in rule.K.nodes}
-    m = random_embedding(
-        rng,
-        rule.L,
-        extra_nodes=rng.randint(0, junk_nodes),
-        extra_edges=rng.randint(0, junk_edges),
-        attach_nodes=preserved,
-    )
-    return rule, Match(m)
-
-
-def _disjoint_double_embedding(
-    rng: random.Random,
-    L1: Graph,
-    L2: Graph,
-    host_extra_nodes: int,
-    host_extra_edges: int,
-    attach1: set[int],
-    attach2: set[int],
-    share: tuple[int, int] | None,
-    node_labels: Sequence[str] = NODE_LABELS,
-    edge_labels: Sequence[str] = EDGE_LABELS,
-) -> tuple[Morphism, Morphism]:
-    n1 = len(L1.nodes)
-    mv1 = {v: i for i, v in enumerate(sorted(L1.nodes))}
-    mv2 = {v: n1 + i for i, v in enumerate(sorted(L2.nodes))}
-    if share is not None:
-        v1, v2 = share
-        mv2[v2] = mv1[v1]
-    nodes = {mv1[v]: L1.nlabel[v] for v in L1.nodes}
-    nodes.update({mv2[v]: L2.nlabel[v] for v in L2.nodes})
-    fresh_start = n1 + len(L2.nodes)
-    fresh = list(range(fresh_start, fresh_start + host_extra_nodes))
-    for v in fresh:
-        nodes[v] = rng.choice(node_labels)
-
-    me1 = {e: i for i, e in enumerate(sorted(L1.edges))}
-    me2 = {e: len(L1.edges) + i for i, e in enumerate(sorted(L2.edges))}
-    edges: dict[int, tuple[int, int, str]] = {}
-    for e in L1.edges:
-        edges[me1[e]] = (mv1[L1.src[e]], mv1[L1.tgt[e]], L1.elabel[e])
-    for e in L2.edges:
-        edges[me2[e]] = (mv2[L2.src[e]], mv2[L2.tgt[e]], L2.elabel[e])
-    allowed = sorted(set(fresh) | {mv1[v] for v in attach1} | {mv2[v] for v in attach2})
-    next_e = len(L1.edges) + len(L2.edges)
-    if allowed:
-        for e in range(next_e, next_e + host_extra_edges):
-            edges[e] = (rng.choice(allowed), rng.choice(allowed), rng.choice(edge_labels))
-    host = graph(nodes, edges)
-    return Morphism(L1, host, mv1, me1), Morphism(L2, host, mv2, me2)
-
-
-def random_parallel_independent_pair(
-    rng: random.Random,
-    max_interface_nodes: int = 2,
-    extra_nodes: int = 2,
-    extra_edges: int = 2,
-    junk_nodes: int = 2,
-    junk_edges: int = 2,
-) -> ParallelPair:
-    """Two derivations from one host that are parallel independent by
-    construction: the matches overlap at most in one preserved node."""
-    rule1 = random_rule(rng, max_interface_nodes, 1, extra_nodes, extra_edges)
-    rule2 = random_rule(rng, max_interface_nodes, 1, extra_nodes, extra_edges)
-    preserved1 = {rule1.b.fv[k] for k in rule1.K.nodes}
-    preserved2 = {rule2.b.fv[k] for k in rule2.K.nodes}
-    share = None
-    if rng.random() < 0.5:
-        candidates = [
-            (v1, v2)
-            for v1 in sorted(preserved1)
-            for v2 in sorted(preserved2)
-            if rule1.L.nlabel[v1] == rule2.L.nlabel[v2]
-        ]
-        if candidates:
-            share = rng.choice(candidates)
-    m1, m2 = _disjoint_double_embedding(
-        rng,
-        rule1.L,
-        rule2.L,
-        rng.randint(0, junk_nodes),
-        rng.randint(0, junk_edges),
-        attach1=preserved1,
-        attach2=preserved2,
-        share=share,
-    )
-    return ParallelPair(apply(rule1, Match(m1)), apply(rule2, Match(m2)))
-
-
-def random_parallel_pair(rng: random.Random, max_attempts: int = 40) -> ParallelPair:
-    """Two applicable derivations from one host, independent or not.
-
-    Matches may overlap on arbitrary same-label nodes; attempts whose
-    matches are not applicable are discarded, falling back to an
-    independent-by-construction pair.
-    """
-    for _ in range(max_attempts):
-        rule1 = random_rule(rng, 2, 1, 2, 2)
-        rule2 = random_rule(rng, 2, 1, 2, 2)
-        share = None
-        candidates = [
-            (v1, v2)
-            for v1 in sorted(rule1.L.nodes)
-            for v2 in sorted(rule2.L.nodes)
-            if rule1.L.nlabel[v1] == rule2.L.nlabel[v2]
-        ]
-        if candidates and rng.random() < 0.7:
-            share = rng.choice(candidates)
-        m1, m2 = _disjoint_double_embedding(
-            rng,
-            rule1.L,
-            rule2.L,
-            rng.randint(0, 2),
-            rng.randint(0, 2),
-            attach1=set(rule1.L.nodes),
-            attach2=set(rule2.L.nodes),
-            share=share,
-        )
-        try:
-            return ParallelPair(apply(rule1, Match(m1)), apply(rule2, Match(m2)))
-        except DanglingConditionError:
-            continue
-    return random_parallel_independent_pair(rng)

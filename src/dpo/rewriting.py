@@ -22,13 +22,18 @@ from .morphism import Morphism, enumerate_morphisms, identity, is_injective, val
 
 @dataclass(frozen=True)
 class Rule:
-    """A span ``L <- K -> R`` with injective morphisms ``b`` and ``r``."""
+    """A span ``L <- K -> R`` of injective morphisms ``b``, ``r``, checked when built."""
 
     L: Graph
     K: Graph
     R: Graph
     b: Morphism
     r: Morphism
+
+    def __post_init__(self) -> None:
+        report = validate_rule(self.L, self.K, self.R, self.b, self.r)
+        if not report.ok:
+            raise PreconditionError(f"invalid rule: {report.violations[0]}")
 
 
 def identity_rule(g: Graph) -> Rule:
@@ -78,13 +83,13 @@ class DirectDerivation:
         return Square(ab=self.rule.r, ac=self.deletion.d, bd=self.gluing.h, cd=self.gluing.c)
 
 
-def validate_rule(rule: Rule) -> ValidationReport:
-    """Check graphs, morphism endpoints, morphism validity and injectivity."""
+def validate_rule(L: Graph, K: Graph, R: Graph, b: Morphism, r: Morphism) -> ValidationReport:
+    """Check the parts of a rule: graphs, morphism endpoints, validity, injectivity."""
     bad: list[Violation] = []
-    for name, g in (("L", rule.L), ("K", rule.K), ("R", rule.R)):
+    for name, g in (("L", L), ("K", K), ("R", R)):
         for v in validate_graph(g).violations:
             bad.append(Violation(f"graph {name}: {v.clause}", v.item))
-    for name, m, src, tgt in (("b", rule.b, rule.K, rule.L), ("r", rule.r, rule.K, rule.R)):
+    for name, m, src, tgt in (("b", b, K, L), ("r", r, K, R)):
         if m.source != src or m.target != tgt:
             bad.append(Violation(f"{name} endpoint mismatch", name))
             continue
@@ -123,9 +128,9 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
     """Apply ``rule`` at ``match``: deletion then gluing.
 
     ``fresh_offset`` shifts the identifiers allocated for created items; the
-    result is the same up to isomorphism for any offset. Each check runs once
-    per call: the rule and the match are validated here; the match's
-    injectivity and the dangling condition are checked by
+    result is the same up to isomorphism for any offset. The rule was checked
+    when it was built; each check on the match runs once per call: its
+    validity here; its source, its injectivity and the dangling condition in
     :func:`~dpo.constructions.deletion`, which raises
     :class:`PreconditionError` and :class:`DanglingConditionError`; and both
     constructed squares are certified here against the pushout
@@ -138,11 +143,6 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
     is the identity inclusion :func:`~dpo.diagrams.certify_pushout` needs,
     and the context inclusions ``deletion.c`` and ``gluing.c`` are not built.
     """
-    rv = validate_rule(rule)
-    if not rv.ok:
-        raise PreconditionError(f"apply: invalid rule: {rv.violations[0]}")
-    if match.m.source != rule.L:
-        raise PreconditionError("apply: match source is not the rule's left-hand side")
     mv = validate_morphism(match.m)
     if not mv.ok:
         raise PreconditionError(f"apply: invalid match: {mv.violations[0]}")

@@ -5,6 +5,7 @@ written to a temporary directory; the package entry points are run once each
 in a subprocess.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import dpo
-from dpo import cli, io, randgen
+from dpo import cli, io, randgen, rewriting
 from dpo.cli import main
 from dpo.graph import graph
 from dpo.morphism import Morphism, identity, validate_morphism
@@ -126,10 +127,10 @@ class TestApply:
         assert not out.exists()
 
     def test_invalid_rule_exits_1(self, capsys, files, tmp_path):
-        k = graph({0: "a", 1: "a"})
-        l = graph({0: "a"})
-        bad = Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 0}, {}), r=identity(k))
-        rule = write(tmp_path / "bad.json", io.rule_to_json(bad))
+        k = io.graph_to_json(graph({0: "a", 1: "a"}))
+        l = io.graph_to_json(graph({0: "a"}))
+        bad = {"L": l, "K": k, "R": k, "b": {"fv": {"0": 0, "1": 0}, "fe": {}}, "r": {"fv": {"0": 0, "1": 1}, "fe": {}}}
+        rule = write(tmp_path / "bad.json", bad)
         code, doc, err = run(capsys, "apply", rule, files["host"], "--out", str(tmp_path / "H.json"))
         assert code == 1
         assert doc is None
@@ -535,28 +536,34 @@ class TestHostileJson:
 
 class TestUnwritableOutput:
     """An output path in a directory that does not exist exits 1, with a
-    message that names the path."""
+    message that names the path, and leaves no output or temporary file
+    behind: an ``--out`` file that existed before is left as it was."""
+
+    @staticmethod
+    def assert_fails_leaving_nothing(capsys, tmp_path, argv, paths, option):
+        paths[option] = tmp_path / "missing" / paths[option].name
+        outputs = [x for flag, path in paths.items() for x in (flag, str(path))]
+        if option != "--out":
+            paths["--out"].write_text("before\n")
+        before = sorted(tmp_path.iterdir())
+        code, doc, err = run(capsys, *argv, *outputs)
+        assert (code, doc) == (1, None)
+        assert err == f"error: [Errno 2] No such file or directory: '{paths[option]}'\n"
+        assert sorted(tmp_path.iterdir()) == before
+        if option != "--out":
+            assert paths["--out"].read_text() == "before\n"
 
     @pytest.mark.parametrize("option", ["--out", "--trace", "--dot"])
     def test_apply(self, capsys, files, tmp_path, option):
         paths = {"--out": tmp_path / "H.json", "--trace": tmp_path / "H.trace.json", "--dot": tmp_path / "H.dot"}
-        paths[option] = tmp_path / "missing" / paths[option].name
-        outputs = [x for flag, path in paths.items() for x in (flag, str(path))]
-        code, doc, err = run(capsys, "apply", files["delete_x"], files["host"], *outputs)
-        assert (code, doc) == (1, None)
-        assert err.startswith("error: ") and str(paths[option]) in err
+        argv = ["apply", files["delete_x"], files["host"]]
+        self.assert_fails_leaving_nothing(capsys, tmp_path, argv, paths, option)
 
     @pytest.mark.parametrize("option", ["--out", "--report", "--dot"])
     def test_commute(self, capsys, files, tmp_path, option):
         paths = {"--out": tmp_path / "Gp.json", "--report": tmp_path / "Gp.report.json", "--dot": tmp_path / "Gp.dot"}
-        paths[option] = tmp_path / "missing" / paths[option].name
-        outputs = [x for flag, path in paths.items() for x in (flag, str(path))]
-        code, doc, err = run(
-            capsys, "commute", files["delete_x"], files["create_c"], files["host"],
-            "--match1", "0", "--match2", "0", *outputs,
-        )
-        assert (code, doc) == (1, None)
-        assert err.startswith("error: ") and str(paths[option]) in err
+        argv = ["commute", files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+        self.assert_fails_leaving_nothing(capsys, tmp_path, argv, paths, option)
 
     def test_gen_into_a_file(self, capsys, files):
         code, doc, err = run(capsys, "gen", "--out", files["host"])
@@ -592,7 +599,69 @@ class TestIso:
         assert (code, doc) == (3, {"isomorphic": False, "witness": None})
 
 
+class TestRuleCheckedOncePerFile:
+    """Each rule file is checked once, when its rule is built; applying the
+    rule checks it no more."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch, files) -> list:
+        calls, original = [], rewriting.validate_rule
+
+        def counting(*parts):
+            calls.append(parts)
+            return original(*parts)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dpo"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("verb, count", [("apply", 1), ("independent", 2), ("commute", 2)])
+    def test_validate_rule_runs_once_per_rule_file(self, capsys, files, tmp_path, calls, verb, count):
+        if verb == "apply":
+            argv = ["apply", files["delete_x"], files["host"], "--out", str(tmp_path / "H.json")]
+        else:
+            argv = [verb, files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+            if verb == "commute":
+                argv += ["--out", str(tmp_path / "Gp.json")]
+        code, _, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (0, count)
+
+
 class TestGen:
+    # the sha256 of every file two seeded runs write, recorded before the
+    # generators that only tests use moved out of dpo.randgen
+    SHA256 = {
+        ("--seed", "0"): {
+            "graph_0.json": "efcf9a26a9f532b711e6c289c02e76e1a93c8b2f5bf8cdda603f9c3ad4e9c0be",
+            "graph_1.json": "a4d68cf19a380cb3f8ad1f37fb9f3604c0167716c53c1f10df899387dfa365b9",
+            "graph_2.json": "3970797c9134879f19ed12525faaf714b884459ded8b2dffb4375ce3d7a7b8b8",
+            "graph_3.json": "16e1922e778015c4490f6595b14e8db08f9f8281059cd5b8ea4c0c81faf10d80",
+            "rule_0.json": "155da3efa8f28f18c67bfd493df3123e22a0d3129fc70f2713461bc435247f6d",
+            "rule_1.json": "75c849ce320508ead13c4ede4da3b51cec8b80adfe69504e2ba5967e9b3e084a",
+        },
+        ("--seed", "7", "--graphs", "6", "--rules", "4"): {
+            "graph_0.json": "205adce4e9b2090793957f3e113857d54b5bde8a712d8f4786b30fa6860f6350",
+            "graph_1.json": "8657af7032f150516a7289bb7774205e2eecad747573c5404fd3c01107f18fe0",
+            "graph_2.json": "e658e52f6ec507c676ec585e470708f189ae355c455a86789c7ecb4014cb68e3",
+            "graph_3.json": "8657af7032f150516a7289bb7774205e2eecad747573c5404fd3c01107f18fe0",
+            "graph_4.json": "3a82037ad5d6c51267fc7729d81898ba4fbb43652f60e7ffeaff3b1f622253fb",
+            "graph_5.json": "ff45a2ae23f1528200d2af7cc446439b69fa59e3cb855ee8a1254739b7e9e978",
+            "rule_0.json": "fda90271ea38c8364ace4b2bac14def636b913d414659757aa3320f54f05c5da",
+            "rule_1.json": "e333d7b226dc4ef32e4a59f224648e92abc994998853157ebeaa7b47d3ffccdb",
+            "rule_2.json": "6af56d7147c1e8894e24c04c1c83f4e446c698b01742ffc6e34f65631baa9fe6",
+            "rule_3.json": "98b9fcac7911e20b6c74d9ac4cf8d2f35dfd9194fc8ef97b705b44c0c3fb6818",
+        },
+    }
+
+    @pytest.mark.parametrize("options", list(SHA256), ids=["seed-0", "seed-7-larger"])
+    def test_seeded_corpus_bytes_are_pinned(self, capsys, tmp_path, options):
+        code, doc, _ = run(capsys, "gen", *options, "--out", str(tmp_path))
+        assert code == 0
+        digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in doc["written"]}
+        assert digests == self.SHA256[options]
+
     def test_one_seed_writes_the_same_bytes_twice_and_every_file_validates(self, capsys, tmp_path):
         runs = []
         for name in ("first", "second"):

@@ -23,6 +23,7 @@ from dpo.morphism import (
     validate_morphism,
 )
 
+from .generators import random_cospan, random_rule_with_match
 from .oracles import (
     brute_force_pullback,
     is_bijective,
@@ -150,7 +151,7 @@ class TestDeletion:
     def test_left_square_is_a_pushout_on_random_instances(self):
         rng = random.Random(23)
         for _ in range(50):
-            rule, match = randgen.random_rule_with_match(rng)
+            rule, match = random_rule_with_match(rng)
             result = deletion(rule.b, match.m)
             sq = Square(ab=rule.b, ac=result.d, bd=match.m, cd=result.c)
             assert is_pushout_injective(sq)
@@ -160,7 +161,7 @@ class TestDeletion:
     def test_delete_then_reglue_restores_the_host(self):
         rng = random.Random(29)
         for _ in range(40):
-            rule, match = randgen.random_rule_with_match(rng)
+            rule, match = random_rule_with_match(rng)
             removed = deletion(rule.b, match.m)
             back = gluing(rule.b, removed.d)
             assert is_isomorphic(back.H, match.m.target) is not None
@@ -204,7 +205,7 @@ class TestPullbackConstruct:
     def test_projections_return_pair_components(self):
         rng = random.Random(31)
         for _ in range(40):
-            f, g = randgen.random_cospan(rng)
+            f, g = random_cospan(rng)
             result = pullback_construct(f, g)
             assert validate_graph(result.A).ok
             assert validate_morphism(result.b).ok

@@ -30,6 +30,7 @@ from dpo.morphism import (
     morphisms_agree,
 )
 
+from .generators import random_cospan, random_morphism_into
 from .oracles import (
     is_surjective,
     pullback_chain_condition,
@@ -51,7 +52,7 @@ def random_gluing_square(rng, **kwargs) -> Square:
 
 
 def random_pullback_square(rng, **kwargs) -> Square:
-    f, g = randgen.random_cospan(rng, **kwargs)
+    f, g = random_cospan(rng, **kwargs)
     result = pullback_construct(f, g)
     return Square(ab=result.b, ac=result.c, bd=f, cd=g)
 
@@ -236,10 +237,10 @@ class TestIsPullback:
 
     def test_dropping_a_pair_breaks_surjectivity_of_the_mediator(self):
         rng = random.Random(9)
-        f, g = randgen.random_cospan(rng, max_target_nodes=3, max_source_nodes=3)
+        f, g = random_cospan(rng, max_target_nodes=3, max_source_nodes=3)
         result = pullback_construct(f, g)
         while not result.A.nodes:
-            f, g = randgen.random_cospan(rng, max_target_nodes=3, max_source_nodes=3)
+            f, g = random_cospan(rng, max_target_nodes=3, max_source_nodes=3)
             result = pullback_construct(f, g)
         victim = max(
             (v for v in result.A.nodes
@@ -422,11 +423,11 @@ class TestSquareComposition:
         rng = random.Random(13)
         for _ in range(25):
             f_graph = randgen.random_graph(rng, 4, 4)
-            w = randgen.random_morphism_into(rng, f_graph, 4, 4)
-            u = randgen.random_morphism_into(rng, f_graph, 4, 4)
+            w = random_morphism_into(rng, f_graph, 4, 4)
+            u = random_morphism_into(rng, f_graph, 4, 4)
             pb2 = pullback_construct(u, w)
             sq2 = Square(ab=pb2.b, ac=pb2.c, bd=u, cd=w)
-            g_leg = randgen.random_morphism_into(rng, w.source, 4, 4)
+            g_leg = random_morphism_into(rng, w.source, 4, 4)
             pb1 = pullback_construct(pb2.c, g_leg)
             sq1 = Square(ab=pb1.b, ac=pb1.c, bd=pb2.c, cd=g_leg)
             composed = compose_squares_horizontal(sq1, sq2)

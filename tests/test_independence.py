@@ -27,6 +27,7 @@ from dpo.rewriting import (
     identity_rule,
 )
 
+from .generators import random_parallel_independent_pair, random_parallel_pair
 from .oracles import (
     exhaustive_parallel_witness_exists,
     is_inclusion,
@@ -90,7 +91,7 @@ class TestParallelIndependent:
     def test_forced_candidate_agrees_with_exhaustive_search(self):
         rng = random.Random(47)
         for _ in range(40):
-            pair = randgen.random_parallel_pair(rng)
+            pair = random_parallel_pair(rng)
             assert (parallel_independent(pair) is not None) == exhaustive_parallel_witness_exists(pair)
 
 
@@ -147,7 +148,7 @@ class TestResidualMatch:
     def test_residuals_are_valid_injective_and_applicable(self):
         rng = random.Random(53)
         for _ in range(30):
-            pair = randgen.random_parallel_independent_pair(rng)
+            pair = random_parallel_independent_pair(rng)
             witness = parallel_independent(pair)
             assert witness is not None
             m2p, m1p = residual_match(pair, witness)
@@ -197,7 +198,7 @@ class TestCommute:
     def test_swapped_pair_gives_isomorphic_result(self):
         rng = random.Random(59)
         for _ in range(15):
-            pair = randgen.random_parallel_independent_pair(rng)
+            pair = random_parallel_independent_pair(rng)
             forward = commute(pair)
             backward = commute(ParallelPair(pair.d2, pair.d1))
             assert is_isomorphic(forward.Gp, backward.Gp) is not None
@@ -205,7 +206,7 @@ class TestCommute:
     def test_composites_are_sequentially_independent(self):
         rng = random.Random(61)
         for _ in range(15):
-            pair = randgen.random_parallel_independent_pair(rng)
+            pair = random_parallel_independent_pair(rng)
             result = commute(pair)
             assert sequential_independent(pair.d1, result.e1) is not None
             assert sequential_independent(pair.d2, result.e2) is not None
@@ -235,7 +236,7 @@ class TestVerifyCommutationSquares:
     def test_generated_instances_pass(self):
         rng = random.Random(67)
         for _ in range(20):
-            pair = randgen.random_parallel_independent_pair(rng)
+            pair = random_parallel_independent_pair(rng)
             witness = parallel_independent(pair)
             result = commute(pair)
             report = verify_commutation_squares(pair, witness, result)
@@ -333,7 +334,7 @@ class TestSharedContext:
     def test_generated_pairs(self, monkeypatch):
         rng = random.Random(71)
         for _ in range(20):
-            self.assert_decomposition(monkeypatch, randgen.random_parallel_independent_pair(rng))
+            self.assert_decomposition(monkeypatch, random_parallel_independent_pair(rng))
             monkeypatch.undo()
 
     def test_a_600_node_pair(self, monkeypatch):
@@ -372,7 +373,7 @@ class TestNoHostSizedPass:
     def test_generated_pairs(self, monkeypatch):
         rng = random.Random(79)
         for _ in range(30):
-            self.assert_local_pass(monkeypatch, randgen.random_parallel_independent_pair(rng))
+            self.assert_local_pass(monkeypatch, random_parallel_independent_pair(rng))
 
     def test_a_600_node_pair(self, monkeypatch):
         self.assert_local_pass(monkeypatch, large_pair(seed=3, n=600))
@@ -422,7 +423,7 @@ class TestCorruptedWitness:
         rng = random.Random(73)
         checked = 0
         while checked < 60:
-            pair = randgen.random_parallel_independent_pair(rng)
+            pair = random_parallel_independent_pair(rng)
             witness = parallel_independent(pair)
             name = rng.choice(("j1", "j2"))
             moved = one_item_moved(rng, getattr(witness, name), pair.d1.G)
@@ -540,7 +541,7 @@ class TestAgainstReference:
         rng = random.Random(83)
         seen = Counter()
         for _ in range(200):
-            for name, pair, witness, result in self.variants(rng, randgen.random_parallel_independent_pair(rng)):
+            for name, pair, witness, result in self.variants(rng, random_parallel_independent_pair(rng)):
                 report = verify_commutation_squares(pair, witness, result)
                 assert report == reference_verify_commutation_squares(pair, witness, result), name
                 seen[name, report.verdict] += 1
@@ -562,7 +563,7 @@ class TestAgainstReference:
         rng = random.Random(3)
         checked = 0
         while checked < 100:
-            pair = randgen.random_parallel_independent_pair(rng)
+            pair = random_parallel_independent_pair(rng)
             result = with_partial_comatch(rng, commute(pair))
             if result is None:
                 continue

@@ -27,6 +27,7 @@ from dpo.graph import graph, validate_graph
 from dpo.morphism import Morphism, validate_morphism
 from dpo.rewriting import Match, Rule, apply, validate_rule
 
+from .generators import random_rule_with_match
 from .oracles import reference_graph_from_json, reference_intmap, reference_save_json, replay
 from .strategies import cospans, extensions, graphs, rules
 
@@ -290,7 +291,7 @@ class TestLoadersReturnOnlyWellFormedObjects:
     @given(corrupted(rules().map(io.rule_to_json)))
     def test_rule_documents(self, load, doc):
         rule = load(io.load_rule, doc)
-        assert rule is None or validate_rule(rule).ok
+        assert rule is None or validate_rule(rule.L, rule.K, rule.R, rule.b, rule.r).ok
 
     @settings(max_examples=200, deadline=None)
     @given(corrupted(square_documents()))
@@ -340,7 +341,7 @@ class TestDerivationTrace:
     def test_replay_on_the_input_gives_the_result(self):
         rng = random.Random(41)
         for _ in range(150):
-            rule, match = randgen.random_rule_with_match(rng)
+            rule, match = random_rule_with_match(rng)
             dd = apply(rule, match, fresh_offset=rng.choice([None, 0, 7, 40]))
             trace = json.loads(json.dumps(io.derivation_trace_json(dd)))
             assert replay(io.graph_to_json(dd.G), trace) == io.graph_to_json(dd.H)

@@ -18,6 +18,7 @@ from dpo.morphism import (
     validate_morphism,
 )
 
+from .generators import random_morphism_into
 from .oracles import (
     brute_force_morphism_count,
     invert,
@@ -127,7 +128,7 @@ class TestValidateMorphismAgainstTheLoop:
     def test_random_morphisms(self):
         rng = random.Random(17)
         for _ in range(300):
-            m = randgen.random_morphism_into(rng, randgen.random_graph(rng))
+            m = random_morphism_into(rng, randgen.random_graph(rng))
             assert validate_morphism(m) == reference_validate_morphism(m)
 
 
@@ -154,8 +155,8 @@ class TestCompose:
         rng = random.Random(3)
         for _ in range(200):
             k = randgen.random_graph(rng, max_nodes=6, max_edges=6)
-            g = randgen.random_morphism_into(rng, k, max_nodes=6, max_edges=6)
-            f = randgen.random_morphism_into(rng, g.source, max_nodes=6, max_edges=6)
+            g = random_morphism_into(rng, k, max_nodes=6, max_edges=6)
+            f = random_morphism_into(rng, g.source, max_nodes=6, max_edges=6)
             gf = compose(g, f)
             assert validate_morphism(gf).ok
             assert morphism_axioms_ok(gf.source, gf.target, gf.fv, gf.fe)
@@ -238,9 +239,9 @@ class TestMorphismsAgree:
         rng = random.Random(17)
         for _ in range(50):
             k = randgen.random_graph(rng, max_nodes=4, max_edges=4)
-            h = randgen.random_morphism_into(rng, k, 4, 4)
-            g = randgen.random_morphism_into(rng, h.source, 4, 4)
-            f = randgen.random_morphism_into(rng, g.source, 4, 4)
+            h = random_morphism_into(rng, k, 4, 4)
+            g = random_morphism_into(rng, h.source, 4, 4)
+            f = random_morphism_into(rng, g.source, 4, 4)
             assert morphisms_agree(compose(h, compose(g, f)), compose(compose(h, g), f))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_match
 
-from dpo import randgen
+from dpo import rewriting
 from dpo.diagrams import Square, _local_pushout, certify_pushout, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, PreconditionError
 from dpo.graph import Graph, graph, incidence_if_built, is_isomorphic
@@ -23,6 +23,7 @@ from dpo.rewriting import (
     validate_rule,
 )
 
+from .generators import random_rule_with_match
 from .oracles import derivations_isomorphic, reference_incidence
 from .strategies import rules_with_matches
 
@@ -43,21 +44,80 @@ def node_creation_rule(label: str = "b") -> Rule:
 
 class TestValidateRule:
     def test_identity_rule_is_ok(self):
-        assert validate_rule(identity_rule(graph({0: "a"}, {0: (0, 0, "x")}))).ok
+        rule = identity_rule(graph({0: "a"}, {0: (0, 0, "x")}))
+        assert validate_rule(rule.L, rule.K, rule.R, rule.b, rule.r).ok
 
     def test_non_injective_b_is_reported(self):
         k = graph({0: "a", 1: "a"})
         l = graph({0: "a"})
-        rule = Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 0}, {}), r=identity(k))
-        report = validate_rule(rule)
+        report = validate_rule(l, k, k, Morphism(k, l, {0: 0, 1: 0}, {}), identity(k))
         assert any("b not injective" == v.clause for v in report.violations)
 
     def test_wrong_endpoint_is_reported(self):
         k = graph({0: "a"})
         other = graph({0: "a", 1: "a"})
-        rule = Rule(L=k, K=k, R=k, b=identity(k), r=identity(other))
-        report = validate_rule(rule)
+        report = validate_rule(k, k, k, identity(k), identity(other))
         assert any("endpoint mismatch" in v.clause for v in report.violations)
+
+
+class TestRuleIsCheckedWhenBuilt:
+    """Every clause of :func:`validate_rule` that a rule's parts break makes
+    :class:`Rule` raise, naming that clause as the first violation."""
+
+    # the parts of a rule that deletes an x-edge and creates a b-node, and a
+    # graph whose only edge ends at a missing node
+    K = graph({0: "a", 1: "a"})
+    L = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+    R = graph({0: "a", 1: "a", 2: "b"})
+    PARTS = {"L": L, "K": K, "R": R, "b": Morphism(K, L, {0: 0, 1: 1}, {}), "r": Morphism(K, R, {0: 0, 1: 1}, {})}
+    ILL_FORMED = graph({0: "a"}, {0: (0, 5, "x")})
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ({"L": ILL_FORMED}, "graph L: tgt out of V: edge 0"),
+            ({"K": ILL_FORMED}, "graph K: tgt out of V: edge 0"),
+            ({"R": ILL_FORMED}, "graph R: tgt out of V: edge 0"),
+            ({"b": identity(K)}, "b endpoint mismatch: b"),
+            ({"r": identity(K)}, "r endpoint mismatch: r"),
+            ({"b": Morphism(K, L, {0: 0}, {})}, "b: fv not total on source nodes: node 1"),
+            ({"r": Morphism(K, R, {0: 0, 1: 9}, {})}, "r: fv out of target nodes: node 1"),
+            ({"b": Morphism(K, L, {0: 0, 1: 0}, {})}, "b not injective: b"),
+            ({"r": Morphism(K, R, {0: 1, 1: 1}, {})}, "r not injective: r"),
+        ],
+        ids=[
+            "graph-L", "graph-K", "graph-R", "b-endpoint", "r-endpoint",
+            "b-not-a-morphism", "r-not-a-morphism", "b-not-injective", "r-not-injective",
+        ],
+    )
+    def test_a_broken_clause_raises_naming_it(self, broken, message):
+        parts = {**self.PARTS, **broken}
+        with pytest.raises(PreconditionError) as exc:
+            Rule(**parts)
+        assert str(exc.value) == f"invalid rule: {message}"
+        assert str(validate_rule(**parts).violations[0]) == message
+
+    def test_identity_rule_of_an_ill_formed_graph_raises(self):
+        with pytest.raises(PreconditionError, match="invalid rule: graph L: tgt out of V: edge 0"):
+            identity_rule(self.ILL_FORMED)
+
+    def test_no_search_on_an_lhs_with_a_dangling_edge(self):
+        # this rule used to be built, and to find no match anywhere
+        empty = graph({})
+        with pytest.raises(PreconditionError, match="graph L: tgt out of V"):
+            find_matches(
+                Rule(L=self.ILL_FORMED, K=empty, R=empty, b=Morphism(empty, self.ILL_FORMED, {}, {}), r=identity(empty)),
+                graph({0: "a"}),
+            )
+
+    def test_no_dangling_verdict_on_a_non_injective_b(self):
+        # this rule used to be built, and to pass the dangling check
+        l, k = graph({0: "a"}), self.K
+        with pytest.raises(PreconditionError, match="b not injective"):
+            dangling_condition(
+                Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 0}, {}), r=identity(k)),
+                Match(identity(l)),
+            )
 
 
 class TestFindMatches:
@@ -223,14 +283,22 @@ class TestApply:
     def test_invalid_rule_raises_precondition(self):
         k = graph({0: "a", 1: "a"})
         l = graph({0: "a"})
-        bad = Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 0}, {}), r=identity(k))
         with pytest.raises(PreconditionError):
-            apply(bad, Match(identity(l)))
+            apply(Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 0}, {}), r=identity(k)), Match(identity(l)))
+
+    def test_checks_no_rule_across_100_applications(self, monkeypatch):
+        rng = random.Random(43)
+        instances = [random_rule_with_match(rng) for _ in range(100)]
+        calls, check = [], rewriting.validate_rule
+        monkeypatch.setattr(rewriting, "validate_rule", lambda *parts: calls.append(parts) or check(*parts))
+        for rule, match in instances:
+            apply(rule, match)
+        assert calls == []
 
     def test_both_squares_hold_on_random_instances(self):
         rng = random.Random(37)
         for _ in range(40):
-            rule, match = randgen.random_rule_with_match(rng)
+            rule, match = random_rule_with_match(rng)
             derivation = apply(rule, match)
             assert is_pushout_injective(derivation.left_square)
             assert is_pushout_injective(derivation.right_square)
@@ -248,7 +316,7 @@ class TestDerivationsIsomorphic:
     def test_fresh_offsets_do_not_matter(self):
         rng = random.Random(41)
         for _ in range(30):
-            rule, match = randgen.random_rule_with_match(rng)
+            rule, match = random_rule_with_match(rng)
             d1 = apply(rule, match, fresh_offset=0)
             d2 = apply(rule, match, fresh_offset=50)
             assert derivations_isomorphic(d1, d2)
@@ -289,7 +357,7 @@ class TestPushoutComplementUniqueness:
         rng = random.Random(43)
         instances = 0
         while instances < 12:
-            rule, match = randgen.random_rule_with_match(
+            rule, match = random_rule_with_match(
                 rng, max_interface_nodes=2, extra_nodes=1, extra_edges=1,
                 junk_nodes=1, junk_edges=1,
             )
