@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import random
 import sys
@@ -64,11 +65,28 @@ def _load_match(selector_index: int | None, selector_file: str | None, rule, hos
     return matches[index]
 
 
+def _is_a_directory(path: str) -> OSError:
+    return IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
+def _beside(out: str, suffix: str) -> str:
+    """The default path of a second output: ``out`` with ``suffix`` for its
+    own. An ``out`` with an empty name, such as ``.``, names a directory
+    and is refused here; :func:`_write_all` refuses any other directory."""
+    if not Path(out).name:
+        raise _is_a_directory(out)
+    return str(Path(out).with_suffix("")) + suffix
+
+
 def _write_all(outputs: list[tuple[str, Callable[[str], object]]]) -> None:
     """Call each writer on a temporary file beside its target, then move all
-    the files into place: an output that cannot be written leaves no output
-    behind and every existing file as it was. Only a move that fails, say
-    onto a directory, leaves the outputs moved before it in place."""
+    the files into place: an output that cannot be written, or whose target
+    is a directory, leaves no output behind and every existing file as it
+    was. Only a move that fails for another reason leaves the outputs moved
+    before it in place."""
+    for target, _ in outputs:
+        if os.path.isdir(target):
+            raise _is_a_directory(target)
     moves: list[tuple[str, str]] = []
     try:
         for i, (target, write) in enumerate(outputs):
@@ -146,7 +164,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     rule = io.load_rule(args.rule)
     host = io.load_graph(args.graph)
     derivation = apply(rule, _load_match(args.match_index, args.match, rule, host))
-    trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
+    trace_path = args.trace or _beside(args.out, ".trace.json")
     outputs = [
         (args.out, lambda path: io.save_json(io.graph_to_json(derivation.H), path)),
         (trace_path, lambda path: io.save_json(io.derivation_trace_json(derivation), path)),
@@ -235,7 +253,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
         "iso": io.iso_witness_to_json(result.iso),
         "squares": io.check_report_to_json(squares),
     }
-    report_path = args.report or str(Path(args.out).with_suffix("")) + ".report.json"
+    report_path = args.report or _beside(args.out, ".report.json")
     outputs = [
         (args.out, lambda path: io.save_json(io.graph_to_json(result.Gp), path)),
         (report_path, lambda path: io.save_json(report, path)),

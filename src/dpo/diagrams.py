@@ -8,10 +8,10 @@ Pullback recognition decides whether the mediating map into the canonical
 pullback is a bijective morphism without building that object: the pairs
 of B- and C-items that agree in D (:func:`pullback_pairs`, the join the
 reduced chain-condition reads) are its items, so the mediating map sends
-each A-item to its image pair, is a morphism when ``ab`` and ``ac`` carry
-A's endpoints along and ``ab`` its labels, is injective when no two A-items
-share a pair, and is surjective when every pair is some A-item's. These
-general checks read every item of all four corners.
+each A-item to its image pair, is injective when no two A-items share a
+pair, and is surjective when every pair is some A-item's. These general
+checks read every item of all four corners, but never re-check a square's
+wiring or legs: a :class:`Square` is checked once, when it is built.
 
 :func:`certify_pushout` is the one local certifier: for a square whose
 ``cd`` is an identity inclusion, it decides a pass over the items of A and
@@ -34,12 +34,28 @@ from .morphism import Morphism, compose, is_injective, morphisms_agree, validate
 
 @dataclass(frozen=True)
 class Square:
-    """Four morphisms wired as ``A -> B -> D`` and ``A -> C -> D``."""
+    """Four morphisms wired as ``A -> B -> D`` and ``A -> C -> D``, checked
+    when built: a mis-wired corner, or the first leg that is not a graph
+    morphism, raises :class:`PreconditionError` naming it."""
 
     ab: Morphism
     ac: Morphism
     bd: Morphism
     cd: Morphism
+
+    def __post_init__(self) -> None:
+        if self.ab.source != self.ac.source:
+            raise PreconditionError("square: ab and ac have different sources")
+        if self.ab.target != self.bd.source:
+            raise PreconditionError("square: ab.target differs from bd.source")
+        if self.ac.target != self.cd.source:
+            raise PreconditionError("square: ac.target differs from cd.source")
+        if self.bd.target != self.cd.target:
+            raise PreconditionError("square: bd and cd have different targets")
+        for leg in ("ab", "ac", "bd", "cd"):
+            report = validate_morphism(getattr(self, leg))
+            if not report.ok:
+                raise PreconditionError(f"square '{leg}': invalid morphism: {report.violations[0]}")
 
     @property
     def A(self) -> Graph:
@@ -70,20 +86,8 @@ class CheckReport:
         return self.verdict
 
 
-def _check_wiring(sq: Square) -> None:
-    if sq.ab.source != sq.ac.source:
-        raise PreconditionError("square: ab and ac have different sources")
-    if sq.ab.target != sq.bd.source:
-        raise PreconditionError("square: ab.target differs from bd.source")
-    if sq.ac.target != sq.cd.source:
-        raise PreconditionError("square: ac.target differs from cd.source")
-    if sq.bd.target != sq.cd.target:
-        raise PreconditionError("square: bd and cd have different targets")
-
-
 def commutes(sq: Square) -> CheckReport:
     """Whether ``bd after ab`` agrees with ``cd after ac`` on every item of A."""
-    _check_wiring(sq)
     for v in sorted(sq.A.nodes):
         if sq.bd.fv[sq.ab.fv[v]] != sq.cd.fv[sq.ac.fv[v]]:
             return CheckReport(False, "commutativity", ("node", v))
@@ -141,7 +145,6 @@ def is_pushout_injective(sq: Square) -> CheckReport:
     cospan are together equivalent to the pushout property in this scope.
     Non-injective inputs are outside the characterization's scope and raise.
     """
-    _check_wiring(sq)
     for name, m in (("ab", sq.ab), ("ac", sq.ac), ("bd", sq.bd), ("cd", sq.cd)):
         if not is_injective(m):
             raise PreconditionError(f"is_pushout_injective: morphism {name} not injective")
@@ -160,21 +163,15 @@ def is_pullback(sq: Square) -> CheckReport:
     The mediating map ``u`` sends each A-item to its pair ``(ab(a), ac(a))``
     among :func:`pullback_pairs`; the square is a pullback iff ``u`` is a
     bijective morphism into the canonical pullback object, whose items are
-    those pairs, labelled from B (pullbacks are unique up to iso). That
-    object is not built: each clause is decided on the pairs, and a failed
-    one names the first A-item, or the least pair, that breaks it.
+    those pairs, labelled from B (pullbacks are unique up to iso); it is a
+    morphism, as ``ab`` and ``ac`` are. That object is not built: each
+    clause is decided on the pairs, and a failed one names the first A-item,
+    or the least pair, that breaks it.
     """
     if not commutes(sq):
         raise PreconditionError("is_pullback: square does not commute")
     node_pairs, edge_pairs = pullback_pairs(sq.bd, sq.cd)
-    A, B, C, ab, ac = sq.A, sq.B, sq.C, sq.ab, sq.ac
-    if any(A.nlabel[a] != B.nlabel[ab.fv[a]] for a in A.nodes) or any(
-        A.elabel[a] != B.elabel[ab.fe[a]]
-        or (ab.fv[A.src[a]], ac.fv[A.src[a]]) != (B.src[ab.fe[a]], C.src[ac.fe[a]])
-        or (ab.fv[A.tgt[a]], ac.fv[A.tgt[a]]) != (B.tgt[ab.fe[a]], C.tgt[ac.fe[a]])
-        for a in A.edges
-    ):
-        return CheckReport(False, "mediating map not a morphism", ("apex",))
+    A, ab, ac = sq.A, sq.ab, sq.ac
     images = []
     for kind, items, f, g in (("node", A.nodes, ab.fv, ac.fv), ("edge", A.edges, ab.fe, ac.fe)):
         first: dict[tuple[int, int], int] = {}
@@ -202,8 +199,6 @@ def compose_squares_horizontal(sq1: Square, sq2: Square) -> Square:
     ``sq2``'s left edge (its ``ac``) must be the same morphism as ``sq1``'s
     right edge (its ``bd``); the result has composite top and bottom arrows.
     """
-    _check_wiring(sq1)
-    _check_wiring(sq2)
     shared = sq2.ac
     if shared.source != sq1.bd.source or shared.target != sq1.bd.target:
         raise PreconditionError("compose_squares_horizontal: shared edge endpoints differ")
@@ -245,7 +240,6 @@ def pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
     ``u after bd = p`` and ``u after cd = t``. Raises when the cospan does
     not factor (which for a genuine pushout means it did not commute).
     """
-    _check_wiring(sq)
     if p.source != sq.B or t.source != sq.C or p.target != t.target:
         raise PreconditionError("pushout_mediator: cospan endpoints do not fit the square")
     fv: dict[int, int] = {}
@@ -283,10 +277,12 @@ def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> CheckReport:
     decided in O(|A| + |B|).
 
     The square is ``ab: A -> B``, ``ac: A -> C``, ``bd: B -> D`` and ``cd``,
-    wired as :class:`Square` requires, where ``cd`` must be the identity
-    inclusion of ``C`` in ``D``, so that ``C``'s items are items of ``D``,
-    and ``bd`` must map into ``D``. Both hold for the squares of a
-    derivation, and of the Church–Rosser decomposition, by construction.
+    wired as :class:`Square` requires, where ``ab``, ``ac`` and ``bd`` must
+    be graph morphisms, since no clause below reads a label or an endpoint,
+    ``cd`` must be the identity inclusion of ``C`` in ``D``, so that ``C``'s
+    items are items of ``D``, and ``bd`` must map into ``D``. All hold for
+    the squares of a derivation, and of the Church–Rosser decomposition, by
+    construction.
     Then ``cd`` need not be read:
 
     - commutativity is ``bd(ab(a)) == ac(a)`` for every item ``a`` of A;

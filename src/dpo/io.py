@@ -16,14 +16,15 @@ relative path.
 
 The loaders return only well-formed objects: every graph
 :func:`load_graph` or :func:`load_square` reads passes
-:func:`~dpo.graph.validate_graph`, every rule is checked once, when
-:func:`rule_from_json` builds it (see :class:`~dpo.rewriting.Rule`), and
-every map a verb loads as a morphism, square legs and match files alike,
-passes :func:`~dpo.morphism.validate_morphism` (:func:`checked_morphism`);
-anything else raises :class:`FormatError` naming the first violation, as
-does a file that cannot be read, is not UTF-8, is not JSON or nests too
-deeply to decode. Only ``dpo validate`` reads documents past these checks
-(:func:`rule_parts_from_json`), to report every violation.
+:func:`~dpo.graph.validate_graph`, every rule and square is checked once,
+when it is built (see :class:`~dpo.rewriting.Rule`, and
+:class:`~dpo.diagrams.Square`, which validates its four legs), and every
+match file passes :func:`~dpo.morphism.validate_morphism`
+(:func:`checked_morphism`); anything else raises :class:`FormatError`
+naming the first violation, as does a file that cannot be read, is not
+UTF-8, is not JSON or nests too deeply to decode. Only ``dpo validate``
+reads documents past these checks (:func:`rule_parts_from_json`), to
+report every violation.
 
 Every document is written as exactly the bytes of ``json.dump(doc, fh,
 indent=2, sort_keys=True)`` and a newline (:func:`write_json`). Writer and
@@ -184,9 +185,10 @@ def _intmap(obj: Any, name: str) -> dict[int, int]:
 
     The fast path converts all keys with one ``list(map(int, obj))`` and
     accepts the map when keys and values pass C-level column tests (plain
-    non-negative ``int`` values, non-negative keys). Otherwise the loop
-    below checks entry by entry and raises :class:`FormatError` for the
-    first bad one, with the same message as the loop alone.
+    non-negative ``int`` values, non-negative keys, no id spelled twice, as
+    ``"0"`` and ``"00"`` would be). Otherwise the loop below checks entry by
+    entry and raises :class:`FormatError` for the first bad one, with the
+    same message as the loop alone.
     """
     if not isinstance(obj, dict):
         raise FormatError(f"'{name}' must be an object")
@@ -197,8 +199,10 @@ def _intmap(obj: Any, name: str) -> dict[int, int]:
     else:
         values = list(obj.values())
         if _naturals(values) and min(keys, default=0) >= 0:
-            return dict(zip(keys, values))
-    out: dict[int, int] = {}
+            out = dict(zip(keys, values))
+            if len(out) == len(obj):
+                return out
+    out = {}
     for k, v in obj.items():
         try:
             key = int(k)
@@ -206,6 +210,8 @@ def _intmap(obj: Any, name: str) -> dict[int, int]:
             raise FormatError(f"'{name}' key {k!r} is not an integer") from None
         if not isinstance(v, int) or isinstance(v, bool) or v < 0 or key < 0:
             raise FormatError(f"'{name}' entry {k!r}: {v!r} is not a non-negative integer")
+        if key in out:
+            raise FormatError(f"'{name}' key {k!r} repeats id {key}")
         out[key] = v
     return out
 
@@ -443,11 +449,11 @@ def load_square(path: str | Path) -> Square:
     """Load a square description: four corner graphs and four morphisms.
 
     Graph values and morphism values may be inline documents or strings,
-    which are read as paths relative to the square file. Every leg is a
-    morphism: one that :func:`~dpo.morphism.validate_morphism` rejects, say
-    a map that is partial, leaves its target or breaks a label or an
-    endpoint, raises :class:`FormatError` (see :func:`checked_morphism`),
-    so no check gives a verdict on a square of non-morphisms.
+    which are read as paths relative to the square file. All four legs are
+    read first; then :class:`~dpo.diagrams.Square` checks them, and the
+    first leg that is not a morphism, say a map that is partial, leaves its
+    target or breaks a label or an endpoint, raises :class:`FormatError`
+    naming the leg and its first violation.
     """
     doc = load_json(path)
     if not isinstance(doc, dict):
@@ -461,26 +467,25 @@ def load_square(path: str | Path) -> Square:
 
     graphs = {key: corner(key) for key in ("A", "B", "C", "D")}
 
-    def arrow(key: str, source: Graph, target: Graph) -> Morphism:
+    def arrow(key: str) -> Morphism:
         if key not in doc:
             raise FormatError(f"square document missing morphism '{key}'")
         value = doc[key]
         if isinstance(value, str):
             value = load_json(base / value)
-        return checked_morphism(morphism_from_json(value, source, target), f"{path} '{key}'")
+        return morphism_from_json(value, graphs[key[0].upper()], graphs[key[1].upper()])
 
-    return Square(
-        ab=arrow("ab", graphs["A"], graphs["B"]),
-        ac=arrow("ac", graphs["A"], graphs["C"]),
-        bd=arrow("bd", graphs["B"], graphs["D"]),
-        cd=arrow("cd", graphs["C"], graphs["D"]),
-    )
+    try:
+        return Square(**{key: arrow(key) for key in ("ab", "ac", "bd", "cd")})
+    except PreconditionError as exc:
+        # "square 'bd': invalid morphism: ..." -> "<path> 'bd': invalid morphism: ..."
+        raise FormatError(f"{path} {str(exc).removeprefix('square ')}") from exc
 
 
 def checked_morphism(m: Morphism, where: str) -> Morphism:
     """``m``, if it is a morphism; else :class:`FormatError` naming the first
-    :func:`~dpo.morphism.validate_morphism` violation. Every map a verb
-    loads as a morphism passes here."""
+    :func:`~dpo.morphism.validate_morphism` violation. Every match file a
+    verb loads passes here."""
     report = validate_morphism(m)
     if not report.ok:
         raise FormatError(f"{where}: invalid morphism: {report.violations[0]}")

@@ -24,6 +24,10 @@ the graph and morphism validators' item-by-item loops are kept here, where
 the engine decides a pass by whole-set tests. ``replay`` rebuilds a derivation's result
 document from its input document and its trace, reading documents only.
 
+``reference_square_error`` names the leg that building a square must
+reject, from the item-by-item morphism validator; ``built_square`` builds a
+square and checks it against that.
+
 The last few helpers are test utilities, not oracles: ``renumber``,
 ``is_inclusion``, ``is_surjective``, ``is_bijective``, ``invert`` and
 ``derivations_isomorphic`` are used only by tests.
@@ -545,6 +549,32 @@ def reference_validate_morphism(m: Morphism) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def reference_square_error(legs: Mapping[str, Morphism]) -> str | None:
+    """The message of the :class:`PreconditionError` that building a square
+    from four corner-to-corner wired ``legs`` must raise: the first leg, in
+    the order ``ab``, ``ac``, ``bd``, ``cd``, that is not a morphism, with
+    its first violation; ``None`` if all four are morphisms."""
+    for leg in ("ab", "ac", "bd", "cd"):
+        report = reference_validate_morphism(legs[leg])
+        if not report.ok:
+            return f"square '{leg}': invalid morphism: {report.violations[0]}"
+    return None
+
+
+def built_square(legs: Mapping[str, Morphism]) -> Square | None:
+    """The square of ``legs``, or ``None`` if it raised; either way after
+    checking that it raised exactly when, and what,
+    :func:`reference_square_error` says."""
+    expected = reference_square_error(legs)
+    try:
+        sq = Square(**legs)
+    except PreconditionError as exc:
+        assert str(exc) == expected, (str(exc), expected)
+        return None
+    assert expected is None, expected
+    return sq
+
+
 def replay(G_doc: dict, trace: dict) -> dict:
     """The result graph document of a derivation, rebuilt from the document
     of its input graph and its trace alone: ``G`` minus the deleted items,
@@ -627,7 +657,8 @@ def _reference_label(entry: dict, kind: str) -> str:
 
 def reference_intmap(obj: Any, name: str) -> dict[int, int]:
     """A morphism map with its string keys read as ``int``, checked entry by
-    entry; raises :class:`FormatError` for the first bad entry."""
+    entry; raises :class:`FormatError` for the first bad entry, or the first
+    key that spells an id an earlier key spelled."""
     if not isinstance(obj, dict):
         raise FormatError(f"'{name}' must be an object")
     out: dict[int, int] = {}
@@ -638,6 +669,8 @@ def reference_intmap(obj: Any, name: str) -> dict[int, int]:
             raise FormatError(f"'{name}' key {k!r} is not an integer") from None
         if not isinstance(v, int) or isinstance(v, bool) or v < 0 or key < 0:
             raise FormatError(f"'{name}' entry {k!r}: {v!r} is not a non-negative integer")
+        if key in out:
+            raise FormatError(f"'{name}' key {k!r} repeats id {key}")
         out[key] = v
     return out
 

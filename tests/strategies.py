@@ -5,7 +5,6 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from dpo.constructions import gluing
-from dpo.diagrams import Square
 from dpo.graph import Graph, graph
 from dpo.morphism import Morphism
 from dpo.rewriting import Match, Rule
@@ -111,21 +110,23 @@ def rules_with_matches(draw) -> tuple[Rule, Match]:
 
 
 @st.composite
-def squares(draw) -> Square:
-    """A square of small graphs, often corrupted.
+def square_legs(draw) -> dict[str, Morphism]:
+    """The four legs ``ab``, ``ac``, ``bd``, ``cd`` of a square of small
+    graphs, wired corner to corner and often corrupted.
 
-    It starts either as the gluing square of an injective span, which is a
+    They start either as the gluing square of an injective span, which is a
     pushout, or as a cospan from :func:`cospans` under an apex of some of
     the item pairs that agree in its target, which commutes and may be
-    injective or not. Then it may lose one apex item, which can break the
-    chain-condition, or have one item of ``bd`` re-pointed, which can break
-    commutativity, injectivity or, for an edge, the edge's endpoints.
+    injective or not. Then the apex may lose one item, which can break the
+    chain-condition, or ``bd`` may have one item re-pointed, which can break
+    commutativity, injectivity or, for an edge, the edge's endpoints, so that
+    ``bd`` is no longer a morphism and no square of these legs can be built.
     """
     if draw(st.booleans()):
         k = draw(graphs(max_nodes=3, max_edges=2))
         b, d = draw(extensions(k)), draw(extensions(k))
         glued = gluing(b, d)
-        sq = Square(ab=b, ac=d, bd=glued.h, cd=glued.c)
+        legs = {"ab": b, "ac": d, "bd": glued.h, "cd": glued.c}
     else:
         f, g = draw(cospans())
         B, C = f.source, g.source
@@ -145,15 +146,15 @@ def squares(draw) -> Square:
                 for i, (x, y) in enumerate(edge_pairs)
             },
         )
-        sq = Square(
-            ab=Morphism(apex, B, {i: x for (x, _), i in node_id.items()}, {i: x for i, (x, _) in enumerate(edge_pairs)}),
-            ac=Morphism(apex, C, {i: y for (_, y), i in node_id.items()}, {i: y for i, (_, y) in enumerate(edge_pairs)}),
-            bd=f,
-            cd=g,
-        )
+        legs = {
+            "ab": Morphism(apex, B, {i: x for (x, _), i in node_id.items()}, {i: x for i, (x, _) in enumerate(edge_pairs)}),
+            "ac": Morphism(apex, C, {i: y for (_, y), i in node_id.items()}, {i: y for i, (_, y) in enumerate(edge_pairs)}),
+            "bd": f,
+            "cd": g,
+        }
     corruption = draw(st.sampled_from(("none", "drop", "repoint")))
-    if corruption == "drop" and (sq.A.nodes or sq.A.edges):
-        A = sq.A
+    A = legs["ab"].source
+    if corruption == "drop" and (A.nodes or A.edges):
         if A.edges and draw(st.booleans()):
             gone_v, gone_e = set(), {draw(st.sampled_from(sorted(A.edges)))}
         else:
@@ -162,17 +163,16 @@ def squares(draw) -> Square:
         nodes = {v: A.nlabel[v] for v in A.nodes - gone_v}
         edges = {e: (A.src[e], A.tgt[e], A.elabel[e]) for e in A.edges - gone_e}
         smaller = graph(nodes, edges)
-
-        def restrict(m: Morphism) -> Morphism:
-            return Morphism(smaller, m.target, {v: m.fv[v] for v in nodes}, {e: m.fe[e] for e in edges})
-
-        sq = Square(ab=restrict(sq.ab), ac=restrict(sq.ac), bd=sq.bd, cd=sq.cd)
+        for leg in ("ab", "ac"):
+            m = legs[leg]
+            legs[leg] = Morphism(smaller, m.target, {v: m.fv[v] for v in nodes}, {e: m.fe[e] for e in edges})
     elif corruption == "repoint":
-        B, D = sq.B, sq.D
-        fv, fe = dict(sq.bd.fv), dict(sq.bd.fe)
+        bd = legs["bd"]
+        B, D = bd.source, bd.target
+        fv, fe = dict(bd.fv), dict(bd.fe)
         if B.edges and len(D.edges) > 1 and draw(st.booleans()):
             fe[draw(st.sampled_from(sorted(B.edges)))] = draw(st.sampled_from(sorted(D.edges)))
         elif B.nodes and len(D.nodes) > 1:
             fv[draw(st.sampled_from(sorted(B.nodes)))] = draw(st.sampled_from(sorted(D.nodes)))
-        sq = Square(ab=sq.ab, ac=sq.ac, bd=Morphism(B, D, fv, fe), cd=sq.cd)
-    return sq
+        legs["bd"] = Morphism(B, D, fv, fe)
+    return legs

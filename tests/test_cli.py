@@ -15,15 +15,18 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dpo
 from dpo import cli, io, randgen, rewriting
 from dpo.cli import main
 from dpo.graph import graph
 from dpo.morphism import Morphism, identity, validate_morphism
-from dpo.rewriting import Rule
+from dpo.rewriting import Rule, identity_rule
 
 from .oracles import renumber
+from .strategies import graphs
 
 PASSED = {"verdict": True, "failed_clause": None, "counterexample": None}
 
@@ -396,6 +399,17 @@ class TestNonMorphismLeg:
         assert (code, doc) == (1, None)
         assert err == f"error: {square} 'bd': invalid morphism: {message}\n"
 
+    def test_every_leg_is_read_before_any_is_checked(self, capsys, tmp_path):
+        # ab breaks a label, and cd is no map at all: the square is built
+        # only once all four legs are read, so cd's format error comes first
+        doc = {**one_node_square({"fv": {"0": 0}, "fe": {}}), "B": io.graph_to_json(graph({0: "b"}))}
+        doc["bd"] = {"fv": {"0": 0}, "fe": {}}
+        doc["D"] = io.graph_to_json(graph({0: "b"}))
+        doc["cd"] = {"fv": {"x": 0}, "fe": {}}
+        code, out, err = run(capsys, "check-square", write(tmp_path / "sq.json", doc), "--mode", "pushout")
+        assert (code, out) == (1, None)
+        assert err == "error: 'fv' key 'x' is not an integer\n"
+
 
 class TestIndependentAndCommute:
     def test_independent_pair_exits_0_with_both_embeddings(self, capsys, files):
@@ -534,10 +548,79 @@ class TestHostileJson:
         assert err.startswith(f"error: {path} is not valid JSON: ")
 
 
+def endpoint_reference(draw, g: dict):
+    """A morphism file's ``source`` or ``target`` entry, named by its kind:
+    the graph document ``g`` inline or as a path to a file holding it
+    (written as ``g.json`` beside the morphism file), an ill-formed inline
+    graph, no entry, a value that is neither, the morphism file itself, a
+    directory, a file that is not UTF-8, or a file that does not exist."""
+    kind = draw(st.sampled_from(
+        ["inline", "path", "ill-formed", "missing", "non-string", "itself", "directory", "not-utf8", "no-such-file"]
+    ))
+    value = {
+        "inline": g,
+        "path": draw(st.sampled_from(["g.json", "./g.json", "sub/../g.json"])),
+        "ill-formed": {"nodes": [{"id": 0, "label": "a"}], "edges": [{"id": 0, "src": 0, "tgt": 9, "label": "x"}]},
+        "missing": None,
+        "non-string": draw(st.sampled_from([5, 1.5, True, None, [], {}, ["g.json"]])),
+        "itself": "m.json",
+        "directory": draw(st.sampled_from(["sub", ".", "", "sub/"])),
+        "not-utf8": "latin1.json",
+        "no-such-file": "absent.json",
+    }[kind]
+    return kind, value
+
+
+@st.composite
+def standalone_morphism_documents(draw) -> tuple[dict, dict]:
+    """A graph document and a standalone morphism document whose maps are
+    the identity on that graph or drawn at random, and whose ``source`` and
+    ``target`` are drawn by :func:`endpoint_reference`."""
+    g = io.graph_to_json(draw(graphs(max_nodes=3, max_edges=3)))
+    ids = lambda key: [str(x["id"]) for x in g[key]]
+    doc = {}
+    for key in ("fv", "fe"):
+        doc[key] = draw(st.one_of(
+            st.just({i: int(i) for i in ids("nodes" if key == "fv" else "edges")}),
+            st.dictionaries(st.sampled_from(["0", "1", "2", "00", "x", "-1"]), st.integers(0, 3), max_size=3),
+            st.sampled_from([[], None, "0"]),
+        ))
+    for key in ("source", "target"):
+        kind, value = endpoint_reference(draw, g)
+        if kind != "missing":
+            doc[key] = value
+    return g, doc
+
+
+class TestStandaloneMorphismFiles:
+    """``dpo validate`` on a standalone morphism file whose endpoint graphs
+    are inline, referenced by path, or neither, ends in exit 0, 1 or 3 with
+    a message; never in an internal error."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(standalone_morphism_documents())
+    def test_validate_never_exits_5(self, capsys, tmp_path_factory, documents):
+        g, doc = documents
+        base = tmp_path_factory.mktemp("morphism")
+        (base / "sub").mkdir()
+        (base / "g.json").write_text(json.dumps(g), encoding="utf-8")
+        (base / "latin1.json").write_bytes(b'\xff\xfe{"nodes": []}')
+        path = write(base / "m.json", doc)
+        code, report, err = run(capsys, "validate", path)
+        if code == 1:
+            assert report is None and err.startswith("error: ") and len(err) > len("error: \n")
+            assert "internal" not in err
+        else:
+            assert code in (0, 3), (code, err)
+            assert report["kind"] == "morphism" and report["ok"] is (code == 0)
+            assert report["ok"] is (not report["violations"])
+
+
 class TestUnwritableOutput:
-    """An output path in a directory that does not exist exits 1, with a
-    message that names the path, and leaves no output or temporary file
-    behind: an ``--out`` file that existed before is left as it was."""
+    """An output path in a directory that does not exist, or that is a
+    directory, exits 1, with a message that names the path, and leaves no
+    output or temporary file behind: an ``--out`` file that existed before
+    is left as it was."""
 
     @staticmethod
     def assert_fails_leaving_nothing(capsys, tmp_path, argv, paths, option):
@@ -570,6 +653,51 @@ class TestUnwritableOutput:
         assert (code, doc) == (1, None)
         assert err.startswith("error: ") and files["host"] in err
 
+    # an output path that names an existing directory is refused the same
+    # way, before any output is written, and the directory stays empty
+
+    @staticmethod
+    def assert_refused_before_writing(capsys, tmp_path, argv, paths, option):
+        paths[option] = tmp_path / "directory"
+        paths[option].mkdir()
+        outputs = [x for flag, path in paths.items() for x in (flag, str(path))]
+        if option != "--out":
+            paths["--out"].write_text("before\n")
+        before = sorted(tmp_path.iterdir())
+        code, doc, err = run(capsys, *argv, *outputs)
+        assert (code, doc) == (1, None)
+        assert err == f"error: [Errno 21] Is a directory: '{paths[option]}'\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(paths[option].iterdir()) == []
+        if option != "--out":
+            assert paths["--out"].read_text() == "before\n"
+
+    @pytest.mark.parametrize("option", ["--out", "--trace", "--dot"])
+    def test_apply_onto_a_directory(self, capsys, files, tmp_path, option):
+        paths = {"--out": tmp_path / "H.json", "--trace": tmp_path / "H.trace.json", "--dot": tmp_path / "H.dot"}
+        argv = ["apply", files["delete_x"], files["host"]]
+        self.assert_refused_before_writing(capsys, tmp_path, argv, paths, option)
+
+    @pytest.mark.parametrize("option", ["--out", "--report", "--dot"])
+    def test_commute_onto_a_directory(self, capsys, files, tmp_path, option):
+        paths = {"--out": tmp_path / "Gp.json", "--report": tmp_path / "Gp.report.json", "--dot": tmp_path / "Gp.dot"}
+        argv = ["commute", files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+        self.assert_refused_before_writing(capsys, tmp_path, argv, paths, option)
+
+    @pytest.mark.parametrize("verb", ["apply", "commute"])
+    def test_out_with_an_empty_name(self, capsys, files, tmp_path, monkeypatch, verb):
+        # "." has no name to derive the trace or report path from
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        if verb == "apply":
+            argv = ["apply", files["delete_x"], files["host"]]
+        else:
+            argv = ["commute", files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+        code, doc, err = run(capsys, *argv, "--out", ".")
+        assert (code, doc) == (1, None)
+        assert err == "error: [Errno 21] Is a directory: '.'\n"
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestIso:
     def test_shuffled_copy_exits_0_with_a_witness_that_preserves_the_structure(self, capsys, tmp_path):
@@ -597,6 +725,27 @@ class TestIso:
         ))
         code, doc, _ = run(capsys, "iso", files["host"], other)
         assert (code, doc) == (3, {"isomorphic": False, "witness": None})
+
+
+class TestRepeatedId:
+    """A map whose keys spell one id twice is a format error, not a map on
+    which the last spelling wins."""
+
+    def test_validate_exits_1(self, capsys, tmp_path):
+        one = io.graph_to_json(graph({0: "a", 1: "a"}))
+        path = write(tmp_path / "m.json", {"fv": {"0": 0, "00": 1}, "fe": {}, "source": one, "target": one})
+        code, doc, err = run(capsys, "validate", path)
+        assert (code, doc) == (1, None)
+        assert err == "error: 'fv' key '00' repeats id 0\n"
+
+    def test_apply_with_such_a_match_file_exits_1(self, capsys, tmp_path):
+        host_file = write(tmp_path / "host.json", io.graph_to_json(graph({0: "a", 1: "a"})))
+        rule = write(tmp_path / "rule.json", io.rule_to_json(identity_rule(graph({0: "a"}))))
+        match = write(tmp_path / "m.json", {"fv": {"0": 0, " 0": 1}, "fe": {}})
+        code, doc, err = run(capsys, "apply", rule, host_file, "--match", match, "--out", str(tmp_path / "H.json"))
+        assert (code, doc) == (1, None)
+        assert err == "error: 'fv' key ' 0' repeats id 0\n"
+        assert not (tmp_path / "H.json").exists()
 
 
 class TestRuleCheckedOncePerFile:
@@ -627,6 +776,27 @@ class TestRuleCheckedOncePerFile:
                 argv += ["--out", str(tmp_path / "Gp.json")]
         code, _, _ = run(capsys, *argv)
         assert (code, len(calls)) == (0, count)
+
+
+class TestSquareCheckedOncePerFile:
+    """A square file's four legs are validated once each, when its square is
+    built; neither check validates them again."""
+
+    @pytest.mark.parametrize("mode", ["pushout", "pullback"])
+    def test_check_square_validates_four_morphisms(self, capsys, tmp_path, monkeypatch, mode):
+        calls, original = [], validate_morphism
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dpo"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+        square = write(tmp_path / "sq.json", square_doc(extra_target_node=False))
+        code, _, _ = run(capsys, "check-square", square, "--mode", mode)
+        assert (code, len(calls)) == (0, 4)
 
 
 class TestGen:

@@ -32,12 +32,13 @@ from dpo.morphism import (
 
 from .generators import random_cospan, random_morphism_into
 from .oracles import (
+    built_square,
     is_surjective,
     pullback_chain_condition,
     reference_is_pullback,
     reference_jointly_surjective,
 )
-from .strategies import squares
+from .strategies import square_legs
 
 
 def identity_square(g) -> Square:
@@ -110,10 +111,14 @@ def outcome(check, *args):
 
 class TestChainConditionAgainstThePullbackObject:
     """The chain-condition reads the cospan's agreeing pairs without building
-    the pullback object; the oracle builds it and reads its pairs."""
+    the pullback object; the oracle builds it and reads its pairs. Legs that
+    are not all morphisms form no square, and get no report."""
 
-    @given(squares())
-    def test_reports_are_identical_to_the_oracle(self, sq):
+    @given(square_legs())
+    def test_reports_are_identical_to_the_oracle(self, legs):
+        sq = built_square(legs)
+        if sq is None:
+            return
         expected = outcome(pullback_chain_condition, sq)
         commuting = commutes(sq)
         if commuting:
@@ -129,22 +134,22 @@ class TestChainConditionAgainstThePullbackObject:
 
     def test_endpoint_breaking_leg_raises_the_pullback_error(self):
         # bd and cd agree on the edge but not on its endpoints, so bd is not
-        # a morphism
+        # a morphism: the pullback construction of the cospan raises, and the
+        # square is rejected when built, naming bd, before any check reads it
         edge = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
         target = graph({0: "a", 1: "a", 2: "a"}, {0: (0, 1, "x")})
         empty = graph({})
-        sq = Square(
-            ab=Morphism(empty, edge, {}, {}),
-            ac=Morphism(empty, edge, {}, {}),
-            bd=Morphism(edge, target, {0: 1, 1: 2}, {0: 0}),
-            cd=Morphism(edge, target, {0: 0, 1: 1}, {0: 0}),
-        )
-        message = "pullback_construct: f or g does not preserve edge endpoints"
-        assert outcome(pullback_chain_condition, sq) == f"raised: {message}"
-        with pytest.raises(PreconditionError, match=message):
-            is_pushout_injective(sq)
-        with pytest.raises(PreconditionError, match=message):
-            reduced_chain_condition(sq)
+        legs = {
+            "ab": Morphism(empty, edge, {}, {}),
+            "ac": Morphism(empty, edge, {}, {}),
+            "bd": Morphism(edge, target, {0: 1, 1: 2}, {0: 0}),
+            "cd": Morphism(edge, target, {0: 0, 1: 1}, {0: 0}),
+        }
+        with pytest.raises(PreconditionError, match="pullback_construct: f or g does not preserve edge endpoints"):
+            pullback_construct(legs["bd"], legs["cd"])
+        with pytest.raises(PreconditionError) as raised:
+            Square(**legs)
+        assert str(raised.value) == "square 'bd': invalid morphism: source not preserved: edge 0"
 
 
 class TestJointlySurjective:
@@ -296,14 +301,16 @@ def relabelled(rng, g):
     return graph(nodes, edges)
 
 
-def corrupted_square(rng) -> tuple[str, Square]:
-    """A canonical pullback square of a random cospan into a target of at
-    most three nodes and five edges, where parallel edges and loops are
-    common, or now and then a gluing square; then one corruption, named
-    first: none; ``shrink``, an apex item dropped; ``merge``, two apex nodes
-    made one, which keeps the first one's images; ``alias``, an apex item
-    added with the images of another; ``move``, one item of one leg sent
-    elsewhere in its target; or ``relabel``, one label of one corner changed."""
+def corrupted_square(rng) -> tuple[str, dict[str, Morphism]]:
+    """The legs of a canonical pullback square of a random cospan into a
+    target of at most three nodes and five edges, where parallel edges and
+    loops are common, or now and then of a gluing square; then one
+    corruption, named first: none; ``shrink``, an apex item dropped;
+    ``merge``, two apex nodes made one, which keeps the first one's images;
+    ``alias``, an apex item added with the images of another; ``move``, one
+    item of one leg sent elsewhere in its target; or ``relabel``, one label
+    of one corner changed. Any but the first may leave a leg that is not a
+    morphism."""
     if rng.random() < 0.2:
         sq = random_gluing_square(rng)
     else:
@@ -351,42 +358,53 @@ def corrupted_square(rng) -> tuple[str, Square]:
     elif kind == "relabel":
         corner = rng.choice("ABCD")
         corners[corner] = relabelled(rng, corners[corner])
-    return kind, Square(**{leg: Morphism(corners[s], corners[t], *maps[leg]) for leg, (s, t) in LEGS.items()})
+    return kind, {leg: Morphism(corners[s], corners[t], *maps[leg]) for leg, (s, t) in LEGS.items()}
 
 
 class TestAgainstTheCanonicalPullbackObject:
     """``is_pullback`` decides on the agreeing pairs, and
     ``jointly_surjective`` by set difference; the references build the
     canonical pullback and its mediating morphism, and scan the target in
-    order. Reports and ``PreconditionError`` messages must be the same."""
+    order. Reports and ``PreconditionError`` messages must be the same. Legs
+    that are not all morphisms form no square: building one raises, naming
+    the first such leg, exactly as ``reference_square_error`` predicts."""
 
     def test_two_thousand_corrupted_squares(self):
         rng = random.Random(2024)
         verdicts, shapes = Counter(), Counter()
         for _ in range(2000):
-            kind, sq = corrupted_square(rng)
-            expected = outcome(reference_is_pullback, sq)
-            assert outcome(is_pullback, sq) == expected, kind
-            assert outcome(jointly_surjective, sq.bd, sq.cd) == outcome(reference_jointly_surjective, sq.bd, sq.cd)
-            verdicts[expected if isinstance(expected, str) else expected.failed_clause] += 1
-            D = sq.D
+            kind, legs = corrupted_square(rng)
+            bd, cd = legs["bd"], legs["cd"]
+            assert outcome(jointly_surjective, bd, cd) == outcome(reference_jointly_surjective, bd, cd)
+            D = bd.target
             ends = [(D.src[e], D.tgt[e]) for e in D.edges]
             shapes["loop"] += any(s == t for s, t in ends)
             shapes["parallel"] += len(set(ends)) < len(ends)
-        assert set(verdicts) >= {
+            sq = built_square(legs)
+            if sq is None:
+                verdicts["not built: a leg is not a morphism"] += 1
+                continue
+            expected = outcome(reference_is_pullback, sq)
+            assert outcome(is_pullback, sq) == expected, kind
+            verdicts[expected if isinstance(expected, str) else expected.failed_clause] += 1
+        assert set(verdicts) == {
             None,
-            "mediating map not a morphism",
             "mediating map not injective",
             "mediating map not surjective",
             "raised: is_pullback: square does not commute",
-            "raised: pullback_construct: f or g does not preserve edge endpoints",
+            "not built: a leg is not a morphism",
         }
+        assert verdicts["not built: a leg is not a morphism"] == 327
         assert shapes["loop"] >= 100 and shapes["parallel"] >= 100
 
-    @given(squares())
-    def test_hypothesis_squares(self, sq):
-        assert outcome(is_pullback, sq) == outcome(reference_is_pullback, sq)
-        assert outcome(jointly_surjective, sq.bd, sq.cd) == outcome(reference_jointly_surjective, sq.bd, sq.cd)
+    @given(square_legs())
+    def test_hypothesis_squares(self, legs):
+        assert outcome(jointly_surjective, legs["bd"], legs["cd"]) == outcome(
+            reference_jointly_surjective, legs["bd"], legs["cd"]
+        )
+        sq = built_square(legs)
+        if sq is not None:
+            assert outcome(is_pullback, sq) == outcome(reference_is_pullback, sq)
 
 
 class TestSquareComposition:

@@ -383,6 +383,30 @@ class TestNoHostSizedPass:
         self.assert_local_pass(monkeypatch, pair, assembled_result(pair, parallel_independent(pair)))
 
 
+class TestNoSquareOnAPassingPath:
+    """A square is checked when it is built, so the passing paths build
+    none: apply certifies both its squares locally, and so does a passing
+    verify_commutation_squares."""
+
+    def test_apply_and_a_passing_verification_build_no_square(self, monkeypatch):
+        built, check = [], diagrams.Square.__post_init__
+
+        def counting(sq):
+            built.append(sq)
+            check(sq)
+
+        monkeypatch.setattr(diagrams.Square, "__post_init__", counting)
+        rng = random.Random(89)
+        pairs = [random_parallel_independent_pair(rng) for _ in range(50)]  # two applications each
+        assert built == []
+        for pair in pairs[:10]:
+            assert verify_commutation_squares(pair, parallel_independent(pair), commute(pair))
+        assert built == []
+        # the spy sees a square that is built
+        sq = diagrams.Square(*[identity(graph({0: "a"}))] * 4)
+        assert built == [sq]
+
+
 def one_item_moved(rng: random.Random, m: Morphism, pool: Graph):
     """``m`` with the image of one node or edge changed to another item of
     ``pool``, or ``None`` if there is no other."""

@@ -206,9 +206,15 @@ class TestIntmap:
     @given(corrupted_maps())
     @example({"1": 2, "01": 3})
     @example({"0": 1, "x": True})
+    @example({"0": 0, " 0": 1, "x": 2})
     def test_agrees_with_the_reference(self, obj):
         expected = outcome(reference_intmap, copy.deepcopy(obj), "fv")
         assert outcome(io._intmap, obj, "fv") == expected
+
+    @pytest.mark.parametrize("obj, key", [({"0": 0, "00": 1}, "00"), ({"0": 0, " 0": 1}, " 0"), ({"7": 1, "+7": 1}, "+7")])
+    def test_two_spellings_of_one_id_are_refused(self, obj, key):
+        # with the last spelling winning, {"0": 0, " 0": 1} would map node 0 to 1
+        assert outcome(io._intmap, obj, "fv") == ("error", f"'fv' key {key!r} repeats id {int(key)}")
 
 
 @st.composite

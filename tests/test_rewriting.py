@@ -24,7 +24,7 @@ from dpo.rewriting import (
 )
 
 from .generators import random_rule_with_match
-from .oracles import derivations_isomorphic, reference_incidence
+from .oracles import built_square, derivations_isomorphic, reference_incidence
 from .strategies import rules_with_matches
 
 
@@ -428,25 +428,31 @@ def add_uncovered_node(sq: Square) -> Square:
 
 
 def break_d(sq: Square) -> Square | None:
-    """The square with ``ac`` changed on one item of A, staying injective:
-    moved to an unused context item, or swapped with another item's image;
-    ``None`` if A has no item that can be moved either way."""
-    for kind, items, f, targets in (
-        ("fv", sorted(sq.A.nodes), sq.ac.fv, sq.C.nodes),
-        ("fe", sorted(sq.A.edges), sq.ac.fe, sq.C.edges),
+    """The square with ``ac`` changed on one item of A, staying an injective
+    morphism: an A-node on no A-edge, or an A-edge, is sent to another
+    context item of its image's label and, for an edge, endpoints, which is
+    unused or is swapped with the item of A that uses it (another such node,
+    or an edge); ``None`` if no item of A can be moved so."""
+    A, C = sq.A, sq.C
+    on_edges = {v for e in A.edges for v in (A.src[e], A.tgt[e])}
+    for kind, items, f, targets, signature in (
+        ("fv", sorted(A.nodes - on_edges), sq.ac.fv, C.nodes, C.nlabel.get),
+        ("fe", sorted(A.edges), sq.ac.fe, C.edges, lambda c: (C.src[c], C.tgt[c], C.elabel[c])),
     ):
-        if not items:
-            continue
-        changed = dict(f)
-        unused = sorted(targets - set(f.values()))
-        if unused:
-            changed[items[0]] = unused[0]
-        elif len(items) > 1:
-            changed[items[0]], changed[items[1]] = f[items[1]], f[items[0]]
-        else:
-            continue
-        maps = {"fv": sq.ac.fv, "fe": sq.ac.fe, kind: changed}
-        return Square(ab=sq.ab, ac=Morphism(sq.A, sq.C, maps["fv"], maps["fe"]), bd=sq.bd, cd=sq.cd)
+        used = {f[x]: x for x in f}
+        for x in items:
+            for c in sorted(targets):
+                if c == f[x] or signature(c) != signature(f[x]):
+                    continue
+                changed = dict(f)
+                if c not in used:
+                    changed[x] = c
+                elif used[c] in items:
+                    changed[x], changed[used[c]] = c, f[x]
+                else:
+                    continue
+                maps = {"fv": sq.ac.fv, "fe": sq.ac.fe, kind: changed}
+                return Square(ab=sq.ab, ac=Morphism(A, C, maps["fv"], maps["fe"]), bd=sq.bd, cd=sq.cd)
     return None
 
 
@@ -472,24 +478,23 @@ def keep_deleted_item(sq: Square) -> Square | None:
 
 
 def retarget_bd(sq: Square) -> Square | None:
-    """The square with ``bd`` sending the image of one item of A to a new
-    copy of its old image in D; ``None`` if A is empty."""
-    D = sq.D
+    """The square with ``bd`` sending the image of A's least node to a new
+    copy of its old image in D, and each B-edge at that node to a new copy
+    of its old image, moved along, so that ``bd`` stays an injective
+    morphism; ``None`` if A has no node."""
+    if not sq.A.nodes:
+        return None
+    B, D = sq.B, sq.D
     nodes = dict(D.nlabel)
     edges = {e: (D.src[e], D.tgt[e], D.elabel[e]) for e in D.edges}
     fv, fe = dict(sq.bd.fv), dict(sq.bd.fe)
-    if sq.A.nodes:
-        b = sq.ab.fv[min(sq.A.nodes)]
-        z = max(D.nodes) + 1
-        nodes[z] = D.nlabel[fv[b]]
-        fv[b] = z
-    elif sq.A.edges:
-        b = sq.ab.fe[min(sq.A.edges)]
-        z = max(D.edges) + 1
-        edges[z] = edges[fe[b]]
-        fe[b] = z
-    else:
-        return None
+    b = sq.ab.fv[min(sq.A.nodes)]
+    fv[b] = max(D.nodes) + 1
+    nodes[fv[b]] = D.nlabel[sq.bd.fv[b]]
+    for e in sorted(B.edges):
+        if b in (B.src[e], B.tgt[e]):
+            fe[e] = max(edges) + 1
+            edges[fe[e]] = (fv[B.src[e]], fv[B.tgt[e]], B.elabel[e])
     D2 = graph(nodes, edges)
     return Square(ab=sq.ab, ac=sq.ac, bd=Morphism(sq.B, D2, fv, fe), cd=_inclusion(sq.C, D2))
 
@@ -530,7 +535,8 @@ def _empty_interface():
 
 class TestLocalCertification:
     """``apply``'s local check against the general ``is_pushout_injective``
-    on every derivation square, and on squares corrupted five ways."""
+    on every derivation square, and on squares corrupted five ways, each of
+    which keeps every leg a morphism."""
 
     @settings(max_examples=300, deadline=None)
     @given(rules_with_matches())
@@ -567,6 +573,17 @@ class TestLocalCertification:
         assert (report.failed_clause, report.counterexample) == ("reduced chain-condition", ("node", 1, 1))
         report = is_pushout_injective(retarget_bd(sq))
         assert (report.failed_clause, report.counterexample) == ("commutativity", ("node", 0))
+
+    def test_a_leg_that_is_not_a_morphism_raises_when_the_square_is_built(self):
+        # bd sends L's b-node to a copy in D but keeps its x-edge on the old
+        # node: outside certify_pushout's precondition, so no verdict
+        rule, match = _node_deleting()
+        sq = apply(rule, match).left_square
+        D2 = graph({**sq.D.nlabel, 3: "b"}, {e: (sq.D.src[e], sq.D.tgt[e], sq.D.elabel[e]) for e in sq.D.edges})
+        legs = {"ab": sq.ab, "ac": sq.ac, "bd": Morphism(sq.B, D2, {0: 0, 1: 3}, {0: 3}), "cd": _inclusion(sq.C, D2)}
+        assert built_square(legs) is None
+        with pytest.raises(PreconditionError, match="^square 'bd': invalid morphism: target not preserved: edge 0$"):
+            certify_pushout(legs["ab"], legs["ac"], legs["bd"])
 
     def test_a_non_injective_square_raises_as_the_general_check_does(self):
         one = graph({0: "a"})
