@@ -237,34 +237,26 @@ def pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
 
     For a pushout square and a cospan ``p: B -> X``, ``t: C -> X`` with
     ``p after ab = t after ac``, returns the unique ``u: D -> X`` with
-    ``u after bd = p`` and ``u after cd = t``. Raises when the cospan does
-    not factor (which for a genuine pushout means it did not commute).
+    ``u after bd = p`` and ``u after cd = t``. One pass per item kind, over
+    B and then C, fills ``u`` and raises when two preimages of one D-item
+    have different images, that is when the cospan does not factor (which
+    for a genuine pushout means it did not commute).
     """
     if p.source != sq.B or t.source != sq.C or p.target != t.target:
         raise PreconditionError("pushout_mediator: cospan endpoints do not fit the square")
-    fv: dict[int, int] = {}
-    fe: dict[int, int] = {}
-    for b in sq.B.nodes:
-        fv[sq.bd.fv[b]] = p.fv[b]
-    for c in sq.C.nodes:
-        image = sq.cd.fv[c]
-        if image in fv and fv[image] != t.fv[c]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on nodes")
-        fv[image] = t.fv[c]
-    for b in sq.B.nodes:
-        if fv[sq.bd.fv[b]] != p.fv[b]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on nodes")
-    for b in sq.B.edges:
-        fe[sq.bd.fe[b]] = p.fe[b]
-    for c in sq.C.edges:
-        image = sq.cd.fe[c]
-        if image in fe and fe[image] != t.fe[c]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on edges")
-        fe[image] = t.fe[c]
-    for b in sq.B.edges:
-        if fe[sq.bd.fe[b]] != p.fe[b]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on edges")
-    if set(fv) != set(sq.D.nodes) or set(fe) != set(sq.D.edges):
+    maps = []
+    for kind, legs in (
+        ("nodes", ((sq.B.nodes, sq.bd.fv, p.fv), (sq.C.nodes, sq.cd.fv, t.fv))),
+        ("edges", ((sq.B.edges, sq.bd.fe, p.fe), (sq.C.edges, sq.cd.fe, t.fe))),
+    ):
+        images: dict[int, int] = {}
+        for items, into_d, into_x in legs:
+            for x in items:
+                if images.setdefault(into_d[x], into_x[x]) != into_x[x]:
+                    raise PreconditionError(f"pushout_mediator: cospan does not factor on {kind}")
+        maps.append(images)
+    fv, fe = maps
+    if fv.keys() != sq.D.nodes or fe.keys() != sq.D.edges:
         raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective")
     u = Morphism(sq.D, p.target, fv, fe)
     if not validate_morphism(u).ok:

@@ -194,8 +194,12 @@ def verify_commutation_squares(
 
     A passing instance is decided by :func:`_passes_locally` in
     O(|L1| + |R1| + |L2| + |R2|) Python work plus C-level set and dict-view
-    operations on the host-sized graphs; neither the inclusions
-    ``deletion.c``/``gluing.c`` nor the host-sized mediators are built.
+    operations on the host-sized graphs: one check, :func:`_delta`, that
+    each of ``d1`` and ``d2`` (on G) and ``result.e1`` (on ``d1.H``) is its
+    host minus what it deletes plus what it creates, four local pushout
+    certificates, and square (5) reduced to "G' is e1's result". Neither
+    the inclusions ``deletion.c``/``gluing.c`` nor the host-sized mediators
+    are built.
     Only a pass is decided there: otherwise every square is built and
     checked by the general checks, and the first failure is reported with
     its square's label. A witness that is not a morphism into its context,
@@ -298,82 +302,59 @@ def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: Co
     "check in general", not "fails". The witness has been validated.
 
     Every leg of every square is an identity inclusion or the identity
-    except on the items a rule creates, so each derivation is summed up by
-    the items it deletes from G and creates in its result (:func:`_delta`).
-    D0 = D2 without the first rule's deleted items is then D1 ∩ D2, so (12)
-    is a pullback and, as neither rule deletes what the other's match uses,
-    (32) a pushout. Squares (11), (21), (31) and (41) have rule-sized A and
-    B and an identity inclusion as ``cd``, and go to
+    except on the items a rule creates, so each of the three derivations
+    the decomposition reads is summed up by :func:`_delta` as its host
+    minus what it deletes, plus what it creates: ``d1`` and ``d2`` on G,
+    and ``result.e1``, the second rule at the residual match (``j2``'s
+    maps), on ``d1.H``. D0 = D2 without the first rule's deleted items is
+    then D1 ∩ D2, with G's labels and endpoints, so (12) is a pullback and,
+    as neither rule deletes what the other's match uses, (32) a pushout.
+    Squares (11), (21), (31) and (41) have rule-sized A and B and an
+    identity inclusion as ``cd``, and go to
     :func:`~dpo.diagrams.certify_pushout`. The mediators ``sigma1``,
     ``sigma2``, ``tau1`` and ``tau2`` are the identity on D0 and the
     comatches on created items; they exist, and (22), (42) and (5) are
     pushouts, when each result is its context plus exactly its created
-    items, G' is D0 plus both created sets, and the comatches agree with
-    the matches on the interfaces. The composites then agree with the
-    derivation squares map by map.
+    items and the comatches agree with the matches on the interfaces; for
+    square (5) that is G' is e1's result, since e1's result is D0 plus both
+    created sets. The composites then agree with the derivation squares
+    map by map.
     """
-    d1, d2 = pair.d1, pair.d2
+    d1, d2, e1 = pair.d1, pair.d2, result.e1
+    j1, j2 = witness.j1, witness.j2
     G = d1.deletion.G
-    if not d2.deletion.G == d1.G == d2.G == G:
+    delta1 = _delta(d1, j1, G)
+    if delta1 is None or _delta(d2, j2, G) is None:
         return False
-    delta1, delta2 = _delta(d1, witness.j1, G), _delta(d2, witness.j2, G)
-    if delta1 is None or delta2 is None:
-        return False
-    gone1_v, gone1_e, made1_v, made1_e = delta1
-    D0 = without(d2.D, gone1_v, gone1_e)
-    # D0's items are D1's by the set algebra of _delta; its labels and
-    # endpoints, read from D2, must be D1's too
-    if not maps_within(D0, d1.D):
-        return False
+    D0 = without(d2.D, *delta1)
     b1, r1, b2, r2 = d1.rule.b, d1.rule.r, d2.rule.b, d2.rule.r
     k1 = Morphism(b1.source, D0, d1.deletion.d.fv, d1.deletion.d.fe)
     k2 = Morphism(b2.source, D0, d2.deletion.d.fv, d2.deletion.d.fe)
     try:
         glue21, glue41 = gluing(r1, k1), gluing(r2, k2)
-        for ab, ac, bd in ((b1, k1, witness.j1), (r1, k1, glue21.h), (b2, k2, witness.j2), (r2, k2, glue41.h)):
+        for ab, ac, bd in ((b1, k1, j1), (r1, k1, glue21.h), (b2, k2, j2), (r2, k2, glue41.h)):
             if not certify_pushout(ab, ac, bd):
                 return False
     except RewriteError:
         return False
-
-    # square (5): G' is D0 plus what each rule creates, read off d1's and
-    # e1's comatches, which must be morphisms into G'
-    Gp, q = result.Gp, result.e1.comatch
-    R1, R2 = r1.target, r2.target
-    if q.source != R2:
-        return False
-    for h in (Morphism(R2, Gp, q.fv, q.fe), Morphism(R1, Gp, d1.comatch.fv, d1.comatch.fe)):
-        if not validate_morphism(h).ok:
-            return False
-    q_r2 = compose(q, r2)
-    if (q_r2.fv, q_r2.fe) != (k2.fv, k2.fe):
-        return False
-    made2_v = {q.fv[x] for x in R2.nodes.difference(r2.fv.values())}
-    made2_e = {q.fe[x] for x in R2.edges.difference(r2.fe.values())}
-    K2 = r2.source
-    return (
-        Gp.nodes == D0.nodes | made1_v | made2_v
-        and len(Gp.nodes) == len(D0.nodes) + len(made1_v) + len(R2.nodes) - len(K2.nodes)
-        and Gp.edges == D0.edges | made1_e | made2_e
-        and len(Gp.edges) == len(D0.edges) + len(made1_e) + len(R2.edges) - len(K2.edges)
-        and maps_within(D0, Gp)
-    )
+    return e1.rule == d2.rule and _delta(e1, j2, d1.H) is not None and result.Gp == e1.H
 
 
-def _delta(
-    d: DirectDerivation, j: Morphism, G: Graph
-) -> Optional[tuple[set[int], set[int], set[int], set[int]]]:
-    """The nodes and edges ``d`` deletes from ``G`` and those it creates in
-    its result, when ``j`` is its match co-restricted, its context is ``G``
-    without the first, its result is the context plus exactly the second,
-    and its comatch is a morphism that agrees with the match on ``K``;
-    otherwise ``None``. Rule-sized work plus C-level set and dict-view
-    operations on ``G``, ``D`` and ``H``."""
+def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> Optional[tuple[set[int], set[int]]]:
+    """The nodes and edges ``d`` deletes from ``G``, when ``d`` is ``G`` minus
+    what it deletes, plus what it creates: its match, whose maps are ``j``'s,
+    and its deletion start at ``G``; its context is ``G`` without the
+    deleted items, with ``G``'s labels and endpoints; its result is the
+    context plus exactly the items its comatch creates; and its comatch is a
+    morphism that agrees with the match on ``K``. Otherwise ``None``.
+    Rule-sized work plus C-level set and dict-view operations on ``G``,
+    ``D`` and ``H``."""
     b, r, m, k, h = d.rule.b, d.rule.r, d.match.m, d.deletion.d, d.comatch
     D, H = d.D, d.H
     K, R = r.source, r.target
     if not (
-        j.source == m.source == b.target
+        m.target == G == d.deletion.G
+        and j.source == m.source == b.target
         and (j.fv, j.fe) == (m.fv, m.fe)
         and K == b.source == k.source
         and k.target == D == d.gluing.D
@@ -389,6 +370,7 @@ def _delta(
     if not (
         D.nodes == G.nodes - gone_v
         and D.edges == G.edges - gone_e
+        and maps_within(D, G)
         and H.nodes == D.nodes | made_v
         and len(H.nodes) == len(D.nodes) + len(R.nodes) - len(K.nodes)
         and H.edges == D.edges | made_e
@@ -396,4 +378,4 @@ def _delta(
         and maps_within(D, H)
     ):
         return None
-    return gone_v, gone_e, made_v, made_e
+    return gone_v, gone_e

@@ -262,7 +262,12 @@ def iso_witness_to_json(witness: IsoWitness) -> dict:
 
 def load_json(path: str | Path) -> Any:
     try:
-        with open(path, encoding="utf-8") as fh:
+        fh = open(path, encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError: a path with an embedded null byte
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        with fh:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc

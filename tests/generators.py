@@ -1,6 +1,7 @@
 """Seeded random generators that only the tests use, next to the ones in
 :mod:`dpo.randgen` that ``dpo gen`` uses: morphisms into a graph, cospans,
-rules with an applicable match, and parallel pairs of derivations.
+rules with an applicable match, parallel pairs of derivations, and a
+morphism with one image moved.
 
 Like :mod:`dpo.randgen`, everything is driven by a caller-supplied
 :class:`random.Random`, so a seed gives the same corpus every time.
@@ -202,3 +203,18 @@ def random_parallel_pair(rng: random.Random, max_attempts: int = 40) -> Parallel
         except DanglingConditionError:
             continue
     return random_parallel_independent_pair(rng)
+
+
+def one_item_moved(rng: random.Random, m: Morphism, pool: Graph):
+    """``m`` with the image of one node or edge changed to another item of
+    ``pool``, or ``None`` if there is no other."""
+    fv, fe = dict(m.fv), dict(m.fe)
+    if m.source.edges and len(pool.edges) > 1 and rng.random() < 0.5:
+        e = rng.choice(sorted(m.source.edges))
+        fe[e] = rng.choice(sorted(pool.edges - {fe[e]}))
+    elif m.source.nodes and len(pool.nodes) > 1:
+        v = rng.choice(sorted(m.source.nodes))
+        fv[v] = rng.choice(sorted(pool.nodes - {fv[v]}))
+    else:
+        return None
+    return Morphism(m.source, m.target, fv, fe)

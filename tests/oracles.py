@@ -12,6 +12,9 @@ return the same list in the same order.
 The reference commutation check builds every square of the Church–Rosser
 decomposition and runs the general checks on each, where the engine decides
 a passing instance over the rules' items; both must return the same report.
+The reference mediator fills each map from B, then from C, and re-reads
+B, where the engine makes one pass per item kind; both raise on the same
+cospans with the same message.
 The reference pullback check builds the canonical pullback object and the
 mediating morphism into it, where the engine decides on the agreeing pairs
 alone; the reference joint-surjectivity check scans the target in order,
@@ -488,6 +491,46 @@ def reference_verify_commutation_squares(
         if not squares_agree(built, expected):
             return CheckReport(False, f"composite {label} differs from the derivation square", ("maps",))
     return CheckReport(True)
+
+
+def reference_pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
+    """Instantiate the pushout's universal property on a concrete cospan.
+
+    For a pushout square and a cospan ``p: B -> X``, ``t: C -> X`` with
+    ``p after ab = t after ac``, returns the unique ``u: D -> X`` with
+    ``u after bd = p`` and ``u after cd = t``. Raises when the cospan does
+    not factor (which for a genuine pushout means it did not commute).
+    """
+    if p.source != sq.B or t.source != sq.C or p.target != t.target:
+        raise PreconditionError("pushout_mediator: cospan endpoints do not fit the square")
+    fv: dict[int, int] = {}
+    fe: dict[int, int] = {}
+    for b in sq.B.nodes:
+        fv[sq.bd.fv[b]] = p.fv[b]
+    for c in sq.C.nodes:
+        image = sq.cd.fv[c]
+        if image in fv and fv[image] != t.fv[c]:
+            raise PreconditionError("pushout_mediator: cospan does not factor on nodes")
+        fv[image] = t.fv[c]
+    for b in sq.B.nodes:
+        if fv[sq.bd.fv[b]] != p.fv[b]:
+            raise PreconditionError("pushout_mediator: cospan does not factor on nodes")
+    for b in sq.B.edges:
+        fe[sq.bd.fe[b]] = p.fe[b]
+    for c in sq.C.edges:
+        image = sq.cd.fe[c]
+        if image in fe and fe[image] != t.fe[c]:
+            raise PreconditionError("pushout_mediator: cospan does not factor on edges")
+        fe[image] = t.fe[c]
+    for b in sq.B.edges:
+        if fe[sq.bd.fe[b]] != p.fe[b]:
+            raise PreconditionError("pushout_mediator: cospan does not factor on edges")
+    if set(fv) != set(sq.D.nodes) or set(fe) != set(sq.D.edges):
+        raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective")
+    u = Morphism(sq.D, p.target, fv, fe)
+    if not validate_morphism(u).ok:
+        raise PreconditionError("pushout_mediator: mediating map is not a morphism")
+    return u
 
 
 def reference_validate_graph(g: Graph) -> ValidationReport:

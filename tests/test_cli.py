@@ -615,6 +615,14 @@ class TestStandaloneMorphismFiles:
             assert report["kind"] == "morphism" and report["ok"] is (code == 0)
             assert report["ok"] is (not report["violations"])
 
+    def test_a_path_with_a_null_byte_cannot_be_read(self, capsys, tmp_path):
+        # open() refuses the path with ValueError: a read error, not a JSON one
+        doc = {"source": "a\u0000b", "target": {"nodes": [], "edges": []}, "fv": {}, "fe": {}}
+        code, report, err = run(capsys, "validate", write(tmp_path / "m.json", doc))
+        assert (code, report) == (1, None)
+        unreadable = tmp_path / doc["source"]
+        assert err == f"error: cannot read {unreadable}: embedded null byte\n"
+
 
 class TestUnwritableOutput:
     """An output path in a directory that does not exist, or that is a

@@ -30,13 +30,14 @@ from dpo.morphism import (
     morphisms_agree,
 )
 
-from .generators import random_cospan, random_morphism_into
+from .generators import one_item_moved, random_cospan, random_morphism_into
 from .oracles import (
     built_square,
     is_surjective,
     pullback_chain_condition,
     reference_is_pullback,
     reference_jointly_surjective,
+    reference_pushout_mediator,
 )
 from .strategies import square_legs
 
@@ -481,6 +482,85 @@ class TestPushoutMediator:
             u = pushout_mediator(sq, p=p, t=t)
             assert morphisms_agree(compose(u, sq.bd), p)
             assert morphisms_agree(compose(u, sq.cd), t)
+
+
+def through(m: Morphism, u_v: dict, u_e: dict, X) -> Morphism:
+    """``u after m`` into ``X``, for item maps ``u`` that need not be a morphism."""
+    return Morphism(m.source, X, {x: u_v[y] for x, y in m.fv.items()}, {x: u_e[y] for x, y in m.fe.items()})
+
+
+class TestPushoutMediatorAgainstReference:
+    """One pass per item kind raises on the same cospans, with the same
+    message, as the reference's fill-from-B, fill-from-C, re-read-B loops,
+    and otherwise returns the same map."""
+
+    @staticmethod
+    def outcome(mediator, sq: Square, p: Morphism, t: Morphism):
+        try:
+            u = mediator(sq, p=p, t=t)
+        except PreconditionError as exc:
+            return str(exc)
+        return u.source, u.target, u.fv, u.fe
+
+    @staticmethod
+    def cases(rng: random.Random):
+        # gluing squares are pushouts: a cospan through a morphism out of D
+        # factors; one through arbitrary item maps need not be a morphism
+        sq = random_gluing_square(rng, max_interface_nodes=2, extra_nodes=2, extra_edges=2)
+        ext = randgen.random_embedding(rng, sq.D, 1, 1)
+        X = ext.target
+        p, t = compose(ext, sq.bd), compose(ext, sq.cd)
+        yield "factors", sq, p, t
+        moved = one_item_moved(rng, p, X)
+        if moved is not None:
+            yield "B and C disagree", sq, moved, t
+        moved = one_item_moved(rng, t, X)
+        if moved is not None:
+            yield "B and C disagree", sq, p, moved
+        u_v = {v: rng.choice(sorted(X.nodes)) for v in sq.D.nodes}
+        u_e = {e: rng.choice(sorted(X.edges)) for e in sq.D.edges}
+        yield "arbitrary maps", sq, through(sq.bd, u_v, u_e, X), through(sq.cd, u_v, u_e, X)
+        # a cospan under an empty apex, whose legs need be neither injective
+        # nor jointly surjective
+        bd, cd = random_cospan(rng)
+        empty = graph({})
+        sq = Square(Morphism(empty, bd.source, {}, {}), Morphism(empty, cd.source, {}, {}), bd, cd)
+        yield "cospan", sq, bd, cd
+        moved = one_item_moved(rng, bd, bd.target)
+        if moved is not None:
+            yield "cospan, p moved", sq, moved, cd
+        yield "endpoints", sq, cd, bd
+
+    def test_same_outcome_as_the_reference(self):
+        rng = random.Random(17)
+        seen = Counter()
+        for _ in range(300):
+            for name, sq, p, t in self.cases(rng):
+                got = self.outcome(pushout_mediator, sq, p, t)
+                assert got == self.outcome(reference_pushout_mediator, sq, p, t), name
+                seen[got if isinstance(got, str) else "mediator"] += 1
+        prefix = "pushout_mediator: "
+        for message in (
+            "mediator",
+            prefix + "cospan does not factor on nodes",
+            prefix + "cospan does not factor on edges",
+            prefix + "cospan of the square is not jointly surjective",
+            prefix + "mediating map is not a morphism",
+            prefix + "cospan endpoints do not fit the square",
+        ):
+            assert seen[message] > 10, (message, seen)
+
+    def test_a_non_injective_bd_with_a_disagreeing_p_raises(self):
+        # both B-nodes go to D's one node, and p sends them apart; no C-item
+        # meets that node, so only B's images can disagree
+        empty, b, d = graph({}), graph({0: "a", 1: "a"}), graph({0: "a", 1: "a"})
+        sq = Square(
+            Morphism(empty, b, {}, {}), identity(empty), Morphism(b, d, {0: 0, 1: 0}, {}), Morphism(empty, d, {}, {})
+        )
+        p, t = identity(b), Morphism(empty, b, {}, {})
+        for mediator in (pushout_mediator, reference_pushout_mediator):
+            with pytest.raises(PreconditionError, match="^pushout_mediator: cospan does not factor on nodes$"):
+                mediator(sq, p=p, t=t)
 
 
 class TestBoundedUniversalPropertyProbe:

@@ -27,7 +27,7 @@ from dpo.rewriting import (
     identity_rule,
 )
 
-from .generators import random_parallel_independent_pair, random_parallel_pair
+from .generators import one_item_moved, random_parallel_independent_pair, random_parallel_pair
 from .oracles import (
     exhaustive_parallel_witness_exists,
     is_inclusion,
@@ -407,21 +407,6 @@ class TestNoSquareOnAPassingPath:
         assert built == [sq]
 
 
-def one_item_moved(rng: random.Random, m: Morphism, pool: Graph):
-    """``m`` with the image of one node or edge changed to another item of
-    ``pool``, or ``None`` if there is no other."""
-    fv, fe = dict(m.fv), dict(m.fe)
-    if m.source.edges and len(pool.edges) > 1 and rng.random() < 0.5:
-        e = rng.choice(sorted(m.source.edges))
-        fe[e] = rng.choice(sorted(pool.edges - {fe[e]}))
-    elif m.source.nodes and len(pool.nodes) > 1:
-        v = rng.choice(sorted(m.source.nodes))
-        fv[v] = rng.choice(sorted(pool.nodes - {fv[v]}))
-    else:
-        return None
-    return Morphism(m.source, m.target, fv, fe)
-
-
 def with_comatch(d, h: Morphism):
     """The derivation ``d`` with its comatch replaced by ``h``."""
     return dataclasses.replace(d, gluing=dataclasses.replace(d.gluing, h=h))
@@ -524,6 +509,19 @@ def relabelled(rng: random.Random, g: Graph):
     return dataclasses.replace(g, nlabel={**g.nlabel, v: g.nlabel[v] + "'"})
 
 
+def context_and_result_relabelled(d, v: int, label: str):
+    """The derivation ``d`` with node ``v`` of its context and of its result
+    relabelled, and its ``k`` and comatch retargeted to them."""
+    D = dataclasses.replace(d.D, nlabel={**d.D.nlabel, v: label})
+    H = dataclasses.replace(d.H, nlabel={**d.H.nlabel, v: label})
+    h, k = d.comatch, d.deletion.d
+    return dataclasses.replace(
+        d,
+        deletion=dataclasses.replace(d.deletion, D=D, d=Morphism(k.source, D, k.fv, k.fe)),
+        gluing=dataclasses.replace(d.gluing, D=D, H=H, h=Morphism(h.source, H, h.fv, h.fe)),
+    )
+
+
 def with_partial_comatch(rng: random.Random, result: CommutationResult):
     """``result`` whose ``e1.comatch`` has lost one node map entry."""
     h = result.e1.comatch
@@ -560,6 +558,18 @@ class TestAgainstReference:
         moved = one_item_moved(rng, d.comatch, d.H)
         if moved is not None:
             yield "comatch moved", dataclasses.replace(pair, **{which: with_comatch(d, moved)}), witness, result
+        # both contexts relabel one host node that neither match touches
+        untouched = pair.d1.G.nodes.difference(pair.d1.match.m.fv.values(), pair.d2.match.m.fv.values())
+        if untouched:
+            v = min(untouched)
+            label = pair.d1.G.nlabel[v] + "'"
+            relabelled_pair = ParallelPair(*(context_and_result_relabelled(d, v, label) for d in (pair.d1, pair.d2)))
+            yield (
+                "contexts relabelled",
+                relabelled_pair,
+                parallel_independent(relabelled_pair),
+                commute(relabelled_pair),
+            )
 
     def test_identical_reports(self):
         rng = random.Random(83)
@@ -570,7 +580,15 @@ class TestAgainstReference:
                 assert report == reference_verify_commutation_squares(pair, witness, result), name
                 seen[name, report.verdict] += 1
         assert seen["intact", True] == 200
-        for name in ("witness moved", "G' shrunk", "G' relabelled", "e1, e2 swapped", "e1 comatch moved", "comatch moved"):
+        for name in (
+            "witness moved",
+            "G' shrunk",
+            "G' relabelled",
+            "e1, e2 swapped",
+            "e1 comatch moved",
+            "comatch moved",
+            "contexts relabelled",
+        ):
             assert seen[name, False] > 100, name
 
     def test_degenerate_and_large_instances(self):
@@ -603,8 +621,8 @@ class TestAgainstReference:
 
 
 class TestCorruptedPair:
-    """Derivations that do not fit the host, the witness or each other, one
-    way each; every one fails, with the reference's report."""
+    """Derivations that do not fit the host, the witness, each other or the
+    result, one way each; every one fails, with the reference's report."""
 
     @staticmethod
     def pair() -> ParallelPair:
@@ -621,11 +639,11 @@ class TestCorruptedPair:
     def relabel(g: Graph, v: int, label: str) -> Graph:
         return dataclasses.replace(g, nlabel={**g.nlabel, v: label})
 
-    def witness_swapping_the_deleted_nodes(self, pair, witness):
+    def witness_swapping_the_deleted_nodes(self, pair, witness, result):
         j1 = witness.j1
-        return pair, dataclasses.replace(witness, j1=Morphism(j1.source, j1.target, {0: 1, 1: 0}, {}))
+        return pair, dataclasses.replace(witness, j1=Morphism(j1.source, j1.target, {0: 1, 1: 0}, {})), result
 
-    def host_with_a_node_neither_context_has(self, pair, witness):
+    def host_with_a_node_neither_context_has(self, pair, witness, result):
         G = graph({**pair.d1.G.nlabel, 9: "c"})
 
         def moved(d):
@@ -636,9 +654,9 @@ class TestCorruptedPair:
                 deletion=dataclasses.replace(d.deletion, G=G),
             )
 
-        return ParallelPair(moved(pair.d1), moved(pair.d2)), witness
+        return ParallelPair(moved(pair.d1), moved(pair.d2)), witness, result
 
-    def second_host_relabelled_where_no_context_reads(self, pair, witness):
+    def second_host_relabelled_where_no_context_reads(self, pair, witness, result):
         # node 0 is deleted by d1 and kept by d2, whose own host differs there
         d2 = pair.d2
         G2 = self.relabel(d2.G, 0, "c")
@@ -646,31 +664,36 @@ class TestCorruptedPair:
         d2 = dataclasses.replace(
             d2, match=Match(Morphism(m.source, G2, m.fv, m.fe)), deletion=dataclasses.replace(d2.deletion, G=G2)
         )
-        return ParallelPair(pair.d1, d2), witness
+        return ParallelPair(pair.d1, d2), witness, result
 
-    def first_context_and_result_relabelled(self, pair, witness):
-        d1 = pair.d1
-        D1, H1 = self.relabel(d1.D, 3, "c"), self.relabel(d1.H, 3, "c")
-        h, k = d1.comatch, d1.deletion.d
-        d1 = dataclasses.replace(
-            d1,
-            deletion=dataclasses.replace(d1.deletion, D=D1, d=Morphism(k.source, D1, k.fv, k.fe)),
-            gluing=dataclasses.replace(d1.gluing, D=D1, H=H1, h=Morphism(h.source, H1, h.fv, h.fe)),
-        )
-        j2 = witness.j2
-        return ParallelPair(d1, pair.d2), dataclasses.replace(witness, j2=Morphism(j2.source, D1, j2.fv, j2.fe))
+    def first_context_and_result_relabelled(self, pair, witness, result):
+        d1 = context_and_result_relabelled(pair.d1, 3, "c")
+        j2 = Morphism(witness.j2.source, d1.D, witness.j2.fv, witness.j2.fe)
+        return ParallelPair(d1, pair.d2), dataclasses.replace(witness, j2=j2), result
 
-    def first_result_relabelled(self, pair, witness):
+    def both_contexts_and_results_relabelled(self, pair, witness, result):
+        # node 3 is b in G and c in both contexts and results; neither match
+        # touches it, so the pair is independent and commutes as built
+        pair = ParallelPair(*(context_and_result_relabelled(d, 3, "c") for d in (pair.d1, pair.d2)))
+        return pair, parallel_independent(pair), commute(pair)
+
+    def first_result_relabelled(self, pair, witness, result):
         d1 = pair.d1
         H1 = self.relabel(d1.H, 3, "c")
         h = d1.comatch
         d1 = dataclasses.replace(d1, gluing=dataclasses.replace(d1.gluing, H=H1, h=Morphism(h.source, H1, h.fv, h.fe)))
-        return ParallelPair(d1, pair.d2), witness
+        return ParallelPair(d1, pair.d2), witness, result
 
-    def first_gluing_context_relabelled(self, pair, witness):
+    def first_gluing_context_relabelled(self, pair, witness, result):
         d1 = pair.d1
         d1 = dataclasses.replace(d1, gluing=dataclasses.replace(d1.gluing, D=self.relabel(d1.D, 3, "c")))
-        return ParallelPair(d1, pair.d2), witness
+        return ParallelPair(d1, pair.d2), witness, result
+
+    def e1_context_and_result_relabelled(self, pair, witness, result):
+        # e1 agrees with itself and with G', but its context relabels node 3
+        # of d1's result, the host it starts from
+        e1 = context_and_result_relabelled(result.e1, 3, "c")
+        return pair, witness, dataclasses.replace(result, Gp=e1.H, e1=e1)
 
     @pytest.mark.parametrize(
         "corruption",
@@ -681,6 +704,8 @@ class TestCorruptedPair:
             "first_context_and_result_relabelled",
             "first_result_relabelled",
             "first_gluing_context_relabelled",
+            "both_contexts_and_results_relabelled",
+            "e1_context_and_result_relabelled",
         ],
     )
     def test_fails_as_the_reference_does(self, corruption):
@@ -688,7 +713,7 @@ class TestCorruptedPair:
         witness = parallel_independent(pair)
         result = commute(pair)
         assert verify_commutation_squares(pair, witness, result)
-        pair, witness = getattr(self, corruption)(pair, witness)
+        pair, witness, result = getattr(self, corruption)(pair, witness, result)
         report = verify_commutation_squares(pair, witness, result)
         assert not report
         assert report == reference_verify_commutation_squares(pair, witness, result)
