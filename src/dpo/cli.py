@@ -1,10 +1,10 @@
 """Batch command-line front-end over the engine.
 
-Exit codes are stable: 0 ok, 1 parse/precondition failure or an output
-that cannot be written, 2 dangling condition violated, 3 check verdict
-false, 4 derivations dependent, 5 internal inconsistency. Machine-readable
-JSON reports go to standard output; a human summary goes to standard error
-unless ``--json`` is given.
+Exit codes are stable: 0 ok, 1 parse/precondition failure, usage error or
+an output that cannot be written, 2 dangling condition violated, 3 check
+verdict false, 4 derivations dependent, 5 internal inconsistency.
+Machine-readable JSON reports go to standard output; a human summary goes
+to standard error unless ``--json`` is given.
 """
 
 from __future__ import annotations
@@ -80,13 +80,18 @@ def _beside(out: str, suffix: str) -> str:
 
 def _write_all(outputs: list[tuple[str, Callable[[str], object]]]) -> None:
     """Call each writer on a temporary file beside its target, then move all
-    the files into place: an output that cannot be written, or whose target
-    is a directory, leaves no output behind and every existing file as it
-    was. Only a move that fails for another reason leaves the outputs moved
-    before it in place."""
+    the files into place: an output that cannot be written, whose target is
+    a directory, or whose target is another output's file, leaves no output
+    behind and every existing file as it was. Only a move that fails for
+    another reason leaves the outputs moved before it in place."""
+    named: dict[str, str] = {}
     for target, _ in outputs:
         if os.path.isdir(target):
             raise _is_a_directory(target)
+        real = os.path.realpath(target)
+        if real in named:
+            raise PreconditionError(f"outputs {named[real]} and {target} name one file")
+        named[real] = target
     moves: list[tuple[str, str]] = []
     try:
         for i, (target, write) in enumerate(outputs):
@@ -286,8 +291,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 (:data:`EXIT_PARSE`):
+    argparse's own code, 2, means a violated dangling condition here.
+    Subparsers are built with the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dpo", description=__doc__)
+    parser = _Parser(prog="dpo", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine report only")
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -17,8 +17,7 @@ wiring or legs: a :class:`Square` is checked once, when it is built.
 ``cd`` is an identity inclusion, it decides a pass over the items of A and
 B alone, so a rule-sized square in a host-sized graph costs O(|A| + |B|).
 :func:`~dpo.rewriting.apply` certifies both squares of every derivation
-with it, and :func:`~dpo.independence.verify_commutation_squares` squares
-(11), (21), (31) and (41) of the Church–Rosser decomposition.
+with it.
 """
 
 from __future__ import annotations
@@ -273,8 +272,7 @@ def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> CheckReport:
     be graph morphisms, since no clause below reads a label or an endpoint,
     ``cd`` must be the identity inclusion of ``C`` in ``D``, so that ``C``'s
     items are items of ``D``, and ``bd`` must map into ``D``. All hold for
-    the squares of a derivation, and of the Church–Rosser decomposition, by
-    construction.
+    the squares of a derivation by construction.
     Then ``cd`` need not be read:
 
     - commutativity is ``bd(ab(a)) == ac(a)`` for every item ``a`` of A;

@@ -8,9 +8,9 @@ the other's result at the residual match, which :func:`apply` checks like
 any other match. :func:`verify_commutation_squares` re-checks the classical
 proof's decomposition square by square on the concrete instance; its shared
 context is ``D1 ∩ D2`` on G's identifiers. A passing instance is decided
-over the rules' items, by :func:`~dpo.diagrams.certify_pushout` and set
-algebra over the deleted and created items; only a failing one builds the
-host-sized squares and runs the general checks on them.
+by three derivation deltas over the rules' items and builds no graph or
+morphism; only a failing one builds the squares and runs the general
+checks on them.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import deleted_items, deletion, gluing, without
+from .constructions import deleted_items, deletion, gluing
 from .diagrams import (
     CheckReport,
     Square,
-    certify_pushout,
     compose_squares_vertical,
     is_pullback,
     is_pushout_injective,
@@ -37,7 +36,7 @@ from .errors import (
     RewriteError,
 )
 from .graph import Graph, IsoWitness, is_isomorphic, maps_within
-from .morphism import Morphism, compose, validate_morphism
+from .morphism import Morphism, compose, is_injective, validate_morphism
 from .rewriting import DirectDerivation, Match, apply
 
 
@@ -194,18 +193,14 @@ def verify_commutation_squares(
 
     A passing instance is decided by :func:`_passes_locally` in
     O(|L1| + |R1| + |L2| + |R2|) Python work plus C-level set and dict-view
-    operations on the host-sized graphs: one check, :func:`_delta`, that
-    each of ``d1`` and ``d2`` (on G) and ``result.e1`` (on ``d1.H``) is its
-    host minus what it deletes plus what it creates, four local pushout
-    certificates, and square (5) reduced to "G' is e1's result". Neither
-    the inclusions ``deletion.c``/``gluing.c`` nor the host-sized mediators
-    are built.
-    Only a pass is decided there: otherwise every square is built and
-    checked by the general checks, and the first failure is reported with
-    its square's label. A witness that is not a morphism into its context,
-    or a comatch of ``result.e1`` that is not total, fails, and never
-    raises. Graphs must be well-formed, as the loaders and constructions
-    make them.
+    operations on the host-sized graphs, and builds no graph or morphism:
+    there (11) and (31) come down to injective matches, (21) and (41) to
+    :func:`gluing`'s own pushout. Only a pass is decided there: otherwise
+    every square is built and checked by the general checks, and the first
+    failure is reported with its square's label. A witness that is not a
+    morphism into its context, or a comatch of ``result.e1`` that is not
+    total, fails, and never raises. Graphs must be well-formed, as the
+    loaders and constructions make them.
     """
     d1, d2 = pair.d1, pair.d2
     b1, r1 = d1.rule.b, d1.rule.r
@@ -298,57 +293,42 @@ def verify_commutation_squares(
 
 def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: CommutationResult) -> bool:
     """Whether every check of :func:`verify_commutation_squares` passes,
-    decided over the rules' items and C-level set algebra; ``False`` means
-    "check in general", not "fails". The witness has been validated.
+    decided over the rules' items; ``False`` means "check in general", not
+    "fails". The witness has been validated.
 
-    Every leg of every square is an identity inclusion or the identity
-    except on the items a rule creates, so each of the three derivations
-    the decomposition reads is summed up by :func:`_delta` as its host
-    minus what it deletes, plus what it creates: ``d1`` and ``d2`` on G,
-    and ``result.e1``, the second rule at the residual match (``j2``'s
-    maps), on ``d1.H``. D0 = D2 without the first rule's deleted items is
-    then D1 ∩ D2, with G's labels and endpoints, so (12) is a pullback and,
-    as neither rule deletes what the other's match uses, (32) a pushout.
-    Squares (11), (21), (31) and (41) have rule-sized A and B and an
-    identity inclusion as ``cd``, and go to
-    :func:`~dpo.diagrams.certify_pushout`. The mediators ``sigma1``,
-    ``sigma2``, ``tau1`` and ``tau2`` are the identity on D0 and the
-    comatches on created items; they exist, and (22), (42) and (5) are
-    pushouts, when each result is its context plus exactly its created
-    items and the comatches agree with the matches on the interfaces; for
-    square (5) that is G' is e1's result, since e1's result is D0 plus both
-    created sets. The composites then agree with the derivation squares
-    map by map.
+    :func:`_delta` sums up each derivation the decomposition reads as its
+    host minus what it deletes plus what it creates: ``d1`` and ``d2`` on
+    G, and ``result.e1`` (the second rule at ``j2``'s maps) on ``d1.H``.
+    The shared context D0 is then D1 ∩ D2 with G's labels and endpoints,
+    so (12) is a pullback and (32) a pushout. Square (11), ``b1, k1, j1``
+    over D0 ⊆ D2, is a pushout once d1's match is injective, for then the
+    L1-items outside D0 are exactly the deleted ones, all in D2; likewise
+    (31). Square (21) is ``gluing(r1, k1)``'s own pushout, which
+    :func:`apply` certifies on every derivation; likewise (41). The
+    mediators are the identity on D0 and the comatches on created items,
+    so (22), (42) and (5) are pushouts, the last once G' is e1's result,
+    which is D0 plus both created sets; and the composites agree with the
+    derivation squares map by map.
     """
     d1, d2, e1 = pair.d1, pair.d2, result.e1
-    j1, j2 = witness.j1, witness.j2
     G = d1.deletion.G
-    delta1 = _delta(d1, j1, G)
-    if delta1 is None or _delta(d2, j2, G) is None:
-        return False
-    D0 = without(d2.D, *delta1)
-    b1, r1, b2, r2 = d1.rule.b, d1.rule.r, d2.rule.b, d2.rule.r
-    k1 = Morphism(b1.source, D0, d1.deletion.d.fv, d1.deletion.d.fe)
-    k2 = Morphism(b2.source, D0, d2.deletion.d.fv, d2.deletion.d.fe)
-    try:
-        glue21, glue41 = gluing(r1, k1), gluing(r2, k2)
-        for ab, ac, bd in ((b1, k1, j1), (r1, k1, glue21.h), (b2, k2, j2), (r2, k2, glue41.h)):
-            if not certify_pushout(ab, ac, bd):
-                return False
-    except RewriteError:
-        return False
-    return e1.rule == d2.rule and _delta(e1, j2, d1.H) is not None and result.Gp == e1.H
+    return (
+        _delta(d1, witness.j1, G)
+        and _delta(d2, witness.j2, G)
+        and e1.rule == d2.rule
+        and _delta(e1, witness.j2, d1.H)
+        and result.Gp == e1.H
+    )
 
 
-def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> Optional[tuple[set[int], set[int]]]:
-    """The nodes and edges ``d`` deletes from ``G``, when ``d`` is ``G`` minus
-    what it deletes, plus what it creates: its match, whose maps are ``j``'s,
-    and its deletion start at ``G``; its context is ``G`` without the
-    deleted items, with ``G``'s labels and endpoints; its result is the
-    context plus exactly the items its comatch creates; and its comatch is a
-    morphism that agrees with the match on ``K``. Otherwise ``None``.
-    Rule-sized work plus C-level set and dict-view operations on ``G``,
-    ``D`` and ``H``."""
+def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> bool:
+    """Whether ``d`` is ``G`` minus what it deletes, plus what it creates:
+    its match, whose maps are ``j``'s, is injective, and it and ``d``'s
+    deletion start at ``G``; its context is ``G`` without the deleted
+    items, with ``G``'s labels and endpoints; its result is the context
+    plus exactly the items its comatch creates; and its comatch is a
+    morphism that agrees with the match on ``K``. Rule-sized work plus
+    C-level set and dict-view operations on ``G``, ``D`` and ``H``."""
     b, r, m, k, h = d.rule.b, d.rule.r, d.match.m, d.deletion.d, d.comatch
     D, H = d.D, d.H
     K, R = r.source, r.target
@@ -356,6 +336,7 @@ def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> Optional[tuple[set[int
         m.target == G == d.deletion.G
         and j.source == m.source == b.target
         and (j.fv, j.fe) == (m.fv, m.fe)
+        and is_injective(m)
         and K == b.source == k.source
         and k.target == D == d.gluing.D
         and h.source == R
@@ -363,11 +344,11 @@ def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> Optional[tuple[set[int
         and validate_morphism(h).ok
         and all((c.fv, c.fe) == (k.fv, k.fe) for c in (compose(m, b), compose(h, r)))
     ):
-        return None
+        return False
     gone_v, gone_e = deleted_items(b, m)
     made_v = {h.fv[x] for x in R.nodes.difference(r.fv.values())}
     made_e = {h.fe[x] for x in R.edges.difference(r.fe.values())}
-    if not (
+    return (
         D.nodes == G.nodes - gone_v
         and D.edges == G.edges - gone_e
         and maps_within(D, G)
@@ -376,6 +357,4 @@ def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> Optional[tuple[set[int
         and H.edges == D.edges | made_e
         and len(H.edges) == len(D.edges) + len(R.edges) - len(K.edges)
         and maps_within(D, H)
-    ):
-        return None
-    return gone_v, gone_e
+    )

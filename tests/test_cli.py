@@ -5,6 +5,7 @@ written to a temporary directory; the package entry points are run once each
 in a subprocess.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -705,6 +706,63 @@ class TestUnwritableOutput:
         assert (code, doc) == (1, None)
         assert err == "error: [Errno 21] Is a directory: '.'\n"
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestOutputsNamingOneFile:
+    """Two outputs that resolve to one file exit 1 before anything is
+    written: neither would hold what its option promises."""
+
+    @staticmethod
+    def assert_refused(capsys, tmp_path, monkeypatch, argv, out, option, other):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code, doc, err = run(capsys, *argv, "--out", out, option, other)
+        assert (code, doc) == (1, None)
+        assert err == f"error: outputs {out} and {other} name one file\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("option, other", [("--trace", "./H.json"), ("--dot", "H.json")])
+    def test_apply(self, capsys, files, tmp_path, monkeypatch, option, other):
+        argv = ["apply", files["delete_x"], files["host"]]
+        self.assert_refused(capsys, tmp_path, monkeypatch, argv, "H.json", option, other)
+
+    @pytest.mark.parametrize("option, other", [("--report", "G.json"), ("--dot", "./G.json")])
+    def test_commute(self, capsys, files, tmp_path, monkeypatch, option, other):
+        argv = ["commute", files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+        self.assert_refused(capsys, tmp_path, monkeypatch, argv, "G.json", option, other)
+
+
+class TestUsageErrors:
+    """A usage error exits 1, not argparse's 2, which is the dangling
+    condition's code, and prints argparse's usage and message unchanged."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "x.json"],
+            ["apply", "r.json", "g.json", "--out", "o.json", "--match-index", "zz"],
+            ["frob"],
+            [],
+        ],
+    )
+    def test_exits_1_with_argparses_message(self, capsys, monkeypatch, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: dpo")
+        # the same stderr as an unmodified argparse parser, which exits 2
+        monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+        with pytest.raises(SystemExit) as stock:
+            main(argv)
+        assert stock.value.code == 2
+        assert capsys.readouterr() == (out, err)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dpo apply")
 
 
 class TestIso:

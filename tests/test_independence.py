@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from dpo import diagrams, independence, randgen
-from dpo.constructions import inclusion
+from dpo import constructions, diagrams, independence, randgen
+from dpo.constructions import DeletionResult, GluingResult
 from dpo.errors import DependentDerivationsError, InternalConsistencyError, PreconditionError
 from dpo.graph import Graph, graph, is_isomorphic
 from dpo.independence import (
@@ -19,6 +19,7 @@ from dpo.independence import (
 )
 from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
+    DirectDerivation,
     Match,
     Rule,
     apply,
@@ -298,36 +299,44 @@ def large_pair(seed: int, n: int) -> ParallelPair:
     )
 
 
+def with_a_node_added(g: Graph) -> Graph:
+    """``g`` with one more, isolated node."""
+    edges = {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in g.edges}
+    return graph({**g.nlabel, max(g.nodes, default=-1) + 1: "z"}, edges)
+
+
 class TestSharedContext:
     """The decomposition's shared context is D1 ∩ D2 on G's identifiers;
-    read from the squares the verification hands to the local certifier."""
+    read from the pushout complements (11) and (31) that the general path
+    builds, reached with a G' the local pass rejects."""
 
     @staticmethod
     def checked_squares(monkeypatch, pair: ParallelPair):
-        seen = []
-        certify = independence.certify_pushout
+        built = []
+        delete = independence.deletion
 
-        def spy(ab, ac, bd):
-            # certify_pushout's square: its cd is the inclusion of C in D
-            seen.append(diagrams.Square(ab, ac, bd, inclusion(ac.target, bd.target)))
-            return certify(ab, ac, bd)
+        def spy(b, j):
+            built.append(delete(b, j))
+            return built[-1]
 
-        monkeypatch.setattr(independence, "certify_pushout", spy)
         witness = parallel_independent(pair)
-        assert verify_commutation_squares(pair, witness, commute(pair))
-        return dict(zip(("(11)", "(21)", "(31)", "(41)"), seen))
+        result = commute(pair)
+        monkeypatch.setattr(independence, "deletion", spy)
+        corrupted = dataclasses.replace(result, Gp=with_a_node_added(result.Gp))
+        assert not verify_commutation_squares(pair, witness, corrupted)
+        return dict(zip(("(11)", "(31)"), built, strict=True))
 
     def assert_decomposition(self, monkeypatch, pair: ParallelPair) -> None:
         squares = self.checked_squares(monkeypatch, pair)
         shared = both_deleted_removed(pair)
         # (12) is the square of pi2 and pi1, the inclusions (11) and (31)
         # have as cd, over c2 and c1
-        pi2, pi1 = squares["(11)"].cd, squares["(31)"].cd
+        pi2, pi1 = squares["(11)"].c, squares["(31)"].c
         assert pi2.source == shared and pi1.source == shared
         assert is_inclusion(pi2) and is_inclusion(pi1)
         assert (pi2.target, pi1.target) == (pair.d2.D, pair.d1.D)
         for label, d in (("(11)", pair.d1), ("(31)", pair.d2)):
-            k = squares[label].ac
+            k = squares[label].d
             assert k.target == shared
             assert (k.fv, k.fe) == (d.deletion.d.fv, d.deletion.d.fe)
 
@@ -353,17 +362,23 @@ def assembled_result(pair: ParallelPair, witness) -> CommutationResult:
 
 class TestNoHostSizedPass:
     """A passing instance is decided without the general checks, the
-    host-sized mediators or the context inclusions."""
+    host-sized mediators, the context inclusions or any construction: it
+    builds no graph or morphism."""
 
-    GENERAL = ("is_pushout_injective", "is_pullback", "pushout_mediator")
+    UNCALLED = (
+        "is_pushout_injective", "is_pullback", "pushout_mediator",
+        "gluing", "deletion", "without", "certify_pushout",
+    )
 
     def assert_local_pass(self, monkeypatch, pair: ParallelPair, result=None) -> None:
         witness = parallel_independent(pair)
         result = result or commute(pair)
         calls = []
-        for module in (diagrams, independence):
-            for name in self.GENERAL:
-                monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        # each name where it is defined and wherever independence imports it
+        for module in (constructions, diagrams, independence):
+            for name in self.UNCALLED:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
         assert verify_commutation_squares(pair, witness, result)
         monkeypatch.undo()
         assert calls == []
@@ -695,9 +710,29 @@ class TestCorruptedPair:
         e1 = context_and_result_relabelled(result.e1, 3, "c")
         return pair, witness, dataclasses.replace(result, Gp=e1.H, e1=e1)
 
+    def first_match_folding_two_preserved_nodes(self, pair, witness, result):
+        # d1 keeps both a-nodes of its rule, and its match sends them to
+        # host node 0; its context and result are the host itself, so every
+        # delta agrees, and only the match's injectivity fails
+        keep_two = identity_rule(graph({0: "a", 1: "a"}))
+        G, folded = pair.d1.G, {0: 0, 1: 0}
+        d1 = DirectDerivation(
+            rule=keep_two,
+            match=Match(Morphism(keep_two.L, G, folded, {})),
+            deletion=DeletionResult(D=G, d=Morphism(keep_two.K, G, folded, {}), G=G),
+            gluing=GluingResult(H=G, h=Morphism(keep_two.R, G, folded, {}), D=G),
+        )
+        pair = ParallelPair(d1, pair.d2)
+        witness = parallel_independent(pair)
+        # commute cannot apply the first rule at a folded residual; e1 is
+        # what verification reads
+        e1 = apply(pair.d2.rule, residual_match(pair, witness)[0])
+        return pair, witness, dataclasses.replace(result, Gp=e1.H, e1=e1)
+
     @pytest.mark.parametrize(
         "corruption",
         [
+            "first_match_folding_two_preserved_nodes",
             "witness_swapping_the_deleted_nodes",
             "host_with_a_node_neither_context_has",
             "second_host_relabelled_where_no_context_reads",
