@@ -174,6 +174,12 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
     against the already-assigned neighbours of ``v`` and of ``w`` only, as in
     VF2's feasibility rules, so each check costs O(degree): an assigned node
     adjacent to neither side carries no edges to compare.
+
+    Each graph is indexed in one pass over its edges: per ordered node pair,
+    the key ``tuple(sorted(labels))`` of its edge-label multiset (labels are
+    strings), compared as one C-level tuple; per node, its neighbours. The
+    search still recurses once per node: past the recursion limit (about
+    1,000 nodes) it raises :class:`RecursionError`.
     """
     if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
         return None
@@ -184,10 +190,8 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
     if Counter(g.elabel.values()) != Counter(h.elabel.values()):
         return None
 
-    pair_g = _edge_label_index(g)
-    pair_h = _edge_label_index(h)
-    nbrs_g = _neighbours(pair_g)
-    nbrs_h = _neighbours(pair_h)
+    pair_g, nbrs_g = _edge_label_index(g)
+    pair_h, nbrs_h = _edge_label_index(h)
     order = sorted(g.nodes)
     by_sig: dict[tuple, list[int]] = {}
     for w in sorted(h.nodes):
@@ -198,7 +202,7 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
 
     def consistent(v: int, w: int) -> bool:
         # every ordered pair involving v (including the loop pair) must carry
-        # the same edge-label multiset on both sides; pairs with an assigned
+        # the same edge-label key on both sides; pairs with an assigned
         # node that is adjacent to neither v nor w are empty on both sides
         if pair_g.get((v, v)) != pair_h.get((w, w)):
             return False
@@ -246,22 +250,22 @@ def _node_signatures(g: Graph) -> dict[int, tuple]:
     return {v: (g.nlabel[v], outdeg.get(v, 0), indeg.get(v, 0)) for v in g.nodes}
 
 
-def _edge_label_index(g: Graph) -> dict[tuple[int, int], Counter]:
-    index: dict[tuple[int, int], Counter] = {}
-    for e in g.edges:
-        index.setdefault((g.src[e], g.tgt[e]), Counter())[g.elabel[e]] += 1
-    return index
-
-
-def _neighbours(pairs: Mapping[tuple[int, int], Counter]) -> dict[int, tuple[int, ...]]:
+def _edge_label_index(g: Graph) -> tuple[dict[tuple[int, int], tuple[str, ...]], dict[int, tuple[int, ...]]]:
+    # the sorted edge labels on each ordered node pair that has an edge, and
     # the distinct nodes joined to each node by an edge in either direction,
     # loops left out
+    labels: dict[tuple[int, int], list[str]] = {}
     adjacent: dict[int, set[int]] = {}
-    for s, t in pairs:
+    for e, s in g.src.items():
+        t = g.tgt[e]
+        labels.setdefault((s, t), []).append(g.elabel[e])
         if s != t:
             adjacent.setdefault(s, set()).add(t)
             adjacent.setdefault(t, set()).add(s)
-    return {v: tuple(us) for v, us in adjacent.items()}
+    return (
+        {pair: tuple(sorted(ls)) for pair, ls in labels.items()},
+        {v: tuple(us) for v, us in adjacent.items()},
+    )
 
 
 def _edge_bijection(g: Graph, h: Graph, node_map: Mapping[int, int]) -> dict[int, int]:

@@ -1,9 +1,10 @@
 """Seeded random generators that only the tests use, next to the ones in
 :mod:`dpo.randgen` that ``dpo gen`` uses: morphisms into a graph, cospans,
 rules with an applicable match, parallel pairs of derivations, and a
-morphism with one image moved.
+morphism with one image moved; and two fixed pairs of graphs with equal
+node signatures and edge-label counts that are not isomorphic.
 
-Like :mod:`dpo.randgen`, everything is driven by a caller-supplied
+Like :mod:`dpo.randgen`, every generator is driven by a caller-supplied
 :class:`random.Random`, so a seed gives the same corpus every time.
 """
 
@@ -18,6 +19,13 @@ from dpo.independence import ParallelPair
 from dpo.morphism import Morphism
 from dpo.randgen import EDGE_LABELS, NODE_LABELS, random_embedding, random_graph, random_rule
 from dpo.rewriting import Match, Rule, apply
+
+# one-label cycles: every node has label a, out-degree 1 and in-degree 1
+TWO_TRIANGLES = graph({v: "a" for v in range(6)}, {v: (v, 3 * (v // 3) + (v + 1) % 3, "x") for v in range(6)})
+HEXAGON = graph({v: "a" for v in range(6)}, {v: (v, (v + 1) % 6, "x") for v in range(6)})
+# two parallel pairs each: {x, y} twice against {x, x} and {y, y}
+MIXED_PAIRS = graph({v: "a" for v in range(4)}, {0: (0, 1, "x"), 1: (0, 1, "y"), 2: (2, 3, "x"), 3: (2, 3, "y")})
+PURE_PAIRS = graph({v: "a" for v in range(4)}, {0: (0, 1, "x"), 1: (0, 1, "x"), 2: (2, 3, "y"), 3: (2, 3, "y")})
 
 
 def random_morphism_into(

@@ -95,8 +95,8 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
         return False
     g_nodes = sorted(g.nodes)
-    pair_labels_g = _pair_label_index(g)
-    pair_labels_h = _pair_label_index(h)
+    pair_labels_g = pair_label_index(g)
+    pair_labels_h = pair_label_index(h)
     for image in itertools.permutations(sorted(h.nodes)):
         fv = dict(zip(g_nodes, image))
         if any(g.nlabel[v] != h.nlabel[fv[v]] for v in g_nodes):
@@ -110,7 +110,8 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
-def _pair_label_index(g: Graph) -> dict[tuple[int, int], Counter]:
+def pair_label_index(g: Graph) -> dict[tuple[int, int], Counter]:
+    """The multiset of edge labels on each ordered node pair that has an edge."""
     index: dict[tuple[int, int], Counter] = {}
     for e in g.edges:
         index.setdefault((g.src[e], g.tgt[e]), Counter())[g.elabel[e]] += 1

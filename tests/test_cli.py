@@ -26,6 +26,7 @@ from dpo.graph import graph
 from dpo.morphism import Morphism, identity, validate_morphism
 from dpo.rewriting import Rule, identity_rule
 
+from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES
 from .oracles import renumber
 from .strategies import graphs
 
@@ -790,6 +791,15 @@ class TestIso:
             graph({0: "a", 1: "a", 2: "b"}, {0: (0, 1, "x"), 1: (1, 2, "x")})
         ))
         code, doc, _ = run(capsys, "iso", files["host"], other)
+        assert (code, doc) == (3, {"isomorphic": False, "witness": None})
+
+    @pytest.mark.parametrize(
+        "g, h", [(TWO_TRIANGLES, HEXAGON), (MIXED_PAIRS, PURE_PAIRS)], ids=["cycles", "parallel pairs"]
+    )
+    def test_pair_with_equal_signatures_exits_3_without_a_witness(self, capsys, tmp_path, g, h):
+        # same node signatures and edge-label counts, not isomorphic
+        files = [write(tmp_path / name, io.graph_to_json(x)) for name, x in (("g.json", g), ("h.json", h))]
+        code, doc, _ = run(capsys, "iso", *files)
         assert (code, doc) == (3, {"isomorphic": False, "witness": None})
 
 

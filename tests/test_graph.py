@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import sys
 from collections import Counter
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import MultiDiGraphMatcher, categorical_node_match
 
 from dpo.errors import PreconditionError
-from dpo.graph import Graph, graph, is_isomorphic, validate_graph
+from dpo.graph import Graph, _edge_label_index, graph, is_isomorphic, validate_graph
 from dpo.morphism import Morphism, validate_morphism
 
+from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES
 from .oracles import (
     brute_force_isomorphic,
     is_bijective,
     morphism_axioms_ok,
+    pair_label_index,
     reference_validate_graph,
     renumber,
 )
@@ -275,6 +278,104 @@ class TestIsIsomorphicAgainstNetworkx:
         assert w is not None
         assert [w.node_map[v] for v in range(60)] == PINNED_NODE_IMAGES
         assert [w.edge_map[e] for e in range(90)] == PINNED_EDGE_IMAGES
+
+
+@st.composite
+def bundled_graphs(draw) -> Graph:
+    """Up to 6 nodes labelled a or b, and up to 5 bundles of 1-3 edges, each
+    bundle on one ordered node pair with labels drawn from x, y, z: parallel
+    edges of mixed labels, and loops carrying two labels."""
+    n = draw(st.integers(1, 6))
+    nodes = {v: draw(st.sampled_from("ab")) for v in range(n)}
+    edges = {}
+    for _ in range(draw(st.integers(0, 5))):
+        s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for label in draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3)):
+            edges[len(edges)] = (s, t, label)
+    return graph(nodes, edges)
+
+
+@st.composite
+def iso_candidate_pairs(draw) -> tuple[Graph, Graph]:
+    """A bundled graph and a renumbered copy of it, left as it is, with one
+    edge flipped, or with the labels of two edges swapped; or a second,
+    independent draw."""
+    g = draw(bundled_graphs())
+    kind = draw(st.sampled_from(["shuffled", "flipped", "swapped", "independent"]))
+    if kind == "independent":
+        return g, draw(bundled_graphs())
+    src, tgt, elabel = dict(g.src), dict(g.tgt), dict(g.elabel)
+    if kind == "flipped" and g.edges:
+        e = draw(st.sampled_from(sorted(g.edges)))
+        src[e], tgt[e] = tgt[e], src[e]
+    elif kind == "swapped" and g.edges:
+        e, f = draw(st.sampled_from(sorted(g.edges))), draw(st.sampled_from(sorted(g.edges)))
+        elabel[e], elabel[f] = elabel[f], elabel[e]
+    changed = Graph(g.nodes, g.edges, src, tgt, g.nlabel, elabel)
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    # new ids drawn from 0-40, so the copy's ids need not follow the original's order
+    new_nodes = draw(st.lists(st.integers(0, 40), min_size=len(nodes), max_size=len(nodes), unique=True))
+    new_edges = draw(st.lists(st.integers(0, 40), min_size=len(edges), max_size=len(edges), unique=True))
+    return g, renumber(changed, dict(zip(nodes, new_nodes)), dict(zip(edges, new_edges)))
+
+
+class TestEdgeLabelKeys:
+    """Each ordered node pair is keyed by its sorted edge labels; two keys
+    are equal exactly when the pairs' edge-label multisets are."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(iso_candidate_pairs())
+    @example((
+        graph({0: "a"}, {0: (0, 0, "x"), 1: (0, 0, "y")}),
+        graph({5: "a"}, {3: (5, 5, "y"), 8: (5, 5, "x")}),
+    ))
+    @example((
+        graph({0: "a", 1: "a"}, {0: (0, 1, "x"), 1: (0, 1, "y"), 2: (1, 1, "x"), 3: (1, 1, "y")}),
+        graph({0: "a", 1: "a"}, {0: (0, 1, "x"), 1: (0, 1, "x"), 2: (1, 1, "y"), 3: (1, 1, "y")}),
+    ))
+    def test_keys_are_equal_exactly_when_multisets_are(self, pair):
+        entries = []
+        for x in pair:
+            keys, counters = _edge_label_index(x)[0], pair_label_index(x)
+            assert keys.keys() == counters.keys()
+            entries += [(keys[p], counters[p]) for p in keys]
+        for (k1, c1), (k2, c2) in itertools.product(entries, repeat=2):
+            assert (k1 == k2) == (c1 == c2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(iso_candidate_pairs())
+    def test_symmetric_and_agrees_with_brute_force(self, pair):
+        g, h = pair
+        forward = is_isomorphic(g, h)
+        assert (forward is None) == (is_isomorphic(h, g) is None)
+        assert (forward is not None) == brute_force_isomorphic(g, h)
+
+
+class TestIsIsomorphicTellsApartEqualSignatures:
+    """Pairs with the same node signatures and edge-label counts that are
+    not isomorphic: only the search can tell them apart."""
+
+    def test_two_triangles_against_a_hexagon(self):
+        assert is_isomorphic(TWO_TRIANGLES, HEXAGON) is None
+        assert is_isomorphic(HEXAGON, TWO_TRIANGLES) is None
+
+    def test_mixed_parallel_pairs_against_pure_ones(self):
+        assert is_isomorphic(MIXED_PAIRS, PURE_PAIRS) is None
+        assert is_isomorphic(PURE_PAIRS, MIXED_PAIRS) is None
+
+    def test_label_multiplicities_on_equal_label_sets(self):
+        # every pair carries labels {x, y}; the a-pair has two x in g, one in h
+        g = graph({0: "a", 1: "a", 2: "b", 3: "b"}, {
+            0: (0, 1, "x"), 1: (0, 1, "x"), 2: (0, 1, "y"), 3: (2, 3, "x"), 4: (2, 3, "y"), 5: (2, 3, "y"),
+        })
+        h = Graph(g.nodes, g.edges, g.src, g.tgt, g.nlabel, {**g.elabel, 1: "y", 4: "x"})
+        assert is_isomorphic(g, h) is None
+
+    def test_each_pair_is_isomorphic_to_a_renumbered_copy_of_itself(self):
+        for g in (TWO_TRIANGLES, HEXAGON, MIXED_PAIRS, PURE_PAIRS):
+            nodes, edges = sorted(g.nodes), sorted(g.edges)
+            h = renumber(g, dict(zip(nodes, reversed(nodes))), dict(zip(edges, reversed(edges))))
+            assert is_isomorphic(g, h) is not None
 
 
 def garbage_after(call) -> int:
