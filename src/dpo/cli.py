@@ -80,10 +80,10 @@ def _beside(out: str, suffix: str) -> str:
 
 def _write_all(outputs: list[tuple[str, Callable[[str], object]]]) -> None:
     """Call each writer on a temporary file beside its target, then move all
-    the files into place: an output that cannot be written, whose target is
-    a directory, or whose target is another output's file, leaves no output
-    behind and every existing file as it was. Only a move that fails for
-    another reason leaves the outputs moved before it in place."""
+    the files into place: an output that cannot be written or moved, whose
+    target is a directory, or whose target is another output's file, leaves
+    no output and no temporary file behind. A move that fails puts back each
+    target moved before it: its earlier bytes, or no file if it had none."""
     named: dict[str, str] = {}
     for target, _ in outputs:
         if os.path.isdir(target):
@@ -93,16 +93,25 @@ def _write_all(outputs: list[tuple[str, Callable[[str], object]]]) -> None:
             raise PreconditionError(f"outputs {named[real]} and {target} name one file")
         named[real] = target
     moves: list[tuple[str, str]] = []
+    moved: list[tuple[str, bytes | None]] = []
     try:
         for i, (target, write) in enumerate(outputs):
             moves.append((f"{target}.{os.getpid()}.{i}.tmp", target))
             write(moves[-1][0])
         for tmp, target in moves:
+            earlier = Path(target).read_bytes() if os.path.exists(target) else None
             os.replace(tmp, target)
+            moved.append((target, earlier))
     except BaseException as exc:
         for tmp, _ in moves:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
+        for path, earlier in moved:
+            with contextlib.suppress(OSError):
+                if earlier is None:
+                    os.remove(path)
+                else:
+                    Path(path).write_bytes(earlier)
         if isinstance(exc, OSError) and exc.errno is not None:
             # name the output that failed, not its temporary file
             raise OSError(exc.errno, exc.strerror, target) from exc

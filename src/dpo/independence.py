@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import deleted_items, deletion, gluing
+from .constructions import deletion, gluing
 from .diagrams import (
     CheckReport,
     Square,
@@ -327,34 +327,32 @@ def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> bool:
     deletion start at ``G``; its context is ``G`` without the deleted
     items, with ``G``'s labels and endpoints; its result is the context
     plus exactly the items its comatch creates; and its comatch is a
-    morphism that agrees with the match on ``K``. Rule-sized work plus
-    C-level set and dict-view operations on ``G``, ``D`` and ``H``."""
+    morphism that agrees with the match on ``K``. The deleted and created
+    items are ``d.delta``. Rule-sized work plus C-level set and dict-view
+    operations on ``G``, ``D`` and ``H``."""
     b, r, m, k, h = d.rule.b, d.rule.r, d.match.m, d.deletion.d, d.comatch
     D, H = d.D, d.H
-    K, R = r.source, r.target
     if not (
         m.target == G == d.deletion.G
         and j.source == m.source == b.target
         and (j.fv, j.fe) == (m.fv, m.fe)
         and is_injective(m)
-        and K == b.source == k.source
+        and r.source == b.source == k.source
         and k.target == D == d.gluing.D
-        and h.source == R
+        and h.source == r.target
         and h.target == H
         and validate_morphism(h).ok
         and all((c.fv, c.fe) == (k.fv, k.fe) for c in (compose(m, b), compose(h, r)))
     ):
         return False
-    gone_v, gone_e = deleted_items(b, m)
-    made_v = {h.fv[x] for x in R.nodes.difference(r.fv.values())}
-    made_e = {h.fe[x] for x in R.edges.difference(r.fe.values())}
+    gone_v, gone_e, made_v, made_e = d.delta
     return (
         D.nodes == G.nodes - gone_v
         and D.edges == G.edges - gone_e
         and maps_within(D, G)
-        and H.nodes == D.nodes | made_v
-        and len(H.nodes) == len(D.nodes) + len(R.nodes) - len(K.nodes)
-        and H.edges == D.edges | made_e
-        and len(H.edges) == len(D.edges) + len(R.edges) - len(K.edges)
+        and H.nodes == D.nodes.union(made_v.values())
+        and len(H.nodes) == len(D.nodes) + len(made_v)
+        and H.edges == D.edges.union(made_e.values())
+        and len(H.edges) == len(D.edges) + len(made_e)
         and maps_within(D, H)
     )

@@ -44,7 +44,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
-from .constructions import deleted_items
 from .diagrams import CheckReport, Square
 from .errors import FormatError, PreconditionError
 from .graph import Graph, IsoWitness, validate_graph
@@ -500,26 +499,25 @@ def checked_morphism(m: Morphism, where: str) -> Morphism:
 def derivation_trace_json(dd: DirectDerivation) -> dict:
     """The trace written next to a derivation's result: what it changed,
     in O(|L| + |K| + |R|). Fields: ``version`` (2); ``rule``, which holds
-    ``b`` and ``r``; ``match``; ``deleted``, the host ``nodes`` and
-    ``edges`` that ``L`` outside ``K`` matched, ascending; ``created``, maps
-    from each ``R``-item outside ``r``'s image to its id in ``H``, for
-    ``nodes`` and ``edges``; ``comatch``; and both square checks, recorded
-    as passed since :func:`~dpo.rewriting.apply` raises on a failing one.
-    ``G`` minus ``deleted`` plus the created items is exactly ``H``.
+    ``b`` and ``r``; ``match``; ``deleted`` (host ``nodes`` and ``edges``,
+    ascending) and ``created`` (maps from ``R``-ids to ``H``-ids), which are
+    :attr:`~dpo.rewriting.DirectDerivation.delta`; ``comatch``; and both
+    square checks, recorded as passed since :func:`~dpo.rewriting.apply`
+    raises on a failing one. ``G`` minus ``deleted`` plus the created items
+    is exactly ``H``.
     """
     passed = check_report_to_json(CheckReport(True))
-    deleted_nodes, deleted_edges = deleted_items(dd.rule.b, dd.match.m)
-    r, comatch = dd.rule.r, dd.comatch
+    deleted_nodes, deleted_edges, created_nodes, created_edges = dd.delta
     return {
         "version": 2,
         "rule": rule_to_json(dd.rule),
         "match": morphism_to_json(dd.match.m),
         "deleted": {"nodes": sorted(deleted_nodes), "edges": sorted(deleted_edges)},
         "created": {
-            "nodes": {str(x): comatch.fv[x] for x in sorted(r.target.nodes.difference(r.fv.values()))},
-            "edges": {str(x): comatch.fe[x] for x in sorted(r.target.edges.difference(r.fe.values()))},
+            "nodes": {str(x): y for x, y in created_nodes.items()},
+            "edges": {str(x): y for x, y in created_edges.items()},
         },
-        "comatch": morphism_to_json(comatch),
+        "comatch": morphism_to_json(dd.comatch),
         "left_square_check": passed,
         "right_square_check": passed,
     }

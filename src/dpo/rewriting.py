@@ -12,6 +12,7 @@ items only. A failure there is an engine bug, not a user error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from . import constructions
 from .constructions import DeletionResult, GluingResult, deletion, gluing
 from .diagrams import CheckReport, Square, certify_pushout
@@ -73,6 +74,16 @@ class DirectDerivation:
     @property
     def H(self) -> Graph:
         return self.gluing.H
+
+    @cached_property
+    def delta(self) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
+        """The host nodes and edges the derivation deletes, then each created
+        ``R``-node and ``R``-edge, ascending, mapped to its id in ``H`` by the
+        comatch: O(|L| + |R|), read off the rule, match and comatch."""
+        r, h = self.rule.r, self.comatch
+        made_v = {x: h.fv[x] for x in sorted(r.target.nodes.difference(r.fv.values()))}
+        made_e = {x: h.fe[x] for x in sorted(r.target.edges.difference(r.fe.values()))}
+        return (*constructions.deleted_items(self.rule.b, self.match.m), made_v, made_e)
 
     @property
     def left_square(self) -> Square:

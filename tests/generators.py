@@ -1,8 +1,9 @@
 """Seeded random generators that only the tests use, next to the ones in
 :mod:`dpo.randgen` that ``dpo gen`` uses: morphisms into a graph, cospans,
-rules with an applicable match, parallel pairs of derivations, and a
-morphism with one image moved; and two fixed pairs of graphs with equal
-node signatures and edge-label counts that are not isomorphic.
+rules with an applicable match, parallel pairs of derivations, a
+morphism with one image moved, and a rewiring rule at a match on a large
+random host; and two fixed pairs of graphs with equal node signatures and
+edge-label counts that are not isomorphic.
 
 Like :mod:`dpo.randgen`, every generator is driven by a caller-supplied
 :class:`random.Random`, so a seed gives the same corpus every time.
@@ -226,3 +227,23 @@ def one_item_moved(rng: random.Random, m: Morphism, pool: Graph):
     else:
         return None
     return Morphism(m.source, m.target, fv, fe)
+
+
+def rewire() -> Rule:
+    """Move an x-edge's target from one b-node to another."""
+    nodes = {0: "a", 1: "b", 2: "b"}
+    l, k, r = graph(nodes, {0: (0, 1, "x")}), graph(nodes), graph(nodes, {0: (0, 2, "x")})
+    return Rule(L=l, K=k, R=r, b=Morphism(k, l, {0: 0, 1: 1, 2: 2}, {}), r=Morphism(k, r, {0: 0, 1: 1, 2: 2}, {}))
+
+
+def rewire_on_random_host(n: int) -> tuple[Rule, Match]:
+    """:func:`rewire` on a random host of n nodes and up to 2n edges drawn
+    with seed n, matched at the lowest-id x-edge from an a-node to a b-node,
+    with the lowest-id other b-node as the edge's new target."""
+    rng = random.Random(n)
+    host = random_graph(rng, n, 2 * n, min_nodes=n)
+    rule = rewire()
+    e = min(e for e in host.edges if host.elabel[e] == "x" and host.nlabel[host.src[e]] == "a"
+            and host.nlabel[host.tgt[e]] == "b" and host.src[e] != host.tgt[e])
+    other = min(v for v in host.nodes if host.nlabel[v] == "b" and v != host.tgt[e])
+    return rule, Match(Morphism(rule.L, host, {0: host.src[e], 1: host.tgt[e], 2: other}, {0: e}))

@@ -6,6 +6,7 @@ in a subprocess.
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -61,6 +62,15 @@ def create_c_node() -> Rule:
     return Rule(L=empty, K=empty, R=r, b=identity(empty), r=Morphism(empty, r, {}, {}))
 
 
+def swap_b_for_c() -> Rule:
+    """Delete a b-node with the y-edge into it, and create a c-node with a
+    z-edge out to the preserved a-node."""
+    k = graph({0: "a"})
+    l = graph({0: "a", 1: "b"}, {0: (0, 1, "y")})
+    r = graph({0: "a", 1: "c"}, {0: (1, 0, "z")})
+    return Rule(L=l, K=k, R=r, b=Morphism(k, l, {0: 0}, {}), r=Morphism(k, r, {0: 0}, {}))
+
+
 def write(path: Path, doc) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
@@ -80,6 +90,7 @@ def files(tmp_path):
         ("keep_x", keep_x_edge()),
         ("delete_a", delete_a_node()),
         ("create_c", create_c_node()),
+        ("swap_b", swap_b_for_c()),
     ):
         f[name] = write(tmp_path / f"{name}.json", io.rule_to_json(rule))
     return f
@@ -658,6 +669,29 @@ class TestUnwritableOutput:
         argv = ["commute", files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
         self.assert_fails_leaving_nothing(capsys, tmp_path, argv, paths, option)
 
+    @pytest.mark.parametrize("existed", [True, False], ids=["out-existed", "no-out-before"])
+    def test_a_failed_second_move_puts_the_first_back(self, capsys, files, tmp_path, monkeypatch, existed):
+        out, trace = tmp_path / "H.json", tmp_path / "H.trace.json"
+        if existed:
+            out.write_bytes(b"before\n")
+        before = sorted(tmp_path.iterdir())
+        moves, replace = [], os.replace
+
+        def full_disk_on_second_move(src, dst):
+            moves.append(dst)
+            if len(moves) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", full_disk_on_second_move)
+        code, doc, err = run(capsys, "apply", files["delete_x"], files["host"], "--out", str(out))
+        assert (code, doc) == (1, None)
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{trace}'\n"
+        assert moves == [str(out), str(trace)]
+        assert sorted(tmp_path.iterdir()) == before
+        if existed:
+            assert out.read_bytes() == b"before\n"
+
     def test_gen_into_a_file(self, capsys, files):
         code, doc, err = run(capsys, "gen", "--out", files["host"])
         assert (code, doc) == (1, None)
@@ -945,6 +979,21 @@ class TestOutputBytes:
         stdout, _ = capsys.readouterr()
         for text in (stdout, out.read_text(), (tmp_path / "Gp.report.json").read_text()):
             assert text == indented(text)
+
+    def test_apply_bytes_are_pinned(self, capsys, files, tmp_path):
+        # both delta blocks non-empty; the fresh ids reuse the deleted ones
+        out = tmp_path / "H.json"
+        assert main(["apply", files["swap_b"], files["host"], "--out", str(out), "--json"]) == 0
+        trace = json.loads((tmp_path / "H.trace.json").read_text())
+        assert (trace["deleted"], trace["created"]) == (
+            {"nodes": [2], "edges": [1]},
+            {"nodes": {"1": 2}, "edges": {"0": 1}},
+        )
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "H.trace.json")}
+        assert digests == {
+            "H.json": "e6957e952162f0a46a2b008fd84c3d270fabfffe5eda24c5cda1d39ea82f730d",
+            "H.trace.json": "3d3117cbd8d52527cf0796ea5ff20d5c924aff37c5846d160c4cf60f98928e1a",
+        }
 
     def test_match_stdout(self, capsys, files, tmp_path):
         host = write(tmp_path / "x_edges.json", io.graph_to_json(x_edges_host()))

@@ -19,15 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpo import io, randgen
+from dpo import io
 from dpo.constructions import gluing, pullback_construct
 from dpo.diagrams import Square
 from dpo.errors import FormatError
-from dpo.graph import graph, validate_graph
-from dpo.morphism import Morphism, validate_morphism
-from dpo.rewriting import Match, Rule, apply, validate_rule
+from dpo.graph import validate_graph
+from dpo.morphism import validate_morphism
+from dpo.rewriting import apply, validate_rule
 
-from .generators import random_rule_with_match
+from .generators import random_rule_with_match, rewire_on_random_host
 from .oracles import reference_graph_from_json, reference_intmap, reference_save_json, replay
 from .strategies import cospans, extensions, graphs, rules
 
@@ -316,23 +316,9 @@ class TestLoadersReturnOnlyWellFormedObjects:
             assert all(validate_morphism(m).ok for m in (sq.ab, sq.ac, sq.bd, sq.cd))
 
 
-def rewire() -> Rule:
-    """Move an x-edge's target from one b-node to another."""
-    nodes = {0: "a", 1: "b", 2: "b"}
-    l, k, r = graph(nodes, {0: (0, 1, "x")}), graph(nodes), graph(nodes, {0: (0, 2, "x")})
-    return Rule(L=l, K=k, R=r, b=Morphism(k, l, {0: 0, 1: 1, 2: 2}, {}), r=Morphism(k, r, {0: 0, 1: 1, 2: 2}, {}))
-
-
 def rewire_trace(n: int) -> dict:
     """The trace of :func:`rewire` on a random host of n nodes and up to 2n edges."""
-    rng = random.Random(n)
-    host = randgen.random_graph(rng, n, 2 * n, min_nodes=n)
-    rule = rewire()
-    e = min(e for e in host.edges if host.elabel[e] == "x" and host.nlabel[host.src[e]] == "a"
-            and host.nlabel[host.tgt[e]] == "b" and host.src[e] != host.tgt[e])
-    other = min(v for v in host.nodes if host.nlabel[v] == "b" and v != host.tgt[e])
-    match = Morphism(rule.L, host, {0: host.src[e], 1: host.tgt[e], 2: other}, {0: e})
-    return io.derivation_trace_json(apply(rule, Match(match)))
+    return io.derivation_trace_json(apply(*rewire_on_random_host(n)))
 
 
 def shape(trace: dict) -> dict:

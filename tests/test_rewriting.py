@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -23,8 +24,14 @@ from dpo.rewriting import (
     validate_rule,
 )
 
-from .generators import random_rule_with_match
-from .oracles import built_square, derivations_isomorphic, reference_incidence
+from .generators import random_rule_with_match, rewire_on_random_host
+from .oracles import (
+    built_square,
+    derivations_isomorphic,
+    is_bijective,
+    reference_incidence,
+    reference_validate_morphism,
+)
 from .strategies import rules_with_matches
 
 
@@ -326,6 +333,53 @@ class TestDerivationsIsomorphic:
         d1 = apply(identity_rule(g), Match(identity(g)))
         d2 = apply(node_creation_rule(), find_matches(node_creation_rule(), g)[0])
         assert not derivations_isomorphic(d1, d2)
+
+    def test_fresh_offsets_give_a_built_witness_at_ten_thousand_nodes(self):
+        # Rosen's uniqueness: the identity on D plus the created items, read
+        # off both deltas, is an isomorphism of the results; the search in
+        # derivations_isomorphic does not reach this size
+        n = 10_000
+        rule, match = rewire_on_random_host(n)
+        d1, d2 = apply(rule, match, fresh_offset=0), apply(rule, match, fresh_offset=3 * n)
+        assert d1.D == d2.D
+        (_, _, made1_v, made1_e), (_, _, made2_v, made2_e) = d1.delta, d2.delta
+        assert made1_e.keys() == made2_e.keys() and set(made1_e.values()).isdisjoint(made2_e.values())
+        witness = Morphism(
+            d1.H,
+            d2.H,
+            {**{v: v for v in d1.D.nodes}, **{made1_v[x]: made2_v[x] for x in made1_v}},
+            {**{e: e for e in d1.D.edges}, **{made1_e[x]: made2_e[x] for x in made1_e}},
+        )
+        assert reference_validate_morphism(witness).ok
+        assert is_bijective(witness)
+
+
+class TestDelta:
+    """A derivation's delta against set differences of its three graphs."""
+
+    def test_deleted_and_created_items_are_the_differences_of_g_d_and_h(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            rule, match = random_rule_with_match(rng)
+            d = apply(rule, match, fresh_offset=rng.choice([None, 0, 7, 40]))
+            gone_v, gone_e, made_v, made_e = d.delta
+            assert gone_v == d.G.nodes - d.D.nodes
+            assert gone_e == d.G.edges - d.D.edges
+            assert set(made_v.values()) == d.H.nodes - d.D.nodes
+            assert set(made_e.values()) == d.H.edges - d.D.edges
+            assert list(made_v) == sorted(rule.R.nodes - set(rule.r.fv.values()))
+            assert list(made_e) == sorted(rule.R.edges - set(rule.r.fe.values()))
+            assert d.delta is d.delta
+
+    def test_a_rebuilt_derivation_reads_its_own_comatch(self):
+        rule = node_creation_rule()
+        d = apply(rule, find_matches(rule, graph({0: "a"}))[0], fresh_offset=5)
+        assert d.delta[2] == {0: 5}
+        h = d.comatch
+        H = graph({0: "a", 9: "b"})
+        moved = dataclasses.replace(d, gluing=dataclasses.replace(d.gluing, H=H, h=Morphism(h.source, H, {0: 9}, {})))
+        assert moved.delta[2] == {0: 9}
+        assert d.delta[2] == {0: 5}
 
 
 def enumerate_subgraphs(g: Graph):
