@@ -13,12 +13,11 @@ import argparse
 import contextlib
 import errno
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Callable
 
-from . import io, randgen
+from . import io
 from .diagrams import is_pullback, is_pushout_injective
 from .errors import (
     DanglingConditionError,
@@ -132,7 +131,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     elif isinstance(doc, dict) and "nodes" in doc:
         kind, report = "graph", validate_graph(io.graph_from_json(doc))
     elif isinstance(doc, dict) and "fv" in doc:
-        kind, report = "morphism", validate_morphism(io.load_morphism(args.path))
+        kind, report = "morphism", validate_morphism(io.standalone_morphism(doc, args.path))
     else:
         raise FormatError("unrecognized document kind")
     _emit(
@@ -283,23 +282,6 @@ def cmd_commute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i in range(args.graphs):
-        path = out / f"graph_{i}.json"
-        io.save_json(io.graph_to_json(randgen.random_graph(rng)), path)
-        written.append(str(path))
-    for i in range(args.rules):
-        path = out / f"rule_{i}.json"
-        io.save_json(io.rule_to_json(randgen.random_rule(rng)), path)
-        written.append(str(path))
-    _emit({"written": written}, f"wrote {len(written)} file(s) to {out}", args)
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1 (:data:`EXIT_PARSE`):
     argparse's own code, 2, means a violated dangling condition here.
@@ -358,13 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--report", default=None)
             p.add_argument("--dot", default=None)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("gen", parents=[common], help="generate a random test corpus")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--graphs", type=int, default=4)
-    p.add_argument("--rules", type=int, default=2)
-    p.set_defaults(func=cmd_gen)
 
     return parser
 

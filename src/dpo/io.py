@@ -433,13 +433,15 @@ def load_rule(path: str | Path) -> Rule:
 
 
 def load_morphism(path: str | Path, source: Graph | None = None, target: Graph | None = None) -> Morphism:
-    """Load a standalone morphism file; endpoints come from the document's
-    'source'/'target' path references unless supplied by the caller."""
-    doc = load_json(path)
-    if source is None:
-        source = _referenced_graph(doc, "source", path)
-    if target is None:
-        target = _referenced_graph(doc, "target", path)
+    """Load a standalone morphism file (:func:`standalone_morphism`)."""
+    return standalone_morphism(load_json(path), path, source, target)
+
+
+def standalone_morphism(doc: Any, path: str | Path, source: Graph | None = None, target: Graph | None = None) -> Morphism:
+    """The morphism a document read from ``path`` holds; endpoints come from
+    its 'source'/'target' path references unless supplied by the caller."""
+    source = _referenced_graph(doc, "source", path) if source is None else source
+    target = _referenced_graph(doc, "target", path) if target is None else target
     return morphism_from_json(doc, source, target)
 
 
@@ -523,12 +525,14 @@ def derivation_trace_json(dd: DirectDerivation) -> dict:
     }
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    """Render a graph in DOT syntax for external viewers."""
-    lines = [f"digraph {name} {{"]
+def to_dot(g: Graph) -> str:
+    """Render a graph in DOT syntax for external viewers. Labels are escaped
+    as Graphviz strings: each backslash doubled and each quote escaped."""
+    escape = str.maketrans({"\\": "\\\\", '"': '\\"'})
+    lines = ["digraph G {"]
     for v in sorted(g.nodes):
-        lines.append(f'  n{v} [label="{v}:{g.nlabel[v]}"];')
+        lines.append(f'  n{v} [label="{v}:{g.nlabel[v].translate(escape)}"];')
     for e in sorted(g.edges):
-        lines.append(f'  n{g.src[e]} -> n{g.tgt[e]} [label="{e}:{g.elabel[e]}"];')
+        lines.append(f'  n{g.src[e]} -> n{g.tgt[e]} [label="{e}:{g.elabel[e].translate(escape)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

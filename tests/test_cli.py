@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,13 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dpo
-from dpo import cli, io, randgen, rewriting
+from dpo import cli, io, rewriting
 from dpo.cli import main
 from dpo.graph import graph
 from dpo.morphism import Morphism, identity, validate_morphism
 from dpo.rewriting import Rule, identity_rule
 
-from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES
+from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES, random_graph, random_rule
 from .oracles import renumber
 from .strategies import graphs
 
@@ -514,6 +515,20 @@ class TestValidate:
             "violations": [{"clause": "r: fv defined outside source nodes", "item": "node 5"}],
         }
 
+    def test_a_morphism_file_and_each_graph_it_references_are_read_once(self, capsys, files, tmp_path, monkeypatch):
+        reads, original = Counter(), io.load_json
+
+        def counting(path):
+            reads[str(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(io, "load_json", counting)
+        source = write(tmp_path / "a_node.json", io.graph_to_json(graph({0: "a"})))
+        morphism = write(tmp_path / "m.json", {"source": "a_node.json", "target": "host.json", "fv": {"0": 1}, "fe": {}})
+        code, doc, _ = run(capsys, "validate", morphism)
+        assert (code, doc) == (0, {"kind": "morphism", "ok": True, "violations": []})
+        assert reads == {morphism: 1, source: 1, files["host"]: 1}
+
 
 NON_ARRAY_GRAPHS = [
     ({"nodes": 5}, "graph 'nodes' must be an array"),
@@ -692,11 +707,6 @@ class TestUnwritableOutput:
         if existed:
             assert out.read_bytes() == b"before\n"
 
-    def test_gen_into_a_file(self, capsys, files):
-        code, doc, err = run(capsys, "gen", "--out", files["host"])
-        assert (code, doc) == (1, None)
-        assert err.startswith("error: ") and files["host"] in err
-
     # an output path that names an existing directory is refused the same
     # way, before any output is written, and the directory stays empty
 
@@ -799,11 +809,17 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: dpo apply")
 
+    def test_help_lists_the_seven_verbs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{validate,iso,match,apply,check-square,independent,commute}" in capsys.readouterr().out
+
 
 class TestIso:
     def test_shuffled_copy_exits_0_with_a_witness_that_preserves_the_structure(self, capsys, tmp_path):
         rng = random.Random(5)
-        g = randgen.random_graph(rng, 12, 20, min_nodes=12)
+        g = random_graph(rng, 12, 20, min_nodes=12)
         nodes, edges = sorted(g.nodes), sorted(g.edges)
         h = renumber(g, dict(zip(nodes, rng.sample(range(100), len(nodes)))),
                      dict(zip(edges, rng.sample(range(100), len(edges)))))
@@ -909,11 +925,24 @@ class TestSquareCheckedOncePerFile:
         assert (code, len(calls)) == (0, 4)
 
 
+def write_corpus(out: Path, seed: int, graphs: int = 4, rules: int = 2) -> dict[str, bytes]:
+    """The corpus the removed ``dpo gen`` verb wrote: ``graphs`` random graphs,
+    then ``rules`` random rules, all drawn from one ``random.Random(seed)`` and
+    each saved with :func:`io.save_json`. Returns each file's bytes by name."""
+    rng = random.Random(seed)
+    out.mkdir()
+    docs = {f"graph_{i}.json": io.graph_to_json(random_graph(rng)) for i in range(graphs)}
+    docs.update({f"rule_{i}.json": io.rule_to_json(random_rule(rng)) for i in range(rules)})
+    for name, doc in docs.items():
+        io.save_json(doc, out / name)
+    return {name: (out / name).read_bytes() for name in docs}
+
+
 class TestGen:
-    # the sha256 of every file two seeded runs write, recorded before the
-    # generators that only tests use moved out of dpo.randgen
+    # the sha256 of every file of two seeded corpora, recorded when the
+    # generators were still in the package behind a ``dpo gen`` verb
     SHA256 = {
-        ("--seed", "0"): {
+        (0, 4, 2): {
             "graph_0.json": "efcf9a26a9f532b711e6c289c02e76e1a93c8b2f5bf8cdda603f9c3ad4e9c0be",
             "graph_1.json": "a4d68cf19a380cb3f8ad1f37fb9f3604c0167716c53c1f10df899387dfa365b9",
             "graph_2.json": "3970797c9134879f19ed12525faaf714b884459ded8b2dffb4375ce3d7a7b8b8",
@@ -921,7 +950,7 @@ class TestGen:
             "rule_0.json": "155da3efa8f28f18c67bfd493df3123e22a0d3129fc70f2713461bc435247f6d",
             "rule_1.json": "75c849ce320508ead13c4ede4da3b51cec8b80adfe69504e2ba5967e9b3e084a",
         },
-        ("--seed", "7", "--graphs", "6", "--rules", "4"): {
+        (7, 6, 4): {
             "graph_0.json": "205adce4e9b2090793957f3e113857d54b5bde8a712d8f4786b30fa6860f6350",
             "graph_1.json": "8657af7032f150516a7289bb7774205e2eecad747573c5404fd3c01107f18fe0",
             "graph_2.json": "e658e52f6ec507c676ec585e470708f189ae355c455a86789c7ecb4014cb68e3",
@@ -935,24 +964,27 @@ class TestGen:
         },
     }
 
-    @pytest.mark.parametrize("options", list(SHA256), ids=["seed-0", "seed-7-larger"])
-    def test_seeded_corpus_bytes_are_pinned(self, capsys, tmp_path, options):
-        code, doc, _ = run(capsys, "gen", *options, "--out", str(tmp_path))
-        assert code == 0
-        digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in doc["written"]}
-        assert digests == self.SHA256[options]
+    @pytest.mark.parametrize("corpus", list(SHA256), ids=["seed-0", "seed-7-larger"])
+    def test_seeded_corpus_bytes_are_pinned(self, tmp_path, corpus):
+        written = write_corpus(tmp_path / "corpus", *corpus)
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
+        assert digests == self.SHA256[corpus]
 
     def test_one_seed_writes_the_same_bytes_twice_and_every_file_validates(self, capsys, tmp_path):
-        runs = []
-        for name in ("first", "second"):
-            code, doc, _ = run(capsys, "gen", "--seed", "7", "--out", str(tmp_path / name))
-            assert code == 0
-            runs.append({Path(p).name: Path(p).read_bytes() for p in doc["written"]})
+        runs = [write_corpus(tmp_path / name, 7) for name in ("first", "second")]
         assert runs[0] == runs[1]
         assert sorted(runs[0]) == [f"graph_{i}.json" for i in range(4)] + [f"rule_{i}.json" for i in range(2)]
         for name in runs[0]:
             code, doc, _ = run(capsys, "validate", str(tmp_path / "first" / name))
             assert (code, doc["kind"], doc["ok"]) == (0, name.split("_")[0], True)
+
+    def test_gen_is_a_usage_error_that_writes_nothing(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--seed", "0", "--out", str(tmp_path / "corpus"), "--json"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "dpo: error: argument verb: invalid choice: 'gen'" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def indented(text: str) -> str:
@@ -994,6 +1026,25 @@ class TestOutputBytes:
             "H.json": "e6957e952162f0a46a2b008fd84c3d270fabfffe5eda24c5cda1d39ea82f730d",
             "H.trace.json": "3d3117cbd8d52527cf0796ea5ff20d5c924aff37c5846d160c4cf60f98928e1a",
         }
+
+    def test_apply_dot_bytes_escape_quotes_and_backslashes(self, capsys, files, tmp_path):
+        # after the isolated a-node is deleted: two parallel edges, one loop
+        host = write(tmp_path / "quoted.json", io.graph_to_json(graph(
+            {0: 'a"b', 1: "c\\", 2: "a"},
+            {0: (0, 1, "x"), 1: (0, 1, 'x"y'), 2: (1, 1, "\\")},
+        )))
+        dot = tmp_path / "H.dot"
+        argv = ["apply", files["delete_a"], host, "--out", str(tmp_path / "H.json"), "--dot", str(dot), "--json"]
+        assert main(argv) == 0
+        assert dot.read_bytes() == (
+            b"digraph G {\n"
+            b'  n0 [label="0:a\\"b"];\n'
+            b'  n1 [label="1:c\\\\"];\n'
+            b'  n0 -> n1 [label="0:x"];\n'
+            b'  n0 -> n1 [label="1:x\\"y"];\n'
+            b'  n1 -> n1 [label="2:\\\\"];\n'
+            b"}\n"
+        )
 
     def test_match_stdout(self, capsys, files, tmp_path):
         host = write(tmp_path / "x_edges.json", io.graph_to_json(x_edges_host()))

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpo import randgen
 from dpo.constructions import dangling_edges, deletion, gluing, pullback_construct
 from dpo.diagrams import (
     Square,
@@ -23,7 +22,7 @@ from dpo.morphism import (
     validate_morphism,
 )
 
-from .generators import random_cospan, random_rule_with_match
+from .generators import random_cospan, random_embedding, random_graph, random_rule_with_match, random_span
 from .oracles import (
     brute_force_pullback,
     is_bijective,
@@ -68,8 +67,8 @@ class TestGluing:
     def test_identity_interface_changes_nothing(self):
         rng = random.Random(2)
         for _ in range(20):
-            k = randgen.random_graph(rng, 4, 4)
-            d = randgen.random_embedding(rng, k, 2, 2)
+            k = random_graph(rng, 4, 4)
+            d = random_embedding(rng, k, 2, 2)
             result = gluing(identity(k), d)
             assert is_isomorphic(result.H, d.target) is not None
             assert is_bijective(result.c)
@@ -93,7 +92,7 @@ class TestGluing:
     def test_random_spans_satisfy_the_construction_contract(self):
         rng = random.Random(13)
         for _ in range(60):
-            b, d = randgen.random_span(rng)
+            b, d = random_span(rng)
             result = gluing(b, d)
             assert validate_graph(result.H).ok
             assert validate_morphism(result.h).ok
@@ -110,7 +109,7 @@ class TestGluing:
     def test_surjective_interface_gives_surjective_inclusion(self):
         rng = random.Random(19)
         for _ in range(30):
-            b, d = randgen.random_span(rng, surjective_b=True)
+            b, d = random_span(rng, surjective_b=True)
             result = gluing(b, d)
             assert is_surjective(b)
             assert is_surjective(result.c)

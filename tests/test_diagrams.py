@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
-from dpo import randgen
 from dpo.constructions import gluing, pullback_construct
 from dpo.diagrams import (
     Square,
@@ -30,7 +29,15 @@ from dpo.morphism import (
     morphisms_agree,
 )
 
-from .generators import one_item_moved, random_cospan, random_morphism_into
+from .generators import (
+    NODE_LABELS,
+    one_item_moved,
+    random_cospan,
+    random_embedding,
+    random_graph,
+    random_morphism_into,
+    random_span,
+)
 from .oracles import (
     built_square,
     is_surjective,
@@ -48,7 +55,7 @@ def identity_square(g) -> Square:
 
 
 def random_gluing_square(rng, **kwargs) -> Square:
-    b, d = randgen.random_span(rng, **kwargs)
+    b, d = random_span(rng, **kwargs)
     result = gluing(b, d)
     return Square(ab=b, ac=d, bd=result.h, cd=result.c)
 
@@ -160,7 +167,7 @@ class TestJointlySurjective:
 
     def test_gluing_cospan_is_jointly_surjective(self):
         rng = random.Random(3)
-        b, d = randgen.random_span(rng)
+        b, d = random_span(rng)
         result = gluing(b, d)
         assert jointly_surjective(result.h, result.c)
 
@@ -207,7 +214,7 @@ class TestIsPushoutInjective:
     def test_preservation_of_surjectivity_and_injectivity(self):
         rng = random.Random(6)
         for _ in range(30):
-            b, d = randgen.random_span(rng, surjective_b=True)
+            b, d = random_span(rng, surjective_b=True)
             result = gluing(b, d)
             sq = Square(ab=b, ac=d, bd=result.h, cd=result.c)
             assert is_surjective(sq.ab)
@@ -227,8 +234,8 @@ class TestIsPullback:
     def test_special_diagram_with_injective_m(self):
         rng = random.Random(8)
         for _ in range(30):
-            k = randgen.random_graph(rng, 4, 3)
-            m = randgen.random_embedding(rng, k, 2, 2)
+            k = random_graph(rng, 4, 3)
+            m = random_embedding(rng, k, 2, 2)
             sq = Square(ab=identity(k), ac=identity(k), bd=m, cd=m)
             assert is_pullback(sq)
 
@@ -298,7 +305,7 @@ def relabelled(rng, g):
         edges[e] = (s, t, "y" if label == "x" else "x")
     elif nodes:
         v = rng.choice(sorted(nodes))
-        nodes[v] = rng.choice([x for x in randgen.NODE_LABELS if x != nodes[v]])
+        nodes[v] = rng.choice([x for x in NODE_LABELS if x != nodes[v]])
     return graph(nodes, edges)
 
 
@@ -420,7 +427,7 @@ class TestSquareComposition:
         rng = random.Random(11)
         for _ in range(25):
             sq1 = random_gluing_square(rng)
-            ext = randgen.random_embedding(rng, sq1.B, 1, 1)
+            ext = random_embedding(rng, sq1.B, 1, 1)
             glue2 = gluing(ext, sq1.bd)
             sq2 = Square(ab=ext, ac=sq1.bd, bd=glue2.h, cd=glue2.c)
             composed = compose_squares_horizontal(sq1, sq2)
@@ -430,7 +437,7 @@ class TestSquareComposition:
         rng = random.Random(12)
         for _ in range(25):
             sq1 = random_gluing_square(rng)
-            ext = randgen.random_embedding(rng, sq1.B, 1, 1)
+            ext = random_embedding(rng, sq1.B, 1, 1)
             glue2 = gluing(ext, sq1.bd)
             sq2 = Square(ab=ext, ac=sq1.bd, bd=glue2.h, cd=glue2.c)
             composed = compose_squares_horizontal(sq1, sq2)
@@ -441,7 +448,7 @@ class TestSquareComposition:
     def test_two_pullback_squares_compose_to_a_pullback(self):
         rng = random.Random(13)
         for _ in range(25):
-            f_graph = randgen.random_graph(rng, 4, 4)
+            f_graph = random_graph(rng, 4, 4)
             w = random_morphism_into(rng, f_graph, 4, 4)
             u = random_morphism_into(rng, f_graph, 4, 4)
             pb2 = pullback_construct(u, w)
@@ -476,7 +483,7 @@ class TestPushoutMediator:
         rng = random.Random(15)
         for _ in range(10):
             sq = random_gluing_square(rng, max_interface_nodes=2, extra_nodes=2, extra_edges=1)
-            ext = randgen.random_embedding(rng, sq.D, 1, 1)
+            ext = random_embedding(rng, sq.D, 1, 1)
             p = compose(ext, sq.bd)
             t = compose(ext, sq.cd)
             u = pushout_mediator(sq, p=p, t=t)
@@ -507,7 +514,7 @@ class TestPushoutMediatorAgainstReference:
         # gluing squares are pushouts: a cospan through a morphism out of D
         # factors; one through arbitrary item maps need not be a morphism
         sq = random_gluing_square(rng, max_interface_nodes=2, extra_nodes=2, extra_edges=2)
-        ext = randgen.random_embedding(rng, sq.D, 1, 1)
+        ext = random_embedding(rng, sq.D, 1, 1)
         X = ext.target
         p, t = compose(ext, sq.bd), compose(ext, sq.cd)
         yield "factors", sq, p, t

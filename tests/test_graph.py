@@ -14,7 +14,7 @@ from dpo.errors import PreconditionError
 from dpo.graph import Graph, _edge_label_index, graph, is_isomorphic, validate_graph
 from dpo.morphism import Morphism, validate_morphism
 
-from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES
+from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES, random_graph
 from .oracles import (
     brute_force_isomorphic,
     is_bijective,
@@ -145,10 +145,8 @@ class TestIsIsomorphic:
 
     def test_random_permutations_are_recovered(self):
         rng = random.Random(7)
-        from dpo import randgen
-
         for _ in range(60):
-            g = randgen.random_graph(rng, max_nodes=5, max_edges=6)
+            g = random_graph(rng, max_nodes=5, max_edges=6)
             nodes = sorted(g.nodes)
             edges = sorted(g.edges)
             shuffled_nodes = nodes[:]

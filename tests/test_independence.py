@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from dpo import constructions, diagrams, independence, randgen
+from dpo import constructions, diagrams, independence
 from dpo.constructions import DeletionResult, GluingResult
 from dpo.errors import DependentDerivationsError, InternalConsistencyError, PreconditionError
 from dpo.graph import Graph, graph, is_isomorphic
@@ -28,7 +28,7 @@ from dpo.rewriting import (
     identity_rule,
 )
 
-from .generators import one_item_moved, random_parallel_independent_pair, random_parallel_pair
+from .generators import one_item_moved, random_graph, random_parallel_independent_pair, random_parallel_pair
 from .oracles import (
     exhaustive_parallel_witness_exists,
     is_inclusion,
@@ -281,9 +281,9 @@ def large_pair(seed: int, n: int) -> ParallelPair:
     """On a random host of ``n`` nodes and ``2n`` edges, one rule deletes an
     edge between two distinct nodes and the other an isolated node."""
     rng = random.Random(seed)
-    host = randgen.random_graph(rng, n, 2 * n, min_nodes=n)
+    host = random_graph(rng, n, 2 * n, min_nodes=n)
     while len(host.edges) < n:
-        host = randgen.random_graph(rng, n, 2 * n, min_nodes=n)
+        host = random_graph(rng, n, 2 * n, min_nodes=n)
     e = min(e for e in host.edges if host.src[e] != host.tgt[e])
     s, t = host.src[e], host.tgt[e]
     k = graph({0: host.nlabel[s], 1: host.nlabel[t]})

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpo import randgen
 from dpo.errors import PreconditionError
 from dpo.constructions import inclusion
 from dpo.graph import Graph, graph
@@ -18,7 +17,7 @@ from dpo.morphism import (
     validate_morphism,
 )
 
-from .generators import random_morphism_into
+from .generators import random_embedding, random_graph, random_morphism_into
 from .oracles import (
     brute_force_morphism_count,
     invert,
@@ -128,7 +127,7 @@ class TestValidateMorphismAgainstTheLoop:
     def test_random_morphisms(self):
         rng = random.Random(17)
         for _ in range(300):
-            m = random_morphism_into(rng, randgen.random_graph(rng))
+            m = random_morphism_into(rng, random_graph(rng))
             assert validate_morphism(m) == reference_validate_morphism(m)
 
 
@@ -154,7 +153,7 @@ class TestCompose:
     def test_random_composites_are_valid(self):
         rng = random.Random(3)
         for _ in range(200):
-            k = randgen.random_graph(rng, max_nodes=6, max_edges=6)
+            k = random_graph(rng, max_nodes=6, max_edges=6)
             g = random_morphism_into(rng, k, max_nodes=6, max_edges=6)
             f = random_morphism_into(rng, g.source, max_nodes=6, max_edges=6)
             gf = compose(g, f)
@@ -164,12 +163,12 @@ class TestCompose:
     def test_composition_preserves_injective_and_surjective(self):
         rng = random.Random(11)
         for _ in range(60):
-            k = randgen.random_graph(rng, max_nodes=4, max_edges=3, min_nodes=1)
-            b = randgen.random_embedding(rng, k, 2, 2)
-            c = randgen.random_embedding(rng, b.target, 2, 2)
+            k = random_graph(rng, max_nodes=4, max_edges=3, min_nodes=1)
+            b = random_embedding(rng, k, 2, 2)
+            c = random_embedding(rng, b.target, 2, 2)
             assert is_injective(compose(c, b))
         for _ in range(40):
-            g = randgen.random_graph(rng, max_nodes=3, max_edges=2)
+            g = random_graph(rng, max_nodes=3, max_edges=2)
             assert is_surjective(compose(identity(g), identity(g)))
 
 
@@ -206,7 +205,7 @@ class TestInvert:
     def test_round_trips_are_identities(self):
         rng = random.Random(5)
         for _ in range(40):
-            g = randgen.random_graph(rng, max_nodes=5, max_edges=5)
+            g = random_graph(rng, max_nodes=5, max_edges=5)
             nodes, edges = sorted(g.nodes), sorted(g.edges)
             nm = dict(zip(nodes, rng.sample(range(10), len(nodes))))
             em = dict(zip(edges, rng.sample(range(10), len(edges))))
@@ -238,7 +237,7 @@ class TestMorphismsAgree:
     def test_associativity_on_random_triples(self):
         rng = random.Random(17)
         for _ in range(50):
-            k = randgen.random_graph(rng, max_nodes=4, max_edges=4)
+            k = random_graph(rng, max_nodes=4, max_edges=4)
             h = random_morphism_into(rng, k, 4, 4)
             g = random_morphism_into(rng, h.source, 4, 4)
             f = random_morphism_into(rng, g.source, 4, 4)
