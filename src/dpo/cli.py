@@ -315,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", parents=[common], help="apply a rule at a match")
     p.add_argument("rule")
     p.add_argument("graph")
-    p.add_argument("--match-index", type=int, default=None)
-    p.add_argument("--match", default=None, help="explicit morphism file")
+    selector = p.add_mutually_exclusive_group()
+    selector.add_argument("--match-index", type=int, default=None)
+    selector.add_argument("--match", default=None, help="explicit morphism file")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None, help="trace file, default <out>.trace.json: version, rule, match, "
                    "deleted host ids, created R-id to H-id maps, comatch, both square checks")
@@ -328,17 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pushout", "pullback"), required=True)
     p.set_defaults(func=cmd_check_square)
 
-    for verb, func in (("independent", cmd_independent), ("commute", cmd_commute)):
-        p = sub.add_parser(verb, parents=[common])
+    for verb, func, about in (
+        ("independent", cmd_independent, "test two derivations for parallel independence"),
+        ("commute", cmd_commute, "close the diamond of two independent derivations"),
+    ):
+        p = sub.add_parser(verb, parents=[common], help=about)
         p.add_argument("rule1")
         p.add_argument("rule2")
         p.add_argument("graph")
         p.add_argument("--match1", required=True, help="match index or morphism file")
         p.add_argument("--match2", required=True, help="match index or morphism file")
         if verb == "commute":
-            p.add_argument("--out", required=True)
-            p.add_argument("--report", default=None)
-            p.add_argument("--dot", default=None)
+            p.add_argument("--out", required=True, help="the final graph G'")
+            p.add_argument("--report", default=None, help="report file, default <out>.report.json: version, "
+                           "both residual matches, the iso witness, the square check")
+            p.add_argument("--dot", default=None, help="also write the final graph in DOT syntax")
         p.set_defaults(func=func)
 
     return parser

@@ -17,7 +17,7 @@ wiring or legs: a :class:`Square` is checked once, when it is built.
 ``cd`` is an identity inclusion, it decides a pass over the items of A and
 B alone, so a rule-sized square in a host-sized graph costs O(|A| + |B|).
 :func:`~dpo.rewriting.apply` certifies both squares of every derivation
-with it.
+with it; the commutation check's local pass runs its clauses too.
 """
 
 from __future__ import annotations
@@ -270,9 +270,9 @@ def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> CheckReport:
     The square is ``ab: A -> B``, ``ac: A -> C``, ``bd: B -> D`` and ``cd``,
     wired as :class:`Square` requires, where ``ab``, ``ac`` and ``bd`` must
     be graph morphisms, since no clause below reads a label or an endpoint,
-    ``cd`` must be the identity inclusion of ``C`` in ``D``, so that ``C``'s
-    items are items of ``D``, and ``bd`` must map into ``D``. All hold for
-    the squares of a derivation by construction.
+    ``cd`` must be the identity inclusion of ``C`` in ``D``, where
+    :func:`~dpo.graph.is_subgraph` holds of ``C`` and ``D``, and ``bd`` must
+    map into ``D``. All hold for the squares of a derivation by construction.
     Then ``cd`` need not be read:
 
     - commutativity is ``bd(ab(a)) == ac(a)`` for every item ``a`` of A;

@@ -143,10 +143,10 @@ def validate_graph(g: Graph) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def maps_within(sub: Graph, g: Graph) -> bool:
-    """Whether every label and endpoint ``sub`` has is ``g``'s, compared as
-    C-level dict views; a map ``sub`` shares with ``g`` is not read."""
-    return all(
+def is_subgraph(sub: Graph, g: Graph) -> bool:
+    """Whether ``sub``'s items, labels and endpoints are ``g``'s, by C-level
+    set tests and dict views; a map ``sub`` shares with ``g`` is not read."""
+    return sub.nodes <= g.nodes and sub.edges <= g.edges and all(
         x is y or x.items() <= y.items()
         for x, y in (
             (sub.src, g.src),

@@ -8,9 +8,9 @@ the other's result at the residual match, which :func:`apply` checks like
 any other match. :func:`verify_commutation_squares` re-checks the classical
 proof's decomposition square by square on the concrete instance; its shared
 context is ``D1 ∩ D2`` on G's identifiers. A passing instance is decided
-by three derivation deltas over the rules' items and builds no graph or
-morphism; only a failing one builds the squares and runs the general
-checks on them.
+by certifying its three derivations as :func:`apply` does, over the rules'
+items, and builds no graph or morphism; only a failing one builds the
+squares and runs the general checks on them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .constructions import deletion, gluing
 from .diagrams import (
     CheckReport,
     Square,
+    _local_pushout,
     compose_squares_vertical,
     is_pullback,
     is_pushout_injective,
@@ -35,8 +36,8 @@ from .errors import (
     PreconditionError,
     RewriteError,
 )
-from .graph import Graph, IsoWitness, is_isomorphic, maps_within
-from .morphism import Morphism, compose, is_injective, validate_morphism
+from .graph import Graph, IsoWitness, is_isomorphic, is_subgraph
+from .morphism import Morphism, compose, validate_morphism
 from .rewriting import DirectDerivation, Match, apply
 
 
@@ -296,63 +297,53 @@ def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: Co
     decided over the rules' items; ``False`` means "check in general", not
     "fails". The witness has been validated.
 
-    :func:`_delta` sums up each derivation the decomposition reads as its
-    host minus what it deletes plus what it creates: ``d1`` and ``d2`` on
-    G, and ``result.e1`` (the second rule at ``j2``'s maps) on ``d1.H``.
-    The shared context D0 is then D1 ∩ D2 with G's labels and endpoints,
-    so (12) is a pullback and (32) a pushout. Square (11), ``b1, k1, j1``
-    over D0 ⊆ D2, is a pushout once d1's match is injective, for then the
-    L1-items outside D0 are exactly the deleted ones, all in D2; likewise
-    (31). Square (21) is ``gluing(r1, k1)``'s own pushout, which
-    :func:`apply` certifies on every derivation; likewise (41). The
-    mediators are the identity on D0 and the comatches on created items,
-    so (22), (42) and (5) are pushouts, the last once G' is e1's result,
-    which is D0 plus both created sets; and the composites agree with the
-    derivation squares map by map.
+    :func:`_certified` checks, as :func:`apply` certifies them, ``d1`` and
+    ``d2`` on G and ``result.e1`` (the second rule at ``j2``'s maps) on
+    ``d1.H``; each match has the maps of a witness into a context included
+    in its host, so is a morphism. Then each context is its host minus the
+    deleted items, each result its context plus the created ones, and the
+    shared context D0 is D1 ∩ D2 with G's labels and endpoints: (12) is a
+    pullback and (32) a pushout. Square (11), ``b1, k1, j1`` over D0 ⊆ D2,
+    is a pushout as d1's match is injective, for then the L1-items outside
+    D0 are exactly the deleted ones, all in D2; likewise (31). Square (21)
+    is ``gluing(r1, k1)``'s own pushout, which :func:`apply` certifies on
+    every derivation; likewise (41). The mediators are the identity on D0
+    and the comatches on created items, so (22), (42) and (5) are pushouts,
+    the last once G' is e1's result, which is D0 plus both created sets;
+    and the composites agree with the derivation squares map by map.
     """
     d1, d2, e1 = pair.d1, pair.d2, result.e1
     G = d1.deletion.G
     return (
-        _delta(d1, witness.j1, G)
-        and _delta(d2, witness.j2, G)
+        _certified(d1, witness.j1, G)
+        and _certified(d2, witness.j2, G)
         and e1.rule == d2.rule
-        and _delta(e1, witness.j2, d1.H)
+        and _certified(e1, witness.j2, d1.H)
         and result.Gp == e1.H
     )
 
 
-def _delta(d: DirectDerivation, j: Morphism, G: Graph) -> bool:
-    """Whether ``d`` is ``G`` minus what it deletes, plus what it creates:
-    its match, whose maps are ``j``'s, is injective, and it and ``d``'s
-    deletion start at ``G``; its context is ``G`` without the deleted
-    items, with ``G``'s labels and endpoints; its result is the context
-    plus exactly the items its comatch creates; and its comatch is a
-    morphism that agrees with the match on ``K``. The deleted and created
-    items are ``d.delta``. Rule-sized work plus C-level set and dict-view
-    operations on ``G``, ``D`` and ``H``."""
+def _certified(d: DirectDerivation, j: Morphism, G: Graph) -> bool:
+    """Whether ``d``, at a match with ``j``'s maps, is a derivation from
+    ``G`` as :func:`apply` certifies one: its parts are wired to each other
+    and to ``G``, its ``k`` and comatch are morphisms, its context is a
+    subgraph of ``G`` and of its result, and both its squares pass the
+    clauses of :func:`~dpo.diagrams.certify_pushout`. Rule-sized work plus
+    C-level set and dict-view operations on ``G``, ``D`` and ``H``."""
     b, r, m, k, h = d.rule.b, d.rule.r, d.match.m, d.deletion.d, d.comatch
     D, H = d.D, d.H
-    if not (
+    return (
         m.target == G == d.deletion.G
         and j.source == m.source == b.target
         and (j.fv, j.fe) == (m.fv, m.fe)
-        and is_injective(m)
         and r.source == b.source == k.source
         and k.target == D == d.gluing.D
         and h.source == r.target
         and h.target == H
+        and validate_morphism(k).ok
         and validate_morphism(h).ok
-        and all((c.fv, c.fe) == (k.fv, k.fe) for c in (compose(m, b), compose(h, r)))
-    ):
-        return False
-    gone_v, gone_e, made_v, made_e = d.delta
-    return (
-        D.nodes == G.nodes - gone_v
-        and D.edges == G.edges - gone_e
-        and maps_within(D, G)
-        and H.nodes == D.nodes.union(made_v.values())
-        and len(H.nodes) == len(D.nodes) + len(made_v)
-        and H.edges == D.edges.union(made_e.values())
-        and len(H.edges) == len(D.edges) + len(made_e)
-        and maps_within(D, H)
+        and is_subgraph(D, G)
+        and is_subgraph(D, H)
+        and _local_pushout(b, k, m)
+        and _local_pushout(r, k, h)
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import Graph, ValidationReport, Violation, maps_within, validate_graph
+from .graph import Graph, ValidationReport, Violation, is_subgraph, validate_graph
 
 
 @dataclass(frozen=True, eq=True)
@@ -49,10 +49,8 @@ def validate_morphism(m: Morphism) -> ValidationReport:
         and m.fe.keys() == g.edges
         and list(m.fv) == list(m.fv.values())
         and list(m.fe) == list(m.fe.values())
-        and h.nodes.issuperset(g.nodes)
-        and h.edges.issuperset(g.edges)
+        and is_subgraph(g, h)
         and validate_graph(g).ok
-        and maps_within(g, h)
     ):
         return ValidationReport()
     bad: list[Violation] = []

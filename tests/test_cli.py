@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -191,6 +192,18 @@ class TestApply:
         assert doc is None
         assert "match index -1 out of range" in err
         assert not out.exists()
+
+    def test_match_file_with_a_match_index_is_a_usage_error(self, capsys, files, tmp_path):
+        match = write(tmp_path / "m.json", {"fv": {"0": 0, "1": 1}, "fe": {"0": 0}})
+        before = sorted(os.listdir(tmp_path))
+        out = tmp_path / "H.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", files["delete_x"], files["host"], "--match", match, "--match-index", "1", "--out", str(out)])
+        assert exc.value.code == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert "argument --match-index: not allowed with argument --match\n" in err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_interface_map_defined_outside_its_source_exits_1(self, capsys, files, tmp_path):
         doc = io.rule_to_json(create_c_node())
@@ -809,11 +822,24 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: dpo apply")
 
-    def test_help_lists_the_seven_verbs(self, capsys):
+    def test_help_lists_the_seven_verbs(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
-        assert "{validate,iso,match,apply,check-square,independent,commute}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "{validate,iso,match,apply,check-square,independent,commute}" in out
+        # each verb on one line with its description
+        for verb, about in (
+            ("validate", "validate a graph, rule or morphism file"),
+            ("iso", "test two graph files for isomorphism"),
+            ("match", "enumerate injective matches of a rule"),
+            ("apply", "apply a rule at a match"),
+            ("check-square", "check a square file as pushout or pullback"),
+            ("independent", "test two derivations for parallel independence"),
+            ("commute", "close the diamond of two independent derivations"),
+        ):
+            assert re.search(rf"^ +{verb} +{about}$", out, re.M), verb
 
 
 class TestIso:

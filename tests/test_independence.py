@@ -634,6 +634,35 @@ class TestAgainstReference:
             assert report.counterexample[1] not in result.e1.comatch.fv
             checked += 1
 
+    def test_a_partial_context_morphism_gives_the_reference_outcome(self):
+        # d1's k loses its least K-node: the local pass must not read the
+        # missing entry, and the general path then meets what the reference
+        # meets, d1's left square built with a partial 'ac'
+        def outcome(check, pair, witness, result):
+            try:
+                return check(pair, witness, result)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(5)
+        seen = Counter()
+        for _ in range(300):
+            pair = random_parallel_independent_pair(rng)
+            k = pair.d1.deletion.d
+            if not k.fv:
+                continue
+            fv = dict(k.fv)
+            del fv[min(fv)]
+            partial = Morphism(k.source, k.target, fv, k.fe)
+            corrupted = dataclasses.replace(
+                pair, d1=dataclasses.replace(pair.d1, deletion=dataclasses.replace(pair.d1.deletion, d=partial))
+            )
+            witness, result = parallel_independent(pair), commute(pair)
+            got = outcome(verify_commutation_squares, corrupted, witness, result)
+            assert got == outcome(reference_verify_commutation_squares, corrupted, witness, result)
+            seen[got[0]] += 1
+        assert seen == {PreconditionError: 194}
+
 
 class TestCorruptedPair:
     """Derivations that do not fit the host, the witness, each other or the
@@ -692,12 +721,19 @@ class TestCorruptedPair:
         pair = ParallelPair(*(context_and_result_relabelled(d, 3, "c") for d in (pair.d1, pair.d2)))
         return pair, parallel_independent(pair), commute(pair)
 
+    def result_relabelled(self, d, v: int):
+        """The derivation ``d`` with node ``v`` of its result relabelled and
+        its comatch retargeted to it."""
+        H, h = self.relabel(d.H, v, "c"), d.comatch
+        return dataclasses.replace(d, gluing=dataclasses.replace(d.gluing, H=H, h=Morphism(h.source, H, h.fv, h.fe)))
+
     def first_result_relabelled(self, pair, witness, result):
-        d1 = pair.d1
-        H1 = self.relabel(d1.H, 3, "c")
-        h = d1.comatch
-        d1 = dataclasses.replace(d1, gluing=dataclasses.replace(d1.gluing, H=H1, h=Morphism(h.source, H1, h.fv, h.fe)))
-        return ParallelPair(d1, pair.d2), witness, result
+        return ParallelPair(self.result_relabelled(pair.d1, 3), pair.d2), witness, result
+
+    def second_result_relabelled(self, pair, witness, result):
+        # node 0 is kept by d2 and deleted by d1, so G' never has it; only
+        # d2's context inclusion into its result reads its label
+        return ParallelPair(pair.d1, self.result_relabelled(pair.d2, 0)), witness, result
 
     def first_gluing_context_relabelled(self, pair, witness, result):
         d1 = pair.d1
@@ -738,6 +774,7 @@ class TestCorruptedPair:
             "second_host_relabelled_where_no_context_reads",
             "first_context_and_result_relabelled",
             "first_result_relabelled",
+            "second_result_relabelled",
             "first_gluing_context_relabelled",
             "both_contexts_and_results_relabelled",
             "e1_context_and_result_relabelled",
