@@ -22,7 +22,7 @@ from typing import Collection, Iterable, TypeVar
 
 from .errors import DanglingConditionError, PreconditionError
 from .graph import Graph, incidence_if_built
-from .morphism import Morphism, is_injective
+from .morphism import Morphism, inclusion, is_injective
 
 V = TypeVar("V")
 
@@ -53,11 +53,6 @@ class DeletionResult:
     @cached_property
     def c(self) -> Morphism:
         return inclusion(self.D, self.G)
-
-
-def inclusion(sub: Graph, g: Graph) -> Morphism:
-    """The identity inclusion of ``sub`` in ``g``, its maps built at C level."""
-    return Morphism(sub, g, dict(zip(sub.nodes, sub.nodes)), dict(zip(sub.edges, sub.edges)))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import inclusion, pullback_pairs
+from .constructions import pullback_pairs
 from .errors import PreconditionError
 from .graph import Graph
-from .morphism import Morphism, compose, is_injective, morphisms_agree, validate_morphism
+from .morphism import Morphism, compose, inclusion, is_injective, morphisms_agree, validate_morphism
 
 
 @dataclass(frozen=True)
@@ -192,30 +192,25 @@ def transpose_square(sq: Square) -> Square:
     return Square(ab=sq.ac, ac=sq.ab, bd=sq.cd, cd=sq.bd)
 
 
-def compose_squares_horizontal(sq1: Square, sq2: Square) -> Square:
-    """Paste two squares sharing a vertical edge into their outer rectangle.
-
-    ``sq2``'s left edge (its ``ac``) must be the same morphism as ``sq1``'s
-    right edge (its ``bd``); the result has composite top and bottom arrows.
-    """
-    shared = sq2.ac
-    if shared.source != sq1.bd.source or shared.target != sq1.bd.target:
-        raise PreconditionError("compose_squares_horizontal: shared edge endpoints differ")
-    if not morphisms_agree(shared, sq1.bd):
-        raise PreconditionError("compose_squares_horizontal: shared edge maps differ")
-    return Square(
-        ab=compose(sq2.ab, sq1.ab),
-        ac=sq1.ac,
-        bd=sq2.bd,
-        cd=compose(sq2.cd, sq1.cd),
-    )
-
-
 def compose_squares_vertical(top: Square, bottom: Square) -> Square:
-    """Paste two squares sharing a horizontal edge (``top.cd`` = ``bottom.ab``)."""
-    return transpose_square(
-        compose_squares_horizontal(transpose_square(top), transpose_square(bottom))
-    )
+    """Paste two squares sharing a horizontal edge into their outer rectangle.
+
+    ``bottom``'s top edge (its ``ab``) must be the same morphism as ``top``'s
+    bottom edge (its ``cd``); the result, the only square built, has
+    composite left and right arrows.
+    """
+    shared = bottom.ab
+    if shared.source != top.cd.source or shared.target != top.cd.target:
+        raise PreconditionError("square paste: shared edge endpoints differ")
+    if not morphisms_agree(shared, top.cd):
+        raise PreconditionError("square paste: shared edge maps differ")
+    return Square(ab=top.ab, ac=compose(bottom.ac, top.ac), bd=compose(bottom.bd, top.bd), cd=bottom.cd)
+
+
+def compose_squares_horizontal(sq1: Square, sq2: Square) -> Square:
+    """Paste two squares sharing a vertical edge (``sq1.bd`` = ``sq2.ac``):
+    the transpose of their transposes' vertical paste."""
+    return transpose_square(compose_squares_vertical(transpose_square(sq1), transpose_square(sq2)))
 
 
 def squares_agree(sq1: Square, sq2: Square) -> bool:
@@ -284,7 +279,7 @@ def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> CheckReport:
       counted for nodes and for edges separately.
 
     Only a pass is decided here: on a failure the square is built, with
-    ``cd`` as :func:`~dpo.constructions.inclusion` makes it, and the general
+    ``cd`` as :func:`~dpo.morphism.inclusion` makes it, and the general
     check runs on it, so the report, or the :class:`PreconditionError` of a
     non-injective morphism, is the same as :func:`is_pushout_injective`'s.
     """

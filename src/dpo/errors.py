@@ -19,9 +19,9 @@ class DanglingConditionError(RewriteError):
     Carries the offending edge identifiers of the host graph.
     """
 
-    def __init__(self, edges, message=None):
+    def __init__(self, edges):
         self.edges = tuple(edges)
-        super().__init__(message or f"dangling edges: {sorted(self.edges)}")
+        super().__init__(f"dangling edges: {sorted(self.edges)}")
 
 
 class DependentDerivationsError(PreconditionError):

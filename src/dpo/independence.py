@@ -10,7 +10,8 @@ proof's decomposition square by square on the concrete instance; its shared
 context is ``D1 ∩ D2`` on G's identifiers. A passing instance is decided
 by certifying its three derivations as :func:`apply` does, over the rules'
 items, and builds no graph or morphism; only a failing one builds the
-squares and runs the general checks on them.
+squares and runs the general checks on them, four of which are the
+squares of each rule applied in the other's context at its witness.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import deletion, gluing
 from .diagrams import (
     CheckReport,
     Square,
@@ -43,10 +43,16 @@ from .rewriting import DirectDerivation, Match, apply
 
 @dataclass(frozen=True)
 class ParallelPair:
-    """Two direct derivations out of the same host graph."""
+    """Two direct derivations out of the same host graph, checked when
+    built: derivations that start from different graphs raise
+    :class:`PreconditionError`, so no function that takes a pair asks again."""
 
     d1: DirectDerivation
     d2: DirectDerivation
+
+    def __post_init__(self) -> None:
+        if self.d1.G != self.d2.G:
+            raise PreconditionError("parallel pair: derivations start from different graphs")
 
 
 @dataclass(frozen=True)
@@ -63,17 +69,17 @@ class IndependenceWitness:
 
 @dataclass(frozen=True)
 class CommutationResult:
-    """The closed diamond: both composite derivations and the final iso."""
+    """The closed diamond: both composite derivations and the iso from
+    ``e1``'s result to ``e2``'s. G' is not stored beside them: it is
+    ``e1``'s result, read as :attr:`Gp`."""
 
-    Gp: Graph
     e1: DirectDerivation
     e2: DirectDerivation
     iso: IsoWitness
 
-
-def _require_same_start(pair: ParallelPair) -> None:
-    if pair.d1.G != pair.d2.G:
-        raise PreconditionError("parallel pair: derivations start from different graphs")
+    @property
+    def Gp(self) -> Graph:
+        return self.e1.H
 
 
 def _outside(m: Morphism, sub: Graph) -> list[tuple[str, int]]:
@@ -95,7 +101,6 @@ def blocking_items(pair: ParallelPair) -> list[tuple[str, tuple[str, int]]]:
     """Why a parallel pair is dependent: each ``(triangle, item)`` names a
     matched host item that the other derivation deletes. Empty iff
     :func:`parallel_independent` finds a witness."""
-    _require_same_start(pair)
     return [
         (side, item)
         for side, m, context in (
@@ -113,7 +118,6 @@ def parallel_independent(pair: ParallelPair) -> Optional[IndependenceWitness]:
     are forced: a witness exists iff each match's image survives the other
     derivation's deletion, item by item.
     """
-    _require_same_start(pair)
     j1 = _corestrict(pair.d1.match.m, pair.d2.deletion.D)
     j2 = _corestrict(pair.d2.match.m, pair.d1.deletion.D)
     if j1 is None or j2 is None:
@@ -145,7 +149,6 @@ def residual_match(pair: ParallelPair, witness: IndependenceWitness) -> tuple[Ma
     here: :func:`commute` hands each residual to :func:`apply`, which
     validates it and checks injectivity and the dangling condition once.
     """
-    _require_same_start(pair)
     return (
         Match(Morphism(witness.j2.source, pair.d1.H, dict(witness.j2.fv), dict(witness.j2.fe))),
         Match(Morphism(witness.j1.source, pair.d2.H, dict(witness.j1.fv), dict(witness.j1.fe))),
@@ -175,7 +178,7 @@ def commute(pair: ParallelPair) -> CommutationResult:
         raise InternalConsistencyError("commute: first composite is not sequentially independent")
     if sequential_independent(pair.d2, e2) is None:
         raise InternalConsistencyError("commute: second composite is not sequentially independent")
-    return CommutationResult(Gp=e1.H, e1=e1, e2=e2, iso=iso)
+    return CommutationResult(e1=e1, e2=e2, iso=iso)
 
 
 def verify_commutation_squares(
@@ -186,26 +189,25 @@ def verify_commutation_squares(
     In Ehrig and Kreowski's proof the shared context D is the pullback of
     ``D1 -> G <- D2``. Both contexts are subgraphs of G included by
     identity, so D is ``D1 ∩ D2`` and keeps G's identifiers, and squares
-    (11) and (31) are the pushout complements ``deletion(b1, j1)`` and
-    ``deletion(b2, j2)``, which give ``k1, pi2`` and ``k2, pi1``. Every
-    labelled square is then checked, (12) as a pullback, so D is verified,
-    not assumed, and the others as pushouts; so is each composite against
-    the original derivations.
+    (11) and (21) are the two squares of the first rule applied to D2 at
+    ``j1``, which give ``pi2`` and ``delta1``; likewise (31) and (41), of
+    the second rule applied to D1 at ``j2``. Every labelled square
+    is then checked, (12) as a pullback, so D is verified, not assumed, and
+    the others as pushouts; so is each composite against the original
+    derivations.
 
     A passing instance is decided by :func:`_passes_locally` in
     O(|L1| + |R1| + |L2| + |R2|) Python work plus C-level set and dict-view
     operations on the host-sized graphs, and builds no graph or morphism:
     there (11) and (31) come down to injective matches, (21) and (41) to
-    :func:`gluing`'s own pushout. Only a pass is decided there: otherwise
-    every square is built and checked by the general checks, and the first
-    failure is reported with its square's label. A witness that is not a
-    morphism into its context, or a comatch of ``result.e1`` that is not
-    total, fails, and never raises. Graphs must be well-formed, as the
-    loaders and constructions make them.
+    the gluing pushout :func:`apply` certifies. Only a pass is decided
+    there: otherwise every square is built and checked by the general
+    checks, and the first failure is reported with its square's label. A
+    witness that is not a morphism into its context, or a comatch of
+    ``result.e1`` that is not total, fails, and never raises. Graphs must be
+    well-formed, as the loaders and constructions make them.
     """
     d1, d2 = pair.d1, pair.d2
-    b1, r1 = d1.rule.b, d1.rule.r
-    b2, r2 = d2.rule.b, d2.rule.r
     j1, j2 = witness.j1, witness.j2
     for name, j, context in (("j1", j1, d2.D), ("j2", j2, d1.D)):
         if j.target != context or not validate_morphism(j).ok:
@@ -216,24 +218,16 @@ def verify_commutation_squares(
     c1, c2 = d1.deletion.c, d2.deletion.c
     cbar1, cbar2 = d1.gluing.c, d2.gluing.c
     try:
-        shared1, shared2 = deletion(b1, j1), deletion(b2, j2)
-        k1, pi2 = shared1.d, shared1.c
-        k2, pi1 = shared2.d, shared2.c
+        x1, x2 = apply(d1.rule, Match(j1)), apply(d2.rule, Match(j2))
+        sq11, sq21 = x1.left_square, x1.right_square
+        sq31, sq41 = x2.left_square, x2.right_square
+        pi2, delta1 = sq11.cd, sq21.cd
+        pi1, delta2 = sq31.cd, sq41.cd
 
         sq12 = Square(ab=pi2, ac=pi1, bd=c2, cd=c1)
         sq32 = Square(ab=pi1, ac=pi2, bd=c1, cd=c2)
-        sq11 = Square(ab=b1, ac=k1, bd=j1, cd=pi2)
-        sq31 = Square(ab=b2, ac=k2, bd=j2, cd=pi1)
-
-        glue21 = gluing(r1, k1)
-        rho1, delta1 = glue21.h, glue21.c
-        sq21 = Square(ab=r1, ac=k1, bd=rho1, cd=delta1)
         sigma1 = pushout_mediator(sq21, p=d1.comatch, t=compose(cbar1, pi1))
         sq22 = Square(ab=delta1, ac=pi1, bd=sigma1, cd=cbar1)
-
-        glue41 = gluing(r2, k2)
-        rho2, delta2 = glue41.h, glue41.c
-        sq41 = Square(ab=r2, ac=k2, bd=rho2, cd=delta2)
         sigma2 = pushout_mediator(sq41, p=d2.comatch, t=compose(cbar2, pi2))
         sq42 = Square(ab=delta2, ac=pi2, bd=sigma2, cd=cbar2)
     except RewriteError as exc:
@@ -242,7 +236,7 @@ def verify_commutation_squares(
     # square (5) is built against result.Gp, so a result that does not fit
     # the decomposition fails here, under this label
     try:
-        tau1 = Morphism(glue21.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
+        tau1 = Morphism(x1.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
         if not validate_morphism(tau1).ok:
             return CheckReport(False, "square (5): context embedding into G' invalid", ("construction",))
         comatch = result.e1.comatch
@@ -309,8 +303,8 @@ def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: Co
     is ``gluing(r1, k1)``'s own pushout, which :func:`apply` certifies on
     every derivation; likewise (41). The mediators are the identity on D0
     and the comatches on created items, so (22), (42) and (5) are pushouts,
-    the last once G' is e1's result, which is D0 plus both created sets;
-    and the composites agree with the derivation squares map by map.
+    the last as G' is e1's result, which is D0 plus both created sets; and
+    the composites agree with the derivation squares map by map.
     """
     d1, d2, e1 = pair.d1, pair.d2, result.e1
     G = d1.deletion.G
@@ -319,7 +313,6 @@ def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: Co
         and _certified(d2, witness.j2, G)
         and e1.rule == d2.rule
         and _certified(e1, witness.j2, d1.H)
-        and result.Gp == e1.H
     )
 
 

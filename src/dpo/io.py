@@ -225,12 +225,6 @@ def rule_to_json(rule: Rule) -> dict:
     }
 
 
-def rule_from_json(doc: Any) -> Rule:
-    """The rule of a rule document; parts that do not form a rule raise
-    :class:`PreconditionError`, as :class:`~dpo.rewriting.Rule` does."""
-    return Rule(*rule_parts_from_json(doc))
-
-
 def rule_parts_from_json(doc: Any) -> tuple[Graph, Graph, Graph, Morphism, Morphism]:
     """``L, K, R, b, r`` of a rule document, unchecked, for ``dpo validate``."""
     if not isinstance(doc, dict):
@@ -427,7 +421,7 @@ def load_rule(path: str | Path) -> Rule:
     """Load a rule file; parts that do not form a rule raise
     :class:`FormatError` naming the first violation :class:`Rule` found."""
     try:
-        return rule_from_json(load_json(path))
+        return Rule(*rule_parts_from_json(load_json(path)))
     except PreconditionError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -32,9 +32,14 @@ class Morphism:
         return f"Morphism(fv={fv}, fe={fe})"
 
 
+def inclusion(sub: Graph, g: Graph) -> Morphism:
+    """The identity inclusion of ``sub`` in ``g``, its maps built at C level."""
+    return Morphism(sub, g, dict(zip(sub.nodes, sub.nodes)), dict(zip(sub.edges, sub.edges)))
+
+
 def identity(g: Graph) -> Morphism:
     """The identity morphism on ``g``."""
-    return Morphism(g, g, {v: v for v in g.nodes}, {e: e for e in g.edges})
+    return inclusion(g, g)
 
 
 def validate_morphism(m: Morphism) -> ValidationReport:

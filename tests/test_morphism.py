@@ -5,13 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpo.errors import PreconditionError
-from dpo.constructions import inclusion
 from dpo.graph import Graph, graph
 from dpo.morphism import (
     Morphism,
     compose,
     enumerate_morphisms,
     identity,
+    inclusion,
     is_injective,
     morphisms_agree,
     validate_morphism,
