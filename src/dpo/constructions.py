@@ -8,9 +8,19 @@ embeds into the host the same way, and both inclusions are built only when
 read. Each map or item set that a construction changes is copied in bulk,
 at C level, and patched with the rule's items; the others are shared with
 the input graph. So a construction costs a few C-level copies of the host
-plus O(|rule| + degree) Python work. The dangling check reads the host's
-incidence index (:attr:`~dpo.graph.Graph.incidence`), which both
-constructions carry on to their result once it is built. Neither certifies
+plus O(|rule| + degree) Python work.
+
+Maps are copied with ``dict.copy()``. ``dict(m)`` and ``{**m, **new}``
+re-insert every key once ``m`` has had a key deleted, which every pruned
+map and patched index of a chain has; ``m.copy()`` clones the table
+whole. On 2*10^4-entry maps with one key deleted, ``timeit`` on CPython
+3.10-3.13 gave 0.5-1.0 ms for either form and 0.1-0.2 ms for ``m.copy()``.
+
+A graph's derived indexes (:attr:`~dpo.graph.Graph.incidence`,
+``max_node_id``, ``max_edge_id``) are carried on to the result once
+built, patched in O(|rule| + degree). The dangling check reads the
+incidence index; gluing allocates fresh ids past the largest carried id,
+the same ids a scan of ``D`` would give. Neither construction certifies
 its square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
 """
 
@@ -18,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, TypeVar
+from typing import Callable, Collection, Iterable, TypeVar
 
 from .errors import DanglingConditionError, PreconditionError
-from .graph import Graph, incidence_if_built
+from .graph import Graph
 from .morphism import Morphism, inclusion, is_injective
 
 V = TypeVar("V")
@@ -76,10 +86,12 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
     ``b: K -> R`` and ``d: K -> D`` must both be injective. Items of ``R``
     outside the interface image receive fresh identifiers starting past the
     largest identifier in ``D`` (or past ``fresh_offset``, whichever is
-    larger), in ascending ``R``-id order. Identifiers of ``D`` are kept, so
-    ``c`` is an identity inclusion. ``H`` copies each map of ``D`` that
-    gains items in bulk and adds them, shares the others with ``D``, and
-    carries ``D``'s incidence index if it has been built.
+    larger), in ascending ``R``-id order; ``D``'s largest ids are read from
+    :attr:`~dpo.graph.Graph.max_node_id` and ``max_edge_id``, only for a
+    kind the rule creates. Identifiers of ``D`` are kept, so ``c`` is an
+    identity inclusion. ``H`` copies each map of ``D`` that gains items
+    (``dict.copy()``) and adds them, shares the others with ``D``, and
+    carries each built index of ``D``, patched for the new items.
     """
     if b.source != d.source:
         raise PreconditionError("gluing: b and d must share their source graph")
@@ -95,8 +107,8 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
     new_edges = sorted(R.edges - set(b_inv_e))
 
     floor = fresh_offset if fresh_offset is not None else 0
-    fresh_v = _fresh_ids(new_nodes, D.nodes, floor)
-    fresh_e = _fresh_ids(new_edges, D.edges, floor)
+    fresh_v = _fresh_ids(new_nodes, lambda: D.max_node_id, floor)
+    fresh_e = _fresh_ids(new_edges, lambda: D.max_edge_id, floor)
 
     def node_in_h(x: int) -> int:
         # image in H of an R-node: through the interface if it has one,
@@ -111,7 +123,7 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
         nlabel=_updated(D.nlabel, {fresh_v[v]: R.nlabel[v] for v in new_nodes}),
         elabel=_updated(D.elabel, {fresh_e[e]: R.elabel[e] for e in new_edges}),
     )
-    _carry_incidence(D, H, (), (), fresh_e.values())
+    _carry_indexes(D, H, (), (), fresh_v.values(), fresh_e.values())
     h = Morphism(
         source=R,
         target=H,
@@ -153,10 +165,9 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
 
     ``rule_left: K -> L`` and ``match: L -> G`` must both be injective with a
     shared middle graph ``L``, and the dangling condition must hold. ``D``
-    copies each map of ``G`` that loses items in bulk and takes them out,
-    shares the others with ``G``, and carries ``G``'s incidence index if it
-    has been built. The result's ``c: D -> G`` is an identity inclusion;
-    the square is a pushout, which :func:`~dpo.rewriting.apply` certifies.
+    is ``G`` :func:`without` the deleted items. The result's ``c: D -> G``
+    is an identity inclusion; the square is a pushout, which
+    :func:`~dpo.rewriting.apply` certifies.
     """
     if rule_left.target != match.source:
         raise PreconditionError("deletion: rule_left.target differs from match.source")
@@ -181,9 +192,10 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
 
 def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
     """``g`` without the given nodes and edges, which must leave no edge of
-    ``g`` dangling. Each map that loses items is copied in bulk and pruned,
-    the others are shared with ``g``, and a built incidence index is
-    carried over: C-level copies plus O(|nodes| + |edges| + degree)."""
+    ``g`` dangling. Each map that loses items is copied with ``dict.copy()``
+    and pruned, the others are shared with ``g``, and each derived index of
+    ``g`` that has been built is carried over, except a largest id whose
+    item is deleted: C-level copies plus O(|nodes| + |edges| + degree)."""
     D = Graph(
         nodes=g.nodes - nodes if nodes else g.nodes,
         edges=g.edges - edges if edges else g.edges,
@@ -192,7 +204,7 @@ def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
         nlabel=_pruned(g.nlabel, nodes),
         elabel=_pruned(g.elabel, edges),
     )
-    _carry_incidence(g, D, nodes, edges, ())
+    _carry_indexes(g, D, nodes, edges, (), ())
     return D
 
 
@@ -200,11 +212,12 @@ def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
 # unchanged is shared with its input rather than copied.
 
 
-def _fresh_ids(items: list[int], taken: frozenset[int], floor: int) -> dict[int, int]:
-    """Consecutive identifiers for ``items`` past ``taken`` and ``floor``."""
+def _fresh_ids(items: list[int], largest: Callable[[], int], floor: int) -> dict[int, int]:
+    """Consecutive identifiers for ``items`` past ``largest()`` and
+    ``floor``; ``largest`` is read only when there are items."""
     if not items:
         return {}
-    start = max(max(taken, default=-1) + 1, floor)
+    start = max(largest() + 1, floor)
     return {x: start + i for i, x in enumerate(items)}
 
 
@@ -214,29 +227,41 @@ def _extended(items: frozenset[int], new: Iterable[int]) -> frozenset[int]:
 
 
 def _updated(m: dict[int, V], new: dict[int, V]) -> dict[int, V]:
-    return {**m, **new} if new else m
+    if not new:
+        return m
+    grown = m.copy()
+    grown.update(new)
+    return grown
 
 
 def _pruned(m: dict[int, V], gone: set[int]) -> dict[int, V]:
     if not gone:
         return m
-    kept = dict(m)
+    kept = m.copy()
     for k in gone:
         kept.pop(k, None)
     return kept
 
 
-def _carry_incidence(
-    old: Graph, new: Graph, gone_nodes: Collection[int], gone_edges: Collection[int], new_edges: Collection[int]
+def _carry_indexes(
+    old: Graph, new: Graph, gone_nodes: Collection[int], gone_edges: Collection[int],
+    new_nodes: Collection[int], new_edges: Collection[int],
 ) -> None:
-    """Give ``new`` the incidence index of ``old``, if that has been built,
+    """Give ``new`` each derived index of ``old`` that has been built,
     patched for the removed nodes and edges (read in ``old``) and the added
-    edges (read in ``new``): one bulk copy plus O(degree) per item."""
-    index = incidence_if_built(old)
+    ones (read in ``new``): one bulk copy plus O(degree) per item. A largest
+    id whose item was removed is not carried; ``new`` rebuilds it if read."""
+    # where functools.cached_property keeps the values it builds
+    built, carried = vars(old), vars(new)
+    for name, gone, added in (("max_node_id", gone_nodes, new_nodes), ("max_edge_id", gone_edges, new_edges)):
+        largest = built.get(name)
+        if largest is not None and largest not in gone:
+            carried[name] = max(largest, max(added, default=-1))
+    index = built.get("incidence")
     if index is None:
         return
     if gone_nodes or gone_edges or new_edges:
-        index = dict(index)
+        index = index.copy()
     for v in gone_nodes:
         index.pop(v, None)
     for e in gone_edges:
@@ -250,8 +275,7 @@ def _carry_incidence(
     for e in new_edges:
         for v in {new.src[e], new.tgt[e]}:
             index[v] = index.get(v, frozenset()) | {e}
-    # where functools.cached_property keeps the index it builds
-    vars(new)["incidence"] = index
+    carried["incidence"] = index
 
 
 def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:

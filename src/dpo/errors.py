@@ -23,6 +23,11 @@ class DanglingConditionError(RewriteError):
         self.edges = tuple(edges)
         super().__init__(f"dangling edges: {sorted(self.edges)}")
 
+    def __reduce__(self):
+        # pickle and copy rebuild an exception from its args, which hold the
+        # message; rebuild this one from its edges instead
+        return type(self), (self.edges,)
+
 
 class DependentDerivationsError(PreconditionError):
     """A commutation was requested for a pair that is not parallel independent."""

@@ -47,8 +47,12 @@ class Graph:
     ``elabel`` assign a label to every node and edge. Instances are treated
     as immutable values and may be shared freely between threads.
 
-    :attr:`incidence` is a derived index, built on first use and then kept
-    on the instance; it is not a field, so equality and ``repr`` ignore it.
+    :attr:`incidence`, :attr:`max_node_id` and :attr:`max_edge_id` are
+    derived indexes, each built on first use and then kept on the instance;
+    they are not fields, so equality and ``repr`` ignore them. The
+    constructions of :mod:`dpo.constructions` hand each built index on to
+    their result, patched for the items they change, unless they deleted
+    the item a largest id names: that one is rebuilt on first read.
     """
 
     nodes: frozenset[int]
@@ -73,7 +77,7 @@ class Graph:
         Nodes without edges are absent. Building it reads every edge once;
         :func:`~dpo.constructions.deletion` and
         :func:`~dpo.constructions.gluing` hand a built index on to their
-        result, patched in O(degree) (see :func:`incidence_if_built`).
+        result, patched in O(degree).
         """
         at: dict[int, list[int]] = {}
         for e in self.edges:
@@ -83,10 +87,15 @@ class Graph:
                 at.setdefault(t, []).append(e)
         return {v: frozenset(es) for v, es in at.items()}
 
+    @cached_property
+    def max_node_id(self) -> int:
+        """The largest node identifier, or -1 when there are no nodes."""
+        return max(self.nodes, default=-1)
 
-def incidence_if_built(g: Graph) -> Optional[dict[int, frozenset[int]]]:
-    """``g.incidence`` if it has been built, else ``None``; never builds it."""
-    return vars(g).get("incidence")
+    @cached_property
+    def max_edge_id(self) -> int:
+        """The largest edge identifier, or -1 when there are no edges."""
+        return max(self.edges, default=-1)
 
 
 def graph(

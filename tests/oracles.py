@@ -295,6 +295,23 @@ def reference_incidence(g: Graph) -> dict[int, frozenset[int]]:
     return {v: frozenset(es) for v, es in at.items()}
 
 
+def incidence_if_built(g: Graph) -> dict[int, frozenset[int]] | None:
+    """``g.incidence`` if it has been built or handed on, else ``None``;
+    never builds it. ``functools.cached_property`` keeps it in ``vars(g)``."""
+    return vars(g).get("incidence")
+
+
+def reference_max_ids(g: Graph) -> dict[str, int]:
+    """The largest node and edge ids by scanning, -1 for none, keyed by the
+    names of the :class:`Graph` indexes that carry them."""
+    return {"max_node_id": max(g.nodes, default=-1), "max_edge_id": max(g.edges, default=-1)}
+
+
+def max_ids_if_built(g: Graph) -> dict[str, int]:
+    """The largest ids that ``g`` has built or been handed; never builds one."""
+    return {name: vars(g)[name] for name in ("max_node_id", "max_edge_id") if name in vars(g)}
+
+
 def brute_force_morphism_count(g: Graph, h: Graph, injective_only: bool = False) -> int:
     """Count valid morphisms by filtering the raw product of all maps."""
     g_nodes = sorted(g.nodes)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from dpo.diagrams import (
     reduced_chain_condition,
 )
 from dpo.errors import DanglingConditionError, PreconditionError
-from dpo.graph import graph, incidence_if_built, is_isomorphic, validate_graph
+from dpo.graph import graph, is_isomorphic, validate_graph
 from dpo.morphism import (
     Morphism,
     identity,
@@ -25,13 +27,16 @@ from dpo.morphism import (
 from .generators import random_cospan, random_embedding, random_graph, random_rule_with_match, random_span
 from .oracles import (
     brute_force_pullback,
+    incidence_if_built,
     is_bijective,
     is_inclusion,
     is_surjective,
+    max_ids_if_built,
     reference_dangling_edges,
     reference_deletion,
     reference_gluing,
     reference_incidence,
+    reference_max_ids,
 )
 from .strategies import cospans, rules_with_matches
 
@@ -146,6 +151,13 @@ class TestDeletion:
         with pytest.raises(DanglingConditionError) as exc:
             deletion(b, m)
         assert exc.value.edges == (4,)
+
+    def test_dangling_error_keeps_its_edges_and_message_through_pickle_and_copy(self):
+        exc = DanglingConditionError([3, 1])
+        for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+            assert type(clone) is DanglingConditionError
+            assert clone.edges == (3, 1)
+            assert str(clone) == str(exc) == "dangling edges: [1, 3]"
 
     def test_left_square_is_a_pushout_on_random_instances(self):
         rng = random.Random(23)
@@ -267,7 +279,7 @@ class TestPullbackJoin:
 
 class TestAgainstReference:
     """Deletion and gluing against the item-by-item reference constructions
-    in ``tests/oracles.py``, with and without a built incidence index."""
+    in ``tests/oracles.py``, with and without built derived indexes."""
 
     @settings(max_examples=300, deadline=None)
     @given(rules_with_matches(), st.booleans(), st.sampled_from([None, 0, 3, 40]))
@@ -276,6 +288,7 @@ class TestAgainstReference:
         G = match.m.target
         if indexed:
             assert G.incidence == reference_incidence(G)
+            assert {"max_node_id": G.max_node_id, "max_edge_id": G.max_edge_id} == reference_max_ids(G)
         assert dangling_edges(rule.b, match.m) == reference_dangling_edges(rule.b, match.m)
         if reference_dangling_edges(rule.b, match.m):
             with pytest.raises(DanglingConditionError):
@@ -296,6 +309,7 @@ class TestAgainstReference:
         for g in (G, deleted.D, glued.H):
             index = incidence_if_built(g)
             assert index == (reference_incidence(g) if built else None)
+            assert max_ids_if_built(g).items() <= reference_max_ids(g).items()
 
     def test_a_graph_without_deleted_nodes_builds_no_index(self):
         k = graph({0: "a", 1: "a"})

@@ -12,7 +12,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_mat
 from dpo import rewriting
 from dpo.diagrams import Square, _local_pushout, certify_pushout, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, PreconditionError
-from dpo.graph import Graph, graph, incidence_if_built, is_isomorphic
+from dpo.graph import Graph, graph, is_isomorphic
 from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
@@ -28,8 +28,11 @@ from .generators import random_rule_with_match, rewire_on_random_host
 from .oracles import (
     built_square,
     derivations_isomorphic,
+    incidence_if_built,
     is_bijective,
+    max_ids_if_built,
     reference_incidence,
+    reference_max_ids,
     reference_validate_morphism,
 )
 from .strategies import rules_with_matches
@@ -772,6 +775,64 @@ class TestLongChains:
         H = apply(rules["grow"], Match(Morphism(rules["grow"].L, G, {0: a}, {}))).H
         assert incidence_if_built(G) is None and incidence_if_built(H) is None
 
+    def test_carried_largest_ids_equal_rebuilt_ones(self):
+        G = _random_host(300, seed=3)
+        graphs = [G, *run_chain(G, _Replay(G), steps=200, seed=3)]
+        # PRUNE at the leaf the last GROW made deletes the largest node id
+        assert any(max(host.nodes) not in D.nodes for host, D in zip(graphs[0::2], graphs[1::2]))
+        # no chain rule deletes the largest edge id, a created y-edge; one
+        # more step deletes it
+        H = graphs[-1]
+        top = max(H.edges)
+        ends = dict(enumerate(dict.fromkeys((H.src[top], H.tgt[top]))))
+        K = graph({i: H.nlabel[v] for i, v in ends.items()})
+        L = graph(K.nlabel, {0: (0, len(ends) - 1, H.elabel[top])})
+        keep = ({i: i for i in ends}, {})
+        last = apply(_rule(L, K, K, keep, keep), Match(Morphism(L, H, ends, {0: top})))
+        graphs += [last.D, last.H]
+        for g in graphs:
+            assert max_ids_if_built(g).items() <= reference_max_ids(g).items()
+        # every graph after G carries the largest edge id until it is deleted
+        assert all("max_edge_id" in max_ids_if_built(g) for g in graphs[1:-2])
+        assert not any("max_edge_id" in max_ids_if_built(g) for g in graphs[-2:])
+        assert last.H.max_edge_id == max(last.H.edges)
+
+    def test_no_largest_id_is_built_before_a_step_creates_an_item_of_its_kind(self):
+        G = _random_host(50, seed=4)
+        loop = _chain_rules()["loop"]
+        a = min(v for v in G.nodes if G.nlabel[v] == "a")
+        # LOOP deletes nothing, so deletion builds nothing on D; it creates
+        # one edge, so gluing reads D's largest edge id and hands it on
+        d = apply(loop, Match(Morphism(loop.L, G, {0: a}, {})))
+        assert max_ids_if_built(G) == {}
+        assert max_ids_if_built(d.D) == {"max_edge_id": max(G.edges)}
+        assert max_ids_if_built(d.H) == {"max_edge_id": max(G.edges) + 1}
+        # a rule that deletes and creates nothing builds neither, anywhere
+        same = apply(identity_rule(loop.L), Match(Morphism(loop.L, G, {0: a}, {})))
+        assert [max_ids_if_built(g) for g in (G, same.D, same.H)] == [{}, {}, {}]
+
+    def test_a_chain_leaves_every_earlier_graph_as_it_was(self):
+        # each step copies the maps it changes and edits the copies in place;
+        # no step may edit a map or incidence index of an earlier graph
+        G = _random_host(300, seed=6)
+        G.incidence  # built first, so every step patches a copy of it
+
+        def contents(g: Graph) -> list:
+            return [dict(m) for m in (g.src, g.tgt, g.nlabel, g.elabel, incidence_if_built(g))]
+
+        seen = [(g, contents(g)) for g in itertools.chain([G], run_chain(G, _Replay(G), steps=100, seed=6))]
+        assert all(contents(g) == before for g, before in seen)
+        # a map whose items a step leaves alone is shared, not copied: D's
+        # nlabel is its host's when no node is deleted, H's src is D's when
+        # no edge is created
+        shared = Counter()
+        for (x, _), (y, _) in zip(seen, seen[1:]):
+            for field, items in (("nlabel", "nodes"), ("src", "edges"), ("tgt", "edges"), ("elabel", "edges")):
+                if getattr(x, items) == getattr(y, items):
+                    assert getattr(x, field) is getattr(y, field)
+                    shared[field] += 1
+        assert len(shared) == 4
+
     def test_chain_on_a_hundred_thousand_nodes_matches_a_plain_replay(self):
         # no wall-clock bound; each step costs a few bulk copies of the host
         G = _random_host(100_000, seed=5)
@@ -780,3 +841,7 @@ class TestLongChains:
             pass
         assert H == replay.graph()
         assert incidence_if_built(H) == reference_incidence(H)
+        # a late PRUNE deleted the largest node id and no later step created a
+        # node, so H carries only the largest edge id
+        assert max_ids_if_built(H).items() <= reference_max_ids(H).items()
+        assert "max_edge_id" in max_ids_if_built(H)
