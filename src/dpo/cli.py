@@ -137,13 +137,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _emit(
         {
             "kind": kind,
-            "ok": report.ok,
-            "violations": [{"clause": v.clause, "item": v.item} for v in report.violations],
+            "ok": bool(report),
+            "violations": [{"clause": v.clause, "item": " ".join(map(str, v.item))} for v in report.violations],
         },
-        f"{kind}: {'ok' if report.ok else f'{len(report.violations)} violation(s)'}",
+        f"{kind}: {'ok' if report else f'{len(report.violations)} violation(s)'}",
         args,
     )
-    return EXIT_OK if report.ok else EXIT_VERDICT_FALSE
+    return EXIT_OK if report else EXIT_VERDICT_FALSE
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
@@ -204,10 +204,10 @@ def cmd_check_square(args: argparse.Namespace) -> int:
     report = check(square)
     _emit(
         io.check_report_to_json(report),
-        f"{args.mode}: {'yes' if report.verdict else f'no ({report.failed_clause})'}",
+        f"{args.mode}: {'yes' if report else f'no ({report.failed_clause})'}",
         args,
     )
-    return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
+    return EXIT_OK if report else EXIT_VERDICT_FALSE
 
 
 def _build_pair(args: argparse.Namespace) -> ParallelPair:
@@ -222,7 +222,7 @@ def _build_pair(args: argparse.Namespace) -> ParallelPair:
 
 
 def _report_dependent(pair: ParallelPair, args: argparse.Namespace) -> int:
-    blocked = [{"triangle": side, "item": list(item)} for side, item in blocking_items(pair)]
+    blocked = [{"triangle": v.clause, "item": list(v.item)} for v in blocking_items(pair).violations]
     _emit(
         {"independent": False, "blocked": blocked},
         f"dependent ({len(blocked)} blocking item(s))",
@@ -256,9 +256,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
     result = commute(pair)
     squares = verify_commutation_squares(pair, witness, result)
     if not squares:
-        raise InternalConsistencyError(
-            f"commutation squares failed verification: {squares.failed_clause}"
-        )
+        raise InternalConsistencyError(f"commutation squares failed verification: {squares}")
     report = {
         "version": 2,
         "residual_match_2": io.morphism_to_json(result.e1.match.m),

@@ -23,11 +23,10 @@ with it; the commutation check's local pass runs its clauses too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .constructions import pullback_pairs
 from .errors import PreconditionError
-from .graph import Graph
+from .graph import PASSED, CheckReport, Graph, failure
 from .morphism import Morphism, compose, inclusion, is_injective, morphisms_agree, validate_morphism
 
 
@@ -53,8 +52,8 @@ class Square:
             raise PreconditionError("square: bd and cd have different targets")
         for leg in ("ab", "ac", "bd", "cd"):
             report = validate_morphism(getattr(self, leg))
-            if not report.ok:
-                raise PreconditionError(f"square '{leg}': invalid morphism: {report.violations[0]}")
+            if not report:
+                raise PreconditionError(f"square '{leg}': invalid morphism: {report}")
 
     @property
     def A(self) -> Graph:
@@ -73,27 +72,15 @@ class Square:
         return self.bd.target
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Boolean verdict plus, on failure, the violated clause and a witness."""
-
-    verdict: bool
-    failed_clause: Optional[str] = None
-    counterexample: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.verdict
-
-
 def commutes(sq: Square) -> CheckReport:
     """Whether ``bd after ab`` agrees with ``cd after ac`` on every item of A."""
     for v in sorted(sq.A.nodes):
         if sq.bd.fv[sq.ab.fv[v]] != sq.cd.fv[sq.ac.fv[v]]:
-            return CheckReport(False, "commutativity", ("node", v))
+            return failure("commutativity", ("node", v))
     for e in sorted(sq.A.edges):
         if sq.bd.fe[sq.ab.fe[e]] != sq.cd.fe[sq.ac.fe[e]]:
-            return CheckReport(False, "commutativity", ("edge", e))
-    return CheckReport(True)
+            return failure("commutativity", ("edge", e))
+    return PASSED
 
 
 def reduced_chain_condition(sq: Square) -> CheckReport:
@@ -118,8 +105,8 @@ def _chain_condition(sq: Square) -> CheckReport:
     ):
         for pair in candidates:
             if pair not in images:
-                return CheckReport(False, "reduced chain-condition", (kind, *pair))
-    return CheckReport(True)
+                return failure("reduced chain-condition", (kind, *pair))
+    return PASSED
 
 
 def jointly_surjective(bd: Morphism, cd: Morphism) -> CheckReport:
@@ -133,27 +120,22 @@ def jointly_surjective(bd: Morphism, cd: Morphism) -> CheckReport:
     ):
         uncovered = items.difference(map(f.__getitem__, f_items), map(g.__getitem__, g_items))
         if uncovered:
-            return CheckReport(False, "joint surjectivity", (kind, min(uncovered)))
-    return CheckReport(True)
+            return failure("joint surjectivity", (kind, min(uncovered)))
+    return PASSED
 
 
 def is_pushout_injective(sq: Square) -> CheckReport:
     """Pushout recognition for squares of injective morphisms.
 
     Commutativity, the reduced chain-condition and joint surjectivity of the
-    cospan are together equivalent to the pushout property in this scope.
-    Non-injective inputs are outside the characterization's scope and raise.
+    cospan are together equivalent to the pushout property in this scope;
+    the report is the first failing clause's, in that order. Non-injective
+    inputs are outside the characterization's scope and raise.
     """
     for name, m in (("ab", sq.ab), ("ac", sq.ac), ("bd", sq.bd), ("cd", sq.cd)):
         if not is_injective(m):
             raise PreconditionError(f"is_pushout_injective: morphism {name} not injective")
-    report = commutes(sq)
-    if not report:
-        return report
-    report = _chain_condition(sq)
-    if not report:
-        return report
-    return jointly_surjective(sq.bd, sq.cd)
+    return commutes(sq) and _chain_condition(sq) and jointly_surjective(sq.bd, sq.cd)
 
 
 def is_pullback(sq: Square) -> CheckReport:
@@ -177,14 +159,14 @@ def is_pullback(sq: Square) -> CheckReport:
         for a in sorted(items):
             pair = f[a], g[a]
             if pair in first:
-                return CheckReport(False, "mediating map not injective", (kind, first[pair], a))
+                return failure("mediating map not injective", (kind, first[pair], a))
             first[pair] = a
         images.append(first)
     for kind, pairs, image in zip(("node", "edge"), (node_pairs, edge_pairs), images):
         missed = set(pairs).difference(image)
         if missed:
-            return CheckReport(False, "mediating map not surjective", (kind, *min(missed)))
-    return CheckReport(True)
+            return failure("mediating map not surjective", (kind, *min(missed)))
+    return PASSED
 
 
 def transpose_square(sq: Square) -> Square:
@@ -253,7 +235,7 @@ def pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
     if fv.keys() != sq.D.nodes or fe.keys() != sq.D.edges:
         raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective")
     u = Morphism(sq.D, p.target, fv, fe)
-    if not validate_morphism(u).ok:
+    if not validate_morphism(u):
         raise PreconditionError("pushout_mediator: mediating map is not a morphism")
     return u
 
@@ -284,7 +266,7 @@ def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> CheckReport:
     non-injective morphism, is the same as :func:`is_pushout_injective`'s.
     """
     if _local_pushout(ab, ac, bd):
-        return CheckReport(True)
+        return PASSED
     return is_pushout_injective(Square(ab, ac, bd, inclusion(ac.target, bd.target)))
 
 

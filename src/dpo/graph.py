@@ -16,27 +16,44 @@ from typing import Mapping, Optional
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed well-formedness clause, naming the offending item."""
+    """A failed clause and its item: ``("node", 3)``, ``("edge", 0)``, a
+    pair ``("node", b, c)``, a part ``("b",)``, or dangling edge ids."""
 
     clause: str
-    item: str
+    item: tuple
 
     def __str__(self) -> str:
-        return f"{self.clause}: {self.item}"
+        return f"{self.clause}: {' '.join(map(str, self.item))}"
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a validity check; violations are data, not failures."""
+class CheckReport:
+    """A check's violations, in the order found; it passes iff there are none.
+    Its failed clause, counterexample and ``str`` are the first one's."""
 
     violations: tuple[Violation, ...] = ()
 
-    @property
-    def ok(self) -> bool:
+    def __bool__(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
+    def __str__(self) -> str:
+        return str(self.violations[0]) if self.violations else "passed"
+
+    @property
+    def failed_clause(self) -> Optional[str]:
+        return self.violations[0].clause if self.violations else None
+
+    @property
+    def counterexample(self) -> Optional[tuple]:
+        return self.violations[0].item if self.violations else None
+
+
+PASSED = CheckReport()
+
+
+def failure(clause: str, item: tuple) -> CheckReport:
+    """The report of one failed clause at ``item``."""
+    return CheckReport((Violation(clause, item),))
 
 
 @dataclass(frozen=True, eq=True)
@@ -114,7 +131,7 @@ def graph(
     )
 
 
-def validate_graph(g: Graph) -> ValidationReport:
+def validate_graph(g: Graph) -> CheckReport:
     """Check every graph invariant; report each failed clause with its item.
     Whole-set tests at C level decide a pass; anything else runs the loop."""
     if (
@@ -125,31 +142,31 @@ def validate_graph(g: Graph) -> ValidationReport:
         and g.nodes.issuperset(g.src.values())
         and g.nodes.issuperset(g.tgt.values())
     ):
-        return ValidationReport()
+        return PASSED
     bad: list[Violation] = []
     for v in sorted(g.nodes):
         if v < 0:
-            bad.append(Violation("node id negative", f"node {v}"))
+            bad.append(Violation("node id negative", ("node", v)))
         if v not in g.nlabel:
-            bad.append(Violation("nlabel not total on nodes", f"node {v}"))
+            bad.append(Violation("nlabel not total on nodes", ("node", v)))
     for e in sorted(g.edges):
         if e < 0:
-            bad.append(Violation("edge id negative", f"edge {e}"))
+            bad.append(Violation("edge id negative", ("edge", e)))
         if e not in g.src:
-            bad.append(Violation("src not total on edges", f"edge {e}"))
+            bad.append(Violation("src not total on edges", ("edge", e)))
         elif g.src[e] not in g.nodes:
-            bad.append(Violation("src out of V", f"edge {e}"))
+            bad.append(Violation("src out of V", ("edge", e)))
         if e not in g.tgt:
-            bad.append(Violation("tgt not total on edges", f"edge {e}"))
+            bad.append(Violation("tgt not total on edges", ("edge", e)))
         elif g.tgt[e] not in g.nodes:
-            bad.append(Violation("tgt out of V", f"edge {e}"))
+            bad.append(Violation("tgt out of V", ("edge", e)))
         if e not in g.elabel:
-            bad.append(Violation("elabel not total on edges", f"edge {e}"))
+            bad.append(Violation("elabel not total on edges", ("edge", e)))
     for v in sorted(set(g.nlabel) - g.nodes):
-        bad.append(Violation("nlabel defined outside nodes", f"node {v}"))
+        bad.append(Violation("nlabel defined outside nodes", ("node", v)))
     for e in sorted((set(g.src) | set(g.tgt) | set(g.elabel)) - g.edges):
-        bad.append(Violation("edge map defined outside edges", f"edge {e}"))
-    return ValidationReport(tuple(bad))
+        bad.append(Violation("edge map defined outside edges", ("edge", e)))
+    return CheckReport(tuple(bad))
 
 
 def is_subgraph(sub: Graph, g: Graph) -> bool:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagrams import (
-    CheckReport,
     Square,
     _local_pushout,
     compose_squares_vertical,
@@ -36,7 +35,7 @@ from .errors import (
     PreconditionError,
     RewriteError,
 )
-from .graph import Graph, IsoWitness, is_isomorphic, is_subgraph
+from .graph import PASSED, CheckReport, Graph, IsoWitness, Violation, failure, is_isomorphic, is_subgraph
 from .morphism import Morphism, compose, validate_morphism
 from .rewriting import DirectDerivation, Match, apply
 
@@ -97,18 +96,18 @@ def _corestrict(m: Morphism, sub: Graph) -> Optional[Morphism]:
     return Morphism(m.source, sub, dict(m.fv), dict(m.fe))
 
 
-def blocking_items(pair: ParallelPair) -> list[tuple[str, tuple[str, int]]]:
-    """Why a parallel pair is dependent: each ``(triangle, item)`` names a
-    matched host item that the other derivation deletes. Empty iff
-    :func:`parallel_independent` finds a witness."""
-    return [
-        (side, item)
+def blocking_items(pair: ParallelPair) -> CheckReport:
+    """Why a parallel pair is dependent: a violation per matched host item the
+    other derivation deletes, its clause the triangle, ``"L1 into D2"`` or
+    ``"L2 into D1"``. It passes iff :func:`parallel_independent` finds a witness."""
+    return CheckReport(tuple(
+        Violation(side, item)
         for side, m, context in (
             ("L1 into D2", pair.d1.match.m, pair.d2.deletion.D),
             ("L2 into D1", pair.d2.match.m, pair.d1.deletion.D),
         )
         for item in _outside(m, context)
-    ]
+    ))
 
 
 def parallel_independent(pair: ParallelPair) -> Optional[IndependenceWitness]:
@@ -164,7 +163,7 @@ def commute(pair: ParallelPair) -> CommutationResult:
     """
     witness = parallel_independent(pair)
     if witness is None:
-        raise DependentDerivationsError("commute: pair is not parallel independent")
+        raise DependentDerivationsError(f"commute: pair is not parallel independent: {blocking_items(pair)}")
     m2p, m1p = residual_match(pair, witness)
     try:
         e1 = apply(pair.d2.rule, m2p)
@@ -210,10 +209,10 @@ def verify_commutation_squares(
     d1, d2 = pair.d1, pair.d2
     j1, j2 = witness.j1, witness.j2
     for name, j, context in (("j1", j1, d2.D), ("j2", j2, d1.D)):
-        if j.target != context or not validate_morphism(j).ok:
-            return CheckReport(False, f"witness {name} is not a morphism into its context", ("witness",))
+        if j.target != context or not validate_morphism(j):
+            return failure(f"witness {name} is not a morphism into its context", ("witness",))
     if _passes_locally(pair, witness, result):
-        return CheckReport(True)
+        return PASSED
 
     c1, c2 = d1.deletion.c, d2.deletion.c
     cbar1, cbar2 = d1.gluing.c, d2.gluing.c
@@ -231,25 +230,25 @@ def verify_commutation_squares(
         sigma2 = pushout_mediator(sq41, p=d2.comatch, t=compose(cbar2, pi2))
         sq42 = Square(ab=delta2, ac=pi2, bd=sigma2, cd=cbar2)
     except RewriteError as exc:
-        return CheckReport(False, f"decomposition construction failed: {exc}", ("construction",))
+        return failure(f"decomposition construction failed: {exc}", ("construction",))
 
     # square (5) is built against result.Gp, so a result that does not fit
     # the decomposition fails here, under this label
     try:
         tau1 = Morphism(x1.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
-        if not validate_morphism(tau1).ok:
-            return CheckReport(False, "square (5): context embedding into G' invalid", ("construction",))
+        if not validate_morphism(tau1):
+            return failure("square (5): context embedding into G' invalid", ("construction",))
         comatch = result.e1.comatch
         missing = [("node", v) for v in sorted(comatch.source.nodes - comatch.fv.keys())]
         missing += [("edge", e) for e in sorted(comatch.source.edges - comatch.fe.keys())]
         if missing:
-            return CheckReport(False, "square (5): comatch of e1 is not total", missing[0])
+            return failure("square (5): comatch of e1 is not total", missing[0])
         tau2 = pushout_mediator(
             sq41, p=Morphism(comatch.source, result.Gp, comatch.fv, comatch.fe), t=compose(tau1, delta1)
         )
         sq5 = Square(ab=delta2, ac=delta1, bd=tau2, cd=tau1)
     except RewriteError as exc:
-        return CheckReport(False, f"square (5): construction failed: {exc}", ("construction",))
+        return failure(f"square (5): construction failed: {exc}", ("construction",))
 
     labelled = [
         ("(12)", is_pullback, sq12),
@@ -266,9 +265,9 @@ def verify_commutation_squares(
         try:
             report = check(sq)
         except PreconditionError as exc:
-            return CheckReport(False, f"square {label}: {exc}", ("scope",))
+            return failure(f"square {label}: {exc}", ("scope",))
         if not report:
-            return CheckReport(False, f"square {label}: {report.failed_clause}", report.counterexample)
+            return failure(f"square {label}: {report.failed_clause}", report.counterexample)
 
     composites = [
         ("(11)+(12)", sq11, sq12, d1.left_square),
@@ -280,10 +279,10 @@ def verify_commutation_squares(
         try:
             built = compose_squares_vertical(top, bottom)
         except PreconditionError as exc:
-            return CheckReport(False, f"composite {label}: {exc}", ("wiring",))
+            return failure(f"composite {label}: {exc}", ("wiring",))
         if not squares_agree(built, expected):
-            return CheckReport(False, f"composite {label} differs from the derivation square", ("maps",))
-    return CheckReport(True)
+            return failure(f"composite {label} differs from the derivation square", ("maps",))
+    return PASSED
 
 
 def _passes_locally(pair: ParallelPair, witness: IndependenceWitness, result: CommutationResult) -> bool:
@@ -333,8 +332,8 @@ def _certified(d: DirectDerivation, j: Morphism, G: Graph) -> bool:
         and k.target == D == d.gluing.D
         and h.source == r.target
         and h.target == H
-        and validate_morphism(k).ok
-        and validate_morphism(h).ok
+        and bool(validate_morphism(k))
+        and bool(validate_morphism(h))
         and is_subgraph(D, G)
         and is_subgraph(D, H)
         and _local_pushout(b, k, m)

@@ -14,6 +14,13 @@ Rule documents embed their three graphs and two morphisms inline; square
 documents list the four corner graphs and four morphisms either inline or by
 relative path.
 
+Every check returns a :class:`~dpo.graph.CheckReport`, written in three
+shapes: ``dpo validate``'s ``violations``, each a ``clause`` and its
+``item`` as text (``"node 3"``); the first violation's ``verdict``,
+``failed_clause`` and ``counterexample`` (:func:`check_report_to_json`), for
+``check-square`` and the square checks of a trace or a ``commute`` report;
+and ``dpo independent``'s ``blocked``, each a ``triangle`` and an ``item``.
+
 The loaders return only well-formed objects: every graph
 :func:`load_graph` or :func:`load_square` reads passes
 :func:`~dpo.graph.validate_graph`, every rule and square is checked once,
@@ -44,9 +51,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
-from .diagrams import CheckReport, Square
+from .diagrams import Square
 from .errors import FormatError, PreconditionError
-from .graph import Graph, IsoWitness, validate_graph
+from .graph import PASSED, CheckReport, Graph, IsoWitness, validate_graph
 from .morphism import Morphism, validate_morphism
 from .rewriting import DirectDerivation, Rule
 
@@ -240,7 +247,7 @@ def rule_parts_from_json(doc: Any) -> tuple[Graph, Graph, Graph, Morphism, Morph
 
 def check_report_to_json(report: CheckReport) -> dict:
     return {
-        "verdict": report.verdict,
+        "verdict": bool(report),
         "failed_clause": report.failed_clause,
         "counterexample": list(report.counterexample) if report.counterexample else None,
     }
@@ -407,7 +414,7 @@ def _well_formed(g: Graph, where: str) -> Graph:
     clauses, so two C-level subset tests stand in for the full check."""
     if g.nodes.issuperset(g.src.values()) and g.nodes.issuperset(g.tgt.values()):
         return g
-    raise FormatError(f"{where}: invalid graph: {validate_graph(g).violations[0]}")
+    raise FormatError(f"{where}: invalid graph: {validate_graph(g)}")
 
 
 def _graph_at(value: Any, base: Path, where: str) -> Graph:
@@ -487,8 +494,8 @@ def checked_morphism(m: Morphism, where: str) -> Morphism:
     :func:`~dpo.morphism.validate_morphism` violation. Every match file a
     verb loads passes here."""
     report = validate_morphism(m)
-    if not report.ok:
-        raise FormatError(f"{where}: invalid morphism: {report.violations[0]}")
+    if not report:
+        raise FormatError(f"{where}: invalid morphism: {report}")
     return m
 
 
@@ -502,7 +509,7 @@ def derivation_trace_json(dd: DirectDerivation) -> dict:
     raises on a failing one. ``G`` minus ``deleted`` plus the created items
     is exactly ``H``.
     """
-    passed = check_report_to_json(CheckReport(True))
+    passed = check_report_to_json(PASSED)
     deleted_nodes, deleted_edges, created_nodes, created_edges = dd.delta
     return {
         "version": 2,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import Graph, ValidationReport, Violation, is_subgraph, validate_graph
+from .graph import PASSED, CheckReport, Graph, Violation, is_subgraph, validate_graph
 
 
 @dataclass(frozen=True, eq=True)
@@ -42,7 +42,7 @@ def identity(g: Graph) -> Morphism:
     return inclusion(g, g)
 
 
-def validate_morphism(m: Morphism) -> ValidationReport:
+def validate_morphism(m: Morphism) -> CheckReport:
     """Check totality, range, the four preservation clauses and the domain.
 
     An identity inclusion of a well-formed graph, the form in which every
@@ -55,35 +55,35 @@ def validate_morphism(m: Morphism) -> ValidationReport:
         and list(m.fv) == list(m.fv.values())
         and list(m.fe) == list(m.fe.values())
         and is_subgraph(g, h)
-        and validate_graph(g).ok
+        and validate_graph(g)
     ):
-        return ValidationReport()
+        return PASSED
     bad: list[Violation] = []
     for v in sorted(g.nodes):
         if v not in m.fv:
-            bad.append(Violation("fv not total on source nodes", f"node {v}"))
+            bad.append(Violation("fv not total on source nodes", ("node", v)))
         elif m.fv[v] not in h.nodes:
-            bad.append(Violation("fv out of target nodes", f"node {v}"))
+            bad.append(Violation("fv out of target nodes", ("node", v)))
         elif g.nlabel[v] != h.nlabel[m.fv[v]]:
-            bad.append(Violation("node label not preserved", f"node {v}"))
+            bad.append(Violation("node label not preserved", ("node", v)))
     for e in sorted(g.edges):
         if e not in m.fe:
-            bad.append(Violation("fe not total on source edges", f"edge {e}"))
+            bad.append(Violation("fe not total on source edges", ("edge", e)))
             continue
         if m.fe[e] not in h.edges:
-            bad.append(Violation("fe out of target edges", f"edge {e}"))
+            bad.append(Violation("fe out of target edges", ("edge", e)))
             continue
         if m.fv.get(g.src[e]) != h.src[m.fe[e]]:
-            bad.append(Violation("source not preserved", f"edge {e}"))
+            bad.append(Violation("source not preserved", ("edge", e)))
         if m.fv.get(g.tgt[e]) != h.tgt[m.fe[e]]:
-            bad.append(Violation("target not preserved", f"edge {e}"))
+            bad.append(Violation("target not preserved", ("edge", e)))
         if g.elabel[e] != h.elabel[m.fe[e]]:
-            bad.append(Violation("edge label not preserved", f"edge {e}"))
+            bad.append(Violation("edge label not preserved", ("edge", e)))
     for v in sorted(set(m.fv) - g.nodes):
-        bad.append(Violation("fv defined outside source nodes", f"node {v}"))
+        bad.append(Violation("fv defined outside source nodes", ("node", v)))
     for e in sorted(set(m.fe) - g.edges):
-        bad.append(Violation("fe defined outside source edges", f"edge {e}"))
-    return ValidationReport(tuple(bad))
+        bad.append(Violation("fe defined outside source edges", ("edge", e)))
+    return CheckReport(tuple(bad))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from . import constructions
 from .constructions import DeletionResult, GluingResult, deletion, gluing
-from .diagrams import CheckReport, Square, certify_pushout
+from .diagrams import Square, certify_pushout
 from .errors import InternalConsistencyError, PreconditionError
-from .graph import Graph, ValidationReport, Violation, validate_graph
+from .graph import PASSED, CheckReport, Graph, Violation, failure, validate_graph
 from .morphism import Morphism, enumerate_morphisms, identity, is_injective, validate_morphism
 
 
@@ -33,8 +33,8 @@ class Rule:
 
     def __post_init__(self) -> None:
         report = validate_rule(self.L, self.K, self.R, self.b, self.r)
-        if not report.ok:
-            raise PreconditionError(f"invalid rule: {report.violations[0]}")
+        if not report:
+            raise PreconditionError(f"invalid rule: {report}")
 
 
 def identity_rule(g: Graph) -> Rule:
@@ -94,7 +94,7 @@ class DirectDerivation:
         return Square(ab=self.rule.r, ac=self.deletion.d, bd=self.gluing.h, cd=self.gluing.c)
 
 
-def validate_rule(L: Graph, K: Graph, R: Graph, b: Morphism, r: Morphism) -> ValidationReport:
+def validate_rule(L: Graph, K: Graph, R: Graph, b: Morphism, r: Morphism) -> CheckReport:
     """Check the parts of a rule: graphs, morphism endpoints, validity, injectivity."""
     bad: list[Violation] = []
     for name, g in (("L", L), ("K", K), ("R", R)):
@@ -102,13 +102,13 @@ def validate_rule(L: Graph, K: Graph, R: Graph, b: Morphism, r: Morphism) -> Val
             bad.append(Violation(f"graph {name}: {v.clause}", v.item))
     for name, m, src, tgt in (("b", b, K, L), ("r", r, K, R)):
         if m.source != src or m.target != tgt:
-            bad.append(Violation(f"{name} endpoint mismatch", name))
+            bad.append(Violation(f"{name} endpoint mismatch", (name,)))
             continue
         violations = validate_morphism(m).violations
         bad.extend(Violation(f"{name}: {v.clause}", v.item) for v in violations)
         if not violations and not is_injective(m):
-            bad.append(Violation(f"{name} not injective", name))
-    return ValidationReport(tuple(bad))
+            bad.append(Violation(f"{name} not injective", (name,)))
+    return CheckReport(tuple(bad))
 
 
 def find_matches(rule: Rule, G: Graph) -> list[Match]:
@@ -130,9 +130,7 @@ def find_matches(rule: Rule, G: Graph) -> list[Match]:
 def dangling_condition(rule: Rule, match: Match) -> CheckReport:
     """Whether deleting the matched nodes leaves no edge without an endpoint."""
     edges = constructions.dangling_edges(rule.b, match.m)
-    if edges:
-        return CheckReport(False, "dangling condition", tuple(edges))
-    return CheckReport(True)
+    return failure("dangling condition", tuple(edges)) if edges else PASSED
 
 
 def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDerivation:
@@ -154,17 +152,15 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
     is the identity inclusion :func:`~dpo.diagrams.certify_pushout` needs,
     and the context inclusions ``deletion.c`` and ``gluing.c`` are not built.
     """
-    mv = validate_morphism(match.m)
-    if not mv.ok:
-        raise PreconditionError(f"apply: invalid match: {mv.violations[0]}")
+    report = validate_morphism(match.m)
+    if not report:
+        raise PreconditionError(f"apply: invalid match: {report}")
 
     deleted = deletion(rule.b, match.m)
     glued = gluing(rule.r, deleted.d, fresh_offset=fresh_offset)
     for side, ab, bd in (("left", rule.b, match.m), ("right", rule.r, glued.h)):
-        check = certify_pushout(ab, deleted.d, bd)
-        if not check:
-            raise InternalConsistencyError(
-                f"apply: {side} square failed {check.failed_clause} at {check.counterexample}"
-            )
+        report = certify_pushout(ab, deleted.d, bd)
+        if not report:
+            raise InternalConsistencyError(f"apply: {side} square failed {report}")
     return DirectDerivation(rule=rule, match=match, deletion=deleted, gluing=glued)
 

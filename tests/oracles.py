@@ -47,7 +47,6 @@ from typing import Any, Iterator, Mapping
 
 from dpo.constructions import deletion, gluing, pullback_construct
 from dpo.diagrams import (
-    CheckReport,
     Square,
     commutes,
     compose_squares_vertical,
@@ -56,7 +55,7 @@ from dpo.diagrams import (
     squares_agree,
 )
 from dpo.errors import FormatError, PreconditionError, RewriteError
-from dpo.graph import Graph, ValidationReport, Violation, graph, is_isomorphic
+from dpo.graph import PASSED, CheckReport, Graph, Violation, failure, graph, is_isomorphic
 from dpo.morphism import (
     Morphism,
     compose,
@@ -154,8 +153,8 @@ def pullback_chain_condition(sq: Square) -> CheckReport:
     ):
         for pair in candidates.values():
             if pair not in images:
-                return CheckReport(False, "reduced chain-condition", (kind, *pair))
-    return CheckReport(True)
+                return failure("reduced chain-condition", (kind, *pair))
+    return PASSED
 
 
 def reference_jointly_surjective(bd: Morphism, cd: Morphism) -> CheckReport:
@@ -165,12 +164,12 @@ def reference_jointly_surjective(bd: Morphism, cd: Morphism) -> CheckReport:
     covered_v = {bd.fv[v] for v in bd.source.nodes} | {cd.fv[v] for v in cd.source.nodes}
     for v in sorted(bd.target.nodes):
         if v not in covered_v:
-            return CheckReport(False, "joint surjectivity", ("node", v))
+            return failure("joint surjectivity", ("node", v))
     covered_e = {bd.fe[e] for e in bd.source.edges} | {cd.fe[e] for e in cd.source.edges}
     for e in sorted(bd.target.edges):
         if e not in covered_e:
-            return CheckReport(False, "joint surjectivity", ("edge", e))
-    return CheckReport(True)
+            return failure("joint surjectivity", ("edge", e))
+    return PASSED
 
 
 def reference_is_pullback(sq: Square) -> CheckReport:
@@ -191,35 +190,31 @@ def reference_is_pullback(sq: Square) -> CheckReport:
         fv={a: node_id[sq.ab.fv[a], sq.ac.fv[a]] for a in sq.A.nodes},
         fe={a: edge_id[sq.ab.fe[a], sq.ac.fe[a]] for a in sq.A.edges},
     )
-    if not validate_morphism(u).ok:
-        return CheckReport(False, "mediating map not a morphism", ("apex",))
+    if not validate_morphism(u):
+        return failure("mediating map not a morphism", ("apex",))
     if not is_injective(u):
         seen: dict[int, int] = {}
         for a in sorted(sq.A.nodes):
             i = u.fv[a]
             if i in seen:
-                return CheckReport(False, "mediating map not injective", ("node", seen[i], a))
+                return failure("mediating map not injective", ("node", seen[i], a))
             seen[i] = a
         seen = {}
         for a in sorted(sq.A.edges):
             i = u.fe[a]
             if i in seen:
-                return CheckReport(False, "mediating map not injective", ("edge", seen[i], a))
+                return failure("mediating map not injective", ("edge", seen[i], a))
             seen[i] = a
     if not is_surjective(u):
         hit_v = set(u.fv.values())
         for i in sorted(canonical.A.nodes):
             if i not in hit_v:
-                return CheckReport(
-                    False, "mediating map not surjective", ("node",) + canonical.node_pairs[i]
-                )
+                return failure("mediating map not surjective", ("node",) + canonical.node_pairs[i])
         hit_e = set(u.fe.values())
         for i in sorted(canonical.A.edges):
             if i not in hit_e:
-                return CheckReport(
-                    False, "mediating map not surjective", ("edge",) + canonical.edge_pairs[i]
-                )
-    return CheckReport(True)
+                return failure("mediating map not surjective", ("edge",) + canonical.edge_pairs[i])
+    return PASSED
 
 
 def reference_dangling_edges(rule_left: Morphism, match: Morphism) -> list[int]:
@@ -435,8 +430,8 @@ def reference_verify_commutation_squares(
     cbar1, cbar2 = d1.gluing.c, d2.gluing.c
     j1, j2 = witness.j1, witness.j2
     for name, j, context in (("j1", j1, d2.D), ("j2", j2, d1.D)):
-        if j.target != context or not validate_morphism(j).ok:
-            return CheckReport(False, f"witness {name} is not a morphism into its context", ("witness",))
+        if j.target != context or not validate_morphism(j):
+            return failure(f"witness {name} is not a morphism into its context", ("witness",))
 
     try:
         shared1, shared2 = deletion(b1, j1), deletion(b2, j2)
@@ -460,21 +455,21 @@ def reference_verify_commutation_squares(
         sigma2 = pushout_mediator(sq41, p=d2.comatch, t=compose(cbar2, pi2))
         sq42 = Square(ab=delta2, ac=pi2, bd=sigma2, cd=cbar2)
     except RewriteError as exc:
-        return CheckReport(False, f"decomposition construction failed: {exc}", ("construction",))
+        return failure(f"decomposition construction failed: {exc}", ("construction",))
 
     # square (5) is built against result.Gp, so a result that does not fit
     # the decomposition fails here, under this label
     try:
         tau1 = Morphism(glue21.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
-        if not validate_morphism(tau1).ok:
-            return CheckReport(False, "square (5): context embedding into G' invalid", ("construction",))
+        if not validate_morphism(tau1):
+            return failure("square (5): context embedding into G' invalid", ("construction",))
         comatch = result.e1.comatch
         tau2 = pushout_mediator(
             sq41, p=Morphism(comatch.source, result.Gp, comatch.fv, comatch.fe), t=compose(tau1, delta1)
         )
         sq5 = Square(ab=delta2, ac=delta1, bd=tau2, cd=tau1)
     except RewriteError as exc:
-        return CheckReport(False, f"square (5): construction failed: {exc}", ("construction",))
+        return failure(f"square (5): construction failed: {exc}", ("construction",))
 
     labelled = [
         ("(12)", reference_is_pullback, sq12),
@@ -491,9 +486,9 @@ def reference_verify_commutation_squares(
         try:
             report = check(sq)
         except PreconditionError as exc:
-            return CheckReport(False, f"square {label}: {exc}", ("scope",))
+            return failure(f"square {label}: {exc}", ("scope",))
         if not report:
-            return CheckReport(False, f"square {label}: {report.failed_clause}", report.counterexample)
+            return failure(f"square {label}: {report.failed_clause}", report.counterexample)
 
     composites = [
         ("(11)+(12)", sq11, sq12, d1.left_square),
@@ -505,10 +500,10 @@ def reference_verify_commutation_squares(
         try:
             built = compose_squares_vertical(top, bottom)
         except PreconditionError as exc:
-            return CheckReport(False, f"composite {label}: {exc}", ("wiring",))
+            return failure(f"composite {label}: {exc}", ("wiring",))
         if not squares_agree(built, expected):
-            return CheckReport(False, f"composite {label} differs from the derivation square", ("maps",))
-    return CheckReport(True)
+            return failure(f"composite {label} differs from the derivation square", ("maps",))
+    return PASSED
 
 
 def reference_pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
@@ -546,68 +541,68 @@ def reference_pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism
     if set(fv) != set(sq.D.nodes) or set(fe) != set(sq.D.edges):
         raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective")
     u = Morphism(sq.D, p.target, fv, fe)
-    if not validate_morphism(u).ok:
+    if not validate_morphism(u):
         raise PreconditionError("pushout_mediator: mediating map is not a morphism")
     return u
 
 
-def reference_validate_graph(g: Graph) -> ValidationReport:
+def reference_validate_graph(g: Graph) -> CheckReport:
     """Check every graph invariant; report each failed clause with its item."""
     bad: list[Violation] = []
     for v in sorted(g.nodes):
         if v < 0:
-            bad.append(Violation("node id negative", f"node {v}"))
+            bad.append(Violation("node id negative", ("node", v)))
         if v not in g.nlabel:
-            bad.append(Violation("nlabel not total on nodes", f"node {v}"))
+            bad.append(Violation("nlabel not total on nodes", ("node", v)))
     for e in sorted(g.edges):
         if e < 0:
-            bad.append(Violation("edge id negative", f"edge {e}"))
+            bad.append(Violation("edge id negative", ("edge", e)))
         if e not in g.src:
-            bad.append(Violation("src not total on edges", f"edge {e}"))
+            bad.append(Violation("src not total on edges", ("edge", e)))
         elif g.src[e] not in g.nodes:
-            bad.append(Violation("src out of V", f"edge {e}"))
+            bad.append(Violation("src out of V", ("edge", e)))
         if e not in g.tgt:
-            bad.append(Violation("tgt not total on edges", f"edge {e}"))
+            bad.append(Violation("tgt not total on edges", ("edge", e)))
         elif g.tgt[e] not in g.nodes:
-            bad.append(Violation("tgt out of V", f"edge {e}"))
+            bad.append(Violation("tgt out of V", ("edge", e)))
         if e not in g.elabel:
-            bad.append(Violation("elabel not total on edges", f"edge {e}"))
+            bad.append(Violation("elabel not total on edges", ("edge", e)))
     for v in sorted(set(g.nlabel) - g.nodes):
-        bad.append(Violation("nlabel defined outside nodes", f"node {v}"))
+        bad.append(Violation("nlabel defined outside nodes", ("node", v)))
     for e in sorted((set(g.src) | set(g.tgt) | set(g.elabel)) - g.edges):
-        bad.append(Violation("edge map defined outside edges", f"edge {e}"))
-    return ValidationReport(tuple(bad))
+        bad.append(Violation("edge map defined outside edges", ("edge", e)))
+    return CheckReport(tuple(bad))
 
 
-def reference_validate_morphism(m: Morphism) -> ValidationReport:
+def reference_validate_morphism(m: Morphism) -> CheckReport:
     """Check totality, range, the four preservation clauses and the domain."""
     g, h = m.source, m.target
     bad: list[Violation] = []
     for v in sorted(g.nodes):
         if v not in m.fv:
-            bad.append(Violation("fv not total on source nodes", f"node {v}"))
+            bad.append(Violation("fv not total on source nodes", ("node", v)))
         elif m.fv[v] not in h.nodes:
-            bad.append(Violation("fv out of target nodes", f"node {v}"))
+            bad.append(Violation("fv out of target nodes", ("node", v)))
         elif g.nlabel[v] != h.nlabel[m.fv[v]]:
-            bad.append(Violation("node label not preserved", f"node {v}"))
+            bad.append(Violation("node label not preserved", ("node", v)))
     for e in sorted(g.edges):
         if e not in m.fe:
-            bad.append(Violation("fe not total on source edges", f"edge {e}"))
+            bad.append(Violation("fe not total on source edges", ("edge", e)))
             continue
         if m.fe[e] not in h.edges:
-            bad.append(Violation("fe out of target edges", f"edge {e}"))
+            bad.append(Violation("fe out of target edges", ("edge", e)))
             continue
         if m.fv.get(g.src[e]) != h.src[m.fe[e]]:
-            bad.append(Violation("source not preserved", f"edge {e}"))
+            bad.append(Violation("source not preserved", ("edge", e)))
         if m.fv.get(g.tgt[e]) != h.tgt[m.fe[e]]:
-            bad.append(Violation("target not preserved", f"edge {e}"))
+            bad.append(Violation("target not preserved", ("edge", e)))
         if g.elabel[e] != h.elabel[m.fe[e]]:
-            bad.append(Violation("edge label not preserved", f"edge {e}"))
+            bad.append(Violation("edge label not preserved", ("edge", e)))
     for v in sorted(set(m.fv) - g.nodes):
-        bad.append(Violation("fv defined outside source nodes", f"node {v}"))
+        bad.append(Violation("fv defined outside source nodes", ("node", v)))
     for e in sorted(set(m.fe) - g.edges):
-        bad.append(Violation("fe defined outside source edges", f"edge {e}"))
-    return ValidationReport(tuple(bad))
+        bad.append(Violation("fe defined outside source edges", ("edge", e)))
+    return CheckReport(tuple(bad))
 
 
 def reference_square_error(legs: Mapping[str, Morphism]) -> str | None:
@@ -617,8 +612,8 @@ def reference_square_error(legs: Mapping[str, Morphism]) -> str | None:
     its first violation; ``None`` if all four are morphisms."""
     for leg in ("ab", "ac", "bd", "cd"):
         report = reference_validate_morphism(legs[leg])
-        if not report.ok:
-            return f"square '{leg}': invalid morphism: {report.violations[0]}"
+        if not report:
+            return f"square '{leg}': invalid morphism: {report}"
     return None
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import dpo
 from dpo import cli, io, rewriting
 from dpo.cli import main
-from dpo.graph import graph
+from dpo.graph import failure, graph
 from dpo.morphism import Morphism, identity, validate_morphism
 from dpo.rewriting import Rule, identity_rule
 
@@ -152,7 +152,7 @@ class TestApply:
         code, doc, err = run(capsys, "apply", rule, files["host"], "--out", str(tmp_path / "H.json"))
         assert code == 1
         assert doc is None
-        assert "not injective" in err
+        assert err == f"error: {rule}: invalid rule: b not injective: b\n"
 
     def test_invalid_match_file_exits_1(self, capsys, files, tmp_path):
         # node 2 carries label b, the rule's node 1 label a
@@ -263,19 +263,19 @@ class TestIllFormedRule:
     MESSAGE = "invalid rule: graph L: tgt out of V: edge 0"
 
     def test_match_exits_1(self, capsys, files, tmp_path):
-        code, doc, err = run(capsys, "match", self.rule_file(tmp_path), files["host"])
+        rule = self.rule_file(tmp_path)
+        code, doc, err = run(capsys, "match", rule, files["host"])
         assert code == 1
         assert doc is None
-        assert self.MESSAGE in err
+        assert err == f"error: {rule}: {self.MESSAGE}\n"
 
     def test_apply_by_match_index_exits_1(self, capsys, files, tmp_path):
         out = tmp_path / "H.json"
-        code, doc, err = run(
-            capsys, "apply", self.rule_file(tmp_path), files["host"], "--match-index", "0", "--out", str(out)
-        )
+        rule = self.rule_file(tmp_path)
+        code, doc, err = run(capsys, "apply", rule, files["host"], "--match-index", "0", "--out", str(out))
         assert code == 1
         assert doc is None
-        assert self.MESSAGE in err
+        assert err == f"error: {rule}: {self.MESSAGE}\n"
         assert not out.exists()
 
     def test_validate_still_reports_the_violation(self, capsys, tmp_path):
@@ -295,27 +295,30 @@ class TestIllFormedHost:
         doc["edges"][1]["tgt"] = 7
         return write(tmp_path / "bad_host.json", doc)
 
-    MESSAGE = "bad_host.json: invalid graph: tgt out of V: edge 1"
+    MESSAGE = "invalid graph: tgt out of V: edge 1"
 
     def test_apply_exits_1_and_writes_nothing(self, capsys, files, tmp_path):
         out = tmp_path / "H.json"
-        code, doc, err = run(capsys, "apply", files["delete_x"], self.host_file(tmp_path), "--out", str(out))
+        bad = self.host_file(tmp_path)
+        code, doc, err = run(capsys, "apply", files["delete_x"], bad, "--out", str(out))
         assert code == 1
         assert doc is None
-        assert self.MESSAGE in err
+        assert err == f"error: {bad}: {self.MESSAGE}\n"
         assert not out.exists()
 
     def test_match_exits_1(self, capsys, files, tmp_path):
-        code, doc, err = run(capsys, "match", files["delete_x"], self.host_file(tmp_path))
+        bad = self.host_file(tmp_path)
+        code, doc, err = run(capsys, "match", files["delete_x"], bad)
         assert code == 1
         assert doc is None
-        assert self.MESSAGE in err
+        assert err == f"error: {bad}: {self.MESSAGE}\n"
 
     def test_iso_exits_1(self, capsys, files, tmp_path):
-        code, doc, err = run(capsys, "iso", self.host_file(tmp_path), files["host"])
+        bad = self.host_file(tmp_path)
+        code, doc, err = run(capsys, "iso", bad, files["host"])
         assert code == 1
         assert doc is None
-        assert self.MESSAGE in err
+        assert err == f"error: {bad}: {self.MESSAGE}\n"
 
     def test_inline_square_corner_exits_1(self, capsys, tmp_path):
         doc = square_doc(extra_target_node=False)
@@ -324,7 +327,7 @@ class TestIllFormedHost:
         code, out, err = run(capsys, "check-square", square, "--mode", "pushout")
         assert code == 1
         assert out is None
-        assert "sq.json 'D': invalid graph: tgt out of V: edge 0" in err
+        assert err == f"error: {square} 'D': invalid graph: tgt out of V: edge 0\n"
 
     def test_validate_still_exits_3(self, capsys, tmp_path):
         code, doc, _ = run(capsys, "validate", self.host_file(tmp_path))
@@ -497,6 +500,18 @@ class TestIndependentAndCommute:
         assert code == 4
         assert doc["blocked"] == [{"triangle": "L2 into D1", "item": ["edge", 0]}]
 
+    def test_commute_whose_squares_fail_exits_5_naming_the_clause_and_item(self, capsys, files, tmp_path, monkeypatch):
+        failed = failure("square (5): joint surjectivity", ("node", 3))
+        monkeypatch.setattr(cli, "verify_commutation_squares", lambda *args: failed)
+        before = sorted(os.listdir(tmp_path))
+        code, doc, err = run(
+            capsys, "commute", files["delete_x"], files["create_c"], files["host"],
+            "--match1", "0", "--match2", "0", "--out", str(tmp_path / "Gp.json"),
+        )
+        assert (code, doc) == (5, None)
+        assert err == "error: commutation squares failed verification: square (5): joint surjectivity: node 3\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
 
 class TestValidate:
     def test_well_formed_graph_exits_0(self, capsys, files):
@@ -541,6 +556,114 @@ class TestValidate:
         code, doc, _ = run(capsys, "validate", morphism)
         assert (code, doc) == (0, {"kind": "morphism", "ok": True, "violations": []})
         assert reads == {morphism: 1, source: 1, files["host"]: 1}
+
+
+def pinned(capsys, argv: list[str], code: int, doc: dict, summary: str) -> None:
+    """``argv`` exits ``code``; stdout is exactly ``doc`` as the CLI writes
+    it, and stderr the ``summary`` line, or nothing with ``--json``."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert (main(argv), capsys.readouterr()) == (code, (text, summary + "\n"))
+    assert (main([*argv, "--json"]), capsys.readouterr()) == (code, (text, ""))
+
+
+ONE_A = io.graph_to_json(graph({0: "a"}))
+TWO_A = io.graph_to_json(graph({0: "a", 1: "a"}))
+EMPTY = io.graph_to_json(graph({}))
+
+
+def square_file(tmp_path, A, B, C, D, ab, ac, bd, cd) -> str:
+    """A square file of node-only maps, ``{node: image}`` for each leg."""
+    legs = zip(("ab", "ac", "bd", "cd"), (ab, ac, bd, cd))
+    doc = {"A": A, "B": B, "C": C, "D": D}
+    doc.update((key, {"fv": {str(k): v for k, v in fv.items()}, "fe": {}}) for key, fv in legs)
+    return write(tmp_path / "sq.json", doc)
+
+
+class TestNegativeVerdictDocuments:
+    """The exact stdout document, summary line and exit code of each
+    negative verdict that names its clauses and items."""
+
+    def test_validate_graph_with_three_violations(self, capsys, tmp_path):
+        path = write(tmp_path / "g.json", {
+            "nodes": [{"id": 0, "label": "a"}],
+            "edges": [{"id": 0, "src": 3, "tgt": 5, "label": "x"}, {"id": 1, "src": 0, "tgt": 9, "label": "x"}],
+        })
+        violations = [
+            {"clause": "src out of V", "item": "edge 0"},
+            {"clause": "tgt out of V", "item": "edge 0"},
+            {"clause": "tgt out of V", "item": "edge 1"},
+        ]
+        pinned(capsys, ["validate", path], 3, {"kind": "graph", "ok": False, "violations": violations},
+               "graph: 3 violation(s)")
+
+    def test_validate_rule_with_three_violations(self, capsys, tmp_path):
+        # L's edge ends outside L, b merges K's two nodes, and r maps an
+        # edge K does not have
+        doc = {
+            "L": {"nodes": [{"id": 0, "label": "a"}], "edges": [{"id": 0, "src": 0, "tgt": 5, "label": "x"}]},
+            "K": TWO_A,
+            "R": TWO_A,
+            "b": {"fv": {"0": 0, "1": 0}, "fe": {}},
+            "r": {"fv": {"0": 0, "1": 1}, "fe": {"4": 0}},
+        }
+        violations = [
+            {"clause": "graph L: tgt out of V", "item": "edge 0"},
+            {"clause": "b not injective", "item": "b"},
+            {"clause": "r: fe defined outside source edges", "item": "edge 4"},
+        ]
+        pinned(capsys, ["validate", write(tmp_path / "rule.json", doc)], 3,
+               {"kind": "rule", "ok": False, "violations": violations}, "rule: 3 violation(s)")
+
+    def test_validate_morphism_with_four_violations(self, capsys, tmp_path):
+        doc = {
+            "source": io.graph_to_json(graph({0: "a", 1: "b"}, {0: (0, 1, "x")})),
+            "target": io.graph_to_json(graph({0: "a", 1: "a"}, {0: (1, 0, "x")})),
+            "fv": {"0": 0, "1": 1, "3": 0},
+            "fe": {"0": 0},
+        }
+        violations = [
+            {"clause": "node label not preserved", "item": "node 1"},
+            {"clause": "source not preserved", "item": "edge 0"},
+            {"clause": "target not preserved", "item": "edge 0"},
+            {"clause": "fv defined outside source nodes", "item": "node 3"},
+        ]
+        pinned(capsys, ["validate", write(tmp_path / "m.json", doc)], 3,
+               {"kind": "morphism", "ok": False, "violations": violations}, "morphism: 4 violation(s)")
+
+    @pytest.mark.parametrize(
+        "mode, corners, maps, clause, item",
+        [
+            # B and C are glued onto two different D-nodes
+            ("pushout", (ONE_A, ONE_A, ONE_A, TWO_A), ({0: 0}, {0: 0}, {0: 0}, {0: 1}), "commutativity", ["node", 0]),
+            # B and C agree in D with nothing in A to glue them by
+            ("pushout", (EMPTY, ONE_A, ONE_A, ONE_A), ({}, {}, {0: 0}, {0: 0}), "reduced chain-condition",
+             ["node", 0, 0]),
+            # D's node 1 is no image
+            ("pushout", (ONE_A, ONE_A, ONE_A, TWO_A), ({0: 0}, {0: 0}, {0: 0}, {0: 0}), "joint surjectivity",
+             ["node", 1]),
+            # A's two nodes go to the one pair (0, 0)
+            ("pullback", (TWO_A, ONE_A, ONE_A, ONE_A), ({0: 0, 1: 0}, {0: 0, 1: 0}, {0: 0}, {0: 0}),
+             "mediating map not injective", ["node", 0, 1]),
+            # the pair (0, 0) is no A-item's
+            ("pullback", (EMPTY, ONE_A, ONE_A, ONE_A), ({}, {}, {0: 0}, {0: 0}), "mediating map not surjective",
+             ["node", 0, 0]),
+        ],
+        ids=["commutativity", "chain-condition", "surjectivity", "mediator-injective", "mediator-surjective"],
+    )
+    def test_check_square(self, capsys, tmp_path, mode, corners, maps, clause, item):
+        square = square_file(tmp_path, *corners, *maps)
+        pinned(capsys, ["check-square", square, "--mode", mode], 3,
+               {"verdict": False, "failed_clause": clause, "counterexample": item}, f"{mode}: no ({clause})")
+
+    def test_independent_with_both_triangles_blocked(self, capsys, files):
+        # both derivations delete the b-node and the y-edge into it
+        blocked = [
+            {"triangle": side, "item": item}
+            for side in ("L1 into D2", "L2 into D1")
+            for item in (["node", 2], ["edge", 1])
+        ]
+        argv = ["independent", files["swap_b"], files["swap_b"], files["host"], "--match1", "0", "--match2", "0"]
+        pinned(capsys, argv, 4, {"independent": False, "blocked": blocked}, "dependent (4 blocking item(s))")
 
 
 NON_ARRAY_GRAPHS = [
@@ -858,7 +981,7 @@ class TestIso:
             {int(k): v for k, v in witness["node_map"].items()},
             {int(k): v for k, v in witness["edge_map"].items()},
         )
-        assert validate_morphism(m).ok
+        assert validate_morphism(m)
         assert sorted(m.fv.values()) == sorted(h.nodes) and sorted(m.fe.values()) == sorted(h.edges)
 
     def test_non_isomorphic_pair_exits_3_without_a_witness(self, capsys, files, tmp_path):

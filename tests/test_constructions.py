@@ -99,9 +99,9 @@ class TestGluing:
         for _ in range(60):
             b, d = random_span(rng)
             result = gluing(b, d)
-            assert validate_graph(result.H).ok
-            assert validate_morphism(result.h).ok
-            assert validate_morphism(result.c).ok
+            assert validate_graph(result.H)
+            assert validate_morphism(result.h)
+            assert validate_morphism(result.c)
             assert is_inclusion(result.c)
             assert is_injective(result.h) and is_injective(result.c)
             sq = gluing_square(b, d, result)
@@ -218,9 +218,9 @@ class TestPullbackConstruct:
         for _ in range(40):
             f, g = random_cospan(rng)
             result = pullback_construct(f, g)
-            assert validate_graph(result.A).ok
-            assert validate_morphism(result.b).ok
-            assert validate_morphism(result.c).ok
+            assert validate_graph(result.A)
+            assert validate_morphism(result.b)
+            assert validate_morphism(result.c)
             for a, (x, y) in result.node_pairs.items():
                 assert result.b.fv[a] == x and result.c.fv[a] == y
             sq = Square(ab=result.b, ac=result.c, bd=f, cd=g)
@@ -303,7 +303,7 @@ class TestAgainstReference:
         assert glued.H == H
         assert (glued.h.fv, glued.h.fe) == (h.fv, h.fe)
         for result in (deleted, glued):
-            assert is_inclusion(result.c) and validate_morphism(result.c).ok
+            assert is_inclusion(result.c) and validate_morphism(result.c)
         # the dangling check builds the index for a rule that deletes a node
         built = indexed or bool(rule.L.nodes - set(rule.b.fv.values()))
         for g in (G, deleted.D, glued.H):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import MultiDiGraphMatcher, categorical_node_match
 
 from dpo.errors import PreconditionError
-from dpo.graph import Graph, _edge_label_index, graph, is_isomorphic, validate_graph
+from dpo.graph import PASSED, CheckReport, Graph, Violation, _edge_label_index, graph, is_isomorphic, validate_graph
 from dpo.morphism import Morphism, validate_morphism
 
 from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES, random_graph
@@ -52,23 +52,36 @@ def corrupted_graphs(draw) -> Graph:
     return Graph(nodes=frozenset(nodes), edges=frozenset(edges), **maps)
 
 
+class TestCheckReport:
+    def test_reads_its_first_violation(self):
+        report = CheckReport((Violation("tgt out of V", ("edge", 1)), Violation("src out of V", ("edge", 2))))
+        assert not report
+        assert (report.failed_clause, report.counterexample, str(report)) == (
+            "tgt out of V", ("edge", 1), "tgt out of V: edge 1"
+        )
+
+    def test_passes_without_violations(self):
+        assert PASSED == CheckReport()
+        assert (bool(PASSED), PASSED.failed_clause, PASSED.counterexample, str(PASSED)) == (True, None, None, "passed")
+
+
 class TestValidateGraph:
     def test_empty_graph_is_ok(self):
-        assert validate_graph(graph({})).ok
+        assert validate_graph(graph({}))
 
     def test_loop_is_ok(self):
         g = graph({0: "a"}, {0: (0, 0, "x")})
-        assert validate_graph(g).ok
+        assert validate_graph(g)
 
     def test_parallel_edges_are_ok(self):
         g = graph({0: "a", 1: "a"}, {0: (0, 1, "x"), 1: (0, 1, "x")})
-        assert validate_graph(g).ok
+        assert validate_graph(g)
 
     def test_src_out_of_nodes_is_reported(self):
         g = graph({0: "a"}, {0: (5, 0, "x")})
         report = validate_graph(g)
-        assert not report.ok
-        assert any(v.clause == "src out of V" and "edge 0" in v.item for v in report.violations)
+        assert not report
+        assert any(v.clause == "src out of V" and v.item == ("edge", 0) for v in report.violations)
 
     def test_missing_label_is_reported(self):
         g = graph({0: "a"})
@@ -96,7 +109,7 @@ class TestRenumber:
     def test_shifted_ids_stay_isomorphic(self):
         g = graph({0: "a", 1: "b"}, {0: (0, 1, "x")})
         h = renumber(g, {0: 10, 1: 11}, {0: 10})
-        assert validate_graph(h).ok
+        assert validate_graph(h)
         assert is_isomorphic(g, h) is not None
 
     def test_witness_is_exactly_the_maps(self):
@@ -104,7 +117,7 @@ class TestRenumber:
         node_map, edge_map = {0: 4, 1: 7}, {0: 2}
         h = renumber(g, node_map, edge_map)
         m = Morphism(g, h, node_map, edge_map)
-        assert validate_morphism(m).ok
+        assert validate_morphism(m)
         assert is_bijective(m)
 
     def test_collapsing_node_map_is_rejected(self):
@@ -135,7 +148,7 @@ class TestIsIsomorphic:
         w = is_isomorphic(g, h)
         assert w is not None
         m = Morphism(g, h, w.node_map, w.edge_map)
-        assert validate_morphism(m).ok
+        assert validate_morphism(m)
         assert is_bijective(m)
 
     def test_parallel_edge_multiplicity_matters(self):

@@ -297,7 +297,7 @@ class TestLoadersReturnOnlyWellFormedObjects:
     @given(corrupted(rules().map(io.rule_to_json)))
     def test_rule_documents(self, load, doc):
         rule = load(io.load_rule, doc)
-        assert rule is None or validate_rule(rule.L, rule.K, rule.R, rule.b, rule.r).ok
+        assert rule is None or validate_rule(rule.L, rule.K, rule.R, rule.b, rule.r)
 
     @settings(max_examples=200, deadline=None)
     @given(corrupted(square_documents()))
@@ -312,8 +312,8 @@ class TestLoadersReturnOnlyWellFormedObjects:
     @staticmethod
     def assert_well_formed(sq):
         if sq is not None:
-            assert all(validate_graph(g).ok for g in (sq.A, sq.B, sq.C, sq.D))
-            assert all(validate_morphism(m).ok for m in (sq.ab, sq.ac, sq.bd, sq.cd))
+            assert all(validate_graph(g) for g in (sq.A, sq.B, sq.C, sq.D))
+            assert all(validate_morphism(m) for m in (sq.ab, sq.ac, sq.bd, sq.cd))
 
 
 def rewire_trace(n: int) -> dict:

@@ -11,8 +11,8 @@ from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_mat
 
 from dpo import rewriting
 from dpo.diagrams import Square, _local_pushout, certify_pushout, is_pullback, is_pushout_injective
-from dpo.errors import DanglingConditionError, PreconditionError
-from dpo.graph import Graph, graph, is_isomorphic
+from dpo.errors import DanglingConditionError, InternalConsistencyError, PreconditionError
+from dpo.graph import Graph, failure, graph, is_isomorphic
 from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
@@ -55,7 +55,7 @@ def node_creation_rule(label: str = "b") -> Rule:
 class TestValidateRule:
     def test_identity_rule_is_ok(self):
         rule = identity_rule(graph({0: "a"}, {0: (0, 0, "x")}))
-        assert validate_rule(rule.L, rule.K, rule.R, rule.b, rule.r).ok
+        assert validate_rule(rule.L, rule.K, rule.R, rule.b, rule.r)
 
     def test_non_injective_b_is_reported(self):
         k = graph({0: "a", 1: "a"})
@@ -105,7 +105,7 @@ class TestRuleIsCheckedWhenBuilt:
         with pytest.raises(PreconditionError) as exc:
             Rule(**parts)
         assert str(exc.value) == f"invalid rule: {message}"
-        assert str(validate_rule(**parts).violations[0]) == message
+        assert str(validate_rule(**parts)) == message
 
     def test_identity_rule_of_an_ill_formed_graph_raises(self):
         with pytest.raises(PreconditionError, match="invalid rule: graph L: tgt out of V: edge 0"):
@@ -223,7 +223,7 @@ class TestFindMatchesAgainstNetworkx:
         matches = find_matches(identity_rule(L), G)
         assert len(matches) == networkx_match_count(L, G) > 0
         assert len({(tuple(m.m.fv.items()), tuple(m.m.fe.items())) for m in matches}) == len(matches)
-        assert all(validate_morphism(m.m).ok for m in matches)
+        assert all(validate_morphism(m.m) for m in matches)
 
 
 class TestDanglingCondition:
@@ -296,6 +296,20 @@ class TestApply:
         with pytest.raises(PreconditionError):
             apply(Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 0}, {}), r=identity(k)), Match(identity(l)))
 
+    def test_invalid_match_raises_naming_its_first_violation(self):
+        rule = identity_rule(graph({0: "a", 1: "a"}))
+        match = Match(Morphism(rule.L, graph({0: "a", 1: "b"}), {0: 0, 1: 1}, {}))
+        with pytest.raises(PreconditionError) as exc:
+            apply(rule, match)
+        assert str(exc.value) == "apply: invalid match: node label not preserved: node 1"
+
+    def test_a_failed_certificate_names_the_square_clause_and_item(self, monkeypatch):
+        monkeypatch.setattr(rewriting, "certify_pushout", lambda *legs: failure("commutativity", ("node", 0)))
+        rule = identity_rule(graph({0: "a"}))
+        with pytest.raises(InternalConsistencyError) as exc:
+            apply(rule, Match(identity(rule.L)))
+        assert str(exc.value) == "apply: left square failed commutativity: node 0"
+
     def test_checks_no_rule_across_100_applications(self, monkeypatch):
         rng = random.Random(43)
         instances = [random_rule_with_match(rng) for _ in range(100)]
@@ -353,7 +367,7 @@ class TestDerivationsIsomorphic:
             {**{v: v for v in d1.D.nodes}, **{made1_v[x]: made2_v[x] for x in made1_v}},
             {**{e: e for e in d1.D.edges}, **{made1_e[x]: made2_e[x] for x in made1_e}},
         )
-        assert reference_validate_morphism(witness).ok
+        assert reference_validate_morphism(witness)
         assert is_bijective(witness)
 
 
