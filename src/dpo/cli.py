@@ -179,7 +179,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     derivation = apply(rule, _load_match(args.match_index, args.match, rule, host))
     trace_path = args.trace or _beside(args.out, ".trace.json")
     outputs = [
-        (args.out, lambda path: io.save_json(io.graph_to_json(derivation.H), path)),
+        (args.out, lambda path: io.save_graph(derivation.H, path)),
         (trace_path, lambda path: io.save_json(io.derivation_trace_json(derivation), path)),
     ]
     if args.dot:
@@ -266,7 +266,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
     }
     report_path = args.report or _beside(args.out, ".report.json")
     outputs = [
-        (args.out, lambda path: io.save_json(io.graph_to_json(result.Gp), path)),
+        (args.out, lambda path: io.save_graph(result.Gp, path)),
         (report_path, lambda path: io.save_json(report, path)),
     ]
     if args.dot:

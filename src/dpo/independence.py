@@ -209,8 +209,12 @@ def verify_commutation_squares(
     d1, d2 = pair.d1, pair.d2
     j1, j2 = witness.j1, witness.j2
     for name, j, context in (("j1", j1, d2.D), ("j2", j2, d1.D)):
-        if j.target != context or not validate_morphism(j):
-            return failure(f"witness {name} is not a morphism into its context", ("witness",))
+        clause = f"witness {name} is not a morphism into its context"
+        if j.target != context:
+            return failure(clause, (name,))
+        report = validate_morphism(j)
+        if not report:
+            return failure(f"{clause}: {report.failed_clause}", report.counterexample)
     if _passes_locally(pair, witness, result):
         return PASSED
 
@@ -236,8 +240,9 @@ def verify_commutation_squares(
     # the decomposition fails here, under this label
     try:
         tau1 = Morphism(x1.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
-        if not validate_morphism(tau1):
-            return failure("square (5): context embedding into G' invalid", ("construction",))
+        report = validate_morphism(tau1)
+        if not report:
+            return failure(f"square (5): context embedding into G' invalid: {report.failed_clause}", report.counterexample)
         comatch = result.e1.comatch
         missing = [("node", v) for v in sorted(comatch.source.nodes - comatch.fv.keys())]
         missing += [("edge", e) for e in sorted(comatch.source.edges - comatch.fe.keys())]

@@ -33,23 +33,23 @@ UTF-8, is not JSON or nests too deeply to decode. Only ``dpo validate``
 reads documents past these checks (:func:`rule_parts_from_json`), to
 report every violation.
 
-Every document is written as exactly the bytes of ``json.dump(doc, fh,
-indent=2, sort_keys=True)`` and a newline (:func:`write_json`). Writer and
+Every document is written as ``json.dump(doc, fh, indent=2,
+sort_keys=True)`` and a newline (:func:`write_json`). A result graph, the
+one document as large as the host, is written with the same bytes by
+:func:`save_graph`, a row template at a time over the graph's maps. The
 readers work a column at a time in C-level calls (``map``, ``itemgetter``,
 ``set``) on the shapes these formats use: records with type-uniform fields
-and maps of plain integers or strings. Any other shape, and any input that
-fails a column test, goes to a general path: a recursive writer, or readers
-that check entry by entry and name the first bad entry. Either path gives
-the same output and the same error.
+and maps of plain integers. An input that fails a column test goes to
+readers that check entry by entry and name the first bad entry, with the
+same result and the same error.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, TextIO
 
 from .diagrams import Square
 from .errors import FormatError, PreconditionError
@@ -175,8 +175,8 @@ def _label(entry: dict, kind: str) -> str:
 
 def morphism_to_json(m: Morphism) -> dict:
     return {
-        "fv": {str(v): m.fv[v] for v in sorted(m.source.nodes)},
-        "fe": {str(e): m.fe[e] for e in sorted(m.source.edges)},
+        "fv": {str(v): m.fv[v] for v in m.source.nodes},
+        "fe": {str(e): m.fe[e] for e in m.source.edges},
     }
 
 
@@ -255,8 +255,8 @@ def check_report_to_json(report: CheckReport) -> dict:
 
 def iso_witness_to_json(witness: IsoWitness) -> dict:
     return {
-        "node_map": {str(k): v for k, v in sorted(witness.node_map.items())},
-        "edge_map": {str(k): v for k, v in sorted(witness.edge_map.items())},
+        "node_map": {str(k): v for k, v in witness.node_map.items()},
+        "edge_map": {str(k): v for k, v in witness.edge_map.items()},
     }
 
 
@@ -284,123 +284,45 @@ def save_json(doc: Any, path: str | Path) -> None:
 
 
 def write_json(doc: Any, fh: TextIO) -> None:
-    """Write exactly ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a
-    newline, byte for byte, for any document; :func:`save_json` and the CLI's
-    stdout reports both write through here. (A container that holds itself,
-    which ``json`` rejects with ``ValueError``, raises ``RecursionError``.)
-
-    Two shapes, which cover graph, morphism and report documents, are
-    rendered a column at a time by C-level ``map`` calls: a dict with only
-    ``str`` keys whose values are all plain ``int`` or all ``str`` (morphism
-    maps, flat records), and a non-empty list of dicts that share one set of
-    ``str`` keys, each key's column all plain ``int`` or all ``str``
-    (``nodes``, ``edges``). Everything else, such as bools, floats, mixed
-    columns, non-``str`` keys or ragged lists, takes the general recursive
-    path, whose scalar leaves are rendered by ``json.dumps``. Long lists are
-    written in chunks of :data:`_CHUNK` items, so memory stays bounded by the
-    chunk, not by the document.
-    """
-    fh.writelines(_encode(doc, ""))
+    """Write ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline:
+    the one text form of every document, for :func:`save_json` and the
+    CLI's stdout reports alike."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
 
-_CHUNK = 2048
-_encode_str = json.encoder.encode_basestring_ascii
+def save_graph(g: Graph, path: str | Path) -> None:
+    """Write ``g`` to ``path`` as the bytes of ``save_json(graph_to_json(g),
+    path)``: one row template per item kind, formatted over columns of the
+    graph's maps in ascending id order and streamed row by row, so no
+    document or string the size of ``g`` is built."""
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    quoted = json.encoder.encode_basestring_ascii
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "edges": ')
+        _rows(
+            fh,
+            ',\n    {{\n      "id": {},\n      "label": {},\n      "src": {},\n      "tgt": {}\n    }}',
+            edges,
+            map(quoted, map(g.elabel.__getitem__, edges)),
+            map(g.src.__getitem__, edges),
+            map(g.tgt.__getitem__, edges),
+        )
+        fh.write(',\n  "nodes": ')
+        _rows(fh, ',\n    {{\n      "id": {},\n      "label": {}\n    }}', nodes, map(quoted, map(g.nlabel.__getitem__, nodes)))
+        fh.write("\n}\n")
 
 
-def _encode(o: Any, indent: str) -> Iterator[str]:
-    """The text of ``o`` as ``json.dumps(o, indent=2, sort_keys=True)``
-    renders it, in pieces; ``indent`` is the indentation of the line that
-    ``o`` starts on."""
-    inner = indent + "  "
-    if isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
-        if set(map(type, o)) == {str}:
-            keys = sorted(o)
-            values = _column(list(map(o.__getitem__, keys)))
-            if values is not None:
-                template = inner + "{}: {}"
-                yield "{\n"
-                yield from _joined(map(template.format, map(_encode_str, keys), values))
-                yield "\n" + indent + "}"
-                return
-        separator = "{\n" + inner
-        for key, value in sorted(o.items()):
-            yield separator + _encode_key(key) + ": "
-            yield from _encode(value, inner)
-            separator = ",\n" + inner
-        yield "\n" + indent + "}"
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            yield "[]"
-            return
-        rows = _record_rows(o, inner)
-        if rows is not None:
-            yield "[\n"
-            yield from _joined(rows)
-            yield "\n" + indent + "]"
-            return
-        separator = "[\n" + inner
-        for item in o:
-            yield separator
-            yield from _encode(item, inner)
-            separator = ",\n" + inner
-        yield "\n" + indent + "]"
-    else:
-        yield json.dumps(o)
-
-
-def _column(values: list) -> Iterable | None:
-    """The values as a template's ``{}`` fields render them, if all are plain
-    ``int`` (formatted as they are) or all ``str`` (JSON-encoded)."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return values
-    if kinds == {str}:
-        return map(_encode_str, values)
-    return None
-
-
-def _record_rows(entries: list | tuple, indent: str) -> Iterator[str] | None:
-    """One rendered line group per entry, if the entries are dicts sharing
-    one set of ``str`` keys with type-uniform columns; else ``None``."""
-    first = entries[0]
-    if type(first) is not dict or not first or set(map(type, first)) != {str}:
-        return None
-    if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(first)}:
-        return None
-    keys = sorted(first)
-    try:
-        columns = list(map(_column, _columns(entries, *keys)))
-    except KeyError:
-        return None
-    if None in columns:
-        return None
-    fields = ",".join(
-        "\n" + indent + "  " + _encode_str(key).replace("{", "{{").replace("}", "}}") + ": {}"
-        for key in keys
-    )
-    return map((indent + "{{" + fields + "\n" + indent + "}}").format, *columns)
-
-
-def _joined(rows: Iterator[str]) -> Iterator[str]:
-    """``",\\n".join(rows)``, produced :data:`_CHUNK` rows at a time."""
-    chunk = ",\n".join(islice(rows, _CHUNK))
-    yield chunk
-    while chunk := ",\n".join(islice(rows, _CHUNK)):
-        yield ",\n"
-        yield chunk
-
-
-def _encode_key(key: Any) -> str:
-    """A dict key as ``json`` writes it: non-``str`` scalars become strings."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return _encode_str(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+def _rows(fh: TextIO, template: str, ids: list[int], *columns: Iterable) -> None:
+    """The ``nodes`` or ``edges`` list: one ``template`` row per id, each
+    starting with the ``,`` separator that the first row drops."""
+    if not ids:
+        fh.write("[]")
+        return
+    rows = map(template.format, ids, *columns)
+    fh.write("[" + next(rows)[1:])
+    fh.writelines(rows)
+    fh.write("\n  ]")
 
 
 def load_graph(path: str | Path) -> Graph:

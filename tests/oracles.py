@@ -430,8 +430,12 @@ def reference_verify_commutation_squares(
     cbar1, cbar2 = d1.gluing.c, d2.gluing.c
     j1, j2 = witness.j1, witness.j2
     for name, j, context in (("j1", j1, d2.D), ("j2", j2, d1.D)):
-        if j.target != context or not validate_morphism(j):
-            return failure(f"witness {name} is not a morphism into its context", ("witness",))
+        clause = f"witness {name} is not a morphism into its context"
+        if j.target != context:
+            return failure(clause, (name,))
+        report = validate_morphism(j)
+        if not report:
+            return failure(f"{clause}: {report.failed_clause}", report.counterexample)
 
     try:
         shared1, shared2 = deletion(b1, j1), deletion(b2, j2)
@@ -461,8 +465,9 @@ def reference_verify_commutation_squares(
     # the decomposition fails here, under this label
     try:
         tau1 = Morphism(glue21.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
-        if not validate_morphism(tau1):
-            return failure("square (5): context embedding into G' invalid", ("construction",))
+        report = validate_morphism(tau1)
+        if not report:
+            return failure(f"square (5): context embedding into G' invalid: {report.failed_clause}", report.counterexample)
         comatch = result.e1.comatch
         tau2 = pushout_mediator(
             sq41, p=Morphism(comatch.source, result.Gp, comatch.fv, comatch.fe), t=compose(tau1, delta1)

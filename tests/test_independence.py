@@ -452,18 +452,49 @@ def with_comatch(d, h: Morphism):
 class TestCorruptedWitness:
     """A witness that does not fit gives a failing report, never an exception."""
 
-    def test_j1_that_moves_a_preserved_node_fails(self):
+    @staticmethod
+    def diamond():
+        """A loop added at a b-node next to an a-node deleted: the pair, its
+        witness and its closed diamond."""
         host = graph({0: "b", 1: "b", 2: "a"})
         rule1 = loop_addition_rule()
         rule2 = node_deletion_rule()
         d1 = apply(rule1, Match(Morphism(rule1.L, host, {0: 0}, {})))
         d2 = apply(rule2, Match(Morphism(rule2.L, host, {0: 2}, {})))
         pair = ParallelPair(d1, d2)
-        witness = parallel_independent(pair)
-        result = commute(pair)
+        return pair, parallel_independent(pair), commute(pair)
+
+    def test_j1_that_moves_a_preserved_node_fails(self):
+        pair, witness, result = self.diamond()
         moved = Morphism(witness.j1.source, witness.j1.target, {0: 1}, {})
         report = verify_commutation_squares(pair, dataclasses.replace(witness, j1=moved), result)
-        assert not report
+        assert report.violations == (
+            Violation("decomposition construction failed: pushout_mediator: cospan does not factor on nodes", ("construction",)),
+        )
+
+    def test_a_witness_into_another_graph_names_its_part(self):
+        pair, witness, result = self.diamond()
+        into_g = Morphism(witness.j1.source, pair.d1.G, dict(witness.j1.fv), {})
+        report = verify_commutation_squares(pair, dataclasses.replace(witness, j1=into_g), result)
+        assert report.violations == (Violation("witness j1 is not a morphism into its context", ("j1",)),)
+
+    def test_a_witness_that_is_no_morphism_names_its_first_violation(self):
+        pair, witness, result = self.diamond()
+        off = Morphism(witness.j2.source, witness.j2.target, {0: 7}, {})
+        report = verify_commutation_squares(pair, dataclasses.replace(witness, j2=off), result)
+        assert report.violations == (
+            Violation("witness j2 is not a morphism into its context: fv out of target nodes", ("node", 0)),
+        )
+
+    def test_a_result_that_misses_the_context_names_the_item(self):
+        # G' read from d2, which has no edge for the loop d1 adds
+        pair, witness, result = self.diamond()
+        misfit = dataclasses.replace(result, e1=pair.d2)
+        report = verify_commutation_squares(pair, witness, misfit)
+        assert report.violations == (
+            Violation("square (5): context embedding into G' invalid: fe out of target edges", ("edge", 0)),
+        )
+        assert report == reference_verify_commutation_squares(pair, witness, misfit)
 
     def test_generated_witnesses_with_one_item_moved_fail(self):
         rng = random.Random(73)

@@ -1,10 +1,11 @@
 """The JSON boundary against its plain references in ``tests/oracles.py``.
 
 ``save_json`` must write the bytes of ``json.dump(indent=2, sort_keys=True)``
-for any document, whichever of its column-wise fast paths or its general
-path renders each part. The column-wise readers must return what the
-entry-by-entry loops return, or raise :class:`FormatError` with the same
-message, on well-formed documents and on documents with one corruption.
+for any document, and ``save_graph`` the bytes ``save_json`` writes for a
+graph's document, whatever its ids and labels. The column-wise readers must
+return what the entry-by-entry loops return, or raise :class:`FormatError`
+with the same message, on well-formed documents and on documents with one
+corruption.
 The rule and square loaders must return only well-formed objects, or raise
 :class:`FormatError`, whatever the one corruption. A derivation's trace
 must rebuild its result graph from its input graph.
@@ -23,7 +24,7 @@ from dpo import io
 from dpo.constructions import gluing, pullback_construct
 from dpo.diagrams import Square
 from dpo.errors import FormatError
-from dpo.graph import validate_graph
+from dpo.graph import graph, validate_graph
 from dpo.morphism import validate_morphism
 from dpo.rewriting import apply, validate_rule
 
@@ -113,15 +114,54 @@ class TestSaveJson:
         assert fast == reference
 
     @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4096, 4097, 5000])
-    def test_long_lists_around_the_chunk_size(self, written, n):
-        doc = {
-            "edges": [{"id": e, "src": e // 2, "tgt": e % 7, "label": "xy"[e % 2]} for e in range(n)],
-            "fv": {str(v): v for v in range(n)},
-            "ids": list(range(n)),
-            "labels": {str(v): "é" for v in range(n)},
-        }
-        fast, reference = written(doc)
+    def test_long_lists_around_the_chunk_size(self, saved, n):
+        # save_graph on graphs of n nodes and n edges, at and around the
+        # multiples of 2048 rows at which an earlier writer cut its lists
+        g = graph({v: "aé"[v % 2] for v in range(n)}, {e: (e // 2, e % 7, "xy"[e % 2]) for e in range(n)})
+        fast, reference = saved(g)
         assert fast == reference
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """``save_graph``'s bytes for a graph, and the reference writer's for
+    its document."""
+    directory = tmp_path_factory.mktemp("graphs")
+
+    def write(g) -> tuple[bytes, bytes]:
+        io.save_graph(g, directory / "fast.json")
+        reference_save_json(io.graph_to_json(g), directory / "reference.json")
+        return (directory / "fast.json").read_bytes(), (directory / "reference.json").read_bytes()
+
+    return write
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph with sparse ids and labels that need escaping; with few
+    nodes, edges are often loops or parallel."""
+    nodes = draw(st.dictionaries(st.integers(0, 10**6), TEXT, max_size=5))
+    edges = {}
+    if nodes:
+        ends = st.sampled_from(sorted(nodes))
+        edges = draw(st.dictionaries(st.integers(0, 10**6), st.tuples(ends, ends, TEXT), max_size=6))
+    return graph(nodes, edges)
+
+
+class TestSaveGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_graphs())
+    @example(graph({}))
+    @example(graph({7: "a", 3: "b"}))
+    @example(graph({4: '"\\\n\x00é€😀'}, {9: (4, 4, "{x}"), 2: (4, 4, "{x}")}))
+    def test_writes_the_bytes_of_save_json(self, saved, g):
+        fast, reference = saved(g)
+        assert fast == reference
+
+    def test_a_result_graph_of_ten_thousand_nodes(self, saved):
+        g = apply(*rewire_on_random_host(10_000)).H
+        fast, reference = saved(g)
+        assert fast == reference and len(g.nodes) == 10_000
 
 
 def graph_documents():
