@@ -3,12 +3,13 @@
 Gluing builds the pushout object of an injective span by keeping the context
 graph's identifiers verbatim and allocating fresh identifiers for the new
 items, so the context's embedding into the result is a literal inclusion.
-Deletion builds the pushout complement by set difference, so the context
-embeds into the host the same way, and both inclusions are built only when
-read. Each map or item set that a construction changes is copied in bulk,
-at C level, and patched with the rule's items; the others are shared with
-the input graph. So a construction costs a few C-level copies of the host
-plus O(|rule| + degree) Python work.
+Deletion builds the pushout complement by removing the deleted items from
+the host's maps, so the context embeds into the host the same way, and both
+inclusions are built only when read. Each map that a construction changes
+is copied in bulk, at C level, and patched with the rule's items; the others
+are shared with the input graph. A result's item sets are the key views of
+its label maps, so no item set is built. So a construction costs a few
+C-level copies of the host plus O(|rule| + degree) Python work.
 
 Maps are copied with ``dict.copy()``. ``dict(m)`` and ``{**m, **new}``
 re-insert every key once ``m`` has had a key deleted, which every pruned
@@ -26,9 +27,10 @@ its square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, TypeVar
+from typing import Callable, Collection, TypeVar
 
 from .errors import DanglingConditionError, PreconditionError
 from .graph import Graph
@@ -115,13 +117,15 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
         # else its fresh copy
         return d.fv[b_inv_v[x]] if x in b_inv_v else fresh_v[x]
 
+    nlabel = _updated(D.nlabel, {fresh_v[v]: R.nlabel[v] for v in new_nodes})
+    elabel = _updated(D.elabel, {fresh_e[e]: R.elabel[e] for e in new_edges})
     H = Graph(
-        nodes=_extended(D.nodes, fresh_v.values()),
-        edges=_extended(D.edges, fresh_e.values()),
+        nodes=nlabel.keys() if new_nodes else D.nodes,
+        edges=elabel.keys() if new_edges else D.edges,
         src=_updated(D.src, {fresh_e[e]: node_in_h(R.src[e]) for e in new_edges}),
         tgt=_updated(D.tgt, {fresh_e[e]: node_in_h(R.tgt[e]) for e in new_edges}),
-        nlabel=_updated(D.nlabel, {fresh_v[v]: R.nlabel[v] for v in new_nodes}),
-        elabel=_updated(D.elabel, {fresh_e[e]: R.elabel[e] for e in new_edges}),
+        nlabel=nlabel,
+        elabel=elabel,
     )
     _carry_indexes(D, H, (), (), fresh_v.values(), fresh_e.values())
     h = Morphism(
@@ -193,16 +197,19 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
 def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
     """``g`` without the given nodes and edges, which must leave no edge of
     ``g`` dangling. Each map that loses items is copied with ``dict.copy()``
-    and pruned, the others are shared with ``g``, and each derived index of
-    ``g`` that has been built is carried over, except a largest id whose
-    item is deleted: C-level copies plus O(|nodes| + |edges| + degree)."""
+    and pruned, the others are shared with ``g``; an item set that loses
+    items is the key view of its pruned label map, the other is ``g``'s.
+    Each derived index of ``g`` that has been built is carried over, except
+    a largest id whose item is deleted: C-level copies plus
+    O(|nodes| + |edges| + degree)."""
+    nlabel, elabel = _pruned(g.nlabel, nodes), _pruned(g.elabel, edges)
     D = Graph(
-        nodes=g.nodes - nodes if nodes else g.nodes,
-        edges=g.edges - edges if edges else g.edges,
+        nodes=nlabel.keys() if nodes else g.nodes,
+        edges=elabel.keys() if edges else g.edges,
         src=_pruned(g.src, edges),
         tgt=_pruned(g.tgt, edges),
-        nlabel=_pruned(g.nlabel, nodes),
-        elabel=_pruned(g.elabel, edges),
+        nlabel=nlabel,
+        elabel=elabel,
     )
     _carry_indexes(g, D, nodes, edges, (), ())
     return D
@@ -219,11 +226,6 @@ def _fresh_ids(items: list[int], largest: Callable[[], int], floor: int) -> dict
         return {}
     start = max(largest() + 1, floor)
     return {x: start + i for i, x in enumerate(items)}
-
-
-def _extended(items: frozenset[int], new: Iterable[int]) -> frozenset[int]:
-    new = frozenset(new)
-    return items | new if new else items
 
 
 def _updated(m: dict[int, V], new: dict[int, V]) -> dict[int, V]:
@@ -290,9 +292,7 @@ def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:
     B, C = f.source, g.source
     node_id = {pair: i for i, pair in enumerate(node_pairs)}
     edge_id = {pair: i for i, pair in enumerate(edge_pairs)}
-    A = Graph(
-        nodes=frozenset(node_id.values()),
-        edges=frozenset(edge_id.values()),
+    A = Graph.from_maps(
         src={edge_id[x, y]: node_id[B.src[x], C.src[y]] for x, y in edge_pairs},
         tgt={edge_id[x, y]: node_id[B.tgt[x], C.tgt[y]] for x, y in edge_pairs},
         nlabel={node_id[x, y]: B.nlabel[x] for x, y in node_pairs},
@@ -342,7 +342,7 @@ def pullback_pairs(f: Morphism, g: Morphism) -> tuple[list[tuple[int, int]], lis
 
 
 def _agreeing_pairs(
-    xs: frozenset[int], fx: dict[int, int], ys: frozenset[int], gy: dict[int, int]
+    xs: Set[int], fx: dict[int, int], ys: Set[int], gy: dict[int, int]
 ) -> list[tuple[int, int]]:
     """The pairs ``(x, y)`` with ``fx[x] == gy[y]``, in lexicographic order.
 

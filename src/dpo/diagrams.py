@@ -118,7 +118,8 @@ def jointly_surjective(bd: Morphism, cd: Morphism) -> CheckReport:
         ("node", bd.target.nodes, bd.fv, cd.fv, bd.source.nodes, cd.source.nodes),
         ("edge", bd.target.edges, bd.fe, cd.fe, bd.source.edges, cd.source.edges),
     ):
-        uncovered = items.difference(map(f.__getitem__, f_items), map(g.__getitem__, g_items))
+        uncovered = set(items)
+        uncovered.difference_update(map(f.__getitem__, f_items), map(g.__getitem__, g_items))
         if uncovered:
             return failure("joint surjectivity", (kind, min(uncovered)))
     return PASSED

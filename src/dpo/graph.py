@@ -9,6 +9,7 @@ endpoints and labels are distinct whenever their identifiers differ.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -61,8 +62,11 @@ class Graph:
     """A finite labelled directed multigraph.
 
     ``src``/``tgt`` map every edge to its endpoint nodes; ``nlabel`` and
-    ``elabel`` assign a label to every node and edge. Instances are treated
-    as immutable values and may be shared freely between threads.
+    ``elabel`` assign a label to every node and edge. ``nodes`` and
+    ``edges`` may be any set of ids equal to ``nlabel``'s and ``elabel``'s
+    keys; every graph the engine builds is given the key views themselves
+    (:meth:`from_maps`), so no item set is built or copied. Instances are
+    treated as immutable values and may be shared freely between threads.
 
     :attr:`incidence`, :attr:`max_node_id` and :attr:`max_edge_id` are
     derived indexes, each built on first use and then kept on the instance;
@@ -72,12 +76,21 @@ class Graph:
     the item a largest id names: that one is rebuilt on first read.
     """
 
-    nodes: frozenset[int]
-    edges: frozenset[int]
+    nodes: Set[int]
+    edges: Set[int]
     src: dict[int, int]
     tgt: dict[int, int]
     nlabel: dict[int, str]
     elabel: dict[int, str]
+
+    @classmethod
+    def from_maps(cls, src: dict[int, int], tgt: dict[int, int], nlabel: dict[int, str], elabel: dict[int, str]) -> Graph:
+        """The graph of four maps, its item sets their label maps' key views."""
+        return cls(nlabel.keys(), elabel.keys(), src, tgt, nlabel, elabel)
+
+    def __reduce__(self) -> tuple:
+        # key views do not pickle; a copy has frozensets and no built index
+        return Graph, (frozenset(self.nodes), frozenset(self.edges), self.src, self.tgt, self.nlabel, self.elabel)
 
     def __repr__(self) -> str:
         ns = ", ".join(f"{v}:{self.nlabel.get(v)!r}" for v in sorted(self.nodes))
@@ -121,9 +134,7 @@ def graph(
 ) -> Graph:
     """Build a graph from ``{node_id: label}`` and ``{edge_id: (src, tgt, label)}``."""
     edges = edges or {}
-    return Graph(
-        nodes=frozenset(nodes),
-        edges=frozenset(edges),
+    return Graph.from_maps(
         src={e: s for e, (s, _, _) in edges.items()},
         tgt={e: t for e, (_, t, _) in edges.items()},
         nlabel=dict(nodes),
@@ -133,14 +144,15 @@ def graph(
 
 def validate_graph(g: Graph) -> CheckReport:
     """Check every graph invariant; report each failed clause with its item.
-    Whole-set tests at C level decide a pass; anything else runs the loop."""
+    Whole-set tests at C level decide a pass (endpoints are looked up in
+    ``nlabel``, equal to ``nodes`` once the first holds); else the loop runs."""
     if (
         g.nlabel.keys() == g.nodes
         and g.src.keys() == g.tgt.keys() == g.elabel.keys() == g.edges
         and min(g.nodes, default=0) >= 0
         and min(g.edges, default=0) >= 0
-        and g.nodes.issuperset(g.src.values())
-        and g.nodes.issuperset(g.tgt.values())
+        and all(map(g.nlabel.__contains__, g.src.values()))
+        and all(map(g.nlabel.__contains__, g.tgt.values()))
     ):
         return PASSED
     bad: list[Violation] = []

@@ -93,14 +93,7 @@ def graph_from_json(doc: Any) -> Graph:
                 nlabel = dict(zip(ids, labels))
                 elabel = dict(zip(eids, elabels))
                 if len(nlabel) == len(ids) and len(elabel) == len(eids):
-                    return Graph(
-                        nodes=frozenset(nlabel),
-                        edges=frozenset(elabel),
-                        src=dict(zip(eids, srcs)),
-                        tgt=dict(zip(eids, tgts)),
-                        nlabel=nlabel,
-                        elabel=elabel,
-                    )
+                    return Graph.from_maps(dict(zip(eids, srcs)), dict(zip(eids, tgts)), nlabel, elabel)
     return _checked_graph(doc)
 
 
@@ -141,14 +134,7 @@ def _checked_graph(doc: dict) -> Graph:
         src[e] = _ident(entry, "src", "edge")
         tgt[e] = _ident(entry, "tgt", "edge")
         elabel[e] = _label(entry, "edge")
-    return Graph(
-        nodes=frozenset(nodes),
-        edges=frozenset(elabel),
-        src=src,
-        tgt=tgt,
-        nlabel=nodes,
-        elabel=elabel,
-    )
+    return Graph.from_maps(src, tgt, nodes, elabel)
 
 
 def _array(value: Any, key: str) -> list:
@@ -333,8 +319,9 @@ def _well_formed(g: Graph, where: str) -> Graph:
     """``g``, if every edge ends at nodes of ``g``; else :class:`FormatError`
     naming the first :func:`validate_graph` violation. Every graph a verb
     reads passes here. :func:`graph_from_json` already guarantees the other
-    clauses, so two C-level subset tests stand in for the full check."""
-    if g.nodes.issuperset(g.src.values()) and g.nodes.issuperset(g.tgt.values()):
+    clauses, ``nodes`` equal to ``nlabel``'s keys among them, so two C-level
+    lookups of the endpoints in ``nlabel`` stand in for the full check."""
+    if all(map(g.nlabel.__contains__, g.src.values())) and all(map(g.nlabel.__contains__, g.tgt.values())):
         return g
     raise FormatError(f"{where}: invalid graph: {validate_graph(g)}")
 

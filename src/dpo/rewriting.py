@@ -81,8 +81,8 @@ class DirectDerivation:
         ``R``-node and ``R``-edge, ascending, mapped to its id in ``H`` by the
         comatch: O(|L| + |R|), read off the rule, match and comatch."""
         r, h = self.rule.r, self.comatch
-        made_v = {x: h.fv[x] for x in sorted(r.target.nodes.difference(r.fv.values()))}
-        made_e = {x: h.fe[x] for x in sorted(r.target.edges.difference(r.fe.values()))}
+        made_v = {x: h.fv[x] for x in sorted(r.target.nodes - set(r.fv.values()))}
+        made_e = {x: h.fe[x] for x in sorted(r.target.edges - set(r.fe.values()))}
         return (*constructions.deleted_items(self.rule.b, self.match.m), made_v, made_e)
 
     @property

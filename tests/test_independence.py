@@ -627,7 +627,7 @@ class TestAgainstReference:
         if moved is not None:
             yield "comatch moved", dataclasses.replace(pair, **{which: with_comatch(d, moved)}), witness, result
         # both contexts relabel one host node that neither match touches
-        untouched = pair.d1.G.nodes.difference(pair.d1.match.m.fv.values(), pair.d2.match.m.fv.values())
+        untouched = pair.d1.G.nodes - {*pair.d1.match.m.fv.values(), *pair.d2.match.m.fv.values()}
         if untouched:
             v = min(untouched)
             label = pair.d1.G.nlabel[v] + "'"

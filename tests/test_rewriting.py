@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from collections import Counter
 from typing import Iterator
@@ -9,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_match
 
-from dpo import rewriting
+from dpo import io, rewriting
 from dpo.diagrams import Square, _local_pushout, certify_pushout, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, InternalConsistencyError, PreconditionError
-from dpo.graph import Graph, failure, graph, is_isomorphic
+from dpo.graph import Graph, failure, graph, is_isomorphic, validate_graph
 from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
@@ -318,6 +320,17 @@ class TestApply:
         for rule, match in instances:
             apply(rule, match)
         assert calls == []
+
+    def test_results_survive_pickle_and_deepcopy(self):
+        # D's and H's item sets are key views of their maps, which pickle
+        # cannot write; a copy is rebuilt from the maps, with no index
+        derivation = apply(*rewire_on_random_host(200))
+        derivation.H.incidence  # built, so a copy that carried it would show
+        for g in (derivation.D, derivation.H):
+            for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+                assert clone == g and g == clone
+                assert validate_graph(clone)
+                assert incidence_if_built(clone) is None
 
     def test_both_squares_hold_on_random_instances(self):
         rng = random.Random(37)
@@ -846,6 +859,16 @@ class TestLongChains:
                     assert getattr(x, field) is getattr(y, field)
                     shared[field] += 1
         assert len(shared) == 4
+
+    def test_item_sets_equal_the_maps_along_a_chain(self):
+        # every D and H is well formed, and equal to the graph read back
+        # from its own document
+        G = _random_host(300, seed=8)
+        for g in run_chain(G, _Replay(G), steps=100, seed=8):
+            assert g.nodes == g.nlabel.keys()
+            assert g.edges == g.elabel.keys() == g.src.keys() == g.tgt.keys()
+            assert validate_graph(g)
+            assert g == io.graph_from_json(io.graph_to_json(g))
 
     def test_chain_on_a_hundred_thousand_nodes_matches_a_plain_replay(self):
         # no wall-clock bound; each step costs a few bulk copies of the host
