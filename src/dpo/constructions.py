@@ -352,15 +352,11 @@ def _agreeing_pairs(
     if not xs or not ys:
         # no pairs: return before reading the other side's map
         return []
-    if len(xs) <= len(ys):
-        by_image: dict[int, list[int]] = {}
-        for x in xs:
-            by_image.setdefault(fx[x], []).append(x)
-        pairs = [(x, y) for y in ys for x in by_image.get(gy[y], ())]
-    else:
-        by_image = {}
-        for y in ys:
-            by_image.setdefault(gy[y], []).append(y)
-        pairs = [(x, y) for x in xs for y in by_image.get(fx[x], ())]
+    if len(xs) > len(ys):
+        return sorted((x, y) for y, x in _agreeing_pairs(ys, gy, xs, fx))
+    by_image: dict[int, list[int]] = {}
+    for x in xs:
+        by_image.setdefault(fx[x], []).append(x)
+    pairs = [(x, y) for y in ys for x in by_image.get(gy[y], ())]
     pairs.sort()
     return pairs

@@ -88,12 +88,16 @@ def _outside(m: Morphism, sub: Graph) -> list[tuple[str, int]]:
     return nodes + [("edge", m.fe[e]) for e in sorted(m.source.edges) if m.fe[e] not in sub.edges]
 
 
-def _corestrict(m: Morphism, sub: Graph) -> Optional[Morphism]:
-    """View ``m`` as a morphism into an identity-included subgraph of its
-    target, when its image lies inside that subgraph."""
-    if _outside(m, sub):
+def _witness(m1: Morphism, context1: Graph, m2: Morphism, context2: Graph) -> Optional[IndependenceWitness]:
+    """``m1`` and ``m2`` co-restricted to the identity-included subgraphs
+    ``context1`` and ``context2`` of their targets, as ``j1`` and ``j2``;
+    ``None`` when either image leaves its subgraph."""
+    if _outside(m1, context1) or _outside(m2, context2):
         return None
-    return Morphism(m.source, sub, dict(m.fv), dict(m.fe))
+    return IndependenceWitness(
+        j1=Morphism(m1.source, context1, dict(m1.fv), dict(m1.fe)),
+        j2=Morphism(m2.source, context2, dict(m2.fv), dict(m2.fe)),
+    )
 
 
 def blocking_items(pair: ParallelPair) -> CheckReport:
@@ -117,11 +121,7 @@ def parallel_independent(pair: ParallelPair) -> Optional[IndependenceWitness]:
     are forced: a witness exists iff each match's image survives the other
     derivation's deletion, item by item.
     """
-    j1 = _corestrict(pair.d1.match.m, pair.d2.deletion.D)
-    j2 = _corestrict(pair.d2.match.m, pair.d1.deletion.D)
-    if j1 is None or j2 is None:
-        return None
-    return IndependenceWitness(j1=j1, j2=j2)
+    return _witness(pair.d1.match.m, pair.d2.deletion.D, pair.d2.match.m, pair.d1.deletion.D)
 
 
 def sequential_independent(
@@ -131,11 +131,7 @@ def sequential_independent(
     the second deletion, and the second match lands in the first context."""
     if second.G != first.H:
         raise PreconditionError("sequential pair: second derivation does not start at first's result")
-    j1 = _corestrict(first.comatch, second.deletion.D)
-    j2 = _corestrict(second.match.m, first.deletion.D)
-    if j1 is None or j2 is None:
-        return None
-    return IndependenceWitness(j1=j1, j2=j2)
+    return _witness(first.comatch, second.deletion.D, second.match.m, first.deletion.D)
 
 
 def residual_match(pair: ParallelPair, witness: IndependenceWitness) -> tuple[Match, Match]:
@@ -144,14 +140,13 @@ def residual_match(pair: ParallelPair, witness: IndependenceWitness) -> tuple[Ma
     Returns ``(m2': L2 -> H1, m1': L1 -> H2)``. Each context embeds into its
     result by an identity inclusion, so a residual has the maps of its
     witness, ``j2: L2 -> D1`` or ``j1: L1 -> D2``, read as maps into the
-    result; the host-sized inclusions are not built. Nothing is checked
+    result; the host-sized inclusions are not built, and the maps are
+    shared, as :func:`apply` never changes a match. Nothing is checked
     here: :func:`commute` hands each residual to :func:`apply`, which
     validates it and checks injectivity and the dangling condition once.
     """
-    return (
-        Match(Morphism(witness.j2.source, pair.d1.H, dict(witness.j2.fv), dict(witness.j2.fe))),
-        Match(Morphism(witness.j1.source, pair.d2.H, dict(witness.j1.fv), dict(witness.j1.fe))),
-    )
+    j1, j2 = witness.j1, witness.j2
+    return Match(Morphism(j2.source, pair.d1.H, j2.fv, j2.fe)), Match(Morphism(j1.source, pair.d2.H, j1.fv, j1.fe))
 
 
 def commute(pair: ParallelPair) -> CommutationResult:

@@ -30,7 +30,7 @@ from dpo.morphism import Morphism, identity, validate_morphism
 from dpo.rewriting import Rule, identity_rule
 
 from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES, random_graph, random_rule
-from .oracles import renumber
+from .oracles import renumber, replay
 from .strategies import graphs
 
 PASSED = {"verdict": True, "failed_clause": None, "counterexample": None}
@@ -481,6 +481,19 @@ class TestIndependentAndCommute:
         assert sorted(recorded) == ["iso", "residual_match_1", "residual_match_2", "squares", "version"]
         assert recorded["version"] == 2
         assert recorded["squares"] == PASSED
+
+    def test_commute_report_iso_maps_the_out_graph_one_to_one(self, capsys, files, tmp_path):
+        out = tmp_path / "Gp.json"
+        code, _, _ = run(
+            capsys, "commute", files["delete_x"], files["create_c"], files["host"],
+            "--match1", "0", "--match2", "0", "--out", str(out),
+        )
+        assert code == 0
+        Gp = json.loads(out.read_text())
+        iso = json.loads((tmp_path / "Gp.report.json").read_text())["iso"]
+        for kind, key in (("nodes", "node_map"), ("edges", "edge_map")):
+            assert set(iso[key]) == {str(item["id"]) for item in Gp[kind]}
+            assert len(set(iso[key].values())) == len(iso[key])
 
     def test_commute_with_a_partial_match_file_exits_1(self, capsys, files, tmp_path):
         match = write(tmp_path / "m.json", {"fv": {"0": 0}, "fe": {"0": 0}})
@@ -974,7 +987,34 @@ class TestIso:
                      dict(zip(edges, rng.sample(range(100), len(edges)))))
         files = [write(tmp_path / name, io.graph_to_json(x)) for name, x in (("g.json", g), ("h.json", h))]
         code, doc, _ = run(capsys, "iso", *files)
-        assert code == 0 and doc["isomorphic"] is True
+        assert code == 0
+        self.assert_bijective_witness(doc, g, h)
+
+    def test_renumbered_copy_with_a_loop_and_mixed_parallel_edges_exits_0_with_a_witness(self, capsys, tmp_path):
+        g_doc = {
+            "nodes": [{"id": 0, "label": "a"}, {"id": 1, "label": "a"}, {"id": 2, "label": "b"}],
+            "edges": [
+                {"id": 0, "src": 0, "tgt": 1, "label": "x"}, {"id": 1, "src": 0, "tgt": 1, "label": "y"},
+                {"id": 2, "src": 2, "tgt": 2, "label": "x"}, {"id": 3, "src": 1, "tgt": 2, "label": "y"},
+            ],
+        }
+        # nodes 0, 1, 2 renumbered 5, 3, 7, and the entries out of id order
+        h_doc = {
+            "nodes": [{"id": 7, "label": "b"}, {"id": 3, "label": "a"}, {"id": 5, "label": "a"}],
+            "edges": [
+                {"id": 9, "src": 3, "tgt": 7, "label": "y"}, {"id": 4, "src": 5, "tgt": 3, "label": "y"},
+                {"id": 6, "src": 7, "tgt": 7, "label": "x"}, {"id": 2, "src": 5, "tgt": 3, "label": "x"},
+            ],
+        }
+        code, doc, _ = run(capsys, "iso", write(tmp_path / "g.json", g_doc), write(tmp_path / "h.json", h_doc))
+        assert code == 0
+        self.assert_bijective_witness(doc, io.graph_from_json(g_doc), io.graph_from_json(h_doc))
+
+    @staticmethod
+    def assert_bijective_witness(doc: dict, g, h) -> None:
+        """``doc`` reports an isomorphism whose witness is a morphism from
+        ``g`` onto ``h`` that is bijective on nodes and on edges."""
+        assert doc["isomorphic"] is True
         witness = doc["witness"]
         m = Morphism(
             g, h,
@@ -1201,6 +1241,70 @@ class TestOutputBytes:
         stdout, _ = capsys.readouterr()
         assert json.loads(stdout)["count"] == 3
         assert stdout == indented(stdout)
+
+    @pytest.mark.parametrize("verb", ["iso", "independent"])
+    def test_iso_and_independent_stdout(self, capsys, files, verb):
+        if verb == "iso":
+            argv = ["iso", files["host"], files["host"]]
+        else:
+            argv = [verb, files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+        assert main([*argv, "--json"]) == 0
+        stdout, _ = capsys.readouterr()
+        assert stdout == indented(stdout)
+
+
+class TestSparseIdsAndEscapedLabels:
+    """A host with sparse ids and labels that need escaping in JSON goes
+    through ``apply --match-index`` and ``commute`` by match indices: every
+    file written is the standard rendering of its own document, and the
+    apply trace, which both deletes and creates, replays to the result."""
+
+    Q, X = 'q"\\é\t', 'x"\\é\t'
+
+    def host(self):
+        return graph({3: "a", 10: "a", 25: self.Q}, {7: (3, 25, self.X), 12: (25, 25, "é")})
+
+    def reverse_escaped_edge(self) -> Rule:
+        """Delete the escaped x-edge and create one the other way, labelled é."""
+        k = graph({0: "a", 1: self.Q})
+        l = graph({0: "a", 1: self.Q}, {0: (0, 1, self.X)})
+        r = graph({0: "a", 1: self.Q}, {0: (1, 0, "é")})
+        return Rule(L=l, K=k, R=r, b=Morphism(k, l, {0: 0, 1: 1}, {}), r=Morphism(k, r, {0: 0, 1: 1}, {}))
+
+    @staticmethod
+    def add_loop() -> Rule:
+        a, loop = graph({0: "a"}), graph({0: "a"}, {0: (0, 0, "y")})
+        return Rule(L=a, K=a, R=loop, b=identity(a), r=Morphism(a, loop, {0: 0}, {}))
+
+    def test_every_file_is_the_standard_rendering_and_the_trace_replays(self, capsys, tmp_path):
+        host_doc = io.graph_to_json(self.host())
+        host = write(tmp_path / "host.json", host_doc)
+        reverse = write(tmp_path / "reverse.json", io.rule_to_json(self.reverse_escaped_edge()))
+        add_loop = write(tmp_path / "add_loop.json", io.rule_to_json(self.add_loop()))
+        applied, commuted = tmp_path / "applied.json", tmp_path / "commuted.json"
+        stdouts = []
+        for argv in (
+            ["apply", reverse, host, "--match-index", "0", "--out", str(applied)],
+            ["commute", add_loop, add_loop, host, "--match1", "0", "--match2", "1", "--out", str(commuted)],
+        ):
+            assert main([*argv, "--json"]) == 0
+            stdouts.append(capsys.readouterr().out)
+        written = ["applied.json", "applied.trace.json", "commuted.json", "commuted.report.json"]
+        inputs = ["host.json", "reverse.json", "add_loop.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*inputs, *written])
+        for text in (*stdouts, *((tmp_path / name).read_text(encoding="utf-8") for name in written)):
+            assert text == indented(text)
+
+        trace = json.loads((tmp_path / "applied.trace.json").read_text())
+        assert trace["deleted"] == {"nodes": [], "edges": [7]} and trace["created"]["edges"]
+        assert replay(host_doc, trace) == json.loads(applied.read_text())
+        # the loops land on the a-nodes 3 and 10, and every host item is kept
+        Gp = json.loads(commuted.read_text())
+        assert Gp["nodes"] == host_doc["nodes"]
+        assert [e for e in Gp["edges"] if e["id"] in (7, 12)] == host_doc["edges"]
+        assert sorted((e["src"], e["tgt"], e["label"]) for e in Gp["edges"] if e["id"] not in (7, 12)) == [
+            (3, 3, "y"), (10, 10, "y"),
+        ]
 
 
 def test_graph_submodule_is_not_shadowed():

@@ -87,6 +87,13 @@ class TestCommutes:
             commutes(Square(ab=identity(graph({0: "a"})), ac=identity(graph({0: "b"})),
                             bd=identity(graph({0: "a"})), cd=identity(graph({0: "b"}))))
 
+    def test_a_relabelling_leg_raises_when_the_square_is_built(self):
+        a, b = graph({0: "a"}), graph({0: "b"})
+        into_b = Morphism(a, b, {0: 0}, {})
+        with pytest.raises(PreconditionError) as raised:
+            Square(ab=identity(a), ac=identity(a), bd=into_b, cd=into_b)
+        assert str(raised.value) == "square 'bd': invalid morphism: node label not preserved: node 0"
+
 
 class TestReducedChainCondition:
     def test_identity_square(self):
