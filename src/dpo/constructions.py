@@ -21,8 +21,9 @@ A graph's derived indexes (:attr:`~dpo.graph.Graph.incidence`,
 ``max_node_id``, ``max_edge_id``) are carried on to the result once
 built, patched in O(|rule| + degree). The dangling check reads the
 incidence index; gluing allocates fresh ids past the largest carried id,
-the same ids a scan of ``D`` would give. Neither construction certifies
-its square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
+the same ids a scan of ``D`` would give. Both results are built by
+:meth:`~dpo.graph.Graph.from_maps`. Neither construction certifies its
+square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
 """
 
 from __future__ import annotations
@@ -82,18 +83,18 @@ class PullbackResult:
     edge_pairs: dict[int, tuple[int, int]]
 
 
-def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingResult:
+def gluing(b: Morphism, d: Morphism) -> GluingResult:
     """Glue ``d.target`` and ``b.target`` along the shared interface.
 
     ``b: K -> R`` and ``d: K -> D`` must both be injective. Items of ``R``
     outside the interface image receive fresh identifiers starting past the
-    largest identifier in ``D`` (or past ``fresh_offset``, whichever is
-    larger), in ascending ``R``-id order; ``D``'s largest ids are read from
-    :attr:`~dpo.graph.Graph.max_node_id` and ``max_edge_id``, only for a
-    kind the rule creates. Identifiers of ``D`` are kept, so ``c`` is an
-    identity inclusion. ``H`` copies each map of ``D`` that gains items
-    (``dict.copy()``) and adds them, shares the others with ``D``, and
-    carries each built index of ``D``, patched for the new items.
+    largest identifier in ``D``, in ascending ``R``-id order; ``D``'s largest
+    ids are read from :attr:`~dpo.graph.Graph.max_node_id` and
+    ``max_edge_id``, only for a kind the rule creates. Identifiers of ``D``
+    are kept, so ``c`` is an identity inclusion. ``H`` copies each map of
+    ``D`` that gains items (``dict.copy()``) and adds them, shares the
+    others with ``D``, and carries each built index of ``D``, patched for
+    the new items.
     """
     if b.source != d.source:
         raise PreconditionError("gluing: b and d must share their source graph")
@@ -108,24 +109,19 @@ def gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) -> GluingR
     new_nodes = sorted(R.nodes - set(b_inv_v))
     new_edges = sorted(R.edges - set(b_inv_e))
 
-    floor = fresh_offset if fresh_offset is not None else 0
-    fresh_v = _fresh_ids(new_nodes, lambda: D.max_node_id, floor)
-    fresh_e = _fresh_ids(new_edges, lambda: D.max_edge_id, floor)
+    fresh_v = _fresh_ids(new_nodes, lambda: D.max_node_id)
+    fresh_e = _fresh_ids(new_edges, lambda: D.max_edge_id)
 
     def node_in_h(x: int) -> int:
         # image in H of an R-node: through the interface if it has one,
         # else its fresh copy
         return d.fv[b_inv_v[x]] if x in b_inv_v else fresh_v[x]
 
-    nlabel = _updated(D.nlabel, {fresh_v[v]: R.nlabel[v] for v in new_nodes})
-    elabel = _updated(D.elabel, {fresh_e[e]: R.elabel[e] for e in new_edges})
-    H = Graph(
-        nodes=nlabel.keys() if new_nodes else D.nodes,
-        edges=elabel.keys() if new_edges else D.edges,
+    H = Graph.from_maps(
         src=_updated(D.src, {fresh_e[e]: node_in_h(R.src[e]) for e in new_edges}),
         tgt=_updated(D.tgt, {fresh_e[e]: node_in_h(R.tgt[e]) for e in new_edges}),
-        nlabel=nlabel,
-        elabel=elabel,
+        nlabel=_updated(D.nlabel, {fresh_v[v]: R.nlabel[v] for v in new_nodes}),
+        elabel=_updated(D.elabel, {fresh_e[e]: R.elabel[e] for e in new_edges}),
     )
     _carry_indexes(D, H, (), (), fresh_v.values(), fresh_e.values())
     h = Morphism(
@@ -197,34 +193,30 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
 def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
     """``g`` without the given nodes and edges, which must leave no edge of
     ``g`` dangling. Each map that loses items is copied with ``dict.copy()``
-    and pruned, the others are shared with ``g``; an item set that loses
-    items is the key view of its pruned label map, the other is ``g``'s.
-    Each derived index of ``g`` that has been built is carried over, except
+    and pruned, the others are shared with ``g``; the item sets are the
+    key views of the label maps. Each derived index of ``g`` that has been built is carried over, except
     a largest id whose item is deleted: C-level copies plus
     O(|nodes| + |edges| + degree)."""
-    nlabel, elabel = _pruned(g.nlabel, nodes), _pruned(g.elabel, edges)
-    D = Graph(
-        nodes=nlabel.keys() if nodes else g.nodes,
-        edges=elabel.keys() if edges else g.edges,
+    D = Graph.from_maps(
         src=_pruned(g.src, edges),
         tgt=_pruned(g.tgt, edges),
-        nlabel=nlabel,
-        elabel=elabel,
+        nlabel=_pruned(g.nlabel, nodes),
+        elabel=_pruned(g.elabel, edges),
     )
     _carry_indexes(g, D, nodes, edges, (), ())
     return D
 
 
-# Graphs are never mutated, so a map or item set that a construction leaves
-# unchanged is shared with its input rather than copied.
+# Graphs are never mutated, so a map that a construction leaves unchanged
+# is shared with its input rather than copied.
 
 
-def _fresh_ids(items: list[int], largest: Callable[[], int], floor: int) -> dict[int, int]:
-    """Consecutive identifiers for ``items`` past ``largest()`` and
-    ``floor``; ``largest`` is read only when there are items."""
+def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
+    """Consecutive identifiers for ``items`` past ``largest()``, which is
+    read only when there are items."""
     if not items:
         return {}
-    start = max(largest() + 1, floor)
+    start = largest() + 1
     return {x: start + i for i, x in enumerate(items)}
 
 
@@ -330,14 +322,14 @@ def pullback_pairs(f: Morphism, g: Morphism) -> tuple[list[tuple[int, int]], lis
     ``k`` pairs the cost is ``O(|B| + |C| + k log k)``.
     """
     if f.target != g.target:
-        raise PreconditionError("pullback_construct: targets differ")
+        raise PreconditionError("pullback_pairs: targets differ")
     B, C = f.source, g.source
     node_pairs = _agreeing_pairs(B.nodes, f.fv, C.nodes, g.fv)
     edge_pairs = _agreeing_pairs(B.edges, f.fe, C.edges, g.fe)
     paired = set(node_pairs)
     for x, y in edge_pairs:
         if (B.src[x], C.src[y]) not in paired or (B.tgt[x], C.tgt[y]) not in paired:
-            raise PreconditionError("pullback_construct: f or g does not preserve edge endpoints")
+            raise PreconditionError("pullback_pairs: f or g does not preserve edge endpoints")
     return node_pairs, edge_pairs
 
 

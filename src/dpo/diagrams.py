@@ -170,11 +170,6 @@ def is_pullback(sq: Square) -> CheckReport:
     return PASSED
 
 
-def transpose_square(sq: Square) -> Square:
-    """Mirror a square along its diagonal, swapping the B and C corners."""
-    return Square(ab=sq.ac, ac=sq.ab, bd=sq.cd, cd=sq.bd)
-
-
 def compose_squares_vertical(top: Square, bottom: Square) -> Square:
     """Paste two squares sharing a horizontal edge into their outer rectangle.
 
@@ -188,12 +183,6 @@ def compose_squares_vertical(top: Square, bottom: Square) -> Square:
     if not morphisms_agree(shared, top.cd):
         raise PreconditionError("square paste: shared edge maps differ")
     return Square(ab=top.ab, ac=compose(bottom.ac, top.ac), bd=compose(bottom.bd, top.bd), cd=bottom.cd)
-
-
-def compose_squares_horizontal(sq1: Square, sq2: Square) -> Square:
-    """Paste two squares sharing a vertical edge (``sq1.bd`` = ``sq2.ac``):
-    the transpose of their transposes' vertical paste."""
-    return transpose_square(compose_squares_vertical(transpose_square(sq1), transpose_square(sq2)))
 
 
 def squares_agree(sq1: Square, sq2: Square) -> bool:

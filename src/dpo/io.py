@@ -342,17 +342,16 @@ def load_rule(path: str | Path) -> Rule:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def load_morphism(path: str | Path, source: Graph | None = None, target: Graph | None = None) -> Morphism:
-    """Load a standalone morphism file (:func:`standalone_morphism`)."""
-    return standalone_morphism(load_json(path), path, source, target)
+def load_morphism(path: str | Path, source: Graph, target: Graph) -> Morphism:
+    """Load a standalone morphism file between the given graphs; its
+    'source'/'target' references, if any, are not read."""
+    return morphism_from_json(load_json(path), source, target)
 
 
-def standalone_morphism(doc: Any, path: str | Path, source: Graph | None = None, target: Graph | None = None) -> Morphism:
-    """The morphism a document read from ``path`` holds; endpoints come from
-    its 'source'/'target' path references unless supplied by the caller."""
-    source = _referenced_graph(doc, "source", path) if source is None else source
-    target = _referenced_graph(doc, "target", path) if target is None else target
-    return morphism_from_json(doc, source, target)
+def standalone_morphism(doc: Any, path: str | Path) -> Morphism:
+    """The morphism a document read from ``path`` holds, between the graphs
+    its 'source'/'target' path references name."""
+    return morphism_from_json(doc, _referenced_graph(doc, "source", path), _referenced_graph(doc, "target", path))
 
 
 def _referenced_graph(doc: Any, key: str, path: str | Path) -> Graph:

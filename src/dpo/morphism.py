@@ -113,14 +113,14 @@ def morphisms_agree(m1: Morphism, m2: Morphism) -> bool:
     )
 
 
-def enumerate_morphisms(g: Graph, h: Graph, injective_only: bool = False) -> list[Morphism]:
-    """All valid morphisms ``g -> h``, in a deterministic order.
+def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
+    """All injective morphisms ``g -> h``, in a deterministic order.
 
     Ordering is lexicographic in the vector of images taken over ascending
     source node ids followed by ascending source edge ids. The enumeration
-    is complete; with ``injective_only`` it is restricted to morphisms whose
-    node and edge maps are both injective. An edge of ``g`` with an endpoint
-    outside ``g``'s nodes admits no morphism.
+    is complete among the morphisms whose node and edge maps are both
+    injective, the matches of DPO rewriting. An edge of ``g`` with an
+    endpoint outside ``g``'s nodes admits no morphism.
 
     The nodes of ``g`` are bound along a plan built once per call (see
     :func:`_plan`): first the node whose label is rarest in ``h``, then
@@ -144,13 +144,13 @@ def enumerate_morphisms(g: Graph, h: Graph, injective_only: bool = False) -> lis
     if plan is None:
         return []
     out: list[Morphism] = []
-    for images in sorted(_node_maps(plan, h, nodes, injective_only)):
+    for images in sorted(_node_maps(plan, h, nodes)):
         fv = dict(zip(nodes, images))
         choices = [_parallel(h, fv[g.src[e]], fv[g.tgt[e]], g.elabel[e]) for e in edges]
         # product is lexicographic; images can repeat only among parallel
-        # edges of g with one label, which the filter drops when injective
+        # edges of g with one label, which the filter drops
         for edge_images in itertools.product(*choices):
-            if not injective_only or len(set(edge_images)) == len(edge_images):
+            if len(set(edge_images)) == len(edge_images):
                 out.append(Morphism(g, h, dict(fv), dict(zip(edges, edge_images))))
     return out
 
@@ -211,11 +211,10 @@ def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
     return plan
 
 
-def _node_maps(
-    plan: list[_Step], h: Graph, nodes: list[int], injective: bool
-) -> list[tuple[int, ...]]:
-    """Every node map along ``plan`` under which each edge of the source has
-    an image candidate in ``h``, as its images over ``nodes``, unsorted."""
+def _node_maps(plan: list[_Step], h: Graph, nodes: list[int]) -> list[tuple[int, ...]]:
+    """Every injective node map along ``plan`` under which each edge of the
+    source has an image candidate in ``h``, as its images over ``nodes``,
+    unsorted."""
     if not plan:
         return [()]
     incidence = h.incidence
@@ -262,8 +261,7 @@ def _node_maps(
         if i == last:
             found.append(tuple(map(fv.__getitem__, nodes)))
         else:
-            if injective:
-                used.add(w)
+            used.add(w)
             i += 1
             pending[i] = iter(candidates(plan[i]))
     return found

@@ -124,7 +124,7 @@ def find_matches(rule: Rule, G: Graph) -> list[Match]:
     The dangling condition is deliberately not filtered here; whether a
     match is applicable is decided at application time.
     """
-    return [Match(m) for m in enumerate_morphisms(rule.L, G, injective_only=True)]
+    return [Match(m) for m in enumerate_morphisms(rule.L, G)]
 
 
 def dangling_condition(rule: Rule, match: Match) -> CheckReport:
@@ -133,14 +133,15 @@ def dangling_condition(rule: Rule, match: Match) -> CheckReport:
     return failure("dangling condition", tuple(edges)) if edges else PASSED
 
 
-def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDerivation:
+def apply(rule: Rule, match: Match) -> DirectDerivation:
     """Apply ``rule`` at ``match``: deletion then gluing.
 
-    ``fresh_offset`` shifts the identifiers allocated for created items; the
-    result is the same up to isomorphism for any offset. The rule was checked
-    when it was built; each check on the match runs once per call: its
-    validity here; its source, its injectivity and the dangling condition in
-    :func:`~dpo.constructions.deletion`, which raises
+    ``D`` keeps the host's identifiers, and each created item gets a fresh
+    one past ``D``'s largest (:func:`~dpo.constructions.gluing`); any other
+    choice gives an isomorphic result (uniqueness of derivations). The rule
+    was checked when it was built; each check on the match runs once per
+    call: its validity here; its source, its injectivity and the dangling
+    condition in :func:`~dpo.constructions.deletion`, which raises
     :class:`PreconditionError` and :class:`DanglingConditionError`; and both
     constructed squares are certified here against the pushout
     characterization, raising :class:`InternalConsistencyError` on failure
@@ -157,7 +158,7 @@ def apply(rule: Rule, match: Match, fresh_offset: int | None = None) -> DirectDe
         raise PreconditionError(f"apply: invalid match: {report}")
 
     deleted = deletion(rule.b, match.m)
-    glued = gluing(rule.r, deleted.d, fresh_offset=fresh_offset)
+    glued = gluing(rule.r, deleted.d)
     for side, ab, bd in (("left", rule.b, match.m), ("right", rule.r, glued.h)):
         report = certify_pushout(ab, deleted.d, bd)
         if not report:

@@ -7,7 +7,9 @@ constructions rebuild deletion and gluing item by item over the whole
 graph, where the engine copies maps in bulk and patches in the rule.
 The reference enumerator binds every node from a label list before it reads
 an edge, where the engine follows a search plan along the edges; both must
-return the same list in the same order.
+return the same list of injective morphisms in the same order. Only the
+reference also lists non-injective morphisms, for the exhaustive
+independence-witness search and the pushout universal-property probe.
 
 The reference commutation check builds every square of the Church–Rosser
 decomposition and runs the general checks on each, where the engine decides
@@ -59,7 +61,6 @@ from dpo.graph import PASSED, CheckReport, Graph, Violation, failure, graph, is_
 from dpo.morphism import (
     Morphism,
     compose,
-    enumerate_morphisms,
     is_injective,
     morphisms_agree,
     validate_morphism,
@@ -307,8 +308,8 @@ def max_ids_if_built(g: Graph) -> dict[str, int]:
     return {name: vars(g)[name] for name in ("max_node_id", "max_edge_id") if name in vars(g)}
 
 
-def brute_force_morphism_count(g: Graph, h: Graph, injective_only: bool = False) -> int:
-    """Count valid morphisms by filtering the raw product of all maps."""
+def brute_force_morphism_count(g: Graph, h: Graph) -> int:
+    """Count injective morphisms by filtering the raw product of all maps."""
     g_nodes = sorted(g.nodes)
     g_edges = sorted(g.edges)
     h_nodes = sorted(h.nodes)
@@ -320,13 +321,13 @@ def brute_force_morphism_count(g: Graph, h: Graph, injective_only: bool = False)
     count = 0
     for node_images in itertools.product(h_nodes, repeat=len(g_nodes)):
         fv = dict(zip(g_nodes, node_images))
-        if injective_only and len(set(node_images)) != len(node_images):
+        if len(set(node_images)) != len(node_images):
             continue
         if any(g.nlabel[v] != h.nlabel[fv[v]] for v in g_nodes):
             continue
         for edge_images in itertools.product(h_edges, repeat=len(g_edges)):
             fe = dict(zip(g_edges, edge_images))
-            if injective_only and len(set(edge_images)) != len(edge_images):
+            if len(set(edge_images)) != len(edge_images):
                 continue
             if morphism_axioms_ok(g, h, fv, fe):
                 count += 1
@@ -338,13 +339,13 @@ def exhaustive_parallel_witness_exists(pair: ParallelPair) -> bool:
     plus the two commuting-triangle filters."""
     found1 = any(
         morphisms_agree(compose(pair.d2.deletion.c, j1), pair.d1.match.m)
-        for j1 in enumerate_morphisms(pair.d1.rule.L, pair.d2.deletion.D)
+        for j1 in reference_enumerate_morphisms(pair.d1.rule.L, pair.d2.deletion.D)
     )
     if not found1:
         return False
     return any(
         morphisms_agree(compose(pair.d1.deletion.c, j2), pair.d2.match.m)
-        for j2 in enumerate_morphisms(pair.d2.rule.L, pair.d1.deletion.D)
+        for j2 in reference_enumerate_morphisms(pair.d2.rule.L, pair.d1.deletion.D)
     )
 
 

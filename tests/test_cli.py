@@ -570,6 +570,16 @@ class TestValidate:
         assert (code, doc) == (0, {"kind": "morphism", "ok": True, "violations": []})
         assert reads == {morphism: 1, source: 1, files["host"]: 1}
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {}, 42, {k: v for k, v in io.rule_to_json(create_c_node()).items() if k != "R"}],
+        ids=["list", "empty-object", "number", "rule-without-R"],
+    )
+    def test_a_document_of_no_known_kind_exits_1(self, capsys, tmp_path, doc):
+        code = main(["validate", write(tmp_path / "doc.json", doc), "--json"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", "error: unrecognized document kind\n")
+
 
 def pinned(capsys, argv: list[str], code: int, doc: dict, summary: str) -> None:
     """``argv`` exits ``code``; stdout is exactly ``doc`` as the CLI writes

@@ -198,7 +198,7 @@ def tree_host(rng: random.Random, n: int):
     Every node but 0 has a lower-numbered neighbour, so the search, which
     takes g's nodes in ascending order, always extends along an edge. On
     :func:`sparse_host` graphs of this size the unguided backtracking can
-    run for minutes (ROADMAP direction 3).
+    run for minutes (ROADMAP direction 4).
     """
     nodes = {v: rng.choice("abc") for v in range(n)}
     edges = {}

@@ -365,7 +365,7 @@ class TestDerivationTrace:
         rng = random.Random(41)
         for _ in range(150):
             rule, match = random_rule_with_match(rng)
-            dd = apply(rule, match, fresh_offset=rng.choice([None, 0, 7, 40]))
+            dd = apply(rule, match)
             trace = json.loads(json.dumps(io.derivation_trace_json(dd)))
             assert replay(io.graph_to_json(dd.G), trace) == io.graph_to_json(dd.H)
 

@@ -33,6 +33,7 @@ from .oracles import (
     incidence_if_built,
     is_bijective,
     max_ids_if_built,
+    reference_gluing,
     reference_incidence,
     reference_max_ids,
     reference_validate_morphism,
@@ -351,12 +352,14 @@ class TestDerivationsIsomorphic:
         assert derivations_isomorphic(d, d)
 
     def test_fresh_offsets_do_not_matter(self):
+        # Rosen's uniqueness: gluing the same context with the created ids
+        # taken past 50 gives a result isomorphic to apply's
         rng = random.Random(41)
         for _ in range(30):
             rule, match = random_rule_with_match(rng)
-            d1 = apply(rule, match, fresh_offset=0)
-            d2 = apply(rule, match, fresh_offset=50)
-            assert derivations_isomorphic(d1, d2)
+            d = apply(rule, match)
+            H, _ = reference_gluing(rule.r, d.deletion.d, fresh_offset=50)
+            assert is_isomorphic(d.H, H) is not None
 
     def test_different_results_are_detected(self):
         g = graph({0: "a"})
@@ -365,20 +368,21 @@ class TestDerivationsIsomorphic:
         assert not derivations_isomorphic(d1, d2)
 
     def test_fresh_offsets_give_a_built_witness_at_ten_thousand_nodes(self):
-        # Rosen's uniqueness: the identity on D plus the created items, read
-        # off both deltas, is an isomorphism of the results; the search in
-        # derivations_isomorphic does not reach this size
+        # Rosen's uniqueness: glue apply's D again with the created ids taken
+        # past 3n; the identity on D plus the created items, read off apply's
+        # delta and the second comatch, is an isomorphism of the results. The
+        # search in derivations_isomorphic does not reach this size
         n = 10_000
         rule, match = rewire_on_random_host(n)
-        d1, d2 = apply(rule, match, fresh_offset=0), apply(rule, match, fresh_offset=3 * n)
-        assert d1.D == d2.D
-        (_, _, made1_v, made1_e), (_, _, made2_v, made2_e) = d1.delta, d2.delta
-        assert made1_e.keys() == made2_e.keys() and set(made1_e.values()).isdisjoint(made2_e.values())
+        d = apply(rule, match)
+        H, h = reference_gluing(rule.r, d.deletion.d, fresh_offset=3 * n)
+        _, _, made_v, made_e = d.delta
+        assert made_e and set(made_e.values()).isdisjoint(h.fe[x] for x in made_e)
         witness = Morphism(
-            d1.H,
-            d2.H,
-            {**{v: v for v in d1.D.nodes}, **{made1_v[x]: made2_v[x] for x in made1_v}},
-            {**{e: e for e in d1.D.edges}, **{made1_e[x]: made2_e[x] for x in made1_e}},
+            d.H,
+            H,
+            {**{v: v for v in d.D.nodes}, **{made_v[x]: h.fv[x] for x in made_v}},
+            {**{e: e for e in d.D.edges}, **{made_e[x]: h.fe[x] for x in made_e}},
         )
         assert reference_validate_morphism(witness)
         assert is_bijective(witness)
@@ -391,7 +395,7 @@ class TestDelta:
         rng = random.Random(53)
         for _ in range(150):
             rule, match = random_rule_with_match(rng)
-            d = apply(rule, match, fresh_offset=rng.choice([None, 0, 7, 40]))
+            d = apply(rule, match)
             gone_v, gone_e, made_v, made_e = d.delta
             assert gone_v == d.G.nodes - d.D.nodes
             assert gone_e == d.G.edges - d.D.edges
@@ -403,13 +407,13 @@ class TestDelta:
 
     def test_a_rebuilt_derivation_reads_its_own_comatch(self):
         rule = node_creation_rule()
-        d = apply(rule, find_matches(rule, graph({0: "a"}))[0], fresh_offset=5)
-        assert d.delta[2] == {0: 5}
+        d = apply(rule, find_matches(rule, graph({0: "a"}))[0])
+        assert d.delta[2] == {0: 1}
         h = d.comatch
         H = graph({0: "a", 9: "b"})
         moved = dataclasses.replace(d, gluing=dataclasses.replace(d.gluing, H=H, h=Morphism(h.source, H, {0: 9}, {})))
         assert moved.delta[2] == {0: 9}
-        assert d.delta[2] == {0: 5}
+        assert d.delta[2] == {0: 1}
 
 
 def enumerate_subgraphs(g: Graph):
