@@ -26,7 +26,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .graph import is_isomorphic, validate_graph
+from .graph import Graph, is_isomorphic, validate_graph
 from .independence import (
     ParallelPair,
     blocking_items,
@@ -53,10 +53,10 @@ def _emit(doc: dict, summary: str, args: argparse.Namespace) -> None:
 
 def _load_match(selector_index: int | None, selector_file: str | None, rule, host) -> Match:
     """The selected match. A match file is a morphism from L into the host,
-    or it is rejected here (:func:`io.checked_morphism`); :func:`apply`
-    checks its injectivity and the dangling condition."""
+    or :func:`io.load_morphism` rejects it; :func:`apply` checks its
+    injectivity and the dangling condition."""
     if selector_file is not None:
-        return Match(io.checked_morphism(io.load_morphism(selector_file, source=rule.L, target=host), selector_file))
+        return Match(io.load_morphism(selector_file, source=rule.L, target=host))
     matches = find_matches(rule, host)
     index = selector_index or 0
     if not 0 <= index < len(matches):
@@ -115,6 +115,19 @@ def _write_all(outputs: list[tuple[str, Callable[[str], object]]]) -> None:
             # name the output that failed, not its temporary file
             raise OSError(exc.errno, exc.strerror, target) from exc
         raise
+
+
+def _write_result(args: argparse.Namespace, g: Graph, side: str, doc: dict) -> None:
+    """Write a verb's result graph ``g`` to ``--out``, ``doc`` to ``side``
+    and, if ``--dot`` is given, ``g`` in DOT syntax: all or none
+    (:func:`_write_all`)."""
+    outputs = [
+        (args.out, lambda path: io.save_graph(g, path)),
+        (side, lambda path: io.save_json(doc, path)),
+    ]
+    if args.dot:
+        outputs.append((args.dot, lambda path: Path(path).write_text(io.to_dot(g), encoding="utf-8")))
+    _write_all(outputs)
 
 
 def _parse_selector(value: str) -> tuple[int | None, str | None]:
@@ -178,13 +191,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     host = io.load_graph(args.graph)
     derivation = apply(rule, _load_match(args.match_index, args.match, rule, host))
     trace_path = args.trace or _beside(args.out, ".trace.json")
-    outputs = [
-        (args.out, lambda path: io.save_graph(derivation.H, path)),
-        (trace_path, lambda path: io.save_json(io.derivation_trace_json(derivation), path)),
-    ]
-    if args.dot:
-        outputs.append((args.dot, lambda path: Path(path).write_text(io.to_dot(derivation.H), encoding="utf-8")))
-    _write_all(outputs)
+    _write_result(args, derivation.H, trace_path, io.derivation_trace_json(derivation))
     _emit(
         {
             "out": str(args.out),
@@ -265,13 +272,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
         "squares": io.check_report_to_json(squares),
     }
     report_path = args.report or _beside(args.out, ".report.json")
-    outputs = [
-        (args.out, lambda path: io.save_graph(result.Gp, path)),
-        (report_path, lambda path: io.save_json(report, path)),
-    ]
-    if args.dot:
-        outputs.append((args.dot, lambda path: Path(path).write_text(io.to_dot(result.Gp), encoding="utf-8")))
-    _write_all(outputs)
+    _write_result(args, result.Gp, report_path, report)
     _emit(
         {"out": str(args.out), "report": str(report_path), "nodes": len(result.Gp.nodes)},
         f"commuted; wrote {args.out}",

@@ -5,11 +5,12 @@ graph's identifiers verbatim and allocating fresh identifiers for the new
 items, so the context's embedding into the result is a literal inclusion.
 Deletion builds the pushout complement by removing the deleted items from
 the host's maps, so the context embeds into the host the same way, and both
-inclusions are built only when read. Each map that a construction changes
-is copied in bulk, at C level, and patched with the rule's items; the others
-are shared with the input graph. A result's item sets are the key views of
-its label maps, so no item set is built. So a construction costs a few
-C-level copies of the host plus O(|rule| + degree) Python work.
+inclusions are built only when read. Both are one graph edit,
+:func:`_edited`: each map that it changes is copied in bulk, at C level, and
+patched with the rule's items; the others are shared with the input graph.
+A result's item sets are the key views of its label maps, so no item set is
+built. So a construction costs a few C-level copies of the host plus
+O(|rule| + degree) Python work.
 
 Maps are copied with ``dict.copy()``. ``dict(m)`` and ``{**m, **new}``
 re-insert every key once ``m`` has had a key deleted, which every pruned
@@ -21,9 +22,8 @@ A graph's derived indexes (:attr:`~dpo.graph.Graph.incidence`,
 ``max_node_id``, ``max_edge_id``) are carried on to the result once
 built, patched in O(|rule| + degree). The dangling check reads the
 incidence index; gluing allocates fresh ids past the largest carried id,
-the same ids a scan of ``D`` would give. Both results are built by
-:meth:`~dpo.graph.Graph.from_maps`. Neither construction certifies its
-square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
+the same ids a scan of ``D`` would give. Neither construction certifies
+its square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
 """
 
 from __future__ import annotations
@@ -31,14 +31,11 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, TypeVar
+from typing import Callable, Collection
 
 from .errors import DanglingConditionError, PreconditionError
 from .graph import Graph
 from .morphism import Morphism, inclusion, is_injective
-
-V = TypeVar("V")
-
 
 @dataclass(frozen=True)
 class GluingResult:
@@ -91,10 +88,8 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
     largest identifier in ``D``, in ascending ``R``-id order; ``D``'s largest
     ids are read from :attr:`~dpo.graph.Graph.max_node_id` and
     ``max_edge_id``, only for a kind the rule creates. Identifiers of ``D``
-    are kept, so ``c`` is an identity inclusion. ``H`` copies each map of
-    ``D`` that gains items (``dict.copy()``) and adds them, shares the
-    others with ``D``, and carries each built index of ``D``, patched for
-    the new items.
+    are kept, so ``c`` is an identity inclusion. ``H`` is ``D``
+    :func:`_edited` to add the new items.
     """
     if b.source != d.source:
         raise PreconditionError("gluing: b and d must share their source graph")
@@ -117,13 +112,13 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
         # else its fresh copy
         return d.fv[b_inv_v[x]] if x in b_inv_v else fresh_v[x]
 
-    H = Graph.from_maps(
-        src=_updated(D.src, {fresh_e[e]: node_in_h(R.src[e]) for e in new_edges}),
-        tgt=_updated(D.tgt, {fresh_e[e]: node_in_h(R.tgt[e]) for e in new_edges}),
-        nlabel=_updated(D.nlabel, {fresh_v[v]: R.nlabel[v] for v in new_nodes}),
-        elabel=_updated(D.elabel, {fresh_e[e]: R.elabel[e] for e in new_edges}),
+    H = _edited(
+        D, (), (),
+        src={fresh_e[e]: node_in_h(R.src[e]) for e in new_edges},
+        tgt={fresh_e[e]: node_in_h(R.tgt[e]) for e in new_edges},
+        nlabel={fresh_v[v]: R.nlabel[v] for v in new_nodes},
+        elabel={fresh_e[e]: R.elabel[e] for e in new_edges},
     )
-    _carry_indexes(D, H, (), (), fresh_v.values(), fresh_e.values())
     h = Morphism(
         source=R,
         target=H,
@@ -192,23 +187,8 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
 
 def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
     """``g`` without the given nodes and edges, which must leave no edge of
-    ``g`` dangling. Each map that loses items is copied with ``dict.copy()``
-    and pruned, the others are shared with ``g``; the item sets are the
-    key views of the label maps. Each derived index of ``g`` that has been built is carried over, except
-    a largest id whose item is deleted: C-level copies plus
-    O(|nodes| + |edges| + degree)."""
-    D = Graph.from_maps(
-        src=_pruned(g.src, edges),
-        tgt=_pruned(g.tgt, edges),
-        nlabel=_pruned(g.nlabel, nodes),
-        elabel=_pruned(g.elabel, edges),
-    )
-    _carry_indexes(g, D, nodes, edges, (), ())
-    return D
-
-
-# Graphs are never mutated, so a map that a construction leaves unchanged
-# is shared with its input rather than copied.
+    ``g`` dangling: :func:`_edited` with nothing added."""
+    return _edited(g, nodes, edges, {}, {}, {}, {})
 
 
 def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
@@ -220,41 +200,42 @@ def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
     return {x: start + i for i, x in enumerate(items)}
 
 
-def _updated(m: dict[int, V], new: dict[int, V]) -> dict[int, V]:
-    if not new:
-        return m
-    grown = m.copy()
-    grown.update(new)
-    return grown
+def _edited(
+    old: Graph, gone_nodes: Collection[int], gone_edges: Collection[int],
+    src: dict[int, int], tgt: dict[int, int], nlabel: dict[int, str], elabel: dict[int, str],
+) -> Graph:
+    """``old`` without ``gone_nodes`` and ``gone_edges``, plus the items of
+    the four given maps, whose ids ``old`` does not hold.
 
-
-def _pruned(m: dict[int, V], gone: set[int]) -> dict[int, V]:
-    if not gone:
-        return m
-    kept = m.copy()
-    for k in gone:
-        kept.pop(k, None)
-    return kept
-
-
-def _carry_indexes(
-    old: Graph, new: Graph, gone_nodes: Collection[int], gone_edges: Collection[int],
-    new_nodes: Collection[int], new_edges: Collection[int],
-) -> None:
-    """Give ``new`` each derived index of ``old`` that has been built,
-    patched for the removed nodes and edges (read in ``old``) and the added
-    ones (read in ``new``): one bulk copy plus O(degree) per item. A largest
-    id whose item was removed is not carried; ``new`` rebuilds it if read."""
+    Each map of ``old`` that loses or gains an item is copied with
+    ``dict.copy()`` and patched; the others are shared, since graphs are
+    never mutated. Each derived index of ``old`` that has been built is
+    carried on, patched for the removed and added items: one bulk copy
+    plus O(degree) per item. A largest id whose item was removed is not
+    carried; the result rebuilds it if read.
+    """
+    maps = []
+    for m, gone, added in (
+        (old.src, gone_edges, src), (old.tgt, gone_edges, tgt),
+        (old.nlabel, gone_nodes, nlabel), (old.elabel, gone_edges, elabel),
+    ):
+        if gone or added:
+            m = m.copy()
+            for k in gone:
+                m.pop(k, None)
+            m.update(added)
+        maps.append(m)
+    new = Graph.from_maps(*maps)
     # where functools.cached_property keeps the values it builds
     built, carried = vars(old), vars(new)
-    for name, gone, added in (("max_node_id", gone_nodes, new_nodes), ("max_edge_id", gone_edges, new_edges)):
+    for name, gone, added in (("max_node_id", gone_nodes, nlabel), ("max_edge_id", gone_edges, elabel)):
         largest = built.get(name)
         if largest is not None and largest not in gone:
             carried[name] = max(largest, max(added, default=-1))
     index = built.get("incidence")
     if index is None:
-        return
-    if gone_nodes or gone_edges or new_edges:
+        return new
+    if gone_nodes or gone_edges or elabel:
         index = index.copy()
     for v in gone_nodes:
         index.pop(v, None)
@@ -266,10 +247,11 @@ def _carry_indexes(
                     index[v] = rest
                 else:
                     del index[v]
-    for e in new_edges:
-        for v in {new.src[e], new.tgt[e]}:
+    for e in elabel:
+        for v in {src[e], tgt[e]}:
             index[v] = index.get(v, frozenset()) | {e}
     carried["incidence"] = index
+    return new
 
 
 def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:

@@ -326,11 +326,16 @@ def _well_formed(g: Graph, where: str) -> Graph:
     raise FormatError(f"{where}: invalid graph: {validate_graph(g)}")
 
 
-def _graph_at(value: Any, base: Path, where: str) -> Graph:
-    """A graph given inline, or as a path relative to ``base``."""
+def _graph_at(doc: Any, key: str, path: str | Path, missing: str) -> Graph:
+    """The graph ``doc[key]``, given inline or as a path relative to
+    ``path``, the file ``doc`` was read from; :class:`FormatError` with the
+    message ``missing`` if ``doc`` has no ``key``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise FormatError(missing)
+    value = doc[key]
     if isinstance(value, str):
-        return load_graph(base / value)
-    return _well_formed(graph_from_json(value), where)
+        return load_graph(Path(path).parent / value)
+    return _well_formed(graph_from_json(value), f"{path} '{key}'")
 
 
 def load_rule(path: str | Path) -> Rule:
@@ -343,21 +348,24 @@ def load_rule(path: str | Path) -> Rule:
 
 
 def load_morphism(path: str | Path, source: Graph, target: Graph) -> Morphism:
-    """Load a standalone morphism file between the given graphs; its
-    'source'/'target' references, if any, are not read."""
-    return morphism_from_json(load_json(path), source, target)
+    """Load a standalone morphism file between the given graphs, such as a
+    match file; its 'source'/'target' references, if any, are not read. A
+    map that is not a morphism raises :class:`FormatError` naming the first
+    :func:`~dpo.morphism.validate_morphism` violation."""
+    m = morphism_from_json(load_json(path), source, target)
+    report = validate_morphism(m)
+    if not report:
+        raise FormatError(f"{path}: invalid morphism: {report}")
+    return m
 
 
 def standalone_morphism(doc: Any, path: str | Path) -> Morphism:
     """The morphism a document read from ``path`` holds, between the graphs
     its 'source'/'target' path references name."""
-    return morphism_from_json(doc, _referenced_graph(doc, "source", path), _referenced_graph(doc, "target", path))
-
-
-def _referenced_graph(doc: Any, key: str, path: str | Path) -> Graph:
-    if not isinstance(doc, dict) or key not in doc:
-        raise FormatError(f"morphism document has no '{key}' reference and none was supplied")
-    return _graph_at(doc[key], Path(path).parent, f"{path} '{key}'")
+    return morphism_from_json(doc, *(
+        _graph_at(doc, key, path, f"morphism document has no '{key}' reference and none was supplied")
+        for key in ("source", "target")
+    ))
 
 
 def load_square(path: str | Path) -> Square:
@@ -373,21 +381,14 @@ def load_square(path: str | Path) -> Square:
     doc = load_json(path)
     if not isinstance(doc, dict):
         raise FormatError("square document must be an object")
-    base = Path(path).parent
-
-    def corner(key: str) -> Graph:
-        if key not in doc:
-            raise FormatError(f"square document missing graph '{key}'")
-        return _graph_at(doc[key], base, f"{path} '{key}'")
-
-    graphs = {key: corner(key) for key in ("A", "B", "C", "D")}
+    graphs = {key: _graph_at(doc, key, path, f"square document missing graph '{key}'") for key in "ABCD"}
 
     def arrow(key: str) -> Morphism:
         if key not in doc:
             raise FormatError(f"square document missing morphism '{key}'")
         value = doc[key]
         if isinstance(value, str):
-            value = load_json(base / value)
+            value = load_json(Path(path).parent / value)
         return morphism_from_json(value, graphs[key[0].upper()], graphs[key[1].upper()])
 
     try:
@@ -395,16 +396,6 @@ def load_square(path: str | Path) -> Square:
     except PreconditionError as exc:
         # "square 'bd': invalid morphism: ..." -> "<path> 'bd': invalid morphism: ..."
         raise FormatError(f"{path} {str(exc).removeprefix('square ')}") from exc
-
-
-def checked_morphism(m: Morphism, where: str) -> Morphism:
-    """``m``, if it is a morphism; else :class:`FormatError` naming the first
-    :func:`~dpo.morphism.validate_morphism` violation. Every match file a
-    verb loads passes here."""
-    report = validate_morphism(m)
-    if not report:
-        raise FormatError(f"{where}: invalid morphism: {report}")
-    return m
 
 
 def derivation_trace_json(dd: DirectDerivation) -> dict:
