@@ -27,11 +27,14 @@ The loaders return only well-formed objects: every graph
 when it is built (see :class:`~dpo.rewriting.Rule`, and
 :class:`~dpo.diagrams.Square`, which validates its four legs), and every
 match file passes :func:`~dpo.morphism.validate_morphism`
-(:func:`checked_morphism`); anything else raises :class:`FormatError`
-naming the first violation, as does a file that cannot be read, is not
-UTF-8, is not JSON or nests too deeply to decode. Only ``dpo validate``
-reads documents past these checks (:func:`rule_parts_from_json`), to
-report every violation.
+(:func:`load_morphism`). Anything else raises :class:`FormatError` naming
+the file and the first violation, ``<path>: ...``, or ``<path> '<key>':
+...`` for a square's inline corner or its leg, as does a file that cannot
+be read, is not UTF-8, is not JSON or nests too deeply to decode. Only
+``dpo validate`` reads documents past these checks
+(:func:`rule_parts_from_json`, :func:`standalone_morphism`), to report
+every violation; as it reads one file, its format errors name none,
+except those about a graph that a morphism document references.
 
 Every document is written as ``json.dump(doc, fh, indent=2,
 sort_keys=True)`` and a newline (:func:`write_json`). A result graph, the
@@ -47,9 +50,10 @@ same result and the same error.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 from .diagrams import Square
 from .errors import FormatError, PreconditionError
@@ -312,10 +316,25 @@ def _rows(fh: TextIO, template: str, ids: list[int], *columns: Iterable) -> None
 
 
 def load_graph(path: str | Path) -> Graph:
-    return _well_formed(graph_from_json(load_json(path)), str(path))
+    doc = load_json(path)
+    with _named(path):
+        return _well_formed(graph_from_json(doc))
 
 
-def _well_formed(g: Graph, where: str) -> Graph:
+@contextmanager
+def _named(where: str | Path) -> Iterator[None]:
+    """Re-raise a :class:`FormatError` or :class:`PreconditionError` from a
+    block that reads a document's content as a :class:`FormatError` that
+    names where the content came from: ``<path>: ...``, or ``<path> '<key>':
+    ...`` for a square's corner or leg. No file is read in the block, so
+    each message is named once."""
+    try:
+        yield
+    except (FormatError, PreconditionError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _well_formed(g: Graph) -> Graph:
     """``g``, if every edge ends at nodes of ``g``; else :class:`FormatError`
     naming the first :func:`validate_graph` violation. Every graph a verb
     reads passes here. :func:`graph_from_json` already guarantees the other
@@ -323,7 +342,7 @@ def _well_formed(g: Graph, where: str) -> Graph:
     lookups of the endpoints in ``nlabel`` stand in for the full check."""
     if all(map(g.nlabel.__contains__, g.src.values())) and all(map(g.nlabel.__contains__, g.tgt.values())):
         return g
-    raise FormatError(f"{where}: invalid graph: {validate_graph(g)}")
+    raise FormatError(f"invalid graph: {validate_graph(g)}")
 
 
 def _graph_at(doc: Any, key: str, path: str | Path, missing: str) -> Graph:
@@ -335,16 +354,16 @@ def _graph_at(doc: Any, key: str, path: str | Path, missing: str) -> Graph:
     value = doc[key]
     if isinstance(value, str):
         return load_graph(Path(path).parent / value)
-    return _well_formed(graph_from_json(value), f"{path} '{key}'")
+    with _named(f"{path} '{key}'"):
+        return _well_formed(graph_from_json(value))
 
 
 def load_rule(path: str | Path) -> Rule:
     """Load a rule file; parts that do not form a rule raise
     :class:`FormatError` naming the first violation :class:`Rule` found."""
-    try:
-        return Rule(*rule_parts_from_json(load_json(path)))
-    except PreconditionError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    doc = load_json(path)
+    with _named(path):
+        return Rule(*rule_parts_from_json(doc))
 
 
 def load_morphism(path: str | Path, source: Graph, target: Graph) -> Morphism:
@@ -352,18 +371,20 @@ def load_morphism(path: str | Path, source: Graph, target: Graph) -> Morphism:
     match file; its 'source'/'target' references, if any, are not read. A
     map that is not a morphism raises :class:`FormatError` naming the first
     :func:`~dpo.morphism.validate_morphism` violation."""
-    m = morphism_from_json(load_json(path), source, target)
-    report = validate_morphism(m)
-    if not report:
-        raise FormatError(f"{path}: invalid morphism: {report}")
-    return m
+    doc = load_json(path)
+    with _named(path):
+        m = morphism_from_json(doc, source, target)
+        report = validate_morphism(m)
+        if not report:
+            raise FormatError(f"invalid morphism: {report}")
+        return m
 
 
 def standalone_morphism(doc: Any, path: str | Path) -> Morphism:
     """The morphism a document read from ``path`` holds, between the graphs
     its 'source'/'target' path references name."""
     return morphism_from_json(doc, *(
-        _graph_at(doc, key, path, f"morphism document has no '{key}' reference and none was supplied")
+        _graph_at(doc, key, path, f"morphism document has no '{key}' reference")
         for key in ("source", "target")
     ))
 
@@ -380,16 +401,17 @@ def load_square(path: str | Path) -> Square:
     """
     doc = load_json(path)
     if not isinstance(doc, dict):
-        raise FormatError("square document must be an object")
-    graphs = {key: _graph_at(doc, key, path, f"square document missing graph '{key}'") for key in "ABCD"}
+        raise FormatError(f"{path}: square document must be an object")
+    graphs = {key: _graph_at(doc, key, path, f"{path}: square document missing graph '{key}'") for key in "ABCD"}
 
     def arrow(key: str) -> Morphism:
         if key not in doc:
-            raise FormatError(f"square document missing morphism '{key}'")
+            raise FormatError(f"{path}: square document missing morphism '{key}'")
         value = doc[key]
         if isinstance(value, str):
             value = load_json(Path(path).parent / value)
-        return morphism_from_json(value, graphs[key[0].upper()], graphs[key[1].upper()])
+        with _named(f"{path} '{key}'"):
+            return morphism_from_json(value, graphs[key[0].upper()], graphs[key[1].upper()])
 
     try:
         return Square(**{key: arrow(key) for key in ("ab", "ac", "bd", "cd")})

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import dpo
 from dpo import cli, io, rewriting
 from dpo.cli import main
+from dpo.errors import FormatError
 from dpo.graph import failure, graph
 from dpo.morphism import Morphism, identity, validate_morphism
 from dpo.rewriting import Rule, identity_rule
@@ -205,6 +206,13 @@ class TestApply:
         assert "argument --match-index: not allowed with argument --match\n" in err
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_a_rule_file_that_is_an_array_exits_1(self, capsys, files, tmp_path):
+        rule = write(tmp_path / "rule.json", [io.rule_to_json(delete_x_edge())])
+        out = tmp_path / "H.json"
+        code, doc, err = run(capsys, "apply", rule, files["host"], "--out", str(out))
+        assert (code, doc, err) == (1, None, f"error: {rule}: rule document must be an object\n")
+        assert not out.exists()
+
     def test_interface_map_defined_outside_its_source_exits_1(self, capsys, files, tmp_path):
         doc = io.rule_to_json(create_c_node())
         doc["r"]["fv"] = {"5": 0}
@@ -375,6 +383,35 @@ def one_node_square(ab: dict) -> dict:
     return {"A": one, "B": one, "C": one, "D": one, "ab": ab, "ac": ident, "bd": ident, "cd": ident}
 
 
+class TestSquareFileShapes:
+    """A square's corners and legs may be files named by paths relative to
+    the square file; a square file that is no object is a format error."""
+
+    @pytest.mark.parametrize("mode", ["pushout", "pullback"])
+    def test_every_value_a_relative_path_exits_0(self, capsys, tmp_path, monkeypatch, mode):
+        # run from elsewhere: the paths are read beside the square file
+        (tmp_path / "sq" / "parts").mkdir(parents=True)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        doc = square_doc(extra_target_node=False)
+        for key, value in doc.items():
+            write(tmp_path / "sq" / "parts" / f"{key}.json", value)
+        square = write(tmp_path / "sq" / "sq.json", {key: f"parts/{key}.json" for key in doc})
+        code, report, err = run(capsys, "check-square", square, "--mode", mode)
+        assert (code, report, err) == (0, PASSED, "")
+
+    def test_a_leg_file_that_is_no_morphism_document_exits_1(self, capsys, tmp_path):
+        write(tmp_path / "cd.json", {"fv": [], "fe": {}})
+        square = write(tmp_path / "sq.json", {**square_doc(extra_target_node=False), "cd": "cd.json"})
+        code, report, err = run(capsys, "check-square", square, "--mode", "pushout")
+        assert (code, report, err) == (1, None, f"error: {square} 'cd': 'fv' must be an object\n")
+
+    def test_a_square_file_that_is_an_array_exits_1(self, capsys, tmp_path):
+        square = write(tmp_path / "sq.json", [square_doc(extra_target_node=False)])
+        code, report, err = run(capsys, "check-square", square, "--mode", "pushout")
+        assert (code, report, err) == (1, None, f"error: {square}: square document must be an object\n")
+
+
 class TestHostileSquare:
     """A square file whose map is partial on its source, defined outside it
     or leaves its target is rejected when loaded, with exit code 1 and one
@@ -436,9 +473,10 @@ class TestNonMorphismLeg:
         doc["bd"] = {"fv": {"0": 0}, "fe": {}}
         doc["D"] = io.graph_to_json(graph({0: "b"}))
         doc["cd"] = {"fv": {"x": 0}, "fe": {}}
-        code, out, err = run(capsys, "check-square", write(tmp_path / "sq.json", doc), "--mode", "pushout")
+        square = write(tmp_path / "sq.json", doc)
+        code, out, err = run(capsys, "check-square", square, "--mode", "pushout")
         assert (code, out) == (1, None)
-        assert err == "error: 'fv' key 'x' is not an integer\n"
+        assert err == f"error: {square} 'cd': 'fv' key 'x' is not an integer\n"
 
 
 class TestIndependentAndCommute:
@@ -569,6 +607,11 @@ class TestValidate:
         code, doc, _ = run(capsys, "validate", morphism)
         assert (code, doc) == (0, {"kind": "morphism", "ok": True, "violations": []})
         assert reads == {morphism: 1, source: 1, files["host"]: 1}
+
+    def test_a_morphism_file_without_a_source_reference_exits_1(self, capsys, tmp_path):
+        code = main(["validate", write(tmp_path / "m.json", {"fv": {"0": 0}, "fe": {}}), "--json"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", "error: morphism document has no 'source' reference\n")
 
     @pytest.mark.parametrize(
         "doc",
@@ -706,8 +749,9 @@ class TestNonArrayItems:
         assert (code, doc, err) == (1, None, f"error: {message}\n")
 
     def test_iso_exits_1(self, capsys, files, tmp_path, graph_doc, message):
-        code, doc, err = run(capsys, "iso", files["host"], write(tmp_path / "g.json", graph_doc))
-        assert (code, doc, err) == (1, None, f"error: {message}\n")
+        bad = write(tmp_path / "g.json", graph_doc)
+        code, doc, err = run(capsys, "iso", files["host"], bad)
+        assert (code, doc, err) == (1, None, f"error: {bad}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -809,6 +853,112 @@ class TestStandaloneMorphismFiles:
         assert (code, report) == (1, None)
         unreadable = tmp_path / doc["source"]
         assert err == f"error: cannot read {unreadable}: embedded null byte\n"
+
+
+# values a mutation puts in a valid document, as JSON text: each use is a
+# new object, so no mutation reaches a value put in earlier or this list
+JUNK = ["null", "true", "-1", "0", "1", "7", "1.5", '""', '"a"', '"0"', '"x.json"', "[]", "{}", "[{}]",
+        '{"0": 0}', '{"id": 0, "label": "a"}']
+
+
+def _slots(holder: list):
+    """Every ``(container, key)`` in ``holder[0]``'s tree, the document
+    itself as ``(holder, 0)``."""
+    stack = [(holder, 0)]
+    while stack:
+        container, key = stack.pop()
+        yield container, key
+        value = container[key]
+        if isinstance(value, dict):
+            stack.extend((value, k) for k in value)
+        elif isinstance(value, list):
+            stack.extend((value, i) for i in range(len(value)))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three values replaced by a :data:`JUNK` value,
+    deleted, or given a junk sibling."""
+    holder = [json.loads(json.dumps(doc))]
+    junk = st.sampled_from(JUNK).map(json.loads)
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(holder))))
+        action = draw(st.sampled_from(["replace"] if container is holder else ["replace", "delete", "add"]))
+        if action == "replace":
+            container[key] = draw(junk)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[draw(st.sampled_from(["id", "label", "src", "nodes", "fv", "L", "A", "ab", "9"]))] = draw(junk)
+        else:
+            container.append(draw(junk))
+    return holder[0]
+
+
+SQUARE_BY_PATH = {key: f"{key}.json" for key in ("A", "B", "C", "D", "ab", "ac", "bd", "cd")}
+
+# a valid document of each kind, and the verbs that read it as ``{}``
+DOCUMENTS = {
+    "graph": (io.graph_to_json(host()), [
+        ["iso", "host.json", "{}"], ["match", "delete_x.json", "{}"], ["validate", "{}"],
+        ["apply", "delete_x.json", "{}", "--match-index", "0", "--out", "H.json"],
+    ]),
+    "rule": (io.rule_to_json(delete_x_edge()), [
+        ["match", "{}", "host.json"], ["validate", "{}"],
+        ["apply", "{}", "host.json", "--out", "H.json"],
+        ["commute", "{}", "create_c.json", "host.json", "--match1", "0", "--match2", "0", "--out", "G.json"],
+    ]),
+    "match": ({"fv": {"0": 0, "1": 1}, "fe": {"0": 0}}, [
+        ["apply", "delete_x.json", "host.json", "--match", "{}", "--out", "H.json"],
+        ["independent", "delete_x.json", "create_c.json", "host.json", "--match1", "{}", "--match2", "0"],
+    ]),
+    "square": (square_doc(extra_target_node=False), [
+        ["check-square", "{}", "--mode", "pushout"], ["check-square", "{}", "--mode", "pullback"],
+    ]),
+    "square by path": (SQUARE_BY_PATH, [["check-square", "{}", "--mode", "pushout"]]),
+}
+
+
+def load(kind: str, path: Path):
+    """What the loader behind the verbs makes of the file at ``path``."""
+    if kind == "graph":
+        return io.load_graph(path)
+    if kind == "rule":
+        return io.load_rule(path)
+    if kind == "match":
+        return io.load_morphism(path, delete_x_edge().L, host())
+    return io.load_square(path)
+
+
+class TestMutatedDocuments:
+    """A valid graph, rule, match or square file with a few values replaced,
+    deleted or added ends every verb that reads it in exit 0-4, never in an
+    internal error; and a file its loader rejects is reported in one line
+    that starts with the name of the file at fault."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(DOCUMENTS)).flatmap(
+        lambda kind: st.tuples(st.just(kind), mutated(DOCUMENTS[kind][0]), st.sampled_from(DOCUMENTS[kind][1]))
+    ))
+    def test_exits_0_to_4_and_format_errors_name_the_file(self, capsys, tmp_path, monkeypatch, case):
+        kind, doc, argv = case
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "host.json", io.graph_to_json(host()))
+        write(tmp_path / "delete_x.json", io.rule_to_json(delete_x_edge()))
+        write(tmp_path / "create_c.json", io.rule_to_json(create_c_node()))
+        for key, value in square_doc(extra_target_node=False).items():
+            write(tmp_path / f"{key}.json", value)
+        path = write(tmp_path / "doc.json", doc)
+        code, _, err = run(capsys, *(path if arg == "{}" else arg for arg in argv))
+        assert 0 <= code <= 4 and "internal" not in err, err
+        if argv[0] == "validate":
+            return
+        try:
+            load(kind, Path(path))
+        except FormatError as exc:
+            assert err == f"error: {exc}\n"
+            # the mutated file, or a file it names, such as "x.json"
+            assert re.match(rf"(cannot read )?{re.escape(str(tmp_path))}", str(exc)), err
 
 
 class TestUnwritableOutput:
@@ -1069,7 +1219,7 @@ class TestRepeatedId:
         match = write(tmp_path / "m.json", {"fv": {"0": 0, " 0": 1}, "fe": {}})
         code, doc, err = run(capsys, "apply", rule, host_file, "--match", match, "--out", str(tmp_path / "H.json"))
         assert (code, doc) == (1, None)
-        assert err == "error: 'fv' key ' 0' repeats id 0\n"
+        assert err == f"error: {match}: 'fv' key ' 0' repeats id 0\n"
         assert not (tmp_path / "H.json").exists()
 
 
@@ -1242,6 +1392,21 @@ class TestOutputBytes:
             b'  n0 -> n1 [label="0:x"];\n'
             b'  n0 -> n1 [label="1:x\\"y"];\n'
             b'  n1 -> n1 [label="2:\\\\"];\n'
+            b"}\n"
+        )
+
+    def test_commute_dot_bytes_are_pinned(self, capsys, files, tmp_path):
+        # G' of deleting the x-edge and creating a c-node
+        dot = tmp_path / "Gp.dot"
+        argv = ["commute", files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
+        assert main([*argv, "--out", str(tmp_path / "Gp.json"), "--dot", str(dot), "--json"]) == 0
+        assert dot.read_bytes() == (
+            b"digraph G {\n"
+            b'  n0 [label="0:a"];\n'
+            b'  n1 [label="1:a"];\n'
+            b'  n2 [label="2:b"];\n'
+            b'  n3 [label="3:c"];\n'
+            b'  n1 -> n2 [label="1:y"];\n'
             b"}\n"
         )
 
