@@ -37,6 +37,7 @@ from .errors import DanglingConditionError, PreconditionError
 from .graph import Graph
 from .morphism import Morphism, inclusion, is_injective
 
+
 @dataclass(frozen=True)
 class GluingResult:
     """Pushout object ``H`` of an injective span, with ``h: R -> H`` and the

@@ -28,13 +28,12 @@ when it is built (see :class:`~dpo.rewriting.Rule`, and
 :class:`~dpo.diagrams.Square`, which validates its four legs), and every
 match file passes :func:`~dpo.morphism.validate_morphism`
 (:func:`load_morphism`). Anything else raises :class:`FormatError` naming
-the file and the first violation, ``<path>: ...``, or ``<path> '<key>':
-...`` for a square's inline corner or its leg, as does a file that cannot
+the file (``<path>: ...``, or ``<path> '<key>': ...`` for a square's
+inline corner or leg) and the first violation, as does a file that cannot
 be read, is not UTF-8, is not JSON or nests too deeply to decode. Only
-``dpo validate`` reads documents past these checks
-(:func:`rule_parts_from_json`, :func:`standalone_morphism`), to report
-every violation; as it reads one file, its format errors name none,
-except those about a graph that a morphism document references.
+``dpo validate`` reads documents past these checks, to report every
+violation; it reads one file, so only a content error in a graph that a
+morphism document references names a file.
 
 Every document is written as ``json.dump(doc, fh, indent=2,
 sort_keys=True)`` and a newline (:func:`write_json`). A result graph, the
@@ -323,11 +322,9 @@ def load_graph(path: str | Path) -> Graph:
 
 @contextmanager
 def _named(where: str | Path) -> Iterator[None]:
-    """Re-raise a :class:`FormatError` or :class:`PreconditionError` from a
-    block that reads a document's content as a :class:`FormatError` that
-    names where the content came from: ``<path>: ...``, or ``<path> '<key>':
-    ...`` for a square's corner or leg. No file is read in the block, so
-    each message is named once."""
+    """Re-raise a :class:`FormatError` or :class:`PreconditionError` about
+    a document's content as a :class:`FormatError` that starts with
+    ``where``; the block reads no file, so no message is named twice."""
     try:
         yield
     except (FormatError, PreconditionError) as exc:

@@ -950,7 +950,7 @@ class TestMutatedDocuments:
             write(tmp_path / f"{key}.json", value)
         path = write(tmp_path / "doc.json", doc)
         code, _, err = run(capsys, *(path if arg == "{}" else arg for arg in argv))
-        assert 0 <= code <= 4 and "internal" not in err, err
+        assert 0 <= code <= 4 and "error: internal:" not in err, err
         if argv[0] == "validate":
             return
         try:
