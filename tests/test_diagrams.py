@@ -482,6 +482,13 @@ class TestSquareComposition:
         with pytest.raises(PreconditionError):
             pasted_horizontally(sq, other)
 
+    def test_a_shared_edge_with_other_maps_raises(self):
+        g = graph({0: "a", 1: "a"})
+        swap = Morphism(g, g, {0: 1, 1: 0}, {})
+        top, bottom = identity_square(g), Square(ab=swap, ac=swap, bd=identity(g), cd=identity(g))
+        with pytest.raises(PreconditionError, match="^square paste: shared edge maps differ$"):
+            compose_squares_vertical(top, bottom)
+
     def test_vertical_composition_transposes_correctly(self):
         sq = identity_square(graph({0: "a"}))
         assert squares_agree(compose_squares_vertical(sq, sq), sq)

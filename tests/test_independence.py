@@ -547,7 +547,7 @@ class TestResidualsCheckedOnce:
     def test_dangling_residual(self, monkeypatch):
         # m2' deletes node 2 of H1, which the x-edge 0 still touches
         self.patch_residual(monkeypatch, 0, {0: 2})
-        with pytest.raises(InternalConsistencyError, match=r"residual application failed: dangling edges: \[0\]"):
+        with pytest.raises(InternalConsistencyError, match=r"^commute: residual application failed: dangling edges: \[0\]$"):
             commute(self.pair())
 
 
