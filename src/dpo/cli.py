@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     InternalConsistencyError,
     PreconditionError,
+    RewriteError,
 )
 from .graph import Graph, is_isomorphic, validate_graph
 from .independence import (
@@ -43,6 +44,16 @@ EXIT_DANGLING = 2
 EXIT_VERDICT_FALSE = 3
 EXIT_DEPENDENT = 4
 EXIT_INTERNAL = 5
+
+# an error's exit code is that of the first class here it is an instance of,
+# so a subclass comes before its base; an OSError is an output that cannot be
+# written, as load_json turns every failed read into a FormatError
+EXIT_CODES = (
+    (DependentDerivationsError, EXIT_DEPENDENT),
+    (DanglingConditionError, EXIT_DANGLING),
+    ((PreconditionError, FormatError, OSError), EXIT_PARSE),
+    (RewriteError, EXIT_INTERNAL),
+)
 
 
 def _emit(doc: dict, summary: str, args: argparse.Namespace) -> None:
@@ -263,7 +274,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
     result = commute(pair)
     squares = verify_commutation_squares(pair, witness, result)
     if not squares:
-        raise InternalConsistencyError(f"commutation squares failed verification: {squares}")
+        raise InternalConsistencyError(f"commutation squares failed verification: {squares.failed_clause}", squares.counterexample)
     report = {
         "version": 2,
         "residual_match_2": io.morphism_to_json(result.e1.match.m),
@@ -353,20 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DependentDerivationsError as exc:
+    except (RewriteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENT
-    except DanglingConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DANGLING
-    except (FormatError, PreconditionError, OSError) as exc:
-        # an OSError here is an output that cannot be written: load_json
-        # turns every failed read into a FormatError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
     except Exception as exc:
         # an input the loaders let through and the engine cannot handle
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

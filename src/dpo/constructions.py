@@ -173,7 +173,7 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
         raise PreconditionError("deletion: match is not injective")
     dangling = dangling_edges(rule_left, match)
     if dangling:
-        raise DanglingConditionError(dangling)
+        raise DanglingConditionError("dangling edges", tuple(dangling))
 
     K, G = rule_left.source, match.target
     D = without(G, *deleted_items(rule_left, match))

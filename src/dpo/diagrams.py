@@ -53,7 +53,7 @@ class Square:
         for leg in ("ab", "ac", "bd", "cd"):
             report = validate_morphism(getattr(self, leg))
             if not report:
-                raise PreconditionError(f"square '{leg}': invalid morphism: {report}")
+                raise PreconditionError(f"square '{leg}': invalid morphism: {report.failed_clause}", report.counterexample)
 
     @property
     def A(self) -> Graph:
@@ -180,22 +180,21 @@ def compose_squares_vertical(top: Square, bottom: Square) -> Square:
     shared = bottom.ab
     if shared.source != top.cd.source or shared.target != top.cd.target:
         raise PreconditionError("square paste: shared edge endpoints differ")
-    if not morphisms_agree(shared, top.cd):
-        raise PreconditionError("square paste: shared edge maps differ")
+    report = morphisms_agree(shared, top.cd)
+    if not report:
+        raise PreconditionError("square paste: shared edge maps differ", report.counterexample)
     return Square(ab=top.ab, ac=compose(bottom.ac, top.ac), bd=compose(bottom.bd, top.bd), cd=bottom.cd)
 
 
-def squares_agree(sq1: Square, sq2: Square) -> bool:
-    """Whether two squares have identical corners and pointwise-equal arrows."""
-    try:
-        return (
-            morphisms_agree(sq1.ab, sq2.ab)
-            and morphisms_agree(sq1.ac, sq2.ac)
-            and morphisms_agree(sq1.bd, sq2.bd)
-            and morphisms_agree(sq1.cd, sq2.cd)
-        )
-    except PreconditionError:
-        return False
+def squares_agree(sq1: Square, sq2: Square) -> CheckReport:
+    """Whether two squares have identical corners and pointwise-equal
+    arrows; else the first arrow, of ``ab``, ``ac``, ``bd``, ``cd``, whose
+    endpoints or maps differ."""
+    for leg in ("ab", "ac", "bd", "cd"):
+        m1, m2 = getattr(sq1, leg), getattr(sq2, leg)
+        if m1.source != m2.source or m1.target != m2.target or not morphisms_agree(m1, m2):
+            return failure("arrows differ", (leg,))
+    return PASSED
 
 
 def pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
@@ -204,29 +203,34 @@ def pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
     For a pushout square and a cospan ``p: B -> X``, ``t: C -> X`` with
     ``p after ab = t after ac``, returns the unique ``u: D -> X`` with
     ``u after bd = p`` and ``u after cd = t``. One pass per item kind, over
-    B and then C, fills ``u`` and raises when two preimages of one D-item
-    have different images, that is when the cospan does not factor (which
-    for a genuine pushout means it did not commute).
+    B and then C, fills ``u``; nodes first, a failure names the least D-item
+    whose preimages have different images, where the cospan does not factor
+    (which for a genuine pushout means it did not commute), else the least
+    without a preimage. Last, the mediating map is checked as a morphism.
     """
     if p.source != sq.B or t.source != sq.C or p.target != t.target:
         raise PreconditionError("pushout_mediator: cospan endpoints do not fit the square")
     maps = []
-    for kind, legs in (
-        ("nodes", ((sq.B.nodes, sq.bd.fv, p.fv), (sq.C.nodes, sq.cd.fv, t.fv))),
-        ("edges", ((sq.B.edges, sq.bd.fe, p.fe), (sq.C.edges, sq.cd.fe, t.fe))),
+    for kind, d_items, legs in (
+        ("node", sq.D.nodes, ((sq.B.nodes, sq.bd.fv, p.fv), (sq.C.nodes, sq.cd.fv, t.fv))),
+        ("edge", sq.D.edges, ((sq.B.edges, sq.bd.fe, p.fe), (sq.C.edges, sq.cd.fe, t.fe))),
     ):
         images: dict[int, int] = {}
-        for items, into_d, into_x in legs:
-            for x in items:
-                if images.setdefault(into_d[x], into_x[x]) != into_x[x]:
-                    raise PreconditionError(f"pushout_mediator: cospan does not factor on {kind}")
+        clashes = [
+            into_d[x] for items, into_d, into_x in legs for x in items
+            if images.setdefault(into_d[x], into_x[x]) != into_x[x]
+        ]
+        if clashes:
+            raise PreconditionError("pushout_mediator: cospan does not factor", (kind, min(clashes)))
+        if len(images) != len(d_items):
+            missed = (kind, min(d_items - images.keys()))
+            raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective", missed)
         maps.append(images)
-    fv, fe = maps
-    if fv.keys() != sq.D.nodes or fe.keys() != sq.D.edges:
-        raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective")
-    u = Morphism(sq.D, p.target, fv, fe)
-    if not validate_morphism(u):
-        raise PreconditionError("pushout_mediator: mediating map is not a morphism")
+    u = Morphism(sq.D, p.target, *maps)
+    report = validate_morphism(u)
+    if not report:
+        why = f"pushout_mediator: mediating map is not a morphism: {report.failed_clause}"
+        raise PreconditionError(why, report.counterexample)
     return u
 
 

@@ -1,8 +1,21 @@
-"""Exception hierarchy shared by all engine modules."""
+"""Exception hierarchy shared by all engine modules. An error is built from
+a failed clause and its item, ``()`` for a clause alone, and carries them as
+its ``report``, a :class:`~dpo.graph.CheckReport`, whose text is its message."""
+
+from .graph import failure
 
 
 class RewriteError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __init__(self, clause: str, item: tuple = ()):
+        self.report = failure(clause, item)
+        super().__init__(str(self.report))
+
+    def __reduce__(self):
+        # pickle and copy rebuild an exception from its args, which hold the
+        # message; rebuild this one from its report's clause and item instead
+        return type(self), (self.report.failed_clause, self.report.counterexample)
 
 
 class PreconditionError(RewriteError):
@@ -14,19 +27,12 @@ class FormatError(RewriteError):
 
 
 class DanglingConditionError(RewriteError):
-    """Rule application would leave edges without endpoints.
+    """Rule application would leave edges without endpoints: the report's
+    item is the offending edge identifiers of the host graph."""
 
-    Carries the offending edge identifiers of the host graph.
-    """
-
-    def __init__(self, edges):
-        self.edges = tuple(edges)
-        super().__init__(f"dangling edges: {sorted(self.edges)}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild an exception from its args, which hold the
-        # message; rebuild this one from its edges instead
-        return type(self), (self.edges,)
+    @property
+    def edges(self) -> tuple[int, ...]:
+        return self.report.counterexample
 
 
 class DependentDerivationsError(PreconditionError):

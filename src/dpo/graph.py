@@ -18,13 +18,13 @@ from typing import Mapping, Optional
 @dataclass(frozen=True)
 class Violation:
     """A failed clause and its item: ``("node", 3)``, ``("edge", 0)``, a
-    pair ``("node", b, c)``, a part ``("b",)``, or dangling edge ids."""
+    pair ``("node", b, c)``, a part ``("b",)``, dangling edge ids, or none."""
 
     clause: str
     item: tuple
 
     def __str__(self) -> str:
-        return f"{self.clause}: {' '.join(map(str, self.item))}"
+        return f"{self.clause}: {' '.join(map(str, self.item))}" if self.item else self.clause
 
 
 @dataclass(frozen=True)

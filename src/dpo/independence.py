@@ -28,13 +28,7 @@ from .diagrams import (
     pushout_mediator,
     squares_agree,
 )
-from .errors import (
-    DanglingConditionError,
-    DependentDerivationsError,
-    InternalConsistencyError,
-    PreconditionError,
-    RewriteError,
-)
+from .errors import DependentDerivationsError, InternalConsistencyError, PreconditionError, RewriteError
 from .graph import PASSED, CheckReport, Graph, IsoWitness, Violation, failure, is_isomorphic, is_subgraph
 from .morphism import Morphism, compose, validate_morphism
 from .rewriting import DirectDerivation, Match, apply
@@ -158,13 +152,15 @@ def commute(pair: ParallelPair) -> CommutationResult:
     """
     witness = parallel_independent(pair)
     if witness is None:
-        raise DependentDerivationsError(f"commute: pair is not parallel independent: {blocking_items(pair)}")
+        why = blocking_items(pair)
+        raise DependentDerivationsError(f"commute: pair is not parallel independent: {why.failed_clause}", why.counterexample)
     m2p, m1p = residual_match(pair, witness)
     try:
         e1 = apply(pair.d2.rule, m2p)
         e2 = apply(pair.d1.rule, m1p)
-    except (PreconditionError, DanglingConditionError) as exc:
-        raise InternalConsistencyError(f"commute: residual application failed: {exc}") from exc
+    except RewriteError as exc:
+        why = exc.report
+        raise InternalConsistencyError(f"commute: residual application failed: {why.failed_clause}", why.counterexample) from exc
     iso = is_isomorphic(e1.H, e2.H)
     if iso is None:
         raise InternalConsistencyError("commute: composite derivations end in non-isomorphic graphs")
@@ -196,10 +192,12 @@ def verify_commutation_squares(
     there (11) and (31) come down to injective matches, (21) and (41) to
     the gluing pushout :func:`apply` certifies. Only a pass is decided
     there: otherwise every square is built and checked by the general
-    checks, and the first failure is reported with its square's label. A
-    witness that is not a morphism into its context, or a comatch of
-    ``result.e1`` that is not total, fails, and never raises. Graphs must be
-    well-formed, as the loaders and constructions make them.
+    checks, and the first failure is reported under the label of the stage
+    it reached: a failed check with its clause and item, and an error
+    raised while building or checking with its report's. A witness that is
+    not a morphism into its context, or a comatch of ``result.e1`` that is
+    not total, fails, and never raises. Graphs must be well-formed, as the
+    loaders and constructions make them.
     """
     d1, d2 = pair.d1, pair.d2
     j1, j2 = witness.j1, witness.j2
@@ -215,6 +213,7 @@ def verify_commutation_squares(
 
     c1, c2 = d1.deletion.c, d2.deletion.c
     cbar1, cbar2 = d1.gluing.c, d2.gluing.c
+    stage = "decomposition construction failed"
     try:
         x1, x2 = apply(d1.rule, Match(j1)), apply(d2.rule, Match(j2))
         sq11, sq21 = x1.left_square, x1.right_square
@@ -228,12 +227,10 @@ def verify_commutation_squares(
         sq22 = Square(ab=delta1, ac=pi1, bd=sigma1, cd=cbar1)
         sigma2 = pushout_mediator(sq41, p=d2.comatch, t=compose(cbar2, pi2))
         sq42 = Square(ab=delta2, ac=pi2, bd=sigma2, cd=cbar2)
-    except RewriteError as exc:
-        return failure(f"decomposition construction failed: {exc}", ("construction",))
 
-    # square (5) is built against result.Gp, so a result that does not fit
-    # the decomposition fails here, under this label
-    try:
+        # square (5) is built against result.Gp, so a result that does not
+        # fit the decomposition fails here, under this label
+        stage = "square (5): construction failed"
         tau1 = Morphism(x1.H, result.Gp, dict(sigma1.fv), dict(sigma1.fe))
         report = validate_morphism(tau1)
         if not report:
@@ -247,41 +244,36 @@ def verify_commutation_squares(
             sq41, p=Morphism(comatch.source, result.Gp, comatch.fv, comatch.fe), t=compose(tau1, delta1)
         )
         sq5 = Square(ab=delta2, ac=delta1, bd=tau2, cd=tau1)
-    except RewriteError as exc:
-        return failure(f"square (5): construction failed: {exc}", ("construction",))
 
-    labelled = [
-        ("(12)", is_pullback, sq12),
-        ("(11)", is_pushout_injective, sq11),
-        ("(21)", is_pushout_injective, sq21),
-        ("(22)", is_pushout_injective, sq22),
-        ("(31)", is_pushout_injective, sq31),
-        ("(32)", is_pushout_injective, sq32),
-        ("(41)", is_pushout_injective, sq41),
-        ("(42)", is_pushout_injective, sq42),
-        ("(5)", is_pushout_injective, sq5),
-    ]
-    for label, check, sq in labelled:
-        try:
+        for label, check, sq in (
+            ("(12)", is_pullback, sq12),
+            ("(11)", is_pushout_injective, sq11),
+            ("(21)", is_pushout_injective, sq21),
+            ("(22)", is_pushout_injective, sq22),
+            ("(31)", is_pushout_injective, sq31),
+            ("(32)", is_pushout_injective, sq32),
+            ("(41)", is_pushout_injective, sq41),
+            ("(42)", is_pushout_injective, sq42),
+            ("(5)", is_pushout_injective, sq5),
+        ):
+            stage = f"square {label}"
             report = check(sq)
-        except PreconditionError as exc:
-            return failure(f"square {label}: {exc}", ("scope",))
-        if not report:
-            return failure(f"square {label}: {report.failed_clause}", report.counterexample)
+            if not report:
+                return failure(f"{stage}: {report.failed_clause}", report.counterexample)
+    except RewriteError as exc:
+        return failure(f"{stage}: {exc.report.failed_clause}", exc.report.counterexample)
 
-    composites = [
+    # pasting cannot fail, as (11)'s cd is (12)'s ab and so on; a derivation
+    # square that cannot be built raises, as the derivation is not one
+    for label, top, bottom, expected in [
         ("(11)+(12)", sq11, sq12, d1.left_square),
         ("(21)+(22)", sq21, sq22, d1.right_square),
         ("(31)+(32)", sq31, sq32, d2.left_square),
         ("(41)+(42)", sq41, sq42, d2.right_square),
-    ]
-    for label, top, bottom, expected in composites:
-        try:
-            built = compose_squares_vertical(top, bottom)
-        except PreconditionError as exc:
-            return failure(f"composite {label}: {exc}", ("wiring",))
-        if not squares_agree(built, expected):
-            return failure(f"composite {label} differs from the derivation square", ("maps",))
+    ]:
+        report = squares_agree(compose_squares_vertical(top, bottom), expected)
+        if not report:
+            return failure(f"composite {label} differs from the derivation square", report.counterexample)
     return PASSED
 
 

@@ -29,8 +29,9 @@ when it is built (see :class:`~dpo.rewriting.Rule`, and
 match file passes :func:`~dpo.morphism.validate_morphism`
 (:func:`load_morphism`). Anything else raises :class:`FormatError` naming
 the file (``<path>: ...``, or ``<path> '<key>': ...`` for a square's
-inline corner or leg) and the first violation, as does a file that cannot
-be read, is not UTF-8, is not JSON or nests too deeply to decode. Only
+inline corner or leg) and the first violation, whose clause and item its
+report carries on; so does, as a clause alone, a file that cannot be
+read, is not UTF-8, is not JSON or nests too deeply to decode. Only
 ``dpo validate`` reads documents past these checks, to report every
 violation; it reads one file, so only a content error in a graph that a
 morphism document references names a file.
@@ -328,7 +329,7 @@ def _named(where: str | Path) -> Iterator[None]:
     try:
         yield
     except (FormatError, PreconditionError) as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+        raise FormatError(f"{where}: {exc.report.failed_clause}", exc.report.counterexample) from exc
 
 
 def _well_formed(g: Graph) -> Graph:
@@ -339,7 +340,8 @@ def _well_formed(g: Graph) -> Graph:
     lookups of the endpoints in ``nlabel`` stand in for the full check."""
     if all(map(g.nlabel.__contains__, g.src.values())) and all(map(g.nlabel.__contains__, g.tgt.values())):
         return g
-    raise FormatError(f"invalid graph: {validate_graph(g)}")
+    report = validate_graph(g)
+    raise FormatError(f"invalid graph: {report.failed_clause}", report.counterexample)
 
 
 def _graph_at(doc: Any, key: str, path: str | Path, missing: str) -> Graph:
@@ -373,7 +375,7 @@ def load_morphism(path: str | Path, source: Graph, target: Graph) -> Morphism:
         m = morphism_from_json(doc, source, target)
         report = validate_morphism(m)
         if not report:
-            raise FormatError(f"invalid morphism: {report}")
+            raise FormatError(f"invalid morphism: {report.failed_clause}", report.counterexample)
         return m
 
 
@@ -414,7 +416,7 @@ def load_square(path: str | Path) -> Square:
         return Square(**{key: arrow(key) for key in ("ab", "ac", "bd", "cd")})
     except PreconditionError as exc:
         # "square 'bd': invalid morphism: ..." -> "<path> 'bd': invalid morphism: ..."
-        raise FormatError(f"{path} {str(exc).removeprefix('square ')}") from exc
+        raise FormatError(f"{path} {exc.report.failed_clause.removeprefix('square ')}", exc.report.counterexample) from exc
 
 
 def derivation_trace_json(dd: DirectDerivation) -> dict:

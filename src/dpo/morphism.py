@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import PASSED, CheckReport, Graph, Violation, is_subgraph, validate_graph
+from .graph import PASSED, CheckReport, Graph, Violation, failure, is_subgraph, validate_graph
 
 
 @dataclass(frozen=True, eq=True)
@@ -104,13 +104,15 @@ def is_injective(m: Morphism) -> bool:
     return len(set(fv)) == len(fv) and len(set(fe)) == len(fe)
 
 
-def morphisms_agree(m1: Morphism, m2: Morphism) -> bool:
-    """Pointwise equality of two morphisms with the same endpoints."""
+def morphisms_agree(m1: Morphism, m2: Morphism) -> CheckReport:
+    """Pointwise equality of two morphisms with the same endpoints; else
+    the least node, or if none the least edge, that they map apart."""
     if m1.source != m2.source or m1.target != m2.target:
         raise PreconditionError("morphisms_agree: endpoints differ")
-    return all(m1.fv[v] == m2.fv[v] for v in m1.source.nodes) and all(
-        m1.fe[e] == m2.fe[e] for e in m1.source.edges
-    )
+    apart = [("node", v) for v in m1.source.nodes if m1.fv[v] != m2.fv[v]] or [
+        ("edge", e) for e in m1.source.edges if m1.fe[e] != m2.fe[e]
+    ]
+    return failure("maps differ", min(apart)) if apart else PASSED
 
 
 def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:

@@ -34,7 +34,7 @@ class Rule:
     def __post_init__(self) -> None:
         report = validate_rule(self.L, self.K, self.R, self.b, self.r)
         if not report:
-            raise PreconditionError(f"invalid rule: {report}")
+            raise PreconditionError(f"invalid rule: {report.failed_clause}", report.counterexample)
 
 
 def identity_rule(g: Graph) -> Rule:
@@ -155,13 +155,13 @@ def apply(rule: Rule, match: Match) -> DirectDerivation:
     """
     report = validate_morphism(match.m)
     if not report:
-        raise PreconditionError(f"apply: invalid match: {report}")
+        raise PreconditionError(f"apply: invalid match: {report.failed_clause}", report.counterexample)
 
     deleted = deletion(rule.b, match.m)
     glued = gluing(rule.r, deleted.d)
     for side, ab, bd in (("left", rule.b, match.m), ("right", rule.r, glued.h)):
         report = certify_pushout(ab, deleted.d, bd)
         if not report:
-            raise InternalConsistencyError(f"apply: {side} square failed {report}")
+            raise InternalConsistencyError(f"apply: {side} square failed {report.failed_clause}", report.counterexample)
     return DirectDerivation(rule=rule, match=match, deletion=deleted, gluing=glued)
 

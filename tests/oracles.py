@@ -460,7 +460,7 @@ def reference_verify_commutation_squares(
         sigma2 = pushout_mediator(sq41, p=d2.comatch, t=compose(cbar2, pi2))
         sq42 = Square(ab=delta2, ac=pi2, bd=sigma2, cd=cbar2)
     except RewriteError as exc:
-        return failure(f"decomposition construction failed: {exc}", ("construction",))
+        return failure(f"decomposition construction failed: {exc.report.failed_clause}", exc.report.counterexample)
 
     # square (5) is built against result.Gp, so a result that does not fit
     # the decomposition fails here, under this label
@@ -475,7 +475,7 @@ def reference_verify_commutation_squares(
         )
         sq5 = Square(ab=delta2, ac=delta1, bd=tau2, cd=tau1)
     except RewriteError as exc:
-        return failure(f"square (5): construction failed: {exc}", ("construction",))
+        return failure(f"square (5): construction failed: {exc.report.failed_clause}", exc.report.counterexample)
 
     labelled = [
         ("(12)", reference_is_pullback, sq12),
@@ -492,7 +492,7 @@ def reference_verify_commutation_squares(
         try:
             report = check(sq)
         except PreconditionError as exc:
-            return failure(f"square {label}: {exc}", ("scope",))
+            return failure(f"square {label}: {exc.report.failed_clause}", exc.report.counterexample)
         if not report:
             return failure(f"square {label}: {report.failed_clause}", report.counterexample)
 
@@ -506,9 +506,10 @@ def reference_verify_commutation_squares(
         try:
             built = compose_squares_vertical(top, bottom)
         except PreconditionError as exc:
-            return failure(f"composite {label}: {exc}", ("wiring",))
-        if not squares_agree(built, expected):
-            return failure(f"composite {label} differs from the derivation square", ("maps",))
+            return failure(f"composite {label}: {exc.report.failed_clause}", exc.report.counterexample)
+        report = squares_agree(built, expected)
+        if not report:
+            return failure(f"composite {label} differs from the derivation square", report.counterexample)
     return PASSED
 
 
@@ -517,38 +518,36 @@ def reference_pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism
 
     For a pushout square and a cospan ``p: B -> X``, ``t: C -> X`` with
     ``p after ab = t after ac``, returns the unique ``u: D -> X`` with
-    ``u after bd = p`` and ``u after cd = t``. Raises when the cospan does
-    not factor (which for a genuine pushout means it did not commute).
+    ``u after bd = p`` and ``u after cd = t``. Collects, for each D-item in
+    ascending order, the images of all its preimages; for nodes and then
+    edges, raises naming the first D-item with two images (the cospan does
+    not factor, which for a genuine pushout means it did not commute), then
+    the first with none; last, the mediating map's first violation.
     """
     if p.source != sq.B or t.source != sq.C or p.target != t.target:
         raise PreconditionError("pushout_mediator: cospan endpoints do not fit the square")
-    fv: dict[int, int] = {}
-    fe: dict[int, int] = {}
-    for b in sq.B.nodes:
-        fv[sq.bd.fv[b]] = p.fv[b]
-    for c in sq.C.nodes:
-        image = sq.cd.fv[c]
-        if image in fv and fv[image] != t.fv[c]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on nodes")
-        fv[image] = t.fv[c]
-    for b in sq.B.nodes:
-        if fv[sq.bd.fv[b]] != p.fv[b]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on nodes")
-    for b in sq.B.edges:
-        fe[sq.bd.fe[b]] = p.fe[b]
-    for c in sq.C.edges:
-        image = sq.cd.fe[c]
-        if image in fe and fe[image] != t.fe[c]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on edges")
-        fe[image] = t.fe[c]
-    for b in sq.B.edges:
-        if fe[sq.bd.fe[b]] != p.fe[b]:
-            raise PreconditionError("pushout_mediator: cospan does not factor on edges")
-    if set(fv) != set(sq.D.nodes) or set(fe) != set(sq.D.edges):
-        raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective")
+    found: dict[str, dict[int, set[int]]] = {}
+    for kind, d_items, legs in (
+        ("node", sq.D.nodes, ((sq.B.nodes, sq.bd.fv, p.fv), (sq.C.nodes, sq.cd.fv, t.fv))),
+        ("edge", sq.D.edges, ((sq.B.edges, sq.bd.fe, p.fe), (sq.C.edges, sq.cd.fe, t.fe))),
+    ):
+        found[kind] = {d: set() for d in sorted(d_items)}
+        for items, into_d, into_x in legs:
+            for x in items:
+                found[kind][into_d[x]].add(into_x[x])
+        for d, images in found[kind].items():
+            if len(images) > 1:
+                raise PreconditionError("pushout_mediator: cospan does not factor", (kind, d))
+        for d, images in found[kind].items():
+            if not images:
+                raise PreconditionError("pushout_mediator: cospan of the square is not jointly surjective", (kind, d))
+    fv, fe = ({d: min(images) for d, images in found[kind].items()} for kind in ("node", "edge"))
     u = Morphism(sq.D, p.target, fv, fe)
-    if not validate_morphism(u):
-        raise PreconditionError("pushout_mediator: mediating map is not a morphism")
+    report = validate_morphism(u)
+    if not report:
+        raise PreconditionError(
+            f"pushout_mediator: mediating map is not a morphism: {report.failed_clause}", report.counterexample
+        )
     return u
 
 

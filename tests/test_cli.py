@@ -142,7 +142,7 @@ class TestApply:
         code, doc, err = run(capsys, "apply", files["delete_a"], files["host"], "--out", str(out))
         assert code == 2
         assert doc is None
-        assert err == "error: dangling edges: [0]\n"
+        assert err == "error: dangling edges: 0\n"
         assert not out.exists()
 
     def test_invalid_rule_exits_1(self, capsys, files, tmp_path):

@@ -15,8 +15,14 @@ from dpo.diagrams import (
     jointly_surjective,
     reduced_chain_condition,
 )
-from dpo.errors import DanglingConditionError, PreconditionError
-from dpo.graph import graph, is_isomorphic, validate_graph
+from dpo.errors import (
+    DanglingConditionError,
+    DependentDerivationsError,
+    FormatError,
+    InternalConsistencyError,
+    PreconditionError,
+)
+from dpo.graph import failure, graph, is_isomorphic, validate_graph
 from dpo.morphism import (
     Morphism,
     identity,
@@ -143,12 +149,32 @@ class TestDeletion:
             deletion(b, m)
         assert exc.value.edges == (4,)
 
-    def test_dangling_error_keeps_its_edges_and_message_through_pickle_and_copy(self):
-        exc = DanglingConditionError([3, 1])
+    @pytest.mark.parametrize(
+        "cls, clause, item, message",
+        [
+            pytest.param(*case, id=case[0].__name__)
+            for case in (
+                (DanglingConditionError, "dangling edges", (1, 3), "dangling edges: 1 3"),
+                (PreconditionError, "gluing: b is not injective", (), "gluing: b is not injective"),
+                (FormatError, "h.json: invalid graph: tgt out of V", ("edge", 1),
+                 "h.json: invalid graph: tgt out of V: edge 1"),
+                (DependentDerivationsError, "commute: pair is not parallel independent: L1 into D2", ("node", 0),
+                 "commute: pair is not parallel independent: L1 into D2: node 0"),
+                (InternalConsistencyError, "apply: left square failed commutativity", ("node", 2),
+                 "apply: left square failed commutativity: node 2"),
+            )
+        ],
+    )
+    def test_dangling_error_keeps_its_edges_and_message_through_pickle_and_copy(self, cls, clause, item, message):
+        # every error keeps its report, and the dangling error its edges
+        exc = cls(clause, item)
+        assert exc.report == failure(clause, item)
         for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
-            assert type(clone) is DanglingConditionError
-            assert clone.edges == (3, 1)
-            assert str(clone) == str(exc) == "dangling edges: [1, 3]"
+            assert type(clone) is cls
+            assert clone.report == exc.report
+            assert str(clone) == str(exc) == message
+        if cls is DanglingConditionError:
+            assert exc.edges == clone.edges == (1, 3)
 
     def test_left_square_is_a_pushout_on_random_instances(self):
         rng = random.Random(23)

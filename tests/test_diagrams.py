@@ -17,7 +17,7 @@ from dpo.diagrams import (
     squares_agree,
 )
 from dpo.errors import PreconditionError
-from dpo.graph import graph
+from dpo.graph import failure, graph
 from dpo.morphism import (
     Morphism,
     compose,
@@ -486,8 +486,16 @@ class TestSquareComposition:
         g = graph({0: "a", 1: "a"})
         swap = Morphism(g, g, {0: 1, 1: 0}, {})
         top, bottom = identity_square(g), Square(ab=swap, ac=swap, bd=identity(g), cd=identity(g))
-        with pytest.raises(PreconditionError, match="^square paste: shared edge maps differ$"):
+        with pytest.raises(PreconditionError, match="^square paste: shared edge maps differ: node 0$"):
             compose_squares_vertical(top, bottom)
+
+    def test_squares_agree_names_the_first_arrow_that_differs(self):
+        g = graph({0: "a", 1: "a"})
+        swap, i = Morphism(g, g, {0: 1, 1: 0}, {}), identity(g)
+        assert squares_agree(Square(i, i, i, i), Square(i, i, i, i))
+        assert squares_agree(Square(i, i, i, i), Square(i, i, swap, swap)) == failure("arrows differ", ("bd",))
+        # an arrow between other graphs differs too, and nothing raises
+        assert squares_agree(identity_square(g), identity_square(graph({0: "a"}))) == failure("arrows differ", ("ab",))
 
     def test_vertical_composition_transposes_correctly(self):
         sq = identity_square(graph({0: "a"}))
@@ -521,15 +529,15 @@ def through(m: Morphism, u_v: dict, u_e: dict, X) -> Morphism:
 
 class TestPushoutMediatorAgainstReference:
     """One pass per item kind raises on the same cospans, with the same
-    message, as the reference's fill-from-B, fill-from-C, re-read-B loops,
-    and otherwise returns the same map."""
+    clause and item, as the reference's image sets per D-item, and
+    otherwise returns the same map."""
 
     @staticmethod
     def outcome(mediator, sq: Square, p: Morphism, t: Morphism):
         try:
             u = mediator(sq, p=p, t=t)
         except PreconditionError as exc:
-            return str(exc)
+            return exc.report
         return u.source, u.target, u.fv, u.fe
 
     @staticmethod
@@ -568,17 +576,19 @@ class TestPushoutMediatorAgainstReference:
             for name, sq, p, t in self.cases(rng):
                 got = self.outcome(pushout_mediator, sq, p, t)
                 assert got == self.outcome(reference_pushout_mediator, sq, p, t), name
-                seen[got if isinstance(got, str) else "mediator"] += 1
-        prefix = "pushout_mediator: "
-        for message in (
+                # the clause after "pushout_mediator: ", and the item's kind
+                seen["mediator" if isinstance(got, tuple) else (got.failed_clause.split(": ")[1], *got.counterexample[:1])] += 1
+        for key in (
             "mediator",
-            prefix + "cospan does not factor on nodes",
-            prefix + "cospan does not factor on edges",
-            prefix + "cospan of the square is not jointly surjective",
-            prefix + "mediating map is not a morphism",
-            prefix + "cospan endpoints do not fit the square",
+            ("cospan does not factor", "node"),
+            ("cospan does not factor", "edge"),
+            ("cospan of the square is not jointly surjective", "node"),
+            ("cospan of the square is not jointly surjective", "edge"),
+            ("mediating map is not a morphism", "node"),
+            ("mediating map is not a morphism", "edge"),
+            ("cospan endpoints do not fit the square",),
         ):
-            assert seen[message] > 10, (message, seen)
+            assert seen[key] > 10, (key, seen)
 
     def test_a_non_injective_bd_with_a_disagreeing_p_raises(self):
         # both B-nodes go to D's one node, and p sends them apart; no C-item
@@ -589,7 +599,7 @@ class TestPushoutMediatorAgainstReference:
         )
         p, t = identity(b), Morphism(empty, b, {}, {})
         for mediator in (pushout_mediator, reference_pushout_mediator):
-            with pytest.raises(PreconditionError, match="^pushout_mediator: cospan does not factor on nodes$"):
+            with pytest.raises(PreconditionError, match="^pushout_mediator: cospan does not factor: node 0$"):
                 mediator(sq, p=p, t=t)
 
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpo.errors import PreconditionError
-from dpo.graph import Graph, graph
+from dpo.graph import Graph, failure, graph
 from dpo.morphism import (
     Morphism,
     compose,
@@ -229,6 +229,16 @@ class TestMorphismsAgree:
         g = graph({0: "a"})
         h = graph({0: "a", 1: "a"})
         assert not morphisms_agree(Morphism(g, h, {0: 0}, {}), Morphism(g, h, {0: 1}, {}))
+
+    def test_names_the_least_node_then_the_least_edge_mapped_apart(self):
+        g = graph({0: "a", 1: "a", 2: "a"}, {0: (0, 1, "x"), 1: (1, 2, "x")})
+        h = graph({0: "a", 1: "a", 2: "a"}, {0: (0, 1, "x"), 1: (1, 2, "x"), 2: (0, 1, "x"), 3: (1, 2, "x")})
+        m = Morphism(g, h, {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1})
+        edges_apart = Morphism(g, h, m.fv, {0: 2, 1: 3})
+        assert morphisms_agree(m, edges_apart) == failure("maps differ", ("edge", 0))
+        swapped = graph({0: "a", 1: "a", 2: "a"})
+        flip = Morphism(swapped, swapped, {0: 2, 1: 1, 2: 0}, {})
+        assert morphisms_agree(identity(swapped), flip) == failure("maps differ", ("node", 0))
 
     def test_endpoint_mismatch_raises(self):
         with pytest.raises(PreconditionError):
