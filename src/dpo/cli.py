@@ -47,7 +47,8 @@ EXIT_INTERNAL = 5
 
 # an error's exit code is that of the first class here it is an instance of,
 # so a subclass comes before its base; an OSError is an output that cannot be
-# written, as load_json turns every failed read into a FormatError
+# written, as load_json turns every failed read into a FormatError, and the
+# one other engine error, InternalConsistencyError, is an engine bug
 EXIT_CODES = (
     (DependentDerivationsError, EXIT_DEPENDENT),
     (DanglingConditionError, EXIT_DANGLING),

@@ -28,7 +28,13 @@ from .diagrams import (
     pushout_mediator,
     squares_agree,
 )
-from .errors import DependentDerivationsError, InternalConsistencyError, PreconditionError, RewriteError
+from .errors import (
+    DanglingConditionError,
+    DependentDerivationsError,
+    InternalConsistencyError,
+    PreconditionError,
+    RewriteError,
+)
 from .graph import PASSED, CheckReport, Graph, IsoWitness, Violation, failure, is_isomorphic, is_subgraph
 from .morphism import Morphism, compose, validate_morphism
 from .rewriting import DirectDerivation, Match, apply
@@ -158,7 +164,7 @@ def commute(pair: ParallelPair) -> CommutationResult:
     try:
         e1 = apply(pair.d2.rule, m2p)
         e2 = apply(pair.d1.rule, m1p)
-    except RewriteError as exc:
+    except (PreconditionError, DanglingConditionError) as exc:
         why = exc.report
         raise InternalConsistencyError(f"commute: residual application failed: {why.failed_clause}", why.counterexample) from exc
     iso = is_isomorphic(e1.H, e2.H)
