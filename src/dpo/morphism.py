@@ -109,9 +109,8 @@ def morphisms_agree(m1: Morphism, m2: Morphism) -> CheckReport:
     the least node, or if none the least edge, that they map apart."""
     if m1.source != m2.source or m1.target != m2.target:
         raise PreconditionError("morphisms_agree: endpoints differ")
-    apart = [("node", v) for v in m1.source.nodes if m1.fv[v] != m2.fv[v]] or [
-        ("edge", e) for e in m1.source.edges if m1.fe[e] != m2.fe[e]
-    ]
+    apart = [("node", v) for v in m1.source.nodes if m1.fv[v] != m2.fv[v]]
+    apart = apart or [("edge", e) for e in m1.source.edges if m1.fe[e] != m2.fe[e]]
     return failure("maps differ", min(apart)) if apart else PASSED
 
 
