@@ -6,17 +6,19 @@ items, so the context's embedding into the result is a literal inclusion.
 Deletion builds the pushout complement by removing the deleted items from
 the host's maps, so the context embeds into the host the same way, and both
 inclusions are built only when read. Both are one graph edit,
-:func:`_edited`: each map that it changes is copied in bulk, at C level, and
-patched with the rule's items; the others are shared with the input graph.
-A result's item sets are the key views of its label maps, so no item set is
-built. So a construction costs a few C-level copies of the host plus
-O(|rule| + degree) Python work.
+:func:`_edited`: each of the graph's two maps, ``nlabel`` and ``edge``, that
+it changes is copied in bulk, at C level, and patched with the rule's items;
+the other is shared with the input graph. A result's item sets are the key
+views of its maps, so no item set is built. So a construction costs at most
+two C-level copies of the host's maps, plus one of its incidence index once
+built, and O(|rule| + degree) Python work.
 
 Maps are copied with ``dict.copy()``. ``dict(m)`` and ``{**m, **new}``
 re-insert every key once ``m`` has had a key deleted, which every pruned
 map and patched index of a chain has; ``m.copy()`` clones the table
-whole. On 2*10^4-entry maps with one key deleted, ``timeit`` on CPython
-3.10-3.13 gave 0.5-1.0 ms for either form and 0.1-0.2 ms for ``m.copy()``.
+whole. On a 2*10^4-entry edge map with one key deleted, ``timeit`` on
+CPython 3.10-3.13 gave 0.5-0.8 ms for either form and 0.3 ms for
+``m.copy()``.
 
 A graph's derived indexes (:attr:`~dpo.graph.Graph.incidence`,
 ``max_node_id``, ``max_edge_id``) are carried on to the result once
@@ -115,10 +117,8 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
 
     H = _edited(
         D, (), (),
-        src={fresh_e[e]: node_in_h(R.src[e]) for e in new_edges},
-        tgt={fresh_e[e]: node_in_h(R.tgt[e]) for e in new_edges},
         nlabel={fresh_v[v]: R.nlabel[v] for v in new_nodes},
-        elabel={fresh_e[e]: R.elabel[e] for e in new_edges},
+        edge={fresh_e[e]: (node_in_h(s), node_in_h(t), label) for e in new_edges for s, t, label in [R.edge[e]]},
     )
     h = Morphism(
         source=R,
@@ -189,7 +189,7 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
 def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
     """``g`` without the given nodes and edges, which must leave no edge of
     ``g`` dangling: :func:`_edited` with nothing added."""
-    return _edited(g, nodes, edges, {}, {}, {}, {})
+    return _edited(g, nodes, edges, {}, {})
 
 
 def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
@@ -203,23 +203,20 @@ def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
 
 def _edited(
     old: Graph, gone_nodes: Collection[int], gone_edges: Collection[int],
-    src: dict[int, int], tgt: dict[int, int], nlabel: dict[int, str], elabel: dict[int, str],
+    nlabel: dict[int, str], edge: dict[int, tuple[int, int, str]],
 ) -> Graph:
     """``old`` without ``gone_nodes`` and ``gone_edges``, plus the items of
-    the four given maps, whose ids ``old`` does not hold.
+    the two given maps, whose ids ``old`` does not hold.
 
     Each map of ``old`` that loses or gains an item is copied with
-    ``dict.copy()`` and patched; the others are shared, since graphs are
+    ``dict.copy()`` and patched; the other is shared, since graphs are
     never mutated. Each derived index of ``old`` that has been built is
     carried on, patched for the removed and added items: one bulk copy
     plus O(degree) per item. A largest id whose item was removed is not
     carried; the result rebuilds it if read.
     """
     maps = []
-    for m, gone, added in (
-        (old.src, gone_edges, src), (old.tgt, gone_edges, tgt),
-        (old.nlabel, gone_nodes, nlabel), (old.elabel, gone_edges, elabel),
-    ):
+    for m, gone, added in ((old.nlabel, gone_nodes, nlabel), (old.edge, gone_edges, edge)):
         if gone or added:
             m = m.copy()
             for k in gone:
@@ -229,27 +226,28 @@ def _edited(
     new = Graph.from_maps(*maps)
     # where functools.cached_property keeps the values it builds
     built, carried = vars(old), vars(new)
-    for name, gone, added in (("max_node_id", gone_nodes, nlabel), ("max_edge_id", gone_edges, elabel)):
+    for name, gone, added in (("max_node_id", gone_nodes, nlabel), ("max_edge_id", gone_edges, edge)):
         largest = built.get(name)
         if largest is not None and largest not in gone:
             carried[name] = max(largest, max(added, default=-1))
     index = built.get("incidence")
     if index is None:
         return new
-    if gone_nodes or gone_edges or elabel:
+    if gone_nodes or gone_edges or edge:
         index = index.copy()
     for v in gone_nodes:
         index.pop(v, None)
     for e in gone_edges:
-        for v in {old.src[e], old.tgt[e]}:
+        s, t, _ = old.edge[e]
+        for v in {s, t}:
             if v in index:  # not a removed node
                 rest = index[v] - {e}
                 if rest:
                     index[v] = rest
                 else:
                     del index[v]
-    for e in elabel:
-        for v in {src[e], tgt[e]}:
+    for e, (s, t, _) in edge.items():
+        for v in {s, t}:
             index[v] = index.get(v, frozenset()) | {e}
     carried["incidence"] = index
     return new
@@ -268,10 +266,12 @@ def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:
     node_id = {pair: i for i, pair in enumerate(node_pairs)}
     edge_id = {pair: i for i, pair in enumerate(edge_pairs)}
     A = Graph.from_maps(
-        src={edge_id[x, y]: node_id[B.src[x], C.src[y]] for x, y in edge_pairs},
-        tgt={edge_id[x, y]: node_id[B.tgt[x], C.tgt[y]] for x, y in edge_pairs},
         nlabel={node_id[x, y]: B.nlabel[x] for x, y in node_pairs},
-        elabel={edge_id[x, y]: B.elabel[x] for x, y in edge_pairs},
+        edge={
+            edge_id[x, y]: (node_id[bs, cs], node_id[bt, ct], label)
+            for x, y in edge_pairs
+            for (bs, bt, label), (cs, ct, _) in [(B.edge[x], C.edge[y])]
+        },
     )
     b = Morphism(
         source=A,
@@ -311,7 +311,8 @@ def pullback_pairs(f: Morphism, g: Morphism) -> tuple[list[tuple[int, int]], lis
     edge_pairs = _agreeing_pairs(B.edges, f.fe, C.edges, g.fe)
     paired = set(node_pairs)
     for x, y in edge_pairs:
-        if (B.src[x], C.src[y]) not in paired or (B.tgt[x], C.tgt[y]) not in paired:
+        (bs, bt, _), (cs, ct, _) = B.edge[x], C.edge[y]
+        if (bs, cs) not in paired or (bt, ct) not in paired:
             raise PreconditionError("pullback_pairs: f or g does not preserve edge endpoints")
     return node_pairs, edge_pairs
 

@@ -4,6 +4,12 @@ Nodes and edges are identified by non-negative integers; the two identifier
 spaces are independent. Labels are opaque strings compared by equality.
 Parallel edges and loops are allowed; two parallel edges with identical
 endpoints and labels are distinct whenever their identifiers differ.
+
+A graph ``(V, E, s, t, l_V, l_E)`` is held as two maps: ``nlabel`` is
+``l_V``, and ``edge`` is the one function ``E -> V x V x L`` that ``s``,
+``t`` and ``l_E`` make together, ``e -> (src, tgt, label)``. An edge so
+has all three parts or none, and a step that deletes or creates edges
+copies one host-sized edge map, not three.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Optional
 
 
@@ -59,14 +66,19 @@ def failure(clause: str, item: tuple) -> CheckReport:
 
 @dataclass(frozen=True, eq=True)
 class Graph:
-    """A finite labelled directed multigraph.
+    """A finite labelled directed multigraph ``(V, E, s, t, l_V, l_E)``.
 
-    ``src``/``tgt`` map every edge to its endpoint nodes; ``nlabel`` and
-    ``elabel`` assign a label to every node and edge. ``nodes`` and
-    ``edges`` may be any set of ids equal to ``nlabel``'s and ``elabel``'s
-    keys; every graph the engine builds is given the key views themselves
-    (:meth:`from_maps`), so no item set is built or copied. Instances are
-    treated as immutable values and may be shared freely between threads.
+    ``nlabel`` gives every node its label; ``edge`` gives every edge its
+    ``(src, tgt, label)``, the source, target and labelling functions on
+    ``E`` held as one map. ``nodes`` and ``edges`` may be any set of ids
+    equal to those maps' keys; every graph the engine builds is given the
+    key views themselves (:meth:`from_maps`), so no item set is built or
+    copied. Instances are treated as immutable values and may be shared
+    freely between threads.
+
+    :attr:`src`, :attr:`tgt` and :attr:`elabel` are projections of
+    ``edge``, each a new dict built at C level on every read and not kept,
+    so writing to one changes nothing; the engine reads ``edge`` itself.
 
     :attr:`incidence`, :attr:`max_node_id` and :attr:`max_edge_id` are
     derived indexes, each built on first use and then kept on the instance;
@@ -78,27 +90,41 @@ class Graph:
 
     nodes: Set[int]
     edges: Set[int]
-    src: dict[int, int]
-    tgt: dict[int, int]
     nlabel: dict[int, str]
-    elabel: dict[int, str]
+    edge: dict[int, tuple[int, int, str]]
 
     @classmethod
-    def from_maps(cls, src: dict[int, int], tgt: dict[int, int], nlabel: dict[int, str], elabel: dict[int, str]) -> Graph:
-        """The graph of four maps, its item sets their label maps' key views."""
-        return cls(nlabel.keys(), elabel.keys(), src, tgt, nlabel, elabel)
+    def from_maps(cls, nlabel: dict[int, str], edge: dict[int, tuple[int, int, str]]) -> Graph:
+        """The graph of two maps, its item sets their key views."""
+        return cls(nlabel.keys(), edge.keys(), nlabel, edge)
 
     def __reduce__(self) -> tuple:
         # key views do not pickle; a copy has frozensets and no built index
-        return Graph, (frozenset(self.nodes), frozenset(self.edges), self.src, self.tgt, self.nlabel, self.elabel)
+        return Graph, (frozenset(self.nodes), frozenset(self.edges), self.nlabel, self.edge)
 
     def __repr__(self) -> str:
         ns = ", ".join(f"{v}:{self.nlabel.get(v)!r}" for v in sorted(self.nodes))
         es = ", ".join(
-            f"{e}:{self.src.get(e)}->{self.tgt.get(e)}:{self.elabel.get(e)!r}"
+            f"{e}:{s}->{t}:{l!r}"
             for e in sorted(self.edges)
+            for s, t, l in [self.edge.get(e, (None, None, None))]
         )
         return f"Graph([{ns}], [{es}])"
+
+    @property
+    def src(self) -> dict[int, int]:
+        """The source of each edge, projected from ``edge``."""
+        return dict(zip(self.edge, map(_SRC, self.edge.values())))
+
+    @property
+    def tgt(self) -> dict[int, int]:
+        """The target of each edge, projected from ``edge``."""
+        return dict(zip(self.edge, map(_TGT, self.edge.values())))
+
+    @property
+    def elabel(self) -> dict[int, str]:
+        """The label of each edge, projected from ``edge``."""
+        return dict(zip(self.edge, map(_LABEL, self.edge.values())))
 
     @cached_property
     def incidence(self) -> dict[int, frozenset[int]]:
@@ -110,8 +136,7 @@ class Graph:
         result, patched in O(degree).
         """
         at: dict[int, list[int]] = {}
-        for e in self.edges:
-            s, t = self.src[e], self.tgt[e]
+        for e, (s, t, _) in self.edge.items():
             at.setdefault(s, []).append(e)
             if t != s:
                 at.setdefault(t, []).append(e)
@@ -128,31 +153,36 @@ class Graph:
         return max(self.edges, default=-1)
 
 
+_SRC, _TGT, _LABEL = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
 def graph(
     nodes: Mapping[int, str],
     edges: Mapping[int, tuple[int, int, str]] | None = None,
 ) -> Graph:
     """Build a graph from ``{node_id: label}`` and ``{edge_id: (src, tgt, label)}``."""
-    edges = edges or {}
-    return Graph.from_maps(
-        src={e: s for e, (s, _, _) in edges.items()},
-        tgt={e: t for e, (_, t, _) in edges.items()},
-        nlabel=dict(nodes),
-        elabel={e: l for e, (_, _, l) in edges.items()},
-    )
+    return Graph.from_maps(dict(nodes), {e: (s, t, l) for e, (s, t, l) in (edges or {}).items()})
+
+
+def ends_are_nodes(g: Graph) -> bool:
+    """Whether every edge's source and target are keys of ``nlabel``, by
+    two C-level passes over ``edge``."""
+    ends = g.edge.values()
+    return all(map(g.nlabel.__contains__, map(_SRC, ends))) and all(map(g.nlabel.__contains__, map(_TGT, ends)))
 
 
 def validate_graph(g: Graph) -> CheckReport:
     """Check every graph invariant; report each failed clause with its item.
     Whole-set tests at C level decide a pass (endpoints are looked up in
-    ``nlabel``, equal to ``nodes`` once the first holds); else the loop runs."""
+    ``nlabel``, equal to ``nodes`` once the first holds); else the loop runs.
+    An edge has its source, target and label together or not at all, so one
+    clause covers a missing ``edge`` entry."""
     if (
         g.nlabel.keys() == g.nodes
-        and g.src.keys() == g.tgt.keys() == g.elabel.keys() == g.edges
+        and g.edge.keys() == g.edges
         and min(g.nodes, default=0) >= 0
         and min(g.edges, default=0) >= 0
-        and all(map(g.nlabel.__contains__, g.src.values()))
-        and all(map(g.nlabel.__contains__, g.tgt.values()))
+        and ends_are_nodes(g)
     ):
         return PASSED
     bad: list[Violation] = []
@@ -164,19 +194,17 @@ def validate_graph(g: Graph) -> CheckReport:
     for e in sorted(g.edges):
         if e < 0:
             bad.append(Violation("edge id negative", ("edge", e)))
-        if e not in g.src:
-            bad.append(Violation("src not total on edges", ("edge", e)))
-        elif g.src[e] not in g.nodes:
+        if e not in g.edge:
+            bad.append(Violation("edge map not total on edges", ("edge", e)))
+            continue
+        s, t, _ = g.edge[e]
+        if s not in g.nodes:
             bad.append(Violation("src out of V", ("edge", e)))
-        if e not in g.tgt:
-            bad.append(Violation("tgt not total on edges", ("edge", e)))
-        elif g.tgt[e] not in g.nodes:
+        if t not in g.nodes:
             bad.append(Violation("tgt out of V", ("edge", e)))
-        if e not in g.elabel:
-            bad.append(Violation("elabel not total on edges", ("edge", e)))
     for v in sorted(set(g.nlabel) - g.nodes):
         bad.append(Violation("nlabel defined outside nodes", ("node", v)))
-    for e in sorted((set(g.src) | set(g.tgt) | set(g.elabel)) - g.edges):
+    for e in sorted(set(g.edge) - g.edges):
         bad.append(Violation("edge map defined outside edges", ("edge", e)))
     return CheckReport(tuple(bad))
 
@@ -185,13 +213,7 @@ def is_subgraph(sub: Graph, g: Graph) -> bool:
     """Whether ``sub``'s items, labels and endpoints are ``g``'s, by C-level
     set tests and dict views; a map ``sub`` shares with ``g`` is not read."""
     return sub.nodes <= g.nodes and sub.edges <= g.edges and all(
-        x is y or x.items() <= y.items()
-        for x, y in (
-            (sub.src, g.src),
-            (sub.tgt, g.tgt),
-            (sub.nlabel, g.nlabel),
-            (sub.elabel, g.elabel),
-        )
+        x is y or x.items() <= y.items() for x, y in ((sub.nlabel, g.nlabel), (sub.edge, g.edge))
     )
 
 
@@ -225,7 +247,7 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
     sig_h = _node_signatures(h)
     if Counter(sig_g.values()) != Counter(sig_h.values()):
         return None
-    if Counter(g.elabel.values()) != Counter(h.elabel.values()):
+    if Counter(map(_LABEL, g.edge.values())) != Counter(map(_LABEL, h.edge.values())):
         return None
 
     pair_g, nbrs_g = _edge_label_index(g)
@@ -283,8 +305,8 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
 
 
 def _node_signatures(g: Graph) -> dict[int, tuple]:
-    outdeg = Counter(g.src.values())
-    indeg = Counter(g.tgt.values())
+    outdeg = Counter(map(_SRC, g.edge.values()))
+    indeg = Counter(map(_TGT, g.edge.values()))
     return {v: (g.nlabel[v], outdeg.get(v, 0), indeg.get(v, 0)) for v in g.nodes}
 
 
@@ -294,9 +316,8 @@ def _edge_label_index(g: Graph) -> tuple[dict[tuple[int, int], tuple[str, ...]],
     # loops left out
     labels: dict[tuple[int, int], list[str]] = {}
     adjacent: dict[int, set[int]] = {}
-    for e, s in g.src.items():
-        t = g.tgt[e]
-        labels.setdefault((s, t), []).append(g.elabel[e])
+    for s, t, label in g.edge.values():
+        labels.setdefault((s, t), []).append(label)
         if s != t:
             adjacent.setdefault(s, set()).add(t)
             adjacent.setdefault(t, set()).add(s)
@@ -311,11 +332,12 @@ def _edge_bijection(g: Graph, h: Graph, node_map: Mapping[int, int]) -> dict[int
     # pair them off in ascending id order on both sides
     classes_h: dict[tuple[int, int, str], list[int]] = {}
     for e in sorted(h.edges):
-        classes_h.setdefault((h.src[e], h.tgt[e], h.elabel[e]), []).append(e)
+        classes_h.setdefault(h.edge[e], []).append(e)
     edge_map: dict[int, int] = {}
     cursor: dict[tuple[int, int, str], int] = {}
     for e in sorted(g.edges):
-        key = (node_map[g.src[e]], node_map[g.tgt[e]], g.elabel[e])
+        s, t, label = g.edge[e]
+        key = (node_map[s], node_map[t], label)
         i = cursor.get(key, 0)
         edge_map[e] = classes_h[key][i]
         cursor[key] = i + 1

@@ -39,10 +39,12 @@ morphism document references names a file.
 Every document is written as ``json.dump(doc, fh, indent=2,
 sort_keys=True)`` and a newline (:func:`write_json`). A result graph, the
 one document as large as the host, is written with the same bytes by
-:func:`save_graph`, a row template at a time over the graph's maps. The
-readers work a column at a time in C-level calls (``map``, ``itemgetter``,
-``set``) on the shapes these formats use: records with type-uniform fields
-and maps of plain integers. An input that fails a column test goes to
+:func:`save_graph`, a row template at a time over columns taken from the
+graph's edge map. The readers work a column at a time in C-level calls
+(``map``, ``itemgetter``, ``set``) on the shapes these formats use: records
+with type-uniform fields and maps of plain integers. An edge record's
+``src``, ``tgt`` and ``label`` columns are zipped into the ``(src, tgt,
+label)`` values of the edge map. An input that fails a column test goes to
 readers that check entry by entry and name the first bad entry, with the
 same result and the same error.
 """
@@ -57,7 +59,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .diagrams import Square
 from .errors import FormatError, PreconditionError
-from .graph import PASSED, CheckReport, Graph, IsoWitness, validate_graph
+from .graph import PASSED, CheckReport, Graph, IsoWitness, ends_are_nodes, validate_graph
 from .morphism import Morphism, validate_morphism
 from .rewriting import DirectDerivation, Rule
 
@@ -66,8 +68,9 @@ def graph_to_json(g: Graph) -> dict:
     return {
         "nodes": [{"id": v, "label": g.nlabel[v]} for v in sorted(g.nodes)],
         "edges": [
-            {"id": e, "src": g.src[e], "tgt": g.tgt[e], "label": g.elabel[e]}
+            {"id": e, "src": s, "tgt": t, "label": label}
             for e in sorted(g.edges)
+            for s, t, label in [g.edge[e]]
         ],
     }
 
@@ -95,9 +98,9 @@ def graph_from_json(doc: Any) -> Graph:
         else:
             if all(map(_naturals, (ids, eids, srcs, tgts))) and _strings(labels) and _strings(elabels):
                 nlabel = dict(zip(ids, labels))
-                elabel = dict(zip(eids, elabels))
-                if len(nlabel) == len(ids) and len(elabel) == len(eids):
-                    return Graph.from_maps(dict(zip(eids, srcs)), dict(zip(eids, tgts)), nlabel, elabel)
+                edge = dict(zip(eids, zip(srcs, tgts, elabels)))
+                if len(nlabel) == len(ids) and len(edge) == len(eids):
+                    return Graph.from_maps(nlabel, edge)
     return _checked_graph(doc)
 
 
@@ -128,17 +131,13 @@ def _checked_graph(doc: dict) -> Graph:
         if v in nodes:
             raise FormatError(f"duplicate node id {v}")
         nodes[v] = _label(entry, "node")
-    src: dict[int, int] = {}
-    tgt: dict[int, int] = {}
-    elabel: dict[int, str] = {}
+    edge: dict[int, tuple[int, int, str]] = {}
     for entry in _array(doc.get("edges", []), "edges"):
         e = _ident(entry, "id", "edge")
-        if e in elabel:
+        if e in edge:
             raise FormatError(f"duplicate edge id {e}")
-        src[e] = _ident(entry, "src", "edge")
-        tgt[e] = _ident(entry, "tgt", "edge")
-        elabel[e] = _label(entry, "edge")
-    return Graph.from_maps(src, tgt, nodes, elabel)
+        edge[e] = (_ident(entry, "src", "edge"), _ident(entry, "tgt", "edge"), _label(entry, "edge"))
+    return Graph.from_maps(nodes, edge)
 
 
 def _array(value: Any, key: str) -> list:
@@ -288,15 +287,16 @@ def save_graph(g: Graph, path: str | Path) -> None:
     document or string the size of ``g`` is built."""
     nodes, edges = sorted(g.nodes), sorted(g.edges)
     quoted = json.encoder.encode_basestring_ascii
+    ends = list(map(g.edge.__getitem__, edges))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "edges": ')
         _rows(
             fh,
             ',\n    {{\n      "id": {},\n      "label": {},\n      "src": {},\n      "tgt": {}\n    }}',
             edges,
-            map(quoted, map(g.elabel.__getitem__, edges)),
-            map(g.src.__getitem__, edges),
-            map(g.tgt.__getitem__, edges),
+            map(quoted, map(itemgetter(2), ends)),
+            map(itemgetter(0), ends),
+            map(itemgetter(1), ends),
         )
         fh.write(',\n  "nodes": ')
         _rows(fh, ',\n    {{\n      "id": {},\n      "label": {}\n    }}', nodes, map(quoted, map(g.nlabel.__getitem__, nodes)))
@@ -336,9 +336,9 @@ def _well_formed(g: Graph) -> Graph:
     """``g``, if every edge ends at nodes of ``g``; else :class:`FormatError`
     naming the first :func:`validate_graph` violation. Every graph a verb
     reads passes here. :func:`graph_from_json` already guarantees the other
-    clauses, ``nodes`` equal to ``nlabel``'s keys among them, so two C-level
-    lookups of the endpoints in ``nlabel`` stand in for the full check."""
-    if all(map(g.nlabel.__contains__, g.src.values())) and all(map(g.nlabel.__contains__, g.tgt.values())):
+    clauses, ``nodes`` equal to ``nlabel``'s keys among them, so
+    :func:`~dpo.graph.ends_are_nodes` stands in for the full check."""
+    if ends_are_nodes(g):
         return g
     report = validate_graph(g)
     raise FormatError(f"invalid graph: {report.failed_clause}", report.counterexample)
@@ -454,6 +454,7 @@ def to_dot(g: Graph) -> str:
     for v in sorted(g.nodes):
         lines.append(f'  n{v} [label="{v}:{g.nlabel[v].translate(escape)}"];')
     for e in sorted(g.edges):
-        lines.append(f'  n{g.src[e]} -> n{g.tgt[e]} [label="{e}:{g.elabel[e].translate(escape)}"];')
+        s, t, label = g.edge[e]
+        lines.append(f'  n{s} -> n{t} [label="{e}:{label.translate(escape)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -73,11 +73,12 @@ def validate_morphism(m: Morphism) -> CheckReport:
         if m.fe[e] not in h.edges:
             bad.append(Violation("fe out of target edges", ("edge", e)))
             continue
-        if m.fv.get(g.src[e]) != h.src[m.fe[e]]:
+        (s, t, label), (hs, ht, hlabel) = g.edge[e], h.edge[m.fe[e]]
+        if m.fv.get(s) != hs:
             bad.append(Violation("source not preserved", ("edge", e)))
-        if m.fv.get(g.tgt[e]) != h.tgt[m.fe[e]]:
+        if m.fv.get(t) != ht:
             bad.append(Violation("target not preserved", ("edge", e)))
-        if g.elabel[e] != h.elabel[m.fe[e]]:
+        if label != hlabel:
             bad.append(Violation("edge label not preserved", ("edge", e)))
     for v in sorted(set(m.fv) - g.nodes):
         bad.append(Violation("fv defined outside source nodes", ("node", v)))
@@ -147,7 +148,7 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
     out: list[Morphism] = []
     for images in sorted(_node_maps(plan, h, nodes)):
         fv = dict(zip(nodes, images))
-        choices = [_parallel(h, fv[g.src[e]], fv[g.tgt[e]], g.elabel[e]) for e in edges]
+        choices = [_parallel(h, fv[s], fv[t], label) for s, t, label in map(g.edge.__getitem__, edges)]
         # product is lexicographic; images can repeat only among parallel
         # edges of g with one label, which the filter drops
         for edge_images in itertools.product(*choices):
@@ -179,7 +180,7 @@ def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
     O(|g| log |g|)."""
     at: dict[int, list[int]] = {v: [] for v in g.nodes}
     for e in sorted(g.edges):
-        s, t = g.src[e], g.tgt[e]
+        s, t, _ = g.edge[e]
         if s not in at or t not in at:
             return None
         at[s].append(e)
@@ -199,15 +200,16 @@ def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
         anchor = None
         closes = []
         for e in at[v]:
-            v_is_src = g.src[e] == v
-            u = g.tgt[e] if v_is_src else g.src[e]
+            s, t, label = g.edge[e]
+            v_is_src = s == v
+            u = t if v_is_src else s
             if u not in placed:
                 links[u] += 1
                 heapq.heappush(heap, (-links[u], rarity[g.nlabel[u]], u))
             elif u != v and anchor is None:
-                anchor = (u, g.elabel[e], v_is_src)
+                anchor = (u, label, v_is_src)
             else:
-                closes.append((u, g.elabel[e], v_is_src))
+                closes.append((u, label, v_is_src))
         plan.append(_Step(v, g.nlabel[v], anchor, tuple(closes)))
     return plan
 
@@ -230,10 +232,12 @@ def _node_maps(plan: list[_Step], h: Graph, nodes: list[int]) -> list[tuple[int,
             return pools[step.label]
         u, label, v_is_src = step.anchor
         x = fv[u]
-        ends = h.src if v_is_src else h.tgt
-        far = h.tgt if v_is_src else h.src
+        at_x = map(h.edge.__getitem__, incidence.get(x, ()))
         # a set, since parallel host edges lead to the same neighbour
-        found = {ends[e] for e in incidence.get(x, ()) if far[e] == x and h.elabel[e] == label}
+        if v_is_src:
+            found = {s for s, t, l in at_x if t == x and l == label}
+        else:
+            found = {t for s, t, l in at_x if s == x and l == label}
         return [w for w in found if h.nlabel[w] == step.label]
 
     def closed(step: _Step) -> bool:
@@ -270,4 +274,5 @@ def _node_maps(plan: list[_Step], h: Graph, nodes: list[int]) -> list[tuple[int,
 
 def _parallel(h: Graph, s: int, t: int, label: str) -> list[int]:
     """The edges of ``h`` from ``s`` to ``t`` with ``label``, ascending."""
-    return sorted(e for e in h.incidence.get(s, ()) if h.src[e] == s and h.tgt[e] == t and h.elabel[e] == label)
+    key = (s, t, label)
+    return sorted(e for e in h.incidence.get(s, ()) if h.edge[e] == key)

@@ -148,7 +148,10 @@ def apply(rule: Rule, match: Match) -> DirectDerivation:
     (an engine bug). A returned derivation is therefore always certified.
 
     The cost grows with the rule and the degree of the deleted nodes, plus
-    one bulk copy of the host for ``D`` and one of ``D`` for ``H``: the
+    bulk copies of the maps a step changes: for ``D``, the host's edge map
+    if the rule deletes an edge and its node-label map if it deletes a node;
+    for ``H``, the same maps of ``D`` if it creates such items; and the
+    incidence index once built, at most once per construction. The
     certification reads the rule's items only, since each square's ``cd``
     is the identity inclusion :func:`~dpo.diagrams.certify_pushout` needs,
     and the context inclusions ``deletion.c`` and ``gluing.c`` are not built.

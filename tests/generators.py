@@ -74,7 +74,7 @@ def random_embedding(
     image_e = dict(zip(sorted(small.edges), rng.sample(range(total_e), len(small.edges))))
     edges: dict[int, tuple[int, int, str]] = {}
     for e in small.edges:
-        edges[image_e[e]] = (image_v[small.src[e]], image_v[small.tgt[e]], small.elabel[e])
+        edges[image_e[e]] = (image_v[small.edge[e][0]], image_v[small.edge[e][1]], small.edge[e][2])
     if attach_nodes is None:
         allowed = list(range(total_n))
     else:
@@ -138,11 +138,11 @@ def random_morphism_into(
         e_id = 0
         for _ in range(rng.randint(0, max_edges)):
             te = rng.choice(t_edges)
-            us = preimages.get(target.src[te], ())
-            vs = preimages.get(target.tgt[te], ())
+            us = preimages.get(target.edge[te][0], ())
+            vs = preimages.get(target.edge[te][1], ())
             if not us or not vs:
                 continue
-            edges[e_id] = (rng.choice(us), rng.choice(vs), target.elabel[te])
+            edges[e_id] = (rng.choice(us), rng.choice(vs), target.edge[te][2])
             fe[e_id] = te
             e_id += 1
     return Morphism(graph(nodes, edges), target, fv, fe)
@@ -217,9 +217,9 @@ def _disjoint_double_embedding(
     me2 = {e: len(L1.edges) + i for i, e in enumerate(sorted(L2.edges))}
     edges: dict[int, tuple[int, int, str]] = {}
     for e in L1.edges:
-        edges[me1[e]] = (mv1[L1.src[e]], mv1[L1.tgt[e]], L1.elabel[e])
+        edges[me1[e]] = (mv1[L1.edge[e][0]], mv1[L1.edge[e][1]], L1.edge[e][2])
     for e in L2.edges:
-        edges[me2[e]] = (mv2[L2.src[e]], mv2[L2.tgt[e]], L2.elabel[e])
+        edges[me2[e]] = (mv2[L2.edge[e][0]], mv2[L2.edge[e][1]], L2.edge[e][2])
     allowed = sorted(set(fresh) | {mv1[v] for v in attach1} | {mv2[v] for v in attach2})
     next_e = len(L1.edges) + len(L2.edges)
     if allowed:
@@ -331,7 +331,7 @@ def rewire_on_random_host(n: int) -> tuple[Rule, Match]:
     rng = random.Random(n)
     host = random_graph(rng, n, 2 * n, min_nodes=n)
     rule = rewire()
-    e = min(e for e in host.edges if host.elabel[e] == "x" and host.nlabel[host.src[e]] == "a"
-            and host.nlabel[host.tgt[e]] == "b" and host.src[e] != host.tgt[e])
-    other = min(v for v in host.nodes if host.nlabel[v] == "b" and v != host.tgt[e])
-    return rule, Match(Morphism(rule.L, host, {0: host.src[e], 1: host.tgt[e], 2: other}, {0: e}))
+    e = min(e for e in host.edges if host.edge[e][2] == "x" and host.nlabel[host.edge[e][0]] == "a"
+            and host.nlabel[host.edge[e][1]] == "b" and host.edge[e][0] != host.edge[e][1])
+    other = min(v for v in host.nodes if host.nlabel[v] == "b" and v != host.edge[e][1])
+    return rule, Match(Morphism(rule.L, host, {0: host.edge[e][0], 1: host.edge[e][1], 2: other}, {0: e}))

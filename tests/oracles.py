@@ -79,11 +79,8 @@ def morphism_axioms_ok(source: Graph, target: Graph, fv: dict, fe: dict) -> bool
     for e in source.edges:
         if e not in fe or fe[e] not in target.edges:
             return False
-        if fv[source.src[e]] != target.src[fe[e]]:
-            return False
-        if fv[source.tgt[e]] != target.tgt[fe[e]]:
-            return False
-        if source.elabel[e] != target.elabel[fe[e]]:
+        (s, t, label), (ts, tt, tlabel) = source.edge[e], target.edge[fe[e]]
+        if fv[s] != ts or fv[t] != tt or label != tlabel:
             return False
     return True
 
@@ -113,8 +110,8 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
 def pair_label_index(g: Graph) -> dict[tuple[int, int], Counter]:
     """The multiset of edge labels on each ordered node pair that has an edge."""
     index: dict[tuple[int, int], Counter] = {}
-    for e in g.edges:
-        index.setdefault((g.src[e], g.tgt[e]), Counter())[g.elabel[e]] += 1
+    for s, t, label in g.edge.values():
+        index.setdefault((s, t), Counter())[label] += 1
     return index
 
 
@@ -134,7 +131,7 @@ def brute_force_pullback(f: Morphism, g: Morphism) -> tuple[list, list, Graph]:
     A = graph(
         {i: B.nlabel[x] for (x, _), i in node_id.items()},
         {
-            i: (node_id[B.src[x], C.src[y]], node_id[B.tgt[x], C.tgt[y]], B.elabel[x])
+            i: (node_id[B.edge[x][0], C.edge[y][0]], node_id[B.edge[x][1], C.edge[y][1]], B.edge[x][2])
             for i, (x, y) in enumerate(edge_pairs)
         },
     )
@@ -229,7 +226,7 @@ def reference_dangling_edges(rule_left: Morphism, match: Morphism) -> list[int]:
     return sorted(
         e
         for e in G.edges - deleted_edges
-        if G.src[e] in deleted_nodes or G.tgt[e] in deleted_nodes
+        if G.edge[e][0] in deleted_nodes or G.edge[e][1] in deleted_nodes
     )
 
 
@@ -245,10 +242,8 @@ def reference_deletion(rule_left: Morphism, match: Morphism) -> tuple[Graph, Mor
     D = Graph(
         nodes=nodes,
         edges=edges,
-        src={e: G.src[e] for e in edges},
-        tgt={e: G.tgt[e] for e in edges},
         nlabel={v: G.nlabel[v] for v in nodes},
-        elabel={e: G.elabel[e] for e in edges},
+        edge={e: G.edge[e] for e in edges},
     )
     d = Morphism(
         K,
@@ -276,8 +271,8 @@ def reference_gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) 
     he = {x: d.fe[b_inv_e[x]] if x in b_inv_e else edge_start + new_edges.index(x) for x in R.edges}
     nodes = {v: D.nlabel[v] for v in D.nodes}
     nodes.update({hv[x]: R.nlabel[x] for x in new_nodes})
-    edges = {e: (D.src[e], D.tgt[e], D.elabel[e]) for e in D.edges}
-    edges.update({he[x]: (hv[R.src[x]], hv[R.tgt[x]], R.elabel[x]) for x in new_edges})
+    edges = {e: D.edge[e] for e in D.edges}
+    edges.update({he[x]: (hv[R.edge[x][0]], hv[R.edge[x][1]], R.edge[x][2]) for x in new_edges})
     H = graph(nodes, edges)
     return H, Morphism(R, H, hv, he)
 
@@ -286,7 +281,7 @@ def reference_incidence(g: Graph) -> dict[int, frozenset[int]]:
     """The edges at each node that has any, by scanning all edges."""
     at: dict[int, set[int]] = {}
     for e in g.edges:
-        for v in (g.src[e], g.tgt[e]):
+        for v in g.edge[e][:2]:
             at.setdefault(v, set()).add(e)
     return {v: frozenset(es) for v, es in at.items()}
 
@@ -365,7 +360,7 @@ def _iter_morphisms(g: Graph, h: Graph, injective_only: bool) -> Iterator[Morphi
     }
     edge_index: dict[tuple[int, int, str], list[int]] = {}
     for e in sorted(h.edges):
-        edge_index.setdefault((h.src[e], h.tgt[e], h.elabel[e]), []).append(e)
+        edge_index.setdefault(h.edge[e], []).append(e)
 
     fv: dict[int, int] = {}
     fe: dict[int, int] = {}
@@ -378,7 +373,7 @@ def _iter_morphisms(g: Graph, h: Graph, injective_only: bool) -> Iterator[Morphi
             return
         e = edges[j]
         # an endpoint outside g's nodes has no image, so no morphism exists
-        key = (fv.get(g.src[e]), fv.get(g.tgt[e]), g.elabel[e])
+        key = (fv.get(g.edge[e][0]), fv.get(g.edge[e][1]), g.edge[e][2])
         for cand in edge_index.get(key, ()):
             if injective_only and cand in used_edges:
                 continue
@@ -562,19 +557,16 @@ def reference_validate_graph(g: Graph) -> CheckReport:
     for e in sorted(g.edges):
         if e < 0:
             bad.append(Violation("edge id negative", ("edge", e)))
-        if e not in g.src:
-            bad.append(Violation("src not total on edges", ("edge", e)))
-        elif g.src[e] not in g.nodes:
+        if e not in g.edge:
+            bad.append(Violation("edge map not total on edges", ("edge", e)))
+            continue
+        if g.edge[e][0] not in g.nodes:
             bad.append(Violation("src out of V", ("edge", e)))
-        if e not in g.tgt:
-            bad.append(Violation("tgt not total on edges", ("edge", e)))
-        elif g.tgt[e] not in g.nodes:
+        if g.edge[e][1] not in g.nodes:
             bad.append(Violation("tgt out of V", ("edge", e)))
-        if e not in g.elabel:
-            bad.append(Violation("elabel not total on edges", ("edge", e)))
     for v in sorted(set(g.nlabel) - g.nodes):
         bad.append(Violation("nlabel defined outside nodes", ("node", v)))
-    for e in sorted((set(g.src) | set(g.tgt) | set(g.elabel)) - g.edges):
+    for e in sorted(set(g.edge) - g.edges):
         bad.append(Violation("edge map defined outside edges", ("edge", e)))
     return CheckReport(tuple(bad))
 
@@ -597,11 +589,11 @@ def reference_validate_morphism(m: Morphism) -> CheckReport:
         if m.fe[e] not in h.edges:
             bad.append(Violation("fe out of target edges", ("edge", e)))
             continue
-        if m.fv.get(g.src[e]) != h.src[m.fe[e]]:
+        if m.fv.get(g.edge[e][0]) != h.edge[m.fe[e]][0]:
             bad.append(Violation("source not preserved", ("edge", e)))
-        if m.fv.get(g.tgt[e]) != h.tgt[m.fe[e]]:
+        if m.fv.get(g.edge[e][1]) != h.edge[m.fe[e]][1]:
             bad.append(Violation("target not preserved", ("edge", e)))
-        if g.elabel[e] != h.elabel[m.fe[e]]:
+        if g.edge[e][2] != h.edge[m.fe[e]][2]:
             bad.append(Violation("edge label not preserved", ("edge", e)))
     for v in sorted(set(m.fv) - g.nodes):
         bad.append(Violation("fv defined outside source nodes", ("node", v)))
@@ -679,19 +671,15 @@ def reference_graph_from_json(doc: Any) -> Graph:
         if v in nodes:
             raise FormatError(f"duplicate node id {v}")
         nodes[v] = _reference_label(entry, "node")
-    src: dict[int, int] = {}
-    tgt: dict[int, int] = {}
-    elabel: dict[int, str] = {}
+    edge: dict[int, tuple[int, int, str]] = {}
     for entry in _reference_array(doc.get("edges", []), "edges"):
         e = _reference_ident(entry, "id", "edge")
-        if e in elabel:
+        if e in edge:
             raise FormatError(f"duplicate edge id {e}")
-        src[e] = _reference_ident(entry, "src", "edge")
-        tgt[e] = _reference_ident(entry, "tgt", "edge")
-        elabel[e] = _reference_label(entry, "edge")
-    return Graph(
-        nodes=frozenset(nodes), edges=frozenset(elabel), src=src, tgt=tgt, nlabel=nodes, elabel=elabel
-    )
+        s = _reference_ident(entry, "src", "edge")
+        t = _reference_ident(entry, "tgt", "edge")
+        edge[e] = (s, t, _reference_label(entry, "edge"))
+    return Graph(nodes=frozenset(nodes), edges=frozenset(edge), nlabel=nodes, edge=edge)
 
 
 def _reference_array(value: Any, key: str) -> list:
@@ -747,10 +735,8 @@ def renumber(g: Graph, node_map: Mapping[int, int], edge_map: Mapping[int, int])
     return Graph(
         nodes=frozenset(node_map[v] for v in g.nodes),
         edges=frozenset(edge_map[e] for e in g.edges),
-        src={edge_map[e]: node_map[g.src[e]] for e in g.edges},
-        tgt={edge_map[e]: node_map[g.tgt[e]] for e in g.edges},
         nlabel={node_map[v]: g.nlabel[v] for v in g.nodes},
-        elabel={edge_map[e]: g.elabel[e] for e in g.edges},
+        edge={edge_map[e]: (node_map[g.edge[e][0]], node_map[g.edge[e][1]], g.edge[e][2]) for e in g.edges},
     )
 
 

@@ -42,15 +42,15 @@ def morphisms_into(draw, target: Graph, max_nodes: int = 5, max_edges: int = 5) 
     # the target edges whose two endpoints both have a preimage
     liftable = [
         e for e in sorted(target.edges)
-        if target.src[e] in preimages and target.tgt[e] in preimages
+        if target.edge[e][0] in preimages and target.edge[e][1] in preimages
     ]
     edges, fe = {}, {}
     if liftable:
         for e in range(draw(st.integers(0, max_edges))):
             te = draw(st.sampled_from(liftable))
-            s = draw(st.sampled_from(preimages[target.src[te]]))
-            t = draw(st.sampled_from(preimages[target.tgt[te]]))
-            edges[e] = (s, t, target.elabel[te])
+            s = draw(st.sampled_from(preimages[target.edge[te][0]]))
+            t = draw(st.sampled_from(preimages[target.edge[te][1]]))
+            edges[e] = (s, t, target.edge[te][2])
             fe[e] = te
     nodes = {v: target.nlabel[w] for v, w in fv.items()}
     return Morphism(graph(nodes, edges), target, fv, fe)
@@ -79,7 +79,7 @@ def extensions(draw, small: Graph, max_nodes: int = 2, max_edges: int = 2) -> Mo
     n_e = len(old_e) + (draw(st.integers(0, max_edges)) if nodes else 0)
     ids_e = draw(st.permutations(range(n_e)))
     fe = dict(zip(old_e, ids_e))
-    edges = {fe[e]: (fv[small.src[e]], fv[small.tgt[e]], small.elabel[e]) for e in old_e}
+    edges = {fe[e]: (fv[small.edge[e][0]], fv[small.edge[e][1]], small.edge[e][2]) for e in old_e}
     ends = sorted(nodes)
     for x in ids_e[len(old_e):]:
         edges[x] = (
@@ -136,13 +136,13 @@ def square_legs(draw) -> dict[str, Morphism]:
         edge_pairs = [
             (x, y) for x in sorted(B.edges) for y in sorted(C.edges)
             if f.fe[x] == g.fe[y]
-            and (B.src[x], C.src[y]) in node_id and (B.tgt[x], C.tgt[y]) in node_id
+            and (B.edge[x][0], C.edge[y][0]) in node_id and (B.edge[x][1], C.edge[y][1]) in node_id
             and draw(st.booleans())
         ]
         apex = graph(
             {i: B.nlabel[x] for (x, _), i in node_id.items()},
             {
-                i: (node_id[B.src[x], C.src[y]], node_id[B.tgt[x], C.tgt[y]], B.elabel[x])
+                i: (node_id[B.edge[x][0], C.edge[y][0]], node_id[B.edge[x][1], C.edge[y][1]], B.edge[x][2])
                 for i, (x, y) in enumerate(edge_pairs)
             },
         )
@@ -159,9 +159,9 @@ def square_legs(draw) -> dict[str, Morphism]:
             gone_v, gone_e = set(), {draw(st.sampled_from(sorted(A.edges)))}
         else:
             v = draw(st.sampled_from(sorted(A.nodes)))
-            gone_v, gone_e = {v}, {e for e in A.edges if v in (A.src[e], A.tgt[e])}
+            gone_v, gone_e = {v}, {e for e in A.edges if v in (A.edge[e][0], A.edge[e][1])}
         nodes = {v: A.nlabel[v] for v in A.nodes - gone_v}
-        edges = {e: (A.src[e], A.tgt[e], A.elabel[e]) for e in A.edges - gone_e}
+        edges = {e: A.edge[e] for e in A.edges - gone_e}
         smaller = graph(nodes, edges)
         for leg in ("ab", "ac"):
             m = legs[leg]

@@ -254,7 +254,7 @@ class TestMatch:
         assert code == 0
         G = x_edges_host()
         gone = self.MATCHES[k]["fe"]["0"]
-        kept = {e: (G.src[e], G.tgt[e], G.elabel[e]) for e in G.edges if e != gone}
+        kept = {e: G.edge[e] for e in G.edges if e != gone}
         assert json.loads(out.read_text()) == io.graph_to_json(graph(G.nlabel, kept))
 
 

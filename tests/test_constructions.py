@@ -69,8 +69,8 @@ class TestGluing:
         result = gluing(Morphism(k, r, {0: 1}, {}), Morphism(k, d, {0: 7}, {}))
         assert result.H.nodes == frozenset({7})
         (loop,) = result.H.edges
-        assert result.H.src[loop] == 7 and result.H.tgt[loop] == 7
-        assert result.H.elabel[loop] == "x"
+        assert result.H.edge[loop][0] == 7 and result.H.edge[loop][1] == 7
+        assert result.H.edge[loop][2] == "x"
         assert is_pushout_injective(
             gluing_square(Morphism(k, r, {0: 1}, {}), Morphism(k, d, {0: 7}, {}), result)
         )
@@ -344,4 +344,4 @@ class TestAgainstReference:
         l = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
         deleted = deletion(Morphism(k, l, {0: 0, 1: 1}, {}), Morphism(l, g, {0: 0, 1: 1}, {0: 0}))
         assert deleted.D.nlabel is g.nlabel and deleted.D.nodes == g.nlabel.keys()
-        assert deleted.D.src is not g.src and g.src == {0: 0}
+        assert deleted.D.edge is not g.edge and g.edge == {0: (0, 1, "x")}

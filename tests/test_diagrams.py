@@ -262,7 +262,7 @@ class TestIsPullback:
             result = pullback_construct(f, g)
         victim = max(
             (v for v in result.A.nodes
-             if all(result.A.src[e] != v and result.A.tgt[e] != v for e in result.A.edges)),
+             if all(v not in ends[:2] for ends in result.A.edge.values())),
             default=None,
         )
         if victim is None:
@@ -271,10 +271,8 @@ class TestIsPullback:
         smaller = type(result.A)(
             nodes=smaller_nodes,
             edges=result.A.edges,
-            src=result.A.src,
-            tgt=result.A.tgt,
             nlabel={v: result.A.nlabel[v] for v in smaller_nodes},
-            elabel=result.A.elabel,
+            edge=result.A.edge,
         )
         sq = Square(
             ab=Morphism(smaller, f.source, {v: result.b.fv[v] for v in smaller_nodes},
@@ -303,7 +301,7 @@ CORRUPTIONS = ("none", "shrink", "merge", "alias", "move", "relabel")
 def relabelled(rng, g):
     """``g`` with the label of one node or edge changed, if it has one."""
     nodes = dict(g.nlabel)
-    edges = {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in g.edges}
+    edges = {e: g.edge[e] for e in g.edges}
     if edges and (not nodes or rng.random() < 0.5):
         e = rng.choice(sorted(edges))
         s, t, label = edges[e]
@@ -332,7 +330,7 @@ def corrupted_square(rng) -> tuple[str, dict[str, Morphism]]:
     maps = {leg: (dict(m.fv), dict(m.fe)) for leg, m in zip(LEGS, (sq.ab, sq.ac, sq.bd, sq.cd))}
     A = sq.A
     nodes = dict(A.nlabel)
-    edges = {e: (A.src[e], A.tgt[e], A.elabel[e]) for e in A.edges}
+    edges = {e: A.edge[e] for e in A.edges}
     kind = rng.choice(CORRUPTIONS)
     if kind == "shrink" and nodes:
         if edges and rng.random() < 0.5:
@@ -390,7 +388,7 @@ class TestAgainstTheCanonicalPullbackObject:
             bd, cd = legs["bd"], legs["cd"]
             assert outcome(jointly_surjective, bd, cd) == outcome(reference_jointly_surjective, bd, cd)
             D = bd.target
-            ends = [(D.src[e], D.tgt[e]) for e in D.edges]
+            ends = [(D.edge[e][0], D.edge[e][1]) for e in D.edges]
             shapes["loop"] += any(s == t for s, t in ends)
             shapes["parallel"] += len(set(ends)) < len(ends)
             sq = built_square(legs)

@@ -33,7 +33,7 @@ def corrupted_graphs(draw) -> Graph:
     nodes."""
     g = draw(graphs())
     nodes, edges = set(g.nodes), set(g.edges)
-    maps = {"src": dict(g.src), "tgt": dict(g.tgt), "nlabel": dict(g.nlabel), "elabel": dict(g.elabel)}
+    maps = {"nlabel": dict(g.nlabel), "edge": dict(g.edge)}
     name = draw(st.sampled_from(sorted(maps)))
     kind = draw(st.sampled_from(["none", "negative node", "negative edge", "missing", "outside", "endpoint"]))
     if kind == "negative node":
@@ -41,15 +41,22 @@ def corrupted_graphs(draw) -> Graph:
         maps["nlabel"][-1] = "a"
     elif kind == "negative edge" and nodes:
         edges.add(-1)
-        maps["src"][-1] = maps["tgt"][-1] = min(nodes)
-        maps["elabel"][-1] = "x"
+        maps["edge"][-1] = (min(nodes), min(nodes), "x")
     elif kind == "missing" and maps[name]:
         del maps[name][draw(st.sampled_from(sorted(maps[name])))]
     elif kind == "outside":
-        maps[name][draw(st.integers(4, 6))] = "a" if name.endswith("label") else 0
+        maps[name][draw(st.integers(4, 6))] = "a" if name == "nlabel" else (0, 0, "x")
     elif kind == "endpoint" and edges:
-        maps[draw(st.sampled_from(["src", "tgt"]))][draw(st.sampled_from(sorted(edges)))] = draw(st.integers(-1, 6))
+        e = draw(st.sampled_from(sorted(edges)))
+        s, t, label = maps["edge"][e]
+        end = draw(st.integers(-1, 6))
+        maps["edge"][e] = (end, t, label) if draw(st.booleans()) else (s, end, label)
     return Graph(nodes=frozenset(nodes), edges=frozenset(edges), **maps)
+
+
+def with_edge_labels(g: Graph, labels: dict[int, str]) -> Graph:
+    """``g`` with each edge in ``labels`` relabelled, ends kept."""
+    return Graph(g.nodes, g.edges, g.nlabel, {**g.edge, **{e: (*g.edge[e][:2], l) for e, l in labels.items()}})
 
 
 class TestCheckReport:
@@ -85,17 +92,15 @@ class TestValidateGraph:
 
     def test_missing_label_is_reported(self):
         g = graph({0: "a"})
-        broken = type(g)(
-            nodes=g.nodes, edges=g.edges, src=g.src, tgt=g.tgt, nlabel={}, elabel=g.elabel
-        )
+        broken = type(g)(nodes=g.nodes, edges=g.edges, nlabel={}, edge=g.edge)
         report = validate_graph(broken)
         assert any("nlabel" in v.clause for v in report.violations)
 
     @settings(max_examples=400, deadline=None)
     @given(corrupted_graphs())
-    @example(Graph(frozenset({-1}), frozenset(), {}, {}, {-1: "a"}, {}))
-    @example(Graph(frozenset({0}), frozenset({0}), {0: 0}, {}, {0: "a"}, {0: "x"}))
-    @example(Graph(frozenset({0}), frozenset(), {3: 0}, {}, {0: "a"}, {}))
+    @example(Graph(frozenset({-1}), frozenset(), {-1: "a"}, {}))
+    @example(Graph(frozenset({0}), frozenset({0}), {0: "a"}, {}))
+    @example(Graph(frozenset({0}), frozenset(), {0: "a"}, {3: (0, 0, "x")}))
     def test_agrees_with_the_reference_loop(self, g):
         assert validate_graph(g) == reference_validate_graph(g)
 
@@ -222,16 +227,16 @@ def swapped_labels(rng: random.Random, g):
     """g with the labels of one x-edge and one y-edge exchanged: node
     signatures and label counts stay the same, so only the search can tell
     the two apart."""
-    a = rng.choice(sorted(e for e in g.edges if g.elabel[e] == "x"))
-    b = rng.choice(sorted(e for e in g.edges if g.elabel[e] == "y"))
-    return type(g)(g.nodes, g.edges, g.src, g.tgt, g.nlabel, {**g.elabel, a: "y", b: "x"})
+    a = rng.choice(sorted(e for e in g.edges if g.edge[e][2] == "x"))
+    b = rng.choice(sorted(e for e in g.edges if g.edge[e][2] == "y"))
+    return with_edge_labels(g, {a: "y", b: "x"})
 
 
 def networkx_isomorphic(g, h) -> bool:
     def to_nx(x):
         m = nx.MultiDiGraph()
         m.add_nodes_from((v, {"label": x.nlabel[v]}) for v in x.nodes)
-        m.add_edges_from((x.src[e], x.tgt[e], e, {"label": x.elabel[e]}) for e in x.edges)
+        m.add_edges_from((s, t, e, {"label": label}) for e, (s, t, label) in x.edge.items())
         return m
 
     def same_label_multiset(a: dict, b: dict) -> bool:
@@ -315,14 +320,14 @@ def iso_candidate_pairs(draw) -> tuple[Graph, Graph]:
     kind = draw(st.sampled_from(["shuffled", "flipped", "swapped", "independent"]))
     if kind == "independent":
         return g, draw(bundled_graphs())
-    src, tgt, elabel = dict(g.src), dict(g.tgt), dict(g.elabel)
+    changed = g
     if kind == "flipped" and g.edges:
         e = draw(st.sampled_from(sorted(g.edges)))
-        src[e], tgt[e] = tgt[e], src[e]
+        s, t, label = g.edge[e]
+        changed = Graph(g.nodes, g.edges, g.nlabel, {**g.edge, e: (t, s, label)})
     elif kind == "swapped" and g.edges:
         e, f = draw(st.sampled_from(sorted(g.edges))), draw(st.sampled_from(sorted(g.edges)))
-        elabel[e], elabel[f] = elabel[f], elabel[e]
-    changed = Graph(g.nodes, g.edges, src, tgt, g.nlabel, elabel)
+        changed = with_edge_labels(g, {e: g.edge[f][2], f: g.edge[e][2]})
     nodes, edges = sorted(g.nodes), sorted(g.edges)
     # new ids drawn from 0-40, so the copy's ids need not follow the original's order
     new_nodes = draw(st.lists(st.integers(0, 40), min_size=len(nodes), max_size=len(nodes), unique=True))
@@ -379,7 +384,7 @@ class TestIsIsomorphicTellsApartEqualSignatures:
         g = graph({0: "a", 1: "a", 2: "b", 3: "b"}, {
             0: (0, 1, "x"), 1: (0, 1, "x"), 2: (0, 1, "y"), 3: (2, 3, "x"), 4: (2, 3, "y"), 5: (2, 3, "y"),
         })
-        h = Graph(g.nodes, g.edges, g.src, g.tgt, g.nlabel, {**g.elabel, 1: "y", 4: "x"})
+        h = with_edge_labels(g, {1: "y", 4: "x"})
         assert is_isomorphic(g, h) is None
 
     def test_each_pair_is_isomorphic_to_a_renumbered_copy_of_itself(self):

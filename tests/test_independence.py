@@ -287,7 +287,7 @@ def both_deleted_removed(pair: ParallelPair) -> Graph:
         gone_e |= {m.fe[e] for e in d.rule.L.edges - set(b.fe.values())}
     return graph(
         {v: G.nlabel[v] for v in G.nodes - gone_v},
-        {e: (G.src[e], G.tgt[e], G.elabel[e]) for e in G.edges - gone_e},
+        {e: G.edge[e] for e in G.edges - gone_e},
     )
 
 
@@ -298,12 +298,12 @@ def large_pair(seed: int, n: int) -> ParallelPair:
     host = random_graph(rng, n, 2 * n, min_nodes=n)
     while len(host.edges) < n:
         host = random_graph(rng, n, 2 * n, min_nodes=n)
-    e = min(e for e in host.edges if host.src[e] != host.tgt[e])
-    s, t = host.src[e], host.tgt[e]
+    e = min(e for e in host.edges if host.edge[e][0] != host.edge[e][1])
+    s, t, _ = host.edge[e]
     k = graph({0: host.nlabel[s], 1: host.nlabel[t]})
-    l = graph(dict(k.nlabel), {0: (0, 1, host.elabel[e])})
+    l = graph(dict(k.nlabel), {0: (0, 1, host.edge[e][2])})
     edge_rule = Rule(L=l, K=k, R=k, b=Morphism(k, l, {0: 0, 1: 1}, {}), r=identity(k))
-    touched = set(host.src.values()) | set(host.tgt.values())
+    touched = {v for s, t, _ in host.edge.values() for v in (s, t)}
     v = min(host.nodes - touched)
     empty, single = graph({}), graph({0: host.nlabel[v]})
     node_rule = Rule(L=single, K=empty, R=empty, b=Morphism(empty, single, {}, {}), r=identity(empty))
@@ -315,7 +315,7 @@ def large_pair(seed: int, n: int) -> ParallelPair:
 
 def with_a_node_added(g: Graph) -> Graph:
     """``g`` with one more, isolated node."""
-    edges = {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in g.edges}
+    edges = {e: g.edge[e] for e in g.edges}
     return graph({**g.nlabel, max(g.nodes, default=-1) + 1: "z"}, edges)
 
 
@@ -572,12 +572,12 @@ def shrunk(rng: random.Random, g: Graph):
         gone_v, gone_e = set(), {rng.choice(sorted(g.edges))}
     elif g.nodes:
         v = rng.choice(sorted(g.nodes))
-        gone_v, gone_e = {v}, {e for e in g.edges if v in (g.src[e], g.tgt[e])}
+        gone_v, gone_e = {v}, {e for e in g.edges if v in (g.edge[e][0], g.edge[e][1])}
     else:
         return None
     return graph(
         {v: g.nlabel[v] for v in g.nodes - gone_v},
-        {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in g.edges - gone_e},
+        {e: g.edge[e] for e in g.edges - gone_e},
     )
 
 
@@ -585,7 +585,8 @@ def relabelled(rng: random.Random, g: Graph):
     """``g`` with the label of one edge or one node changed."""
     if g.edges and rng.random() < 0.5:
         e = rng.choice(sorted(g.edges))
-        return dataclasses.replace(g, elabel={**g.elabel, e: g.elabel[e] + "'"})
+        s, t, label = g.edge[e]
+        return dataclasses.replace(g, edge={**g.edge, e: (s, t, label + "'")})
     if not g.nodes:
         return None
     v = rng.choice(sorted(g.nodes))

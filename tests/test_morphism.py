@@ -67,9 +67,9 @@ def inclusions(draw) -> Morphism:
     h = draw(graphs(max_nodes=5, max_edges=6))
     nodes = {v: h.nlabel[v] for v in h.nodes if draw(st.booleans())}
     edges = {
-        e: (h.src[e], h.tgt[e], h.elabel[e])
+        e: h.edge[e]
         for e in sorted(h.edges)
-        if h.src[e] in nodes and h.tgt[e] in nodes and draw(st.booleans())
+        if h.edge[e][0] in nodes and h.edge[e][1] in nodes and draw(st.booleans())
     }
     g = graph(nodes, edges)
     m = inclusion(g, h)
@@ -77,11 +77,11 @@ def inclusions(draw) -> Morphism:
     kind = draw(st.sampled_from(["none", "label", "endpoint", "move", "drop", "add", "dangling"]))
     if kind == "label" and h.nodes:
         v = draw(st.sampled_from(sorted(h.nodes)))
-        h = graph({**h.nlabel, v: "c"}, {e: (h.src[e], h.tgt[e], h.elabel[e]) for e in h.edges})
+        h = graph({**h.nlabel, v: "c"}, {e: h.edge[e] for e in h.edges})
     elif kind == "endpoint" and h.edges:
         e = draw(st.sampled_from(sorted(h.edges)))
-        ends = {x: (h.src[x], h.tgt[x], h.elabel[x]) for x in h.edges}
-        ends[e] = (draw(st.sampled_from(sorted(h.nodes))), h.tgt[e], h.elabel[e])
+        ends = {x: h.edge[x] for x in h.edges}
+        ends[e] = (draw(st.sampled_from(sorted(h.nodes))), h.edge[e][1], h.edge[e][2])
         h = graph(h.nlabel, ends)
     elif kind == "move" and fe and draw(st.booleans()):
         fe[draw(st.sampled_from(sorted(fe)))] = draw(st.sampled_from(sorted(h.edges)))
@@ -94,10 +94,10 @@ def inclusions(draw) -> Morphism:
     elif kind == "add":
         (fe if draw(st.booleans()) else fv)[draw(st.integers(0, 9))] = draw(st.integers(0, 9))
     elif kind == "dangling":
-        outside = sorted(e for e in h.edges if e not in edges and not {h.src[e], h.tgt[e]} <= nodes.keys())
+        outside = sorted(e for e in h.edges if e not in edges and not {h.edge[e][0], h.edge[e][1]} <= nodes.keys())
         if outside:
             e = draw(st.sampled_from(outside))
-            g = graph(nodes, {**edges, e: (h.src[e], h.tgt[e], h.elabel[e])})
+            g = graph(nodes, {**edges, e: h.edge[e]})
             fe[e] = e
     return Morphism(g, h, fv, fe)
 
@@ -119,7 +119,7 @@ class TestValidateMorphismAgainstTheLoop:
     def test_target_maps_wider_than_its_items(self, nodes, edges, violation):
         # the target's maps name node 1 and edge 0, but its item sets may not
         g = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
-        h = Graph(frozenset(nodes), frozenset(edges), dict(g.src), dict(g.tgt), dict(g.nlabel), dict(g.elabel))
+        h = Graph(frozenset(nodes), frozenset(edges), dict(g.nlabel), dict(g.edge))
         m = Morphism(g, h, {0: 0, 1: 1}, {0: 0})
         assert validate_morphism(m) == reference_validate_morphism(m)
         assert str(validate_morphism(m)) == violation

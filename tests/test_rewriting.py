@@ -177,10 +177,10 @@ def networkx_match_count(L: Graph, G: Graph) -> int:
         d = nx.DiGraph()
         d.add_nodes_from((v, {"label": g.nlabel[v]}) for v in g.nodes)
         for e in g.edges:
-            s, t = g.src[e], g.tgt[e]
+            s, t = g.edge[e][0], g.edge[e][1]
             if not d.has_edge(s, t):
                 d.add_edge(s, t, labels=Counter())
-            d[s][t]["labels"][g.elabel[e]] += 1
+            d[s][t]["labels"][g.edge[e][2]] += 1
         return d
 
     host, pattern = merged(G), merged(L)
@@ -194,7 +194,7 @@ def networkx_match_count(L: Graph, G: Graph) -> int:
         image = {p: h for h, p in node_map.items()}
         ways = 1
         for e in L.edges:
-            ways *= host[image[L.src[e]]][image[L.tgt[e]]]["labels"][L.elabel[e]]
+            ways *= host[image[L.edge[e][0]]][image[L.edge[e][1]]]["labels"][L.edge[e][2]]
         total += ways
     return total
 
@@ -221,7 +221,7 @@ class TestFindMatchesAgainstNetworkx:
             image = dict(zip(sorted(L.nodes), rng.sample(range(n), len(L.nodes))))
             nodes.update((image[v], L.nlabel[v]) for v in L.nodes)
             for e in sorted(L.edges):
-                edges[len(edges)] = (image[L.src[e]], image[L.tgt[e]], L.elabel[e])
+                edges[len(edges)] = (image[L.edge[e][0]], image[L.edge[e][1]], L.edge[e][2])
         G = graph(nodes, edges)
         matches = find_matches(identity_rule(L), G)
         assert len(matches) == networkx_match_count(L, G) > 0
@@ -332,6 +332,10 @@ class TestApply:
                 assert clone == g and g == clone
                 assert validate_graph(clone)
                 assert incidence_if_built(clone) is None
+                # the two maps are the graph; the projections follow them
+                assert (clone.nlabel, clone.edge) == (g.nlabel, g.edge) and clone.edge is not g.edge
+                assert all(type(v) is tuple for v in clone.edge.values())
+                assert (dict(clone.src), dict(clone.tgt), dict(clone.elabel)) == (g.src, g.tgt, g.elabel)
 
     def test_both_squares_hold_on_random_instances(self):
         rng = random.Random(37)
@@ -423,7 +427,7 @@ def enumerate_subgraphs(g: Graph):
     for r in range(len(nodes) + 1):
         for node_subset in itertools.combinations(nodes, r):
             kept = set(node_subset)
-            closed = [e for e in edges if g.src[e] in kept and g.tgt[e] in kept]
+            closed = [e for e in edges if g.edge[e][0] in kept and g.edge[e][1] in kept]
             for s in range(len(closed) + 1):
                 for edge_subset in itertools.combinations(closed, s):
                     yield kept, set(edge_subset)
@@ -433,10 +437,8 @@ def subgraph_of(g: Graph, nodes: set, edges: set) -> Graph:
     return Graph(
         nodes=frozenset(nodes),
         edges=frozenset(edges),
-        src={e: g.src[e] for e in edges},
-        tgt={e: g.tgt[e] for e in edges},
         nlabel={v: g.nlabel[v] for v in nodes},
-        elabel={e: g.elabel[e] for e in edges},
+        edge={e: g.edge[e] for e in edges},
     )
 
 
@@ -484,7 +486,7 @@ def _subgraph(g: Graph, drop_nodes: set, drop_edges: set) -> Graph:
     edges = g.edges - drop_edges
     return graph(
         {v: g.nlabel[v] for v in nodes},
-        {e: (g.src[e], g.tgt[e], g.elabel[e]) for e in edges},
+        {e: g.edge[e] for e in edges},
     )
 
 
@@ -499,7 +501,7 @@ def drop_context_item(sq: Square) -> Square | None:
         C2 = _subgraph(C, set(), {spare_e[0]})
     elif spare_v:
         v = spare_v[0]
-        C2 = _subgraph(C, {v}, {e for e in C.edges if v in (C.src[e], C.tgt[e])})
+        C2 = _subgraph(C, {v}, {e for e in C.edges if v in (C.edge[e][0], C.edge[e][1])})
     else:
         return None
     ac = Morphism(sq.A, C2, sq.ac.fv, sq.ac.fe)
@@ -510,7 +512,7 @@ def add_uncovered_node(sq: Square) -> Square:
     """The square with a node added to its corner D that nothing covers."""
     D = sq.D
     v = max(D.nodes, default=-1) + 1
-    D2 = graph({**D.nlabel, v: "a"}, {e: (D.src[e], D.tgt[e], D.elabel[e]) for e in D.edges})
+    D2 = graph({**D.nlabel, v: "a"}, {e: D.edge[e] for e in D.edges})
     bd = Morphism(sq.B, D2, sq.bd.fv, sq.bd.fe)
     return Square(ab=sq.ab, ac=sq.ac, bd=bd, cd=_inclusion(sq.C, D2))
 
@@ -522,10 +524,10 @@ def break_d(sq: Square) -> Square | None:
     unused or is swapped with the item of A that uses it (another such node,
     or an edge); ``None`` if no item of A can be moved so."""
     A, C = sq.A, sq.C
-    on_edges = {v for e in A.edges for v in (A.src[e], A.tgt[e])}
+    on_edges = {v for e in A.edges for v in (A.edge[e][0], A.edge[e][1])}
     for kind, items, f, targets, signature in (
         ("fv", sorted(A.nodes - on_edges), sq.ac.fv, C.nodes, C.nlabel.get),
-        ("fe", sorted(A.edges), sq.ac.fe, C.edges, lambda c: (C.src[c], C.tgt[c], C.elabel[c])),
+        ("fe", sorted(A.edges), sq.ac.fe, C.edges, lambda c: C.edge[c]),
     ):
         used = {f[x]: x for x in f}
         for x in items:
@@ -550,14 +552,14 @@ def keep_deleted_item(sq: Square) -> Square | None:
     ``None`` if there is no such item."""
     C, D = sq.C, sq.D
     own_v = sorted(set(sq.bd.fv.values()) - C.nodes)
-    own_e = sorted(e for e in set(sq.bd.fe.values()) - C.edges if {D.src[e], D.tgt[e]} <= C.nodes)
+    own_e = sorted(e for e in set(sq.bd.fe.values()) - C.edges if {D.edge[e][0], D.edge[e][1]} <= C.nodes)
     nodes = dict(C.nlabel)
-    edges = {e: (C.src[e], C.tgt[e], C.elabel[e]) for e in C.edges}
+    edges = {e: C.edge[e] for e in C.edges}
     if own_v:
         nodes[own_v[0]] = D.nlabel[own_v[0]]
     elif own_e:
         e = own_e[0]
-        edges[e] = (D.src[e], D.tgt[e], D.elabel[e])
+        edges[e] = D.edge[e]
     else:
         return None
     C2 = graph(nodes, edges)
@@ -574,15 +576,15 @@ def retarget_bd(sq: Square) -> Square | None:
         return None
     B, D = sq.B, sq.D
     nodes = dict(D.nlabel)
-    edges = {e: (D.src[e], D.tgt[e], D.elabel[e]) for e in D.edges}
+    edges = {e: D.edge[e] for e in D.edges}
     fv, fe = dict(sq.bd.fv), dict(sq.bd.fe)
     b = sq.ab.fv[min(sq.A.nodes)]
     fv[b] = max(D.nodes) + 1
     nodes[fv[b]] = D.nlabel[sq.bd.fv[b]]
     for e in sorted(B.edges):
-        if b in (B.src[e], B.tgt[e]):
+        if b in (B.edge[e][0], B.edge[e][1]):
             fe[e] = max(edges) + 1
-            edges[fe[e]] = (fv[B.src[e]], fv[B.tgt[e]], B.elabel[e])
+            edges[fe[e]] = (fv[B.edge[e][0]], fv[B.edge[e][1]], B.edge[e][2])
     D2 = graph(nodes, edges)
     return Square(ab=sq.ab, ac=sq.ac, bd=Morphism(sq.B, D2, fv, fe), cd=_inclusion(sq.C, D2))
 
@@ -667,7 +669,7 @@ class TestLocalCertification:
         # node: outside certify_pushout's precondition, so no verdict
         rule, match = _node_deleting()
         sq = apply(rule, match).left_square
-        D2 = graph({**sq.D.nlabel, 3: "b"}, {e: (sq.D.src[e], sq.D.tgt[e], sq.D.elabel[e]) for e in sq.D.edges})
+        D2 = graph({**sq.D.nlabel, 3: "b"}, {e: sq.D.edge[e] for e in sq.D.edges})
         legs = {"ab": sq.ab, "ac": sq.ac, "bd": Morphism(sq.B, D2, {0: 0, 1: 3}, {0: 3}), "cd": _inclusion(sq.C, D2)}
         assert built_square(legs) is None
         with pytest.raises(PreconditionError, match="^square 'bd': invalid morphism: target not preserved: edge 0$"):
@@ -707,7 +709,7 @@ class _Replay:
 
     def __init__(self, G: Graph):
         self.nodes = dict(G.nlabel)
-        self.edges = {e: (G.src[e], G.tgt[e], G.elabel[e]) for e in G.edges}
+        self.edges = {e: G.edge[e] for e in G.edges}
 
     def dangling(self, deleted_node: int, deleted_edges: set) -> list[int]:
         return sorted(
@@ -725,7 +727,7 @@ class _Replay:
             self.nodes[comatch.fv[v]] = rule.R.nlabel[v]
         for e in rule.R.edges - set(rule.r.fe.values()):
             self.edges[comatch.fe[e]] = (
-                comatch.fv[rule.R.src[e]], comatch.fv[rule.R.tgt[e]], rule.R.elabel[e]
+                comatch.fv[rule.R.edge[e][0]], comatch.fv[rule.R.edge[e][1]], rule.R.edge[e][2]
             )
 
     def graph(self) -> Graph:
@@ -815,9 +817,9 @@ class TestLongChains:
         # more step deletes it
         H = graphs[-1]
         top = max(H.edges)
-        ends = dict(enumerate(dict.fromkeys((H.src[top], H.tgt[top]))))
+        ends = dict(enumerate(dict.fromkeys((H.edge[top][0], H.edge[top][1]))))
         K = graph({i: H.nlabel[v] for i, v in ends.items()})
-        L = graph(K.nlabel, {0: (0, len(ends) - 1, H.elabel[top])})
+        L = graph(K.nlabel, {0: (0, len(ends) - 1, H.edge[top][2])})
         keep = ({i: i for i in ends}, {})
         last = apply(_rule(L, K, K, keep, keep), Match(Morphism(L, H, ends, {0: top})))
         graphs += [last.D, last.H]
@@ -849,20 +851,20 @@ class TestLongChains:
         G.incidence  # built first, so every step patches a copy of it
 
         def contents(g: Graph) -> list:
-            return [dict(m) for m in (g.src, g.tgt, g.nlabel, g.elabel, incidence_if_built(g))]
+            return [dict(m) for m in (g.nlabel, g.edge, incidence_if_built(g))]
 
         seen = [(g, contents(g)) for g in itertools.chain([G], run_chain(G, _Replay(G), steps=100, seed=6))]
         assert all(contents(g) == before for g, before in seen)
         # a map whose items a step leaves alone is shared, not copied: D's
-        # nlabel is its host's when no node is deleted, H's src is D's when
-        # no edge is created
+        # nlabel is its host's when no node is deleted, H's edge map is D's
+        # when no edge is created
         shared = Counter()
         for (x, _), (y, _) in zip(seen, seen[1:]):
-            for field, items in (("nlabel", "nodes"), ("src", "edges"), ("tgt", "edges"), ("elabel", "edges")):
+            for field, items in (("nlabel", "nodes"), ("edge", "edges")):
                 if getattr(x, items) == getattr(y, items):
                     assert getattr(x, field) is getattr(y, field)
                     shared[field] += 1
-        assert len(shared) == 4
+        assert len(shared) == 2
 
     def test_item_sets_equal_the_maps_along_a_chain(self):
         # every D and H is well formed, and equal to the graph read back
@@ -870,7 +872,7 @@ class TestLongChains:
         G = _random_host(300, seed=8)
         for g in run_chain(G, _Replay(G), steps=100, seed=8):
             assert g.nodes == g.nlabel.keys()
-            assert g.edges == g.elabel.keys() == g.src.keys() == g.tgt.keys()
+            assert g.edges == g.edge.keys()
             assert validate_graph(g)
             assert g == io.graph_from_json(io.graph_to_json(g))
 
