@@ -331,7 +331,8 @@ def rewire_on_random_host(n: int) -> tuple[Rule, Match]:
     rng = random.Random(n)
     host = random_graph(rng, n, 2 * n, min_nodes=n)
     rule = rewire()
-    e = min(e for e in host.edges if host.edge[e][2] == "x" and host.nlabel[host.edge[e][0]] == "a"
-            and host.nlabel[host.edge[e][1]] == "b" and host.edge[e][0] != host.edge[e][1])
-    other = min(v for v in host.nodes if host.nlabel[v] == "b" and v != host.edge[e][1])
-    return rule, Match(Morphism(rule.L, host, {0: host.edge[e][0], 1: host.edge[e][1], 2: other}, {0: e}))
+    e = min(e for e, (s, t, label) in host.edge.items() if label == "x" and host.nlabel[s] == "a"
+            and host.nlabel[t] == "b" and s != t)
+    s, t, _ = host.edge[e]
+    other = min(v for v in host.nodes if host.nlabel[v] == "b" and v != t)
+    return rule, Match(Morphism(rule.L, host, {0: s, 1: t, 2: other}, {0: e}))

@@ -159,7 +159,7 @@ def square_legs(draw) -> dict[str, Morphism]:
             gone_v, gone_e = set(), {draw(st.sampled_from(sorted(A.edges)))}
         else:
             v = draw(st.sampled_from(sorted(A.nodes)))
-            gone_v, gone_e = {v}, {e for e in A.edges if v in (A.edge[e][0], A.edge[e][1])}
+            gone_v, gone_e = {v}, {e for e in A.edges if v in A.edge[e][:2]}
         nodes = {v: A.nlabel[v] for v in A.nodes - gone_v}
         edges = {e: A.edge[e] for e in A.edges - gone_e}
         smaller = graph(nodes, edges)

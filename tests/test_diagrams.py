@@ -388,7 +388,7 @@ class TestAgainstTheCanonicalPullbackObject:
             bd, cd = legs["bd"], legs["cd"]
             assert outcome(jointly_surjective, bd, cd) == outcome(reference_jointly_surjective, bd, cd)
             D = bd.target
-            ends = [(D.edge[e][0], D.edge[e][1]) for e in D.edges]
+            ends = [D.edge[e][:2] for e in D.edges]
             shapes["loop"] += any(s == t for s, t in ends)
             shapes["parallel"] += len(set(ends)) < len(ends)
             sq = built_square(legs)

@@ -572,7 +572,7 @@ def shrunk(rng: random.Random, g: Graph):
         gone_v, gone_e = set(), {rng.choice(sorted(g.edges))}
     elif g.nodes:
         v = rng.choice(sorted(g.nodes))
-        gone_v, gone_e = {v}, {e for e in g.edges if v in (g.edge[e][0], g.edge[e][1])}
+        gone_v, gone_e = {v}, {e for e in g.edges if v in g.edge[e][:2]}
     else:
         return None
     return graph(

@@ -94,7 +94,7 @@ def inclusions(draw) -> Morphism:
     elif kind == "add":
         (fe if draw(st.booleans()) else fv)[draw(st.integers(0, 9))] = draw(st.integers(0, 9))
     elif kind == "dangling":
-        outside = sorted(e for e in h.edges if e not in edges and not {h.edge[e][0], h.edge[e][1]} <= nodes.keys())
+        outside = sorted(e for e in h.edges if e not in edges and not set(h.edge[e][:2]) <= nodes.keys())
         if outside:
             e = draw(st.sampled_from(outside))
             g = graph(nodes, {**edges, e: h.edge[e]})

@@ -176,11 +176,10 @@ def networkx_match_count(L: Graph, G: Graph) -> int:
     def merged(g: Graph) -> nx.DiGraph:
         d = nx.DiGraph()
         d.add_nodes_from((v, {"label": g.nlabel[v]}) for v in g.nodes)
-        for e in g.edges:
-            s, t = g.edge[e][0], g.edge[e][1]
+        for s, t, label in g.edge.values():
             if not d.has_edge(s, t):
                 d.add_edge(s, t, labels=Counter())
-            d[s][t]["labels"][g.edge[e][2]] += 1
+            d[s][t]["labels"][label] += 1
         return d
 
     host, pattern = merged(G), merged(L)
@@ -501,7 +500,7 @@ def drop_context_item(sq: Square) -> Square | None:
         C2 = _subgraph(C, set(), {spare_e[0]})
     elif spare_v:
         v = spare_v[0]
-        C2 = _subgraph(C, {v}, {e for e in C.edges if v in (C.edge[e][0], C.edge[e][1])})
+        C2 = _subgraph(C, {v}, {e for e in C.edges if v in C.edge[e][:2]})
     else:
         return None
     ac = Morphism(sq.A, C2, sq.ac.fv, sq.ac.fe)
@@ -524,7 +523,7 @@ def break_d(sq: Square) -> Square | None:
     unused or is swapped with the item of A that uses it (another such node,
     or an edge); ``None`` if no item of A can be moved so."""
     A, C = sq.A, sq.C
-    on_edges = {v for e in A.edges for v in (A.edge[e][0], A.edge[e][1])}
+    on_edges = {v for e in A.edges for v in A.edge[e][:2]}
     for kind, items, f, targets, signature in (
         ("fv", sorted(A.nodes - on_edges), sq.ac.fv, C.nodes, C.nlabel.get),
         ("fe", sorted(A.edges), sq.ac.fe, C.edges, lambda c: C.edge[c]),
@@ -552,7 +551,7 @@ def keep_deleted_item(sq: Square) -> Square | None:
     ``None`` if there is no such item."""
     C, D = sq.C, sq.D
     own_v = sorted(set(sq.bd.fv.values()) - C.nodes)
-    own_e = sorted(e for e in set(sq.bd.fe.values()) - C.edges if {D.edge[e][0], D.edge[e][1]} <= C.nodes)
+    own_e = sorted(e for e in set(sq.bd.fe.values()) - C.edges if set(D.edge[e][:2]) <= C.nodes)
     nodes = dict(C.nlabel)
     edges = {e: C.edge[e] for e in C.edges}
     if own_v:
@@ -582,7 +581,7 @@ def retarget_bd(sq: Square) -> Square | None:
     fv[b] = max(D.nodes) + 1
     nodes[fv[b]] = D.nlabel[sq.bd.fv[b]]
     for e in sorted(B.edges):
-        if b in (B.edge[e][0], B.edge[e][1]):
+        if b in B.edge[e][:2]:
             fe[e] = max(edges) + 1
             edges[fe[e]] = (fv[B.edge[e][0]], fv[B.edge[e][1]], B.edge[e][2])
     D2 = graph(nodes, edges)
@@ -817,7 +816,7 @@ class TestLongChains:
         # more step deletes it
         H = graphs[-1]
         top = max(H.edges)
-        ends = dict(enumerate(dict.fromkeys((H.edge[top][0], H.edge[top][1]))))
+        ends = dict(enumerate(dict.fromkeys(H.edge[top][:2])))
         K = graph({i: H.nlabel[v] for i, v in ends.items()})
         L = graph(K.nlabel, {0: (0, len(ends) - 1, H.edge[top][2])})
         keep = ({i: i for i in ends}, {})
