@@ -6,23 +6,10 @@ items, so the context's embedding into the result is a literal inclusion.
 Deletion builds the pushout complement by removing the deleted items from
 the host's maps, so the context embeds into the host the same way, and both
 inclusions are built only when read. Both are one graph edit,
-:func:`_edited`: each of the graph's two maps, ``nlabel`` and ``edge``, that
-it changes is copied in bulk, at C level, and patched with the rule's items;
-the other is shared with the input graph. A result's item sets are the key
-views of its maps, so no item set is built. So a construction costs at most
+:meth:`~dpo.graph.Graph.edited`, which copies only the maps it changes and
+carries the host's built indexes on, patched: a construction costs at most
 two C-level copies of the host's maps, plus one of its incidence index once
-built, and O(|rule| + degree) Python work.
-
-Maps are copied with ``dict.copy()``. ``dict(m)`` and ``{**m, **new}``
-re-insert every key once ``m`` has had a key deleted, which every pruned
-map and patched index of a chain has; ``m.copy()`` clones the table
-whole. On a 2*10^4-entry edge map with one key deleted, ``timeit`` on
-CPython 3.10-3.13 gave 0.5-0.8 ms for either form and 0.3 ms for
-``m.copy()``.
-
-A graph's derived indexes (:attr:`~dpo.graph.Graph.incidence`,
-``max_node_id``, ``max_edge_id``) are carried on to the result once
-built, patched in O(|rule| + degree). The dangling check reads the
+built, and O(|rule| + degree) Python work. The dangling check reads the
 incidence index; gluing allocates fresh ids past the largest carried id,
 the same ids a scan of ``D`` would give. Neither construction certifies
 its square: :func:`~dpo.rewriting.apply` does, over the rule's items only.
@@ -33,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection
+from typing import Callable
 
 from .errors import DanglingConditionError, PreconditionError
 from .graph import Graph
@@ -92,7 +79,7 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
     ids are read from :attr:`~dpo.graph.Graph.max_node_id` and
     ``max_edge_id``, only for a kind the rule creates. Identifiers of ``D``
     are kept, so ``c`` is an identity inclusion. ``H`` is ``D``
-    :func:`_edited` to add the new items.
+    :meth:`~dpo.graph.Graph.edited` to add the new items.
     """
     if b.source != d.source:
         raise PreconditionError("gluing: b and d must share their source graph")
@@ -115,8 +102,8 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
         # else its fresh copy
         return d.fv[b_inv_v[x]] if x in b_inv_v else fresh_v[x]
 
-    H = _edited(
-        D, (), (),
+    H = D.edited(
+        (), (),
         nlabel={fresh_v[v]: R.nlabel[v] for v in new_nodes},
         edge={fresh_e[e]: (node_in_h(s), node_in_h(t), label) for e in new_edges for s, t, label in [R.edge[e]]},
     )
@@ -161,9 +148,9 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
 
     ``rule_left: K -> L`` and ``match: L -> G`` must both be injective with a
     shared middle graph ``L``, and the dangling condition must hold. ``D``
-    is ``G`` :func:`without` the deleted items. The result's ``c: D -> G``
-    is an identity inclusion; the square is a pushout, which
-    :func:`~dpo.rewriting.apply` certifies.
+    is ``G`` :meth:`~dpo.graph.Graph.edited` to remove the deleted items.
+    The result's ``c: D -> G`` is an identity inclusion; the square is a
+    pushout, which :func:`~dpo.rewriting.apply` certifies.
     """
     if rule_left.target != match.source:
         raise PreconditionError("deletion: rule_left.target differs from match.source")
@@ -176,7 +163,7 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
         raise DanglingConditionError("dangling edges", tuple(dangling))
 
     K, G = rule_left.source, match.target
-    D = without(G, *deleted_items(rule_left, match))
+    D = G.edited(*deleted_items(rule_left, match), {}, {})
     d = Morphism(
         source=K,
         target=D,
@@ -186,12 +173,6 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
     return DeletionResult(D=D, d=d, G=G)
 
 
-def without(g: Graph, nodes: set[int], edges: set[int]) -> Graph:
-    """``g`` without the given nodes and edges, which must leave no edge of
-    ``g`` dangling: :func:`_edited` with nothing added."""
-    return _edited(g, nodes, edges, {}, {})
-
-
 def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
     """Consecutive identifiers for ``items`` past ``largest()``, which is
     read only when there are items."""
@@ -199,58 +180,6 @@ def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
         return {}
     start = largest() + 1
     return {x: start + i for i, x in enumerate(items)}
-
-
-def _edited(
-    old: Graph, gone_nodes: Collection[int], gone_edges: Collection[int],
-    nlabel: dict[int, str], edge: dict[int, tuple[int, int, str]],
-) -> Graph:
-    """``old`` without ``gone_nodes`` and ``gone_edges``, plus the items of
-    the two given maps, whose ids ``old`` does not hold.
-
-    Each map of ``old`` that loses or gains an item is copied with
-    ``dict.copy()`` and patched; the other is shared, since graphs are
-    never mutated. Each derived index of ``old`` that has been built is
-    carried on, patched for the removed and added items: one bulk copy
-    plus O(degree) per item. A largest id whose item was removed is not
-    carried; the result rebuilds it if read.
-    """
-    maps = []
-    for m, gone, added in ((old.nlabel, gone_nodes, nlabel), (old.edge, gone_edges, edge)):
-        if gone or added:
-            m = m.copy()
-            for k in gone:
-                m.pop(k, None)
-            m.update(added)
-        maps.append(m)
-    new = Graph.from_maps(*maps)
-    # where functools.cached_property keeps the values it builds
-    built, carried = vars(old), vars(new)
-    for name, gone, added in (("max_node_id", gone_nodes, nlabel), ("max_edge_id", gone_edges, edge)):
-        largest = built.get(name)
-        if largest is not None and largest not in gone:
-            carried[name] = max(largest, max(added, default=-1))
-    index = built.get("incidence")
-    if index is None:
-        return new
-    if gone_nodes or gone_edges or edge:
-        index = index.copy()
-    for v in gone_nodes:
-        index.pop(v, None)
-    for e in gone_edges:
-        s, t, _ = old.edge[e]
-        for v in {s, t}:
-            if v in index:  # not a removed node
-                rest = index[v] - {e}
-                if rest:
-                    index[v] = rest
-                else:
-                    del index[v]
-    for e, (s, t, _) in edge.items():
-        for v in {s, t}:
-            index[v] = index.get(v, frozenset()) | {e}
-    carried["incidence"] = index
-    return new
 
 
 def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import PASSED, CheckReport, Graph, Violation, failure, is_subgraph, validate_graph
+from .graph import PASSED, CheckReport, Graph, Violation, ends_are_nodes, failure, is_subgraph, validate_graph
 
 
 @dataclass(frozen=True, eq=True)
@@ -136,10 +136,12 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
     maps in ascending edge id. Nothing recurses per item, so the size of
     ``g`` is not bounded by the interpreter's recursion limit.
 
-    Cost: O(|V_h|) for the label scan and, if ``h.incidence`` is not built
-    yet, O(|E_h|) to build it; then, per candidate extension, the degree in
-    ``h`` of the anchor's image and of each checked edge's ends; then
-    sorting the node maps found and expanding their edge maps.
+    Cost: O(|V_h|) for the label scan and, where ``g.incidence`` or
+    ``h.incidence`` is not built yet, O(|E_g|) or O(|E_h|) to build it, once
+    per graph, so a rule's ``L`` is indexed once over all its searches;
+    then, per candidate extension, the degree in ``h`` of the anchor's
+    image and of each checked edge's ends; then sorting the node maps found
+    and expanding their edge maps.
     """
     nodes, edges = sorted(g.nodes), sorted(g.edges)
     plan = _plan(g, h)
@@ -175,17 +177,12 @@ def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
     or ``None`` if an edge of ``g`` ends outside its nodes.
 
     A heap keyed by (minus the edges to bound nodes, the label's count in
-    ``h``, the id) picks each next node; a node gains one stale entry per
-    edge to a newly bound node, so building the plan costs
-    O(|g| log |g|)."""
-    at: dict[int, list[int]] = {v: [] for v in g.nodes}
-    for e in sorted(g.edges):
-        s, t, _ = g.edge[e]
-        if s not in at or t not in at:
-            return None
-        at[s].append(e)
-        if t != s:
-            at[t].append(e)
+    ``h``, the id) picks each next node, whose edges are read from
+    ``g.incidence`` in ascending id; a node gains one stale entry per edge
+    to a newly bound node, so building the plan costs O(|g| log |g|)."""
+    if not ends_are_nodes(g):
+        return None
+    incidence = g.incidence
     rarity = Counter(h.nlabel.values())
     links = dict.fromkeys(g.nodes, 0)
     heap = [(0, rarity[g.nlabel[v]], v) for v in g.nodes]
@@ -199,7 +196,7 @@ def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
         placed.add(v)
         anchor = None
         closes = []
-        for e in at[v]:
+        for e in sorted(incidence.get(v, ())):
             s, t, label = g.edge[e]
             v_is_src = s == v
             u = t if v_is_src else s
