@@ -202,14 +202,21 @@ def pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism:
 
     For a pushout square and a cospan ``p: B -> X``, ``t: C -> X`` with
     ``p after ab = t after ac``, returns the unique ``u: D -> X`` with
-    ``u after bd = p`` and ``u after cd = t``. One pass per item kind, over
-    B and then C, fills ``u``; nodes first, a failure names the least D-item
-    whose preimages have different images, where the cospan does not factor
-    (which for a genuine pushout means it did not commute), else the least
-    without a preimage. Last, the mediating map is checked as a morphism.
+    ``u after bd = p`` and ``u after cd = t``. A leg that is not total
+    fails first, named with its least unmapped item, nodes first. Then one
+    pass per item kind, over B and then C, fills ``u``; nodes first, a
+    failure names the least D-item whose preimages have different images,
+    where the cospan does not factor (which for a genuine pushout means it
+    did not commute), else the least without a preimage. Last, the
+    mediating map is checked as a morphism.
     """
     if p.source != sq.B or t.source != sq.C or p.target != t.target:
         raise PreconditionError("pushout_mediator: cospan endpoints do not fit the square")
+    for leg, m in (("p", p), ("t", t)):
+        for kind, items, f in (("node", m.source.nodes, m.fv), ("edge", m.source.edges, m.fe)):
+            unmapped = items - f.keys()
+            if unmapped:
+                raise PreconditionError(f"pushout_mediator: cospan leg '{leg}' is not total", (kind, min(unmapped)))
     maps = []
     for kind, d_items, legs in (
         ("node", sq.D.nodes, ((sq.B.nodes, sq.bd.fv, p.fv), (sq.C.nodes, sq.cd.fv, t.fv))),

@@ -201,8 +201,9 @@ def verify_commutation_squares(
     checks, and the first failure is reported under the label of the stage
     it reached: a failed check with its clause and item, and an error
     raised while building or checking with its report's. A witness that is
-    not a morphism into its context, or a comatch of ``result.e1`` that is
-    not total, fails, and never raises. Graphs must be well-formed, as the
+    not a morphism into its context, a comatch of ``result.e1`` that is
+    not total, or a derivation of the pair whose own squares cannot be
+    built, fails, and never raises. Graphs must be well-formed, as the
     loaders and constructions make them.
     """
     d1, d2 = pair.d1, pair.d2
@@ -266,20 +267,22 @@ def verify_commutation_squares(
             report = check(sq)
             if not report:
                 return failure(f"{stage}: {report.failed_clause}", report.counterexample)
+
+        # pasting cannot fail, as (11)'s cd is (12)'s ab and so on; a
+        # derivation square that cannot be built, say from a partial k or
+        # match, fails under its composite's label
+        for label, top, bottom, d, side in (
+            ("(11)+(12)", sq11, sq12, d1, "left_square"),
+            ("(21)+(22)", sq21, sq22, d1, "right_square"),
+            ("(31)+(32)", sq31, sq32, d2, "left_square"),
+            ("(41)+(42)", sq41, sq42, d2, "right_square"),
+        ):
+            stage = f"composite {label}"
+            report = squares_agree(compose_squares_vertical(top, bottom), getattr(d, side))
+            if not report:
+                return failure(f"{stage} differs from the derivation square", report.counterexample)
     except RewriteError as exc:
         return failure(f"{stage}: {exc.report.failed_clause}", exc.report.counterexample)
-
-    # pasting cannot fail, as (11)'s cd is (12)'s ab and so on; a derivation
-    # square that cannot be built raises, as the derivation is not one
-    for label, top, bottom, expected in [
-        ("(11)+(12)", sq11, sq12, d1.left_square),
-        ("(21)+(22)", sq21, sq22, d1.right_square),
-        ("(31)+(32)", sq31, sq32, d2.left_square),
-        ("(41)+(42)", sq41, sq42, d2.right_square),
-    ]:
-        report = squares_agree(compose_squares_vertical(top, bottom), expected)
-        if not report:
-            return failure(f"composite {label} differs from the derivation square", report.counterexample)
     return PASSED
 
 

@@ -416,8 +416,8 @@ def reference_verify_commutation_squares(
     labelled square is then checked, (12) and (32) as pullbacks, so D is
     verified, not assumed; so is each composite against the original
     derivations. The first failure is reported with its square's label; a
-    witness that is not a morphism into its context fails, and never
-    raises.
+    witness that is not a morphism into its context, or a derivation of
+    the pair whose own squares cannot be built, fails, and never raises.
     """
     d1, d2 = pair.d1, pair.d2
     b1, r1 = d1.rule.b, d1.rule.r
@@ -492,14 +492,15 @@ def reference_verify_commutation_squares(
             return failure(f"square {label}: {report.failed_clause}", report.counterexample)
 
     composites = [
-        ("(11)+(12)", sq11, sq12, d1.left_square),
-        ("(21)+(22)", sq21, sq22, d1.right_square),
-        ("(31)+(32)", sq31, sq32, d2.left_square),
-        ("(41)+(42)", sq41, sq42, d2.right_square),
+        ("(11)+(12)", sq11, sq12, d1, "left_square"),
+        ("(21)+(22)", sq21, sq22, d1, "right_square"),
+        ("(31)+(32)", sq31, sq32, d2, "left_square"),
+        ("(41)+(42)", sq41, sq42, d2, "right_square"),
     ]
-    for label, top, bottom, expected in composites:
+    for label, top, bottom, d, side in composites:
         try:
             built = compose_squares_vertical(top, bottom)
+            expected = getattr(d, side)
         except PreconditionError as exc:
             return failure(f"composite {label}: {exc.report.failed_clause}", exc.report.counterexample)
         report = squares_agree(built, expected)
@@ -513,14 +514,21 @@ def reference_pushout_mediator(sq: Square, p: Morphism, t: Morphism) -> Morphism
 
     For a pushout square and a cospan ``p: B -> X``, ``t: C -> X`` with
     ``p after ab = t after ac``, returns the unique ``u: D -> X`` with
-    ``u after bd = p`` and ``u after cd = t``. Collects, for each D-item in
-    ascending order, the images of all its preimages; for nodes and then
-    edges, raises naming the first D-item with two images (the cospan does
-    not factor, which for a genuine pushout means it did not commute), then
-    the first with none; last, the mediating map's first violation.
+    ``u after bd = p`` and ``u after cd = t``. First raises naming the
+    least item of ``p``'s, then ``t``'s, source, nodes first, that the leg
+    leaves unmapped. Then collects, for each D-item in ascending order, the
+    images of all its preimages; for nodes and then edges, raises naming
+    the first D-item with two images (the cospan does not factor, which for
+    a genuine pushout means it did not commute), then the first with none;
+    last, the mediating map's first violation.
     """
     if p.source != sq.B or t.source != sq.C or p.target != t.target:
         raise PreconditionError("pushout_mediator: cospan endpoints do not fit the square")
+    for leg, m in (("p", p), ("t", t)):
+        for kind, items, f in (("node", m.source.nodes, m.fv), ("edge", m.source.edges, m.fe)):
+            for x in sorted(items):
+                if x not in f:
+                    raise PreconditionError(f"pushout_mediator: cospan leg '{leg}' is not total", (kind, x))
     found: dict[str, dict[int, set[int]]] = {}
     for kind, d_items, legs in (
         ("node", sq.D.nodes, ((sq.B.nodes, sq.bd.fv, p.fv), (sq.C.nodes, sq.cd.fv, t.fv))),

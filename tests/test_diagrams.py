@@ -601,6 +601,29 @@ class TestPushoutMediatorAgainstReference:
                 mediator(sq, p=p, t=t)
 
 
+    @pytest.mark.parametrize("leg, kind", [("p", "node"), ("p", "edge"), ("t", "node"), ("t", "edge")])
+    def test_a_partial_leg_raises_naming_it(self, leg, kind):
+        # the leg loses the map entry of its least item of that kind; a bare
+        # KeyError from reading it is what the totality check replaces
+        rng = random.Random(18)
+        checked = 0
+        while checked < 20:
+            sq = random_gluing_square(rng, max_interface_nodes=2, extra_nodes=2, extra_edges=2)
+            cospan = {"p": sq.bd, "t": sq.cd}
+            m = cospan[leg]
+            f = m.fv if kind == "node" else m.fe
+            if not f:
+                continue
+            least = min(f)
+            rest = {x: y for x, y in f.items() if x != least}
+            cospan[leg] = Morphism(m.source, m.target, *((rest, m.fe) if kind == "node" else (m.fv, rest)))
+            for mediator in (pushout_mediator, reference_pushout_mediator):
+                with pytest.raises(PreconditionError) as info:
+                    mediator(sq, **cospan)
+                assert info.value.report == failure(f"pushout_mediator: cospan leg '{leg}' is not total", (kind, least))
+            checked += 1
+
+
 class TestBoundedUniversalPropertyProbe:
     def test_exactly_one_mediator_for_every_small_cospan(self):
         rng = random.Random(16)

@@ -617,6 +617,25 @@ def with_partial_comatch(rng: random.Random, result: CommutationResult):
     return dataclasses.replace(result, e1=e1)
 
 
+def with_least_node_dropped(pair: ParallelPair, which: str, part: str):
+    """``pair`` whose derivation ``which`` has lost the least node map
+    entry of its ``k``, comatch ``h`` or ``match``, and that node; ``None``
+    and ``None`` when that morphism maps no node."""
+    d = getattr(pair, which)
+    m = {"k": d.deletion.d, "h": d.comatch, "match": d.match.m}[part]
+    if not m.fv:
+        return None, None
+    node = min(m.fv)
+    partial = Morphism(m.source, m.target, {v: w for v, w in m.fv.items() if v != node}, m.fe)
+    if part == "k":
+        d = dataclasses.replace(d, deletion=dataclasses.replace(d.deletion, d=partial))
+    elif part == "h":
+        d = with_comatch(d, partial)
+    else:
+        d = dataclasses.replace(d, match=Match(partial))
+    return dataclasses.replace(pair, **{which: d}), node
+
+
 class TestAgainstReference:
     """The local pass and the general fallback together give the same
     report as the reference, which builds and checks every square."""
@@ -685,7 +704,8 @@ class TestAgainstReference:
             assert report and report == reference_verify_commutation_squares(pair, witness, result)
 
     def test_a_partial_comatch_fails_square_5(self):
-        # the reference reads the missing entry and raises KeyError
+        # the reference meets the missing entry in the mediator of square
+        # (5), which names the same node under its own clause
         rng = random.Random(3)
         checked = 0
         while checked < 100:
@@ -694,11 +714,12 @@ class TestAgainstReference:
             if result is None:
                 continue
             witness = parallel_independent(pair)
-            with pytest.raises(KeyError):
-                reference_verify_commutation_squares(pair, witness, result)
+            expected = reference_verify_commutation_squares(pair, witness, result)
+            assert expected.failed_clause == "square (5): construction failed: pushout_mediator: cospan leg 'p' is not total"
             report = verify_commutation_squares(pair, witness, result)
             assert not report
             assert report.failed_clause == "square (5): comatch of e1 is not total"
+            assert report.counterexample == expected.counterexample
             assert report.counterexample[0] == "node"
             assert report.counterexample[1] not in result.e1.comatch.fv
             checked += 1
@@ -706,7 +727,7 @@ class TestAgainstReference:
     def test_a_partial_context_morphism_gives_the_reference_outcome(self):
         # d1's k loses its least K-node: the local pass must not read the
         # missing entry, and the general path then meets what the reference
-        # meets, d1's left square built with a partial 'ac'
+        # meets, d1's left square built with a partial 'ac', and fails there
         def outcome(check, pair, witness, result):
             try:
                 return check(pair, witness, result)
@@ -714,7 +735,7 @@ class TestAgainstReference:
                 return type(exc), str(exc)
 
         rng = random.Random(5)
-        seen = Counter()
+        failing = 0
         for _ in range(300):
             pair = random_parallel_independent_pair(rng)
             k = pair.d1.deletion.d
@@ -729,8 +750,39 @@ class TestAgainstReference:
             witness, result = parallel_independent(pair), commute(pair)
             got = outcome(verify_commutation_squares, corrupted, witness, result)
             assert got == outcome(reference_verify_commutation_squares, corrupted, witness, result)
-            seen[got[0]] += 1
-        assert seen == {PreconditionError: 194}
+            assert isinstance(got, CheckReport) and not got
+            assert str(got) == f"composite (11)+(12): square 'ac': invalid morphism: fv not total on source nodes: node {min(k.fv)}"
+            failing += 1
+        assert failing == 194
+
+    @pytest.mark.parametrize(
+        "which, part, clause, count",
+        [
+            ("d1", "k", "composite (11)+(12): square 'ac': invalid morphism: fv not total on source nodes", 133),
+            ("d1", "h", "decomposition construction failed: pushout_mediator: cospan leg 'p' is not total", 176),
+            ("d1", "match", "composite (11)+(12): square 'bd': invalid morphism: fv not total on source nodes", 179),
+            ("d2", "k", "composite (31)+(32): square 'ac': invalid morphism: fv not total on source nodes", 129),
+            ("d2", "h", "decomposition construction failed: pushout_mediator: cospan leg 'p' is not total", 182),
+            ("d2", "match", "composite (31)+(32): square 'bd': invalid morphism: fv not total on source nodes", 171),
+        ],
+    )
+    def test_a_partial_derivation_morphism_fails_as_the_reference_does(self, which, part, clause, count):
+        # one of the pair's own k, comatch h or match loses its least node:
+        # every such draw gives a failing report naming that node, and
+        # nothing raises, in the engine or in the reference
+        rng = random.Random(5)
+        failing = 0
+        for _ in range(200):
+            pair = random_parallel_independent_pair(rng)
+            corrupted, node = with_least_node_dropped(pair, which, part)
+            if corrupted is None:
+                continue
+            witness, result = parallel_independent(pair), commute(pair)
+            report = verify_commutation_squares(corrupted, witness, result)
+            assert report == reference_verify_commutation_squares(corrupted, witness, result)
+            assert (report.failed_clause, report.counterexample) == (clause, ("node", node))
+            failing += 1
+        assert failing == count
 
     def test_a_10000_node_result_relabelled(self):
         # the local pass rejects e1's result, so the general path builds
