@@ -173,8 +173,9 @@ class Graph:
         nlabel: dict[int, str], edge: dict[int, tuple[int, int, str]],
     ) -> Graph:
         """This graph without ``gone_nodes`` and ``gone_edges``, plus the
-        items of the two given maps, whose ids it does not hold; the removal
-        must leave no edge dangling.
+        items of the two given maps, each with an id it does not hold or
+        one removed in the same call; the removal must leave no edge
+        dangling.
 
         Each map that loses or gains an item is copied with ``dict.copy()``
         and patched; the other is shared, since graphs are never mutated.

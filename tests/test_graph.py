@@ -20,10 +20,14 @@ from .oracles import (
     is_bijective,
     morphism_axioms_ok,
     pair_label_index,
+    incidence_if_built,
+    max_ids_if_built,
+    reference_incidence,
+    reference_max_ids,
     reference_validate_graph,
     renumber,
 )
-from .strategies import graphs
+from .strategies import EDGE_LABELS, NODE_LABELS, graphs
 
 
 @st.composite
@@ -104,6 +108,75 @@ class TestValidateGraph:
     def test_agrees_with_the_reference_loop(self, g):
         assert validate_graph(g) == reference_validate_graph(g)
 
+
+
+INDEXES = ("incidence", "max_node_id", "max_edge_id")
+
+
+@st.composite
+def edits(draw) -> tuple:
+    """A graph, the nodes and edges :meth:`Graph.edited` removes (every edge
+    at a removed node among them), the nodes and edges it adds, and the
+    derived indexes to build on the graph first. An added id is fresh or
+    one removed in the same call; an added edge ends at a node the result
+    holds."""
+    g = draw(graphs(max_nodes=5, max_edges=6))
+
+    def some(ids) -> set[int]:
+        return draw(st.sets(st.sampled_from(sorted(ids)))) if ids else set()
+
+    gone_nodes = some(g.nodes)
+    at_gone = {e for e, (s, t, _) in g.edge.items() if s in gone_nodes or t in gone_nodes}
+    gone_edges = at_gone | some(g.edges - at_gone)
+    fresh_v, fresh_e = max(g.nodes, default=-1) + 1, max(g.edges, default=-1) + 1
+    nlabel = {v: draw(st.sampled_from(NODE_LABELS)) for v in sorted(some(gone_nodes | {fresh_v, fresh_v + 1}))}
+    ends = sorted((g.nodes - gone_nodes) | nlabel.keys())
+    edge = {
+        e: (draw(st.sampled_from(ends)), draw(st.sampled_from(ends)), draw(st.sampled_from(EDGE_LABELS)))
+        for e in sorted(some(gone_edges | {fresh_e, fresh_e + 1}) if ends else ())
+    }
+    return g, gone_nodes, gone_edges, nlabel, edge, some(INDEXES)
+
+
+def stored(g: Graph) -> tuple:
+    """Copies of ``g``'s maps and of the indexes built on it."""
+    built = {name: vars(g)[name] for name in INDEXES if name in vars(g)}
+    return dict(g.nlabel), dict(g.edge), {name: dict(x) if isinstance(x, dict) else x for name, x in built.items()}
+
+
+class TestEdited:
+    """:meth:`Graph.edited` gives the graph built from scratch, copies only
+    the maps it changes, and carries each index built on its input, patched,
+    unless it removed the item a largest id names."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits())
+    # a removed node and edge re-added with other label and ends, beside fresh ones
+    @example((graph({0: "a", 1: "a"}, {0: (0, 1, "x")}), {1}, {0}, {1: "b", 2: "a"}, {0: (1, 2, "y"), 1: (0, 0, "x")}, set(INDEXES)))
+    # the largest ids removed and re-added: neither is carried
+    @example((graph({0: "a", 1: "b"}, {0: (1, 1, "x")}), {1}, {0}, {1: "a"}, {0: (0, 1, "x")}, set(INDEXES)))
+    # additions only, and removals only, with no index built
+    @example((graph({0: "a"}), set(), set(), {1: "b"}, {0: (0, 1, "y")}, set()))
+    @example((graph({0: "a", 1: "a"}, {0: (0, 1, "x")}), {0}, {0}, {}, {}, set()))
+    def test_contract(self, case):
+        g, gone_nodes, gone_edges, nlabel, edge, built = case
+        for name in built:
+            getattr(g, name)
+        before = stored(g)
+        new = g.edited(gone_nodes, gone_edges, nlabel, edge)
+
+        kept_v = {v: l for v, l in g.nlabel.items() if v not in gone_nodes}
+        kept_e = {e: x for e, x in g.edge.items() if e not in gone_edges}
+        assert new == graph({**kept_v, **nlabel}, {**kept_e, **edge})
+        assert validate_graph(new)
+        for old_map, new_map, changed in ((g.nlabel, new.nlabel, gone_nodes or nlabel), (g.edge, new.edge, gone_edges or edge)):
+            assert (new_map is not old_map) if changed else (new_map is old_map)
+
+        assert incidence_if_built(new) == (reference_incidence(new) if "incidence" in built else None)
+        gone = {"max_node_id": gone_nodes, "max_edge_id": gone_edges}
+        carried = {name for name in built & gone.keys() if vars(g)[name] not in gone[name]}
+        assert max_ids_if_built(new) == {name: reference_max_ids(new)[name] for name in carried}
+        assert stored(g) == before
 
 
 class TestRenumber:
