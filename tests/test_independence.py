@@ -389,7 +389,7 @@ class TestNoHostSizedPass:
 
     UNCALLED = (
         "is_pushout_injective", "is_pullback", "pushout_mediator",
-        "gluing", "deletion", "without", "certify_pushout", "apply",
+        "gluing", "deletion", "certify_pushout", "apply",
     )
 
     def assert_local_pass(self, monkeypatch, pair: ParallelPair, result=None) -> None:
