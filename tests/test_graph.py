@@ -17,11 +17,11 @@ from dpo.morphism import Morphism, validate_morphism
 from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES, random_graph
 from .oracles import (
     brute_force_isomorphic,
+    incidence_if_built,
     is_bijective,
+    max_ids_if_built,
     morphism_axioms_ok,
     pair_label_index,
-    incidence_if_built,
-    max_ids_if_built,
     reference_incidence,
     reference_max_ids,
     reference_validate_graph,
@@ -107,7 +107,6 @@ class TestValidateGraph:
     @example(Graph(frozenset({0}), frozenset(), {0: "a"}, {3: (0, 0, "x")}))
     def test_agrees_with_the_reference_loop(self, g):
         assert validate_graph(g) == reference_validate_graph(g)
-
 
 
 INDEXES = ("incidence", "max_node_id", "max_edge_id")
