@@ -144,9 +144,10 @@ def stored(g: Graph) -> tuple:
 
 
 class TestEdited:
-    """:meth:`Graph.edited` gives the graph built from scratch, copies only
-    the maps it changes, and carries each index built on its input, patched,
-    unless it removed the item a largest id names."""
+    """:meth:`Graph.edited` gives the graph that :func:`graph` builds from
+    the edited maps, copies only the maps it changes, and carries each index
+    built on its input, patched, unless it removed the item a largest id
+    names."""
 
     @settings(max_examples=400, deadline=None)
     @given(edits())
