@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 from .errors import DanglingConditionError, PreconditionError
 from .graph import Graph
@@ -94,8 +93,8 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
     new_nodes = sorted(R.nodes - set(b_inv_v))
     new_edges = sorted(R.edges - set(b_inv_e))
 
-    fresh_v = _fresh_ids(new_nodes, lambda: D.max_node_id)
-    fresh_e = _fresh_ids(new_edges, lambda: D.max_edge_id)
+    fresh_v = {x: D.max_node_id + 1 + i for i, x in enumerate(new_nodes)}
+    fresh_e = {x: D.max_edge_id + 1 + i for i, x in enumerate(new_edges)}
 
     def node_in_h(x: int) -> int:
         # image in H of an R-node: through the interface if it has one,
@@ -171,15 +170,6 @@ def deletion(rule_left: Morphism, match: Morphism) -> DeletionResult:
         fe={k: match.fe[rule_left.fe[k]] for k in K.edges},
     )
     return DeletionResult(D=D, d=d, G=G)
-
-
-def _fresh_ids(items: list[int], largest: Callable[[], int]) -> dict[int, int]:
-    """Consecutive identifiers for ``items`` past ``largest()``, which is
-    read only when there are items."""
-    if not items:
-        return {}
-    start = largest() + 1
-    return {x: start + i for i, x in enumerate(items)}
 
 
 def pullback_construct(f: Morphism, g: Morphism) -> PullbackResult:

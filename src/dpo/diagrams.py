@@ -93,19 +93,24 @@ def reduced_chain_condition(sq: Square) -> CheckReport:
     """
     if not commutes(sq):
         raise PreconditionError("reduced_chain_condition: square does not commute")
-    return _chain_condition(sq)
+    return _chain_condition(sq, "reduced chain-condition")
 
 
-def _chain_condition(sq: Square) -> CheckReport:
-    """The body of :func:`reduced_chain_condition`, for a square known to commute."""
+def _chain_condition(sq: Square, clause: str) -> CheckReport:
+    """For a square known to commute, whether every pair of
+    :func:`pullback_pairs` is ``(ab(a), ac(a))`` for some A-item ``a``: the
+    reduced chain-condition, which is also the surjectivity of the
+    mediating map into the canonical pullback. Else ``clause`` names the
+    least pair that no A-item reaches, nodes first."""
     node_pairs, edge_pairs = pullback_pairs(sq.bd, sq.cd)
-    for kind, candidates, images in (
-        ("node", node_pairs, {(sq.ab.fv[a], sq.ac.fv[a]) for a in sq.A.nodes}),
-        ("edge", edge_pairs, {(sq.ab.fe[a], sq.ac.fe[a]) for a in sq.A.edges}),
+    for kind, pairs, items, f, g in (
+        ("node", node_pairs, sq.A.nodes, sq.ab.fv, sq.ac.fv),
+        ("edge", edge_pairs, sq.A.edges, sq.ab.fe, sq.ac.fe),
     ):
-        for pair in candidates:
-            if pair not in images:
-                return failure("reduced chain-condition", (kind, *pair))
+        reached = {(f[a], g[a]) for a in items}
+        for pair in pairs:
+            if pair not in reached:
+                return failure(clause, (kind, *pair))
     return PASSED
 
 
@@ -136,7 +141,7 @@ def is_pushout_injective(sq: Square) -> CheckReport:
     for name, m in (("ab", sq.ab), ("ac", sq.ac), ("bd", sq.bd), ("cd", sq.cd)):
         if not is_injective(m):
             raise PreconditionError(f"is_pushout_injective: morphism {name} not injective")
-    return commutes(sq) and _chain_condition(sq) and jointly_surjective(sq.bd, sq.cd)
+    return commutes(sq) and _chain_condition(sq, "reduced chain-condition") and jointly_surjective(sq.bd, sq.cd)
 
 
 def is_pullback(sq: Square) -> CheckReport:
@@ -148,13 +153,12 @@ def is_pullback(sq: Square) -> CheckReport:
     those pairs, labelled from B (pullbacks are unique up to iso); it is a
     morphism, as ``ab`` and ``ac`` are. That object is not built: each
     clause is decided on the pairs, and a failed one names the first A-item,
-    or the least pair, that breaks it.
+    or the least pair, that breaks it. Surjectivity is the reduced
+    chain-condition, decided by the same pass under its own clause.
     """
     if not commutes(sq):
         raise PreconditionError("is_pullback: square does not commute")
-    node_pairs, edge_pairs = pullback_pairs(sq.bd, sq.cd)
     A, ab, ac = sq.A, sq.ab, sq.ac
-    images = []
     for kind, items, f, g in (("node", A.nodes, ab.fv, ac.fv), ("edge", A.edges, ab.fe, ac.fe)):
         first: dict[tuple[int, int], int] = {}
         for a in sorted(items):
@@ -162,12 +166,7 @@ def is_pullback(sq: Square) -> CheckReport:
             if pair in first:
                 return failure("mediating map not injective", (kind, first[pair], a))
             first[pair] = a
-        images.append(first)
-    for kind, pairs, image in zip(("node", "edge"), (node_pairs, edge_pairs), images):
-        missed = set(pairs).difference(image)
-        if missed:
-            return failure("mediating map not surjective", (kind, *min(missed)))
-    return PASSED
+    return _chain_condition(sq, "mediating map not surjective")
 
 
 def compose_squares_vertical(top: Square, bottom: Square) -> Square:

@@ -10,8 +10,9 @@ proof's decomposition square by square on the concrete instance; its shared
 context is ``D1 ∩ D2`` on G's identifiers. A passing instance is decided
 by certifying its three derivations as :func:`apply` does, over the rules'
 items, and builds no graph or morphism; only a failing one builds the
-squares and runs the general checks on them, four of which are the
-squares of each rule applied in the other's context at its witness.
+squares. The four squares of each rule applied in the other's context at
+its witness are certified by :func:`apply` as it builds them, and the
+general checks run on the five derived from them.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def _witness(m1: Morphism, context1: Graph, m2: Morphism, context2: Graph) -> Op
     if _outside(m1, context1) or _outside(m2, context2):
         return None
     return IndependenceWitness(
-        j1=Morphism(m1.source, context1, dict(m1.fv), dict(m1.fe)),
-        j2=Morphism(m2.source, context2, dict(m2.fv), dict(m2.fe)),
+        j1=Morphism(m1.source, context1, m1.fv, m1.fe),
+        j2=Morphism(m2.source, context2, m2.fv, m2.fe),
     )
 
 
@@ -187,24 +188,25 @@ def verify_commutation_squares(
     identity, so D is ``D1 ∩ D2`` and keeps G's identifiers, and squares
     (11) and (21) are the two squares of the first rule applied to D2 at
     ``j1``, which give ``pi2`` and ``delta1``; likewise (31) and (41), of
-    the second rule applied to D1 at ``j2``. Every labelled square
-    is then checked, (12) as a pullback, so D is verified, not assumed, and
-    the others as pushouts; so is each composite against the original
-    derivations.
+    the second rule applied to D1 at ``j2``. :func:`apply` certifies those
+    four as pushouts while building them, so only the squares derived from
+    them are then checked, (12) as a pullback, so D is verified, not
+    assumed, and (22), (32), (42) and (5) as pushouts; so is each composite
+    against the original derivations.
 
     A passing instance is decided by :func:`_passes_locally` in
     O(|L1| + |R1| + |L2| + |R2|) Python work plus C-level set and dict-view
     operations on the host-sized graphs, and builds no graph or morphism:
     there (11) and (31) come down to injective matches, (21) and (41) to
     the gluing pushout :func:`apply` certifies. Only a pass is decided
-    there: otherwise every square is built and checked by the general
-    checks, and the first failure is reported under the label of the stage
-    it reached: a failed check with its clause and item, and an error
-    raised while building or checking with its report's. A witness that is
-    not a morphism into its context, a comatch of ``result.e1`` that is
-    not total, or a derivation of the pair whose own squares cannot be
-    built, fails, and never raises. Graphs must be well-formed, as the
-    loaders and constructions make them.
+    there: otherwise every square is built, the derived ones are checked
+    by the general checks, and the first failure is reported under the
+    label of the stage it reached: a failed check with its clause and
+    item, and an error raised while building or checking with its
+    report's. A witness that is not a morphism into its context, a comatch
+    of ``result.e1`` that is not total, or a derivation of the pair whose
+    own squares cannot be built, fails, and never raises. Graphs must be
+    well-formed, as the loaders and constructions make them.
     """
     d1, d2 = pair.d1, pair.d2
     j1, j2 = witness.j1, witness.j2
@@ -243,10 +245,6 @@ def verify_commutation_squares(
         if not report:
             return failure(f"square (5): context embedding into G' invalid: {report.failed_clause}", report.counterexample)
         comatch = result.e1.comatch
-        missing = [("node", v) for v in sorted(comatch.source.nodes - comatch.fv.keys())]
-        missing += [("edge", e) for e in sorted(comatch.source.edges - comatch.fe.keys())]
-        if missing:
-            return failure("square (5): comatch of e1 is not total", missing[0])
         tau2 = pushout_mediator(
             sq41, p=Morphism(comatch.source, result.Gp, comatch.fv, comatch.fe), t=compose(tau1, delta1)
         )
@@ -254,12 +252,8 @@ def verify_commutation_squares(
 
         for label, check, sq in (
             ("(12)", is_pullback, sq12),
-            ("(11)", is_pushout_injective, sq11),
-            ("(21)", is_pushout_injective, sq21),
             ("(22)", is_pushout_injective, sq22),
-            ("(31)", is_pushout_injective, sq31),
             ("(32)", is_pushout_injective, sq32),
-            ("(41)", is_pushout_injective, sq41),
             ("(42)", is_pushout_injective, sq42),
             ("(5)", is_pushout_injective, sq5),
         ):

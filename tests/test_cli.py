@@ -6,6 +6,7 @@ in a subprocess.
 """
 
 import argparse
+import ast
 import errno
 import hashlib
 import json
@@ -1486,6 +1487,21 @@ def test_graph_submodule_is_not_shadowed():
     import dpo.graph
 
     assert isinstance(dpo.graph, types.ModuleType)
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # pyproject.toml declares no runtime dependency
+    foreign = []
+    for path in sorted(Path(dpo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 @pytest.mark.parametrize("module", ["dpo", "dpo.cli"])

@@ -136,6 +136,11 @@ class TestChainConditionAgainstThePullbackObject:
         commuting = commutes(sq)
         if commuting:
             assert outcome(reduced_chain_condition, sq) == expected
+            if is_injective(sq.ab):
+                # the mediating map is then injective, so is_pullback is
+                # the chain-condition under its surjectivity clause
+                chain = reduced_chain_condition(sq)
+                assert is_pullback(sq) == (chain or failure("mediating map not surjective", chain.counterexample))
         if all(is_injective(m) for m in (sq.ab, sq.ac, sq.bd, sq.cd)):
             if not commuting:
                 pushout = commuting
