@@ -77,8 +77,10 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
     largest identifier in ``D``, in ascending ``R``-id order; ``D``'s largest
     ids are read from :attr:`~dpo.graph.Graph.max_node_id` and
     ``max_edge_id``, only for a kind the rule creates. Identifiers of ``D``
-    are kept, so ``c`` is an identity inclusion. ``H`` is ``D``
-    :meth:`~dpo.graph.Graph.edited` to add the new items.
+    are kept, so ``c`` is an identity inclusion. ``h``'s maps are the ones
+    the ids are allocated into: each starts as ``d`` after ``b``'s inverse
+    on the interface, and each created item is added at its fresh id. ``H``
+    is ``D`` :meth:`~dpo.graph.Graph.edited` to add the new items.
     """
     if b.source != d.source:
         raise PreconditionError("gluing: b and d must share their source graph")
@@ -88,41 +90,27 @@ def gluing(b: Morphism, d: Morphism) -> GluingResult:
         raise PreconditionError("gluing: d is not injective")
     R, D = b.target, d.target
 
-    b_inv_v = {b.fv[k]: k for k in b.source.nodes}
-    b_inv_e = {b.fe[k]: k for k in b.source.edges}
-    new_nodes = sorted(R.nodes - set(b_inv_v))
-    new_edges = sorted(R.edges - set(b_inv_e))
-
-    fresh_v = {x: D.max_node_id + 1 + i for i, x in enumerate(new_nodes)}
-    fresh_e = {x: D.max_edge_id + 1 + i for i, x in enumerate(new_edges)}
-
-    def node_in_h(x: int) -> int:
-        # image in H of an R-node: through the interface if it has one,
-        # else its fresh copy
-        return d.fv[b_inv_v[x]] if x in b_inv_v else fresh_v[x]
+    fv = {b.fv[k]: d.fv[k] for k in b.source.nodes}
+    fe = {b.fe[k]: d.fe[k] for k in b.source.edges}
+    new_nodes = sorted(R.nodes - fv.keys())
+    new_edges = sorted(R.edges - fe.keys())
+    fv.update({x: D.max_node_id + 1 + i for i, x in enumerate(new_nodes)})
+    fe.update({x: D.max_edge_id + 1 + i for i, x in enumerate(new_edges)})
 
     H = D.edited(
         (), (),
-        nlabel={fresh_v[v]: R.nlabel[v] for v in new_nodes},
-        edge={fresh_e[e]: (node_in_h(s), node_in_h(t), label) for e in new_edges for s, t, label in [R.edge[e]]},
+        nlabel={fv[v]: R.nlabel[v] for v in new_nodes},
+        edge={fe[e]: (fv[s], fv[t], label) for e in new_edges for s, t, label in [R.edge[e]]},
     )
-    h = Morphism(
-        source=R,
-        target=H,
-        fv={x: node_in_h(x) for x in R.nodes},
-        fe={x: fresh_e[x] if x in fresh_e else d.fe[b_inv_e[x]] for x in R.edges},
-    )
-    return GluingResult(H=H, h=h, D=D)
+    return GluingResult(H=H, h=Morphism(source=R, target=H, fv=fv, fe=fe), D=D)
 
 
 def deleted_items(rule_left: Morphism, match: Morphism) -> tuple[set[int], set[int]]:
     """The host nodes and edges matched by items of ``L`` outside ``K``."""
     L = match.source
-    preserved_v = {rule_left.fv[k] for k in rule_left.source.nodes}
-    preserved_e = {rule_left.fe[k] for k in rule_left.source.edges}
     return (
-        {match.fv[v] for v in L.nodes - preserved_v},
-        {match.fe[e] for e in L.edges - preserved_e},
+        {match.fv[v] for v in L.nodes - set(rule_left.fv.values())},
+        {match.fe[e] for e in L.edges - set(rule_left.fe.values())},
     )
 
 

@@ -271,7 +271,10 @@ def certify_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> CheckReport:
 
 
 def _local_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> bool:
-    # the three clauses of certify_pushout, under its preconditions
+    # the three clauses of certify_pushout, under its preconditions: bd
+    # agrees with ac through A; the B-items whose image lies in C are
+    # exactly ab's image, which with that is the reduced chain-condition;
+    # and the other B-items are as many as D's items outside C
     A, B, C, D = ab.source, ab.target, ac.target, bd.target
     if not (is_injective(ab) and is_injective(ac) and is_injective(bd)):
         return False
@@ -282,14 +285,7 @@ def _local_pushout(ab: Morphism, ac: Morphism, bd: Morphism) -> bool:
         through_a = {f_ab[a]: f_ac[a] for a in a_items}
         if any(f_bd[b] != y for b, y in through_a.items()):
             return False
-        outside = 0
-        for b in b_items:
-            y = f_bd[b]
-            if y in c_items:
-                if through_a.get(b) != y:
-                    return False
-            else:
-                outside += 1
-        if outside != len(d_items) - len(c_items):
+        inside = {b for b in b_items if f_bd[b] in c_items}
+        if inside != through_a.keys() or len(b_items) - len(inside) != len(d_items) - len(c_items):
             return False
     return True

@@ -1,6 +1,9 @@
 """Exception hierarchy shared by all engine modules. An error is built from
 a failed clause and its item, ``()`` for a clause alone, and carries them as
-its ``report``, a :class:`~dpo.graph.CheckReport`, whose text is its message."""
+its ``report``, a :class:`~dpo.graph.CheckReport`, whose text is its message,
+with a lone surrogate, which a JSON ``"\\ud800"`` escape puts in a path or a
+label, written as the six characters ``\\ud800`` so that the message can be
+written to any UTF-8 stream."""
 
 from .graph import failure
 
@@ -10,7 +13,7 @@ class RewriteError(Exception):
 
     def __init__(self, clause: str, item: tuple = ()):
         self.report = failure(clause, item)
-        super().__init__(str(self.report))
+        super().__init__(str(self.report).encode("utf-8", "backslashreplace").decode("utf-8"))
 
     def __reduce__(self):
         # pickle and copy rebuild an exception from its args, which hold the

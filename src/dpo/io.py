@@ -448,7 +448,9 @@ def derivation_trace_json(dd: DirectDerivation) -> dict:
 
 def to_dot(g: Graph) -> str:
     """Render a graph in DOT syntax for external viewers. Labels are escaped
-    as Graphviz strings: each backslash doubled and each quote escaped."""
+    as Graphviz strings: each backslash doubled and each quote escaped. The
+    text is one UTF-8 can encode: a lone surrogate, which a JSON ``\\ud800``
+    escape puts in a label, is written as the six characters ``\\ud800``."""
     escape = str.maketrans({"\\": "\\\\", '"': '\\"'})
     lines = ["digraph G {"]
     for v in sorted(g.nodes):
@@ -457,4 +459,4 @@ def to_dot(g: Graph) -> str:
         s, t, label = g.edge[e]
         lines.append(f'  n{s} -> n{t} [label="{e}:{label.translate(escape)}"];')
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace").decode("utf-8")

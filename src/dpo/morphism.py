@@ -155,7 +155,7 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
         # edges of g with one label, which the filter drops
         for edge_images in itertools.product(*choices):
             if len(set(edge_images)) == len(edge_images):
-                out.append(Morphism(g, h, dict(fv), dict(zip(edges, edge_images))))
+                out.append(Morphism(g, h, fv, dict(zip(edges, edge_images))))
     return out
 
 

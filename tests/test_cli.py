@@ -407,6 +407,14 @@ class TestSquareFileShapes:
         code, report, err = run(capsys, "check-square", square, "--mode", "pushout")
         assert (code, report, err) == (1, None, f"error: {square} 'cd': 'fv' must be an object\n")
 
+    def test_a_path_with_a_lone_surrogate_exits_1_with_the_surrogate_escaped(self, capsys, tmp_path):
+        # JSON's "\ud800" escape gives a path no file system can open, and a
+        # message that a UTF-8 stream with strict errors takes only escaped
+        square = write(tmp_path / "sq.json", {**square_doc(extra_target_node=False), "cd": "\ud800"})
+        code, report, err = run(capsys, "check-square", square, "--mode", "pushout")
+        assert (code, report) == (1, None)
+        assert err.startswith(f"error: cannot read {tmp_path}/\\ud800: 'utf-8' codec can't encode character"), err
+
     def test_a_square_file_that_is_an_array_exits_1(self, capsys, tmp_path):
         square = write(tmp_path / "sq.json", [square_doc(extra_target_node=False)])
         code, report, err = run(capsys, "check-square", square, "--mode", "pushout")
@@ -859,7 +867,7 @@ class TestStandaloneMorphismFiles:
 # values a mutation puts in a valid document, as JSON text: each use is a
 # new object, so no mutation reaches a value put in earlier or this list
 JUNK = ["null", "true", "-1", "0", "1", "7", "1.5", '""', '"a"', '"0"', '"x.json"', "[]", "{}", "[{}]",
-        '{"0": 0}', '{"id": 0, "label": "a"}']
+        '{"0": 0}', '{"id": 0, "label": "a"}', '"\\ud800"']
 
 
 def _slots(holder: list):
@@ -902,15 +910,15 @@ SQUARE_BY_PATH = {key: f"{key}.json" for key in ("A", "B", "C", "D", "ab", "ac",
 DOCUMENTS = {
     "graph": (io.graph_to_json(host()), [
         ["iso", "host.json", "{}"], ["match", "delete_x.json", "{}"], ["validate", "{}"],
-        ["apply", "delete_x.json", "{}", "--match-index", "0", "--out", "H.json"],
+        ["apply", "delete_x.json", "{}", "--match-index", "0", "--out", "H.json", "--dot", "H.dot"],
     ]),
     "rule": (io.rule_to_json(delete_x_edge()), [
         ["match", "{}", "host.json"], ["validate", "{}"],
-        ["apply", "{}", "host.json", "--out", "H.json"],
-        ["commute", "{}", "create_c.json", "host.json", "--match1", "0", "--match2", "0", "--out", "G.json"],
+        ["apply", "{}", "host.json", "--out", "H.json", "--dot", "H.dot"],
+        ["commute", "{}", "create_c.json", "host.json", "--match1", "0", "--match2", "0", "--out", "G.json", "--dot", "G.dot"],
     ]),
     "match": ({"fv": {"0": 0, "1": 1}, "fe": {"0": 0}}, [
-        ["apply", "delete_x.json", "host.json", "--match", "{}", "--out", "H.json"],
+        ["apply", "delete_x.json", "host.json", "--match", "{}", "--out", "H.json", "--dot", "H.dot"],
         ["independent", "delete_x.json", "create_c.json", "host.json", "--match1", "{}", "--match2", "0"],
     ]),
     "square": (square_doc(extra_target_node=False), [
@@ -1393,6 +1401,37 @@ class TestOutputBytes:
             b'  n0 -> n1 [label="0:x"];\n'
             b'  n0 -> n1 [label="1:x\\"y"];\n'
             b'  n1 -> n1 [label="2:\\\\"];\n'
+            b"}\n"
+        )
+
+    def test_apply_and_commute_dot_bytes_escape_lone_surrogates(self, capsys, files, tmp_path):
+        # JSON's "\ud800" escape loads as a lone surrogate, which UTF-8 cannot
+        # encode; the DOT text spells it as the six characters \ud800
+        host = write(tmp_path / "surrogate.json", io.graph_to_json(graph(
+            {0: "\ud800", 1: "a", 2: "b\u00e9"},
+            {0: (0, 2, "x\udfff"), 1: (0, 0, "y")},
+        )))
+        assert b'"\\ud800"' in Path(host).read_bytes()
+        apply_dot, commute_dot = tmp_path / "H.dot", tmp_path / "Gp.dot"
+        argv = ["apply", files["delete_a"], host, "--out", str(tmp_path / "H.json"), "--dot", str(apply_dot), "--json"]
+        assert main(argv) == 0
+        assert apply_dot.read_bytes() == (
+            b"digraph G {\n"
+            b'  n0 [label="0:\\ud800"];\n'
+            b'  n2 [label="2:b\xc3\xa9"];\n'
+            b'  n0 -> n2 [label="0:x\\udfff"];\n'
+            b'  n0 -> n0 [label="1:y"];\n'
+            b"}\n"
+        )
+        argv = ["commute", files["delete_a"], files["create_c"], host, "--match1", "0", "--match2", "0"]
+        assert main([*argv, "--out", str(tmp_path / "Gp.json"), "--dot", str(commute_dot), "--json"]) == 0
+        assert commute_dot.read_bytes() == (
+            b"digraph G {\n"
+            b'  n0 [label="0:\\ud800"];\n'
+            b'  n2 [label="2:b\xc3\xa9"];\n'
+            b'  n3 [label="3:c"];\n'
+            b'  n0 -> n2 [label="0:x\\udfff"];\n'
+            b'  n0 -> n0 [label="1:y"];\n'
             b"}\n"
         )
 
