@@ -6,10 +6,11 @@ items, so the context's embedding into the result is a literal inclusion.
 Deletion builds the pushout complement by removing the deleted items from
 the host's maps, so the context embeds into the host the same way, and both
 inclusions are built only when read. Both are one graph edit,
-:meth:`~dpo.graph.Graph.edited`, which copies only the maps it changes and
-carries the host's built indexes on, patched: a construction costs at most
-two C-level copies of the host's maps, plus one of its incidence index once
-built, and O(|rule| + degree) Python work. The dangling check reads the
+:meth:`~dpo.graph.Graph.edited`, which layers each map it changes over the
+host's, shares the others and carries the host's built indexes on,
+patched: a construction copies no host-sized map, only the edits made
+since the layers' root, and does O(|rule| + degree) Python work; the first
+bulk read of a result builds its flat maps, once. The dangling check reads the
 incidence index; gluing allocates fresh ids past the largest carried id,
 the same ids a scan of ``D`` would give. Neither construction certifies
 its square: :func:`~dpo.rewriting.apply` does, over the rule's items only.

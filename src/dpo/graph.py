@@ -12,31 +12,35 @@ has all three parts or none, and a step that deletes or creates edges
 copies one host-sized edge map, not three.
 
 A graph is derived from another by one edit, :meth:`Graph.edited`, which
-removes and adds items: each of the two maps that it changes is copied in
-bulk, at C level, and patched; the other is shared with the input graph.
-A result's item sets are the key views of its maps, so no item set is
-built.
-
-Maps are copied with ``dict.copy()``. ``dict(m)`` and ``{**m, **new}``
-re-insert every key once ``m`` has had a key deleted, which every pruned
-map and patched index of a chain has; ``m.copy()`` clones the table
-whole. On a 2*10^4-entry edge map with one key deleted, ``timeit`` on
-CPython 3.10-3.13 gave 0.5-0.8 ms for either form and 0.3 ms for
-``m.copy()``.
+removes and adds items. Each map that it changes becomes a layer: the
+input's dict (the root), the root keys removed since and the entries added
+since, read through those three parts, so a step copies the edits made
+since the root and no host-sized map; the other map is shared with the
+input graph. Point reads (``[]``, ``get``, ``in``, ``len``) stay O(1); the
+first bulk read of a layer (iteration, a view, ``==``, ``copy``, pickling)
+builds its flat dict once, by ``dict.copy()`` of the root and a patch, the
+dict a copy of the input and the same pops and updates would give, in its
+entries and its order. An edit whose layer would hold more edits than
+1/16 of its root returns that flat dict instead, so a chain that is never
+read in bulk copies the host once per 1/16 of the host it rewrites; a
+persistent map in the sense of Driscoll, Sarnak, Sleator and Tarjan (JCSS
+38, 1989), with one level. A result's item sets are the key sets of its
+maps, so no item set is built.
 
 A graph's derived indexes (:attr:`Graph.incidence`, ``max_node_id``,
 ``max_edge_id``) are carried on to the edited graph once built, patched
-in O(|items| + degree).
+in O(|items| + degree), the incidence index as a layer too.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from collections.abc import Collection, Set
+from collections.abc import Collection, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Mapping, Optional
+from types import MappingProxyType
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,17 @@ class Graph:
     ``(src, tgt, label)``, the source, target and labelling functions on
     ``E`` held as one map. ``nodes`` and ``edges`` may be any set of ids
     equal to those maps' keys; every graph the engine builds is given the
-    key views themselves (:meth:`from_maps`), so no item set is built or
-    copied. Instances are treated as immutable values and may be shared
+    maps' key sets themselves (:meth:`from_maps`), so no item set is built
+    or copied. Instances are treated as immutable values and may be shared
     freely between threads.
+
+    A map is a dict, or, on a graph :meth:`edited` from another, a layer:
+    a read-only map over the dict it was edited from (its root), the root
+    keys removed and the entries added since. Point reads of a layer or of
+    its key set go through those three parts. Its first bulk read builds
+    the flat dict, :func:`flat`, once, and publishes it in one assignment,
+    so a reader in another thread sees the three parts or the flat dict,
+    never a half-built one; every later read is the flat dict's.
 
     :attr:`src`, :attr:`tgt` and :attr:`elabel` are projections of
     ``edge``, each a new dict built at C level on every read and not kept,
@@ -107,17 +119,17 @@ class Graph:
 
     nodes: Set[int]
     edges: Set[int]
-    nlabel: dict[int, str]
-    edge: dict[int, tuple[int, int, str]]
+    nlabel: Mapping[int, str]
+    edge: Mapping[int, tuple[int, int, str]]
 
     @classmethod
-    def from_maps(cls, nlabel: dict[int, str], edge: dict[int, tuple[int, int, str]]) -> Graph:
-        """The graph of two maps, its item sets their key views."""
-        return cls(nlabel.keys(), edge.keys(), nlabel, edge)
+    def from_maps(cls, nlabel: Mapping[int, str], edge: Mapping[int, tuple[int, int, str]]) -> Graph:
+        """The graph of two maps, its item sets their key sets."""
+        return cls(_key_set(nlabel), _key_set(edge), nlabel, edge)
 
     def __reduce__(self) -> tuple:
-        # key views do not pickle; a copy has frozensets and no built index
-        return Graph, (frozenset(self.nodes), frozenset(self.edges), self.nlabel, self.edge)
+        # key views do not pickle; a copy has frozensets, dicts and no built index
+        return Graph, (frozenset(self.nodes), frozenset(self.edges), flat(self.nlabel), flat(self.edge))
 
     def __repr__(self) -> str:
         ns = ", ".join(f"{v}:{self.nlabel.get(v)!r}" for v in sorted(self.nodes))
@@ -144,7 +156,7 @@ class Graph:
         return dict(zip(self.edge, map(_LABEL, self.edge.values())))
 
     @cached_property
-    def incidence(self) -> dict[int, frozenset[int]]:
+    def incidence(self) -> Mapping[int, frozenset[int]]:
         """The edges at each node that has any, as either endpoint.
 
         Nodes without edges are absent. Building it reads every edge once;
@@ -170,29 +182,26 @@ class Graph:
 
     def edited(
         self, gone_nodes: Collection[int], gone_edges: Collection[int],
-        nlabel: dict[int, str], edge: dict[int, tuple[int, int, str]],
+        nlabel: Mapping[int, str], edge: Mapping[int, tuple[int, int, str]],
     ) -> Graph:
         """This graph without ``gone_nodes`` and ``gone_edges``, plus the
         items of the two given maps, each with an id it does not hold or
         one removed in the same call; the removal must leave no edge
         dangling.
 
-        Each map that loses or gains an item is copied with ``dict.copy()``
-        and patched; the other is shared, since graphs are never mutated.
+        Each map that loses or gains an item is a layer over its root, the
+        input's map or, if that is a layer, the same root (:func:`_edited`):
+        the step copies the edits made since the root and reads O(|items|)
+        entries. If the layer's edits would pass 1/16 of its root, the
+        result holds the flat dict instead, one host-sized copy. A map
+        whose items the step leaves alone is shared, since graphs are never
+        mutated. The first bulk read of a layer pays its flat copy, once.
         Each derived index built on this graph is carried on, patched for
-        the removed and added items: one bulk copy plus O(degree) per item.
-        A largest id whose item was removed is not carried; the result
-        rebuilds it if read.
+        the removed and added items in O(degree) per item, the incidence
+        index by the same layered edit. A largest id whose item was removed
+        is not carried; the result rebuilds it if read.
         """
-        maps = []
-        for m, gone, added in ((self.nlabel, gone_nodes, nlabel), (self.edge, gone_edges, edge)):
-            if gone or added:
-                m = m.copy()
-                for k in gone:
-                    m.pop(k, None)
-                m.update(added)
-            maps.append(m)
-        new = Graph.from_maps(*maps)
+        new = Graph.from_maps(_edited(self.nlabel, gone_nodes, nlabel), _edited(self.edge, gone_edges, edge))
         # where functools.cached_property keeps the values it builds
         built, carried = vars(self), vars(new)
         for name, gone, added in (("max_node_id", gone_nodes, nlabel), ("max_edge_id", gone_edges, edge)):
@@ -202,27 +211,192 @@ class Graph:
         index = built.get("incidence")
         if index is None:
             return new
-        if gone_nodes or gone_edges or edge:
-            index = index.copy()
-        for v in gone_nodes:
-            index.pop(v, None)
+        # the pops and assignments a copy of the index would take, in order,
+        # as the nodes it removes and the entries it sets
+        removed, patch = set(gone_nodes), {}
         for e in gone_edges:
             s, t, _ = self.edge[e]
             for v in {s, t}:
-                if v in index:  # not a removed node
-                    rest = index[v] - {e}
-                    if rest:
-                        index[v] = rest
-                    else:
-                        del index[v]
+                at = patch[v] if v in patch else None if v in removed else index.get(v)
+                if at is None:  # a removed node
+                    continue
+                if rest := at - {e}:
+                    patch[v] = rest
+                else:
+                    patch.pop(v, None)
+                    removed.add(v)
         for e, (s, t, _) in edge.items():
             for v in {s, t}:
-                index[v] = index.get(v, frozenset()) | {e}
-        carried["incidence"] = index
+                at = patch[v] if v in patch else None if v in removed else index.get(v)
+                patch[v] = (at or frozenset()) | {e}
+        carried["incidence"] = _edited(index, removed, patch)
         return new
 
 
-_SRC, _TGT, _LABEL = itemgetter(0), itemgetter(1), itemgetter(2)
+# an edit flattens a layer whose edits would pass 1/_FLATTEN of its root
+_FLATTEN = 16
+_NO_KEYS = frozenset()
+_NO_ITEMS = MappingProxyType({})
+
+
+class _Layer(Mapping):
+    """A read-only map: a root dict, the root keys removed from it and the
+    entries added since, with its size; built by :func:`_edited` only.
+
+    ``[]``, ``get``, ``in`` and ``len`` read the three parts. Every other
+    read is the flat dict's (:meth:`flat`): the first builds it, and then
+    the layer holds it as its root, with nothing removed or added."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, root: dict, gone: Set, added: Mapping, size: int):
+        self._parts = root, gone, added, size
+
+    def __getitem__(self, k):
+        root, gone, added, _ = self._parts
+        if k in added:
+            return added[k]
+        if k in gone:
+            raise KeyError(k)
+        return root[k]
+
+    def get(self, k, default=None):
+        root, gone, added, _ = self._parts
+        if k in added:
+            return added[k]
+        return default if k in gone else root.get(k, default)
+
+    def __contains__(self, k) -> bool:
+        root, gone, added, _ = self._parts
+        return k in added or (k not in gone and k in root)
+
+    def __len__(self) -> int:
+        return self._parts[3]
+
+    def flat(self) -> dict:
+        """The root copied, without the removed keys, updated with the added
+        entries; built on the first call, and published in one assignment."""
+        root, gone, added, size = self._parts
+        if gone or added:
+            root = root.copy()
+            for k in gone:
+                del root[k]
+            root.update(added)
+            self._parts = root, _NO_KEYS, _NO_ITEMS, size
+        return root
+
+    def __iter__(self):
+        return iter(self.flat())
+
+    def keys(self):
+        return self.flat().keys()
+
+    def items(self):
+        return self.flat().items()
+
+    def values(self):
+        return self.flat().values()
+
+    def copy(self) -> dict:
+        return self.flat().copy()
+
+    def __eq__(self, other) -> bool:
+        return other is self or self.flat() == flat(other)
+
+    def __repr__(self) -> str:
+        return repr(self.flat())
+
+    def __reduce__(self) -> tuple:
+        return dict, (self.flat(),)
+
+
+class _Keys(Set):
+    """A layer's key set: ``in`` and ``len`` are the layer's; every other
+    read, set operations and comparisons included, is its flat dict's keys
+    view's."""
+
+    __slots__ = ("_map",)
+
+    def __init__(self, m: _Layer):
+        self._map = m
+
+    def __contains__(self, k) -> bool:
+        return k in self._map
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+    def __iter__(self):
+        return iter(self._map.flat())
+
+    def _view(self):
+        return self._map.flat().keys()
+
+    def isdisjoint(self, other) -> bool:
+        return self._view().isdisjoint(other)
+
+    def __eq__(self, other) -> bool:
+        return other is self or self._view() == _viewed(other)
+
+    def __repr__(self) -> str:
+        return repr(self._view())
+
+    def __reduce__(self) -> tuple:
+        # as a keys view, which does not pickle; a Graph pickles its item sets
+        raise TypeError("cannot pickle a layer's key set")
+
+
+def _viewed(x):
+    return x._view() if type(x) is _Keys else x
+
+
+# the order comparisons and set operations, each side through _viewed
+for _op in (operator.lt, operator.le, operator.gt, operator.ge, operator.and_, operator.or_, operator.sub, operator.xor):
+    _name = _op.__name__.strip("_")
+    setattr(_Keys, f"__{_name}__", lambda self, other, op=_op: op(self._view(), _viewed(other)))
+    if _name in ("and", "or", "sub", "xor"):
+        setattr(_Keys, f"__r{_name}__", lambda self, other, op=_op: op(_viewed(other), self._view()))
+
+
+def flat(m: Mapping) -> dict:
+    """``m`` as a dict: itself, or a layer's flat dict, built once."""
+    return m.flat() if type(m) is _Layer else m
+
+
+def _key_set(m: Mapping) -> Set:
+    """The key set of a map: a dict's keys view, or a layer's :class:`_Keys`."""
+    return _Keys(m) if type(m) is _Layer else m.keys()
+
+
+def _edited(m: Mapping, gone: Collection, added: Mapping) -> Mapping:
+    """``m`` without the keys ``gone``, then updated with ``added``: the
+    dict that ``m.copy()``, ``pop`` and ``update`` build, in its entries
+    and order, as a layer over ``m``'s root, or as that flat dict once the
+    layer's edits would pass 1/_FLATTEN of its root; ``m`` if both are empty.
+
+    The one map edit. It copies the edits made since the root: a root key
+    removed stays in ``gone`` when added again, so the flat dict puts it
+    last, as ``pop`` then ``update`` do; a root key only changed is in
+    ``added`` alone, and keeps its place."""
+    if not gone and not added:
+        return m
+    root, was_gone, was_added, size = m._parts if type(m) is _Layer else (m, _NO_KEYS, _NO_ITEMS, len(m))
+    now_gone, now_added = set(was_gone), was_added.copy()
+    for k in gone:
+        if k in now_added or (k in root and k not in now_gone):
+            size -= 1
+        now_added.pop(k, None)
+        if k in root:
+            now_gone.add(k)
+    for k in added:
+        if k not in now_added and (k not in root or k in now_gone):
+            size += 1
+    now_added.update(added)
+    layer = _Layer(root, now_gone, now_added, size)
+    return layer.flat() if _FLATTEN * (len(now_gone) + len(now_added)) > len(root) else layer
+
+
+_SRC, _TGT, _LABEL = operator.itemgetter(0), operator.itemgetter(1), operator.itemgetter(2)
 
 
 def graph(
@@ -236,8 +410,8 @@ def graph(
 def ends_are_nodes(g: Graph) -> bool:
     """Whether every edge's source and target are keys of ``nlabel``, by
     two C-level passes over ``edge``."""
-    ends = g.edge.values()
-    return all(map(g.nlabel.__contains__, map(_SRC, ends))) and all(map(g.nlabel.__contains__, map(_TGT, ends)))
+    has, ends = flat(g.nlabel).__contains__, flat(g.edge).values()
+    return all(map(has, map(_SRC, ends))) and all(map(has, map(_TGT, ends)))
 
 
 def validate_graph(g: Graph) -> CheckReport:
@@ -374,9 +548,10 @@ def is_isomorphic(g: Graph, h: Graph) -> Optional[IsoWitness]:
 
 
 def _node_signatures(g: Graph) -> dict[int, tuple]:
-    outdeg = Counter(map(_SRC, g.edge.values()))
-    indeg = Counter(map(_TGT, g.edge.values()))
-    return {v: (g.nlabel[v], outdeg.get(v, 0), indeg.get(v, 0)) for v in g.nodes}
+    nlabel, ends = flat(g.nlabel), flat(g.edge).values()
+    outdeg = Counter(map(_SRC, ends))
+    indeg = Counter(map(_TGT, ends))
+    return {v: (nlabel[v], outdeg.get(v, 0), indeg.get(v, 0)) for v in g.nodes}
 
 
 def _edge_label_index(g: Graph) -> tuple[dict[tuple[int, int], tuple[str, ...]], dict[int, tuple[int, ...]]]:
@@ -399,13 +574,14 @@ def _edge_label_index(g: Graph) -> tuple[dict[tuple[int, int], tuple[str, ...]],
 def _edge_bijection(g: Graph, h: Graph, node_map: Mapping[int, int]) -> dict[int, int]:
     # parallel edges with equal endpoints and labels are interchangeable;
     # pair them off in ascending id order on both sides
+    g_edge, h_edge = flat(g.edge), flat(h.edge)
     classes_h: dict[tuple[int, int, str], list[int]] = {}
     for e in sorted(h.edges):
-        classes_h.setdefault(h.edge[e], []).append(e)
+        classes_h.setdefault(h_edge[e], []).append(e)
     edge_map: dict[int, int] = {}
     cursor: dict[tuple[int, int, str], int] = {}
     for e in sorted(g.edges):
-        s, t, label = g.edge[e]
+        s, t, label = g_edge[e]
         key = (node_map[s], node_map[t], label)
         i = cursor.get(key, 0)
         edge_map[e] = classes_h[key][i]

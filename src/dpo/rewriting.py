@@ -147,11 +147,15 @@ def apply(rule: Rule, match: Match) -> DirectDerivation:
     characterization, raising :class:`InternalConsistencyError` on failure
     (an engine bug). A returned derivation is therefore always certified.
 
-    The cost grows with the rule and the degree of the deleted nodes, plus
-    bulk copies of the maps a step changes: for ``D``, the host's edge map
-    if the rule deletes an edge and its node-label map if it deletes a node;
-    for ``H``, the same maps of ``D`` if it creates such items; and the
-    incidence index once built, at most once per construction. The
+    The cost grows with the rule and the degree of the deleted nodes, not
+    with the host: ``D`` and ``H`` hold each map the step changes, the
+    incidence index included once built, as a layer over the host's, and
+    copy only the edits made since that map's root, until they would pass
+    a fixed fraction of it (:meth:`~dpo.graph.Graph.edited`). Two reads
+    still scan the host: building its incidence index, and ``D``'s largest
+    id where the host has not built it or the rule deleted the item it
+    names. The first bulk read of ``D`` or ``H`` (iterating, comparing,
+    writing or pickling it) pays one copy of each layered map, once. The
     certification reads the rule's items only, since each square's ``cd``
     is the identity inclusion :func:`~dpo.diagrams.certify_pushout` needs,
     and the context inclusions ``deletion.c`` and ``gluing.c`` are not built.

@@ -1,7 +1,10 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import sys
+import threading
 from collections import Counter
 
 import networkx as nx
@@ -177,6 +180,169 @@ class TestEdited:
         carried = {name for name in built & gone.keys() if vars(g)[name] not in gone[name]}
         assert max_ids_if_built(new) == {name: reference_max_ids(new)[name] for name in carried}
         assert stored(g) == before
+
+
+@st.composite
+def edit_chains(draw) -> tuple:
+    """A graph of 64 to 96 nodes and up to twice as many edges, its incidence
+    index built, and up to 10 edits for :meth:`Graph.edited`, each as
+    ``(gone_nodes, gone_edges, nlabel, edge)``. An edit removes up to one
+    node with its edges and up to two more edges, and adds one or two nodes
+    and up to two edges, each at a fresh id or at one removed by an earlier edit
+    or this one; an added edge ends at a node the result holds."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(64, 96))
+    g = random_graph(rng, n, 2 * n, min_nodes=n)
+    g.incidence
+    nodes, edges = dict(g.nlabel), dict(g.edge)
+    fresh_v, fresh_e = n, len(edges)
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        gone_nodes = set(draw(st.lists(st.sampled_from(sorted(nodes)), max_size=1)))
+        at_gone = {e for e, (s, t, _) in edges.items() if s in gone_nodes or t in gone_nodes}
+        rest = sorted(edges.keys() - at_gone)
+        gone_edges = at_gone | set(draw(st.lists(st.sampled_from(rest), max_size=2)) if rest else ())
+        free_v = sorted(set(range(fresh_v)) - nodes.keys() | gone_nodes) + [fresh_v, fresh_v + 1]
+        nlabel = {v: draw(st.sampled_from(NODE_LABELS)) for v in draw(st.lists(st.sampled_from(free_v), min_size=1, max_size=2, unique=True))}
+        fresh_v = max([fresh_v, *(v + 1 for v in nlabel)])
+        for v in gone_nodes:
+            del nodes[v]
+        nodes.update(nlabel)
+        free_e = sorted(set(range(fresh_e)) - edges.keys() | gone_edges) + [fresh_e, fresh_e + 1]
+        ends = st.sampled_from(sorted(nodes))
+        edge = {
+            e: (draw(ends), draw(ends), draw(st.sampled_from(EDGE_LABELS)))
+            for e in draw(st.lists(st.sampled_from(free_e), max_size=2, unique=True))
+        }
+        fresh_e = max([fresh_e, *(e + 1 for e in edge)])
+        for e in gone_edges:
+            del edges[e]
+        edges.update(edge)
+        steps.append((gone_nodes, gone_edges, nlabel, edge))
+    return g, steps
+
+
+def replayed(maps: tuple, gone_nodes, gone_edges, nlabel, edge) -> tuple:
+    """One edit on plain dicts, the way a copy of each map takes it: the
+    node-label and edge maps are copied, popped and updated; the incidence
+    index is copied and patched node by node."""
+    nodes, edges, index = (m.copy() for m in maps)
+    for v in gone_nodes:
+        nodes.pop(v)
+        index.pop(v, None)
+    nodes.update(nlabel)
+    for e in gone_edges:
+        s, t, _ = edges.pop(e)
+        for v in {s, t}:
+            if v in index:
+                if rest := index[v] - {e}:
+                    index[v] = rest
+                else:
+                    del index[v]
+    edges.update(edge)
+    for e, (s, t, _) in edge.items():
+        for v in {s, t}:
+            index[v] = index.get(v, frozenset()) | {e}
+    return nodes, edges, index
+
+
+class TestLayeredMaps:
+    """A chain of :meth:`Graph.edited` calls, read item by item as it goes
+    and in bulk at the end, against the same edits on copied plain dicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edit_chains())
+    def test_reads_equal_a_plain_replay(self, chain):
+        g, steps = chain
+        graphs = [(g, (dict(g.nlabel), dict(g.edge), dict(g.incidence)))]
+        for step in steps:
+            g = g.edited(*step)
+            graphs.append((g, replayed(graphs[-1][1], *step)))
+            nodes, edges, index = graphs[-1][1]
+            probes = range(-1, 2 + max(max(nodes), max(edges, default=0)) + 2)
+            for m, want, items in ((g.nlabel, nodes, g.nodes), (g.edge, edges, g.edges), (g.incidence, index, None)):
+                assert len(m) == len(want)
+                for k in probes:
+                    assert (k in m) == (k in want)
+                    assert m.get(k) == want.get(k) and m.get(k, "absent") == want.get(k, "absent")
+                    if k in want:
+                        assert m[k] == want[k]
+                    else:
+                        pytest.raises(KeyError, m.__getitem__, k)
+                    if items is not None:
+                        assert (k in items) == (k in want)
+                if items is not None:
+                    assert len(items) == len(want)
+        assert any(type(m) is not dict for g, _ in graphs[1:] for m in (g.nlabel, g.edge, g.incidence))
+
+        nodes, edges, index = graphs[-1][1]
+        for m, want in ((g.nlabel, nodes), (g.edge, edges), (g.incidence, index)):
+            assert list(m.items()) == list(want.items())
+            assert list(m) == list(want) and list(m.values()) == list(want.values())
+            assert m == want and want == m and not m != want and not want != m
+            assert type(m.copy()) is dict and list(m.copy().items()) == list(want.items())
+        for items, want in ((g.nodes, nodes.keys()), (g.edges, edges.keys())):
+            some = set(list(want)[::3]) | {-1}
+            for other in (some, frozenset(some), dict.fromkeys(some).keys(), want, set(want)):
+                assert items - other == want - other and other - items == other - want
+                assert items & other == want & other and other & items == other & want
+                assert items | other == want | other and other | items == other | want
+                assert items ^ other == want ^ other and other ^ items == other ^ want
+                assert (items <= other, items >= other, items < other) == (want <= other, want >= other, want < other)
+                assert (other <= items, other >= items, other > items) == (other <= want, other >= want, other > want)
+                assert (items == other) == (want == other) == (other == items)
+                assert items.isdisjoint(other) == want.isdisjoint(other)
+            assert sorted(items) == sorted(want)
+            for unpicklable in (items, want):
+                pytest.raises(TypeError, pickle.dumps, unpicklable)
+        plain = graph(nodes, edges)
+        assert g == plain and plain == g
+        for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert copied == plain and list(copied.nlabel.items()) == list(nodes.items())
+            assert list(copied.edge.items()) == list(edges.items())
+        for earlier, (nodes, edges, index) in graphs:
+            assert list(earlier.nlabel.items()) == list(nodes.items())
+            assert list(earlier.edge.items()) == list(edges.items())
+            assert list(earlier.incidence.items()) == list(index.items())
+
+    def test_threads_reading_a_layer_as_it_flattens_agree(self):
+        # the first bulk read publishes the flat dict in one assignment, so
+        # a thread that reads while another flattens sees the layer's parts
+        # or the flat dict, and reads the same entries from either; the
+        # layer holds 3,900 edits, so that flattening spans thread switches
+        rng = random.Random(5)
+        n = 32_000
+        g = graph(dict.fromkeys(range(n), "a"), {e: (rng.randrange(n), rng.randrange(n), "x") for e in range(2 * n)})
+        gone, added = set(range(0, 2 * n, 32)), {e: (e % n, (e + 1) % n, "y") for e in range(2 * n, 2 * n + 1900)}
+        h = g.edited((), gone, {}, added)
+        assert type(h.edge) is not dict
+        edges = {e: x for e, x in g.edge.items() if e not in gone} | added
+        probe = sorted(gone | added.keys())
+        wrong, go, flattened = [], threading.Event(), threading.Event()
+
+        def read() -> None:
+            go.wait(timeout=10)
+            while not flattened.is_set():
+                wrong.extend(k for k in probe if h.edge.get(k) != edges.get(k) or (k in h.edges) != (k in edges))
+
+        def flatten() -> None:
+            go.wait(timeout=10)
+            wrong.extend(["bulk read"] if list(h.edge.items()) != list(edges.items()) else [])
+            flattened.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(3)] + [threading.Thread(target=flatten)]
+            for t in threads:
+                t.start()
+            go.set()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestRenumber:

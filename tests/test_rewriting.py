@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from typing import Iterator
 
@@ -876,7 +877,8 @@ class TestLongChains:
             assert g == io.graph_from_json(io.graph_to_json(g))
 
     def test_chain_on_a_hundred_thousand_nodes_matches_a_plain_replay(self):
-        # no wall-clock bound; each step costs a few bulk copies of the host
+        # no wall-clock bound; a step edits layers over the host's maps, and
+        # only the reads that build the index or a largest id scan the host
         G = _random_host(100_000, seed=5)
         replay = _Replay(G)
         for H in run_chain(G, replay, steps=25, seed=5):
@@ -887,3 +889,18 @@ class TestLongChains:
         # node, so H carries only the largest edge id
         assert max_ids_if_built(H).items() <= reference_max_ids(H).items()
         assert "max_edge_id" in max_ids_if_built(H)
+
+    def test_a_step_on_a_hundred_thousand_nodes_allocates_no_host_sized_map(self):
+        # the cost, not the representation: once the host's indexes are
+        # built, one more apply allocates about what the rule needs
+        rule, match = rewire_on_random_host(100_000)
+        G = match.m.target
+        G.incidence, G.max_node_id, G.max_edge_id
+        apply(rule, match)
+        tracemalloc.start()
+        try:
+            apply(rule, match)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
