@@ -59,7 +59,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .diagrams import Square
 from .errors import FormatError, PreconditionError
-from .graph import PASSED, CheckReport, Graph, IsoWitness, ends_are_nodes, flat, validate_graph
+from .graph import PASSED, CheckReport, Graph, IsoWitness, ends_are_nodes, validate_graph
 from .morphism import Morphism, validate_morphism
 from .rewriting import DirectDerivation, Rule
 
@@ -285,9 +285,10 @@ def save_graph(g: Graph, path: str | Path) -> None:
     path)``: one row template per item kind, formatted over columns of the
     graph's maps in ascending id order and streamed row by row, so no
     document or string the size of ``g`` is built."""
-    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    node_rows, edge_rows = sorted(g.nlabel.items()), sorted(g.edge.items())
+    nodes, edges = list(map(itemgetter(0), node_rows)), list(map(itemgetter(0), edge_rows))
     quoted = json.encoder.encode_basestring_ascii
-    ends = list(map(flat(g.edge).__getitem__, edges))
+    ends = list(map(itemgetter(1), edge_rows))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "edges": ')
         _rows(
@@ -299,7 +300,7 @@ def save_graph(g: Graph, path: str | Path) -> None:
             map(itemgetter(1), ends),
         )
         fh.write(',\n  "nodes": ')
-        _rows(fh, ',\n    {{\n      "id": {},\n      "label": {}\n    }}', nodes, map(quoted, map(flat(g.nlabel).__getitem__, nodes)))
+        _rows(fh, ',\n    {{\n      "id": {},\n      "label": {}\n    }}', nodes, map(quoted, map(itemgetter(1), node_rows)))
         fh.write("\n}\n")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import PASSED, CheckReport, Graph, Violation, ends_are_nodes, failure, is_subgraph, validate_graph
+from .graph import PASSED, CheckReport, Graph, Violation, ends_are_nodes, failure, flattened, is_subgraph, validate_graph
 
 
 @dataclass(frozen=True, eq=True)
@@ -139,7 +139,9 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
     Cost: O(|V_h|) for the label scan and, where ``g.incidence`` or
     ``h.incidence`` is not built yet, O(|E_g|) or O(|E_h|) to build it, once
     per graph, so a rule's ``L`` is indexed once over all its searches;
-    then, per candidate extension, the degree in ``h`` of the anchor's
+    where ``h`` holds a layered map, O(|h|) to flatten it, once per graph
+    (:func:`~dpo.graph.flattened`), so the search reads dicts; then, per
+    candidate extension, the degree in ``h`` of the anchor's
     image and of each checked edge's ends; then sorting the node maps found
     and expanding their edge maps.
     """
@@ -147,10 +149,12 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
     plan = _plan(g, h)
     if plan is None:
         return []
+    # the search looks up host items one by one, over whole label pools
+    host = flattened(h) if plan else h
     out: list[Morphism] = []
-    for images in sorted(_node_maps(plan, h, nodes)):
+    for images in sorted(_node_maps(plan, host, nodes)):
         fv = dict(zip(nodes, images))
-        choices = [_parallel(h, fv[s], fv[t], label) for s, t, label in map(g.edge.__getitem__, edges)]
+        choices = [_parallel(host, fv[s], fv[t], label) for s, t, label in map(g.edge.__getitem__, edges)]
         # product is lexicographic; images can repeat only among parallel
         # edges of g with one label, which the filter drops
         for edge_images in itertools.product(*choices):

@@ -14,8 +14,18 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import MultiDiGraphMatcher, categorical_node_match
 
 from dpo.errors import PreconditionError
-from dpo.graph import PASSED, CheckReport, Graph, Violation, _edge_label_index, graph, is_isomorphic, validate_graph
-from dpo.morphism import Morphism, validate_morphism
+from dpo.graph import (
+    PASSED,
+    CheckReport,
+    Graph,
+    Violation,
+    _edge_label_index,
+    flattened,
+    graph,
+    is_isomorphic,
+    validate_graph,
+)
+from dpo.morphism import Morphism, enumerate_morphisms, validate_morphism
 
 from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES, random_graph
 from .oracles import (
@@ -184,14 +194,16 @@ class TestEdited:
 
 @st.composite
 def edit_chains(draw) -> tuple:
-    """A graph of 64 to 96 nodes and up to twice as many edges, its incidence
-    index built, and up to 10 edits for :meth:`Graph.edited`, each as
-    ``(gone_nodes, gone_edges, nlabel, edge)``. An edit removes up to one
+    """A graph of 1,024 to 1,536 nodes and up to twice as many edges, its
+    incidence index built, and up to 10 edits for :meth:`Graph.edited`, each
+    as ``(gone_nodes, gone_edges, nlabel, edge)``. An edit removes up to one
     node with its edges and up to two more edges, and adds one or two nodes
     and up to two edges, each at a fresh id or at one removed by an earlier edit
-    or this one; an added edge ends at a node the result holds."""
+    or this one; an added edge ends at a node the result holds. At that size
+    the first edits make layers, and later ones may pass 1/64 of a root and
+    flatten."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(64, 96))
+    n = draw(st.integers(1024, 1536))
     g = random_graph(rng, n, 2 * n, min_nodes=n)
     g.incidence
     nodes, edges = dict(g.nlabel), dict(g.edge)
@@ -255,11 +267,20 @@ class TestLayeredMaps:
     def test_reads_equal_a_plain_replay(self, chain):
         g, steps = chain
         graphs = [(g, (dict(g.nlabel), dict(g.edge), dict(g.incidence)))]
+        # every id an edit touched, as an item or an endpoint, and every
+        # 13th id besides: the others are all read from the root alike
+        touched: set[int] = set()
         for step in steps:
+            gone_nodes, gone_edges, nlabel, edge = step
+            was = graphs[-1][1][1]
+            touched |= gone_nodes | gone_edges | nlabel.keys() | edge.keys()
+            touched.update(v for e in gone_edges for v in was[e][:2])
+            touched.update(v for s, t, _ in edge.values() for v in (s, t))
             g = g.edited(*step)
             graphs.append((g, replayed(graphs[-1][1], *step)))
             nodes, edges, index = graphs[-1][1]
-            probes = range(-1, 2 + max(max(nodes), max(edges, default=0)) + 2)
+            top = max(max(nodes), max(edges, default=0))
+            probes = touched | {-1, top + 1, top + 2} | set(range(0, top + 1, 13))
             for m, want, items in ((g.nlabel, nodes, g.nodes), (g.edge, edges, g.edges), (g.incidence, index, None)):
                 assert len(m) == len(want)
                 for k in probes:
@@ -305,15 +326,34 @@ class TestLayeredMaps:
             assert list(earlier.edge.items()) == list(edges.items())
             assert list(earlier.incidence.items()) == list(index.items())
 
+    def test_flattened_reads_dicts_and_builds_the_index_on_the_graph(self):
+        g = graph({v: "ab"[v % 2] for v in range(256)}, {e: (e, (e + 1) % 256, "x") for e in range(256)})
+        assert flattened(g) is g
+        s, t, label = g.edge[255]
+        h = g.edited((), (0,), {}, {256: (t, s, label)})
+        assert type(h.edge) is not dict and "incidence" not in vars(h)
+        flat_h = flattened(h)
+        assert flat_h == h and flattened(flat_h) is flat_h
+        assert all(type(m) is dict for m in (flat_h.nlabel, flat_h.edge, vars(flat_h)["incidence"]))
+        # the index is built on h, so an edit of h carries it
+        assert vars(h)["incidence"] == vars(flat_h)["incidence"] == reference_incidence(h)
+        # the matcher reads flat_h and names h as the target
+        L = graph({0: h.nlabel[s], 1: h.nlabel[t]}, {0: (0, 1, label)})
+        found = enumerate_morphisms(L, h)
+        assert found and all(m.target is h for m in found)
+        plain = graph(dict(h.nlabel), dict(h.edge))
+        assert [(m.fv, m.fe) for m in found] == [(m.fv, m.fe) for m in enumerate_morphisms(L, plain)]
+
     def test_threads_reading_a_layer_as_it_flattens_agree(self):
         # the first bulk read publishes the flat dict in one assignment, so
         # a thread that reads while another flattens sees the layer's parts
         # or the flat dict, and reads the same entries from either; the
-        # layer holds 3,900 edits, so that flattening spans thread switches
+        # layer holds 995 edits, 985 of them removals, so that flattening
+        # spans thread switches
         rng = random.Random(5)
         n = 32_000
         g = graph(dict.fromkeys(range(n), "a"), {e: (rng.randrange(n), rng.randrange(n), "x") for e in range(2 * n)})
-        gone, added = set(range(0, 2 * n, 32)), {e: (e % n, (e + 1) % n, "y") for e in range(2 * n, 2 * n + 1900)}
+        gone, added = set(range(0, 2 * n, 65)), {e: (e % n, (e + 1) % n, "y") for e in range(2 * n, 2 * n + 10)}
         h = g.edited((), gone, {}, added)
         assert type(h.edge) is not dict
         edges = {e: x for e, x in g.edge.items() if e not in gone} | added
