@@ -9,7 +9,9 @@ A graph ``(V, E, s, t, l_V, l_E)`` is held as two maps: ``nlabel`` is
 ``l_V``, and ``edge`` is the one function ``E -> V x V x L`` that ``s``,
 ``t`` and ``l_E`` make together, ``e -> (src, tgt, label)``. An edge so
 has all three parts or none, and a step that deletes or creates edges
-copies one host-sized edge map, not three.
+copies one host-sized edge map, not three. ``V`` and ``E`` are the maps'
+domains: a graph's item sets are their key sets, never built or copied,
+so no node lacks a label and no edge its ``edge`` entry.
 
 A graph is derived from another by one edit, :meth:`Graph.edited`, which
 removes and adds items. Each map that it changes becomes a layer: the
@@ -40,7 +42,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Collection, Mapping, Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
@@ -94,11 +96,13 @@ class Graph:
 
     ``nlabel`` gives every node its label; ``edge`` gives every edge its
     ``(src, tgt, label)``, the source, target and labelling functions on
-    ``E`` held as one map. ``nodes`` and ``edges`` may be any set of ids
-    equal to those maps' keys; every graph the engine builds is given the
-    maps' key sets themselves (:meth:`from_maps`), so no item set is built
-    or copied. Instances are treated as immutable values and may be shared
-    freely between threads.
+    ``E`` held as one map. ``nodes`` and ``edges`` are those maps' key
+    sets. Given explicitly, each must equal its map's keys, or
+    :class:`~dpo.errors.PreconditionError` names the least id in one and
+    not the other; :meth:`from_maps`, which every engine path builds
+    with, gives ``None`` and pays no comparison. Equality reads the two
+    maps only. Instances are treated as immutable values and may be
+    shared freely between threads.
 
     A map is a dict, or, on a graph :meth:`edited` from another, a layer:
     a read-only map over the dict it was edited from (its root), the root
@@ -122,27 +126,30 @@ class Graph:
     that one is rebuilt on first read.
     """
 
-    nodes: Set[int]
-    edges: Set[int]
+    nodes: Optional[Set[int]] = field(compare=False)
+    edges: Optional[Set[int]] = field(compare=False)
     nlabel: Mapping[int, str]
     edge: Mapping[int, tuple[int, int, str]]
+
+    def __post_init__(self) -> None:
+        nodes, edges = _key_set(self.nlabel), _key_set(self.edge)
+        _check_items(self.nodes, nodes, "nodes are not the keys of nlabel", "node")
+        _check_items(self.edges, edges, "edges are not the keys of edge", "edge")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_maps(cls, nlabel: Mapping[int, str], edge: Mapping[int, tuple[int, int, str]]) -> Graph:
         """The graph of two maps, its item sets their key sets."""
-        return cls(_key_set(nlabel), _key_set(edge), nlabel, edge)
+        return cls(None, None, nlabel, edge)
 
     def __reduce__(self) -> tuple:
-        # key views do not pickle; a copy has frozensets, dicts and no built index
-        return Graph, (frozenset(self.nodes), frozenset(self.edges), flat(self.nlabel), flat(self.edge))
+        # key views do not pickle; a copy has dicts and no built index
+        return Graph.from_maps, (flat(self.nlabel), flat(self.edge))
 
     def __repr__(self) -> str:
-        ns = ", ".join(f"{v}:{self.nlabel.get(v)!r}" for v in sorted(self.nodes))
-        es = ", ".join(
-            f"{e}:{s}->{t}:{l!r}"
-            for e in sorted(self.edges)
-            for s, t, l in [self.edge.get(e, (None, None, None))]
-        )
+        ns = ", ".join(f"{v}:{self.nlabel[v]!r}" for v in sorted(self.nodes))
+        es = ", ".join(f"{e}:{s}->{t}:{l!r}" for e in sorted(self.edges) for s, t, l in [self.edge[e]])
         return f"Graph([{ns}], [{es}])"
 
     @property
@@ -320,9 +327,10 @@ class _Layer(Mapping):
 
 
 class _Keys(Set):
-    """A layer's key set: ``in`` and ``len`` are the layer's; every other
-    read, set operations and comparisons included, is its flat dict's keys
-    view's."""
+    """A layer's key set: ``in`` and ``len`` are the layer's, iteration and
+    ``==`` its flat dict's keys view's; the :class:`~collections.abc.Set`
+    mixins build every other operator on those, returning a ``set`` where
+    a keys view would."""
 
     __slots__ = ("_map",)
 
@@ -338,33 +346,22 @@ class _Keys(Set):
     def __iter__(self):
         return iter(self._map.flat())
 
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        return set(it)
+
     def _view(self):
         return self._map.flat().keys()
 
-    def isdisjoint(self, other) -> bool:
-        return self._view().isdisjoint(other)
-
     def __eq__(self, other) -> bool:
-        return other is self or self._view() == _viewed(other)
+        return other is self or self._view() == other
 
     def __repr__(self) -> str:
         return repr(self._view())
 
     def __reduce__(self) -> tuple:
-        # as a keys view, which does not pickle; a Graph pickles its item sets
+        # as a keys view, which does not pickle; a Graph pickles its maps
         raise TypeError("cannot pickle a layer's key set")
-
-
-def _viewed(x):
-    return x._view() if type(x) is _Keys else x
-
-
-# the order comparisons and set operations, each side through _viewed
-for _op in (operator.lt, operator.le, operator.gt, operator.ge, operator.and_, operator.or_, operator.sub, operator.xor):
-    _name = _op.__name__.strip("_")
-    setattr(_Keys, f"__{_name}__", lambda self, other, op=_op: op(self._view(), _viewed(other)))
-    if _name in ("and", "or", "sub", "xor"):
-        setattr(_Keys, f"__r{_name}__", lambda self, other, op=_op: op(_viewed(other), self._view()))
 
 
 def flat(m: Mapping) -> dict:
@@ -389,6 +386,15 @@ def flattened(g: Graph) -> Graph:
 def _key_set(m: Mapping) -> Set:
     """The key set of a map: a dict's keys view, or a layer's :class:`_Keys`."""
     return _Keys(m) if type(m) is _Layer else m.keys()
+
+
+def _check_items(items: Optional[Set[int]], keys: Set[int], clause: str, kind: str) -> None:
+    """Raise :class:`~dpo.errors.PreconditionError` at the least id in one
+    of ``items`` and ``keys`` and not the other; ``None`` is ``keys``."""
+    if items is not None and items != keys and (odd := set(items).symmetric_difference(keys)):
+        from .errors import PreconditionError  # errors imports this module
+
+        raise PreconditionError(f"graph: {clause}", (kind, min(odd)))
 
 
 def _edited(m: Mapping, gone: Collection, added: Mapping) -> Mapping:
@@ -439,48 +445,31 @@ def ends_are_nodes(g: Graph) -> bool:
 
 def validate_graph(g: Graph) -> CheckReport:
     """Check every graph invariant; report each failed clause with its item.
-    Whole-set tests at C level decide a pass (endpoints are looked up in
-    ``nlabel``, equal to ``nodes`` once the first holds); else the loop runs.
-    An edge has its source, target and label together or not at all, so one
-    clause covers a missing ``edge`` entry."""
-    if (
-        g.nlabel.keys() == g.nodes
-        and g.edge.keys() == g.edges
-        and min(g.nodes, default=0) >= 0
-        and min(g.edges, default=0) >= 0
-        and ends_are_nodes(g)
-    ):
+    A graph's item sets are its maps' keys, so what is left to check is
+    that ids are non-negative and that every edge ends at nodes. Whole-set
+    tests at C level decide a pass; else the loop runs."""
+    if min(g.nodes, default=0) >= 0 and min(g.edges, default=0) >= 0 and ends_are_nodes(g):
         return PASSED
     bad: list[Violation] = []
     for v in sorted(g.nodes):
         if v < 0:
             bad.append(Violation("node id negative", ("node", v)))
-        if v not in g.nlabel:
-            bad.append(Violation("nlabel not total on nodes", ("node", v)))
     for e in sorted(g.edges):
         if e < 0:
             bad.append(Violation("edge id negative", ("edge", e)))
-        if e not in g.edge:
-            bad.append(Violation("edge map not total on edges", ("edge", e)))
-            continue
         s, t, _ = g.edge[e]
         if s not in g.nodes:
             bad.append(Violation("src out of V", ("edge", e)))
         if t not in g.nodes:
             bad.append(Violation("tgt out of V", ("edge", e)))
-    for v in sorted(set(g.nlabel) - g.nodes):
-        bad.append(Violation("nlabel defined outside nodes", ("node", v)))
-    for e in sorted(set(g.edge) - g.edges):
-        bad.append(Violation("edge map defined outside edges", ("edge", e)))
     return CheckReport(tuple(bad))
 
 
 def is_subgraph(sub: Graph, g: Graph) -> bool:
-    """Whether ``sub``'s items, labels and endpoints are ``g``'s, by C-level
-    set tests and dict views; a map ``sub`` shares with ``g`` is not read."""
-    return sub.nodes <= g.nodes and sub.edges <= g.edges and all(
-        x is y or x.items() <= y.items() for x, y in ((sub.nlabel, g.nlabel), (sub.edge, g.edge))
-    )
+    """Whether ``sub``'s labelled nodes and edges are ``g``'s, by C-level
+    tests of the maps' item views, which decide the item sets too; a map
+    ``sub`` shares with ``g`` is not read."""
+    return all(x is y or x.items() <= y.items() for x, y in ((sub.nlabel, g.nlabel), (sub.edge, g.edge)))
 
 
 @dataclass(frozen=True)

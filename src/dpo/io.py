@@ -336,9 +336,10 @@ def _named(where: str | Path) -> Iterator[None]:
 def _well_formed(g: Graph) -> Graph:
     """``g``, if every edge ends at nodes of ``g``; else :class:`FormatError`
     naming the first :func:`validate_graph` violation. Every graph a verb
-    reads passes here. :func:`graph_from_json` already guarantees the other
-    clauses, ``nodes`` equal to ``nlabel``'s keys among them, so
-    :func:`~dpo.graph.ends_are_nodes` stands in for the full check."""
+    reads passes here. :class:`~dpo.graph.Graph` itself guarantees that its
+    item sets are its maps' keys, and :func:`graph_from_json` that ids are
+    non-negative, so :func:`~dpo.graph.ends_are_nodes` stands in for the
+    full check."""
     if ends_are_nodes(g):
         return g
     report = validate_graph(g)

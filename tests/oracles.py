@@ -560,22 +560,13 @@ def reference_validate_graph(g: Graph) -> CheckReport:
     for v in sorted(g.nodes):
         if v < 0:
             bad.append(Violation("node id negative", ("node", v)))
-        if v not in g.nlabel:
-            bad.append(Violation("nlabel not total on nodes", ("node", v)))
     for e in sorted(g.edges):
         if e < 0:
             bad.append(Violation("edge id negative", ("edge", e)))
-        if e not in g.edge:
-            bad.append(Violation("edge map not total on edges", ("edge", e)))
-            continue
         if g.edge[e][0] not in g.nodes:
             bad.append(Violation("src out of V", ("edge", e)))
         if g.edge[e][1] not in g.nodes:
             bad.append(Violation("tgt out of V", ("edge", e)))
-    for v in sorted(set(g.nlabel) - g.nodes):
-        bad.append(Violation("nlabel defined outside nodes", ("node", v)))
-    for e in sorted(set(g.edge) - g.edges):
-        bad.append(Violation("edge map defined outside edges", ("edge", e)))
     return CheckReport(tuple(bad))
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import pickle
@@ -45,30 +46,21 @@ from .strategies import EDGE_LABELS, NODE_LABELS, graphs
 
 @st.composite
 def corrupted_graphs(draw) -> Graph:
-    """A graph with at most one corruption: a negative id, an item missing
-    from one map, a map entry outside the items, or an endpoint off the
-    nodes."""
+    """A graph with at most one corruption: a negative id or an endpoint
+    off the nodes."""
     g = draw(graphs())
-    nodes, edges = set(g.nodes), set(g.edges)
-    maps = {"nlabel": dict(g.nlabel), "edge": dict(g.edge)}
-    name = draw(st.sampled_from(sorted(maps)))
-    kind = draw(st.sampled_from(["none", "negative node", "negative edge", "missing", "outside", "endpoint"]))
+    nlabel, edge = dict(g.nlabel), dict(g.edge)
+    kind = draw(st.sampled_from(["none", "negative node", "negative edge", "endpoint"]))
     if kind == "negative node":
-        nodes.add(-1)
-        maps["nlabel"][-1] = "a"
-    elif kind == "negative edge" and nodes:
-        edges.add(-1)
-        maps["edge"][-1] = (min(nodes), min(nodes), "x")
-    elif kind == "missing" and maps[name]:
-        del maps[name][draw(st.sampled_from(sorted(maps[name])))]
-    elif kind == "outside":
-        maps[name][draw(st.integers(4, 6))] = "a" if name == "nlabel" else (0, 0, "x")
-    elif kind == "endpoint" and edges:
-        e = draw(st.sampled_from(sorted(edges)))
-        s, t, label = maps["edge"][e]
+        nlabel[-1] = "a"
+    elif kind == "negative edge" and nlabel:
+        edge[-1] = (min(nlabel), min(nlabel), "x")
+    elif kind == "endpoint" and edge:
+        e = draw(st.sampled_from(sorted(edge)))
+        s, t, label = edge[e]
         end = draw(st.integers(-1, 6))
-        maps["edge"][e] = (end, t, label) if draw(st.booleans()) else (s, end, label)
-    return Graph(nodes=frozenset(nodes), edges=frozenset(edges), **maps)
+        edge[e] = (end, t, label) if draw(st.booleans()) else (s, end, label)
+    return Graph(frozenset(nlabel), frozenset(edge), nlabel, edge)
 
 
 def with_edge_labels(g: Graph, labels: dict[int, str]) -> Graph:
@@ -107,19 +99,63 @@ class TestValidateGraph:
         assert not report
         assert any(v.clause == "src out of V" and v.item == ("edge", 0) for v in report.violations)
 
-    def test_missing_label_is_reported(self):
-        g = graph({0: "a"})
-        broken = type(g)(nodes=g.nodes, edges=g.edges, nlabel={}, edge=g.edge)
-        report = validate_graph(broken)
-        assert any("nlabel" in v.clause for v in report.violations)
-
     @settings(max_examples=400, deadline=None)
     @given(corrupted_graphs())
     @example(Graph(frozenset({-1}), frozenset(), {-1: "a"}, {}))
-    @example(Graph(frozenset({0}), frozenset({0}), {0: "a"}, {}))
-    @example(Graph(frozenset({0}), frozenset(), {0: "a"}, {3: (0, 0, "x")}))
     def test_agrees_with_the_reference_loop(self, g):
         assert validate_graph(g) == reference_validate_graph(g)
+
+
+class TestConstruction:
+    """A graph's item sets are its maps' key sets: given explicitly, each is
+    checked against its map once, at construction."""
+
+    @pytest.mark.parametrize(
+        "nodes, edges, nlabel, edge, message",
+        [
+            ({0, 1, 2}, set(), {0: "a"}, {}, "graph: nodes are not the keys of nlabel: node 1"),
+            ({0}, set(), {5: "b", 0: "a", 3: "a"}, {}, "graph: nodes are not the keys of nlabel: node 3"),
+            ({0}, {4, 0, 2}, {0: "a"}, {0: (0, 0, "x")}, "graph: edges are not the keys of edge: edge 2"),
+            ({0}, set(), {0: "a"}, {4: (0, 0, "x"), 3: (0, 0, "x")}, "graph: edges are not the keys of edge: edge 3"),
+        ],
+        ids=["node without a label", "label without a node", "edge without an edge entry", "edge entry without an edge"],
+    )
+    def test_item_sets_that_are_not_the_maps_keys_raise(self, nodes, edges, nlabel, edge, message):
+        for items in (set, frozenset):
+            with pytest.raises(PreconditionError) as caught:
+                Graph(items(nodes), items(edges), nlabel, edge)
+            assert str(caught.value) == message
+
+    def test_replace_with_matching_nodes_on_a_layered_graph(self):
+        g = graph({v: "a" for v in range(200)}, {0: (0, 1, "x")})
+        H = g.edited((), (), {200: "b"}, {})
+        assert type(H.nlabel) is not dict
+        x = max(H.nodes) + 1
+        H2 = dataclasses.replace(H, nodes=H.nodes | {x}, nlabel={**H.nlabel, x: "a"})
+        assert H2.nodes == H2.nlabel.keys() == set(range(202)) and H2.edges == H2.edge.keys()
+        assert H2.edge is H.edge and H2 != H
+        with pytest.raises(PreconditionError, match="graph: nodes are not the keys of nlabel: node 201"):
+            dataclasses.replace(H, nlabel={**H.nlabel, x: "a"})
+
+    def test_equality_reads_the_two_maps(self):
+        assert [f.name for f in dataclasses.fields(Graph) if f.compare] == ["nlabel", "edge"]
+        nlabel, edge = {0: "a", 1: "b"}, {2: (0, 1, "x")}
+        built = (
+            Graph(frozenset(nlabel), frozenset(edge), dict(nlabel), dict(edge)),
+            graph(nlabel, edge),
+            Graph.from_maps(nlabel, edge),
+        )
+        for g, h in itertools.product(built, repeat=2):
+            assert g == h and (g.nodes, g.edges) == ({0, 1}, {2})
+            assert g.nodes == g.nlabel.keys() and g.edges == g.edge.keys()
+
+    def test_a_layered_graph_pickles_to_an_equal_graph_of_dicts(self):
+        g = graph({v: "a" for v in range(200)}, {e: (e, e + 1, "x") for e in range(199)})
+        h = g.edited((), (5,), {200: "b"}, {5: (200, 0, "y")})
+        assert type(h.nlabel) is not dict and type(h.edge) is not dict
+        clone = pickle.loads(pickle.dumps(h))
+        assert clone == h and type(clone.nlabel) is dict and type(clone.edge) is dict
+        assert clone.nodes == clone.nlabel.keys() and clone.edges == clone.edge.keys()
 
 
 INDEXES = ("incidence", "max_node_id", "max_edge_id")
