@@ -10,38 +10,22 @@ A graph ``(V, E, s, t, l_V, l_E)`` is held as two maps: ``nlabel`` is
 ``t`` and ``l_E`` make together, ``e -> (src, tgt, label)``. An edge so
 has all three parts or none, and a step that deletes or creates edges
 copies one host-sized edge map, not three. ``V`` and ``E`` are the maps'
-domains: a graph's item sets are their key sets, never built or copied,
-so no node lacks a label and no edge its ``edge`` entry.
+domains: a graph's item sets are the maps' own ``keys()``, never built or
+copied, so no node lacks a label and no edge its ``edge`` entry. Every
+id-ordered listing of a graph reads :func:`items_by_id`.
 
 A graph is derived from another by one edit, :meth:`Graph.edited`, which
-removes and adds items. Each map that it changes becomes a layer: the
-input's dict (the root), the root keys removed since and the entries added
-since, read through those three parts, so a step copies the edits made
-since the root and no host-sized map; the other map is shared with the
-input graph. Point reads (``[]``, ``get``, ``in``, ``len``) stay O(1); the
-first bulk read of a layer (iteration, a view, ``==``, ``copy``, pickling)
-builds its flat dict once, by ``dict.copy()`` of the root and a patch, the
-dict a copy of the input and the same pops and updates would give, in its
-entries and its order. An edit whose layer would hold more edits than
-1/64 of its root returns that flat dict instead, so a chain that is never
-read in bulk copies the host once per 1/64 of the host it rewrites; a
-persistent map in the sense of Driscoll, Sarnak, Sleator and Tarjan (JCSS
-38, 1989), with one level. A result's item sets are the key sets of its
-maps, so no item set is built. Every point read of a layer, flattened or
-not, is a Python call; a reader that looks up items one by one over a
-whole host, as the matcher and the isomorphism search do, reads the flat
-dicts themselves (:func:`flat`, :func:`flattened`).
-
-A graph's derived indexes (:attr:`Graph.incidence`, ``max_node_id``,
-``max_edge_id``) are carried on to the edited graph once built, patched
-in O(|items| + degree), the incidence index as a layer too.
+removes and adds items; each map it changes is a layer over the input's
+(:class:`_Layer`). A graph's derived indexes (:attr:`Graph.incidence`,
+``max_node_id``, ``max_edge_id``) are carried on to the edited graph once
+built, patched in O(|items| + degree), the incidence index as a layer too.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from collections.abc import Collection, Mapping, Set
+from collections.abc import Collection, KeysView, Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -96,23 +80,16 @@ class Graph:
 
     ``nlabel`` gives every node its label; ``edge`` gives every edge its
     ``(src, tgt, label)``, the source, target and labelling functions on
-    ``E`` held as one map. ``nodes`` and ``edges`` are those maps' key
-    sets. Given explicitly, each must equal its map's keys, or
+    ``E`` held as one map. ``nodes`` and ``edges`` are those maps'
+    ``keys()``. Given explicitly, each must equal its map's keys, or
     :class:`~dpo.errors.PreconditionError` names the least id in one and
     not the other; :meth:`from_maps`, which every engine path builds
     with, gives ``None`` and pays no comparison. Equality reads the two
     maps only. Instances are treated as immutable values and may be
     shared freely between threads.
 
-    A map is a dict, or, on a graph :meth:`edited` from another, a layer:
-    a read-only map over the dict it was edited from (its root), the root
-    keys removed and the entries added since. Point reads of a layer or of
-    its key set go through those three parts. Its first bulk read builds
-    the flat dict, :func:`flat`, once, and publishes it in one assignment,
-    so a reader in another thread sees the three parts or the flat dict,
-    never a half-built one; every later read is the flat dict's, through
-    the layer's own methods. :func:`flattened` gives a graph of the flat
-    dicts, for readers that look up a host's worth of items.
+    A map is a dict, or, on a graph :meth:`edited` from another, a layer
+    over the dict it was edited from (:class:`_Layer`).
 
     :attr:`src`, :attr:`tgt` and :attr:`elabel` are projections of
     ``edge``, each a new dict built at C level on every read and not kept,
@@ -132,7 +109,7 @@ class Graph:
     edge: Mapping[int, tuple[int, int, str]]
 
     def __post_init__(self) -> None:
-        nodes, edges = _key_set(self.nlabel), _key_set(self.edge)
+        nodes, edges = self.nlabel.keys(), self.edge.keys()
         _check_items(self.nodes, nodes, "nodes are not the keys of nlabel", "node")
         _check_items(self.edges, edges, "edges are not the keys of edge", "edge")
         object.__setattr__(self, "nodes", nodes)
@@ -148,8 +125,9 @@ class Graph:
         return Graph.from_maps, (flat(self.nlabel), flat(self.edge))
 
     def __repr__(self) -> str:
-        ns = ", ".join(f"{v}:{self.nlabel[v]!r}" for v in sorted(self.nodes))
-        es = ", ".join(f"{e}:{s}->{t}:{l!r}" for e in sorted(self.edges) for s, t, l in [self.edge[e]])
+        nodes, labels, edges, ends = items_by_id(self)
+        ns = ", ".join(f"{v}:{l!r}" for v, l in zip(nodes, labels))
+        es = ", ".join(f"{e}:{s}->{t}:{l!r}" for e, (s, t, l) in zip(edges, ends))
         return f"Graph([{ns}], [{es}])"
 
     @property
@@ -201,13 +179,9 @@ class Graph:
         one removed in the same call; the removal must leave no edge
         dangling.
 
-        Each map that loses or gains an item is a layer over its root, the
-        input's map or, if that is a layer, the same root (:func:`_edited`):
-        the step copies the edits made since the root and reads O(|items|)
-        entries. If the layer's edits would pass 1/64 of its root, the
-        result holds the flat dict instead, one host-sized copy. A map
-        whose items the step leaves alone is shared, since graphs are never
-        mutated. The first bulk read of a layer pays its flat copy, once.
+        Each map that loses or gains an item is a layer over the input's
+        (:class:`_Layer`), built in O(|items|); a map whose items the step
+        leaves alone is shared, since graphs are never mutated.
         Each derived index built on this graph is carried on, patched for
         the removed and added items in O(degree) per item, the incidence
         index by the same layered edit. A largest id whose item was removed
@@ -257,11 +231,26 @@ _NO_ITEMS = MappingProxyType({})
 
 class _Layer(Mapping):
     """A read-only map: a root dict, the root keys removed from it and the
-    entries added since, with its size; built by :func:`_edited` only.
+    entries added since, with its size; built by :func:`_edited` only, for
+    each map a :meth:`Graph.edited` step changes, so that the step copies
+    the edits made since the root and no host-sized map.
 
-    ``[]``, ``get``, ``in`` and ``len`` read the three parts. Every other
-    read is the flat dict's (:meth:`flat`): the first builds it, and then
-    the layer holds it as its root, with nothing removed or added."""
+    ``[]``, ``get``, ``in`` and ``len``, and ``in`` and ``len`` on its key
+    set, read the three parts, in O(1). Every other read is the flat dict's
+    (:meth:`flat`): the first one (iteration, ``==``, ``copy``, pickling)
+    builds it once, by ``dict.copy()`` of the root and a patch, the dict a
+    copy of the input and the same pops and updates would give, in its
+    entries and order, and publishes it in one assignment as the layer's
+    root, with nothing removed or added; a reader in another thread sees
+    the three parts or the flat dict, never a half-built one. An edit whose
+    layer would hold more edits than 1/64 of its root returns that flat
+    dict instead, so a chain that is never read in bulk copies the host
+    once per 1/64 of the host it rewrites: a persistent map in the sense of
+    Driscoll, Sarnak, Sleator and Tarjan (JCSS 38, 1989), with one level.
+    Every point read of a layer, flattened or not, is a Python call; a
+    reader that looks up items one by one over a whole host, as the
+    matcher and the isomorphism search do, reads the flat dicts themselves
+    (:func:`flat`, :func:`flattened`)."""
 
     __slots__ = ("_parts",)
 
@@ -304,8 +293,8 @@ class _Layer(Mapping):
     def __iter__(self):
         return iter(self.flat())
 
-    def keys(self):
-        return self.flat().keys()
+    def keys(self) -> _Keys:
+        return _Keys(self)
 
     def items(self):
         return self.flat().items()
@@ -326,38 +315,22 @@ class _Layer(Mapping):
         return dict, (self.flat(),)
 
 
-class _Keys(Set):
-    """A layer's key set: ``in`` and ``len`` are the layer's, iteration and
-    ``==`` its flat dict's keys view's; the :class:`~collections.abc.Set`
-    mixins build every other operator on those, returning a ``set`` where
-    a keys view would."""
+class _Keys(KeysView):
+    """A layer's key set, :meth:`_Layer.keys`: the
+    :class:`~collections.abc.KeysView` mixins read the layer, so ``in`` and
+    ``len`` read its three parts; iteration, ``==`` and ``repr`` are its
+    flat dict's keys view's."""
 
-    __slots__ = ("_map",)
-
-    def __init__(self, m: _Layer):
-        self._map = m
-
-    def __contains__(self, k) -> bool:
-        return k in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
+    __slots__ = ()
 
     def __iter__(self):
-        return iter(self._map.flat())
-
-    @classmethod
-    def _from_iterable(cls, it) -> set:
-        return set(it)
-
-    def _view(self):
-        return self._map.flat().keys()
+        return iter(self._mapping.flat())
 
     def __eq__(self, other) -> bool:
-        return other is self or self._view() == other
+        return other is self or self._mapping.flat().keys() == other
 
     def __repr__(self) -> str:
-        return repr(self._view())
+        return repr(self._mapping.flat().keys())
 
     def __reduce__(self) -> tuple:
         # as a keys view, which does not pickle; a Graph pickles its maps
@@ -381,11 +354,6 @@ def flattened(g: Graph) -> Graph:
     # where functools.cached_property keeps the values it builds
     vars(flat_g)["incidence"] = flat(g.incidence)
     return flat_g
-
-
-def _key_set(m: Mapping) -> Set:
-    """The key set of a map: a dict's keys view, or a layer's :class:`_Keys`."""
-    return _Keys(m) if type(m) is _Layer else m.keys()
 
 
 def _check_items(items: Optional[Set[int]], keys: Set[int], clause: str, kind: str) -> None:
@@ -436,6 +404,15 @@ def graph(
     return Graph.from_maps(dict(nodes), {e: (s, t, l) for e, (s, t, l) in (edges or {}).items()})
 
 
+def items_by_id(g: Graph) -> tuple[list[int], list[str], list[int], list[tuple[int, int, str]]]:
+    """``g``'s node ids ascending, their labels, its edge ids ascending and
+    their ``(src, tgt, label)``, looked up in the flat dicts at C level: the
+    one id-ordered reading of a graph."""
+    nlabel, edge = flat(g.nlabel), flat(g.edge)
+    nodes, edges = sorted(nlabel), sorted(edge)
+    return nodes, list(map(nlabel.__getitem__, nodes)), edges, list(map(edge.__getitem__, edges))
+
+
 def ends_are_nodes(g: Graph) -> bool:
     """Whether every edge's source and target are keys of ``nlabel``, by
     two C-level passes over ``edge``."""
@@ -451,13 +428,13 @@ def validate_graph(g: Graph) -> CheckReport:
     if min(g.nodes, default=0) >= 0 and min(g.edges, default=0) >= 0 and ends_are_nodes(g):
         return PASSED
     bad: list[Violation] = []
-    for v in sorted(g.nodes):
+    nodes, _, edges, ends = items_by_id(g)
+    for v in nodes:
         if v < 0:
             bad.append(Violation("node id negative", ("node", v)))
-    for e in sorted(g.edges):
+    for e, (s, t, _) in zip(edges, ends):
         if e < 0:
             bad.append(Violation("edge id negative", ("edge", e)))
-        s, t, _ = g.edge[e]
         if s not in g.nodes:
             bad.append(Violation("src out of V", ("edge", e)))
         if t not in g.nodes:

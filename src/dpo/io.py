@@ -39,14 +39,14 @@ morphism document references names a file.
 Every document is written as ``json.dump(doc, fh, indent=2,
 sort_keys=True)`` and a newline (:func:`write_json`). A result graph, the
 one document as large as the host, is written with the same bytes by
-:func:`save_graph`, a row template at a time over columns taken from the
-graph's edge map. The readers work a column at a time in C-level calls
-(``map``, ``itemgetter``, ``set``) on the shapes these formats use: records
-with type-uniform fields and maps of plain integers. An edge record's
-``src``, ``tgt`` and ``label`` columns are zipped into the ``(src, tgt,
-label)`` values of the edge map. An input that fails a column test goes to
-readers that check entry by entry and name the first bad entry, with the
-same result and the same error.
+:func:`save_graph`, a row template at a time over the id-ordered columns
+of :func:`~dpo.graph.items_by_id`. The readers work a column at a time in
+C-level calls (``map``, ``itemgetter``, ``set``) on the shapes these
+formats use: records with type-uniform fields and maps of plain integers.
+An edge record's ``src``, ``tgt`` and ``label`` columns are zipped into
+the ``(src, tgt, label)`` values of the edge map. An input that fails a
+column test goes to readers that check entry by entry and name the first
+bad entry, with the same result and the same error.
 """
 
 from __future__ import annotations
@@ -59,19 +59,16 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .diagrams import Square
 from .errors import FormatError, PreconditionError
-from .graph import PASSED, CheckReport, Graph, IsoWitness, ends_are_nodes, validate_graph
+from .graph import PASSED, CheckReport, Graph, IsoWitness, ends_are_nodes, items_by_id, validate_graph
 from .morphism import Morphism, validate_morphism
 from .rewriting import DirectDerivation, Rule
 
 
 def graph_to_json(g: Graph) -> dict:
+    nodes, labels, edges, ends = items_by_id(g)
     return {
-        "nodes": [{"id": v, "label": g.nlabel[v]} for v in sorted(g.nodes)],
-        "edges": [
-            {"id": e, "src": s, "tgt": t, "label": label}
-            for e in sorted(g.edges)
-            for s, t, label in [g.edge[e]]
-        ],
+        "nodes": [{"id": v, "label": label} for v, label in zip(nodes, labels)],
+        "edges": [{"id": e, "src": s, "tgt": t, "label": label} for e, (s, t, label) in zip(edges, ends)],
     }
 
 
@@ -282,13 +279,11 @@ def write_json(doc: Any, fh: TextIO) -> None:
 
 def save_graph(g: Graph, path: str | Path) -> None:
     """Write ``g`` to ``path`` as the bytes of ``save_json(graph_to_json(g),
-    path)``: one row template per item kind, formatted over columns of the
-    graph's maps in ascending id order and streamed row by row, so no
-    document or string the size of ``g`` is built."""
-    node_rows, edge_rows = sorted(g.nlabel.items()), sorted(g.edge.items())
-    nodes, edges = list(map(itemgetter(0), node_rows)), list(map(itemgetter(0), edge_rows))
+    path)``: one row template per item kind, formatted over the columns of
+    :func:`~dpo.graph.items_by_id` and streamed row by row, so no document
+    or string the size of ``g`` is built."""
+    nodes, labels, edges, ends = items_by_id(g)
     quoted = json.encoder.encode_basestring_ascii
-    ends = list(map(itemgetter(1), edge_rows))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "edges": ')
         _rows(
@@ -300,7 +295,7 @@ def save_graph(g: Graph, path: str | Path) -> None:
             map(itemgetter(1), ends),
         )
         fh.write(',\n  "nodes": ')
-        _rows(fh, ',\n    {{\n      "id": {},\n      "label": {}\n    }}', nodes, map(quoted, map(itemgetter(1), node_rows)))
+        _rows(fh, ',\n    {{\n      "id": {},\n      "label": {}\n    }}', nodes, map(quoted, labels))
         fh.write("\n}\n")
 
 
@@ -454,11 +449,11 @@ def to_dot(g: Graph) -> str:
     text is one UTF-8 can encode: a lone surrogate, which a JSON ``\\ud800``
     escape puts in a label, is written as the six characters ``\\ud800``."""
     escape = str.maketrans({"\\": "\\\\", '"': '\\"'})
+    nodes, labels, edges, ends = items_by_id(g)
     lines = ["digraph G {"]
-    for v in sorted(g.nodes):
-        lines.append(f'  n{v} [label="{v}:{g.nlabel[v].translate(escape)}"];')
-    for e in sorted(g.edges):
-        s, t, label = g.edge[e]
+    for v, label in zip(nodes, labels):
+        lines.append(f'  n{v} [label="{v}:{label.translate(escape)}"];')
+    for e, (s, t, label) in zip(edges, ends):
         lines.append(f'  n{s} -> n{t} [label="{e}:{label.translate(escape)}"];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace").decode("utf-8")

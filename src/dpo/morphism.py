@@ -139,8 +139,8 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
     Cost: O(|V_h|) for the label scan and, where ``g.incidence`` or
     ``h.incidence`` is not built yet, O(|E_g|) or O(|E_h|) to build it, once
     per graph, so a rule's ``L`` is indexed once over all its searches;
-    where ``h`` holds a layered map, O(|h|) to flatten it, once per graph
-    (:func:`~dpo.graph.flattened`), so the search reads dicts; then, per
+    where ``h`` holds a layer (:class:`~dpo.graph._Layer`), O(|h|) to
+    flatten it, once per graph (:func:`~dpo.graph.flattened`); then, per
     candidate extension, the degree in ``h`` of the anchor's
     image and of each checked edge's ends; then sorting the node maps found
     and expanding their edge maps.

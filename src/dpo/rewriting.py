@@ -149,16 +149,13 @@ def apply(rule: Rule, match: Match) -> DirectDerivation:
 
     The cost grows with the rule and the degree of the deleted nodes, not
     with the host: ``D`` and ``H`` hold each map the step changes, the
-    incidence index included once built, as a layer over the host's, and
-    copy only the edits made since that map's root, until they would pass
-    a fixed fraction of it (:meth:`~dpo.graph.Graph.edited`). Two reads
-    still scan the host: building its incidence index, and ``D``'s largest
-    id where the host has not built it or the rule deleted the item it
-    names. The first bulk read of ``D`` or ``H`` (iterating, comparing,
-    writing or pickling it) pays one copy of each layered map, once. The
-    certification reads the rule's items only, since each square's ``cd``
-    is the identity inclusion :func:`~dpo.diagrams.certify_pushout` needs,
-    and the context inclusions ``deletion.c`` and ``gluing.c`` are not built.
+    incidence index included once built, as a layer over the host's
+    (:class:`~dpo.graph._Layer`). Two reads still scan the host: building
+    its incidence index, and ``D``'s largest id where the host has not
+    built it or the rule deleted the item it names. The certification
+    reads the rule's items only, since each square's ``cd`` is the identity
+    inclusion :func:`~dpo.diagrams.certify_pushout` needs, and the context
+    inclusions ``deletion.c`` and ``gluing.c`` are not built.
     """
     report = validate_morphism(match.m)
     if not report:

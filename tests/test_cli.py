@@ -1211,6 +1211,33 @@ class TestIso:
         assert (code, doc) == (3, {"isomorphic": False, "witness": None})
 
 
+class TestInternalErrors:
+    """An exception outside the engine's error classes exits 5 with
+    ``error: internal: <class>: <message>`` and leaves no output behind."""
+
+    def test_a_recursion_error_in_iso_exits_5(self, capsys, files, monkeypatch):
+        # what is_isomorphic raises past the recursion limit, about 10^3 nodes
+        def too_deep(g, h):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "is_isomorphic", too_deep)
+        code, doc, err = run(capsys, "iso", files["host"], files["host"])
+        assert (code, doc) == (5, None)
+        assert err == "error: internal: RecursionError: maximum recursion depth exceeded\n"
+
+    def test_a_writer_that_raises_leaves_no_output_or_temporary_file(self, capsys, files, tmp_path, monkeypatch):
+        def broken(g):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(io, "to_dot", broken)
+        before = sorted(tmp_path.iterdir())
+        out, dot = tmp_path / "H.json", tmp_path / "H.dot"
+        code, doc, err = run(capsys, "apply", files["delete_x"], files["host"], "--out", str(out), "--dot", str(dot))
+        assert (code, doc) == (5, None)
+        assert err == "error: internal: ValueError: cannot render\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestRepeatedId:
     """A map whose keys spell one id twice is a format error, not a map on
     which the last spelling wins."""

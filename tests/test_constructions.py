@@ -91,6 +91,21 @@ class TestGluing:
         with pytest.raises(PreconditionError):
             gluing(fold, identity(k))
 
+    @pytest.mark.parametrize(
+        "b, d, message",
+        [
+            (identity(graph({0: "a"})), Morphism(graph({}), graph({0: "a"}), {}, {}),
+             "gluing: b and d must share their source graph"),
+            (identity(graph({0: "a", 1: "a"})), Morphism(graph({0: "a", 1: "a"}), graph({0: "a"}), {0: 0, 1: 0}, {}),
+             "gluing: d is not injective"),
+        ],
+        ids=["two sources", "d not injective"],
+    )
+    def test_a_span_it_cannot_glue_raises(self, b, d, message):
+        with pytest.raises(PreconditionError) as raised:
+            gluing(b, d)
+        assert str(raised.value) == message
+
     def test_random_spans_satisfy_the_construction_contract(self):
         rng = random.Random(13)
         for _ in range(60):
@@ -138,6 +153,21 @@ class TestDeletion:
         result = deletion(b, m)
         assert result.D == graph({})
         assert is_pushout_injective(Square(ab=b, ac=result.d, bd=m, cd=result.c))
+
+    @pytest.mark.parametrize(
+        "rule_left, match, message",
+        [
+            (identity(graph({0: "a"})), identity(graph({0: "b"})),
+             "deletion: rule_left.target differs from match.source"),
+            (Morphism(graph({0: "a", 1: "a"}), graph({0: "a"}), {0: 0, 1: 0}, {}), identity(graph({0: "a"})),
+             "deletion: rule_left is not injective"),
+        ],
+        ids=["L differs", "rule_left not injective"],
+    )
+    def test_a_rule_and_match_it_cannot_delete_with_raise(self, rule_left, match, message):
+        with pytest.raises(PreconditionError) as raised:
+            deletion(rule_left, match)
+        assert str(raised.value) == message
 
     def test_dangling_violation_names_the_edges(self):
         l = graph({0: "a"})

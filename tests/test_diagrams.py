@@ -85,6 +85,22 @@ class TestCommutes:
             commutes(Square(ab=identity(graph({0: "a"})), ac=identity(graph({0: "b"})),
                             bd=identity(graph({0: "a"})), cd=identity(graph({0: "b"}))))
 
+    @pytest.mark.parametrize(
+        "legs, message",
+        [
+            ({"bd": identity(graph({0: "b"}))}, "square: ab.target differs from bd.source"),
+            ({"cd": identity(graph({0: "b"}))}, "square: ac.target differs from cd.source"),
+            ({"cd": Morphism(graph({0: "a"}), graph({0: "a", 1: "a"}), {0: 0}, {})},
+             "square: bd and cd have different targets"),
+        ],
+        ids=["ab into bd", "ac into cd", "bd and cd"],
+    )
+    def test_each_wiring_mismatch_is_named(self, legs, message):
+        i = identity(graph({0: "a"}))
+        with pytest.raises(PreconditionError) as raised:
+            Square(**{"ab": i, "ac": i, "bd": i, "cd": i, **legs})
+        assert str(raised.value) == message
+
     def test_a_relabelling_leg_raises_when_the_square_is_built(self):
         a, b = graph({0: "a"}), graph({0: "b"})
         into_b = Morphism(a, b, {0: 0}, {})
@@ -112,6 +128,14 @@ class TestReducedChainCondition:
         report = reduced_chain_condition(sq)
         assert not report
         assert report.counterexample == ("node", 0, 0)
+
+    def test_a_square_that_does_not_commute_raises(self):
+        g = graph({0: "a", 1: "a"})
+        i = identity(g)
+        swap = Morphism(g, g, {0: 1, 1: 0}, {})
+        with pytest.raises(PreconditionError) as raised:
+            reduced_chain_condition(Square(ab=i, ac=i, bd=swap, cd=i))
+        assert str(raised.value) == "reduced_chain_condition: square does not commute"
 
 
 def outcome(check, *args):
@@ -188,6 +212,12 @@ class TestJointlySurjective:
         report = jointly_surjective(inc, inc)
         assert not report
         assert report.counterexample == ("node", 1)
+
+    def test_targets_that_differ_raise(self):
+        g = graph({0: "a"})
+        with pytest.raises(PreconditionError) as raised:
+            jointly_surjective(identity(g), Morphism(g, graph({0: "a", 1: "b"}), {0: 0}, {}))
+        assert str(raised.value) == "jointly_surjective: targets differ"
 
 
 class TestIsPushoutInjective:

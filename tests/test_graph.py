@@ -24,6 +24,7 @@ from dpo.graph import (
     flattened,
     graph,
     is_isomorphic,
+    items_by_id,
     validate_graph,
 )
 from dpo.morphism import Morphism, enumerate_morphisms, validate_morphism
@@ -419,6 +420,54 @@ class TestLayeredMaps:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+def layered(n: int = 200):
+    """A graph of ``n`` nodes and ``n - 1`` edges, and the graph it edits
+    to, whose two maps are layers: edge 5 removed, node ``n`` and edge
+    ``n - 1`` added."""
+    g = graph({v: "ab"[v % 2] for v in range(n)}, {e: (e, e + 1, "x") for e in range(n - 1)})
+    h = g.edited((), (5,), {n: "b"}, {n - 1: (n, 0, "y")})
+    assert type(h.nlabel) is not dict and type(h.edge) is not dict
+    return g, h
+
+
+class TestReading:
+    """How a graph is read: its item sets are its maps' own ``keys()``,
+    whose ``in`` and ``len`` read a layer's parts, and every id-ordered
+    listing is :func:`items_by_id`."""
+
+    def test_in_and_len_on_a_layers_key_set_leave_its_edits_in_place(self):
+        _, h = layered()
+        # where a layer keeps its root, removed keys, added entries and size
+        parts = h.nlabel._parts, h.edge._parts
+        for keys in (h.nlabel.keys(), h.nodes):
+            assert 200 in keys and 0 in keys and -1 not in keys and len(keys) == 201
+        for keys in (h.edge.keys(), h.edges):
+            assert 199 in keys and 0 in keys and 5 not in keys and len(keys) == 199
+        assert h.nlabel._parts is parts[0] and h.edge._parts is parts[1]
+
+    def test_item_sets_are_the_maps_keys_views(self):
+        g, h = layered()
+        for x in (g, h, graph({}), pickle.loads(pickle.dumps(h))):
+            assert type(x.nodes) is type(x.nlabel.keys()) and type(x.edges) is type(x.edge.keys())
+        assert type(h.nodes) is not type(g.nodes)
+
+    def test_items_by_id_is_the_sorted_items(self):
+        g, h = layered()
+        for x in (g, h, graph({2: "a", 0: "b"}, {3: (2, 0, "y"), 1: (0, 0, "x")}), graph({})):
+            nodes, labels, edges, ends = items_by_id(x)
+            assert list(zip(nodes, labels)) == sorted(x.nlabel.items())
+            assert list(zip(edges, ends)) == sorted(x.edge.items())
+            assert all(type(column) is list for column in (nodes, labels, edges, ends))
+        assert items_by_id(graph({2: "a", 0: "b"})) == ([0, 2], ["b", "a"], [], [])
+
+    def test_repr_lists_items_by_id(self):
+        assert repr(graph({2: "a", 0: "b"}, {3: (2, 0, "y"), 1: (0, 0, "x")})) == (
+            "Graph([0:'b', 2:'a'], [1:0->0:'x', 3:2->0:'y'])"
+        )
+        _, h = layered()
+        assert repr(h) == repr(graph(dict(h.nlabel), dict(h.edge)))
 
 
 class TestRenumber:

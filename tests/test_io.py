@@ -151,6 +151,7 @@ class TestSaveGraph:
 
     def test_a_result_graph_of_ten_thousand_nodes(self, saved):
         g = apply(*rewire_on_random_host(10_000)).H
+        assert type(g.edge) is not dict, "the result's edge map is a layer over the host's"
         fast, reference = saved(g)
         assert fast == reference and len(g.nodes) == 10_000
 
