@@ -277,19 +277,21 @@ def reference_gluing(b: Morphism, d: Morphism, fresh_offset: int | None = None) 
     return H, Morphism(R, H, hv, he)
 
 
-def reference_incidence(g: Graph) -> dict[int, frozenset[int]]:
-    """The edges at each node that has any, by scanning all edges."""
+def reference_incidence(g: Graph) -> dict[int, list[int]]:
+    """The edges at each node that has any, ascending, by scanning all edges."""
     at: dict[int, set[int]] = {}
     for e in g.edges:
         for v in g.edge[e][:2]:
             at.setdefault(v, set()).add(e)
-    return {v: frozenset(es) for v, es in at.items()}
+    return {v: sorted(es) for v, es in at.items()}
 
 
-def incidence_if_built(g: Graph) -> dict[int, frozenset[int]] | None:
-    """``g.incidence`` if it has been built or handed on, else ``None``;
-    never builds it. ``functools.cached_property`` keeps it in ``vars(g)``."""
-    return vars(g).get("incidence")
+def sorted_incidence(index: Mapping[int, tuple[int, ...]] | None) -> dict[int, list[int]] | None:
+    """An incidence index with each node's edges in ascending id, the form
+    :func:`reference_incidence` gives, or ``None`` for none: the engine's
+    tuples are in no fixed order, so they compare as sets, and an edge
+    listed twice at a node still shows."""
+    return None if index is None else {v: sorted(es) for v, es in index.items()}
 
 
 def reference_max_ids(g: Graph) -> dict[str, int]:

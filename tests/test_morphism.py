@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpo.errors import PreconditionError
-from dpo.graph import failure, graph
+from dpo.graph import failure, graph, incidence_if_built
 from dpo.morphism import (
     Morphism,
     compose,
@@ -26,6 +26,7 @@ from .oracles import (
     is_surjective,
     morphism_axioms_ok,
     reference_enumerate_morphisms,
+    reference_incidence,
     reference_validate_morphism,
     renumber,
 )
@@ -287,6 +288,54 @@ class TestEnumerateMorphisms:
         # empty, disconnected and looped sources, and parallel edges on both
         # sides, are among the draws; the examples pin one of each
         assert enumerate_morphisms(g, h) == reference_enumerate_morphisms(g, h, injective_only=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_nodes=4, max_edges=4), graphs(max_nodes=5, max_edges=7))
+    # a one-edge component with a loop, beside parallel loops, a non-loop
+    # edge and a loop of another label
+    @example(
+        graph({0: "a"}, {0: (0, 0, "x")}),
+        graph({0: "a", 1: "a"}, {3: (1, 1, "x"), 0: (0, 1, "x"), 1: (1, 1, "x"), 2: (0, 0, "x"), 4: (0, 0, "y")}),
+    )
+    # parallel host edges on the matched pair, listed in descending id
+    @example(
+        graph({0: "a", 1: "b"}, {0: (0, 1, "x")}),
+        graph({0: "a", 1: "b", 2: "b"}, {4: (0, 1, "x"), 3: (0, 2, "x"), 1: (0, 1, "x"), 0: (1, 0, "x"), 2: (0, 1, "y")}),
+    )
+    # an isolated pattern node beside a one-edge component
+    @example(
+        graph({0: "b", 1: "a", 2: "b"}, {0: (1, 0, "x")}),
+        graph({0: "a", 1: "b", 2: "b", 3: "a"}, {0: (0, 1, "x"), 1: (3, 2, "x"), 2: (0, 2, "y")}),
+    )
+    # two components competing for the same nodes: two alike edges, which
+    # share a pass, and then one edge and a two-edge path
+    @example(
+        graph({0: "a", 1: "a", 2: "a", 3: "a"}, {0: (0, 1, "x"), 1: (2, 3, "x")}),
+        graph({v: "a" for v in range(5)}, {0: (0, 1, "x"), 1: (1, 2, "x"), 2: (2, 3, "x"), 3: (3, 4, "x"), 4: (4, 0, "x")}),
+    )
+    @example(
+        graph({0: "a", 1: "a", 2: "a", 3: "a", 4: "a"}, {0: (0, 1, "x"), 1: (2, 3, "x"), 2: (3, 4, "x")}),
+        graph({v: "a" for v in range(5)}, {0: (0, 1, "x"), 1: (1, 2, "x"), 2: (2, 3, "x"), 3: (3, 4, "x"), 4: (4, 0, "x")}),
+    )
+    def test_equals_the_reference_on_a_fresh_an_indexed_and_a_layered_host(self, g, h):
+        # h padded with 128 nodes, each with a loop, of a label no pattern
+        # uses, so that an edit of it returns layers: a padding node and its
+        # loop removed and put back leave the same graph
+        n, m = max(h.nodes, default=-1) + 1, max(h.edges, default=-1) + 1
+        nlabel = {**h.nlabel, **{n + i: "p" for i in range(128)}}
+        edge = {**h.edge, **{m + i: (n + i, n + i, "p") for i in range(128)}}
+        fresh, indexed, base = graph(nlabel, edge), graph(nlabel, edge), graph(nlabel, edge)
+        indexed.incidence
+        layered = base.edited({n}, {m}, {n: "p"}, {m: edge[m]})
+        assert type(layered.nlabel) is not dict and type(layered.edge) is not dict
+        for host in (fresh, indexed, layered):
+            found = enumerate_morphisms(g, host)
+            assert found == reference_enumerate_morphisms(g, host, injective_only=True)
+            assert all(m.target is host for m in found)
+        # only a component of two or more edges reads the index
+        at = reference_incidence(g)
+        if all(at[s] == at[t] == [e] for e, (s, t, _) in g.edge.items()):
+            assert incidence_if_built(fresh) is None and incidence_if_built(layered) is None
 
     def test_a_long_path_maps_onto_itself_by_the_identity_only(self):
         # one search position per node: a recursive search exceeds the

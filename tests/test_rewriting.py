@@ -15,7 +15,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_mat
 from dpo import io, rewriting
 from dpo.diagrams import Square, _local_pushout, certify_pushout, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, InternalConsistencyError, PreconditionError
-from dpo.graph import Graph, failure, graph, is_isomorphic, validate_graph
+from dpo.graph import Graph, failure, graph, incidence_if_built, is_isomorphic, validate_graph
 from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
@@ -27,17 +27,17 @@ from dpo.rewriting import (
     validate_rule,
 )
 
-from .generators import random_rule_with_match, rewire_on_random_host
+from .generators import random_rule_with_match, rewire, rewire_on_random_host
 from .oracles import (
     built_square,
     derivations_isomorphic,
-    incidence_if_built,
     is_bijective,
     max_ids_if_built,
     reference_gluing,
     reference_incidence,
     reference_max_ids,
     reference_validate_morphism,
+    sorted_incidence,
 )
 from .strategies import rules_with_matches
 
@@ -166,6 +166,32 @@ class TestFindMatches:
         assert len(matches) == 1
         assert not dangling_condition(delete_node, matches[0])
 
+    def test_an_edgeless_lhs_builds_no_index_on_a_dict_or_a_layered_host(self):
+        grow = _chain_rules()["grow"]
+        G = _random_host(300, seed=6)
+        # one node added: a layer over each of G's maps
+        layered = G.edited((), (), {300: "a"}, {600: (300, 0, "x")})
+        assert type(layered.nlabel) is not dict and type(layered.edge) is not dict
+        for host in (G, layered):
+            found = find_matches(grow, host)
+            assert [m.m.fv for m in found] == [{0: v} for v in sorted(host.nodes) if host.nlabel[v] == "a"]
+            assert incidence_if_built(host) is None
+
+    def test_rewire_on_ten_thousand_nodes_is_the_same_without_an_index(self):
+        # rewire's L is an a-x->b edge beside a lone b-node; twenty b-nodes
+        # among 10^4 keep its matches few
+        rng = random.Random(8)
+        n = 10_000
+        nodes = {v: rng.choice("ac") for v in range(n)}
+        nodes.update((v, "b") for v in rng.sample(range(n), 20))
+        edges = {e: (rng.randrange(n), rng.randrange(n), rng.choice("xy")) for e in range(2 * n)}
+        fresh, indexed = graph(nodes, edges), graph(nodes, edges)
+        indexed.incidence
+        rule = rewire()
+        found = [(m.m.fv, m.m.fe) for m in find_matches(rule, fresh)]
+        assert found and found == [(m.m.fv, m.m.fe) for m in find_matches(rule, indexed)]
+        assert incidence_if_built(fresh) is None
+
 
 def networkx_match_count(L: Graph, G: Graph) -> int:
     """The number of injective morphisms ``L -> G`` for an ``L`` without
@@ -203,9 +229,12 @@ class TestFindMatchesAgainstNetworkx:
     """Match counts on 10^3-node hosts, far beyond the brute-force oracles.
     Hosts have n nodes labelled a, b, c and 2n random edges labelled x, y,
     plus five planted copies of L, since random hosts this sparse seldom
-    hold a 3-cycle of b-nodes."""
+    hold a 3-cycle of b-nodes. The one-edge patterns are bound by a pass
+    over the host's edges, the others along its incidence index."""
 
     LHS = {
+        "edge_ab": graph({0: "a", 1: "b"}, {0: (0, 1, "x")}),
+        "loop_a": graph({0: "a"}, {0: (0, 0, "y")}),
         "path_abc": graph({0: "a", 1: "b", 2: "c"}, {0: (0, 1, "x"), 1: (1, 2, "y")}),
         "cycle_bbb": graph({0: "b", 1: "b", 2: "b"}, {0: (0, 1, "x"), 1: (1, 2, "x"), 2: (2, 0, "x")}),
     }
@@ -799,7 +828,7 @@ class TestLongChains:
         built = [incidence_if_built(g) is not None for g in graphs]
         assert built == [False] * 4 + [True] * (len(graphs) - 4)
         for g in graphs[4:]:
-            assert incidence_if_built(g) == reference_incidence(g)
+            assert sorted_incidence(incidence_if_built(g)) == reference_incidence(g)
 
     def test_no_index_before_the_first_node_deletion(self):
         G = _random_host(50, seed=4)
@@ -884,7 +913,7 @@ class TestLongChains:
         for H in run_chain(G, replay, steps=25, seed=5):
             pass
         assert H == replay.graph()
-        assert incidence_if_built(H) == reference_incidence(H)
+        assert sorted_incidence(incidence_if_built(H)) == reference_incidence(H)
         # a late PRUNE deleted the largest node id and no later step created a
         # node, so H carries only the largest edge id
         assert max_ids_if_built(H).items() <= reference_max_ids(H).items()
