@@ -11,7 +11,7 @@ import heapq
 import itertools
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import PreconditionError
@@ -272,7 +272,7 @@ def _one_edge_passes(g: Graph, h: Graph, plan: list[_Step]) -> dict[int, dict[tu
         if step.anchor is not None:
             # the other end, bound from its first node's pass
             if e in near_of:
-                plan[i] = _Step(step.node, step.label, step.anchor, (), near_of[e])
+                plan[i] = replace(step, near=near_of[e])
             continue
         if s != t and len(incidence[t if step.node == s else s]) != 1:
             continue
@@ -294,7 +294,7 @@ def _one_edge_passes(g: Graph, h: Graph, plan: list[_Step]) -> dict[int, dict[tu
             else:
                 near.setdefault(ht, []).append(hs)
         near_of[e] = near
-        plan[i] = _Step(step.node, step.label, None, (), near)
+        plan[i] = replace(step, closes=(), near=near)
     return ends_of
 
 
