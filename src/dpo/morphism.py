@@ -10,8 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from collections.abc import Collection
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
@@ -24,7 +23,6 @@ from .graph import (
     failure,
     flat,
     flattened,
-    incidence_if_built,
     is_subgraph,
     validate_graph,
 )
@@ -137,48 +135,53 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
     injective, the matches of DPO rewriting. An edge of ``g`` with an
     endpoint outside ``g``'s nodes admits no morphism.
 
-    The nodes of ``g`` are bound along a plan built once per call (see
-    :func:`_plan`): first the node whose label is rarest in ``h``, then
-    always the unbound node with the most edges to bound ones, as in VF2++
-    (Jüttner and Madarasi, DAM 242, 2018). A node reached by an edge, its
-    anchor, draws its candidates from the host edges at the image of the
-    anchor's other end, read from ``h.incidence``; only the first node of
-    each connected component of ``g`` takes every host node with its label.
-    Every other edge of ``g`` is checked once, when its second endpoint is
-    bound. Where ``h``'s incidence index is not built, a component of ``g``
-    that is one edge, two nodes joined by it or one node with a loop, is
-    bound from one pass over ``h``'s edges instead (:func:`_one_edge_passes`),
-    which also gives that edge's images. The node maps found are sorted
-    into the order above, and each is expanded into its edge maps in
-    ascending edge id. Nothing recurses per item, so the size of ``g`` is
-    not bounded by the interpreter's recursion limit.
+    A pattern whose every component is one node or one edge, two nodes
+    joined by it or one node with a loop, is matched without ``h``'s
+    incidence index: each such edge takes its images from one pass over
+    ``h``'s edges (:func:`_one_edge_passes`), and each component is bound in
+    one step (:func:`_component_maps`). Any other pattern is bound node by
+    node along a plan built once per call (see :func:`_plan`): first the
+    node whose label is rarest in ``h``, then always the unbound node with
+    the most edges to bound ones, as in VF2++ (Jüttner and Madarasi, DAM
+    242, 2018). A node reached by an edge, its anchor, draws its candidates
+    from the host edges at the image of the anchor's other end, read from
+    ``h.incidence``; only the first node of each connected component of
+    ``g`` takes every host node with its label. Every other edge of ``g``
+    is checked once, when its second endpoint is bound. The node maps found
+    are sorted into the order above, and each is expanded into its edge
+    maps in ascending edge id. Nothing recurses per item, so the size of
+    ``g`` is not bounded by the interpreter's recursion limit.
 
-    Cost: O(|V_h|) for the label count and each label pool scanned; O(|E_h|)
-    per one-edge component bound by a pass; O(|E_g|) to build
-    ``g.incidence``, once per graph, so a rule's ``L`` is indexed once over
-    all its searches. Only a step that anchors or checks an edge outside a
-    pass reads ``h.incidence``: it is then built, O(|E_h|) once per graph
-    and carried on by :meth:`~dpo.graph.Graph.edited`, and a layered ``h``
-    (:class:`~dpo.graph._Layer`) is flattened, O(|h|) once per graph
-    (:func:`~dpo.graph.flattened`). Each candidate extension then costs the
-    degree in ``h`` of the anchor's image and of each checked edge's ends;
-    last come sorting the node maps found and expanding their edge maps. So
-    a pattern whose components are single nodes and single edges costs, on
-    a host with no index, passes over its maps and the matches found; on an
-    indexed host it keeps the plan above, which on a rare label reads far
-    less than a pass.
+    Cost: O(|E_g|) to build ``g.incidence``, once per graph, so a rule's
+    ``L`` is indexed once over all its searches. A pattern of single nodes
+    and single edges then costs O(|V_h|) per label pool of a lone node,
+    O(|E_h|) per pass, shared by edges alike in label, end labels and
+    loop-ness, and the matches found: it neither reads nor builds
+    ``h.incidence``, whether or not it is built. Any other pattern costs
+    O(|V_h|) for the label count and each label pool scanned; O(|E_h|) to
+    build ``h.incidence`` where it is not built yet, once per graph and
+    carried on by :meth:`~dpo.graph.Graph.edited`; where ``h`` holds a layer
+    (:class:`~dpo.graph._Layer`), O(|h|) to flatten it, once per graph
+    (:func:`~dpo.graph.flattened`); then, per candidate extension, the
+    degree in ``h`` of the anchor's image and of each checked edge's ends.
+    Last come sorting the node maps found and expanding their edge maps.
     """
     nodes, edges = sorted(g.nodes), sorted(g.edges)
-    plan = _plan(g, h)
-    if plan is None:
+    if not ends_are_nodes(g):
         return []
-    ends_of = {} if incidence_if_built(h) is not None else _one_edge_passes(g, h, plan)
-    # the anchored and checking steps look up host items one by one
-    host = flattened(h) if any(step.near is None and (step.anchor or step.closes) for step in plan) else h
+    if all(len(at) == 1 for at in g.incidence.values()):
+        ends_of = _one_edge_passes(g, h)
+        host = h
+        node_maps = _component_maps(g, h, nodes, ends_of)
+    else:
+        ends_of = {}
+        # the search looks up host items one by one, over whole label pools
+        host = flattened(h)
+        node_maps = _node_maps(_plan(g, h), host, nodes)
     # each edge of g with its host edges grouped by ends, if a pass gave them
     grouped = [(s, t, label, ends_of.get(e)) for e, (s, t, label) in zip(edges, map(g.edge.__getitem__, edges))]
     out: list[Morphism] = []
-    for images in sorted(_node_maps(plan, host, nodes)):
+    for images in sorted(node_maps):
         fv = dict(zip(nodes, images))
         choices = [
             _parallel(host, fv[s], fv[t], label) if ends is None else ends[fv[s], fv[t]]
@@ -197,32 +200,21 @@ class _Step:
     """One position of a search plan: the node bound there, the edge to an
     earlier node its candidates are drawn from, if any, and the edges to
     earlier nodes or to itself that are checked once it is bound. An edge
-    is ``(other end, label, whether the bound node is its source)``.
-
-    A step of a one-edge component bound by a pass has ``near``: each image
-    of the component's first node, mapped to the images of its other end
-    joined to it by a fitting host edge. The first node's candidates are
-    its keys, the other end's are the entry at the first node's image, and
-    nothing is checked."""
+    is ``(other end, label, whether the bound node is its source)``."""
 
     node: int
     label: str
     anchor: Optional[tuple[int, str, bool]]
     closes: tuple[tuple[int, str, bool], ...]
-    near: Optional[dict[int, list[int]]] = None
 
 
-def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
-    """The order in which :func:`enumerate_morphisms` binds ``g``'s nodes,
-    or ``None`` if an edge of ``g`` ends outside its nodes.
+def _plan(g: Graph, h: Graph) -> list[_Step]:
+    """The order in which :func:`enumerate_morphisms` binds ``g``'s nodes.
 
     A heap keyed by (minus the edges to bound nodes, the label's count in
     ``h``, the id) picks each next node, whose edges are read from
     ``g.incidence`` in ascending id; a node gains one stale entry per edge
-    to a newly bound node, so building the plan costs O(|g| log |g|). The
-    nodes of a component are consecutive, the first one anchorless."""
-    if not ends_are_nodes(g):
-        return None
+    to a newly bound node, so building the plan costs O(|g| log |g|)."""
     incidence = g.incidence
     rarity = Counter(h.nlabel.values())
     links = dict.fromkeys(g.nodes, 0)
@@ -252,72 +244,95 @@ def _plan(g: Graph, h: Graph) -> Optional[list[_Step]]:
     return plan
 
 
-def _one_edge_passes(g: Graph, h: Graph, plan: list[_Step]) -> dict[int, dict[tuple[int, int], list[int]]]:
-    """Bind each component of ``g`` that is one edge from one pass over
-    ``h``'s flat edge and node-label maps, by setting ``near`` on its steps
-    in ``plan``; return, for each such edge, the host edges with its label,
-    its ends' labels and its loop-ness, grouped by their ``(src, tgt)`` in
-    ascending id. Components alike in those four share a pass. Reads
-    neither ``h.incidence`` nor a layer point by point."""
-    incidence, nlabel, edge = g.incidence, flat(h.nlabel), flat(h.edge)
+def _one_edge_passes(g: Graph, h: Graph) -> dict[int, dict[tuple[int, int], list[int]]]:
+    """For each edge of ``g``, the edges of ``h`` with its label, its ends'
+    labels and its loop-ness, grouped by their ``(src, tgt)`` in ascending
+    id; edges of ``g`` alike in those four share one pass over ``h``'s flat
+    edge and node-label maps. Reads no incidence index."""
     passes: dict[tuple[str, str, str, bool], dict[tuple[int, int], list[int]]] = {}
     ends_of: dict[int, dict[tuple[int, int], list[int]]] = {}
-    near_of: dict[int, dict[int, list[int]]] = {}
-    for i, step in enumerate(plan):
-        at = incidence.get(step.node, ())
-        if len(at) != 1:
-            continue
-        (e,) = at
-        s, t, label = g.edge[e]
-        if step.anchor is not None:
-            # the other end, bound from its first node's pass
-            if e in near_of:
-                plan[i] = replace(step, near=near_of[e])
-            continue
-        if s != t and len(incidence[t if step.node == s else s]) != 1:
-            continue
+    for e, (s, t, label) in g.edge.items():
         key = (label, g.nlabel[s], g.nlabel[t], s == t)
         if key not in passes:
             _, src_label, tgt_label, loop = key
+            nlabel = flat(h.nlabel)
             ends: dict[tuple[int, int], list[int]] = {}
-            for x, (hs, ht, hl) in edge.items():
+            for x, (hs, ht, hl) in flat(h.edge).items():
                 if hl == label and nlabel[hs] == src_label and nlabel[ht] == tgt_label and (hs == ht) == loop:
                     ends.setdefault((hs, ht), []).append(x)
             for xs in ends.values():
                 xs.sort()
             passes[key] = ends
         ends_of[e] = passes[key]
-        near: dict[int, list[int]] = {}
-        for hs, ht in ends_of[e]:
-            if step.node == s:
-                near.setdefault(hs, []).append(ht)
-            else:
-                near.setdefault(ht, []).append(hs)
-        near_of[e] = near
-        plan[i] = replace(step, closes=(), near=near)
     return ends_of
+
+
+def _component_maps(
+    g: Graph, h: Graph, nodes: list[int], ends_of: dict[int, dict[tuple[int, int], list[int]]]
+) -> list[tuple[int, ...]]:
+    """For a ``g`` whose components are single nodes and single edges, every
+    injective node map under which each edge has an image among
+    ``ends_of``, as its images over ``nodes``, unsorted.
+
+    Each component is bound in one step, to one tuple of its nodes' images:
+    a lone node to a host node with its label, two nodes joined by an edge
+    to a ``(src, tgt)`` of that edge's groups, a node with a loop to the
+    end of one. The components with the fewest candidates come first."""
+    pools: dict[str, list[tuple[int]]] = {}
+    units: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
+    for v in g.nodes - g.incidence.keys():
+        label = g.nlabel[v]
+        if label not in pools:
+            pools[label] = [(w,) for w, l in h.nlabel.items() if l == label]
+        units.append(((v,), pools[label]))
+    for e, ends in ends_of.items():
+        s, t, _ = g.edge[e]
+        units.append(((s, t), list(ends)) if s != t else ((s,), [(x,) for x, _ in ends]))
+    if not units:
+        return [()]
+    units.sort(key=lambda unit: len(unit[1]))
+    at = {v: i for i, v in enumerate(v for vs, _ in units for v in vs)}
+    order = [at[v] for v in nodes]
+    found: list[tuple[int, ...]] = []
+    picked: list[tuple[int, ...]] = []
+    used: set[int] = set()
+    pending = [iter(units[0][1])]
+    while pending:
+        for images in pending[-1]:
+            if used.isdisjoint(images):
+                break
+        else:
+            pending.pop()
+            if picked:
+                used.difference_update(picked.pop())
+            continue
+        if len(pending) == len(units):
+            line = [*itertools.chain.from_iterable(picked), *images]
+            found.append(tuple(map(line.__getitem__, order)))
+        else:
+            picked.append(images)
+            used.update(images)
+            pending.append(iter(units[len(pending)][1]))
+    return found
 
 
 def _node_maps(plan: list[_Step], h: Graph, nodes: list[int]) -> list[tuple[int, ...]]:
     """Every injective node map along ``plan`` under which each edge of the
     source has an image candidate in ``h``, as its images over ``nodes``,
-    unsorted. Only an anchored step and a check read ``h.incidence``."""
-    if not plan:
-        return [()]
+    unsorted."""
+    incidence = h.incidence
     pools: dict[str, list[int]] = {}
     fv: dict[int, int] = {}
     used: set[int] = set()
 
-    def candidates(step: _Step) -> Collection[int]:
-        if step.near is not None:
-            return step.near if step.anchor is None else step.near[fv[step.anchor[0]]]
+    def candidates(step: _Step) -> list[int]:
         if step.anchor is None:
             if step.label not in pools:
                 pools[step.label] = [w for w, l in h.nlabel.items() if l == step.label]
             return pools[step.label]
         u, label, v_is_src = step.anchor
         x = fv[u]
-        at_x = map(h.edge.__getitem__, h.incidence.get(x, ()))
+        at_x = map(h.edge.__getitem__, incidence.get(x, ()))
         # a set, since parallel host edges lead to the same neighbour
         if v_is_src:
             found = {s for s, t, l in at_x if t == x and l == label}

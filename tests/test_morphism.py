@@ -332,7 +332,7 @@ class TestEnumerateMorphisms:
             found = enumerate_morphisms(g, host)
             assert found == reference_enumerate_morphisms(g, host, injective_only=True)
             assert all(m.target is host for m in found)
-        # only a component of two or more edges reads the index
+        # a pattern of single nodes and single edges reads no index
         at = reference_incidence(g)
         if all(at[s] == at[t] == [e] for e, (s, t, _) in g.edge.items()):
             assert incidence_if_built(fresh) is None and incidence_if_built(layered) is None
