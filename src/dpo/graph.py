@@ -154,7 +154,7 @@ class Graph:
         :meth:`edited` hands a built index on to its result, patched in
         O(degree). Tuples, not frozensets: a build at 10^4 and 10^5 nodes
         (2n edges, CPython 3.11) took two thirds to three quarters of the
-        time. :func:`incidence_if_built` reads it without building.
+        time.
         """
         at: dict[int, list[int]] = {}
         for e, (s, t, _) in self.edge.items():
@@ -179,8 +179,10 @@ class Graph:
     ) -> Graph:
         """This graph without ``gone_nodes`` and ``gone_edges``, plus the
         items of the two given maps, each with an id it does not hold or
-        one removed in the same call; the removal must leave no edge
-        dangling.
+        one removed in the same call. A removed node that is not added back
+        must lose all its edges, or :class:`~dpo.errors.PreconditionError`
+        names the least edge left dangling, read from the incidence index
+        where it is built, in O(degree), else by one pass over the edges.
 
         Each map that loses or gains an item is a layer over the input's
         (:class:`_Layer`), built in O(|items|); a map whose items the step
@@ -190,14 +192,25 @@ class Graph:
         index by the same layered edit. A largest id whose item was removed
         is not carried; the result rebuilds it if read.
         """
-        new = Graph.from_maps(_edited(self.nlabel, gone_nodes, nlabel), _edited(self.edge, gone_edges, edge))
         # where functools.cached_property keeps the values it builds
-        built, carried = vars(self), vars(new)
+        built = vars(self)
+        index = built.get("incidence")
+        if lost := set(gone_nodes).difference(nlabel):
+            at = (
+                (e for e, (s, t, _) in self.edge.items() if s in lost or t in lost)
+                if index is None
+                else (e for v in lost for e in index.get(v, ()))
+            )
+            if dangling := set(at).difference(gone_edges):
+                from .errors import PreconditionError  # errors imports this module
+
+                raise PreconditionError("graph: edited leaves an edge dangling", ("edge", min(dangling)))
+        new = Graph.from_maps(_edited(self.nlabel, gone_nodes, nlabel), _edited(self.edge, gone_edges, edge))
+        carried = vars(new)
         for name, gone, added in (("max_node_id", gone_nodes, nlabel), ("max_edge_id", gone_edges, edge)):
             largest = built.get(name)
             if largest is not None and largest not in gone:
                 carried[name] = max(largest, max(added, default=-1))
-        index = built.get("incidence")
         if index is None:
             return new
         # the pops and assignments a copy of the index would take, in order,
@@ -252,8 +265,8 @@ class _Layer(Mapping):
     Driscoll, Sarnak, Sleator and Tarjan (JCSS 38, 1989), with one level.
     Every point read of a layer, flattened or not, is a Python call; a
     reader that looks up items one by one over a whole host, as the
-    matcher and the isomorphism search do, reads the flat dicts themselves
-    (:func:`flat`, :func:`flattened`)."""
+    matcher's pass over the edges and the isomorphism search do, reads the
+    flat dicts themselves (:func:`flat`)."""
 
     __slots__ = ("_parts",)
 
@@ -343,27 +356,6 @@ class _Keys(KeysView):
 def flat(m: Mapping) -> dict:
     """``m`` as a dict: itself, or a layer's flat dict, built once."""
     return m.flat() if type(m) is _Layer else m
-
-
-def incidence_if_built(g: Graph) -> Optional[Mapping[int, tuple[int, ...]]]:
-    """``g.incidence`` if it has been built on ``g`` or handed on to it by
-    :meth:`Graph.edited`, else ``None``; never builds it."""
-    # where functools.cached_property keeps the values it builds
-    return vars(g).get("incidence")
-
-
-def flattened(g: Graph) -> Graph:
-    """``g`` itself if its maps and built incidence index are dicts, else a
-    graph of their flat dicts, :func:`flat`, with ``g``'s incidence index,
-    built on ``g`` if it is not yet and then flattened: for a reader that
-    looks up items one by one over a whole host, at the speed of a dict."""
-    index = incidence_if_built(g)
-    if type(g.nlabel) is not _Layer and type(g.edge) is not _Layer and type(index) is not _Layer:
-        return g
-    flat_g = Graph.from_maps(flat(g.nlabel), flat(g.edge))
-    # where functools.cached_property keeps the values it builds
-    vars(flat_g)["incidence"] = flat(g.incidence)
-    return flat_g
 
 
 def _check_items(items: Optional[Set[int]], keys: Set[int], clause: str, kind: str) -> None:

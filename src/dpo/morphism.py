@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 from .errors import PreconditionError
 from .graph import (
@@ -22,7 +21,6 @@ from .graph import (
     ends_are_nodes,
     failure,
     flat,
-    flattened,
     is_subgraph,
     validate_graph,
 )
@@ -135,244 +133,187 @@ def enumerate_morphisms(g: Graph, h: Graph) -> list[Morphism]:
     injective, the matches of DPO rewriting. An edge of ``g`` with an
     endpoint outside ``g``'s nodes admits no morphism.
 
-    A pattern whose every component is one node or one edge, two nodes
-    joined by it or one node with a loop, is matched without ``h``'s
-    incidence index: each such edge takes its images from one pass over
-    ``h``'s edges (:func:`_one_edge_passes`), and each component is bound in
-    one step (:func:`_component_maps`). Any other pattern is bound node by
-    node along a plan built once per call (see :func:`_plan`): first the
-    node whose label is rarest in ``h``, then always the unbound node with
-    the most edges to bound ones, as in VF2++ (Jüttner and Madarasi, DAM
-    242, 2018). A node reached by an edge, its anchor, draws its candidates
-    from the host edges at the image of the anchor's other end, read from
-    ``h.incidence``; only the first node of each connected component of
-    ``g`` takes every host node with its label. Every other edge of ``g``
-    is checked once, when its second endpoint is bound. The node maps found
-    are sorted into the order above, and each is expanded into its edge
-    maps in ascending edge id. Nothing recurses per item, so the size of
-    ``g`` is not bounded by the interpreter's recursion limit.
+    One pass over ``h``'s edges finds the images of every edge of ``g``,
+    grouped by their ends (:func:`_edge_images`); no index of ``h`` is read
+    or built. ``g``'s nodes are then bound along a plan built once per
+    call (:func:`_plan`), as in VF2++ (Jüttner and Madarasi, DAM 242, 2018):
+    each connected component of ``g`` starts from its edge with the fewest
+    pairs of host ends, bound in one step, and goes on with the unbound
+    node with the most edges to bound ones, its candidates the host nodes
+    that its cheapest such edge's groups join to the image of the other
+    end. A lone node takes every host node with its label. Every other edge
+    of ``g`` is checked once, by a lookup in its groups, when both its ends
+    are bound. The node maps found are sorted into the order above, and
+    each is expanded into its edge maps in ascending edge id. Nothing
+    recurses per item, so the size of ``g`` is not bounded by the
+    interpreter's recursion limit.
 
-    Cost: O(|E_g|) to build ``g.incidence``, once per graph, so a rule's
-    ``L`` is indexed once over all its searches. A pattern of single nodes
-    and single edges then costs O(|V_h|) per label pool of a lone node,
-    O(|E_h|) per pass, shared by edges alike in label, end labels and
-    loop-ness, and the matches found: it neither reads nor builds
-    ``h.incidence``, whether or not it is built. Any other pattern costs
-    O(|V_h|) for the label count and each label pool scanned; O(|E_h|) to
-    build ``h.incidence`` where it is not built yet, once per graph and
-    carried on by :meth:`~dpo.graph.Graph.edited`; where ``h`` holds a layer
-    (:class:`~dpo.graph._Layer`), O(|h|) to flatten it, once per graph
-    (:func:`~dpo.graph.flattened`); then, per candidate extension, the
-    degree in ``h`` of the anchor's image and of each checked edge's ends.
+    Cost: the pass, O(|E_h|), shared by edges of ``g`` alike in label, end
+    labels and loop-ness; O(|V_h|) per label of a lone node of ``g``; the
+    plan, O(|g| log |g|) plus the groups of each edge a node is bound
+    along; then, per candidate extension, one lookup per checked edge.
     Last come sorting the node maps found and expanding their edge maps.
     """
     nodes, edges = sorted(g.nodes), sorted(g.edges)
     if not ends_are_nodes(g):
         return []
-    if all(len(at) == 1 for at in g.incidence.values()):
-        ends_of = _one_edge_passes(g, h)
-        host = h
-        node_maps = _component_maps(g, h, nodes, ends_of)
-    else:
-        ends_of = {}
-        # the search looks up host items one by one, over whole label pools
-        host = flattened(h)
-        node_maps = _node_maps(_plan(g, h), host, nodes)
-    # each edge of g with its host edges grouped by ends, if a pass gave them
-    grouped = [(s, t, label, ends_of.get(e)) for e, (s, t, label) in zip(edges, map(g.edge.__getitem__, edges))]
+    ends_of = _edge_images(g, h)
+    grouped = [(s, t, ends_of[e]) for e, (s, t, _) in zip(edges, map(g.edge.__getitem__, edges))]
     out: list[Morphism] = []
-    for images in sorted(node_maps):
+    for images in sorted(_node_maps(_plan(g, h, ends_of), nodes)):
         fv = dict(zip(nodes, images))
-        choices = [
-            _parallel(host, fv[s], fv[t], label) if ends is None else ends[fv[s], fv[t]]
-            for s, t, label, ends in grouped
-        ]
         # product is lexicographic; images can repeat only among parallel
         # edges of g with one label, which the filter drops
-        for edge_images in itertools.product(*choices):
+        for edge_images in itertools.product(*[ends[fv[s], fv[t]] for s, t, ends in grouped]):
             if len(set(edge_images)) == len(edge_images):
                 out.append(Morphism(g, h, fv, dict(zip(edges, edge_images))))
     return out
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One position of a search plan: the node bound there, the edge to an
-    earlier node its candidates are drawn from, if any, and the edges to
-    earlier nodes or to itself that are checked once it is bound. An edge
-    is ``(other end, label, whether the bound node is its source)``."""
+def _edge_images(g: Graph, h: Graph) -> dict[int, dict[tuple[int, int], list[int]]]:
+    """For each edge of ``g``, the edges of ``h`` that fit it, grouped by
+    their ``(src, tgt)``, each group in ascending id. A host edge fits when
+    its label, both end labels and loop-ness match; edges of ``g`` that
+    agree on all four share their groups. One pass over ``h``'s flat edge
+    and node-label maps."""
+    kind = {e: (label, g.nlabel[s], g.nlabel[t], s == t) for e, (s, t, label) in g.edge.items()}
+    wanted: dict[tuple[str, str, str, bool], dict[tuple[int, int], list[int]]] = {k: {} for k in kind.values()}
+    labels, src_labels, tgt_labels = ({k[i] for k in wanted} for i in range(3))
+    nlabel = flat(h.nlabel)
+    crowded = []
+    for x, (s, t, label) in flat(h.edge).items() if wanted else ():
+        # three set tests turn most edges away before a key is built
+        if (
+            label in labels
+            and (ls := nlabel[s]) in src_labels
+            and (lt := nlabel[t]) in tgt_labels
+            and (groups := wanted.get((label, ls, lt, s == t))) is not None
+        ):
+            if (s, t) in groups:
+                # host edges come in no fixed order: only a group of
+                # parallel edges can need sorting
+                groups[s, t].append(x)
+                crowded.append(groups[s, t])
+            else:
+                groups[s, t] = [x]
+    for xs in crowded:
+        xs.sort()
+    return {e: wanted[k] for e, k in kind.items()}
 
-    node: int
-    label: str
-    anchor: Optional[tuple[int, str, bool]]
-    closes: tuple[tuple[int, str, bool], ...]
+
+class _Step(NamedTuple):
+    """One position of a search plan: the nodes bound there, together; the
+    bound node whose image keys ``table``, if any; their candidate images,
+    tuples in an iterable, or in a map from that image; and the edges
+    checked once they are bound, each as its groups and its two ends."""
+
+    binds: tuple[int, ...]
+    anchor: Optional[int]
+    table: Union[list, dict]
+    closes: tuple[tuple[dict, int, int], ...]
 
 
-def _plan(g: Graph, h: Graph) -> list[_Step]:
+def _plan(g: Graph, h: Graph, ends_of: dict[int, dict[tuple[int, int], list[int]]]) -> list[_Step]:
     """The order in which :func:`enumerate_morphisms` binds ``g``'s nodes.
 
-    A heap keyed by (minus the edges to bound nodes, the label's count in
-    ``h``, the id) picks each next node, whose edges are read from
-    ``g.incidence`` in ascending id; a node gains one stale entry per edge
-    to a newly bound node, so building the plan costs O(|g| log |g|)."""
-    incidence = g.incidence
-    rarity = Counter(h.nlabel.values())
-    links = dict.fromkeys(g.nodes, 0)
-    heap = [(0, rarity[g.nlabel[v]], v) for v in g.nodes]
+    A heap keyed by (minus the edges to bound nodes, the fewest host pairs
+    of an edge at the node, or a lone node's label count in ``h``, the id)
+    picks each next node; a node gains one stale entry per edge to a newly
+    bound node. A node with no edge to a bound one starts a component and
+    is bound together with the other end of its cheapest edge, the seed.
+    A neighbour table is built once per kind of edge and direction."""
+    # the edges at each node in ascending id, each with its other end
+    at: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
+    for e in sorted(g.edges):
+        s, t, _ = g.edge[e]
+        at[s].append((e, t))
+        if t != s:
+            at[t].append((e, s))
+    nlabel = flat(h.nlabel)
+    pools: dict[str, list[tuple[int]]] = {}
+    for v, links in at.items():
+        if not links and g.nlabel[v] not in pools:
+            pools[g.nlabel[v]] = [(w,) for w, l in nlabel.items() if l == g.nlabel[v]]
+
+    def cost(link: tuple[int, int]) -> tuple[int, int]:
+        return len(ends_of[link[0]]), link[0]
+
+    weight = {v: min(len(ends_of[e]) for e, _ in links) if links else len(pools[g.nlabel[v]]) for v, links in at.items()}
+    linked = dict.fromkeys(g.nodes, 0)
+    heap = [(0, weight[v], v) for v in g.nodes]
     heapq.heapify(heap)
-    placed: set[int] = set()
+    tables: dict[tuple, dict[int, list[tuple[int]]]] = {}
+    bound: set[int] = set()
     plan: list[_Step] = []
     while heap:
-        minus_links, _, v = heapq.heappop(heap)
-        if v in placed or -minus_links != links[v]:
+        minus_linked, _, v = heapq.heappop(heap)
+        if v in bound or -minus_linked != linked[v]:
             continue
-        placed.add(v)
-        anchor = None
-        closes = []
-        for e in sorted(incidence.get(v, ())):
-            s, t, label = g.edge[e]
-            v_is_src = s == v
-            u = t if v_is_src else s
-            if u not in placed:
-                links[u] += 1
-                heapq.heappush(heap, (-links[u], rarity[g.nlabel[u]], u))
-            elif u != v and anchor is None:
-                anchor = (u, label, v_is_src)
-            else:
-                closes.append((u, label, v_is_src))
-        plan.append(_Step(v, g.nlabel[v], anchor, tuple(closes)))
+        if not at[v]:
+            step_edge, binds, anchor, table = None, (v,), None, pools[g.nlabel[v]]
+        elif not linked[v]:
+            step_edge, _ = min(at[v], key=cost)
+            s, t, _ = g.edge[step_edge]
+            ends = ends_of[step_edge]
+            # a dict iterates its (src, tgt) keys
+            binds, anchor, table = ((s, t), None, ends) if s != t else ((s,), None, [(x,) for x, _ in ends])
+        else:
+            step_edge, anchor = min(((e, u) for e, u in at[v] if u != v and u in bound), key=cost)
+            s, t, label = g.edge[step_edge]
+            key = (label, g.nlabel[s], g.nlabel[t], s == v)
+            if key not in tables:
+                tables[key] = {}
+                for hs, ht in ends_of[step_edge]:
+                    u, w = (ht, hs) if s == v else (hs, ht)
+                    tables[key].setdefault(u, []).append((w,))
+            binds, table = (v,), tables[key]
+        bound.update(binds)
+        closes = {}
+        for w in binds:
+            for e, u in at[w]:
+                if u not in bound:
+                    linked[u] += 1
+                    heapq.heappush(heap, (-linked[u], weight[u], u))
+                elif e != step_edge:
+                    s, t, _ = g.edge[e]
+                    closes[e] = (ends_of[e], s, t)
+        plan.append(_Step(binds, anchor, table, tuple(closes.values())))
     return plan
 
 
-def _one_edge_passes(g: Graph, h: Graph) -> dict[int, dict[tuple[int, int], list[int]]]:
-    """For each edge of ``g``, the edges of ``h`` with its label, its ends'
-    labels and its loop-ness, grouped by their ``(src, tgt)`` in ascending
-    id; edges of ``g`` alike in those four share one pass over ``h``'s flat
-    edge and node-label maps. Reads no incidence index."""
-    passes: dict[tuple[str, str, str, bool], dict[tuple[int, int], list[int]]] = {}
-    ends_of: dict[int, dict[tuple[int, int], list[int]]] = {}
-    for e, (s, t, label) in g.edge.items():
-        key = (label, g.nlabel[s], g.nlabel[t], s == t)
-        if key not in passes:
-            _, src_label, tgt_label, loop = key
-            nlabel = flat(h.nlabel)
-            ends: dict[tuple[int, int], list[int]] = {}
-            for x, (hs, ht, hl) in flat(h.edge).items():
-                if hl == label and nlabel[hs] == src_label and nlabel[ht] == tgt_label and (hs == ht) == loop:
-                    ends.setdefault((hs, ht), []).append(x)
-            for xs in ends.values():
-                xs.sort()
-            passes[key] = ends
-        ends_of[e] = passes[key]
-    return ends_of
-
-
-def _component_maps(
-    g: Graph, h: Graph, nodes: list[int], ends_of: dict[int, dict[tuple[int, int], list[int]]]
-) -> list[tuple[int, ...]]:
-    """For a ``g`` whose components are single nodes and single edges, every
-    injective node map under which each edge has an image among
-    ``ends_of``, as its images over ``nodes``, unsorted.
-
-    Each component is bound in one step, to one tuple of its nodes' images:
-    a lone node to a host node with its label, two nodes joined by an edge
-    to a ``(src, tgt)`` of that edge's groups, a node with a loop to the
-    end of one. The components with the fewest candidates come first."""
-    pools: dict[str, list[tuple[int]]] = {}
-    units: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
-    for v in g.nodes - g.incidence.keys():
-        label = g.nlabel[v]
-        if label not in pools:
-            pools[label] = [(w,) for w, l in h.nlabel.items() if l == label]
-        units.append(((v,), pools[label]))
-    for e, ends in ends_of.items():
-        s, t, _ = g.edge[e]
-        units.append(((s, t), list(ends)) if s != t else ((s,), [(x,) for x, _ in ends]))
-    if not units:
-        return [()]
-    units.sort(key=lambda unit: len(unit[1]))
-    at = {v: i for i, v in enumerate(v for vs, _ in units for v in vs)}
-    order = [at[v] for v in nodes]
-    found: list[tuple[int, ...]] = []
-    picked: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    pending = [iter(units[0][1])]
-    while pending:
-        for images in pending[-1]:
-            if used.isdisjoint(images):
-                break
-        else:
-            pending.pop()
-            if picked:
-                used.difference_update(picked.pop())
-            continue
-        if len(pending) == len(units):
-            line = [*itertools.chain.from_iterable(picked), *images]
-            found.append(tuple(map(line.__getitem__, order)))
-        else:
-            picked.append(images)
-            used.update(images)
-            pending.append(iter(units[len(pending)][1]))
-    return found
-
-
-def _node_maps(plan: list[_Step], h: Graph, nodes: list[int]) -> list[tuple[int, ...]]:
-    """Every injective node map along ``plan`` under which each edge of the
-    source has an image candidate in ``h``, as its images over ``nodes``,
+def _node_maps(plan: list[_Step], nodes: list[int]) -> list[tuple[int, ...]]:
+    """Every injective node map along ``plan`` under which each checked
+    edge has a group at its ends' images, as its images over ``nodes``,
     unsorted."""
-    incidence = h.incidence
-    pools: dict[str, list[int]] = {}
+    if not plan:
+        return [()]
+    found: list[tuple[int, ...]] = []
     fv: dict[int, int] = {}
     used: set[int] = set()
+    picked: list[tuple[int, ...]] = []
 
-    def candidates(step: _Step) -> list[int]:
-        if step.anchor is None:
-            if step.label not in pools:
-                pools[step.label] = [w for w, l in h.nlabel.items() if l == step.label]
-            return pools[step.label]
-        u, label, v_is_src = step.anchor
-        x = fv[u]
-        at_x = map(h.edge.__getitem__, incidence.get(x, ()))
-        # a set, since parallel host edges lead to the same neighbour
-        if v_is_src:
-            found = {s for s, t, l in at_x if t == x and l == label}
-        else:
-            found = {t for s, t, l in at_x if s == x and l == label}
-        return [w for w in found if h.nlabel[w] == step.label]
+    def fits(step: _Step):
+        # the candidates of step that bind distinct host nodes and pass its
+        # checks, each left bound in fv while it is the current one
+        binds, anchor, table, closes = step
+        for images in table if anchor is None else table.get(fv[anchor], ()):
+            if used.isdisjoint(images):
+                fv.update(zip(binds, images))
+                if not closes or all((fv[s], fv[t]) in ends for ends, s, t in closes):
+                    yield images
 
-    def closed(step: _Step) -> bool:
-        for u, label, v_is_src in step.closes:
-            s, t = (fv[step.node], fv[u]) if v_is_src else (fv[u], fv[step.node])
-            if not _parallel(h, s, t, label):
-                return False
-        return True
-
-    found: list[tuple[int, ...]] = []
     last = len(plan) - 1
-    pending = [iter(candidates(plan[0]))] + [iter(())] * last
-    i = 0
-    while i >= 0:
-        step = plan[i]
-        for w in pending[i]:
-            if w not in used:
-                fv[step.node] = w
-                if closed(step):
-                    break
-        else:
-            i -= 1
-            if i >= 0:
-                used.discard(fv[plan[i].node])
+    pending = [fits(plan[0])]
+    while pending:
+        if len(pending) > last:
+            found += [tuple(map(fv.__getitem__, nodes)) for _ in pending.pop()]
+        elif (images := next(pending[-1], None)) is not None:
+            picked.append(images)
+            used.update(images)
+            pending.append(fits(plan[len(pending)]))
             continue
-        if i == last:
-            found.append(tuple(map(fv.__getitem__, nodes)))
         else:
-            used.add(w)
-            i += 1
-            pending[i] = iter(candidates(plan[i]))
+            pending.pop()
+        if picked:
+            used.difference_update(picked.pop())
     return found
-
-
-def _parallel(h: Graph, s: int, t: int, label: str) -> list[int]:
-    """The edges of ``h`` from ``s`` to ``t`` with ``label``, ascending."""
-    key = (s, t, label)
-    return sorted(e for e in h.incidence.get(s, ()) if h.edge[e] == key)

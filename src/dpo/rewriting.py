@@ -116,10 +116,12 @@ def find_matches(rule: Rule, G: Graph) -> list[Match]:
 
     The order is :func:`~dpo.morphism.enumerate_morphisms`'s: lexicographic
     in the images of ``L``'s nodes in ascending id order, then of its edges;
-    ``dpo apply --match-index k`` picks the k-th entry. The search follows
-    ``L``'s edges out from the node whose label is rarest in ``G``, so
-    beyond one O(|V_G|) label scan its cost grows with the partial matches
-    it extends and the degree of their images, not with |V_G|^|V_L|.
+    ``dpo apply --match-index k`` picks the k-th entry. One pass over
+    ``G``'s edges finds the images of each edge of ``L``; the search then
+    follows ``L``'s edges out from the one with the fewest, so beyond that
+    O(|E_G|) pass, and an O(|V_G|) label scan per label of a lone node of
+    ``L``, its cost grows with the partial matches it extends, not with
+    |V_G|^|V_L|. It reads and builds no index of ``G``.
 
     The dangling condition is deliberately not filtered here; whether a
     match is applicable is decided at application time.

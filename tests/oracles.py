@@ -294,6 +294,13 @@ def sorted_incidence(index: Mapping[int, tuple[int, ...]] | None) -> dict[int, l
     return None if index is None else {v: sorted(es) for v, es in index.items()}
 
 
+def incidence_if_built(g: Graph) -> Mapping[int, tuple[int, ...]] | None:
+    """``g.incidence`` if it has been built on ``g`` or handed on to it by
+    :meth:`Graph.edited`, else ``None``; never builds it.
+    ``functools.cached_property`` keeps it in ``vars(g)``."""
+    return vars(g).get("incidence")
+
+
 def reference_max_ids(g: Graph) -> dict[str, int]:
     """The largest node and edge ids by scanning, -1 for none, keyed by the
     names of the :class:`Graph` indexes that carry them."""

@@ -22,7 +22,7 @@ from dpo.errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from dpo.graph import failure, graph, incidence_if_built, is_isomorphic, validate_graph
+from dpo.graph import failure, graph, is_isomorphic, validate_graph
 from dpo.morphism import (
     Morphism,
     identity,
@@ -33,6 +33,7 @@ from dpo.morphism import (
 from .generators import random_cospan, random_embedding, random_graph, random_rule_with_match, random_span
 from .oracles import (
     brute_force_pullback,
+    incidence_if_built,
     is_bijective,
     is_inclusion,
     is_surjective,

@@ -21,18 +21,18 @@ from dpo.graph import (
     Graph,
     Violation,
     _edge_label_index,
-    flattened,
+    failure,
     graph,
-    incidence_if_built,
     is_isomorphic,
     items_by_id,
     validate_graph,
 )
-from dpo.morphism import Morphism, enumerate_morphisms, validate_morphism
+from dpo.morphism import Morphism, validate_morphism
 
 from .generators import HEXAGON, MIXED_PAIRS, PURE_PAIRS, TWO_TRIANGLES, random_graph
 from .oracles import (
     brute_force_isomorphic,
+    incidence_if_built,
     is_bijective,
     max_ids_if_built,
     morphism_axioms_ok,
@@ -229,6 +229,24 @@ class TestEdited:
         assert max_ids_if_built(new) == {name: reference_max_ids(new)[name] for name in carried}
         assert stored(g) == before
 
+    def test_a_removal_that_leaves_an_edge_dangling_names_the_least_one(self):
+        g = graph({0: "a", 1: "a"}, {0: (0, 1, "x")})
+        for built in (False, True):
+            if built:
+                g.incidence
+            with pytest.raises(PreconditionError) as caught:
+                g.edited({1}, (), {}, {})
+            assert caught.value.report == failure("graph: edited leaves an edge dangling", ("edge", 0))
+        # the least of several, with or without the index, and none when the
+        # node is added back in the same call
+        h = graph({0: "a", 1: "a", 2: "b"}, {5: (0, 1, "x"), 3: (1, 1, "y"), 4: (2, 1, "x"), 0: (0, 2, "x")})
+        for built in (False, True):
+            if built:
+                h.incidence
+            with pytest.raises(PreconditionError, match="edge 3"):
+                h.edited({1}, {4}, {}, {})
+            assert validate_graph(h.edited({1}, (), {1: "b"}, {}))
+
 
 @st.composite
 def edit_chains(draw) -> tuple:
@@ -364,25 +382,6 @@ class TestLayeredMaps:
             assert list(earlier.nlabel.items()) == list(nodes.items())
             assert list(earlier.edge.items()) == list(edges.items())
             assert list(earlier.incidence.items()) == list(index.items())
-
-    def test_flattened_reads_dicts_and_builds_the_index_on_the_graph(self):
-        g = graph({v: "ab"[v % 2] for v in range(256)}, {e: (e, (e + 1) % 256, "x") for e in range(256)})
-        assert flattened(g) is g
-        s, t, label = g.edge[255]
-        h = g.edited((), (0,), {}, {256: (t, s, label)})
-        assert type(h.edge) is not dict and "incidence" not in vars(h)
-        flat_h = flattened(h)
-        assert flat_h == h and flattened(flat_h) is flat_h
-        assert all(type(m) is dict for m in (flat_h.nlabel, flat_h.edge, vars(flat_h)["incidence"]))
-        # the index is built on h, so an edit of h carries it
-        assert vars(h)["incidence"] == vars(flat_h)["incidence"]
-        assert sorted_incidence(vars(h)["incidence"]) == reference_incidence(h)
-        # the matcher reads flat_h and names h as the target
-        L = graph({0: h.nlabel[s], 1: h.nlabel[t]}, {0: (0, 1, label)})
-        found = enumerate_morphisms(L, h)
-        assert found and all(m.target is h for m in found)
-        plain = graph(dict(h.nlabel), dict(h.edge))
-        assert [(m.fv, m.fe) for m in found] == [(m.fv, m.fe) for m in enumerate_morphisms(L, plain)]
 
     def test_threads_reading_a_layer_as_it_flattens_agree(self):
         # the first bulk read publishes the flat dict in one assignment, so

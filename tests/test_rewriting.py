@@ -15,7 +15,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_node_mat
 from dpo import io, rewriting
 from dpo.diagrams import Square, _local_pushout, certify_pushout, is_pullback, is_pushout_injective
 from dpo.errors import DanglingConditionError, InternalConsistencyError, PreconditionError
-from dpo.graph import Graph, failure, graph, incidence_if_built, is_isomorphic, validate_graph
+from dpo.graph import Graph, failure, graph, is_isomorphic, validate_graph
 from dpo.morphism import Morphism, identity, is_injective, validate_morphism
 from dpo.rewriting import (
     Match,
@@ -31,6 +31,7 @@ from .generators import random_rule_with_match, rewire, rewire_on_random_host
 from .oracles import (
     built_square,
     derivations_isomorphic,
+    incidence_if_built,
     is_bijective,
     max_ids_if_built,
     reference_gluing,
