@@ -3,7 +3,9 @@
 Because deletion contexts embed into their host by identity inclusions and
 matches are injective, an independence witness is forced: the only possible
 embedding of one rule's side into the other derivation's context is the
-match (or comatch) itself, co-restricted. Commutation applies each rule to
+match itself, co-restricted. Sequential independence of ``G => H => X`` is
+parallel independence of ``H => G``, the first step's :func:`inverse`, and
+``H => X``; there is one test. Commutation applies each rule to
 the other's result at the residual match, which :func:`apply` checks like
 any other match. :func:`verify_commutation_squares` re-checks the classical
 proof's decomposition square by square on the concrete instance; its shared
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .constructions import DeletionResult, GluingResult
 from .diagrams import (
     Square,
     _local_pushout,
@@ -57,11 +60,8 @@ class ParallelPair:
 
 @dataclass(frozen=True)
 class IndependenceWitness:
-    """The two commuting embeddings certifying independence.
-
-    For a parallel pair, ``j1: L1 -> D2`` and ``j2: L2 -> D1``; for a
-    sequential pair, ``j1: R1 -> D2`` and ``j2: L2 -> D1``.
-    """
+    """The two commuting embeddings certifying independence of a parallel
+    pair: ``j1: L1 -> D2`` and ``j2: L2 -> D1``."""
 
     j1: Morphism
     j2: Morphism
@@ -82,36 +82,31 @@ class CommutationResult:
         return self.e1.H
 
 
-def _outside(m: Morphism, sub: Graph) -> list[tuple[str, int]]:
-    """Image items of ``m`` missing from an identity-included subgraph of its
-    target, as ``("node", id)``/``("edge", id)``, nodes first, in source order."""
-    nodes = [("node", m.fv[v]) for v in sorted(m.source.nodes) if m.fv[v] not in sub.nodes]
-    return nodes + [("edge", m.fe[e]) for e in sorted(m.source.edges) if m.fe[e] not in sub.edges]
-
-
-def _witness(m1: Morphism, context1: Graph, m2: Morphism, context2: Graph) -> Optional[IndependenceWitness]:
-    """``m1`` and ``m2`` co-restricted to the identity-included subgraphs
-    ``context1`` and ``context2`` of their targets, as ``j1`` and ``j2``;
-    ``None`` when either image leaves its subgraph."""
-    if _outside(m1, context1) or _outside(m2, context2):
-        return None
-    return IndependenceWitness(
-        j1=Morphism(m1.source, context1, m1.fv, m1.fe),
-        j2=Morphism(m2.source, context2, m2.fv, m2.fe),
+def inverse(d: DirectDerivation) -> DirectDerivation:
+    """The derivation ``H => G`` by ``R <- K -> L`` at the comatch, with the
+    same context D; its squares are ``d``'s, swapped. Builds no graph."""
+    return DirectDerivation(
+        d.rule.inverse, Match(d.comatch), DeletionResult(d.D, d.deletion.d, d.H), GluingResult(d.G, d.match.m, d.D)
     )
 
 
 def blocking_items(pair: ParallelPair) -> CheckReport:
-    """Why a parallel pair is dependent: a violation per matched host item the
-    other derivation deletes, its clause the triangle, ``"L1 into D2"`` or
-    ``"L2 into D1"``. It passes iff :func:`parallel_independent` finds a witness."""
+    """Why a pair is dependent: a violation per matched host item the other
+    derivation deletes, its clause the triangle, ``"L1 into D2"`` or
+    ``"L2 into D1"``, nodes before edges, in source order. For the inverse
+    pair of :func:`sequential_independent`, L1 is the first rule's R."""
     return CheckReport(tuple(
-        Violation(side, item)
+        Violation(side, (kind, f[x]))
         for side, m, context in (
             ("L1 into D2", pair.d1.match.m, pair.d2.deletion.D),
             ("L2 into D1", pair.d2.match.m, pair.d1.deletion.D),
         )
-        for item in _outside(m, context)
+        for kind, f, items, kept in (
+            ("node", m.fv, m.source.nodes, context.nodes),
+            ("edge", m.fe, m.source.edges, context.edges),
+        )
+        for x in sorted(items)
+        if f[x] not in kept
     ))
 
 
@@ -119,20 +114,24 @@ def parallel_independent(pair: ParallelPair) -> Optional[IndependenceWitness]:
     """Witness that neither derivation's match touches what the other deletes.
 
     The context inclusions are identity maps, so the candidate embeddings
-    are forced: a witness exists iff each match's image survives the other
-    derivation's deletion, item by item.
+    are forced: each match co-restricted to the other derivation's context,
+    a witness iff :func:`blocking_items` passes.
     """
-    return _witness(pair.d1.match.m, pair.d2.deletion.D, pair.d2.match.m, pair.d1.deletion.D)
+    if not blocking_items(pair):
+        return None
+    m1, m2 = pair.d1.match.m, pair.d2.match.m
+    return IndependenceWitness(
+        j1=Morphism(m1.source, pair.d2.D, m1.fv, m1.fe),
+        j2=Morphism(m2.source, pair.d1.D, m2.fv, m2.fe),
+    )
 
 
 def sequential_independent(
     first: DirectDerivation, second: DirectDerivation
 ) -> Optional[IndependenceWitness]:
-    """Witness for ``G => H => H'``: the first rule's comatch image survives
-    the second deletion, and the second match lands in the first context."""
-    if second.G != first.H:
-        raise PreconditionError("sequential pair: second derivation does not start at first's result")
-    return _witness(first.comatch, second.deletion.D, second.match.m, first.deletion.D)
+    """Witness for ``G => H => H'``: the parallel one of ``H => G``, the
+    inverse of ``first``, and ``second``, so ``j1: R1 -> D2`` and ``j2: L2 -> D1``."""
+    return parallel_independent(ParallelPair(inverse(first), second))
 
 
 def residual_match(pair: ParallelPair, witness: IndependenceWitness) -> tuple[Match, Match]:

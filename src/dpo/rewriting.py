@@ -36,6 +36,14 @@ class Rule:
         if not report:
             raise PreconditionError(f"invalid rule: {report.failed_clause}", report.counterexample)
 
+    @cached_property
+    def inverse(self) -> Rule:
+        """``R <- K -> L``, built once and not checked again: every clause of
+        :func:`validate_rule` still holds with ``(L, b)`` and ``(R, r)`` swapped."""
+        inv = object.__new__(Rule)
+        vars(inv).update(L=self.R, K=self.K, R=self.L, b=self.r, r=self.b)
+        return inv
+
 
 def identity_rule(g: Graph) -> Rule:
     """The rule that matches ``g`` and changes nothing."""

@@ -11,6 +11,11 @@ return the same list of injective morphisms in the same order. Only the
 reference also lists non-injective morphisms, for the exhaustive
 independence-witness search and the pushout universal-property probe.
 
+The reference sequential independence test checks a step's comatch and
+the next step's match against each other's contexts, where the engine runs
+the parallel test on the first step's inverse; both must give the same
+witness.
+
 The reference commutation check builds every square of the Church–Rosser
 decomposition and runs the general checks on each, where the engine decides
 a passing instance over the rules' items; both must return the same report.
@@ -351,6 +356,25 @@ def exhaustive_parallel_witness_exists(pair: ParallelPair) -> bool:
         morphisms_agree(compose(pair.d1.deletion.c, j2), pair.d2.match.m)
         for j2 in reference_enumerate_morphisms(pair.d2.rule.L, pair.d1.deletion.D)
     )
+
+
+def reference_sequential_independent(
+    first: DirectDerivation, second: DirectDerivation
+) -> IndependenceWitness | None:
+    """Witness for ``G => H => H'`` by its own two triangles: ``first``'s
+    comatch co-restricted into ``second``'s context as ``j1: R1 -> D2``, and
+    ``second``'s match into ``first``'s as ``j2: L2 -> D1``; ``None`` when
+    either image leaves its context."""
+    if second.G != first.H:
+        raise PreconditionError("sequential pair: second derivation does not start at first's result")
+    corestricted = []
+    for m, context in ((first.comatch, second.D), (second.match.m, first.D)):
+        if any(m.fv[v] not in context.nodes for v in m.source.nodes):
+            return None
+        if any(m.fe[e] not in context.edges for e in m.source.edges):
+            return None
+        corestricted.append(Morphism(m.source, context, m.fv, m.fe))
+    return IndependenceWitness(*corestricted)
 
 
 def reference_enumerate_morphisms(g: Graph, h: Graph, injective_only: bool = False) -> list[Morphism]:

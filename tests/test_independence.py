@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 from collections import Counter
 
@@ -29,10 +30,17 @@ from dpo.rewriting import (
     identity_rule,
 )
 
-from .generators import one_item_moved, random_graph, random_parallel_independent_pair, random_parallel_pair
+from .generators import (
+    one_item_moved,
+    random_graph,
+    random_parallel_independent_pair,
+    random_parallel_pair,
+    random_rule,
+)
 from .oracles import (
     exhaustive_parallel_witness_exists,
     is_inclusion,
+    reference_sequential_independent,
     reference_verify_commutation_squares,
 )
 
@@ -98,6 +106,29 @@ class TestParallelIndependent:
             assert bool(blocking_items(pair)) == (parallel_independent(pair) is not None)
 
 
+def create_then_delete() -> tuple[DirectDerivation, DirectDerivation]:
+    create = Rule(
+        L=graph({}), K=graph({}), R=graph({0: "a"}),
+        b=identity(graph({})), r=Morphism(graph({}), graph({0: "a"}), {}, {}),
+    )
+    first = apply(create, Match(Morphism(graph({}), graph({}), {}, {})))
+    deleter = node_deletion_rule()
+    return first, apply(deleter, find_matches(deleter, first.H)[0])
+
+
+def random_sequential_pair(rng: random.Random):
+    """``G => H => X``: a random parallel pair's ``d1``, then its other rule
+    or ``d1``'s own inverse rule at a random applicable match in H, or
+    ``None`` when that rule has none."""
+    pair = random_parallel_pair(rng)
+    first = pair.d1
+    rule = rng.choice((pair.d2.rule, first.rule.inverse))
+    matches = [m for m in find_matches(rule, first.H) if dangling_condition(rule, m)]
+    if not matches:
+        return None
+    return first, apply(rule, rng.choice(matches))
+
+
 class TestSequentialIndependent:
     def test_identity_first_then_anything(self):
         host = graph({0: "a", 1: "b"})
@@ -107,23 +138,98 @@ class TestSequentialIndependent:
         assert sequential_independent(first, second) is not None
 
     def test_create_then_delete_is_dependent(self):
-        host = graph({})
-        create = Rule(
-            L=graph({}), K=graph({}), R=graph({0: "a"}),
-            b=identity(graph({})), r=Morphism(graph({}), graph({0: "a"}), {}, {}),
-        )
-        first = apply(create, Match(Morphism(graph({}), host, {}, {})))
-        deleter = node_deletion_rule()
-        second = apply(deleter, find_matches(deleter, first.H)[0])
+        first, second = create_then_delete()
         assert sequential_independent(first, second) is None
+
+    def test_create_then_delete_names_the_created_node(self):
+        # the inverse pair's L1 is the first rule's R, whose node the second
+        # step deletes; the second step's match is not in D1, as the first created it
+        first, second = create_then_delete()
+        report = blocking_items(ParallelPair(independence.inverse(first), second))
+        assert str(report) == "L1 into D2: node 0"
+        assert report.violations == (Violation("L1 into D2", ("node", 0)), Violation("L2 into D1", ("node", 0)))
 
     def test_graph_mismatch_raises(self):
         g = graph({0: "a"})
         d = apply(identity_rule(g), Match(identity(g)))
         other = graph({0: "a", 1: "a"})
         e = apply(identity_rule(other), Match(identity(other)))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             sequential_independent(d, e)
+        assert str(exc.value) == "parallel pair: derivations start from different graphs"
+
+    def test_equals_the_reference_on_random_pairs(self):
+        rng = random.Random(0)
+        seen = Counter()
+        while sum(seen.values()) < 1000:
+            drawn = random_sequential_pair(rng)
+            if drawn is None:
+                continue
+            first, second = drawn
+            got = sequential_independent(first, second)
+            expected = reference_sequential_independent(first, second)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                for j, want in ((got.j1, expected.j1), (got.j2, expected.j2)):
+                    assert j.source is want.source and j.target is want.target
+                    assert (j.fv, j.fe) == (want.fv, want.fe)
+            seen[got is None] += 1
+        assert seen[True] > 400 and seen[False] > 400, seen
+
+
+class TestInverse:
+    def derivations(self, count: int):
+        rng = random.Random(11)
+        for _ in range(count):
+            pair = random_parallel_pair(rng)
+            yield from (pair.d1, pair.d2)
+
+    def test_inverse_of_the_inverse_is_the_derivation(self):
+        for d in self.derivations(200):
+            assert independence.inverse(independence.inverse(d)) == d
+
+    def test_both_squares_are_pushouts(self):
+        for d in self.derivations(100):
+            e = independence.inverse(d)
+            assert diagrams.is_pushout_injective(e.left_square)
+            assert diagrams.is_pushout_injective(e.right_square)
+
+    def test_applying_the_inverse_rule_at_the_comatch_gives_back_the_host(self):
+        for d in self.derivations(200):
+            e = independence.inverse(d)
+            back = apply(d.rule.inverse, Match(d.comatch))
+            assert (e.G, e.D, e.H) == (d.H, d.D, d.G)
+            assert back.D == d.D
+            assert is_isomorphic(back.H, d.G) is not None
+
+    def test_rule_inverse_is_cached_and_involutive(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            rule = random_rule(rng)
+            assert rule.inverse is rule.inverse
+            assert (rule.inverse.L, rule.inverse.K, rule.inverse.R) == (rule.R, rule.K, rule.L)
+            assert (rule.inverse.b, rule.inverse.r) == (rule.r, rule.b)
+            assert rule.inverse.inverse == rule
+
+    def test_a_rule_with_its_inverse_cached_pickles_to_an_equal_rule(self):
+        rule = edge_deletion_rule()
+        inv = rule.inverse
+        clone = pickle.loads(pickle.dumps(rule))
+        assert clone == rule and clone.inverse == inv
+        assert pickle.loads(pickle.dumps(inv)) == inv
+
+    def test_building_the_inverse_checks_nothing(self, monkeypatch):
+        calls, original = [], rewriting.validate_rule
+
+        def counting(*parts):
+            calls.append(parts)
+            return original(*parts)
+
+        monkeypatch.setattr(rewriting, "validate_rule", counting)
+        rule = loop_addition_rule()
+        assert len(calls) == 1
+        rule.inverse.inverse
+        assert len(calls) == 1
 
 
 class TestResidualMatch:
