@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import os
 import sys
 from pathlib import Path
@@ -230,8 +231,11 @@ def cmd_check_square(args: argparse.Namespace) -> int:
 
 
 def _build_pair(args: argparse.Namespace) -> ParallelPair:
+    """The two derivations of ``independent`` and ``commute``: each rule
+    applied to the host at its selected match. A path given as both rules
+    is read and checked once, and both derivations use that one rule."""
     rule1 = io.load_rule(args.rule1)
-    rule2 = io.load_rule(args.rule2)
+    rule2 = rule1 if args.rule2 == args.rule1 else io.load_rule(args.rule2)
     host = io.load_graph(args.graph)
     idx1, file1 = _parse_selector(args.match1)
     idx2, file2 = _parse_selector(args.match2)
@@ -303,7 +307,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dpo`` argument parser, built on the first call and returned by
+    every later one: parsing changes nothing in it, and help and usage
+    text is formatted when printed, for the terminal and the ``sys.stdout``
+    or ``sys.stderr`` of that moment. Nothing builds it at import."""
     parser = _Parser(prog="dpo", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine report only")
@@ -361,8 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``dpo`` command line, ``argv`` or else ``sys.argv[1:]``, and
+    return its exit code; ``--help`` and usage errors raise ``SystemExit``
+    (0 and 1). It may be called any number of times in one process: each
+    call reads its own files and writes to the ``sys.stdout`` and
+    ``sys.stderr`` of the moment, and all calls share one parser
+    (:func:`build_parser`)."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (RewriteError, OSError) as exc:

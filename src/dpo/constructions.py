@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import DanglingConditionError, PreconditionError
 from .graph import Graph
@@ -230,7 +231,9 @@ def _agreeing_pairs(
     """The pairs ``(x, y)`` with ``fx[x] == gy[y]``, in lexicographic order.
 
     The smaller side is indexed by its image and the larger side probes the
-    index, so only the pairs found are sorted.
+    index at C level (``compress`` over ``map``), so only its items that
+    find a partner reach Python, and only the pairs found are sorted. A map
+    that lacks an item of its side raises ``KeyError``.
     """
     if not xs or not ys:
         # no pairs: return before reading the other side's map
@@ -240,6 +243,7 @@ def _agreeing_pairs(
     by_image: dict[int, list[int]] = {}
     for x in xs:
         by_image.setdefault(fx[x], []).append(x)
-    pairs = [(x, y) for y in ys for x in by_image.get(gy[y], ())]
+    hits = compress(ys, map(by_image.__contains__, map(gy.__getitem__, ys)))
+    pairs = [(x, y) for y in hits for x in by_image[gy[y]]]
     pairs.sort()
     return pairs

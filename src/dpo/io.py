@@ -59,7 +59,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .diagrams import Square
 from .errors import FormatError, PreconditionError
-from .graph import PASSED, CheckReport, Graph, IsoWitness, ends_are_nodes, items_by_id, validate_graph
+from .graph import PASSED, CheckReport, Graph, IsoWitness, items_by_id, validate_graph
 from .morphism import Morphism, validate_morphism
 from .rewriting import DirectDerivation, Rule
 
@@ -74,7 +74,8 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(doc: Any) -> Graph:
     """The graph of a graph document, or :class:`FormatError` naming the
-    first bad entry.
+    first bad entry. Its edges may end outside its nodes: ``dpo validate``
+    reports those, and the loaders refuse them.
 
     The fast path takes each field as a column (``list(map(itemgetter(k),
     entries))``) and decides validity with C-level tests over whole columns:
@@ -83,6 +84,16 @@ def graph_from_json(doc: Any) -> Graph:
     entries in order, so the error raised and its message are the same as
     with the loop alone.
     """
+    return _read_graph(doc, closed=False)
+
+
+def _read_graph(doc: Any, closed: bool) -> Graph:
+    """The reader behind :func:`graph_from_json` and, with ``closed``, behind
+    every graph a loader reads: that graph must also pass
+    :func:`~dpo.graph.validate_graph`, or :class:`FormatError` names its
+    first violation. On the fast path ids are non-negative by the column
+    tests, so only the edges' ends are left to test, and they are tested on
+    the ``srcs`` and ``tgts`` columns before these are zipped."""
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise FormatError("graph document must be an object with a 'nodes' array")
     node_entries, edge_entries = doc["nodes"], doc.get("edges", [])
@@ -95,10 +106,15 @@ def graph_from_json(doc: Any) -> Graph:
         else:
             if all(map(_naturals, (ids, eids, srcs, tgts))) and _strings(labels) and _strings(elabels):
                 nlabel = dict(zip(ids, labels))
-                edge = dict(zip(eids, zip(srcs, tgts, elabels)))
-                if len(nlabel) == len(ids) and len(edge) == len(eids):
-                    return Graph.from_maps(nlabel, edge)
-    return _checked_graph(doc)
+                has = nlabel.__contains__
+                if len(nlabel) == len(ids) and (not closed or (all(map(has, srcs)) and all(map(has, tgts)))):
+                    edge = dict(zip(eids, zip(srcs, tgts, elabels)))
+                    if len(edge) == len(eids):
+                        return Graph.from_maps(nlabel, edge)
+    g = _checked_graph(doc)
+    if closed and not (report := validate_graph(g)):
+        raise FormatError(f"invalid graph: {report.failed_clause}", report.counterexample)
+    return g
 
 
 def _records(entries: Any) -> bool:
@@ -314,7 +330,7 @@ def _rows(fh: TextIO, template: str, ids: list[int], *columns: Iterable) -> None
 def load_graph(path: str | Path) -> Graph:
     doc = load_json(path)
     with _named(path):
-        return _well_formed(graph_from_json(doc))
+        return _read_graph(doc, closed=True)
 
 
 @contextmanager
@@ -328,19 +344,6 @@ def _named(where: str | Path) -> Iterator[None]:
         raise FormatError(f"{where}: {exc.report.failed_clause}", exc.report.counterexample) from exc
 
 
-def _well_formed(g: Graph) -> Graph:
-    """``g``, if every edge ends at nodes of ``g``; else :class:`FormatError`
-    naming the first :func:`validate_graph` violation. Every graph a verb
-    reads passes here. :class:`~dpo.graph.Graph` itself guarantees that its
-    item sets are its maps' keys, and :func:`graph_from_json` that ids are
-    non-negative, so :func:`~dpo.graph.ends_are_nodes` stands in for the
-    full check."""
-    if ends_are_nodes(g):
-        return g
-    report = validate_graph(g)
-    raise FormatError(f"invalid graph: {report.failed_clause}", report.counterexample)
-
-
 def _graph_at(doc: Any, key: str, path: str | Path, missing: str) -> Graph:
     """The graph ``doc[key]``, given inline or as a path relative to
     ``path``, the file ``doc`` was read from; :class:`FormatError` with the
@@ -351,7 +354,7 @@ def _graph_at(doc: Any, key: str, path: str | Path, missing: str) -> Graph:
     if isinstance(value, str):
         return load_graph(Path(path).parent / value)
     with _named(f"{path} '{key}'"):
-        return _well_formed(graph_from_json(value))
+        return _read_graph(value, closed=True)
 
 
 def load_rule(path: str | Path) -> Rule:

@@ -1147,6 +1147,57 @@ class TestUsageErrors:
             assert re.search(rf"^ +{verb} +{about}$", out, re.M), verb
 
 
+class TestMainCalledRepeatedly:
+    """``main`` may be called any number of times in one process: it builds
+    its parser on the first call only, and each call's exit code, stdout,
+    stderr and files are those of the call alone."""
+
+    @staticmethod
+    def outcome(capsys, argv: list[str], written: Path) -> tuple:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err, written.read_bytes() if written.exists() else None
+
+    def test_repeats_give_the_same_codes_and_bytes(self, capsys, files, tmp_path):
+        out = tmp_path / "Gp.json"
+        commute = ["commute", files["create_c"], files["create_c"], files["host"],
+                   "--match1", "0", "--match2", "0", "--out", str(out)]
+        calls = [
+            ["validate", files["host"], "--frob"],
+            ["--help"],
+            commute,
+            ["apply", "--help"],
+            ["validate", files["delete_x"], "--json"],
+            ["apply", files["delete_a"], files["host"], "--out", str(tmp_path / "H.json")],
+            ["frob"],
+            [*commute, "--json"],
+        ]
+        first = []
+        for argv in calls:
+            out.unlink(missing_ok=True)
+            first.append(self.outcome(capsys, argv, out))
+        codes = [code for code, *_ in first]
+        assert codes == [("SystemExit", 1), ("SystemExit", 0), 0, ("SystemExit", 0), 0, 2, ("SystemExit", 1), 0]
+        assert first[2][3] == first[7][3] is not None and first[2][2] == "commuted; wrote " + str(out) + "\n"
+        for _ in range(2):
+            for argv, expected in zip(calls, first):
+                out.unlink(missing_ok=True)
+                assert self.outcome(capsys, argv, out) == expected, argv
+
+    def test_the_parser_is_built_once(self, capsys, files):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "validate", files["host"])[0] == 0
+            with pytest.raises(SystemExit):
+                main(["frob"])
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestIso:
     def test_shuffled_copy_exits_0_with_a_witness_that_preserves_the_structure(self, capsys, tmp_path):
         rng = random.Random(5)
@@ -1277,16 +1328,35 @@ class TestRuleCheckedOncePerFile:
                     monkeypatch.setattr(module, attr, counting)
         return calls
 
-    @pytest.mark.parametrize("verb, count", [("apply", 1), ("independent", 2), ("commute", 2)])
-    def test_validate_rule_runs_once_per_rule_file(self, capsys, files, tmp_path, calls, verb, count):
+    @pytest.fixture
+    def reads(self, monkeypatch) -> Counter:
+        reads, original = Counter(), io.load_json
+
+        def counting(path):
+            reads[str(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(io, "load_json", counting)
+        return reads
+
+    @staticmethod
+    def argv(verb: str, rules: list[str], files, tmp_path) -> list[str]:
         if verb == "apply":
-            argv = ["apply", files["delete_x"], files["host"], "--out", str(tmp_path / "H.json")]
-        else:
-            argv = [verb, files["delete_x"], files["create_c"], files["host"], "--match1", "0", "--match2", "0"]
-            if verb == "commute":
-                argv += ["--out", str(tmp_path / "Gp.json")]
-        code, _, _ = run(capsys, *argv)
+            return ["apply", *rules, files["host"], "--out", str(tmp_path / "H.json")]
+        argv = [verb, *rules, files["host"], "--match1", "0", "--match2", "0"]
+        return argv + ["--out", str(tmp_path / "Gp.json")] if verb == "commute" else argv
+
+    @pytest.mark.parametrize("verb, count", [("apply", 1), ("independent", 2), ("commute", 2)])
+    def test_validate_rule_runs_once_per_rule_file(self, capsys, files, tmp_path, calls, reads, verb, count):
+        rules = [files["delete_x"], files["create_c"]][:count]
+        code, _, _ = run(capsys, *self.argv(verb, rules, files, tmp_path))
         assert (code, len(calls)) == (0, count)
+        assert [reads[rule] for rule in rules] == [1] * count
+
+    @pytest.mark.parametrize("verb", ["independent", "commute"])
+    def test_a_rule_file_given_as_both_rules_is_read_and_checked_once(self, capsys, files, tmp_path, calls, reads, verb):
+        code, _, _ = run(capsys, *self.argv(verb, [files["create_c"]] * 2, files, tmp_path))
+        assert (code, len(calls), reads[files["create_c"]]) == (0, 1, 1)
 
 
 class TestSquareCheckedOncePerFile:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpo.constructions import dangling_edges, deletion, gluing, pullback_construct
+from dpo.constructions import _agreeing_pairs, dangling_edges, deletion, gluing, pullback_construct
 from dpo.diagrams import (
     Square,
     commutes,
@@ -306,6 +306,23 @@ class TestPullbackJoin:
         assert result.node_pairs == dict(enumerate(node_pairs))
         assert result.edge_pairs == dict(enumerate(edge_pairs))
         assert result.A == A
+
+    @settings(max_examples=300, deadline=None)
+    @given(cospans(), st.data())
+    def test_agreeing_pairs_are_the_brute_force_join(self, cospan, data):
+        f, g = cospan
+        for xs, fx, ys, gy in ((f.source.nodes, f.fv, g.source.nodes, g.fv), (f.source.edges, f.fe, g.source.edges, g.fe)):
+            join = sorted((x, y) for x in xs for y in ys if fx[x] == gy[y])
+            assert _agreeing_pairs(xs, fx, ys, gy) == join
+            assert _agreeing_pairs(ys, gy, xs, fx) == sorted((y, x) for x, y in join)
+            if xs and ys:
+                # a map that lacks one item of its side, on either side
+                missing = data.draw(st.sampled_from(sorted(ys)))
+                partial = {y: image for y, image in gy.items() if y != missing}
+                for args in ((xs, fx, ys, partial), (ys, partial, xs, fx)):
+                    with pytest.raises(KeyError) as exc:
+                        _agreeing_pairs(*args)
+                    assert exc.value.args == (missing,)
 
     def test_identity_square_of_twenty_thousand_nodes(self):
         # no wall-clock bound: the join takes well under a second here,

@@ -217,6 +217,24 @@ class TestGraphFromJson:
         expected = outcome(reference_graph_from_json, copy.deepcopy(doc))
         assert outcome(io.graph_from_json, doc) == expected
 
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_graph_documents())
+    @example({"nodes": [{"id": 0, "label": "a"}], "edges": [{"id": 0, "src": 0, "tgt": 1, "label": "x"}]})
+    @example({"nodes": [{"id": 0, "label": "a"}], "edges": [{"id": 0, "src": 1, "tgt": 0, "label": "x"}] * 2})
+    @example({"nodes": [{"id": 0, "label": "a"}], "edges": [{"id": 0, "src": 1, "tgt": 0, "label": 5}]})
+    def test_load_graph_agrees_with_the_reference_and_validate_graph(self, tmp_path_factory, doc):
+        """``load_graph`` tests the edges' ends on the columns it reads; it
+        returns and raises what the reference reader and ``validate_graph``
+        give, with the file's name in front of the message."""
+        path = tmp_path_factory.mktemp("load_graph") / "g.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        kind, expected = outcome(reference_graph_from_json, copy.deepcopy(doc))
+        if kind == "error":
+            expected = f"{path}: {expected}"
+        elif not (report := validate_graph(expected)):
+            kind, expected = "error", f"{path}: invalid graph: {report}"
+        assert outcome(io.load_graph, path) == (kind, expected)
+
 
 @st.composite
 def corrupted_maps(draw):
